@@ -23,12 +23,12 @@ The pieces, bottom up:
 from .fock import SectorBasis, dimension, enumerate_sector
 from .operators import (BasisMismatchError, EmptyInteriorError,
                         ResidualReport, SparseOperator, annihilation_op,
-                        anticommutator, commutator, commutator_residual,
+                        commutator, commutator_residual,
                         creation_op, number_op, residual, zero_residual)
 from .schwinger import (KernelVector, SpectralDecomposition,
                         SpectralFunctionError, Su2Generators, j_hat,
-                        jordan_schwinger, jz_kernel, kernel_nodes,
-                        spectral_function, su2_generators)
+                        jordan_schwinger, jz_kernel, spectral_function,
+                        su2_generators)
 from .jpoly import JPoly, poly_matrix_det
 from .ladder import (AlphaMatrix, ConsistencyError, PreconditionError,
                      RightFunction, RightFunctionError, SigmaVector,
@@ -58,14 +58,14 @@ __all__ = [
     "RightFunctionError", "SectorBasis", "SigmaVector", "SparseOperator",
     "SpectralDecomposition", "SpectralFunctionError", "Su2Generators",
     "SuiteConfig", "TauOperator", "VerificationReport", "annihilation_op",
-    "anticommutator", "assemble_tau", "build_alpha", "build_alpha_certified",
+    "assemble_tau", "build_alpha", "build_alpha_certified",
     "build_families", "build_taus", "canonical_basis_s1", "certify_alpha",
     "check_llo", "check_power_identity", "check_rlo", "check_rlo_compose",
     "commutator", "commutator_residual", "complete_set_check", "creation_op",
     "deformed_generators", "demo_s1_operators", "det_certificate",
     "dimension", "enumerate_sector", "export_report",
     "expression_match_scale", "family_for_theta", "j_hat",
-    "jordan_schwinger", "jz_kernel", "kernel_nodes", "lattice_report",
+    "jordan_schwinger", "jz_kernel", "lattice_report",
     "number_op", "poly_matrix_det", "residual", "residue_classes",
     "resolvent_commutator_check", "right_function_poly", "right_functions",
     "run_suite", "s1_reference_taus", "solve_sigma", "spectral_function",

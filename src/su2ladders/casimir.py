@@ -30,7 +30,7 @@ from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
 from .operators import (ResidualReport, SparseOperator, commutator,
                         commutator_residual, creation_op, number_op, residual,
                         zero_residual)
-from .schwinger import KernelVector, Su2Generators, jz_kernel
+from .schwinger import KernelVector, Su2Generators, _phase_fixed, jz_kernel
 
 
 @dataclass(frozen=True)
@@ -785,15 +785,8 @@ def canonical_basis_s1(basis: SectorBasis, generators: Su2Generators,
                         "produced the zero vector")
                 vec = vec / norm
                 out.append(CanonicalVector(n=n, j=j, jz=jz,
-                                           vector=_phase_fix(vec)))
+                                           vector=_phase_fixed(vec)))
     return out
-
-
-def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    amax = np.max(np.abs(vec))
-    nz = np.flatnonzero(np.abs(vec) > 1e-8 * amax)
-    lead = vec[nz[0]]
-    return vec / (lead / abs(lead))
 
 
 # -- alternative single-mode ladder forms -------------------------------------------
@@ -810,7 +803,8 @@ class TauBarReport:
     node_ratios: list[tuple[int, int, float, float]]  # (n, j, measured, expected)
 
     def max_ratio_deviation(self) -> float:
-        return max((abs(m - e) for _, _, m, e in self.node_ratios), default=0.0)
+        return float(max((abs(m - e) for _, _, m, e in self.node_ratios),
+                         default=0.0))
 
 
 def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,

@@ -223,13 +223,6 @@ def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
     return SparseOperator(x.basis, out, x.particle_budget + y.particle_budget)
 
 
-def anticommutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
-    x._require_same_basis(y)
-    out = (x.matrix @ y.matrix + y.matrix @ x.matrix).tocsr()
-    out.eliminate_zeros()
-    return SparseOperator(x.basis, out, x.particle_budget + y.particle_budget)
-
-
 # -- interior-restricted residuals -------------------------------------------
 
 def _restriction(basis, margin: int, col_weight=None):

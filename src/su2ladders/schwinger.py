@@ -6,11 +6,13 @@ Applied to the spin-s generator matrices it yields J_z, J_+, J_-, from which
 the Casimir J^2 and the label operator j (with J^2 = j(j+1)) are built.
 All of these conserve both total particle number and J_z weight, so they are
 block diagonal over (n, weight) sectors; functions of them are evaluated
-sector by sector.
+sector by sector.  The J^2 eigenvalues snap to integer labels j, so a
+function of j is evaluated once per label, at the exact integer.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -69,19 +71,84 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
     return SparseOperator(basis, acc, 0)
 
 
-def _j_from_casimir(value: float) -> float:
-    # Inverse of j(j+1); tiny negative eigenvalues from roundoff are tolerated.
-    radicand = 1.0 + 4.0 * value
-    if radicand < 0:
-        radicand = 0.0
-    return 0.5 * (math.sqrt(radicand) - 1.0)
+#: How far a j eigenvalue may sit from its integer label before the spectrum
+#: counts as damaged (truncation, wrong spin) instead of rounded.
+SNAP_TOL = 1e-6
+
+
+def _j_from_casimir(values: np.ndarray) -> np.ndarray:
+    # Inverse of j(j+1), elementwise; tiny negative eigenvalues from roundoff
+    # are tolerated.
+    return 0.5 * (np.sqrt(np.maximum(1.0 + 4.0 * values, 0.0)) - 1.0)
+
+
+def _snap_labels(values: np.ndarray, key: tuple, spin: int,
+                 snap_tol: float = SNAP_TOL) -> np.ndarray:
+    """Integer labels j of the J^2 eigenvalues j(j+1) of one (n, weight) sector.
+
+    Every j must lie within ``snap_tol`` of an integer in [0, n*spin];
+    otherwise SpectrumSnapError is raised.
+    """
+    js = _j_from_casimir(np.asarray(values, dtype=float))
+    labels = np.rint(js)
+    top = key[0] * spin
+    bad = np.flatnonzero((np.abs(js - labels) > snap_tol)
+                         | (labels < 0) | (labels > top))
+    if len(bad):
+        raise SpectrumSnapError(
+            f"j eigenvalue {float(js[bad[0]])!r} in sector (n, weight)={key} "
+            f"is not within {snap_tol} of an integer in [0, {top}]")
+    return labels.astype(np.int64)
+
+
+def _evaluate(f: Callable, args: tuple, sector: tuple, eigenvalue: float
+              ) -> complex:
+    """f(*args) as a finite complex number; failures name the sector."""
+    try:
+        y = f(*args)
+        value = None if y is None else complex(y)
+    except (ValueError, ArithmeticError) as exc:
+        raise SpectralFunctionError(sector, eigenvalue, str(exc)) from exc
+    if value is None or not cmath.isfinite(value):
+        raise SpectralFunctionError(sector, eigenvalue, f"non-finite value {y!r}")
+    return value
 
 
 @dataclass
 class SpectralDecomposition:
-    """Per-(n, weight)-sector eigendecomposition of a hermitian operator."""
+    """Per-(n, weight)-sector eigendecomposition of a hermitian operator.
+
+    The sectors partition the basis, so every spectral image lives on the
+    union of the sector blocks.  That CSR pattern depends on the sectors
+    alone and is built once; each image scatters its dense blocks
+    V diag(f) V^dagger into it.
+    """
     basis: SectorBasis
     sectors: list  # list of (key, indices, eigenvalues, eigenvectors)
+    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
+    _order: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Row i of the pattern holds the (ascending) indices of its sector;
+        # _order maps block-major entry positions to CSR data positions.
+        dim = len(self.basis)
+        widths = np.zeros(dim, dtype=np.int64)
+        for _key, idx, _vals, _vecs in self.sectors:
+            widths[idx] = len(idx)
+        nnz = int(widths.sum())
+        itype = np.int32 if nnz < 2 ** 31 else np.int64
+        self._indptr = np.zeros(dim + 1, dtype=itype)
+        np.cumsum(widths, out=self._indptr[1:])
+        self._indices = np.empty(nnz, dtype=itype)
+        self._order = np.empty(nnz, dtype=itype)
+        offset = 0
+        for _key, idx, _vals, _vecs in self.sectors:
+            d = len(idx)
+            pos = (self._indptr[idx][:, None] + np.arange(d, dtype=itype)).ravel()
+            self._indices[pos] = np.tile(idx, d)
+            self._order[offset:offset + d * d] = pos
+            offset += d * d
 
     @staticmethod
     def of(op: SparseOperator, hermitian_tol: float = 1e-10
@@ -114,38 +181,35 @@ class SpectralDecomposition:
             sectors.append((key, idx, vals, vecs))
         return SpectralDecomposition(basis, sectors)
 
+    def assemble(self, values: list) -> SparseOperator:
+        """The operator with eigenvalues ``values[k]`` on sector k's eigenvectors.
+
+        Each block V diag(values) V^dagger is hermitized within the block.
+        """
+        data = np.empty(len(self._order), dtype=complex)
+        offset = 0
+        for (_key, idx, _vals, vecs), fvals in zip(self.sectors, values):
+            d = len(idx)
+            block = (vecs * fvals) @ vecs.conj().T
+            data[self._order[offset:offset + d * d]] = (
+                (block + block.conj().T) * 0.5).ravel()
+            offset += d * d
+        dim = len(self.basis)
+        out = sparse.csr_matrix(
+            (data, self._indices.copy(), self._indptr.copy()), shape=(dim, dim))
+        out.eliminate_zeros()
+        return SparseOperator(self.basis, out, 0)
+
     def apply(self, f: Callable[[float], float]) -> SparseOperator:
         """Apply a scalar function to each sector's eigenvalues and reassemble."""
         return self.apply_keyed(lambda key, x: f(x))
 
     def apply_keyed(self, f: Callable[[tuple, float], float]) -> SparseOperator:
         """Like ``apply`` but the function also receives the (n, weight) key."""
-        dim = len(self.basis)
-        acc = sparse.lil_matrix((dim, dim), dtype=complex)
-        for key, idx, vals, vecs in self.sectors:
-            fvals = np.empty(len(vals), dtype=complex)
-            for k, lam in enumerate(vals):
-                try:
-                    y = f(key, float(lam))
-                except ZeroDivisionError as exc:
-                    raise SpectralFunctionError(key, float(lam), str(exc)) from exc
-                except (ValueError, ArithmeticError) as exc:
-                    raise SpectralFunctionError(key, float(lam), str(exc)) from exc
-                if y is None or not np.isfinite(y):
-                    raise SpectralFunctionError(key, float(lam),
-                                                f"non-finite value {y!r}")
-                fvals[k] = y
-            block = (vecs * fvals) @ vecs.conj().T
-            acc[np.ix_(idx, idx)] = block
-        out = acc.tocsr()
-        out.eliminate_zeros()
-        return SparseOperator(self.basis, out, 0).hermitized()
-
-    def reassemble(self) -> SparseOperator:
-        return self.apply(lambda x: x)
-
-    def eigenvalues_by_sector(self) -> dict:
-        return {key: vals.copy() for key, idx, vals, vecs in self.sectors}
+        return self.assemble([
+            np.array([_evaluate(f, (key, lam), key, lam) for lam in vals.tolist()],
+                     dtype=complex)
+            for key, _idx, vals, _vecs in self.sectors])
 
 
 def spectral_function(op: SparseOperator, f: Callable[[float], float]
@@ -159,7 +223,9 @@ class Su2Generators:
 
     All five operators conserve total particle number (budget 0).  The
     decomposition of J^2 is computed once and reused for every function of
-    the label operator j.
+    the label operator j.  Its eigenvalues snap to integer labels j, so a
+    function of j (or of the commuting pair (N, j)) is evaluated once per
+    distinct label, at the exact integer.
     """
 
     def __init__(self, basis: SectorBasis):
@@ -185,6 +251,7 @@ class Su2Generators:
         self.J2 = j2.hermitized().with_budget(0)
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
         self._j2_decomp: Optional[SpectralDecomposition] = None
+        self._labels: Optional[tuple[list, dict]] = None
         self._j_hat: Optional[SparseOperator] = None
 
     def j2_decomposition(self) -> SpectralDecomposition:
@@ -193,38 +260,65 @@ class Su2Generators:
         return self._j2_decomp
 
     def j_values_by_sector(self) -> dict:
-        return {key: np.array([_j_from_casimir(float(v)) for v in vals])
+        return {key: _j_from_casimir(vals)
                 for key, idx, vals, vecs in self.j2_decomposition().sectors}
 
-    def j_hat(self, snap_tol: float = 1e-6) -> SparseOperator:
+    def _label_groups(self, decomp: SpectralDecomposition
+                      ) -> tuple[list, dict]:
+        """Integer labels per sector, and a witness per distinct (n, j).
+
+        The witness is the first sector holding the label together with the
+        J^2 eigenvalue there; it is what a failing scalar function reports.
+        """
+        if self._labels is None:
+            labels, witness = [], {}
+            for key, _idx, vals, _vecs in decomp.sectors:
+                js = _snap_labels(vals, key, self.s)
+                labels.append(js)
+                for j, k in zip(*np.unique(js, return_index=True)):
+                    witness.setdefault((key[0], int(j)), (key, float(vals[k])))
+            self._labels = (labels, witness)
+        return self._labels
+
+    def _label_image(self, decomp: SpectralDecomposition, f: Callable,
+                     with_n: bool) -> SparseOperator:
+        """Spectral image of f(n, j) (``with_n``) or f(j), one call per label."""
+        labels, witness = self._label_groups(decomp)
+        table = np.zeros((self.basis.n_max + 1, self.basis.n_max * self.s + 1),
+                         dtype=complex)
+        values: dict[tuple, complex] = {}
+        for (n, j), (key, lam) in witness.items():
+            args = (n, j) if with_n else (j,)
+            if args not in values:
+                values[args] = _evaluate(f, args, key, lam)
+            table[n, j] = values[args]
+        return decomp.assemble([table[key[0], js] for (key, *_), js
+                                in zip(decomp.sectors, labels)])
+
+    def j_hat(self, snap_tol: float = SNAP_TOL) -> SparseOperator:
         """The label operator: spectral image of (sqrt(1 + 4 J^2) - 1)/2.
 
-        Every eigenvalue is checked to lie within ``snap_tol`` of an integer
-        in [0, n*s] for its sector; a violation signals truncation damage or
-        a wrong spin and raises SpectrumSnapError.
+        On first use every eigenvalue is checked to lie within ``snap_tol``
+        of an integer in [0, n*s] for its sector; a violation signals
+        truncation damage or a wrong spin and raises SpectrumSnapError.  The
+        eigenvalues of the result are the integer labels themselves, which
+        always snap within SNAP_TOL.
         """
         if self._j_hat is None:
             decomp = self.j2_decomposition()
-            for key, idx, vals, vecs in decomp.sectors:
-                n = key[0]
-                for lam in vals:
-                    j = _j_from_casimir(float(lam))
-                    r = round(j)
-                    if abs(j - r) > snap_tol or not 0 <= r <= n * self.s:
-                        raise SpectrumSnapError(
-                            f"j eigenvalue {j!r} in sector (n, weight)={key} is "
-                            f"not within {snap_tol} of an integer in [0, {n * self.s}]")
-            self._j_hat = decomp.apply(_j_from_casimir)
+            for key, _idx, vals, _vecs in decomp.sectors:
+                _snap_labels(vals, key, self.s, snap_tol)
+            self._j_hat = self._label_image(decomp, lambda j: j, with_n=False)
         return self._j_hat
 
-    def function_of_j(self, f: Callable[[float], float]) -> SparseOperator:
-        """Spectral image of f(j), evaluated through the J^2 decomposition."""
-        return self.j2_decomposition().apply(lambda lam: f(_j_from_casimir(lam)))
+    def function_of_j(self, f: Callable[[int], float]) -> SparseOperator:
+        """Spectral image of f(j); f is called once per integer label j."""
+        return self._label_image(self.j2_decomposition(), f, with_n=False)
 
-    def function_of_nj(self, f: Callable[[int, float], float]) -> SparseOperator:
-        """Spectral image of f(n, j) for the commuting pair (N, j)."""
-        return self.j2_decomposition().apply_keyed(
-            lambda key, lam: f(key[0], _j_from_casimir(lam)))
+    def function_of_nj(self, f: Callable[[int, int], float]) -> SparseOperator:
+        """Spectral image of f(n, j) for the commuting pair (N, j); f is
+        called once per distinct integer pair (n, j)."""
+        return self._label_image(self.j2_decomposition(), f, with_n=True)
 
 
 def su2_generators(basis: SectorBasis) -> Su2Generators:
@@ -232,7 +326,7 @@ def su2_generators(basis: SectorBasis) -> Su2Generators:
     return Su2Generators(basis)
 
 
-def j_hat(generators: Su2Generators, snap_tol: float = 1e-6) -> SparseOperator:
+def j_hat(generators: Su2Generators, snap_tol: float = SNAP_TOL) -> SparseOperator:
     """Label operator of the Casimir; see ``Su2Generators.j_hat``."""
     return generators.j_hat(snap_tol=snap_tol)
 
@@ -246,6 +340,7 @@ class KernelVector:
 
 
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
+    """Rotate vec so its first non-negligible entry is real and positive."""
     amax = np.max(np.abs(vec))
     if amax == 0:
         return vec
@@ -256,7 +351,7 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
 
 
 def jz_kernel(basis: SectorBasis, generators: Su2Generators, n: int,
-              snap_tol: float = 1e-6) -> list[KernelVector]:
+              snap_tol: float = SNAP_TOL) -> list[KernelVector]:
     """Orthonormal basis of the weight-0, n-particle subspace, labeled by j.
 
     Vectors are obtained by diagonalizing J^2 on the sector, so J_z is zero
@@ -273,26 +368,13 @@ def jz_kernel(basis: SectorBasis, generators: Su2Generators, n: int,
         return []
     block = generators.J2.matrix[idx][:, idx].toarray()
     vals, vecs = np.linalg.eigh(block)
+    labels = _snap_labels(vals, (n, 0), basis.spin, snap_tol)
     out = []
-    for k, lam in enumerate(vals):
-        j = _j_from_casimir(float(lam))
-        r = round(j)
-        if abs(j - r) > snap_tol:
-            raise SpectrumSnapError(
-                f"kernel eigenvalue {lam} (j={j}) in sector n={n} is not within "
-                f"{snap_tol} of an integer label")
+    for k, j in enumerate(labels):
         full = np.zeros(len(basis), dtype=complex)
         full[idx] = vecs[:, k]
-        out.append(KernelVector(n=n, j=int(r), vector=_phase_fixed(full)))
+        out.append(KernelVector(n=n, j=int(j), vector=_phase_fixed(full)))
     out.sort(key=lambda kv: (kv.j, tuple(np.round(kv.vector.real, 10))
                              + tuple(np.round(kv.vector.imag, 10))))
     return out
 
-
-def kernel_nodes(basis: SectorBasis, generators: Su2Generators, n: int
-                 ) -> dict[int, list[KernelVector]]:
-    """Kernel vectors of the n-particle sector grouped by j label."""
-    nodes: dict[int, list[KernelVector]] = {}
-    for kv in jz_kernel(basis, generators, n):
-        nodes.setdefault(kv.j, []).append(kv)
-    return nodes

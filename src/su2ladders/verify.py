@@ -214,6 +214,7 @@ class VerificationReport:
             params = " ".join(f"{k}={v}" for k, v in sorted(c.params.items()))
             res = "" if c.residual is None else f" residual={c.residual:.3e}"
             lines.append(f"{status} {c.name} [{params}]{res}"
+                         f" time={c.wall_time:.3f}s"
                          + (f" ({c.detail})" if c.detail and not c.passed else ""))
         lines.append(f"{'PASS' if self.overall_pass else 'FAIL'}: "
                      f"{len(self.checks) - self.failed_count}/{len(self.checks)} "
@@ -232,6 +233,9 @@ class _Runner:
         start = time.perf_counter()
         try:
             value, passed, detail = fn(tol)
+            # Checks may hand back numpy scalars; reports hold plain types.
+            value = None if value is None else float(value)
+            passed = bool(passed)
         except EmptyInteriorError as exc:
             value, passed, detail = None, False, f"empty restriction: {exc}"
         except Exception as exc:  # hard errors become failed checks

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import su2ladders
 from su2ladders.cli import main
 
 
@@ -57,14 +59,18 @@ def test_verify_env_tolerance(capsys, monkeypatch):
 
 
 def test_verify_byte_identical_runs(tmp_path):
-    # End to end through the console entry, as a subprocess.
+    # End to end through the console entry, as a subprocess that imports the
+    # same package as this test.
+    src = os.path.dirname(os.path.dirname(su2ladders.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     paths = []
     for tag in ("a", "b"):
         path = tmp_path / f"report_{tag}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "su2ladders", "verify", "--spin", "1,2",
              "--nmax", "3", "--out", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()

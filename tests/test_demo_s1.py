@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from su2ladders.casimir import (canonical_basis_s1, demo_s1_operators,
-                                s1_inverse_expressions, s1_reference_taus,
-                                s1_tau_bracket_ladder, tau_bar_forms)
-from su2ladders.operators import (SparseOperator, commutator, creation_op,
-                                  residual)
+from su2ladders.casimir import (TauBarReport, canonical_basis_s1,
+                                demo_s1_operators, s1_inverse_expressions,
+                                s1_reference_taus, s1_tau_bracket_ladder,
+                                tau_bar_forms)
+from su2ladders.operators import (ResidualReport, SparseOperator, commutator,
+                                  creation_op, residual)
 from su2ladders.schwinger import jz_kernel
 
 
@@ -85,6 +86,13 @@ def test_single_mode_ladders_are_rescaled_taus(ctx):
     assert tb.max_ratio_deviation() < 1e-10
     for n, j, measured, expected in tb.node_ratios:
         assert expected == pytest.approx(1.0 / (2 * j + 1))
+
+
+def test_max_ratio_deviation_is_a_plain_float():
+    rep = ResidualReport(0.0, 0.0, 1)
+    tb = TauBarReport(rep, rep, rep, rep, rep,
+                      [(1, 1, np.float64(0.25), 1.0 / 3.0)])
+    assert type(tb.max_ratio_deviation()) is float
 
 
 def test_inverse_expressions(ctx):

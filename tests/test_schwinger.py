@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from su2ladders import bruteforce
 from su2ladders.fock import enumerate_sector
+from su2ladders.jpoly import JPoly
+from su2ladders.ladder import right_function_poly
 from su2ladders.operators import (commutator, commutator_residual,
                                   residual)
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
@@ -239,3 +242,59 @@ def test_decomposition_sector_orthonormality(ctx):
     for key, idx, vals, vecs in g.j2_decomposition().sectors:
         gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(len(idx)))) < 1e-12
+
+
+def _float_j(lam):
+    return 0.5 * (math.sqrt(max(1.0 + 4.0 * lam, 0.0)) - 1.0)
+
+
+@pytest.mark.parametrize("spin,n_max", [(2, 4), (3, 4)])
+def test_function_of_j_matches_generic_path(ctx, spin, n_max):
+    g = ctx(spin, n_max).gens
+    poly = right_function_poly(1) * JPoly.from_coeffs([Fraction(1, 3), 2])
+    for f in (poly, lambda j: 1.0 / (2.0 * j + 1.0)):
+        # Reference: the per-eigenvalue path, with f at each float j.
+        ref = spectral_function(g.J2, lambda lam: f(_float_j(lam)))
+        assert residual(g.function_of_j(f), ref, 0).frobenius_relative < 1e-12
+
+
+@pytest.mark.parametrize("spin,n_max", [(2, 4), (3, 4)])
+def test_function_of_nj_matches_generic_path(ctx, spin, n_max):
+    g = ctx(spin, n_max).gens
+
+    def f(n, j):
+        return math.sqrt(n + j + 1.0) / (2.0 * j + 3.0)
+
+    ref = SpectralDecomposition.of(g.J2).apply_keyed(
+        lambda key, lam: f(key[0], _float_j(lam)))
+    assert residual(g.function_of_nj(f), ref, 0).frobenius_relative < 1e-12
+
+
+def test_function_of_j_calls_once_per_integer_label(ctx):
+    g = ctx(2, 4).gens
+    labels = {int(round(j)) for js in g.j_values_by_sector().values() for j in js}
+    pairs = {(n, int(round(j))) for (n, _w), js in g.j_values_by_sector().items()
+             for j in js}
+    seen = []
+    g.function_of_j(lambda j: seen.append(j) or 1.0)
+    assert sorted(seen) == sorted(labels)
+    assert all(type(j) is int for j in seen)
+    seen_nj = []
+    g.function_of_nj(lambda n, j: seen_nj.append((n, j)) or 1.0)
+    assert sorted(seen_nj) == sorted(pairs)
+
+
+def test_function_of_j_pole_names_a_sector_holding_the_label(ctx):
+    g = ctx(1, 4).gens
+    with pytest.raises(SpectralFunctionError) as err:
+        g.function_of_j(lambda j: 1.0 / (j - 1))
+    js = g.j_values_by_sector()[err.value.sector]
+    assert np.any(np.abs(js - 1.0) < 1e-9)
+    assert err.value.eigenvalue == pytest.approx(2.0)
+
+
+def test_function_of_j_rejects_unsnappable_spectrum():
+    g = su2_generators(enumerate_sector(1, 3))
+    g.J2 = g.J2 * (1.0 + 1e-3)
+    with pytest.raises(SpectrumSnapError):
+        g.function_of_j(lambda j: j)

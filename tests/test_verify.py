@@ -1,7 +1,11 @@
+import json
+
+import numpy as np
 import pytest
 
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
-                               export_report, report_from_json, run_suite)
+                               VerificationReport, _Runner, export_report,
+                               report_from_json, run_suite)
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +124,19 @@ def test_spin3_reports_trivial_kernel_counterexamples():
     assert report.overall_pass
     topics = {d["topic"] for d in report.discrepancies}
     assert "trivial-kernel-counterexample" in topics
+
+
+def test_numpy_scalar_results_serialise():
+    report = VerificationReport(config=SuiteConfig(spins=[1], n_max=2))
+    _Runner(report.config, report).run(
+        "numpy-scalars", "anchor", {"s": 1}, 1e-8,
+        lambda tol: (np.float64(1e-9), np.bool_(True), ""))
+    check = report.checks[0]
+    assert type(check.residual) is float and type(check.passed) is bool
+    assert json.loads(report.to_json())["checks"][0]["passed"] is True
+
+
+def test_summary_lines_carry_wall_times(default_report):
+    lines = default_report.summary_lines()
+    for check, line in zip(default_report.checks, lines):
+        assert f" time={check.wall_time:.3f}s" in line
