@@ -159,7 +159,7 @@ class SectorBasis:
         i = self.state_index(state)
         if i is None:
             raise ValueError(f"state {state} not in basis")
-        v = np.zeros(len(self), dtype=complex)
+        v = np.zeros(len(self))
         v[i] = 1.0
         return v
 

@@ -1,6 +1,9 @@
 """Sparse operator algebra over a SectorBasis-indexed space.
 
-Operators are immutable wrappers around complex CSR matrices.  Each carries a
+Operators are immutable wrappers around CSR matrices whose dtype follows
+their data: float64 when every entry is real, complex128 only when some entry
+has a nonzero imaginary part.  The Jordan-Schwinger image of su(2) is real,
+so the whole ladder stack runs in real arithmetic.  Each operator carries a
 ``particle_budget``: a conservative bound on how far the operator can shift
 the total particle number.  Identities involving truncated operators are only
 asserted on the interior (states with total occupation <= n_max - margin,
@@ -10,6 +13,7 @@ margin >= budget), where truncation has no effect.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +49,11 @@ def _fro(matrix) -> float:
 class SparseOperator:
     """Immutable sparse operator on a fixed SectorBasis.
 
-    ``particle_budget`` is tracked conservatively: products and commutators
-    add budgets, sums take the maximum.
+    The matrix is stored as float64 CSR unless an entry has a nonzero
+    imaginary part, in which case it is complex128; sums, products and
+    commutators promote as numpy does.  ``particle_budget`` is tracked
+    conservatively: products and commutators add budgets, sums take the
+    maximum.
     """
     basis: "SectorBasis"
     matrix: sparse.csr_matrix
@@ -55,10 +62,16 @@ class SparseOperator:
     def __post_init__(self):
         m = self.matrix
         if not sparse.isspmatrix_csr(m):
-            m = sparse.csr_matrix(m, dtype=complex)
-            object.__setattr__(self, "matrix", m)
-        if m.dtype != np.complex128:
-            object.__setattr__(self, "matrix", m.astype(np.complex128))
+            m = sparse.csr_matrix(m)
+        data = m.data
+        if np.iscomplexobj(data) and not data.imag.any():
+            data = data.real
+        dtype = np.complex128 if np.iscomplexobj(data) else np.float64
+        if data is not m.data or m.dtype != dtype:
+            m = sparse.csr_matrix(
+                (data.astype(dtype), m.indices.copy(), m.indptr.copy()),
+                shape=m.shape)
+        object.__setattr__(self, "matrix", m)
         self.matrix.sum_duplicates()
         self.matrix.sort_indices()
         dim = len(self.basis)
@@ -71,18 +84,19 @@ class SparseOperator:
     @staticmethod
     def zeros(basis) -> "SparseOperator":
         dim = len(basis)
-        return SparseOperator(basis, sparse.csr_matrix((dim, dim), dtype=complex), 0)
+        return SparseOperator(basis, sparse.csr_matrix((dim, dim), dtype=float), 0)
 
     @staticmethod
     def identity(basis) -> "SparseOperator":
-        return SparseOperator(basis, sparse.identity(len(basis), dtype=complex,
+        return SparseOperator(basis, sparse.identity(len(basis), dtype=float,
                                                      format="csr"), 0)
 
     @staticmethod
     def diagonal(basis, values, particle_budget: int = 0) -> "SparseOperator":
-        return SparseOperator(
-            basis, sparse.diags(np.asarray(values, dtype=complex), format="csr"),
-            particle_budget)
+        values = np.asarray(values)
+        values = values.astype(np.promote_types(values.dtype, np.float64))
+        return SparseOperator(basis, sparse.diags(values, format="csr"),
+                              particle_budget)
 
     def with_budget(self, budget: int) -> "SparseOperator":
         """Override the tracked budget (used when a tighter bound is provable)."""
@@ -116,7 +130,9 @@ class SparseOperator:
         return SparseOperator(self.basis, -self.matrix, self.particle_budget)
 
     def __mul__(self, scalar) -> "SparseOperator":
-        return SparseOperator(self.basis, self.matrix * complex(scalar),
+        factor = (float(scalar) if isinstance(scalar, numbers.Real)
+                  else complex(scalar))
+        return SparseOperator(self.basis, self.matrix * factor,
                               self.particle_budget)
 
     __rmul__ = __mul__
@@ -157,7 +173,7 @@ class SparseOperator:
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product."""
-        return self.matrix @ np.asarray(vector, dtype=complex)
+        return self.matrix @ np.asarray(vector)
 
     def entry(self, row_state, col_state) -> complex:
         i = self.basis.state_index(tuple(row_state))
@@ -199,7 +215,7 @@ def creation_op(basis, mu: int) -> SparseOperator:
         data.append(math.sqrt(state[pos] + 1))
     dim = len(basis)
     mat = sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim),
-                            dtype=complex).tocsr()
+                            dtype=float).tocsr()
     return SparseOperator(basis, mat, 1)
 
 

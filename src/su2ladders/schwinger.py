@@ -52,16 +52,16 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
 
     Returns sum_ij x_ij a_i^dagger a_j with modes ordered mu = -s..s.  The
     image conserves total particle number, so it is exact on the whole
-    truncated space (budget 0).
+    truncated space (budget 0).  A real X gives a real operator.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     m = basis.modes
     if x.shape != (m, m):
         raise ValueError(f"matrix shape {x.shape} does not match {m} modes")
     adag = [creation_op(basis, mu) for mu in range(-basis.spin, basis.spin + 1)]
     a = [op.adjoint() for op in adag]
     dim = len(basis)
-    acc = sparse.csr_matrix((dim, dim), dtype=complex)
+    acc = sparse.csr_matrix((dim, dim))
     for i in range(m):
         for j in range(m):
             if x[i, j] != 0:
@@ -102,8 +102,9 @@ def _snap_labels(values: np.ndarray, key: tuple, spin: int,
 
 
 def _evaluate(f: Callable, args: tuple, sector: tuple, eigenvalue: float
-              ) -> complex:
-    """f(*args) as a finite complex number; failures name the sector."""
+              ) -> float | complex:
+    """f(*args) as a finite number, a float unless its imaginary part is
+    nonzero; failures name the sector."""
     try:
         y = f(*args)
         value = None if y is None else complex(y)
@@ -111,7 +112,7 @@ def _evaluate(f: Callable, args: tuple, sector: tuple, eigenvalue: float
         raise SpectralFunctionError(sector, eigenvalue, str(exc)) from exc
     if value is None or not cmath.isfinite(value):
         raise SpectralFunctionError(sector, eigenvalue, f"non-finite value {y!r}")
-    return value
+    return value.real if value.imag == 0 else value
 
 
 @dataclass
@@ -121,13 +122,15 @@ class SpectralDecomposition:
     The sectors partition the basis, so every spectral image lives on the
     union of the sector blocks.  That CSR pattern depends on the sectors
     alone and is built once; each image scatters its dense blocks
-    V diag(f) V^dagger into it.
+    V diag(f) V^dagger into it.  A real operator has real eigenvectors, and
+    real values of f then give a real image.
     """
     basis: SectorBasis
     sectors: list  # list of (key, indices, eigenvalues, eigenvectors)
     _indptr: np.ndarray = field(init=False, repr=False, compare=False)
     _indices: np.ndarray = field(init=False, repr=False, compare=False)
     _order: np.ndarray = field(init=False, repr=False, compare=False)
+    _dtype: np.dtype = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Row i of the pattern holds the (ascending) indices of its sector;
@@ -149,6 +152,8 @@ class SpectralDecomposition:
             self._indices[pos] = np.tile(idx, d)
             self._order[offset:offset + d * d] = pos
             offset += d * d
+        self._dtype = np.result_type(
+            float, *{vecs.dtype for *_, vecs in self.sectors})
 
     @staticmethod
     def of(op: SparseOperator, hermitian_tol: float = 1e-10
@@ -185,8 +190,13 @@ class SpectralDecomposition:
         """The operator with eigenvalues ``values[k]`` on sector k's eigenvectors.
 
         Each block V diag(values) V^dagger is hermitized within the block.
+        Complex values g + i h are assembled as g(H) + i h(H), so that each
+        part is hermitized on its own.
         """
-        data = np.empty(len(self._order), dtype=complex)
+        if any(np.iscomplexobj(v) for v in values):
+            return (self.assemble([v.real for v in values])
+                    + 1j * self.assemble([v.imag for v in values]))
+        data = np.empty(len(self._order), dtype=self._dtype)
         offset = 0
         for (_key, idx, _vals, vecs), fvals in zip(self.sectors, values):
             d = len(idx)
@@ -207,8 +217,7 @@ class SpectralDecomposition:
     def apply_keyed(self, f: Callable[[tuple, float], float]) -> SparseOperator:
         """Like ``apply`` but the function also receives the (n, weight) key."""
         return self.assemble([
-            np.array([_evaluate(f, (key, lam), key, lam) for lam in vals.tolist()],
-                     dtype=complex)
+            np.array([_evaluate(f, (key, lam), key, lam) for lam in vals.tolist()])
             for key, _idx, vals, _vecs in self.sectors])
 
 
@@ -251,7 +260,7 @@ class Su2Generators:
         self.J2 = j2.hermitized().with_budget(0)
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
         self._j2_decomp: Optional[SpectralDecomposition] = None
-        self._labels: Optional[tuple[list, dict]] = None
+        self._labels: Optional[tuple[list, dict, float]] = None
         self._j_hat: Optional[SparseOperator] = None
 
     def j2_decomposition(self) -> SpectralDecomposition:
@@ -264,50 +273,61 @@ class Su2Generators:
                 for key, idx, vals, vecs in self.j2_decomposition().sectors}
 
     def _label_groups(self, decomp: SpectralDecomposition
-                      ) -> tuple[list, dict]:
-        """Integer labels per sector, and a witness per distinct (n, j).
+                      ) -> tuple[list, dict, float]:
+        """Integer labels per sector, a witness per distinct (n, j), and the
+        largest distance of a j eigenvalue from its label.
 
         The witness is the first sector holding the label together with the
         J^2 eigenvalue there; it is what a failing scalar function reports.
         """
         if self._labels is None:
-            labels, witness = [], {}
+            labels, witness, gap = [], {}, 0.0
             for key, _idx, vals, _vecs in decomp.sectors:
                 js = _snap_labels(vals, key, self.s)
                 labels.append(js)
+                gap = max(gap, float(np.max(np.abs(_j_from_casimir(vals)
+                                                   - js))))
                 for j, k in zip(*np.unique(js, return_index=True)):
                     witness.setdefault((key[0], int(j)), (key, float(vals[k])))
-            self._labels = (labels, witness)
+            self._labels = (labels, witness, gap)
         return self._labels
 
     def _label_image(self, decomp: SpectralDecomposition, f: Callable,
                      with_n: bool) -> SparseOperator:
         """Spectral image of f(n, j) (``with_n``) or f(j), one call per label."""
-        labels, witness = self._label_groups(decomp)
-        table = np.zeros((self.basis.n_max + 1, self.basis.n_max * self.s + 1),
-                         dtype=complex)
-        values: dict[tuple, complex] = {}
+        labels, witness, _gap = self._label_groups(decomp)
+        values: dict[tuple, float | complex] = {}
+        image = []
         for (n, j), (key, lam) in witness.items():
             args = (n, j) if with_n else (j,)
             if args not in values:
                 values[args] = _evaluate(f, args, key, lam)
-            table[n, j] = values[args]
+            image.append(values[args])
+        image = np.array(image)
+        table = np.zeros((self.basis.n_max + 1, self.basis.n_max * self.s + 1),
+                         dtype=image.dtype)
+        ns, js = zip(*witness)
+        table[ns, js] = image
         return decomp.assemble([table[key[0], js] for (key, *_), js
                                 in zip(decomp.sectors, labels)])
 
     def j_hat(self, snap_tol: float = SNAP_TOL) -> SparseOperator:
         """The label operator: spectral image of (sqrt(1 + 4 J^2) - 1)/2.
 
-        On first use every eigenvalue is checked to lie within ``snap_tol``
-        of an integer in [0, n*s] for its sector; a violation signals
-        truncation damage or a wrong spin and raises SpectrumSnapError.  The
-        eigenvalues of the result are the integer labels themselves, which
-        always snap within SNAP_TOL.
+        On every call each J^2 eigenvalue is checked to lie within
+        ``snap_tol`` of an integer in [0, n*s] for its sector; a violation
+        signals truncation damage or a wrong spin and raises
+        SpectrumSnapError.  Only the assembled operator is cached.  Its
+        eigenvalues are the integer labels themselves, which always snap
+        within SNAP_TOL.
         """
-        if self._j_hat is None:
-            decomp = self.j2_decomposition()
+        decomp = self.j2_decomposition()
+        if self._label_groups(decomp)[2] > snap_tol:
+            # Some eigenvalue misses its label by more than snap_tol; the
+            # sector scan raises and names it.
             for key, _idx, vals, _vecs in decomp.sectors:
                 _snap_labels(vals, key, self.s, snap_tol)
+        if self._j_hat is None:
             self._j_hat = self._label_image(decomp, lambda j: j, with_n=False)
         return self._j_hat
 
@@ -354,24 +374,24 @@ def jz_kernel(basis: SectorBasis, generators: Su2Generators, n: int,
               snap_tol: float = SNAP_TOL) -> list[KernelVector]:
     """Orthonormal basis of the weight-0, n-particle subspace, labeled by j.
 
-    Vectors are obtained by diagonalizing J^2 on the sector, so J_z is zero
-    on each by construction.  Ordering is deterministic: ascending j label,
-    then lexicographic on the (phase-fixed) coordinate tuple.  The list may
-    be empty.
+    The vectors are the eigenvectors of the (n, 0) sector of the generators'
+    J^2 decomposition, so J_z is zero on each by construction.  Ordering is
+    deterministic: ascending j label, then lexicographic on the (phase-fixed)
+    coordinate tuple.  The list may be empty.
     """
     if basis is not generators.basis and basis != generators.basis:
         raise BasisMismatchError("basis does not match the generators")
     if n > basis.n_max:
         raise ValueError(f"n={n} exceeds n_max={basis.n_max}")
-    idx = np.flatnonzero((basis.totals == n) & (basis.weights == 0))
-    if len(idx) == 0:
+    sector = next((sec for sec in generators.j2_decomposition().sectors
+                   if sec[0] == (n, 0)), None)
+    if sector is None:
         return []
-    block = generators.J2.matrix[idx][:, idx].toarray()
-    vals, vecs = np.linalg.eigh(block)
+    _key, idx, vals, vecs = sector
     labels = _snap_labels(vals, (n, 0), basis.spin, snap_tol)
     out = []
     for k, j in enumerate(labels):
-        full = np.zeros(len(basis), dtype=complex)
+        full = np.zeros(len(basis), dtype=vecs.dtype)
         full[idx] = vecs[:, k]
         out.append(KernelVector(n=n, j=int(j), vector=_phase_fixed(full)))
     out.sort(key=lambda kv: (kv.j, tuple(np.round(kv.vector.real, 10))

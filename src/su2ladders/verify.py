@@ -263,6 +263,8 @@ class _SpinContext:
         self._families = None
         self._taus = None
         self._lattice = None
+        self._complete_set = None
+        self._s1_inverse = None
 
     @property
     def families(self):
@@ -275,6 +277,19 @@ class _SpinContext:
         if self._taus is None:
             self._taus = build_taus(self.families, self.gens, certify=False)
         return self._taus
+
+    @property
+    def complete_set(self):
+        if self._complete_set is None:
+            self._complete_set = complete_set_check(
+                self.basis, self.gens, self.taus, min(self.n_max, 4), margin=2)
+        return self._complete_set
+
+    @property
+    def s1_inverse(self):
+        if self._s1_inverse is None:
+            self._s1_inverse = s1_inverse_expressions(self.gens, self.families)
+        return self._s1_inverse
 
     def lattice(self, n_limit):
         if self._lattice is None or self._lattice.n_limit != n_limit:
@@ -668,16 +683,13 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
                         resolvent_commutator_check(gens, tau, k, side))
 
     def complete_set(tol):
-        cs = complete_set_check(basis, gens, ctx.taus,
-                                min(basis.n_max, 4), margin=2)
         worst = max(rep.frobenius_relative
-                    for rep in cs.commutator_residuals.values())
+                    for rep in ctx.complete_set.commutator_residuals.values())
         return worst, worst < tol, ""
     r.run("tau-complete-set", "tau-complete-set", p, 1e-8, complete_set)
 
     def separation(tol):
-        cs = complete_set_check(basis, gens, ctx.taus, min(basis.n_max, 4),
-                                margin=2)
+        cs = ctx.complete_set
         if not cs.separation:
             return 0.0, True, "all nodes one-dimensional; separation trivial"
         bad = [sn.node for sn in cs.separation if not sn.separated]
@@ -1003,7 +1015,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
           single_mode)
 
     def inverse_exprs(tol):
-        reps = s1_inverse_expressions(gens, fam)
+        reps = ctx.s1_inverse
         worst = max(reps["p0_from_taus"].frobenius_relative,
                     reps["p1_from_taus"].frobenius_relative)
         return worst, worst < tol, ""
@@ -1011,7 +1023,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
           inverse_exprs)
 
     def label_comms(tol):
-        reps = s1_inverse_expressions(gens, fam)
+        reps = ctx.s1_inverse
         worst = max(reps["label_comm_p0"].frobenius_relative,
                     reps["label_comm_p1"].frobenius_relative)
         return worst, worst < tol, ""

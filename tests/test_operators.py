@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,39 @@ def test_coo_json_row_major(basis):
          ([e[0] for e in dump["entries"]], [e[1] for e in dump["entries"]])),
         shape=(dump["dim"], dump["dim"])).tocsr()
     assert (op.matrix - rebuilt).nnz == 0
+
+
+def test_coo_json_complex_entries(basis):
+    op = 1j * creation_op(basis, 0)
+    for row, col, re, im in op.to_coo_json()["entries"]:
+        assert re == 0.0 and im == pytest.approx(
+            creation_op(basis, 0).matrix[row, col])
+
+
+def test_real_operators_are_float64(basis):
+    ops = [creation_op(basis, 1), annihilation_op(basis, -1),
+           number_op(basis, 0), SparseOperator.zeros(basis), SparseOperator.identity(basis),
+           SparseOperator.diagonal(basis, basis.totals)]
+    assert all(op.matrix.dtype == np.float64 for op in ops)
+    vac = basis.unit_vector((0, 0, 0))
+    assert vac.dtype == np.float64
+    assert creation_op(basis, 0).apply(vac).dtype == np.float64
+
+
+def test_dtype_follows_data(basis):
+    ad = creation_op(basis, 0)
+    assert (2.0 * ad).matrix.dtype == np.float64
+    assert (ad * Fraction(1, 3)).matrix.dtype == np.float64
+    scaled = ad * 2j
+    assert scaled.matrix.dtype == np.complex128
+    assert np.array_equal(scaled.matrix.toarray(), 2j * ad.matrix.toarray())
+    # A complex matrix with zero imaginary part is stored real.
+    stored = SparseOperator(basis, ad.matrix.astype(complex))
+    assert stored.matrix.dtype == np.float64
+    n0 = number_op(basis, 0)
+    for mixed in (ad + 1j * n0, ad @ (1j * n0), commutator(ad, 1j * n0)):
+        assert mixed.matrix.dtype == np.complex128
+    assert (1j * ad).apply(basis.unit_vector((0, 0, 0))).dtype == np.complex128
 
 
 def test_weight_restricted_residual(basis):

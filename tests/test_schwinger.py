@@ -12,8 +12,9 @@ from su2ladders.operators import (commutator, commutator_residual,
                                   residual)
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
-                                  SpectrumSnapError, jordan_schwinger,
-                                  jz_kernel, spectral_function, su2_generators)
+                                  SpectrumSnapError, _phase_fixed,
+                                  jordan_schwinger, jz_kernel,
+                                  spectral_function, su2_generators)
 
 
 def test_identity_maps_to_total_number(ctx):
@@ -46,6 +47,18 @@ def test_homomorphism_random_hermitian(ctx):
                          jordan_schwinger(c.basis, y))
         rhs = jordan_schwinger(c.basis, x @ y - y @ x)
         assert residual(lhs, rhs, 0).frobenius_relative < 1e-12
+
+
+def test_complex_hermitian_image_is_complex(ctx):
+    c = ctx(1, 3)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    x, y = x + x.conj().T, y + y.conj().T
+    jx, jy = jordan_schwinger(c.basis, x), jordan_schwinger(c.basis, y)
+    assert jx.matrix.dtype == jy.matrix.dtype == np.complex128
+    rhs = jordan_schwinger(c.basis, x @ y - y @ x)
+    assert residual(commutator(jx, jy), rhs, 0).frobenius_relative < 1e-12
 
 
 def test_jordan_schwinger_dimension_mismatch(ctx):
@@ -175,7 +188,9 @@ def test_j_hat_defining_identity(ctx):
 
 
 def test_j_hat_snap_guard(ctx):
+    # The cached operator must not bypass a stricter tolerance.
     g = ctx(1, 3).gens
+    g.j_hat()
     with pytest.raises(SpectrumSnapError):
         g.j_hat(snap_tol=1e-18)
 
@@ -298,3 +313,39 @@ def test_function_of_j_rejects_unsnappable_spectrum():
     g.J2 = g.J2 * (1.0 + 1e-3)
     with pytest.raises(SpectrumSnapError):
         g.function_of_j(lambda j: j)
+
+
+def test_real_stack_is_float64(ctx):
+    c = ctx(2, 4)
+    g = c.gens
+    ops = [g.Jz, g.Jplus, g.Jminus, g.J2, g.Ntot, g.j_hat()]
+    ops += list(c.families.p_ops) + list(c.families.m_ops)
+    ops += [tau.op for tau in c.taus.values()]
+    assert all(op.matrix.dtype == np.float64 for op in ops)
+    kvs = [kv for n in range(c.basis.n_max + 1)
+           for kv in jz_kernel(c.basis, g, n)]
+    assert kvs and all(kv.vector.dtype == np.float64 for kv in kvs)
+
+
+def test_function_of_j_with_complex_values(ctx):
+    g = ctx(2, 4).gens
+    img = g.function_of_j(lambda j: 1j * j)
+    assert img.matrix.dtype == np.complex128
+    assert (img - 1j * g.j_hat()).norm() < 1e-12 * g.j_hat().norm()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_kernel_vectors_are_the_decomposition_eigenvectors(ctx, n):
+    c = ctx(2, 4)
+    sector = {key: (idx, vecs) for key, idx, _vals, vecs
+              in c.gens.j2_decomposition().sectors}[(n, 0)]
+    idx, vecs = sector
+    expected = []
+    for k in range(vecs.shape[1]):
+        full = np.zeros(len(c.basis), dtype=vecs.dtype)
+        full[idx] = vecs[:, k]
+        expected.append(_phase_fixed(full))
+    kvs = jz_kernel(c.basis, c.gens, n)
+    assert len(kvs) == len(expected)
+    for kv in kvs:
+        assert sum(np.array_equal(kv.vector, e) for e in expected) == 1
