@@ -33,8 +33,8 @@ print("\n[a_0, a+_0] vs identity:")
 for margin in (0, 1):
     rep = residual(weyl, ident, margin)
     print(f"  margin {margin}: absolute residual {rep.frobenius_absolute:.3e}")
-print("margin 0 sees the truncation boundary; margin 1 (the operator's")
-print("particle budget) restores the exact commutator.")
+print("margin 0 sees the truncation boundary; margin 1 (the one particle")
+print("a+_0 can add) restores the exact commutator.")
 
 cross = commutator(annihilation_op(basis, -1), creation_op(basis, 1))
 print("\ndistinct modes commute exactly: [a_-1, a+_1] has",

@@ -67,7 +67,6 @@ def _cmd_verify(args) -> int:
     config = SuiteConfig(spins=spins, n_max=args.nmax,
                          tolerance_overrides=overrides,
                          output_format=args.format,
-                         parallelism=args.parallelism,
                          default_tolerance=default_tol)
     report = run_suite(config)
     payload = report.to_json() if args.format == "json" else report.to_csv()
@@ -236,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-check tolerance override (repeatable)")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out", default=None)
-    v.add_argument("--parallelism", type=int, default=1,
-                   help="hint only; execution is sequential")
     v.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("spectrum", help="Casimir spectrum with j labels")

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .jpoly import JPoly, poly_matrix_det
-from .operators import (ResidualReport, SparseOperator, commutator, residual,
-                        zero_residual)
+from .operators import (ResidualReport, SparseOperator, commutator,
+                        commutator_residual, residual)
 
 P_FAMILY = "p"
 M_FAMILY = "m"
@@ -69,28 +69,13 @@ class AlphaVerificationError(ValueError):
 # -- residual checks ----------------------------------------------------------
 
 
-def _scale_guarded(rep: ResidualReport, scale: float) -> ResidualReport:
-    # Operand normalization degenerates when both sides vanish on the
-    # restriction (noise over noise); fall back to the natural scale of the
-    # expression whenever that gives the smaller relative residual.
-    if scale > 0:
-        alt = rep.frobenius_absolute / scale
-        if alt < rep.frobenius_relative:
-            return ResidualReport(rep.frobenius_absolute, alt,
-                                  rep.interior_margin)
-    return rep
-
-
-def _check_commutes(h: SparseOperator, other: SparseOperator, margin: int,
+def _check_commutes(x: SparseOperator, y: SparseOperator, margin: int,
                     tol: float, what: str) -> None:
-    c = commutator(h, other)
-    scale = h.norm() * other.norm()
-    rep = residual(c, SparseOperator.zeros(h.basis), margin)
-    rel = rep.frobenius_absolute / scale if scale > 0 else rep.frobenius_absolute
-    if rel > tol:
+    rep = commutator_residual(x, y, margin)
+    if rep.frobenius_relative > tol:
         raise PreconditionError(
-            f"{what} does not commute with H (relative commutator norm "
-            f"{rel:.3e} > {tol:.1e})", rep)
+            f"{what} (relative commutator norm "
+            f"{rep.frobenius_relative:.3e} > {tol:.1e})", rep)
 
 
 def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
@@ -102,33 +87,27 @@ def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
     PreconditionError carrying the offending commutator norm).
 
     When the right function vanishes identically the relation degenerates to
-    [H, p+] = 0 and the relative residual is normalized by ||H|| ||p+||
-    instead of the (zero) operand norms.
+    [H, p+] = 0, which is checked as ``commutator_residual`` (normalised by
+    the restricted norms of H and p+).
     """
-    _check_commutes(h, p_fn, margin, precondition_tol, "right function")
-    lhs = commutator(h, p_dag)
+    _check_commutes(h, p_fn, margin, precondition_tol,
+                    "right function does not commute with H")
     rhs = p_dag @ p_fn
     if rhs.is_zero():
-        return zero_residual(lhs, margin, col_weight=col_weight,
-                             scale=max(h.norm() * p_dag.norm(), 1.0))
-    scale = p_dag.norm() * (2.0 * h.norm() + p_fn.norm())
-    return _scale_guarded(residual(lhs, rhs, margin, col_weight=col_weight),
-                          scale)
+        return commutator_residual(h, p_dag, margin, col_weight=col_weight)
+    return residual(commutator(h, p_dag), rhs, margin, col_weight=col_weight)
 
 
 def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
               margin: int, col_weight: Optional[int] = None,
               precondition_tol: float = 1e-10) -> ResidualReport:
     """Residual of the left-ladder relation [p, H] - P p on the interior."""
-    _check_commutes(h, p_fn, margin, precondition_tol, "left function")
-    lhs = commutator(p, h)
+    _check_commutes(h, p_fn, margin, precondition_tol,
+                    "left function does not commute with H")
     rhs = p_fn @ p
     if rhs.is_zero():
-        return zero_residual(lhs, margin, col_weight=col_weight,
-                             scale=max(h.norm() * p.norm(), 1.0))
-    scale = p.norm() * (2.0 * h.norm() + p_fn.norm())
-    return _scale_guarded(residual(lhs, rhs, margin, col_weight=col_weight),
-                          scale)
+        return commutator_residual(h, p, margin, col_weight=col_weight)
+    return residual(commutator(p, h), rhs, margin, col_weight=col_weight)
 
 
 def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
@@ -144,12 +123,9 @@ def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
         raise PreconditionError(
             f"base ladder relation fails at {base.frobenius_relative:.3e}", base)
     hn = h.power(n)
-    hp = (h + p_fn).power(n)
     lhs = commutator(hn, p_dag)
-    rhs = p_dag @ (hp - hn)
-    scale = p_dag.norm() * (2.0 * hn.norm() + hp.norm())
-    return _scale_guarded(residual(lhs, rhs, margin, col_weight=col_weight),
-                          scale)
+    rhs = p_dag @ ((h + p_fn).power(n) - hn)
+    return residual(lhs, rhs, margin, col_weight=col_weight)
 
 
 def check_rlo_compose(h: SparseOperator, p_dag: SparseOperator,
@@ -157,20 +133,10 @@ def check_rlo_compose(h: SparseOperator, p_dag: SparseOperator,
                       col_weight: Optional[int] = None,
                       precondition_tol: float = 1e-8) -> ResidualReport:
     """Residual of [H, p+ A] - p+ A P for A commuting with H + P."""
-    hp = h + p_fn
-    c = commutator(hp, a)
-    scale = hp.norm() * a.norm()
-    rep = residual(c, SparseOperator.zeros(h.basis), margin)
-    rel = rep.frobenius_absolute / scale if scale > 0 else rep.frobenius_absolute
-    if rel > precondition_tol:
-        raise PreconditionError(
-            f"A does not commute with H + P (relative commutator norm "
-            f"{rel:.3e})", rep)
-    lhs = commutator(h, p_dag @ a)
-    rhs = p_dag @ a @ p_fn
-    scale = p_dag.norm() * a.norm() * (2.0 * h.norm() + p_fn.norm())
-    return _scale_guarded(residual(lhs, rhs, margin, col_weight=col_weight),
-                          scale)
+    _check_commutes(h + p_fn, a, margin, precondition_tol,
+                    "A does not commute with H + P")
+    pa = p_dag @ a
+    return residual(commutator(h, pa), pa @ p_fn, margin, col_weight=col_weight)
 
 
 # -- closure matrix -----------------------------------------------------------

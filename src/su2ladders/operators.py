@@ -3,11 +3,17 @@
 Operators are immutable wrappers around CSR matrices whose dtype follows
 their data: float64 when every entry is real, complex128 only when some entry
 has a nonzero imaginary part.  The Jordan-Schwinger image of su(2) is real,
-so the whole ladder stack runs in real arithmetic.  Each operator carries a
-``particle_budget``: a conservative bound on how far the operator can shift
-the total particle number.  Identities involving truncated operators are only
-asserted on the interior (states with total occupation <= n_max - margin,
-margin >= budget), where truncation has no effect.
+so the whole ladder stack runs in real arithmetic.  Operators are truncated
+at n_max, so an identity between them is asserted only on the interior:
+states with total occupation <= n_max - margin, where truncation has no
+effect.  Each check names its margin explicitly, at least the number of
+particles its operator products can shift.
+
+Every relative residual comes from one of three functions: ``residual`` for
+a two-sided identity X = Y, normalised by the larger restricted operand norm;
+``commutator_residual`` for [X, Y] = 0, normalised by the product of the
+restricted norms of X and Y; and ``zero_residual`` for a single operator that
+must vanish, against an explicit scale.
 """
 
 from __future__ import annotations
@@ -51,13 +57,10 @@ class SparseOperator:
 
     The matrix is stored as float64 CSR unless an entry has a nonzero
     imaginary part, in which case it is complex128; sums, products and
-    commutators promote as numpy does.  ``particle_budget`` is tracked
-    conservatively: products and commutators add budgets, sums take the
-    maximum.
+    commutators promote as numpy does.
     """
     basis: "SectorBasis"
     matrix: sparse.csr_matrix
-    particle_budget: int = 0
 
     def __post_init__(self):
         m = self.matrix
@@ -84,23 +87,18 @@ class SparseOperator:
     @staticmethod
     def zeros(basis) -> "SparseOperator":
         dim = len(basis)
-        return SparseOperator(basis, sparse.csr_matrix((dim, dim), dtype=float), 0)
+        return SparseOperator(basis, sparse.csr_matrix((dim, dim), dtype=float))
 
     @staticmethod
     def identity(basis) -> "SparseOperator":
         return SparseOperator(basis, sparse.identity(len(basis), dtype=float,
-                                                     format="csr"), 0)
+                                                     format="csr"))
 
     @staticmethod
-    def diagonal(basis, values, particle_budget: int = 0) -> "SparseOperator":
+    def diagonal(basis, values) -> "SparseOperator":
         values = np.asarray(values)
         values = values.astype(np.promote_types(values.dtype, np.float64))
-        return SparseOperator(basis, sparse.diags(values, format="csr"),
-                              particle_budget)
-
-    def with_budget(self, budget: int) -> "SparseOperator":
-        """Override the tracked budget (used when a tighter bound is provable)."""
-        return SparseOperator(self.basis, self.matrix, budget)
+        return SparseOperator(basis, sparse.diags(values, format="csr"))
 
     # -- algebra ----------------------------------------------------------
 
@@ -109,31 +107,27 @@ class SparseOperator:
             raise BasisMismatchError("operators live on different bases")
 
     def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.basis, self.matrix.getH().tocsr(),
-                              self.particle_budget)
+        return SparseOperator(self.basis, self.matrix.getH().tocsr())
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         self._require_same_basis(other)
         out = (self.matrix + other.matrix).tocsr()
         out.eliminate_zeros()
-        return SparseOperator(self.basis, out,
-                              max(self.particle_budget, other.particle_budget))
+        return SparseOperator(self.basis, out)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         self._require_same_basis(other)
         out = (self.matrix - other.matrix).tocsr()
         out.eliminate_zeros()
-        return SparseOperator(self.basis, out,
-                              max(self.particle_budget, other.particle_budget))
+        return SparseOperator(self.basis, out)
 
     def __neg__(self) -> "SparseOperator":
-        return SparseOperator(self.basis, -self.matrix, self.particle_budget)
+        return SparseOperator(self.basis, -self.matrix)
 
     def __mul__(self, scalar) -> "SparseOperator":
         factor = (float(scalar) if isinstance(scalar, numbers.Real)
                   else complex(scalar))
-        return SparseOperator(self.basis, self.matrix * factor,
-                              self.particle_budget)
+        return SparseOperator(self.basis, self.matrix * factor)
 
     __rmul__ = __mul__
 
@@ -141,8 +135,7 @@ class SparseOperator:
         self._require_same_basis(other)
         out = (self.matrix @ other.matrix).tocsr()
         out.eliminate_zeros()
-        return SparseOperator(self.basis, out,
-                              self.particle_budget + other.particle_budget)
+        return SparseOperator(self.basis, out)
 
     def power(self, n: int) -> "SparseOperator":
         if n < 0:
@@ -156,7 +149,7 @@ class SparseOperator:
         """(X + X^dagger)/2; makes hermiticity exact entry-wise."""
         out = ((self.matrix + self.matrix.getH()) * 0.5).tocsr()
         out.eliminate_zeros()
-        return SparseOperator(self.basis, out, self.particle_budget)
+        return SparseOperator(self.basis, out)
 
     # -- queries ----------------------------------------------------------
 
@@ -198,8 +191,8 @@ class SparseOperator:
 def creation_op(basis, mu: int) -> SparseOperator:
     """Creation operator for mode weight mu: amplitude sqrt(n_mu + 1).
 
-    States pushed past the truncation n_max are dropped; correctness on the
-    interior is recovered through the margin discipline (budget 1).
+    States pushed past the truncation n_max are dropped, so identities
+    involving it hold on the interior at margin >= 1.
     """
     pos = basis.mode_position(mu)
     rows, cols, data = [], [], []
@@ -216,27 +209,27 @@ def creation_op(basis, mu: int) -> SparseOperator:
     dim = len(basis)
     mat = sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim),
                             dtype=float).tocsr()
-    return SparseOperator(basis, mat, 1)
+    return SparseOperator(basis, mat)
 
 
 def annihilation_op(basis, mu: int) -> SparseOperator:
-    """Annihilation operator: the adjoint of creation_op (budget 1)."""
+    """Annihilation operator: the adjoint of creation_op."""
     return creation_op(basis, mu).adjoint()
 
 
 def number_op(basis, mu: int) -> SparseOperator:
-    """Number operator for a single mode (diagonal, budget 0)."""
+    """Number operator for a single mode (diagonal)."""
     pos = basis.mode_position(mu)
     values = [state[pos] for state in basis.states]
     return SparseOperator.diagonal(basis, values)
 
 
 def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
-    """XY - YX, with budget x.budget + y.budget."""
+    """XY - YX."""
     x._require_same_basis(y)
     out = (x.matrix @ y.matrix - y.matrix @ x.matrix).tocsr()
     out.eliminate_zeros()
-    return SparseOperator(x.basis, out, x.particle_budget + y.particle_budget)
+    return SparseOperator(x.basis, out)
 
 
 # -- interior-restricted residuals -------------------------------------------

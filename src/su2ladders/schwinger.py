@@ -52,7 +52,7 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
 
     Returns sum_ij x_ij a_i^dagger a_j with modes ordered mu = -s..s.  The
     image conserves total particle number, so it is exact on the whole
-    truncated space (budget 0).  A real X gives a real operator.
+    truncated space.  A real X gives a real operator.
     """
     x = np.asarray(x)
     m = basis.modes
@@ -68,7 +68,7 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
                 acc = acc + x[i, j] * (adag[i].matrix @ a[j].matrix)
     acc = acc.tocsr()
     acc.eliminate_zeros()
-    return SparseOperator(basis, acc, 0)
+    return SparseOperator(basis, acc)
 
 
 #: How far a j eigenvalue may sit from its integer label before the spectrum
@@ -208,7 +208,7 @@ class SpectralDecomposition:
         out = sparse.csr_matrix(
             (data, self._indices.copy(), self._indptr.copy()), shape=(dim, dim))
         out.eliminate_zeros()
-        return SparseOperator(self.basis, out, 0)
+        return SparseOperator(self.basis, out)
 
     def apply(self, f: Callable[[float], float]) -> SparseOperator:
         """Apply a scalar function to each sector's eigenvalues and reassemble."""
@@ -230,7 +230,7 @@ def spectral_function(op: SparseOperator, f: Callable[[float], float]
 class Su2Generators:
     """su(2) generators on a truncated Fock space, plus spectral helpers.
 
-    All five operators conserve total particle number (budget 0).  The
+    All five operators conserve total particle number.  The
     decomposition of J^2 is computed once and reused for every function of
     the label operator j.  Its eigenvalues snap to integer labels j, so a
     function of j (or of the commuting pair (N, j)) is evaluated once per
@@ -257,7 +257,7 @@ class Su2Generators:
         self.Jminus = self.Jplus.adjoint()
         j2 = (self.Jz @ self.Jz
               + 0.5 * (self.Jplus @ self.Jminus + self.Jminus @ self.Jplus))
-        self.J2 = j2.hermitized().with_budget(0)
+        self.J2 = j2.hermitized()
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
         self._j2_decomp: Optional[SpectralDecomposition] = None
         self._labels: Optional[tuple[list, dict, float]] = None

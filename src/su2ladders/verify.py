@@ -108,15 +108,12 @@ class SuiteConfig:
 
     ``n_max`` >= 2 is the smallest size that exercises any ladder
     nontrivially; n_max = 1 is accepted and simply records empty-restriction
-    failures for the checks whose margin exceeds it.  ``parallelism`` is an
-    accepted hint only: execution is sequential so reports are deterministic
-    regardless of its value.
+    failures for the checks whose margin exceeds it.
     """
     spins: list[int] = field(default_factory=lambda: [1, 2])
     n_max: int = 4
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
     output_format: str = "json"
-    parallelism: int = 1
     default_tolerance: Optional[float] = None
 
     def validate(self) -> None:
@@ -181,7 +178,6 @@ class VerificationReport:
                 "n_max": self.config.n_max,
                 "tolerance_overrides": dict(self.config.tolerance_overrides),
                 "output_format": self.config.output_format,
-                "parallelism": self.config.parallelism,
                 "default_tolerance": self.config.default_tolerance,
             },
             "overall_pass": self.overall_pass,
@@ -488,7 +484,7 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     def rlo_negative(tol):
         rep = check_rlo(gens.Ntot, ad0, 2.0 * ident, 1)
-        big = rep.frobenius_relative > 1e-4
+        big = rep.frobenius_relative > 0.1
         return rep.frobenius_relative, big, \
             "" if big else "the check did not discriminate a wrong right function"
     r.run("rlo-negative-control", "rlo-definition", p, DEFAULT_TOLERANCE,
@@ -746,41 +742,27 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.run("lattice-scheme", "lattice-action", p, DEFAULT_TOLERANCE, scheme)
 
     def annihilation(tol):
-        # Listed rules for each ladder, supplemented by forced annihilation
-        # when the predicted target node does not occur in the spectrum.
+        # Every annihilation a listed rule requires must happen; any other
+        # annihilation must be forced by a missing target node.
         rep = ctx.lattice(n_limit)
-        flags = rep.annihilation_flags()
         problems = []
         extra = []
         for (n, j) in sorted(rep.node_dims):
-            for omega in range(1, s + 1):
-                key = (f"tau[{omega:+d}]", (n, j))
-                if key in flags and ((j < omega or n == 0) and not flags[key]):
-                    problems.append(f"tau[{omega}] missed {key[1]}")
-                key = (f"tau[{-omega:+d}]", (n, j))
-                if key in flags and (n == 0 or j > (n - 1) * s - omega) \
-                        and not flags[key]:
-                    problems.append(f"tau[{-omega}] missed {key[1]}")
-                key = (f"tau_dag[{-omega:+d}]", (n, j))
-                if key in flags and j < omega and not flags[key]:
-                    problems.append(f"tau_dag[{-omega}] missed {key[1]}")
-                key = (f"tau_dag[{omega:+d}]", (n, j))
-                if key in flags and omega % 2 != s % 2 and n == 1 \
-                        and not flags[key]:
-                    problems.append(
-                        f"tau_dag[{omega}] kept a one-particle state alive")
-            # Any annihilation must be required by a listed rule or forced
-            # by a missing target node.
             for arrow in rep.arrows_from((n, j)):
-                if not arrow.annihilated:
-                    continue
                 theta = int(arrow.operator.split("[")[1].rstrip("]"))
                 if theta == 0:
                     continue  # theta = 0 is covered by tau-zero-preserves-j
                 raising = arrow.operator.startswith("tau_dag")
-                target = (n + 1, j + theta) if raising else (n - 1, j - theta)
                 listed = _listed_annihilation(s, n, j, theta, raising)
-                if not listed and rep.node_exists(target):
+                if listed and not arrow.annihilated:
+                    if raising and theta > 0:
+                        problems.append(
+                            f"tau_dag[{theta}] kept a one-particle state alive")
+                    else:
+                        name = "tau_dag" if raising else "tau"
+                        problems.append(f"{name}[{theta}] missed {(n, j)}")
+                target = (n + 1, j + theta) if raising else (n - 1, j - theta)
+                if arrow.annihilated and not listed and rep.node_exists(target):
                     extra.append(f"{arrow.operator} at {(n, j)}")
         if problems:
             return 1.0, False, "; ".join(problems[:5])
@@ -1042,6 +1024,10 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
             "raising_pair_commutator_residual":
                 reps["raising_pair_commutes"].frobenius_relative,
         })
+        if ctx.n_max < 4:
+            worst = reps["raising_pair_commutes"].frobenius_relative
+            return worst, worst < tol, ("truncation too small for the mixed "
+                                        "pair; needs n_max >= 4")
         worst = max(reps["mixed_pair_shift2"].frobenius_relative,
                     reps["raising_pair_commutes"].frobenius_relative)
         return worst, worst < tol, ""

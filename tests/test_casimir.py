@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from su2ladders.casimir import (LatticeSchemeError, TauCertificationError,
                                 s1_mutual_commutators,
                                 tau_casimir_ladder_residual,
                                 tau_shift_residual)
-from su2ladders.ladder import build_alpha, build_alpha_variant_diag4, solve_sigma
+from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
+                               right_function_poly, solve_sigma)
 from su2ladders.operators import (SparseOperator, commutator,
                                   commutator_residual, creation_op, residual,
                                   zero_residual)
@@ -76,7 +78,7 @@ def test_alpha_certifies_numerically(ctx, spin, family):
     c = ctx(spin, 4)
     alpha, reports = build_alpha_certified(c.gens, c.families, family)
     for rep in reports.values():
-        assert rep.frobenius_relative < 1e-8 or rep.frobenius_absolute < 1e-8
+        assert rep.frobenius_relative < 1e-8
 
 
 @pytest.mark.parametrize("spin", [1, 2, 3])
@@ -116,6 +118,32 @@ def test_tau_ladder_relations(ctx, spin):
         assert tau_casimir_ladder_residual(tau, c.gens
                                            ).frobenius_relative < 1e-8
         assert tau_shift_residual(tau, c.gens).frobenius_relative < 1e-8
+
+
+def _perturbed(tau, basis, seed, delta=1e-6):
+    # Every stored entry times (1 + delta * r), r uniform in [-1, 1].
+    m = tau.op.matrix.copy()
+    m.data = m.data * (1.0 + delta * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, m.nnz))
+    return dataclasses.replace(tau, op=SparseOperator(basis, m))
+
+
+@pytest.mark.parametrize("spin", [2, 3])
+def test_tau_certificates_catch_entrywise_perturbation(ctx, spin):
+    c = ctx(spin, 4)
+    for theta, tau in sorted(c.taus.items()):
+        bad = _perturbed(tau, c.basis, seed=100 * spin + theta)
+        assert tau_casimir_ladder_residual(bad, c.gens).frobenius_relative > 1e-8
+        assert tau_shift_residual(bad, c.gens).frobenius_relative > 1e-8
+        assert resolvent_commutator_check(
+            c.gens, bad, 0, "right").frobenius_relative > 1e-8
+
+
+@pytest.mark.parametrize("spin", [2, 3])
+def test_tau_checked_against_wrong_theta_fails(ctx, spin):
+    c = ctx(spin, 4)
+    wrong = dataclasses.replace(c.taus[1], right_function=right_function_poly(2))
+    assert tau_casimir_ladder_residual(wrong, c.gens).frobenius_relative > 0.1
 
 
 def test_assemble_tau_certification_catches_corruption(ctx):

@@ -36,8 +36,8 @@ def test_rlo_detects_wrong_right_function(ctx):
     c = ctx(1, 4)
     ident = SparseOperator.identity(c.basis)
     rep = check_rlo(c.gens.Ntot, creation_op(c.basis, 0), 2.0 * ident, 1)
-    # Four orders of magnitude above any pass tolerance used in the suite.
-    assert rep.frobenius_relative > 1e-4
+    # [N, a+] = a+ against a+ 2: the residual is half the operand norm.
+    assert rep.frobenius_relative > 0.1
     assert rep.frobenius_absolute > 1.0
 
 

@@ -105,22 +105,12 @@ def test_basis_mismatch_rejected():
         commutator(a, b)
 
 
-def test_budget_tracking(basis):
-    ad = creation_op(basis, 0)
-    a = annihilation_op(basis, 0)
-    assert ad.particle_budget == 1
-    assert (ad @ a).particle_budget == 2
-    assert commutator(ad, a).particle_budget == 2
-    assert (ad + a).particle_budget == 1
-    assert number_op(basis, 0).particle_budget == 0
-
-
 def _random_operator(basis, seed):
     rng = np.random.default_rng(seed)
     dim = len(basis)
     mat = sparse.random(dim, dim, density=0.1, random_state=rng,
                         dtype=float).tocsr().astype(complex)
-    return SparseOperator(basis, mat, 0)
+    return SparseOperator(basis, mat)
 
 
 @settings(max_examples=25, deadline=None)

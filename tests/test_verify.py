@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
-                               VerificationReport, _Runner, export_report,
-                               report_from_json, run_suite)
+                               VerificationReport, _lattice_checks,
+                               _listed_annihilation, _Runner, _SpinContext,
+                               export_report, report_from_json, run_suite)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +75,7 @@ def test_degenerate_nmax_records_empty_restrictions():
     assert not report.overall_pass
     empties = [c for c in report.checks
                if "empty restriction" in c.detail]
-    assert empties, "budget-2 checks should report empty restrictions"
+    assert empties, "margin-2 checks should report empty restrictions"
     assert all(not c.passed for c in empties)
 
 
@@ -100,15 +102,6 @@ def test_global_default_tolerance_applies():
     config = SuiteConfig(spins=[1], n_max=3, default_tolerance=1e-30)
     report = run_suite(config)
     assert not report.overall_pass
-
-
-def test_parallelism_hint_does_not_change_report():
-    a = run_suite(SuiteConfig(spins=[1], n_max=3, parallelism=1))
-    b = run_suite(SuiteConfig(spins=[1], n_max=3, parallelism=8))
-    da, db = a.to_json_dict(), b.to_json_dict()
-    da["config"].pop("parallelism")
-    db["config"].pop("parallelism")
-    assert da == db
 
 
 def test_discrepancy_ledger_is_populated(default_report):
@@ -140,3 +133,25 @@ def test_summary_lines_carry_wall_times(default_report):
     lines = default_report.summary_lines()
     for check, line in zip(default_report.checks, lines):
         assert f" time={check.wall_time:.3f}s" in line
+
+
+def _annihilation_check(ctx):
+    report = VerificationReport(config=SuiteConfig(spins=[ctx.s],
+                                                   n_max=ctx.n_max))
+    _lattice_checks(_Runner(report.config, report), ctx)
+    return next(c for c in report.checks
+                if c.name == "tau-annihilation-rules")
+
+
+def test_missed_listed_annihilation_fails_the_rules_check():
+    ctx = _SpinContext(1, 4)
+    assert _annihilation_check(ctx).passed
+    lattice = ctx.lattice(3)
+    k, arrow = next(
+        (k, a) for k, a in enumerate(lattice.arrows)
+        if a.operator == "tau[+1]" and a.source == (0, 0))
+    assert arrow.annihilated and _listed_annihilation(1, 0, 0, 1, False)
+    lattice.arrows[k] = dataclasses.replace(arrow, annihilated=False)
+    check = _annihilation_check(ctx)
+    assert not check.passed
+    assert check.detail == "tau[1] missed (0, 0)"
