@@ -28,7 +28,8 @@ from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
                      AlphaVerificationError, build_alpha, check_llo, check_rlo,
                      right_function_poly, right_functions, solve_sigma)
 from .operators import (ResidualReport, SparseOperator, commutator,
-                        commutator_residual, creation_op, number_op, residual)
+                        commutator_on_columns, commutator_residual,
+                        creation_op, number_op, on_columns, residual)
 from .schwinger import KernelVector, Su2Generators, _phase_fixed, jz_kernel
 
 
@@ -82,19 +83,20 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
 
     For every family index eta the residual of [J^2, T_eta] minus
     sum_mu T_mu alpha[mu, eta](j) is computed on the zero-weight interior
-    columns.  A failure aborts with the offending (mu, eta) pair, identified
-    by coefficient extraction.
+    columns, on which both sides are formed.  A failure aborts with the
+    offending (mu, eta) pair, identified by coefficient extraction.
     """
     ops = families.ops(alpha.family)
     reports = {}
     for eta, t_eta in ops.items():
-        lhs = commutator(generators.J2, t_eta)
+        lhs = commutator_on_columns(generators.J2, t_eta, margin, col_weight=0)
         rhs = SparseOperator.zeros(families.basis)
         for mu, t_mu in ops.items():
             poly = alpha.entry(mu, eta)
             if poly.is_zero():
                 continue
-            rhs = rhs + t_mu @ generators.function_of_j(poly)
+            rhs = rhs + t_mu @ on_columns(generators.function_of_j(poly),
+                                          margin, col_weight=0)
         rep = residual(lhs, rhs, margin, col_weight=0)
         if rep.frobenius_relative > tol:
             mu_bad, dev = _worst_alpha_entry(alpha, eta, generators, families)
@@ -106,46 +108,61 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     return reports
 
 
-def extract_alpha_column(generators: Su2Generators, families: LadderFamily,
-                         family: str, eta: int, node: KernelVector
-                         ) -> Optional[dict[int, float]]:
-    """Measure the closure coefficients on one kernel node by least squares.
-
-    Returns None when the family images at the node are too ill-conditioned
-    to identify coefficients (e.g. several images vanish).
-    """
-    ops = families.ops(family)
-    t_eta = ops[eta]
-    lhs = commutator(generators.J2, t_eta).apply(node.vector)
-    cols, mus = [], []
-    for mu, t_mu in ops.items():
-        img = t_mu.apply(node.vector)
-        cols.append(img)
-        mus.append(mu)
-    m = np.array(cols).T
-    if np.linalg.matrix_rank(m, tol=1e-8) < len(mus):
-        return None
-    coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
-    fit = m @ coef
-    if np.linalg.norm(fit - lhs) > 1e-6 * (1 + np.linalg.norm(lhs)):
-        return None
-    return {mu: float(c.real) for mu, c in zip(mus, coef)}
-
-
 def _worst_alpha_entry(alpha, eta, generators, families):
+    """(mu, deviation) of column eta's entry farthest from its measured value.
+
+    On each node the coefficients of [J^2, T_eta] in the family images are
+    fitted by least squares; a node whose images are too ill-conditioned to
+    identify them (e.g. several images vanish) is skipped.  The nodes of
+    levels n < n_max are margin-1 weight-0 columns, so the commutator is
+    formed once, on those columns, and applied to each level's nodes at once.
+    """
+    ops = families.ops(alpha.family)
+    mus = list(ops)
+    comm = commutator_on_columns(generators.J2, ops[eta], 1, col_weight=0)
     worst = (None, 0.0)
     basis = families.basis
     for n in range(0, basis.n_max):
-        for node in jz_kernel(basis, generators, n):
-            measured = extract_alpha_column(generators, families,
-                                            alpha.family, eta, node)
-            if measured is None:
+        nodes = jz_kernel(basis, generators, n)
+        if not nodes:
+            continue
+        idx, block = _kernel_block(basis, n, nodes)
+        lhs_all = _images(comm.matrix[:, idx], block)
+        imgs = [_images(ops[mu].matrix[:, idx], block) for mu in mus]
+        for i, node in enumerate(nodes):
+            lhs = lhs_all[i]
+            m = np.array([img[i] for img in imgs]).T
+            if np.linalg.matrix_rank(m, tol=1e-8) < len(mus):
                 continue
-            for mu, value in measured.items():
-                dev = abs(value - float(alpha.entry(mu, eta)(node.j)))
+            coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
+            fit = m @ coef
+            if np.linalg.norm(fit - lhs) > 1e-6 * (1 + np.linalg.norm(lhs)):
+                continue
+            for mu, c in zip(mus, coef):
+                dev = abs(float(c.real) - float(alpha.entry(mu, eta)(node.j)))
                 if dev > worst[1]:
                     worst = (mu, dev)
     return worst
+
+
+def _kernel_block(basis: SectorBasis, n: int, nodes: list[KernelVector]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 0) sector's indices and the nodes' entries there, one per column.
+
+    Kernel vectors of level n vanish off that sector.
+    """
+    idx = np.flatnonzero((basis.totals == n) & (basis.weights == 0))
+    return idx, np.array([kv.vector[idx] for kv in nodes]).T
+
+
+def _images(columns, block: np.ndarray) -> np.ndarray:
+    """X v for each vector v of a ``_kernel_block``, one contiguous row each.
+
+    ``columns`` holds the sector's columns of X, the only ones that meet
+    nonzero entries of v.  Each image entry sums the same terms in the same
+    order as the whole-space product X v.
+    """
+    return np.ascontiguousarray((columns @ block).T)
 
 
 def alpha_entry_deviation(alpha: AlphaMatrix, generators: Su2Generators,
@@ -237,8 +254,9 @@ def tau_shift_residual(tau: TauOperator, generators: Su2Generators,
     jh = generators.j_hat()
     if tau.theta == 0:
         return commutator_residual(jh, tau.op, margin, col_weight=0)
-    return residual(commutator(jh, tau.op), float(tau.theta) * tau.op, margin,
-                    col_weight=0)
+    return residual(commutator_on_columns(jh, tau.op, margin, col_weight=0),
+                    float(tau.theta) * on_columns(tau.op, margin, col_weight=0),
+                    margin, col_weight=0)
 
 
 def build_taus(families: LadderFamily, generators: Su2Generators,
@@ -265,9 +283,10 @@ def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
 
     side='right': [g(j), tau] = tau (g(j + theta) - g(j)),
     side='left' : [g(j), tau] = (g(j) - g(j - theta)) tau,
-    both on zero-weight interior columns.  Shifted denominators vanish only
-    at half-integer j, so integer spectra stay clear of the poles; an actual
-    pole raises SpectralFunctionError naming the sector.
+    both on zero-weight interior columns, on which both sides are formed.
+    Shifted denominators vanish only at half-integer j, so integer spectra
+    stay clear of the poles; an actual pole raises SpectralFunctionError
+    naming the sector.
     """
     if k < 0:
         raise ValueError("resolvent index k must be non-negative")
@@ -285,11 +304,12 @@ def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
         return commutator_residual(g_op, tau.op, margin, col_weight=0)
     if side == "right":
         diff = generators.function_of_j(lambda j: g(j + theta) - g(j))
-        rhs = tau.op @ diff
+        rhs = tau.op @ on_columns(diff, margin, col_weight=0)
     else:
         diff = generators.function_of_j(lambda j: g(j) - g(j - theta))
-        rhs = diff @ tau.op
-    return residual(commutator(g_op, tau.op), rhs, margin, col_weight=0)
+        rhs = diff @ on_columns(tau.op, margin, col_weight=0)
+    return residual(commutator_on_columns(g_op, tau.op, margin, col_weight=0),
+                    rhs, margin, col_weight=0)
 
 
 # -- lattice of kernel nodes -----------------------------------------------------
@@ -370,7 +390,9 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     Raising operators are recorded for source nodes with n <= n_max - 1 (the
     interior where truncation cannot bite); lowering operators for all nodes
     up to ``n_limit``.  A nonzero image with any component outside the
-    predicted target node (n +/- 1, j +/- theta) is a hard error.
+    predicted target node (n +/- 1, j +/- theta) is a hard error.  Each
+    operator is applied to all nodes of a level n at once, through the
+    columns (raising) or rows (lowering) of the (n, 0) sector only.
     """
     if n_limit > basis.n_max:
         raise ValueError(f"n_limit={n_limit} exceeds n_max={basis.n_max}")
@@ -391,23 +413,26 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     def node_vectors(n: int, j: int) -> list[np.ndarray]:
         return [kv.vector for kv in nodes.get(n, []) if kv.j == j]
 
+    blocks = {n: _kernel_block(basis, n, nodes[n])
+              for n in range(0, n_limit + 1) if nodes[n]}
     arrows: list[LatticeArrow] = []
     for theta in sorted(taus):
-        tau = taus[theta]
-        tau_dag = tau.op          # raises N by one: (n, j) -> (n+1, j+theta)
-        tau_low = tau.op.adjoint()  # lowers N: (n, j) -> (n-1, j-theta)
-        for n in range(0, n_limit + 1):
-            for kv in nodes[n]:
+        # tau raises N by one: (n, j) -> (n+1, j+theta); its adjoint lowers
+        # N: (n, j) -> (n-1, j-theta).
+        tau = taus[theta].op.matrix
+        for n, (idx, block) in blocks.items():
+            if n <= basis.n_max - 1:
+                raised = _images(tau[:, idx], block)
+            lowered = _images(tau[idx].getH(), block)
+            for i, kv in enumerate(nodes[n]):
                 source = (n, kv.j)
                 if n <= basis.n_max - 1:
                     arrows.append(_classify_image(
                         f"tau_dag[{theta:+d}]", source, (n + 1, kv.j + theta),
-                        tau_dag.apply(kv.vector), node_vectors,
-                        annihilation_tol, leak_tol))
+                        raised[i], node_vectors, annihilation_tol, leak_tol))
                 arrows.append(_classify_image(
                     f"tau[{theta:+d}]", source, (n - 1, kv.j - theta),
-                    tau_low.apply(kv.vector), node_vectors,
-                    annihilation_tol, leak_tol))
+                    lowered[i], node_vectors, annihilation_tol, leak_tol))
     return KernelLatticeReport(spin=generators.s, n_limit=n_limit,
                                node_dims=node_dims, arrows=arrows,
                                weight0_dims=weight0_dims,

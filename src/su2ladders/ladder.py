@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .jpoly import JPoly, poly_matrix_det
-from .operators import (ResidualReport, SparseOperator, commutator,
-                        commutator_residual, residual)
+from .operators import (ResidualReport, SparseOperator, commutator_on_columns,
+                        commutator_residual, on_columns, residual)
 
 P_FAMILY = "p"
 M_FAMILY = "m"
@@ -83,31 +83,43 @@ def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
               precondition_tol: float = 1e-10) -> ResidualReport:
     """Residual of the right-ladder relation [H, p+] - p+ P on the interior.
 
-    Precondition: P commutes with H to ``precondition_tol`` (violations raise
-    PreconditionError carrying the offending commutator norm).
+    Precondition: P commutes with H to ``precondition_tol`` on the full
+    interior (violations raise PreconditionError carrying the offending
+    commutator norm).
 
-    When the right function vanishes identically the relation degenerates to
-    [H, p+] = 0, which is checked as ``commutator_residual`` (normalised by
-    the restricted norms of H and p+).
+    Both sides are formed on the restricted columns only.  When p+ or P
+    vanishes identically (a zero right function), p+ P vanishes on every
+    column and the relation degenerates to [H, p+] = 0, which is checked as
+    ``commutator_residual`` (normalised by the restricted norms of H and p+).
+    The branch does not depend on the restriction: a p+ P that vanishes only
+    on the restricted columns is still compared as a two-sided identity.
     """
     _check_commutes(h, p_fn, margin, precondition_tol,
                     "right function does not commute with H")
-    rhs = p_dag @ p_fn
-    if rhs.is_zero():
+    if p_dag.is_zero() or p_fn.is_zero():
         return commutator_residual(h, p_dag, margin, col_weight=col_weight)
-    return residual(commutator(h, p_dag), rhs, margin, col_weight=col_weight)
+    return residual(commutator_on_columns(h, p_dag, margin, col_weight),
+                    p_dag @ on_columns(p_fn, margin, col_weight), margin,
+                    col_weight=col_weight)
 
 
 def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
               margin: int, col_weight: Optional[int] = None,
               precondition_tol: float = 1e-10) -> ResidualReport:
-    """Residual of the left-ladder relation [p, H] - P p on the interior."""
+    """Residual of the left-ladder relation [p, H] - P p on the interior.
+
+    Both sides are formed on the restricted columns only.  As in
+    ``check_rlo``, the relation degenerates to [H, p] = 0
+    (``commutator_residual``) when p or P vanishes identically, whatever the
+    restriction.
+    """
     _check_commutes(h, p_fn, margin, precondition_tol,
                     "left function does not commute with H")
-    rhs = p_fn @ p
-    if rhs.is_zero():
+    if p.is_zero() or p_fn.is_zero():
         return commutator_residual(h, p, margin, col_weight=col_weight)
-    return residual(commutator(p, h), rhs, margin, col_weight=col_weight)
+    return residual(commutator_on_columns(p, h, margin, col_weight),
+                    p_fn @ on_columns(p, margin, col_weight), margin,
+                    col_weight=col_weight)
 
 
 def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
@@ -123,8 +135,8 @@ def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
         raise PreconditionError(
             f"base ladder relation fails at {base.frobenius_relative:.3e}", base)
     hn = h.power(n)
-    lhs = commutator(hn, p_dag)
-    rhs = p_dag @ ((h + p_fn).power(n) - hn)
+    lhs = commutator_on_columns(hn, p_dag, margin, col_weight)
+    rhs = p_dag @ on_columns((h + p_fn).power(n) - hn, margin, col_weight)
     return residual(lhs, rhs, margin, col_weight=col_weight)
 
 
@@ -136,7 +148,9 @@ def check_rlo_compose(h: SparseOperator, p_dag: SparseOperator,
     _check_commutes(h + p_fn, a, margin, precondition_tol,
                     "A does not commute with H + P")
     pa = p_dag @ a
-    return residual(commutator(h, pa), pa @ p_fn, margin, col_weight=col_weight)
+    return residual(commutator_on_columns(h, pa, margin, col_weight),
+                    pa @ on_columns(p_fn, margin, col_weight), margin,
+                    col_weight=col_weight)
 
 
 # -- closure matrix -----------------------------------------------------------

@@ -14,6 +14,14 @@ a two-sided identity X = Y, normalised by the larger restricted operand norm;
 ``commutator_residual`` for [X, Y] = 0, normalised by the product of the
 restricted norms of X and Y; and ``zero_residual`` for a single operator that
 must vanish, against an explicit scale.
+
+A residual reads only the columns its restriction keeps, so the products it
+compares are formed on those columns alone.  With P the projector onto them,
+(X Y) P = X (Y P) and [X, Y] P = X (Y P) - Y (X P) hold entry for entry:
+each kept column of a CSR product is summed over the same terms in the same
+order whether or not the other columns are present.  ``on_columns`` forms
+X P and ``commutator_on_columns`` forms [X, Y] P, so a restricted residual
+reads the same floats as one sliced from the whole-space product.
 """
 
 from __future__ import annotations
@@ -158,7 +166,9 @@ class SparseOperator:
         return self.matrix.nnz
 
     def is_zero(self) -> bool:
-        return self.matrix.nnz == 0
+        """True when no entry is nonzero; explicit zeros in the pattern
+        (a spectral image with f = 0 keeps its block pattern) do not count."""
+        return not self.matrix.data.any()
 
     def norm(self) -> float:
         """Frobenius norm."""
@@ -252,6 +262,33 @@ def _restriction(basis, margin: int, col_weight=None):
     return rows, cols
 
 
+def on_columns(x: SparseOperator, margin: int,
+               col_weight=None) -> SparseOperator:
+    """X P, where P projects onto the columns a residual at this restriction reads.
+
+    The columns are those with total occupation <= n_max - margin (and, when
+    ``col_weight`` is given, that J_z weight); every other column of X is
+    dropped.  A product with this as its right factor equals the whole-space
+    product on the kept columns, entry for entry.
+    """
+    _rows, cols = _restriction(x.basis, margin, col_weight)
+    if len(cols) == len(x.basis):
+        return x
+    keep = np.zeros(len(x.basis), dtype=bool)
+    keep[cols] = True
+    m = x.matrix.copy()
+    m.data[~keep[m.indices]] = 0
+    m.eliminate_zeros()
+    return SparseOperator(x.basis, m)
+
+
+def commutator_on_columns(x: SparseOperator, y: SparseOperator, margin: int,
+                          col_weight=None) -> SparseOperator:
+    """[X, Y] P, formed as X (Y P) - Y (X P) on the columns ``on_columns`` keeps."""
+    return (x @ on_columns(y, margin, col_weight)
+            - y @ on_columns(x, margin, col_weight))
+
+
 def _sliced_fro(matrix, rows, cols) -> float:
     sub = matrix[rows][:, cols]
     return _fro(sub)
@@ -282,9 +319,10 @@ def commutator_residual(x: SparseOperator, y: SparseOperator, margin: int,
 
     Zero-target identities cannot use ``residual``'s operand normalization
     (the only operand is the commutator itself), so the natural scale of the
-    product is used instead.
+    product is used instead.  The commutator is formed on the restricted
+    columns only (``commutator_on_columns``).
     """
-    c = commutator(x, y)
+    c = commutator_on_columns(x, y, margin, col_weight)
     rows, cols = _restriction(x.basis, margin, col_weight)
     absolute = _sliced_fro(c.matrix, rows, cols)
     scale = _sliced_fro(x.matrix, rows, cols) * _sliced_fro(y.matrix, rows, cols)

@@ -394,7 +394,9 @@ def jz_kernel(basis: SectorBasis, generators: Su2Generators, n: int,
         full = np.zeros(len(basis), dtype=vecs.dtype)
         full[idx] = vecs[:, k]
         out.append(KernelVector(n=n, j=int(j), vector=_phase_fixed(full)))
-    out.sort(key=lambda kv: (kv.j, tuple(np.round(kv.vector.real, 10))
-                             + tuple(np.round(kv.vector.imag, 10))))
+    # The vectors vanish off the (ascending) sector indices, so comparing
+    # their entries there orders them as the whole-space coordinates would.
+    out.sort(key=lambda kv: (kv.j, tuple(np.round(kv.vector[idx].real, 10))
+                             + tuple(np.round(kv.vector[idx].imag, 10))))
     return out
 

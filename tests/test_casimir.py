@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from su2ladders.casimir import (LatticeSchemeError, TauCertificationError,
                                 s1_mutual_commutators,
                                 tau_casimir_ladder_residual,
                                 tau_shift_residual)
-from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
-                               right_function_poly, solve_sigma)
+from su2ladders.ladder import (AlphaVerificationError, build_alpha,
+                               build_alpha_variant_diag4, right_function_poly,
+                               solve_sigma)
 from su2ladders.operators import (SparseOperator, commutator,
                                   commutator_residual, creation_op, residual,
                                   zero_residual)
@@ -97,6 +99,20 @@ def test_alpha_variant_diagonal_fails_certification(ctx, spin):
     with pytest.raises(Exception):
         certify_alpha(variant, c.gens, c.families)
     assert alpha_entry_deviation(variant, c.gens, c.families) > 1.0
+
+
+@pytest.mark.parametrize("spin", [2, 3])
+@pytest.mark.parametrize("family", ["p", "m"])
+def test_alpha_certificate_catches_entry_perturbation(ctx, spin, family):
+    # Each closure-matrix entry, scaled by 1 + 1e-6 on its own, must fail.
+    c = ctx(spin, 4)
+    alpha = build_alpha(spin, family)
+    for key, poly in sorted(alpha.entries.items()):
+        entries = dict(alpha.entries)
+        entries[key] = poly * (1 + Fraction(1, 10**6))
+        with pytest.raises(AlphaVerificationError):
+            certify_alpha(dataclasses.replace(alpha, entries=entries),
+                          c.gens, c.families)
 
 
 # -- assembled ladders ---------------------------------------------------------------

@@ -1,0 +1,238 @@
+"""Residuals formed on their restricted columns equal the whole-space forms.
+
+Every interior residual reads only the columns its restriction keeps, and the
+library forms its products on those columns alone.  The references below form
+the same identities from whole-space products and slice them with
+``residual``; the reports must be equal, not merely close, because
+(X Y) P = X (Y P) holds entry for entry in floating point.
+"""
+
+import numpy as np
+import pytest
+
+from su2ladders.casimir import (_worst_alpha_entry, alpha_entry_deviation,
+                                certify_alpha, lattice_report,
+                                resolvent_commutator_check, tau_shift_residual)
+from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
+                               check_llo, check_power_identity, check_rlo,
+                               check_rlo_compose)
+from su2ladders.operators import (SparseOperator, commutator,
+                                  commutator_on_columns, commutator_residual,
+                                  creation_op, on_columns, residual,
+                                  zero_residual)
+from su2ladders.schwinger import jz_kernel
+
+SPINS = [2, 3]
+
+
+def _full_commutator_residual(x, y, margin, col_weight=None):
+    # commutator_residual from the whole-space commutator.
+    scale = (zero_residual(x, margin, col_weight).frobenius_absolute
+             * zero_residual(y, margin, col_weight).frobenius_absolute)
+    return zero_residual(commutator(x, y), margin, col_weight, scale=scale)
+
+
+def _full_ladder_residual(lhs, rhs, degenerate, margin, col_weight):
+    if rhs.is_zero():
+        return _full_commutator_residual(*degenerate, margin, col_weight)
+    return residual(lhs, rhs, margin, col_weight=col_weight)
+
+
+def _ref_rlo(h, p_dag, p_fn, margin, col_weight=None):
+    return _full_ladder_residual(commutator(h, p_dag), p_dag @ p_fn,
+                                 (h, p_dag), margin, col_weight)
+
+
+def _ref_llo(h, p, p_fn, margin, col_weight=None):
+    return _full_ladder_residual(commutator(p, h), p_fn @ p, (h, p), margin,
+                                 col_weight)
+
+
+def _rlo_cases(c):
+    """(H, p+, P, col_weight) for every tau, plus the number-operator pair."""
+    gens = c.gens
+    cases = [(gens.Ntot, creation_op(c.basis, 0),
+              SparseOperator.identity(c.basis), None)]
+    for theta, tau in sorted(c.taus.items()):
+        cases.append((gens.J2, tau.op,
+                      gens.function_of_j(tau.right_function), 0))
+    return cases
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_on_columns_keeps_exactly_the_restricted_columns(ctx, spin):
+    c = ctx(spin, 4)
+    tau = c.taus[1].op
+    for margin, col_weight in ((1, 0), (1, None), (2, 0)):
+        cols = np.flatnonzero(
+            (c.basis.totals <= c.basis.n_max - margin)
+            & ((c.basis.weights == col_weight) if col_weight is not None
+               else True))
+        full = tau.matrix.toarray()
+        want = np.zeros_like(full)
+        want[:, cols] = full[:, cols]
+        assert np.array_equal(on_columns(tau, margin, col_weight)
+                              .matrix.toarray(), want)
+        comm = commutator(c.gens.J2, tau).matrix.toarray()
+        want[:] = 0.0
+        want[:, cols] = comm[:, cols]
+        assert np.array_equal(commutator_on_columns(c.gens.J2, tau, margin,
+                                                    col_weight)
+                              .matrix.toarray(), want)
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_commutator_residual_equals_full_product(ctx, spin):
+    c = ctx(spin, 4)
+    g = c.gens
+    for x, y, margin, col_weight in ((g.J2, c.taus[0].op, 1, 0),
+                                     (g.J2, c.taus[1].op, 1, 0),
+                                     (g.Ntot, c.taus[1].op, 1, None),
+                                     (g.Jz, g.Jplus, 0, None)):
+        assert commutator_residual(x, y, margin, col_weight) == \
+            _full_commutator_residual(x, y, margin, col_weight)
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_check_rlo_and_llo_equal_full_products(ctx, spin):
+    c = ctx(spin, 4)
+    for h, p_dag, p_fn, col_weight in _rlo_cases(c):
+        assert check_rlo(h, p_dag, p_fn, 1, col_weight=col_weight) == \
+            _ref_rlo(h, p_dag, p_fn, 1, col_weight)
+        p = p_dag.adjoint()
+        assert check_llo(h, p, p_fn, 1, col_weight=col_weight) == \
+            _ref_llo(h, p, p_fn, 1, col_weight)
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_check_power_identity_equals_full_products(ctx, spin):
+    c = ctx(spin, 4)
+    for h, p_dag, p_fn, col_weight in _rlo_cases(c):
+        hn = h.power(2)
+        want = residual(commutator(hn, p_dag),
+                        p_dag @ ((h + p_fn).power(2) - hn), 1,
+                        col_weight=col_weight)
+        assert check_power_identity(h, p_dag, p_fn, 2, 1,
+                                    col_weight=col_weight) == want
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_check_rlo_compose_equals_full_products(ctx, spin):
+    c = ctx(spin, 4)
+    g = c.gens
+    for a in (g.function_of_j(lambda j: j * j + 1.0), g.Ntot):
+        for h, p_dag, p_fn, col_weight in _rlo_cases(c):
+            pa = p_dag @ a
+            want = residual(commutator(h, pa), pa @ p_fn, 1,
+                            col_weight=col_weight)
+            assert check_rlo_compose(h, p_dag, p_fn, a, 1,
+                                     col_weight=col_weight) == want
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_tau_shift_residual_equals_full_products(ctx, spin):
+    c = ctx(spin, 4)
+    jh = c.gens.j_hat()
+    for theta, tau in sorted(c.taus.items()):
+        if theta == 0:
+            want = _full_commutator_residual(jh, tau.op, 1, 0)
+        else:
+            want = residual(commutator(jh, tau.op), float(theta) * tau.op, 1,
+                            col_weight=0)
+        assert tau_shift_residual(tau, c.gens) == want
+
+
+@pytest.mark.parametrize("spin", SPINS)
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_resolvent_check_equals_full_products(ctx, spin, side):
+    c = ctx(spin, 4)
+    g = c.gens
+    for k in (0, 1):
+        def res(j, k=k):
+            return 1.0 / (2.0 * j + (2 * k + 1))
+        g_op = g.function_of_j(res)
+        for theta, tau in sorted(c.taus.items()):
+            if theta == 0:
+                want = _full_commutator_residual(g_op, tau.op, 1, 0)
+            elif side == "right":
+                diff = g.function_of_j(lambda j: res(j + theta) - res(j))
+                want = residual(commutator(g_op, tau.op), tau.op @ diff, 1,
+                                col_weight=0)
+            else:
+                diff = g.function_of_j(lambda j: res(j) - res(j - theta))
+                want = residual(commutator(g_op, tau.op), diff @ tau.op, 1,
+                                col_weight=0)
+            assert resolvent_commutator_check(g, tau, k, side) == want
+
+
+@pytest.mark.parametrize("spin", SPINS)
+@pytest.mark.parametrize("family", ["p", "m"])
+def test_certify_alpha_equals_full_products(ctx, spin, family):
+    c = ctx(spin, 4)
+    alpha = build_alpha(spin, family)
+    ops = c.families.ops(family)
+    want = {}
+    for eta, t_eta in ops.items():
+        rhs = SparseOperator.zeros(c.basis)
+        for mu, t_mu in ops.items():
+            if not alpha.entry(mu, eta).is_zero():
+                rhs = rhs + t_mu @ c.gens.function_of_j(alpha.entry(mu, eta))
+        want[eta] = residual(commutator(c.gens.J2, t_eta), rhs, 1,
+                             col_weight=0)
+    assert certify_alpha(alpha, c.gens, c.families) == want
+
+
+def _worst_alpha_entry_per_node(alpha, eta, gens, families):
+    # One whole-space commutator and one matrix-vector product per node.
+    ops = families.ops(alpha.family)
+    worst = (None, 0.0)
+    for n in range(0, families.basis.n_max):
+        for node in jz_kernel(families.basis, gens, n):
+            lhs = commutator(gens.J2, ops[eta]).apply(node.vector)
+            m = np.array([t.apply(node.vector) for t in ops.values()]).T
+            if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
+                continue
+            coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
+            if np.linalg.norm(m @ coef - lhs) > 1e-6 * (1 + np.linalg.norm(lhs)):
+                continue
+            for mu, value in zip(ops, coef):
+                dev = abs(float(value.real) - float(alpha.entry(mu, eta)(node.j)))
+                if dev > worst[1]:
+                    worst = (mu, dev)
+    return worst
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_alpha_entry_extraction_equals_per_node_products(ctx, spin):
+    c = ctx(spin, 4)
+    for alpha in (build_alpha(spin, "p"), build_alpha(spin, "m"),
+                  build_alpha_variant_diag4(spin, "p")):
+        worst = 0.0
+        for eta in alpha.ks:
+            want = _worst_alpha_entry_per_node(alpha, eta, c.gens, c.families)
+            assert _worst_alpha_entry(alpha, eta, c.gens, c.families) == want
+            worst = max(worst, want[1])
+        assert alpha_entry_deviation(alpha, c.gens, c.families) == worst
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_lattice_amplitudes_equal_per_vector_products(ctx, spin):
+    c = ctx(spin, 4)
+    rep = lattice_report(c.basis, c.gens, c.taus, 3)
+    arrows = iter(rep.arrows)
+    for theta in sorted(c.taus):
+        tau = c.taus[theta].op
+        tau_low = tau.adjoint()
+        for n in range(0, 4):
+            for kv in jz_kernel(c.basis, c.gens, n):
+                images = [(f"tau_dag[{theta:+d}]", tau.apply(kv.vector))]
+                images.append((f"tau[{theta:+d}]", tau_low.apply(kv.vector)))
+                for label, image in images:
+                    arrow = next(arrows)
+                    assert (arrow.operator, arrow.source) == (label, (n, kv.j))
+                    norm = float(np.linalg.norm(image))
+                    if arrow.annihilated:
+                        assert norm <= 1e-8
+                    else:
+                        assert arrow.amplitude == norm
+    assert next(arrows, None) is None
