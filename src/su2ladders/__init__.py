@@ -26,9 +26,8 @@ from .operators import (BasisMismatchError, EmptyInteriorError,
                         commutator, commutator_residual,
                         creation_op, number_op, residual, zero_residual)
 from .schwinger import (KernelVector, SpectralDecomposition,
-                        SpectralFunctionError, Su2Generators, j_hat,
-                        jordan_schwinger, jz_kernel, spectral_function,
-                        su2_generators)
+                        SpectralFunctionError, Su2Generators,
+                        jordan_schwinger, jz_kernel, su2_generators)
 from .jpoly import JPoly, poly_matrix_det
 from .ladder import (AlphaMatrix, ConsistencyError, PreconditionError,
                      RightFunction, RightFunctionError, SigmaVector,
@@ -64,11 +63,10 @@ __all__ = [
     "commutator", "commutator_residual", "complete_set_check", "creation_op",
     "deformed_generators", "demo_s1_operators", "det_certificate",
     "dimension", "enumerate_sector", "export_report",
-    "expression_match_scale", "family_for_theta", "j_hat",
-    "jordan_schwinger", "jz_kernel", "lattice_report",
-    "number_op", "poly_matrix_det", "residual", "residue_classes",
-    "resolvent_commutator_check", "right_function_poly", "right_functions",
-    "run_suite", "s1_reference_taus", "solve_sigma", "spectral_function",
-    "su2_generators", "tau_bar_forms", "tau_casimir_ladder_residual",
-    "tau_shift_residual", "zero_residual",
+    "expression_match_scale", "family_for_theta", "jordan_schwinger",
+    "jz_kernel", "lattice_report", "number_op", "poly_matrix_det",
+    "residual", "residue_classes", "resolvent_commutator_check",
+    "right_function_poly", "right_functions", "run_suite",
+    "s1_reference_taus", "solve_sigma", "su2_generators", "tau_bar_forms",
+    "tau_casimir_ladder_residual", "tau_shift_residual", "zero_residual",
 ]

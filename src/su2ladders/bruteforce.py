@@ -9,24 +9,39 @@ is compared against.  Keep it that way.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
 
 def enumerate_states(spin: int, n_max: int, n=None, weight=None):
-    """All occupation tuples by exhaustive product-and-filter enumeration."""
+    """All occupation tuples with at most n_max particles (exactly n, and of
+    J_z weight ``weight``, when given), in lexicographic order.
+
+    The occupations are chosen mode by mode, mu = -spin..spin, from the
+    particles left over, so only tuples of the requested particle number
+    are ever formed.
+    """
     modes = 2 * spin + 1
+    budget = n_max if n is None else n
+    if not 0 <= budget <= n_max:
+        return []
     out = []
-    for occ in product(range(n_max + 1), repeat=modes):
-        if sum(occ) > n_max:
-            continue
-        if n is not None and sum(occ) != n:
-            continue
-        if weight is not None and sum(
-                mu * occ[mu + spin] for mu in range(-spin, spin + 1)) != weight:
-            continue
-        out.append(occ)
+    occ = [0] * modes
+
+    def walk(pos: int, left: int, w: int) -> None:
+        if pos == modes - 1:
+            # The last mode (mu = spin) takes what is left, or any part of
+            # it when the particle number is free.
+            for k in (range(left + 1) if n is None else (left,)):
+                if weight is None or w + spin * k == weight:
+                    occ[pos] = k
+                    out.append(tuple(occ))
+            return
+        for k in range(left + 1):
+            occ[pos] = k
+            walk(pos + 1, left - k, w + (pos - spin) * k)
+
+    walk(0, budget, 0)
     return out
 
 

@@ -73,31 +73,41 @@ def build_families(basis: SectorBasis, generators: Su2Generators) -> LadderFamil
     return LadderFamily(s=s, basis=basis, p_ops=tuple(p_ops), m_ops=tuple(m_ops))
 
 
+#: Interior margin of the identities with one raising step (closure
+#: certificate, tau certificates, resolvent relations, spin-1 expressions).
+LADDER_MARGIN = 1
+#: Interior margin of the identities that pair a ladder with an adjoint
+#: (tau tau^dagger, [p, p^dagger], the spin-1 bracket ladder).
+PAIR_MARGIN = 2
+
+
 # -- numerical certification of the closure matrix ---------------------------
 
 
 def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
-                  families: LadderFamily, margin: int = 1,
-                  tol: float = 1e-8) -> dict[int, ResidualReport]:
+                  families: LadderFamily, tol: float = 1e-8
+                  ) -> dict[int, ResidualReport]:
     """Verify each closure-matrix column against measured commutators.
 
     For every family index eta the residual of [J^2, T_eta] minus
     sum_mu T_mu alpha[mu, eta](j) is computed on the zero-weight interior
-    columns, on which both sides are formed.  A failure aborts with the
-    offending (mu, eta) pair, identified by coefficient extraction.
+    columns (margin LADDER_MARGIN), on which both sides are formed.  A
+    failure aborts with the offending (mu, eta) pair, identified by
+    coefficient extraction on the same columns.
     """
     ops = families.ops(alpha.family)
     reports = {}
     for eta, t_eta in ops.items():
-        lhs = commutator_on_columns(generators.J2, t_eta, margin, col_weight=0)
+        lhs = commutator_on_columns(generators.J2, t_eta, LADDER_MARGIN,
+                                    col_weight=0)
         rhs = SparseOperator.zeros(families.basis)
         for mu, t_mu in ops.items():
             poly = alpha.entry(mu, eta)
             if poly.is_zero():
                 continue
             rhs = rhs + t_mu @ on_columns(generators.function_of_j(poly),
-                                          margin, col_weight=0)
-        rep = residual(lhs, rhs, margin, col_weight=0)
+                                          LADDER_MARGIN, col_weight=0)
+        rep = residual(lhs, rhs, LADDER_MARGIN, col_weight=0)
         if rep.frobenius_relative > tol:
             mu_bad, dev = _worst_alpha_entry(alpha, eta, generators, families)
             raise AlphaVerificationError(
@@ -114,15 +124,17 @@ def _worst_alpha_entry(alpha, eta, generators, families):
     On each node the coefficients of [J^2, T_eta] in the family images are
     fitted by least squares; a node whose images are too ill-conditioned to
     identify them (e.g. several images vanish) is skipped.  The nodes of
-    levels n < n_max are margin-1 weight-0 columns, so the commutator is
-    formed once, on those columns, and applied to each level's nodes at once.
+    levels n <= n_max - LADDER_MARGIN are the weight-0 columns that
+    ``certify_alpha`` reads, so the commutator is formed once, on those
+    columns, and applied to each level's nodes at once.
     """
     ops = families.ops(alpha.family)
     mus = list(ops)
-    comm = commutator_on_columns(generators.J2, ops[eta], 1, col_weight=0)
+    comm = commutator_on_columns(generators.J2, ops[eta], LADDER_MARGIN,
+                                 col_weight=0)
     worst = (None, 0.0)
     basis = families.basis
-    for n in range(0, basis.n_max):
+    for n in range(0, basis.n_max - LADDER_MARGIN + 1):
         nodes = jz_kernel(basis, generators, n)
         if not nodes:
             continue
@@ -176,11 +188,11 @@ def alpha_entry_deviation(alpha: AlphaMatrix, generators: Su2Generators,
 
 
 def build_alpha_certified(generators: Su2Generators, families: LadderFamily,
-                          family: str, margin: int = 1, tol: float = 1e-8
+                          family: str, tol: float = 1e-8
                           ) -> tuple[AlphaMatrix, dict[int, ResidualReport]]:
     """Assemble the closure matrix and certify it numerically in one step."""
     alpha = build_alpha(generators.s, family)
-    reports = certify_alpha(alpha, generators, families, margin=margin, tol=tol)
+    reports = certify_alpha(alpha, generators, families, tol=tol)
     return alpha, reports
 
 
@@ -212,14 +224,14 @@ class TauOperator:
 
 
 def assemble_tau(families: LadderFamily, sigma: SigmaVector,
-                 generators: Su2Generators, certify: bool = True,
-                 tol: float = 1e-8) -> TauOperator:
+                 generators: Su2Generators, certify: bool = True
+                 ) -> TauOperator:
     """Combine a family with its sigma coefficients into a single ladder.
 
     op = sum_k T_k sigma_k(j), with the polynomials evaluated spectrally and
     standing to the right.  When ``certify`` is set (default), the ladder
-    relation with J^2 and the unit shift of j are both verified on the
-    zero-weight interior before the operator is returned.
+    relation with J^2 and the shift of j by theta must both hold to 1e-8 on
+    the zero-weight interior before the operator is returned.
     """
     ops = families.ops(sigma.family)
     op = SparseOperator.zeros(families.basis)
@@ -233,25 +245,26 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
                       right_function=fpoly, sigma=sigma)
     if certify:
         rep = tau_casimir_ladder_residual(tau, generators)
-        if rep.frobenius_relative > tol:
+        if rep.frobenius_relative > 1e-8:
             raise TauCertificationError(sigma.theta, "Casimir ladder", rep)
         rep_j = tau_shift_residual(tau, generators)
-        if rep_j.frobenius_relative > tol:
+        if rep_j.frobenius_relative > 1e-8:
             raise TauCertificationError(sigma.theta, "label shift", rep_j)
     return tau
 
 
-def tau_casimir_ladder_residual(tau: TauOperator, generators: Su2Generators,
-                                margin: int = 1) -> ResidualReport:
+def tau_casimir_ladder_residual(tau: TauOperator, generators: Su2Generators
+                                ) -> ResidualReport:
     """Residual of [J^2, tau] - tau * theta(theta + 2j + 1) on weight-0 columns."""
     rf_op = generators.function_of_j(tau.right_function)
-    return check_rlo(generators.J2, tau.op, rf_op, margin, col_weight=0)
+    return check_rlo(generators.J2, tau.op, rf_op, LADDER_MARGIN, col_weight=0)
 
 
-def tau_shift_residual(tau: TauOperator, generators: Su2Generators,
-                       margin: int = 1) -> ResidualReport:
+def tau_shift_residual(tau: TauOperator, generators: Su2Generators
+                       ) -> ResidualReport:
     """Residual of [j, tau] - theta * tau on weight-0 columns."""
     jh = generators.j_hat()
+    margin = LADDER_MARGIN
     if tau.theta == 0:
         return commutator_residual(jh, tau.op, margin, col_weight=0)
     return residual(commutator_on_columns(jh, tau.op, margin, col_weight=0),
@@ -260,8 +273,7 @@ def tau_shift_residual(tau: TauOperator, generators: Su2Generators,
 
 
 def build_taus(families: LadderFamily, generators: Su2Generators,
-               certify: bool = True, tol: float = 1e-8
-               ) -> dict[int, TauOperator]:
+               certify: bool = True) -> dict[int, TauOperator]:
     """Assemble the certified ladder operator for every theta in [-s, s]."""
     s = generators.s
     alphas = {fam: build_alpha(s, fam) for fam in (P_FAMILY, M_FAMILY)}
@@ -269,7 +281,7 @@ def build_taus(families: LadderFamily, generators: Su2Generators,
     for rf in right_functions(s):
         sigma = solve_sigma(alphas[rf.family], rf.theta)
         out[rf.theta] = assemble_tau(families, sigma, generators,
-                                     certify=certify, tol=tol)
+                                     certify=certify)
     return out
 
 
@@ -277,8 +289,7 @@ def build_taus(families: LadderFamily, generators: Su2Generators,
 
 
 def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
-                               k: int, side: str, margin: int = 1
-                               ) -> ResidualReport:
+                               k: int, side: str) -> ResidualReport:
     """Ladder relation of tau with the resolvent 1/(2j + (2k+1)).
 
     side='right': [g(j), tau] = tau (g(j + theta) - g(j)),
@@ -298,6 +309,7 @@ def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
         return 1.0 / (2.0 * j + (2 * k + 1))
 
     g_op = generators.function_of_j(g)
+    margin = LADDER_MARGIN
     if theta == 0:
         # Both sides vanish identically: tau[0] preserves j, and the
         # difference of equal resolvents is zero.
@@ -382,15 +394,16 @@ class KernelLatticeReport:
 
 
 def lattice_report(basis: SectorBasis, generators: Su2Generators,
-                   taus: dict[int, TauOperator], n_limit: int,
-                   annihilation_tol: float = 1e-8,
-                   leak_tol: float = 1e-8) -> KernelLatticeReport:
+                   taus: dict[int, TauOperator], n_limit: int
+                   ) -> KernelLatticeReport:
     """Map the action of every tau and its adjoint on the (n, j) kernel lattice.
 
     Raising operators are recorded for source nodes with n <= n_max - 1 (the
     interior where truncation cannot bite); lowering operators for all nodes
-    up to ``n_limit``.  A nonzero image with any component outside the
-    predicted target node (n +/- 1, j +/- theta) is a hard error.  Each
+    up to ``n_limit``.  An image of norm at most 1e-8 counts as annihilated.
+    Any other image with a component outside the predicted target node
+    (n +/- 1, j +/- theta) of norm above 1e-8 * max(1, |image|) is a hard
+    error.  Each
     operator is applied to all nodes of a level n at once, through the
     columns (raising) or rows (lowering) of the (n, 0) sector only.
     """
@@ -429,20 +442,19 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
                 if n <= basis.n_max - 1:
                     arrows.append(_classify_image(
                         f"tau_dag[{theta:+d}]", source, (n + 1, kv.j + theta),
-                        raised[i], node_vectors, annihilation_tol, leak_tol))
+                        raised[i], node_vectors))
                 arrows.append(_classify_image(
                     f"tau[{theta:+d}]", source, (n - 1, kv.j - theta),
-                    lowered[i], node_vectors, annihilation_tol, leak_tol))
+                    lowered[i], node_vectors))
     return KernelLatticeReport(spin=generators.s, n_limit=n_limit,
                                node_dims=node_dims, arrows=arrows,
                                weight0_dims=weight0_dims,
                                known_nodes=known_nodes)
 
 
-def _classify_image(label, source, predicted, image, node_vectors,
-                    annihilation_tol, leak_tol):
+def _classify_image(label, source, predicted, image, node_vectors):
     norm = float(np.linalg.norm(image))
-    if norm <= annihilation_tol:
+    if norm <= 1e-8:
         return LatticeArrow(operator=label, source=source, target=None,
                             amplitude=0.0, annihilated=True)
     # Project out the predicted node explicitly; forming the residual vector
@@ -451,7 +463,7 @@ def _classify_image(label, source, predicted, image, node_vectors,
     for v in node_vectors(*predicted):
         outside = outside - v * np.vdot(v, image)
     leak = float(np.linalg.norm(outside))
-    if leak > leak_tol * max(1.0, norm):
+    if leak > 1e-8 * max(1.0, norm):
         raise LatticeSchemeError(
             f"{label} applied to node {source} leaks {leak:.3e} outside the "
             f"predicted node {predicted}")
@@ -506,23 +518,19 @@ class CompleteSetReport:
     commutator_residuals: dict[tuple[int, str], ResidualReport]
     separation: list[SeparationNode]
 
-    def all_commutators_within(self, tol: float) -> bool:
-        return all(r.frobenius_relative < tol
-                   for r in self.commutator_residuals.values())
-
 
 def complete_set_check(basis: SectorBasis, generators: Su2Generators,
-                       taus: dict[int, TauOperator], n_limit: int,
-                       margin: int = 2, degeneracy_tol: float = 1e-6
+                       taus: dict[int, TauOperator], n_limit: int
                        ) -> CompleteSetReport:
     """Commutation of tau+ tau with {J^2, J_z, N}, plus a separation scan.
 
     The products tau+ tau conserve N and weight, so the J_z and N commutators
-    are checked on the full interior; the J^2 commutator on zero-weight
-    columns, where the ladder relation that implies it holds.  The scan then
-    looks for kernel nodes of dimension >= 2 and reports whether the
-    eigenvalues of the tau+ tau operators restricted to the node separate its
-    states.
+    are checked on the full interior (margin PAIR_MARGIN); the J^2
+    commutator on zero-weight columns, where the ladder relation that
+    implies it holds.  The scan then looks for kernel nodes of dimension
+    >= 2 and reports whether the eigenvalues of the tau+ tau operators
+    restricted to the node separate its states (eigenvalues within 1e-6,
+    relative, count as degenerate).
     """
     residuals: dict[tuple[int, str], ResidualReport] = {}
     prods: dict[int, SparseOperator] = {}
@@ -530,11 +538,11 @@ def complete_set_check(basis: SectorBasis, generators: Su2Generators,
         t_dag = taus[theta].op
         prod = prods[theta] = t_dag @ t_dag.adjoint()
         residuals[(theta, "J2")] = commutator_residual(
-            prod, generators.J2, margin, col_weight=0)
+            prod, generators.J2, PAIR_MARGIN, col_weight=0)
         residuals[(theta, "Jz")] = commutator_residual(
-            prod, generators.Jz, margin)
+            prod, generators.Jz, PAIR_MARGIN)
         residuals[(theta, "N")] = commutator_residual(
-            prod, generators.Ntot, margin)
+            prod, generators.Ntot, PAIR_MARGIN)
 
     separation: list[SeparationNode] = []
     for n in range(0, n_limit + 1):
@@ -544,13 +552,12 @@ def complete_set_check(basis: SectorBasis, generators: Su2Generators,
         for j, kvs in sorted(groups.items()):
             if len(kvs) < 2:
                 continue
-            separation.append(_separate_node(
-                (n, j), kvs, prods, degeneracy_tol))
+            separation.append(_separate_node((n, j), kvs, prods))
     return CompleteSetReport(commutator_residuals=residuals,
                              separation=separation)
 
 
-def _separate_node(node, kvs, prods, tol):
+def _separate_node(node, kvs, prods):
     basis_mat = np.array([kv.vector for kv in kvs]).T
     dim = len(kvs)
     blocks = [list(range(dim))]
@@ -567,7 +574,7 @@ def _separate_node(node, kvs, prods, tol):
             vals, vecs = np.linalg.eigh(sub)
             groups: list[list[int]] = []
             for i, v in enumerate(vals):
-                if groups and abs(v - vals[groups[-1][-1]]) <= tol * (1 + abs(v)):
+                if groups and abs(v - vals[groups[-1][-1]]) <= 1e-6 * (1 + abs(v)):
                     groups[-1].append(i)
                 else:
                     groups.append([i])
@@ -586,7 +593,7 @@ def _separate_node(node, kvs, prods, tol):
 
 
 def s1_full_closure_residuals(generators: Su2Generators,
-                              families: LadderFamily, margin: int = 1
+                              families: LadderFamily
                               ) -> dict[str, ResidualReport]:
     """Unrestricted closure of [J^2, p_1] at spin 1, on the whole interior.
 
@@ -610,6 +617,7 @@ def s1_full_closure_residuals(generators: Su2Generators,
     fn = generators.J2 - (jz @ jz + jz)
     certified = p0 @ fn - 2.0 * (m1 @ (jz + ident))
     variant = p0 @ fn + 2.0 * (m1 @ jz)
+    margin = LADDER_MARGIN
     return {
         "certified": residual(lhs, certified, margin),
         "variant_plus_2mJz": residual(lhs, variant, margin),
@@ -617,8 +625,8 @@ def s1_full_closure_residuals(generators: Su2Generators,
     }
 
 
-def s1_mutual_commutators(generators: Su2Generators, families: LadderFamily,
-                          margin: int = 2) -> dict[str, ResidualReport]:
+def s1_mutual_commutators(generators: Su2Generators, families: LadderFamily
+                          ) -> dict[str, ResidualReport]:
     """Mutual commutators of the spin-1 symmetric family.
 
     [p_0, p_0^+] = 4 holds on the full interior, as do the cross relations
@@ -637,6 +645,7 @@ def s1_mutual_commutators(generators: Su2Generators, families: LadderFamily,
     two_nn0 = 2.0 * n_minus_n0
     diag_rhs = (2.0 * generators.J2 - (jz @ (2.0 * jz + ident))
                 + n_minus_n0 @ (jz - 2.0 * ident))
+    margin = PAIR_MARGIN
     return {
         "p0_p0dag": residual(commutator(p0, p0d), 4.0 * ident, margin),
         "p1_p0dag": residual(commutator(p1, p0d), two_nn0, margin),
@@ -815,7 +824,7 @@ class TauBarReport:
 
 
 def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
-                  families: LadderFamily, margin: int = 1) -> TauBarReport:
+                  families: LadderFamily) -> TauBarReport:
     """Single-mode ladder forms tbar[+/-1] = +/-[j, a_0^dagger] + a_0^dagger.
 
     Verifies on zero-weight interior columns that each is a ladder operator
@@ -831,6 +840,7 @@ def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
     tbar_plus = bracket + ad0
     tbar_minus = -1.0 * bracket + ad0
 
+    margin = LADDER_MARGIN
     double = residual(commutator(jh, bracket), ad0, margin, col_weight=0)
     f_plus = generators.function_of_j(lambda j: 2.0 * (j + 1.0))
     f_minus = generators.function_of_j(lambda j: -2.0 * j)
@@ -860,8 +870,8 @@ def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
 # -- spin-1 inverse and label-commutator expressions --------------------------------
 
 
-def s1_inverse_expressions(generators: Su2Generators, families: LadderFamily,
-                           margin: int = 1) -> dict[str, ResidualReport]:
+def s1_inverse_expressions(generators: Su2Generators, families: LadderFamily
+                           ) -> dict[str, ResidualReport]:
     """Recover the family operators from the ladder pair (zero-weight columns).
 
     p_0 = (tau[+1] + tau[-1]) / (2j+1) and
@@ -881,6 +891,7 @@ def s1_inverse_expressions(generators: Su2Generators, families: LadderFamily,
     comm_p1 = commutator(jh, p1)
     rhs_p0 = (p0 + 4.0 * p1) @ inv
     rhs_p1 = (p0 @ generators.J2 - p1) @ inv
+    margin = LADDER_MARGIN
     return {
         "p0_from_taus": residual(p0_expr, p0, margin, col_weight=0),
         "p1_from_taus": residual(p1_expr, p1, margin, col_weight=0),
@@ -889,8 +900,8 @@ def s1_inverse_expressions(generators: Su2Generators, families: LadderFamily,
     }
 
 
-def s1_tau_bracket_ladder(generators: Su2Generators, families: LadderFamily,
-                          margin: int = 2) -> dict[str, ResidualReport]:
+def s1_tau_bracket_ladder(generators: Su2Generators, families: LadderFamily
+                          ) -> dict[str, ResidualReport]:
     """Commutator of the ladder pair as a ladder of the label operator.
 
     The bracket of the raising ladder with the lowering partner of tau[-1]
@@ -899,10 +910,10 @@ def s1_tau_bracket_ladder(generators: Su2Generators, families: LadderFamily,
     shifts +1 and -1 cancel, as the Jacobi identity forces); that variant is
     evaluated and recorded as well.
 
-    The mixed-pair relation has content only when n_max >= margin + 2: it
-    sends a node (n, j) to (n, j + 2), which exists only for n >= 2.  Below
-    that both sides vanish on the restriction up to rounding, and their ratio
-    means nothing.
+    Both are read at margin PAIR_MARGIN, so the mixed-pair relation has
+    content only when n_max >= 4: it sends a node (n, j) to (n, j + 2),
+    which exists only for n >= 2.  Below that both sides vanish on the
+    restriction up to rounding, and their ratio means nothing.
     """
     tau_plus, tau_minus = s1_reference_taus(generators, families)
     jh = generators.j_hat()
@@ -910,7 +921,7 @@ def s1_tau_bracket_ladder(generators: Su2Generators, families: LadderFamily,
     both_raising = commutator(tau_plus, tau_minus)
     return {
         "mixed_pair_shift2": residual(commutator(jh, mixed), 2.0 * mixed,
-                                      margin, col_weight=0),
-        "raising_pair_commutes": commutator_residual(jh, both_raising, margin,
-                                                     col_weight=0),
+                                      PAIR_MARGIN, col_weight=0),
+        "raising_pair_commutes": commutator_residual(jh, both_raising,
+                                                     PAIR_MARGIN, col_weight=0),
     }

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .fock import enumerate_sector
 from .ladder import build_alpha, right_functions, solve_sigma
 from .operators import (SparseOperator, annihilation_op, creation_op,
                         number_op)
-from .schwinger import su2_generators
+from .schwinger import _snap_labels, su2_generators
 from .verify import SuiteConfig, run_suite
 
 TOLERANCE_ENV_VAR = "SU2LADDERS_TOLERANCE"
@@ -87,13 +87,9 @@ def _cmd_spectrum(args) -> int:
     for key, idx, vals, vecs in gens.j2_decomposition().sectors:
         if sector_filter and key != sector_filter:
             continue
-        counts: dict[int, int] = {}
-        labels = []
-        for lam in vals:
-            j = round(0.5 * (math.sqrt(max(1.0 + 4.0 * lam, 0.0)) - 1.0))
-            counts[j] = counts.get(j, 0) + 1
-            labels.append((float(lam), j))
-        for lam, j in labels:
+        labels = _snap_labels(vals, key, args.spin).tolist()
+        counts = Counter(labels)
+        for lam, j in zip(vals.tolist(), labels):
             rows.append((key[0], key[1], lam, j, counts[j]))
     if args.format == "json":
         payload = _json_dump([{"n": n, "weight": w, "eigenvalue": lam,

@@ -69,6 +69,10 @@ class AlphaVerificationError(ValueError):
 # -- residual checks ----------------------------------------------------------
 
 
+#: Relative commutator norm of H and P above which check_rlo/check_llo refuse.
+_PRECONDITION_TOL = 1e-10
+
+
 def _check_commutes(x: SparseOperator, y: SparseOperator, margin: int,
                     tol: float, what: str) -> None:
     rep = commutator_residual(x, y, margin)
@@ -79,13 +83,12 @@ def _check_commutes(x: SparseOperator, y: SparseOperator, margin: int,
 
 
 def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
-              margin: int, col_weight: Optional[int] = None,
-              precondition_tol: float = 1e-10) -> ResidualReport:
+              margin: int, col_weight: Optional[int] = None) -> ResidualReport:
     """Residual of the right-ladder relation [H, p+] - p+ P on the interior.
 
-    Precondition: P commutes with H to ``precondition_tol`` on the full
-    interior (violations raise PreconditionError carrying the offending
-    commutator norm).
+    Precondition: P commutes with H to 1e-10 on the full interior
+    (violations raise PreconditionError carrying the offending commutator
+    norm).
 
     Both sides are formed on the restricted columns only.  When p+ or P
     vanishes identically (a zero right function), p+ P vanishes on every
@@ -94,7 +97,7 @@ def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
     The branch does not depend on the restriction: a p+ P that vanishes only
     on the restricted columns is still compared as a two-sided identity.
     """
-    _check_commutes(h, p_fn, margin, precondition_tol,
+    _check_commutes(h, p_fn, margin, _PRECONDITION_TOL,
                     "right function does not commute with H")
     if p_dag.is_zero() or p_fn.is_zero():
         return commutator_residual(h, p_dag, margin, col_weight=col_weight)
@@ -104,16 +107,15 @@ def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
 
 
 def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
-              margin: int, col_weight: Optional[int] = None,
-              precondition_tol: float = 1e-10) -> ResidualReport:
+              margin: int, col_weight: Optional[int] = None) -> ResidualReport:
     """Residual of the left-ladder relation [p, H] - P p on the interior.
 
-    Both sides are formed on the restricted columns only.  As in
-    ``check_rlo``, the relation degenerates to [H, p] = 0
-    (``commutator_residual``) when p or P vanishes identically, whatever the
-    restriction.
+    The precondition is that of ``check_rlo``.  Both sides are formed on the
+    restricted columns only.  As in ``check_rlo``, the relation degenerates
+    to [H, p] = 0 (``commutator_residual``) when p or P vanishes
+    identically, whatever the restriction.
     """
-    _check_commutes(h, p_fn, margin, precondition_tol,
+    _check_commutes(h, p_fn, margin, _PRECONDITION_TOL,
                     "left function does not commute with H")
     if p.is_zero() or p_fn.is_zero():
         return commutator_residual(h, p, margin, col_weight=col_weight)
@@ -124,14 +126,13 @@ def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
 
 def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
                          p_fn: SparseOperator, n: int, margin: int,
-                         col_weight: Optional[int] = None,
-                         rlo_tol: float = 1e-8) -> ResidualReport:
+                         col_weight: Optional[int] = None) -> ResidualReport:
     """Residual of [H^n, p+] - p+ ((H + P)^n - H^n).
 
-    Requires the base right-ladder relation to hold at ``rlo_tol`` first.
+    Requires the base right-ladder relation to hold at 1e-8 first.
     """
     base = check_rlo(h, p_dag, p_fn, margin, col_weight=col_weight)
-    if base.frobenius_relative > rlo_tol:
+    if base.frobenius_relative > 1e-8:
         raise PreconditionError(
             f"base ladder relation fails at {base.frobenius_relative:.3e}", base)
     hn = h.power(n)
@@ -142,10 +143,9 @@ def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
 
 def check_rlo_compose(h: SparseOperator, p_dag: SparseOperator,
                       p_fn: SparseOperator, a: SparseOperator, margin: int,
-                      col_weight: Optional[int] = None,
-                      precondition_tol: float = 1e-8) -> ResidualReport:
-    """Residual of [H, p+ A] - p+ A P for A commuting with H + P."""
-    _check_commutes(h + p_fn, a, margin, precondition_tol,
+                      col_weight: Optional[int] = None) -> ResidualReport:
+    """Residual of [H, p+ A] - p+ A P for A commuting with H + P (to 1e-8)."""
+    _check_commutes(h + p_fn, a, margin, 1e-8,
                     "A does not commute with H + P")
     pa = p_dag @ a
     return residual(commutator_on_columns(h, pa, margin, col_weight),

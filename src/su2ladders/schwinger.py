@@ -82,22 +82,21 @@ def _j_from_casimir(values: np.ndarray) -> np.ndarray:
     return 0.5 * (np.sqrt(np.maximum(1.0 + 4.0 * values, 0.0)) - 1.0)
 
 
-def _snap_labels(values: np.ndarray, key: tuple, spin: int,
-                 snap_tol: float = SNAP_TOL) -> np.ndarray:
+def _snap_labels(values: np.ndarray, key: tuple, spin: int) -> np.ndarray:
     """Integer labels j of the J^2 eigenvalues j(j+1) of one (n, weight) sector.
 
-    Every j must lie within ``snap_tol`` of an integer in [0, n*spin];
+    Every j must lie within SNAP_TOL of an integer in [0, n*spin];
     otherwise SpectrumSnapError is raised.
     """
     js = _j_from_casimir(np.asarray(values, dtype=float))
     labels = np.rint(js)
     top = key[0] * spin
-    bad = np.flatnonzero((np.abs(js - labels) > snap_tol)
+    bad = np.flatnonzero((np.abs(js - labels) > SNAP_TOL)
                          | (labels < 0) | (labels > top))
     if len(bad):
         raise SpectrumSnapError(
             f"j eigenvalue {float(js[bad[0]])!r} in sector (n, weight)={key} "
-            f"is not within {snap_tol} of an integer in [0, {top}]")
+            f"is not within {SNAP_TOL} of an integer in [0, {top}]")
     return labels.astype(np.int64)
 
 
@@ -156,13 +155,12 @@ class SpectralDecomposition:
             float, *{vecs.dtype for *_, vecs in self.sectors})
 
     @staticmethod
-    def of(op: SparseOperator, hermitian_tol: float = 1e-10
-           ) -> "SpectralDecomposition":
+    def of(op: SparseOperator) -> "SpectralDecomposition":
         basis = op.basis
         herm_gap = (op.matrix - op.matrix.getH()).tocsr()
         scale = op.norm() + 1.0
         gap = math.sqrt(np.sum(np.abs(herm_gap.data) ** 2)) if herm_gap.nnz else 0.0
-        if gap > hermitian_tol * scale:
+        if gap > 1e-10 * scale:
             raise NonHermitianError(
                 f"operator deviates from hermiticity by {gap:.3e}")
 
@@ -210,22 +208,6 @@ class SpectralDecomposition:
         out.eliminate_zeros()
         return SparseOperator(self.basis, out)
 
-    def apply(self, f: Callable[[float], float]) -> SparseOperator:
-        """Apply a scalar function to each sector's eigenvalues and reassemble."""
-        return self.apply_keyed(lambda key, x: f(x))
-
-    def apply_keyed(self, f: Callable[[tuple, float], float]) -> SparseOperator:
-        """Like ``apply`` but the function also receives the (n, weight) key."""
-        return self.assemble([
-            np.array([_evaluate(f, (key, lam), key, lam) for lam in vals.tolist()])
-            for key, _idx, vals, _vecs in self.sectors])
-
-
-def spectral_function(op: SparseOperator, f: Callable[[float], float]
-                      ) -> SparseOperator:
-    """Sector-wise spectral image f(H) of a hermitian block-diagonal operator."""
-    return SpectralDecomposition.of(op).apply(f)
-
 
 class Su2Generators:
     """su(2) generators on a truncated Fock space, plus spectral helpers.
@@ -260,7 +242,7 @@ class Su2Generators:
         self.J2 = j2.hermitized()
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
         self._j2_decomp: Optional[SpectralDecomposition] = None
-        self._labels: Optional[tuple[list, dict, float]] = None
+        self._labels: Optional[tuple[list, dict]] = None
         self._j_hat: Optional[SparseOperator] = None
 
     def j2_decomposition(self) -> SpectralDecomposition:
@@ -272,30 +254,29 @@ class Su2Generators:
         return {key: _j_from_casimir(vals)
                 for key, idx, vals, vecs in self.j2_decomposition().sectors}
 
-    def _label_groups(self, decomp: SpectralDecomposition
-                      ) -> tuple[list, dict, float]:
-        """Integer labels per sector, a witness per distinct (n, j), and the
-        largest distance of a j eigenvalue from its label.
+    def _label_groups(self) -> tuple[list, dict]:
+        """Integer labels per sector of the J^2 decomposition, and a witness
+        per distinct (n, j).
 
-        The witness is the first sector holding the label together with the
-        J^2 eigenvalue there; it is what a failing scalar function reports.
+        Every sector is snapped (``_snap_labels``) before the table is cached,
+        so a damaged spectrum raises on each use.  The witness is the first
+        sector holding the label together with the J^2 eigenvalue there; it
+        is what a failing scalar function reports.
         """
         if self._labels is None:
-            labels, witness, gap = [], {}, 0.0
-            for key, _idx, vals, _vecs in decomp.sectors:
+            labels, witness = [], {}
+            for key, _idx, vals, _vecs in self.j2_decomposition().sectors:
                 js = _snap_labels(vals, key, self.s)
                 labels.append(js)
-                gap = max(gap, float(np.max(np.abs(_j_from_casimir(vals)
-                                                   - js))))
                 for j, k in zip(*np.unique(js, return_index=True)):
                     witness.setdefault((key[0], int(j)), (key, float(vals[k])))
-            self._labels = (labels, witness, gap)
+            self._labels = (labels, witness)
         return self._labels
 
-    def _label_image(self, decomp: SpectralDecomposition, f: Callable,
-                     with_n: bool) -> SparseOperator:
+    def _label_image(self, f: Callable, with_n: bool) -> SparseOperator:
         """Spectral image of f(n, j) (``with_n``) or f(j), one call per label."""
-        labels, witness, _gap = self._label_groups(decomp)
+        decomp = self.j2_decomposition()
+        labels, witness = self._label_groups()
         values: dict[tuple, float | complex] = {}
         image = []
         for (n, j), (key, lam) in witness.items():
@@ -311,44 +292,31 @@ class Su2Generators:
         return decomp.assemble([table[key[0], js] for (key, *_), js
                                 in zip(decomp.sectors, labels)])
 
-    def j_hat(self, snap_tol: float = SNAP_TOL) -> SparseOperator:
+    def j_hat(self) -> SparseOperator:
         """The label operator: spectral image of (sqrt(1 + 4 J^2) - 1)/2.
 
-        On every call each J^2 eigenvalue is checked to lie within
-        ``snap_tol`` of an integer in [0, n*s] for its sector; a violation
-        signals truncation damage or a wrong spin and raises
-        SpectrumSnapError.  Only the assembled operator is cached.  Its
-        eigenvalues are the integer labels themselves, which always snap
-        within SNAP_TOL.
+        Its eigenvalues are the integer labels themselves.  Like every
+        function of j it reads the label table, so a J^2 eigenvalue farther
+        than SNAP_TOL from a label in [0, n*s] (truncation damage or a wrong
+        spin) raises SpectrumSnapError.  The assembled operator is cached.
         """
-        decomp = self.j2_decomposition()
-        if self._label_groups(decomp)[2] > snap_tol:
-            # Some eigenvalue misses its label by more than snap_tol; the
-            # sector scan raises and names it.
-            for key, _idx, vals, _vecs in decomp.sectors:
-                _snap_labels(vals, key, self.s, snap_tol)
         if self._j_hat is None:
-            self._j_hat = self._label_image(decomp, lambda j: j, with_n=False)
+            self._j_hat = self._label_image(lambda j: j, with_n=False)
         return self._j_hat
 
     def function_of_j(self, f: Callable[[int], float]) -> SparseOperator:
         """Spectral image of f(j); f is called once per integer label j."""
-        return self._label_image(self.j2_decomposition(), f, with_n=False)
+        return self._label_image(f, with_n=False)
 
     def function_of_nj(self, f: Callable[[int, int], float]) -> SparseOperator:
         """Spectral image of f(n, j) for the commuting pair (N, j); f is
         called once per distinct integer pair (n, j)."""
-        return self._label_image(self.j2_decomposition(), f, with_n=True)
+        return self._label_image(f, with_n=True)
 
 
 def su2_generators(basis: SectorBasis) -> Su2Generators:
     """Construct J_z, J_+/-, J^2 and N for integer spin s >= 1."""
     return Su2Generators(basis)
-
-
-def j_hat(generators: Su2Generators, snap_tol: float = SNAP_TOL) -> SparseOperator:
-    """Label operator of the Casimir; see ``Su2Generators.j_hat``."""
-    return generators.j_hat(snap_tol=snap_tol)
 
 
 @dataclass(frozen=True)
@@ -370,25 +338,26 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
-def jz_kernel(basis: SectorBasis, generators: Su2Generators, n: int,
-              snap_tol: float = SNAP_TOL) -> list[KernelVector]:
+def jz_kernel(basis: SectorBasis, generators: Su2Generators, n: int
+              ) -> list[KernelVector]:
     """Orthonormal basis of the weight-0, n-particle subspace, labeled by j.
 
     The vectors are the eigenvectors of the (n, 0) sector of the generators'
-    J^2 decomposition, so J_z is zero on each by construction.  Ordering is
-    deterministic: ascending j label, then lexicographic on the (phase-fixed)
-    coordinate tuple.  The list may be empty.
+    J^2 decomposition, so J_z is zero on each by construction; their labels
+    come from the generators' label table.  Ordering is deterministic:
+    ascending j label, then lexicographic on the (phase-fixed) coordinate
+    tuple.  The list may be empty.
     """
     if basis is not generators.basis and basis != generators.basis:
         raise BasisMismatchError("basis does not match the generators")
     if n > basis.n_max:
         raise ValueError(f"n={n} exceeds n_max={basis.n_max}")
-    sector = next((sec for sec in generators.j2_decomposition().sectors
-                   if sec[0] == (n, 0)), None)
-    if sector is None:
+    sectors = generators.j2_decomposition().sectors
+    pos = next((k for k, sec in enumerate(sectors) if sec[0] == (n, 0)), None)
+    if pos is None:
         return []
-    _key, idx, vals, vecs = sector
-    labels = _snap_labels(vals, (n, 0), basis.spin, snap_tol)
+    _key, idx, _vals, vecs = sectors[pos]
+    labels = generators._label_groups()[0][pos]
     out = []
     for k, j in enumerate(labels):
         full = np.zeros(len(basis), dtype=vecs.dtype)

@@ -254,6 +254,7 @@ class _SpinContext:
     def __init__(self, s: int, n_max: int):
         self.s = s
         self.n_max = n_max
+        self.n_limit = min(n_max - 1, 4)  # source levels of the lattice
         self.basis = enumerate_sector(s, n_max)
         self.gens = su2_generators(self.basis)
         self._families = None
@@ -278,7 +279,7 @@ class _SpinContext:
     def complete_set(self):
         if self._complete_set is None:
             self._complete_set = complete_set_check(
-                self.basis, self.gens, self.taus, min(self.n_max, 4), margin=2)
+                self.basis, self.gens, self.taus, min(self.n_max, 4))
         return self._complete_set
 
     @property
@@ -287,10 +288,11 @@ class _SpinContext:
             self._s1_inverse = s1_inverse_expressions(self.gens, self.families)
         return self._s1_inverse
 
-    def lattice(self, n_limit):
-        if self._lattice is None or self._lattice.n_limit != n_limit:
+    @property
+    def lattice(self):
+        if self._lattice is None:
             self._lattice = lattice_report(self.basis, self.gens, self.taus,
-                                           n_limit)
+                                           self.n_limit)
         return self._lattice
 
 
@@ -727,12 +729,11 @@ def _listed_annihilation(s: int, n: int, j: int, theta: int,
 
 
 def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
-    s, basis, gens = ctx.s, ctx.basis, ctx.gens
+    s = ctx.s
     p = {"s": s}
-    n_limit = min(basis.n_max - 1, 4)
 
     def scheme(tol):
-        rep = ctx.lattice(n_limit)
+        rep = ctx.lattice
         for n, dim in rep.weight0_dims.items():
             node_sum = sum(d for (nn, j), d in rep.node_dims.items() if nn == n)
             if node_sum != dim:
@@ -744,7 +745,7 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
     def annihilation(tol):
         # Every annihilation a listed rule requires must happen; any other
         # annihilation must be forced by a missing target node.
-        rep = ctx.lattice(n_limit)
+        rep = ctx.lattice
         problems = []
         extra = []
         for (n, j) in sorted(rep.node_dims):
@@ -788,7 +789,7 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
         # For omega with the parity of s the raising ladder should annihilate
         # no kernel state; exact at s <= 2, while at larger spins the sigma
         # coefficients can vanish at isolated j (reported, not asserted).
-        rep = ctx.lattice(n_limit)
+        rep = ctx.lattice
         flags = rep.annihilation_flags()
         hits = []
         for (n, j) in sorted(rep.node_dims):
@@ -815,7 +816,7 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
           DEFAULT_TOLERANCE, trivial_kernel)
 
     def tau0_preserves(tol):
-        rep = ctx.lattice(n_limit)
+        rep = ctx.lattice
         if 0 not in ctx.taus:
             return 0.0, True, "no theta=0 ladder at this spin"
         for a in rep.arrows:
@@ -827,8 +828,8 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
           DEFAULT_TOLERANCE, tau0_preserves)
 
     def oracle(tol):
-        rep = ctx.lattice(n_limit)
-        for n in range(0, n_limit + 1):
+        rep = ctx.lattice
+        for n in range(0, ctx.n_limit + 1):
             got = {j: d for (nn, j), d in rep.node_dims.items() if nn == n}
             want = bruteforce.j_multiplicities(s, n)
             if got != want:
@@ -839,7 +840,7 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
 
 
 def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
-    s, basis, gens = ctx.s, ctx.basis, ctx.gens
+    s, gens = ctx.s, ctx.gens
     for omega in range(1, s + 1):
         p = {"s": s, "omega": omega}
         tau_minus = ctx.taus[-omega]
@@ -861,7 +862,7 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
               p, 1e-8, deformed)
 
         def residues(tol, omega=omega):
-            rep = ctx.lattice(min(basis.n_max - 1, 4))
+            rep = ctx.lattice
             classes = residue_classes(rep, omega)
             ok = set(classes) <= set(range(omega))
             if omega == 1:
@@ -875,7 +876,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                     report: VerificationReport) -> None:
     basis, gens, fam = ctx.basis, ctx.gens, ctx.families
     p = {"s": 1}
-    n_limit = min(basis.n_max - 1, 4)
+    n_limit = ctx.n_limit
 
     def family_defs(tol):
         rhs = creation_op(basis, 1) @ gens.Jminus \
@@ -1034,7 +1035,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     r.run("s1-bracket-ladder", "s1-bracket-ladder", p, 1e-8, bracket)
 
     def diagram(tol):
-        rep = ctx.lattice(n_limit)
+        rep = ctx.lattice
         expected = {(0, 0): 1, (1, 1): 1, (2, 0): 1, (2, 2): 1,
                     (3, 1): 1, (3, 3): 1}
         expected = {k: v for k, v in expected.items() if k[0] <= n_limit}

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import su2ladders
+import su2ladders.cli
 from su2ladders.cli import main
+from su2ladders.schwinger import SpectrumSnapError, su2_generators
 
 
 def run_cli(args, capsys):
@@ -114,6 +116,18 @@ def test_spectrum_csv(capsys):
     assert lines[0] == "sector_n,sector_weight,eigenvalue,j_label,multiplicity"
     labels = sorted(int(line.split(",")[3]) for line in lines[1:])
     assert labels == [0, 2]
+
+
+def test_spectrum_rejects_unsnappable_spectrum(capsys, monkeypatch):
+    # J^2 scaled by 1 + 1e-3 puts eigenvalue 6.006 at j = 2.0012; the labels
+    # come from the same snapping rule as function_of_j, so this must raise.
+    def damaged(basis):
+        gens = su2_generators(basis)
+        gens.J2 = gens.J2 * (1.0 + 1e-3)
+        return gens
+    monkeypatch.setattr(su2ladders.cli, "su2_generators", damaged)
+    with pytest.raises(SpectrumSnapError):
+        run_cli(["spectrum", "--spin", "1", "--nmax", "2"], capsys)
 
 
 def test_ladders_json(capsys):

@@ -12,9 +12,17 @@ from su2ladders.operators import (commutator, commutator_residual,
                                   residual)
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
-                                  SpectrumSnapError, _phase_fixed,
-                                  jordan_schwinger, jz_kernel,
-                                  spectral_function, su2_generators)
+                                  SpectrumSnapError, _evaluate, _phase_fixed,
+                                  jordan_schwinger, jz_kernel, su2_generators)
+
+
+def spectral_function(op, f):
+    """Per-eigenvalue reference f(H): f(key, lam) at every eigenvalue lam of
+    every (n, weight) sector, assembled on the sector eigenvectors."""
+    decomp = SpectralDecomposition.of(op)
+    return decomp.assemble([
+        np.array([_evaluate(f, (key, lam), key, lam) for lam in vals.tolist()])
+        for key, _idx, vals, _vecs in decomp.sectors])
 
 
 def test_identity_maps_to_total_number(ctx):
@@ -122,19 +130,19 @@ def test_single_particle_casimir(ctx):
 
 def test_spectral_identity_reassembles(ctx):
     g = ctx(1, 3).gens
-    re = spectral_function(g.J2, lambda x: x)
+    re = spectral_function(g.J2, lambda key, x: x)
     assert residual(re, g.J2, 0).frobenius_relative < 1e-10
 
 
 def test_spectral_square_matches_product(ctx):
     g = ctx(1, 3).gens
-    sq = spectral_function(g.Jz, lambda x: x * x)
+    sq = spectral_function(g.Jz, lambda key, x: x * x)
     assert residual(sq, g.Jz @ g.Jz, 0).frobenius_relative < 1e-10
 
 
 def test_spectral_commutes_with_source(ctx):
     g = ctx(2, 3).gens
-    f = spectral_function(g.J2, lambda x: 1.0 / (1.0 + x))
+    f = spectral_function(g.J2, lambda key, x: 1.0 / (1.0 + x))
     assert commutator_residual(f, g.J2, 0).frobenius_relative < 1e-10
 
 
@@ -151,7 +159,7 @@ def test_spectral_rejects_non_hermitian(ctx):
     c = ctx(1, 2)
     from su2ladders.operators import creation_op
     with pytest.raises(NonHermitianError):
-        spectral_function(creation_op(c.basis, 0), lambda x: x)
+        spectral_function(creation_op(c.basis, 0), lambda key, x: x)
 
 
 def test_spectral_rejects_sector_coupling(ctx):
@@ -159,14 +167,14 @@ def test_spectral_rejects_sector_coupling(ctx):
     from su2ladders.operators import annihilation_op, creation_op
     coupler = creation_op(c.basis, 0) + annihilation_op(c.basis, 0)
     with pytest.raises(SectorStructureError):
-        spectral_function(coupler, lambda x: x)
+        spectral_function(coupler, lambda key, x: x)
 
 
 def test_spectral_pole_names_sector(ctx):
     g = ctx(1, 2).gens
     with pytest.raises(SpectralFunctionError) as err:
         # 1/x has a pole at the vacuum eigenvalue of J^2.
-        spectral_function(g.J2, lambda x: 1.0 / x if abs(x) > 1e-12
+        spectral_function(g.J2, lambda key, x: 1.0 / x if abs(x) > 1e-12
                           else 1.0 / 0.0)
     assert err.value.sector == (0, 0)
 
@@ -185,14 +193,6 @@ def test_j_hat_defining_identity(ctx):
         g = ctx(spin, 4).gens
         jh = g.j_hat()
         assert residual(jh @ jh + jh, g.J2, 0).frobenius_relative < 1e-10
-
-
-def test_j_hat_snap_guard(ctx):
-    # The cached operator must not bypass a stricter tolerance.
-    g = ctx(1, 3).gens
-    g.j_hat()
-    with pytest.raises(SpectrumSnapError):
-        g.j_hat(snap_tol=1e-18)
 
 
 @pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5)])
@@ -269,7 +269,7 @@ def test_function_of_j_matches_generic_path(ctx, spin, n_max):
     poly = right_function_poly(1) * JPoly.from_coeffs([Fraction(1, 3), 2])
     for f in (poly, lambda j: 1.0 / (2.0 * j + 1.0)):
         # Reference: the per-eigenvalue path, with f at each float j.
-        ref = spectral_function(g.J2, lambda lam: f(_float_j(lam)))
+        ref = spectral_function(g.J2, lambda key, lam: f(_float_j(lam)))
         assert residual(g.function_of_j(f), ref, 0).frobenius_relative < 1e-12
 
 
@@ -280,8 +280,7 @@ def test_function_of_nj_matches_generic_path(ctx, spin, n_max):
     def f(n, j):
         return math.sqrt(n + j + 1.0) / (2.0 * j + 3.0)
 
-    ref = SpectralDecomposition.of(g.J2).apply_keyed(
-        lambda key, lam: f(key[0], _float_j(lam)))
+    ref = spectral_function(g.J2, lambda key, lam: f(key[0], _float_j(lam)))
     assert residual(g.function_of_nj(f), ref, 0).frobenius_relative < 1e-12
 
 
@@ -308,11 +307,19 @@ def test_function_of_j_pole_names_a_sector_holding_the_label(ctx):
     assert err.value.eigenvalue == pytest.approx(2.0)
 
 
-def test_function_of_j_rejects_unsnappable_spectrum():
+@pytest.mark.parametrize("consumer", [
+    lambda g: g.function_of_j(lambda j: j),
+    lambda g: g.j_hat(),
+    lambda g: jz_kernel(g.basis, g, 2),
+], ids=["function_of_j", "j_hat", "jz_kernel"])
+def test_function_of_j_rejects_unsnappable_spectrum(consumer):
+    # Every reader of the label table must refuse a damaged J^2, on every
+    # call: the table is never cached past the failure.
     g = su2_generators(enumerate_sector(1, 3))
     g.J2 = g.J2 * (1.0 + 1e-3)
-    with pytest.raises(SpectrumSnapError):
-        g.function_of_j(lambda j: j)
+    for _ in range(2):
+        with pytest.raises(SpectrumSnapError):
+            consumer(g)
 
 
 def test_real_stack_is_float64(ctx):

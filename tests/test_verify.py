@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import su2ladders.verify
+from su2ladders.operators import SparseOperator
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
-                               VerificationReport, _lattice_checks,
-                               _listed_annihilation, _Runner, _SpinContext,
+                               VerificationReport, _deformed_checks,
+                               _lattice_checks, _listed_annihilation,
+                               _Runner, _s1_demo_checks, _SpinContext,
                                export_report, report_from_json, run_suite)
 
 
@@ -146,7 +149,7 @@ def _annihilation_check(ctx):
 def test_missed_listed_annihilation_fails_the_rules_check():
     ctx = _SpinContext(1, 4)
     assert _annihilation_check(ctx).passed
-    lattice = ctx.lattice(3)
+    lattice = ctx.lattice
     k, arrow = next(
         (k, a) for k, a in enumerate(lattice.arrows)
         if a.operator == "tau[+1]" and a.source == (0, 0))
@@ -155,3 +158,48 @@ def test_missed_listed_annihilation_fails_the_rules_check():
     check = _annihilation_check(ctx)
     assert not check.passed
     assert check.detail == "tau[1] missed (0, 0)"
+
+
+def _perturbed(op, seed, delta=1e-6):
+    # Every stored entry times (1 + delta * r), r uniform in [-1, 1].
+    m = op.matrix.copy()
+    m.data = m.data * (1.0 + delta * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, m.nnz))
+    return SparseOperator(op.basis, m)
+
+
+def _run_block(block, ctx):
+    report = VerificationReport(config=SuiteConfig(spins=[ctx.s],
+                                                   n_max=ctx.n_max))
+    block(_Runner(report.config, report), ctx)
+    return report
+
+
+@pytest.mark.parametrize("spin", [1, 2, 3])
+def test_deformed_generators_gate_catches_entrywise_perturbation(spin):
+    # The four commutators read about 1e-7 at delta = 1e-6; the gate is 1e-8.
+    ctx = _SpinContext(spin, 4)
+    for omega in range(1, spin + 1):
+        tau = ctx.taus[-omega]
+        ctx.taus[-omega] = dataclasses.replace(
+            tau, op=_perturbed(tau.op, seed=10 * spin + omega))
+    report = _run_block(_deformed_checks, ctx)
+    checks = [c for c in report.checks
+              if c.name == "deformed-algebra-generators"]
+    assert len(checks) == spin
+    assert not any(c.passed for c in checks)
+
+
+def test_s1_weyl_pair_gate_catches_entrywise_perturbation(monkeypatch):
+    # [A, A+] = 1 reads about 1e-6 with A+ perturbed at 1e-6; the gate is 1e-8.
+    build = su2ladders.verify.demo_s1_operators
+
+    def perturbed_demo(gens, families):
+        demo = build(gens, families)
+        a_dag = _perturbed(demo.a_dag, seed=1)
+        return dataclasses.replace(demo, a_dag=a_dag, a_op=a_dag.adjoint())
+    monkeypatch.setattr(su2ladders.verify, "demo_s1_operators", perturbed_demo)
+    ctx = _SpinContext(1, 4)
+    report = _run_block(lambda r, c: _s1_demo_checks(r, c, r.report), ctx)
+    check = next(c for c in report.checks if c.name == "s1-weyl-pair")
+    assert not check.passed and check.residual > 1e-8
