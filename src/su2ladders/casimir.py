@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .fock import SectorBasis
 from .jpoly import JPoly
@@ -228,18 +229,22 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
                  ) -> TauOperator:
     """Combine a family with its sigma coefficients into a single ladder.
 
-    op = sum_k T_k sigma_k(j), with the polynomials evaluated spectrally and
-    standing to the right.  When ``certify`` is set (default), the ladder
-    relation with J^2 and the shift of j by theta must both hold to 1e-8 on
-    the zero-weight interior before the operator is returned.
+    op = sum_k T_k sigma_k(j), the polynomials standing to the right as
+    functions of the label.  It is formed sector by sector in the J^2
+    eigenbasis (``Su2Generators.sum_times_functions_of_j``): on a sector with
+    eigenvectors V and labels js, its columns are
+    (sum_k (T_k V) diag sigma_k(js)) V^T.  This equals
+    sum_k T_k @ function_of_j(sigma_k) up to rounding, and never forms the
+    whole-space images sigma_k(J^2).  When ``certify`` is set (default), the
+    ladder relation with J^2 and the shift of j by theta must both hold to
+    1e-8 on the zero-weight interior before the operator is returned; those
+    certificates read whole-space functions of j and sparse products, so
+    they check the sector-wise assembly by an independent route.
     """
     ops = families.ops(sigma.family)
-    op = SparseOperator.zeros(families.basis)
-    for k, t_k in ops.items():
-        poly = sigma.sigmas[k]
-        if poly.is_zero():
-            continue
-        op = op + t_k @ generators.function_of_j(poly)
+    op = generators.sum_times_functions_of_j(
+        [(t_k, sigma.sigmas[k]) for k, t_k in ops.items()
+         if not sigma.sigmas[k].is_zero()])
     fpoly = right_function_poly(sigma.theta)
     tau = TauOperator(theta=sigma.theta, family=sigma.family, op=op,
                       right_function=fpoly, sigma=sigma)
@@ -403,9 +408,10 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     up to ``n_limit``.  An image of norm at most 1e-8 counts as annihilated.
     Any other image with a component outside the predicted target node
     (n +/- 1, j +/- theta) of norm above 1e-8 * max(1, |image|) is a hard
-    error.  Each
-    operator is applied to all nodes of a level n at once, through the
-    columns (raising) or rows (lowering) of the (n, 0) sector only.
+    error.  Each operator is applied to all source nodes at once, through
+    its weight-0 columns (raising) or rows (lowering), sliced once per
+    theta; the images of all nodes are projected onto their predicted nodes
+    in one product.
     """
     if n_limit > basis.n_max:
         raise ValueError(f"n_limit={n_limit} exceeds n_max={basis.n_max}")
@@ -419,54 +425,81 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
         weight0_dims[n] = len(nodes[n])
         for kv in nodes[n]:
             node_dims[(n, kv.j)] = node_dims.get((n, kv.j), 0) + 1
-    for n, kvs in nodes.items():
-        for kv in kvs:
+    for n, level in nodes.items():
+        for kv in level:
             known_nodes[(n, kv.j)] = known_nodes.get((n, kv.j), 0) + 1
 
-    def node_vectors(n: int, j: int) -> list[np.ndarray]:
-        return [kv.vector for kv in nodes.get(n, []) if kv.j == j]
+    # Every node, level by level, on the weight-0 states of levels up to the
+    # highest target; the nodes of a level span its (n, 0) sector, and the
+    # first ``n_src`` of them (levels <= n_limit) are the sources.
+    kvs = [kv for n in sorted(nodes) for kv in nodes[n]]
+    node_n = np.array([n for n in sorted(nodes) for _kv in nodes[n]])
+    node_j = np.array([kv.j for kv in kvs])
+    n_src = int(np.sum(node_n <= n_limit))
+    w0 = np.flatnonzero((basis.weights == 0) & (basis.totals <= max(nodes)))
+    vecs = np.array([kv.vector[w0] for kv in kvs]).T
+    sources = sparse.csr_matrix(vecs[:, :n_src])
 
-    blocks = {n: _kernel_block(basis, n, nodes[n])
-              for n in range(0, n_limit + 1) if nodes[n]}
+    def apply(columns, dn: int, dj: int) -> tuple[list, np.ndarray]:
+        # Norm of each source node's image, and its leak out of the node
+        # (n + dn, j + dj).  Each image entry sums the same terms in the same
+        # order as the whole-space product with the node vector, and the
+        # norm is taken of a contiguous whole-space row.
+        images = (columns @ sources).T.toarray(order="C")
+        norms = [float(np.linalg.norm(row)) for row in images]
+        return norms, _leaks(images, w0, vecs, node_n, node_j, dn, dj)
+
     arrows: list[LatticeArrow] = []
     for theta in sorted(taus):
         # tau raises N by one: (n, j) -> (n+1, j+theta); its adjoint lowers
         # N: (n, j) -> (n-1, j-theta).
         tau = taus[theta].op.matrix
-        for n, (idx, block) in blocks.items():
+        raised_norm, raised_leak = apply(tau[:, w0], 1, theta)
+        lowered_norm, lowered_leak = apply(tau[w0].getH(), -1, -theta)
+        for i, kv in enumerate(kvs[:n_src]):
+            n = int(node_n[i])
+            source = (n, kv.j)
             if n <= basis.n_max - 1:
-                raised = _images(tau[:, idx], block)
-            lowered = _images(tau[idx].getH(), block)
-            for i, kv in enumerate(nodes[n]):
-                source = (n, kv.j)
-                if n <= basis.n_max - 1:
-                    arrows.append(_classify_image(
-                        f"tau_dag[{theta:+d}]", source, (n + 1, kv.j + theta),
-                        raised[i], node_vectors))
                 arrows.append(_classify_image(
-                    f"tau[{theta:+d}]", source, (n - 1, kv.j - theta),
-                    lowered[i], node_vectors))
+                    f"tau_dag[{theta:+d}]", source, (n + 1, kv.j + theta),
+                    raised_norm[i], raised_leak[i]))
+            arrows.append(_classify_image(
+                f"tau[{theta:+d}]", source, (n - 1, kv.j - theta),
+                lowered_norm[i], lowered_leak[i]))
     return KernelLatticeReport(spin=generators.s, n_limit=n_limit,
                                node_dims=node_dims, arrows=arrows,
                                weight0_dims=weight0_dims,
                                known_nodes=known_nodes)
 
 
-def _classify_image(label, source, predicted, image, node_vectors):
-    norm = float(np.linalg.norm(image))
+def _leaks(images, w0, vecs, node_n, node_j, dn, dj) -> np.ndarray:
+    """Norm of each image row outside its predicted node, all rows at once.
+
+    Row i comes from node i and is predicted on the nodes a with
+    (n_a, j_a) = (n_i + dn, j_i + dj).  The node vectors (columns of
+    ``vecs``, entries on the weight-0 states ``w0``) are orthonormal, so the
+    projection onto the predicted nodes is one product.  The residual is
+    formed explicitly, which avoids the cancellation that
+    |image|^2 - |projection|^2 would suffer.  ``images`` is overwritten.
+    """
+    m = len(images)
+    predicted = ((node_n[None, :] == node_n[:m, None] + dn)
+                 & (node_j[None, :] == node_j[:m, None] + dj))
+    inside = images[:, w0]
+    inside -= ((inside @ vecs.conj()) * predicted) @ vecs.T
+    images[:, w0] = 0.0
+    return np.hypot(np.linalg.norm(inside, axis=1),
+                    [np.linalg.norm(row) for row in images])
+
+
+def _classify_image(label, source, predicted, norm, leak):
     if norm <= 1e-8:
         return LatticeArrow(operator=label, source=source, target=None,
                             amplitude=0.0, annihilated=True)
-    # Project out the predicted node explicitly; forming the residual vector
-    # avoids the cancellation that norm^2 - |projection|^2 would suffer.
-    outside = image.copy()
-    for v in node_vectors(*predicted):
-        outside = outside - v * np.vdot(v, image)
-    leak = float(np.linalg.norm(outside))
     if leak > 1e-8 * max(1.0, norm):
         raise LatticeSchemeError(
-            f"{label} applied to node {source} leaks {leak:.3e} outside the "
-            f"predicted node {predicted}")
+            f"{label} applied to node {source} leaks {float(leak):.3e} outside "
+            f"the predicted node {predicted}")
     return LatticeArrow(operator=label, source=source, target=predicted,
                         amplitude=norm, annihilated=False)
 

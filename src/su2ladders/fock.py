@@ -60,6 +60,30 @@ def _states_total_at_most(modes: int, cap: int) -> Iterator[Occupation]:
             yield (c,) + rest
 
 
+def _lex_ranks(occupations: np.ndarray, n_max: int) -> np.ndarray:
+    """Position of each occupation row among all states of its mode count
+    with total <= n_max, in ascending lexicographic order.
+
+    Before mode i, with k modes after it and cap particles left, the states
+    whose entry i is smaller number sum_{c < o_i} C(cap - c + k, k)
+    = C(cap + k + 1, k + 1) - C(cap - o_i + k + 1, k + 1).
+    """
+    count, modes = occupations.shape
+    top = n_max + modes + 1
+    binom = np.zeros((top + 1, modes + 1), dtype=np.int64)
+    for a in range(top + 1):
+        for b in range(min(a, modes) + 1):
+            binom[a, b] = math.comb(a, b)
+    ranks = np.zeros(count, dtype=np.int64)
+    cap = np.full(count, n_max, dtype=np.int64)
+    for i in range(modes):
+        k = modes - 1 - i
+        occ = occupations[:, i]
+        ranks += binom[cap + k + 1, k + 1] - binom[cap - occ + k + 1, k + 1]
+        cap -= occ
+    return ranks
+
+
 class SectorBasis:
     """Ordered, indexed set of Fock states satisfying optional constraints.
 
@@ -102,9 +126,12 @@ class SectorBasis:
             states.append(occ)
         self.states: tuple[Occupation, ...] = tuple(states)
         self.index: dict[Occupation, int] = {s: i for i, s in enumerate(self.states)}
-        self.totals = np.array([sum(s) for s in self.states], dtype=np.int64)
-        self.weights = np.array([weight_of(s, self.spin) for s in self.states],
-                                dtype=np.int64)
+        #: Occupation numbers, one row per state, modes in storage order.
+        self.occupations = np.array(states, dtype=np.int64).reshape(
+            len(states), self.modes)
+        self.totals = self.occupations.sum(axis=1)
+        self.weights = self.occupations @ np.arange(-self.spin, self.spin + 1)
+        self._ranks = _lex_ranks(self.occupations, self.n_max)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -138,6 +165,18 @@ class SectorBasis:
             raise ValueError(
                 f"state has {len(state)} modes, basis has {self.modes}")
         return self.index.get(state)
+
+    def indices_of(self, occupations: np.ndarray) -> np.ndarray:
+        """Vectorised ``state_index``: the position of each occupation row in
+        the basis, or -1 where the state is absent."""
+        occupations = np.asarray(occupations, dtype=np.int64)
+        valid = ((occupations >= 0).all(axis=1)
+                 & (occupations.sum(axis=1) <= self.n_max))
+        ranks = _lex_ranks(np.where(valid[:, None], occupations, 0), self.n_max)
+        pos = np.searchsorted(self._ranks, ranks)
+        found = valid & (pos < len(self._ranks))
+        found[found] = self._ranks[pos[found]] == ranks[found]
+        return np.where(found, pos, -1)
 
     def mode_position(self, mu: int) -> int:
         """Storage column of mode weight ``mu``."""

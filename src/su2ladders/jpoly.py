@@ -7,6 +7,7 @@ row consistency) are exact statements rather than floating-point ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -112,9 +113,16 @@ class JPoly:
     # -- evaluation and serialization ----------------------------------------
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact for Fraction input, float otherwise."""
-        if isinstance(x, (int, Fraction)) and all(
-                isinstance(c, Fraction) for c in self.coeffs):
+        """Evaluate by Horner's rule; exact for int or Fraction input, float
+        otherwise.  At an int the rule runs on integers over the common
+        denominator of the coefficients, which is reduced once at the end."""
+        if isinstance(x, int):
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = acc * x + c.numerator * (den // c.denominator)
+            return Fraction(acc, den)
+        if isinstance(x, Fraction):
             acc = Fraction(0)
             for c in reversed(self.coeffs):
                 acc = acc * x + c

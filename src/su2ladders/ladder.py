@@ -75,6 +75,9 @@ _PRECONDITION_TOL = 1e-10
 
 def _check_commutes(x: SparseOperator, y: SparseOperator, margin: int,
                     tol: float, what: str) -> None:
+    if y.function_of is x:
+        # y was assembled from the eigendecomposition of this very x.
+        return
     rep = commutator_residual(x, y, margin)
     if rep.frobenius_relative > tol:
         raise PreconditionError(
@@ -88,7 +91,11 @@ def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
 
     Precondition: P commutes with H to 1e-10 on the full interior
     (violations raise PreconditionError carrying the offending commutator
-    norm).
+    norm).  A P assembled from the eigendecomposition of this very H (its
+    ``function_of`` is ``h``, as for ``Su2Generators.function_of_j`` with
+    ``h`` the generators' J^2) commutes with it by construction, and the
+    check is skipped; any other P, including a re-wrapped, perturbed or
+    summed copy of such an image, is checked.
 
     Both sides are formed on the restricted columns only.  When p+ or P
     vanishes identically (a zero right function), p+ P vanishes on every
@@ -110,7 +117,8 @@ def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
               margin: int, col_weight: Optional[int] = None) -> ResidualReport:
     """Residual of the left-ladder relation [p, H] - P p on the interior.
 
-    The precondition is that of ``check_rlo``.  Both sides are formed on the
+    The precondition, and when it is taken as given, is that of
+    ``check_rlo``.  Both sides are formed on the
     restricted columns only.  As in ``check_rlo``, the relation degenerates
     to [H, p] = 0 (``commutator_residual``) when p or P vanishes
     identically, whatever the restriction.

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -66,9 +67,17 @@ class SparseOperator:
     The matrix is stored as float64 CSR unless an entry has a nonzero
     imaginary part, in which case it is complex128; sums, products and
     commutators promote as numpy does.
+
+    ``function_of`` records provenance: a spectral image f(H) assembled from
+    the decomposition of H (``SpectralDecomposition.assemble``) holds H
+    itself, so a check may take [H, f(H)] = 0 as given for that very H.  It
+    is not compared, and nothing else sets it: sums, products, scalings,
+    adjoints and re-wraps in ``SparseOperator(...)`` carry None.
     """
     basis: "SectorBasis"
     matrix: sparse.csr_matrix
+    function_of: Optional["SparseOperator"] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -205,17 +214,13 @@ def creation_op(basis, mu: int) -> SparseOperator:
     involving it hold on the interior at margin >= 1.
     """
     pos = basis.mode_position(mu)
-    rows, cols, data = [], [], []
-    for i, state in enumerate(basis.states):
-        if sum(state) + 1 > basis.n_max:
-            continue
-        target = state[:pos] + (state[pos] + 1,) + state[pos + 1:]
-        j = basis.index.get(target)
-        if j is None:
-            continue
-        rows.append(j)
-        cols.append(i)
-        data.append(math.sqrt(state[pos] + 1))
+    cols = np.flatnonzero(basis.totals < basis.n_max)
+    raised = basis.occupations[cols]
+    raised[:, pos] += 1
+    rows = basis.indices_of(raised)
+    keep = rows >= 0
+    rows, cols = rows[keep], cols[keep]
+    data = np.sqrt(basis.occupations[cols, pos] + 1.0)
     dim = len(basis)
     mat = sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim),
                             dtype=float).tocsr()
@@ -229,9 +234,8 @@ def annihilation_op(basis, mu: int) -> SparseOperator:
 
 def number_op(basis, mu: int) -> SparseOperator:
     """Number operator for a single mode (diagonal)."""
-    pos = basis.mode_position(mu)
-    values = [state[pos] for state in basis.states]
-    return SparseOperator.diagonal(basis, values)
+    return SparseOperator.diagonal(
+        basis, basis.occupations[:, basis.mode_position(mu)])
 
 
 def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -50,7 +50,8 @@ class SpectrumSnapError(ValueError):
 def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
     """Image of a (2s+1) x (2s+1) matrix under the bosonic bilinear map.
 
-    Returns sum_ij x_ij a_i^dagger a_j with modes ordered mu = -s..s.  The
+    Returns sum_ij x_ij a_i^dagger a_j with modes ordered mu = -s..s, formed
+    as sum_i a_i^dagger (sum_j x_ij a_j): one sparse product per mode.  The
     image conserves total particle number, so it is exact on the whole
     truncated space.  A real X gives a real operator.
     """
@@ -58,14 +59,16 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
     m = basis.modes
     if x.shape != (m, m):
         raise ValueError(f"matrix shape {x.shape} does not match {m} modes")
-    adag = [creation_op(basis, mu) for mu in range(-basis.spin, basis.spin + 1)]
-    a = [op.adjoint() for op in adag]
+    adag = [creation_op(basis, mu).matrix
+            for mu in range(-basis.spin, basis.spin + 1)]
+    a = [op.getH().tocsr() for op in adag]
     dim = len(basis)
     acc = sparse.csr_matrix((dim, dim))
     for i in range(m):
-        for j in range(m):
-            if x[i, j] != 0:
-                acc = acc + x[i, j] * (adag[i].matrix @ a[j].matrix)
+        lowered = sparse.csr_matrix((dim, dim))
+        for j in np.flatnonzero(x[i]):
+            lowered = lowered + x[i, j] * a[j]
+        acc = acc + adag[i] @ lowered
     acc = acc.tocsr()
     acc.eliminate_zeros()
     return SparseOperator(basis, acc)
@@ -118,41 +121,94 @@ def _evaluate(f: Callable, args: tuple, sector: tuple, eigenvalue: float
 class SpectralDecomposition:
     """Per-(n, weight)-sector eigendecomposition of a hermitian operator.
 
-    The sectors partition the basis, so every spectral image lives on the
-    union of the sector blocks.  That CSR pattern depends on the sectors
-    alone and is built once; each image scatters its dense blocks
-    V diag(f) V^dagger into it.  A real operator has real eigenvectors, and
-    real values of f then give a real image.
+    Every operator assembled from it is a union of dense sector blocks: a
+    spectral image V diag(f) V^dagger fills the diagonal blocks, and a sum
+    X f(H) of sector maps X fills the blocks from each source sector to the
+    sector X sends it to.  Such a CSR pattern depends on the block structure
+    alone, so each is built once (``block_pattern``) and every operator
+    scatters its dense blocks into it.  A real operator has real
+    eigenvectors, and real values of f then give a real image.
+    ``operator`` is the operator that was decomposed; the spectral images
+    record it as their ``SparseOperator.function_of``.
     """
     basis: SectorBasis
     sectors: list  # list of (key, indices, eigenvalues, eigenvectors)
-    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    _indices: np.ndarray = field(init=False, repr=False, compare=False)
-    _order: np.ndarray = field(init=False, repr=False, compare=False)
-    _dtype: np.dtype = field(init=False, repr=False, compare=False)
+    operator: Optional[SparseOperator] = field(default=None, repr=False,
+                                               compare=False)
+    _patterns: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _positions: Optional[tuple] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
-    def __post_init__(self):
-        # Row i of the pattern holds the (ascending) indices of its sector;
-        # _order maps block-major entry positions to CSR data positions.
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per basis state: the position of its sector in ``sectors``, and
+        its index within that sector."""
+        if self._positions is None:
+            sector = np.empty(len(self.basis), dtype=np.int64)
+            local = np.empty(len(self.basis), dtype=np.int64)
+            for k, (_key, idx, _vals, _vecs) in enumerate(self.sectors):
+                sector[idx] = k
+                local[idx] = np.arange(len(idx))
+            self._positions = (sector, local)
+        return self._positions
+
+    def block_pattern(self, targets: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR pattern of the dense blocks from each sector k's columns to
+        sector ``targets[k]``'s rows (no block where ``targets[k]`` is -1).
+
+        Returns (indptr, indices, order), where ``order`` maps block-major
+        entries (the blocks in sector order, each row-major) to CSR data
+        positions.  A row holds the ascending union of its source sectors'
+        indices.  Patterns are cached by ``targets``; the spectral images
+        use the diagonal one, targets[k] = k.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        key = targets.tobytes()
+        if key in self._patterns:
+            return self._patterns[key]
+        idxs = [idx for _key, idx, _vals, _vecs in self.sectors]
+        cols = {t: np.sort(np.concatenate([idxs[k] for k in
+                                           np.flatnonzero(targets == t)]))
+                for t in np.unique(targets[targets >= 0]).tolist()}
         dim = len(self.basis)
         widths = np.zeros(dim, dtype=np.int64)
-        for _key, idx, _vals, _vecs in self.sectors:
-            widths[idx] = len(idx)
+        for t, c in cols.items():
+            widths[idxs[t]] = len(c)
         nnz = int(widths.sum())
         itype = np.int32 if nnz < 2 ** 31 else np.int64
-        self._indptr = np.zeros(dim + 1, dtype=itype)
-        np.cumsum(widths, out=self._indptr[1:])
-        self._indices = np.empty(nnz, dtype=itype)
-        self._order = np.empty(nnz, dtype=itype)
+        indptr = np.zeros(dim + 1, dtype=itype)
+        np.cumsum(widths, out=indptr[1:])
+        indices = np.empty(nnz, dtype=itype)
+        for t, c in cols.items():
+            starts = indptr[idxs[t]][:, None]
+            indices[(starts + np.arange(len(c))).ravel()] = np.tile(c, len(starts))
+        order = np.empty(nnz, dtype=itype)
         offset = 0
-        for _key, idx, _vals, _vecs in self.sectors:
-            d = len(idx)
-            pos = (self._indptr[idx][:, None] + np.arange(d, dtype=itype)).ravel()
-            self._indices[pos] = np.tile(idx, d)
-            self._order[offset:offset + d * d] = pos
-            offset += d * d
-        self._dtype = np.result_type(
-            float, *{vecs.dtype for *_, vecs in self.sectors})
+        for k, t in enumerate(targets.tolist()):
+            if t < 0:
+                continue
+            pos = indptr[idxs[t]][:, None] + np.searchsorted(cols[t], idxs[k])
+            order[offset:offset + pos.size] = pos.ravel()
+            offset += pos.size
+        self._patterns[key] = (indptr, indices, order)
+        return indptr, indices, order
+
+    def scatter(self, targets: np.ndarray, blocks: Iterable[np.ndarray], dtype
+                ) -> sparse.csr_matrix:
+        """The CSR matrix with the dense ``blocks`` of ``block_pattern(targets)``,
+        one per sector with a target, in sector order; exact zeros are dropped."""
+        indptr, indices, order = self.block_pattern(targets)
+        data = np.empty(len(order), dtype=dtype)
+        offset = 0
+        for block in blocks:
+            data[order[offset:offset + block.size]] = block.ravel()
+            offset += block.size
+        dim = len(self.basis)
+        out = sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                                shape=(dim, dim))
+        out.eliminate_zeros()
+        return out
 
     @staticmethod
     def of(op: SparseOperator) -> "SpectralDecomposition":
@@ -182,31 +238,27 @@ class SpectralDecomposition:
             block = op.matrix[idx][:, idx].toarray()
             vals, vecs = np.linalg.eigh(block)
             sectors.append((key, idx, vals, vecs))
-        return SpectralDecomposition(basis, sectors)
+        return SpectralDecomposition(basis, sectors, op)
 
     def assemble(self, values: list) -> SparseOperator:
         """The operator with eigenvalues ``values[k]`` on sector k's eigenvectors.
 
         Each block V diag(values) V^dagger is hermitized within the block.
         Complex values g + i h are assembled as g(H) + i h(H), so that each
-        part is hermitized on its own.
+        part is hermitized on its own.  The result records ``operator`` as
+        what it is a function of.
         """
         if any(np.iscomplexobj(v) for v in values):
-            return (self.assemble([v.real for v in values])
-                    + 1j * self.assemble([v.imag for v in values]))
-        data = np.empty(len(self._order), dtype=self._dtype)
-        offset = 0
-        for (_key, idx, _vals, vecs), fvals in zip(self.sectors, values):
-            d = len(idx)
-            block = (vecs * fvals) @ vecs.conj().T
-            data[self._order[offset:offset + d * d]] = (
-                (block + block.conj().T) * 0.5).ravel()
-            offset += d * d
-        dim = len(self.basis)
-        out = sparse.csr_matrix(
-            (data, self._indices.copy(), self._indptr.copy()), shape=(dim, dim))
-        out.eliminate_zeros()
-        return SparseOperator(self.basis, out)
+            out = (self.assemble([v.real for v in values])
+                   + 1j * self.assemble([v.imag for v in values])).matrix
+        else:
+            dtype = np.result_type(float, *(vecs.dtype for *_, vecs in self.sectors))
+            out = self.scatter(np.arange(len(self.sectors)), (
+                (block + block.conj().T) * 0.5
+                for block in ((vecs * fvals) @ vecs.conj().T
+                              for (*_, vecs), fvals in zip(self.sectors, values))),
+                dtype)
+        return SparseOperator(self.basis, out, function_of=self.operator)
 
 
 class Su2Generators:
@@ -273,9 +325,13 @@ class Su2Generators:
             self._labels = (labels, witness)
         return self._labels
 
-    def _label_image(self, f: Callable, with_n: bool) -> SparseOperator:
-        """Spectral image of f(n, j) (``with_n``) or f(j), one call per label."""
-        decomp = self.j2_decomposition()
+    def _label_values(self, f: Callable, with_n: bool) -> list:
+        """Values of f(n, j) (``with_n``) or f(j) on each sector's eigenvectors.
+
+        f is called once per distinct argument, at the exact integer labels;
+        a failure raises SpectralFunctionError naming the label's witness
+        sector.  Entry k lists the values on sector k, in eigenvalue order.
+        """
         labels, witness = self._label_groups()
         values: dict[tuple, float | complex] = {}
         image = []
@@ -289,8 +345,77 @@ class Su2Generators:
                          dtype=image.dtype)
         ns, js = zip(*witness)
         table[ns, js] = image
-        return decomp.assemble([table[key[0], js] for (key, *_), js
-                                in zip(decomp.sectors, labels)])
+        return [table[key[0], js] for (key, *_), js
+                in zip(self.j2_decomposition().sectors, labels)]
+
+    def _label_image(self, f: Callable, with_n: bool) -> SparseOperator:
+        """Spectral image of f(n, j) (``with_n``) or f(j), one call per label."""
+        return self.j2_decomposition().assemble(self._label_values(f, with_n))
+
+    def sum_times_functions_of_j(
+            self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
+            ) -> SparseOperator:
+        """sum_k X_k f_k(j) for ``terms`` = [(X_k, f_k), ...], sector by sector.
+
+        On a J^2 sector with eigenvectors V and labels js,
+        f_k(j) = V diag f_k(js) V^T, so the sum's columns there are
+
+            W V^T,   W = sum_k X_k V diag f_k(js),
+
+        one dense block per sector, W formed as one product of the terms'
+        blocks side by side: no whole-space image f_k(J^2) and no sparse
+        product X_k f_k(J^2) is formed.  Every X_k must send each
+        sector's columns into one common target sector, else
+        SectorStructureError is raised.  The blocks are written straight into
+        the decomposition's cached CSR pattern for that (source -> target)
+        structure (``SpectralDecomposition.block_pattern``).  f_k is
+        evaluated as in ``function_of_j``: once per label, and a pole raises
+        SpectralFunctionError naming its witness sector.  The result equals
+        sum_k X_k @ function_of_j(f_k) up to rounding.
+        """
+        if not terms:
+            return SparseOperator.zeros(self.basis)
+        decomp = self.j2_decomposition()
+        sector, local = decomp.positions()
+        nsec = len(decomp.sectors)
+        coo = [op.matrix.tocoo() for op, _f in terms]
+        src = [sector[m.col] for m in coo]
+        reach = np.zeros((nsec, nsec), dtype=bool)
+        for m, cols in zip(coo, src):
+            reach[cols, sector[m.row]] = True
+        for k in np.flatnonzero(reach.sum(axis=1) > 1).tolist():
+            reached = [decomp.sectors[t][0] for t in np.flatnonzero(reach[k])]
+            raise SectorStructureError(
+                f"operator sends sector (n, weight)={decomp.sectors[k][0]} "
+                f"into several sectors {reached}")
+        targets = np.where(reach.any(axis=1), reach.argmax(axis=1), -1)
+        values = [self._label_values(f, with_n=False) for _op, f in terms]
+
+        # The blocks of X_1..X_K side by side: sector k's rows are its
+        # target's states, its K * d_k columns the terms' columns in turn.
+        count = len(terms)
+        widths = np.array([len(idx) for _key, idx, _vals, _vecs in decomp.sectors])
+        sizes = np.where(targets >= 0, widths[targets] * widths * count, 0)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        flat = np.zeros(int(offsets[-1]),
+                        dtype=np.result_type(*(m.dtype for m in coo)))
+        for t, (m, cols) in enumerate(zip(coo, src)):
+            flat[offsets[cols] + (local[m.row] * count + t) * widths[cols]
+                 + local[m.col]] = m.data
+        del coo, src
+
+        def block(k: int) -> np.ndarray:
+            vecs = decomp.sectors[k][3]
+            x_block = flat[offsets[k]:offsets[k + 1]].reshape(-1, count * widths[k])
+            w = x_block @ np.concatenate([vecs * vals[k] for vals in values])
+            return w @ vecs.conj().T
+
+        dtype = np.result_type(flat, *(vecs.dtype for *_, vecs in decomp.sectors),
+                               *(v.dtype for vals in values for v in vals))
+        out = decomp.scatter(
+            targets, (block(k) for k in np.flatnonzero(targets >= 0).tolist()),
+            dtype)
+        return SparseOperator(self.basis, out)
 
     def j_hat(self) -> SparseOperator:
         """The label operator: spectral image of (sqrt(1 + 4 J^2) - 1)/2.

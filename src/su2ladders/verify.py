@@ -339,9 +339,11 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     def weyl(tol):
         worst = 0.0
+        adag = {mu: creation_op(basis, mu) for mu in range(-s, s + 1)}
+        a = {mu: op.adjoint() for mu, op in adag.items()}
         for mu in range(-s, s + 1):
             for nu in range(-s, s + 1):
-                c = commutator(annihilation_op(basis, mu), creation_op(basis, nu))
+                c = commutator(a[mu], adag[nu])
                 target = ident if mu == nu else SparseOperator.zeros(basis)
                 rep = residual(c, target, 1)
                 worst = max(worst, rep.frobenius_relative

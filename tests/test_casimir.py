@@ -359,3 +359,36 @@ def test_s1_mutual_commutators(ctx):
     assert reps["p0_p1dag"].frobenius_relative < 1e-10
     assert reps["p1_p1dag_weight0"].frobenius_relative < 1e-10
     assert reps["p1_p1dag_unrestricted"].frobenius_relative > 0.1
+
+
+# -- sector-wise tau assembly --------------------------------------------------------
+
+
+def _tau_by_products(c, tau):
+    """sum_k T_k @ function_of_j(sigma_k): whole-space images, sparse products."""
+    ref = SparseOperator.zeros(c.basis)
+    for k, t_k in c.families.ops(tau.family).items():
+        poly = tau.sigma.sigmas[k]
+        if not poly.is_zero():
+            ref = ref + t_k @ c.gens.function_of_j(poly)
+    return ref
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5), (4, 4)])
+def test_sector_wise_tau_equals_sparse_products(ctx, spin, n_max):
+    c = ctx(spin, n_max)
+    for theta, tau in c.taus.items():
+        ref = _tau_by_products(c, tau)
+        assert (tau.op - ref).norm() <= 1e-14 * ref.norm(), theta
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5), (4, 4)])
+def test_tau_lives_on_the_raising_sector_blocks(ctx, spin, n_max):
+    # Every entry of tau maps an (n, w) state to an (n + 1, w) state.
+    c = ctx(spin, n_max)
+    b = c.basis
+    for tau in c.taus.values():
+        rows, cols = tau.op.matrix.nonzero()
+        assert len(rows)
+        assert np.array_equal(b.totals[rows], b.totals[cols] + 1)
+        assert np.array_equal(b.weights[rows], b.weights[cols])

@@ -93,3 +93,17 @@ def test_str_rendering():
     j = JPoly.symbol()
     assert str(JPoly.zero()) == "0"
     assert str(j * j + j) == "j + j^2"
+
+
+@given(poly_coeffs, st.integers(min_value=-60, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_integer_evaluation_equals_fraction_horner(cs, x):
+    # At an int, Horner runs on integers over the common denominator; the
+    # value must be the Fraction that Horner's rule over Fractions gives.
+    p = JPoly.from_coeffs(cs)
+    want = Fraction(0)
+    for c in reversed(p.coeffs):
+        want = want * x + c
+    got = p(x)
+    assert type(got) is Fraction and got == want
+    assert p(Fraction(x)) == want

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy import sparse
 
+import su2ladders.ladder as ladder_module
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (ConsistencyError, PreconditionError,
                                build_alpha,
@@ -12,7 +15,8 @@ from su2ladders.ladder import (ConsistencyError, PreconditionError,
                                right_functions, sigma_closed_form_next_to_top,
                                solve_sigma)
 from su2ladders.operators import (SparseOperator, annihilation_op, commutator,
-                                  creation_op)
+                                  creation_op, number_op)
+from su2ladders.schwinger import su2_generators
 
 
 def _dense_interior_residual(lhs, rhs, margin):
@@ -246,3 +250,86 @@ def test_sigma_closed_form_s1_differs_by_first_column_factor():
         sig = solve_sigma(build_alpha(1, "p"), theta)
         closed = sigma_closed_form_next_to_top(1, theta)
         assert sig.sigmas[0] * Fraction(2) == closed
+
+
+# -- right-function precondition by provenance -------------------------------------
+
+
+def _right_function(c, theta=1):
+    tau = c.taus[theta]
+    return tau, c.gens.function_of_j(tau.right_function)
+
+
+def test_spectral_image_records_the_decomposed_operator(ctx):
+    c = ctx(1, 4)
+    _tau, rf = _right_function(c)
+    assert rf.function_of is c.gens.J2
+    ident = SparseOperator.identity(c.basis)
+    for derived in (SparseOperator(c.basis, rf.matrix), rf + ident, rf - ident,
+                    rf @ ident, 2.0 * rf, rf.adjoint(), rf.hermitized(), -rf):
+        assert derived.function_of is None
+        assert derived == derived
+
+
+@pytest.mark.parametrize("check", [check_rlo, check_llo])
+def test_precondition_skipped_only_for_the_decomposed_operator(ctx, monkeypatch,
+                                                               check):
+    c = ctx(2, 4)
+    tau, rf = _right_function(c)
+    op = tau.op if check is check_rlo else tau.op.adjoint()
+    calls = []
+    original = ladder_module.commutator_residual
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ladder_module, "commutator_residual", counting)
+    tagged = check(c.gens.J2, op, rf, 1, col_weight=0)
+    assert calls == []
+    rewrapped = check(c.gens.J2, op, SparseOperator(c.basis, rf.matrix), 1,
+                      col_weight=0)
+    assert len(calls) == 1
+    # Skipping the precondition leaves the report unchanged.
+    assert tagged == rewrapped
+
+
+def test_perturbed_right_function_still_fails_the_precondition(ctx):
+    c = ctx(1, 4)
+    tau, rf = _right_function(c)
+    n0 = number_op(c.basis, 0)
+    bad = rf + (1e-6 * rf.norm() / n0.norm()) * n0
+    for check, op in ((check_rlo, tau.op), (check_llo, tau.op.adjoint())):
+        with pytest.raises(PreconditionError):
+            check(c.gens.J2, op, bad, 1, col_weight=0)
+
+
+def test_rewrapped_noncommuting_copy_fails_the_precondition(ctx):
+    c = ctx(1, 4)
+    tau, rf = _right_function(c)
+    m = rf.matrix.copy()
+    rng = np.random.default_rng(7)
+    m.data *= 1.0 + 1e-6 * rng.standard_normal(m.nnz)
+    with pytest.raises(PreconditionError):
+        check_rlo(c.gens.J2, tau.op, SparseOperator(c.basis, m), 1, col_weight=0)
+
+
+def test_right_function_of_other_generators_fails_the_precondition(ctx):
+    # Another generator set whose J^2 has the same spectrum but other
+    # eigenvectors on the (2, 0) sector: its f(J^2) records that J^2, not
+    # this one, and does not commute with this one.
+    c = ctx(1, 4)
+    tau, _rf = _right_function(c)
+    other = su2_generators(c.basis)
+    idx = np.flatnonzero((c.basis.totals == 2) & (c.basis.weights == 0))
+    rot = np.eye(len(c.basis))
+    cs, sn = np.cos(0.3), np.sin(0.3)
+    rot[np.ix_(idx, idx)] = [[cs, -sn], [sn, cs]]
+    rot = sparse.csr_matrix(rot)
+    other.J2 = SparseOperator(c.basis, rot @ c.gens.J2.matrix @ rot.T).hermitized()
+    rf_other = other.function_of_j(tau.right_function)
+    assert rf_other.function_of is other.J2
+    with pytest.raises(PreconditionError):
+        check_rlo(c.gens.J2, tau.op, rf_other, 1, col_weight=0)
+    with pytest.raises(PreconditionError):
+        check_llo(c.gens.J2, tau.op.adjoint(), rf_other, 1, col_weight=0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from su2ladders.fock import enumerate_sector
+from su2ladders.fock import SectorBasis, enumerate_sector
 from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
                                   SparseOperator, annihilation_op,
                                   commutator, commutator_residual,
@@ -211,3 +211,46 @@ def test_weight_restricted_residual(basis):
     n0 = number_op(basis, 0)
     rep0 = residual(n0, n0, 1, col_weight=0)
     assert rep0.frobenius_absolute == 0.0
+
+
+def _creation_per_state(basis, mu):
+    """Reference a_mu^dagger, one Fock state at a time."""
+    pos = basis.mode_position(mu)
+    rows, cols, data = [], [], []
+    for i, state in enumerate(basis.states):
+        if sum(state) + 1 > basis.n_max:
+            continue
+        target = state[:pos] + (state[pos] + 1,) + state[pos + 1:]
+        j = basis.index.get(target)
+        if j is None:
+            continue
+        rows.append(j)
+        cols.append(i)
+        data.append(math.sqrt(state[pos] + 1))
+    dim = len(basis)
+    return sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim),
+                             dtype=float).tocsr()
+
+
+@pytest.mark.parametrize("spin", range(0, 4))
+@pytest.mark.parametrize("n_max", range(0, 5))
+def test_creation_op_equals_per_state_reference(spin, n_max):
+    # Bit-identical matrices, on the full basis and on constrained ones.
+    for n, weight in ((None, None), (n_max, None), (None, 0), (None, 1)):
+        basis = SectorBasis(spin, n_max, n=n, weight=weight)
+        for mu in range(-spin, spin + 1):
+            got = creation_op(basis, mu).matrix
+            want = _creation_per_state(basis, mu)
+            want.sort_indices()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+
+def test_indices_of_is_a_vectorised_state_index():
+    basis = SectorBasis(2, 3, weight=1)
+    probe = [s for s in SectorBasis(2, 4).states]
+    want = [basis.state_index(s) for s in probe]
+    got = basis.indices_of(np.array(probe))
+    assert [None if g < 0 else int(g) for g in got] == want
+    assert basis.indices_of(np.array([[-1, 0, 1, 0, 1]]))[0] == -1

@@ -7,10 +7,13 @@ the same identities from whole-space products and slice them with
 (X Y) P = X (Y P) holds entry for entry in floating point.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from su2ladders.casimir import (_worst_alpha_entry, alpha_entry_deviation,
+from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
+                                _worst_alpha_entry, alpha_entry_deviation,
                                 certify_alpha, lattice_report,
                                 resolvent_commutator_check, tau_shift_residual)
 from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
@@ -236,3 +239,66 @@ def test_lattice_amplitudes_equal_per_vector_products(ctx, spin):
                     else:
                         assert arrow.amplitude == norm
     assert next(arrows, None) is None
+
+
+def _per_vector_arrows(c, taus, n_limit):
+    """Lattice arrows from one whole-space product and one projection per
+    node vector, each predicted node vector subtracted in turn."""
+    basis, gens = c.basis, c.gens
+    nodes = {n: jz_kernel(basis, gens, n)
+             for n in range(0, min(n_limit + 1, basis.n_max) + 1)}
+    arrows = []
+    for theta in sorted(taus):
+        tau = taus[theta].op
+        tau_low = tau.adjoint()
+        for n in range(0, n_limit + 1):
+            for kv in nodes[n]:
+                images = []
+                if n <= basis.n_max - 1:
+                    images.append((f"tau_dag[{theta:+d}]", (n + 1, kv.j + theta),
+                                   tau.apply(kv.vector)))
+                images.append((f"tau[{theta:+d}]", (n - 1, kv.j - theta),
+                               tau_low.apply(kv.vector)))
+                for label, target, image in images:
+                    norm = float(np.linalg.norm(image))
+                    if norm <= 1e-8:
+                        arrows.append(LatticeArrow(label, (n, kv.j), None, 0.0,
+                                                   True))
+                        continue
+                    outside = image.copy()
+                    for v in [w.vector for w in nodes.get(target[0], [])
+                              if w.j == target[1]]:
+                        outside = outside - v * np.vdot(v, image)
+                    if np.linalg.norm(outside) > 1e-8 * max(1.0, norm):
+                        raise LatticeSchemeError(f"{label} leaks from {(n, kv.j)}")
+                    arrows.append(LatticeArrow(label, (n, kv.j), target, norm,
+                                               False))
+    return arrows
+
+
+@pytest.mark.parametrize("spin,n_max,n_limit", [(1, 4, 3), (1, 4, 4), (2, 4, 3),
+                                                (3, 4, 3), (3, 5, 4)])
+def test_lattice_arrows_equal_per_vector_reference(ctx, spin, n_max, n_limit):
+    # Whole-level products and projections give the per-vector arrows
+    # exactly: same targets and flags, and the same amplitude floats.
+    c = ctx(spin, n_max)
+    rep = lattice_report(c.basis, c.gens, c.taus, n_limit)
+    assert rep.arrows == _per_vector_arrows(c, c.taus, n_limit)
+
+
+@pytest.mark.parametrize("leak", ["other-node", "off-weight"])
+def test_lattice_rejects_an_injected_leak(ctx, leak):
+    # A 1e-6 admixture that leaves the predicted node of tau[+1] (to other
+    # j, or to weight 1, outside every node) is a hard error.
+    c = ctx(2, 4)
+    tau = c.taus[1]
+    stray = (c.families.p_ops[0] if leak == "other-node"
+             else c.gens.Jplus @ c.families.p_ops[0])
+    bad = SparseOperator(c.basis, tau.op.matrix
+                         + 1e-6 * tau.op.norm() / stray.norm() * stray.matrix)
+    taus = dict(c.taus)
+    taus[1] = dataclasses.replace(tau, op=bad)
+    with pytest.raises(LatticeSchemeError):
+        _per_vector_arrows(c, taus, 3)
+    with pytest.raises(LatticeSchemeError):
+        lattice_report(c.basis, c.gens, taus, 3)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from su2ladders import bruteforce
+from su2ladders.casimir import build_families, build_taus
 from su2ladders.fock import enumerate_sector
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import right_function_poly
-from su2ladders.operators import (commutator, commutator_residual,
-                                  residual)
+from su2ladders.operators import (SparseOperator, commutator,
+                                  commutator_residual, residual)
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
                                   SpectrumSnapError, _evaluate, _phase_fixed,
@@ -311,7 +312,8 @@ def test_function_of_j_pole_names_a_sector_holding_the_label(ctx):
     lambda g: g.function_of_j(lambda j: j),
     lambda g: g.j_hat(),
     lambda g: jz_kernel(g.basis, g, 2),
-], ids=["function_of_j", "j_hat", "jz_kernel"])
+    lambda g: build_taus(build_families(g.basis, g), g, certify=False),
+], ids=["function_of_j", "j_hat", "jz_kernel", "build_taus"])
 def test_function_of_j_rejects_unsnappable_spectrum(consumer):
     # Every reader of the label table must refuse a damaged J^2, on every
     # call: the table is never cached past the failure.
@@ -356,3 +358,49 @@ def test_kernel_vectors_are_the_decomposition_eigenvectors(ctx, n):
     assert len(kvs) == len(expected)
     for kv in kvs:
         assert sum(np.array_equal(kv.vector, e) for e in expected) == 1
+
+
+# -- sums X_k f_k(j), sector by sector ---------------------------------------------
+
+
+def test_sum_times_functions_of_j_equals_products(ctx):
+    # Arbitrary sector maps (a raiser, a lowerer, a conserving operator) and
+    # arbitrary right functions, real and complex.
+    c = ctx(2, 4)
+    g = c.gens
+    cases = [
+        [(c.families.p_ops[1], lambda j: j * j - 3), (c.families.p_ops[2], lambda j: 0.5)],
+        [(c.families.m_ops[0].adjoint(), lambda j: 1.0 / (j + 1))],
+        [(g.Jplus, lambda j: 2.0 * j), (g.Jplus @ g.J2, lambda j: -1.0)],
+        [(g.J2, lambda j: 1j * j), (g.Ntot, lambda j: 1.0)],
+    ]
+    for terms in cases:
+        ref = SparseOperator.zeros(c.basis)
+        for op, f in terms:
+            ref = ref + op @ g.function_of_j(f)
+        got = g.sum_times_functions_of_j(terms)
+        assert got.matrix.dtype == ref.matrix.dtype
+        assert (got - ref).norm() <= 1e-14 * ref.norm()
+    assert g.sum_times_functions_of_j([]).is_zero()
+
+
+def test_sum_times_functions_of_j_pole_names_a_sector(ctx):
+    g = ctx(1, 4).gens
+    with pytest.raises(SpectralFunctionError) as err:
+        g.sum_times_functions_of_j(
+            [(g.Jplus, lambda j: 1.0), (g.Jplus @ g.J2, lambda j: 1.0 / (j - 1))])
+    js = g.j_values_by_sector()[err.value.sector]
+    assert np.any(np.abs(js - 1.0) < 1e-9)
+
+
+def test_sum_times_functions_of_j_rejects_two_target_sectors(ctx):
+    c = ctx(1, 4)
+    g = c.gens
+    # A raiser and a lowerer send each sector to (n + 1, w) and (n - 1, w).
+    with pytest.raises(SectorStructureError):
+        g.sum_times_functions_of_j(
+            [(c.families.p_ops[0], lambda j: 1.0),
+             (c.families.p_ops[0].adjoint(), lambda j: 1.0)])
+    # So does one operator that mixes weights.
+    with pytest.raises(SectorStructureError):
+        g.sum_times_functions_of_j([(g.Jplus + g.Jminus, lambda j: 1.0)])
