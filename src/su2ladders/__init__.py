@@ -8,7 +8,8 @@ The pieces, bottom up:
 - ``operators``: sparse operator algebra with truncation-aware interior
   residuals.
 - ``schwinger``: the bilinear bosonic map, su(2) generators, the Casimir,
-  the label operator j, and zero-weight kernel extraction.
+  the label operator j, zero-weight kernel extraction, and the generators
+  restricted to the weight-0 subspace.
 - ``jpoly`` / ``ladder``: exact rational polynomials, ladder-operator checks,
   the tridiagonal closure matrix, right functions theta(theta + 2j + 1) with
   exact determinant certificates, and the sigma back-substitution.
@@ -26,8 +27,9 @@ from .operators import (BasisMismatchError, EmptyInteriorError,
                         commutator, commutator_residual,
                         creation_op, number_op, residual, zero_residual)
 from .schwinger import (KernelVector, SpectralDecomposition,
-                        SpectralFunctionError, Su2Generators,
-                        jordan_schwinger, jz_kernel, su2_generators)
+                        SpectralFunctionError, Su2Generators, Weight0View,
+                        WeightLeakError, jordan_schwinger, jz_kernel,
+                        su2_generators)
 from .jpoly import JPoly, poly_matrix_det
 from .ladder import (AlphaMatrix, ConsistencyError, PreconditionError,
                      RightFunction, RightFunctionError, SigmaVector,
@@ -56,7 +58,8 @@ __all__ = [
     "PreconditionError", "ResidualReport", "RightFunction",
     "RightFunctionError", "SectorBasis", "SigmaVector", "SparseOperator",
     "SpectralDecomposition", "SpectralFunctionError", "Su2Generators",
-    "SuiteConfig", "TauOperator", "VerificationReport", "annihilation_op",
+    "SuiteConfig", "TauOperator", "VerificationReport", "Weight0View",
+    "WeightLeakError", "annihilation_op",
     "assemble_tau", "build_alpha", "build_alpha_certified",
     "build_families", "build_taus", "canonical_basis_s1", "certify_alpha",
     "check_llo", "check_power_identity", "check_rlo", "check_rlo_compose",

@@ -9,9 +9,12 @@ Two families commuting with J_z are built from the bosonic modes,
 and combined with the exact sigma coefficients into ladder operators
 tau[theta] that shift the Casimir label j by theta while raising the total
 particle number by one.  Everything the construction claims is certified
-numerically on the zero-weight (J_z kernel) column restriction, where the
-closure relations hold; the few identities that hold unrestricted are checked
-on the full interior.
+numerically on the zero-weight (J_z kernel) subspace, where the closure
+relations hold; the few identities that hold unrestricted are checked on the
+full interior.  The ladder certificates read the weight-0 blocks of the
+generators (``Su2Generators.weight0``): tau's assembled CSR entries, J^2's
+sparse entries and f(J^2) on the (n, 0) sectors, and no whole-space
+function of j.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
 from .operators import (ResidualReport, SparseOperator, commutator,
                         commutator_on_columns, commutator_residual,
                         creation_op, number_op, on_columns, residual)
-from .schwinger import KernelVector, Su2Generators, _phase_fixed, jz_kernel
+from .schwinger import (KernelVector, Su2Generators, Weight0View, _phase_fixed,
+                        jz_kernel)
 
 
 @dataclass(frozen=True)
@@ -91,24 +95,24 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     """Verify each closure-matrix column against measured commutators.
 
     For every family index eta the residual of [J^2, T_eta] minus
-    sum_mu T_mu alpha[mu, eta](j) is computed on the zero-weight interior
-    columns (margin LADDER_MARGIN), on which both sides are formed.  A
-    failure aborts with the offending (mu, eta) pair, identified by
-    coefficient extraction on the same columns.
+    sum_mu T_mu alpha[mu, eta](j) is computed on the weight-0 interior
+    (margin LADDER_MARGIN), from the weight-0 blocks of the generators
+    (``Su2Generators.weight0``).  A failure aborts with the offending
+    (mu, eta) pair, identified by coefficient extraction on the same
+    columns.
     """
-    ops = families.ops(alpha.family)
+    w0 = generators.weight0()
+    ops = {k: w0.of(t) for k, t in families.ops(alpha.family).items()}
     reports = {}
     for eta, t_eta in ops.items():
-        lhs = commutator_on_columns(generators.J2, t_eta, LADDER_MARGIN,
-                                    col_weight=0)
-        rhs = SparseOperator.zeros(families.basis)
+        lhs = commutator_on_columns(w0.J2, t_eta, LADDER_MARGIN)
+        rhs = SparseOperator.zeros(w0.basis)
         for mu, t_mu in ops.items():
             poly = alpha.entry(mu, eta)
             if poly.is_zero():
                 continue
-            rhs = rhs + t_mu @ on_columns(generators.function_of_j(poly),
-                                          LADDER_MARGIN, col_weight=0)
-        rep = residual(lhs, rhs, LADDER_MARGIN, col_weight=0)
+            rhs = rhs + t_mu @ on_columns(w0.function_of_j(poly), LADDER_MARGIN)
+        rep = residual(lhs, rhs, LADDER_MARGIN)
         if rep.frobenius_relative > tol:
             mu_bad, dev = _worst_alpha_entry(alpha, eta, generators, families)
             raise AlphaVerificationError(
@@ -126,22 +130,24 @@ def _worst_alpha_entry(alpha, eta, generators, families):
     fitted by least squares; a node whose images are too ill-conditioned to
     identify them (e.g. several images vanish) is skipped.  The nodes of
     levels n <= n_max - LADDER_MARGIN are the weight-0 columns that
-    ``certify_alpha`` reads, so the commutator is formed once, on those
-    columns, and applied to each level's nodes at once.
+    ``certify_alpha`` reads, so the commutator is formed once, from the
+    same weight-0 blocks, and applied to each level's nodes at once.  The
+    images are fitted in whole-space coordinates (zero off weight 0): the
+    least-squares solve then sees the very matrix of a whole-space product.
     """
-    ops = families.ops(alpha.family)
+    w0 = generators.weight0()
+    ops = {k: w0.of(t) for k, t in families.ops(alpha.family).items()}
     mus = list(ops)
-    comm = commutator_on_columns(generators.J2, ops[eta], LADDER_MARGIN,
-                                 col_weight=0)
+    comm = commutator_on_columns(w0.J2, ops[eta], LADDER_MARGIN)
     worst = (None, 0.0)
     basis = families.basis
     for n in range(0, basis.n_max - LADDER_MARGIN + 1):
         nodes = jz_kernel(basis, generators, n)
         if not nodes:
             continue
-        idx, block = _kernel_block(basis, n, nodes)
-        lhs_all = _images(comm.matrix[:, idx], block)
-        imgs = [_images(ops[mu].matrix[:, idx], block) for mu in mus]
+        idx, block = _kernel_block(w0, n, nodes)
+        lhs_all = _images(comm.matrix[:, idx], block, w0)
+        imgs = [_images(ops[mu].matrix[:, idx], block, w0) for mu in mus]
         for i, node in enumerate(nodes):
             lhs = lhs_all[i]
             m = np.array([img[i] for img in imgs]).T
@@ -158,24 +164,31 @@ def _worst_alpha_entry(alpha, eta, generators, families):
     return worst
 
 
-def _kernel_block(basis: SectorBasis, n: int, nodes: list[KernelVector]
+def _kernel_block(w0: Weight0View, n: int, nodes: list[KernelVector]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 0) sector's indices and the nodes' entries there, one per column.
+    """The (n, 0) sector's indices in the weight-0 basis and the nodes'
+    entries there, one per column.
 
     Kernel vectors of level n vanish off that sector.
     """
-    idx = np.flatnonzero((basis.totals == n) & (basis.weights == 0))
-    return idx, np.array([kv.vector[idx] for kv in nodes]).T
+    idx = np.flatnonzero(w0.basis.totals == n)
+    return idx, np.array([kv.vector[w0.rows[idx]] for kv in nodes]).T
 
 
-def _images(columns, block: np.ndarray) -> np.ndarray:
-    """X v for each vector v of a ``_kernel_block``, one contiguous row each.
+def _images(columns, block: np.ndarray, w0: Weight0View) -> np.ndarray:
+    """X v for each vector v of a ``_kernel_block``, one contiguous
+    whole-space row each.
 
-    ``columns`` holds the sector's columns of X, the only ones that meet
-    nonzero entries of v.  Each image entry sums the same terms in the same
-    order as the whole-space product X v.
+    ``columns`` holds the sector's columns of X's weight-0 block, the only
+    ones that meet nonzero entries of v; X has no other rows there
+    (``Weight0View.of``).  Each image entry sums the same terms in the same
+    order as the whole-space product X v, and the other entries are zero.
     """
-    return np.ascontiguousarray((columns @ block).T)
+    product = columns @ block
+    images = np.zeros((product.shape[1], len(w0.whole_basis)),
+                      dtype=product.dtype)
+    images[:, w0.rows] = product.T
+    return images
 
 
 def alpha_entry_deviation(alpha: AlphaMatrix, generators: Su2Generators,
@@ -237,9 +250,11 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
     sum_k T_k @ function_of_j(sigma_k) up to rounding, and never forms the
     whole-space images sigma_k(J^2).  When ``certify`` is set (default), the
     ladder relation with J^2 and the shift of j by theta must both hold to
-    1e-8 on the zero-weight interior before the operator is returned; those
-    certificates read whole-space functions of j and sparse products, so
-    they check the sector-wise assembly by an independent route.
+    1e-8 on the weight-0 interior before the operator is returned.  Those
+    certificates read tau's assembled CSR entries, J^2's sparse entries and
+    f(J^2) on the (n, 0) sectors (``Su2Generators.weight0``), so they check
+    the sector-wise assembly by an independent route; an entry of tau that
+    leaves weight 0 raises WeightLeakError.
     """
     ops = families.ops(sigma.family)
     op = generators.sum_times_functions_of_j(
@@ -260,21 +275,23 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
 
 def tau_casimir_ladder_residual(tau: TauOperator, generators: Su2Generators
                                 ) -> ResidualReport:
-    """Residual of [J^2, tau] - tau * theta(theta + 2j + 1) on weight-0 columns."""
-    rf_op = generators.function_of_j(tau.right_function)
-    return check_rlo(generators.J2, tau.op, rf_op, LADDER_MARGIN, col_weight=0)
+    """Residual of [J^2, tau] - tau * theta(theta + 2j + 1) on the weight-0
+    interior."""
+    w0 = generators.weight0()
+    return check_rlo(w0.J2, w0.of(tau.op), w0.function_of_j(tau.right_function),
+                     LADDER_MARGIN)
 
 
 def tau_shift_residual(tau: TauOperator, generators: Su2Generators
                        ) -> ResidualReport:
-    """Residual of [j, tau] - theta * tau on weight-0 columns."""
-    jh = generators.j_hat()
+    """Residual of [j, tau] - theta * tau on the weight-0 interior."""
+    w0 = generators.weight0()
+    op = w0.of(tau.op)
     margin = LADDER_MARGIN
     if tau.theta == 0:
-        return commutator_residual(jh, tau.op, margin, col_weight=0)
-    return residual(commutator_on_columns(jh, tau.op, margin, col_weight=0),
-                    float(tau.theta) * on_columns(tau.op, margin, col_weight=0),
-                    margin, col_weight=0)
+        return commutator_residual(w0.j, op, margin)
+    return residual(commutator_on_columns(w0.j, op, margin),
+                    float(tau.theta) * on_columns(op, margin), margin)
 
 
 def build_taus(families: LadderFamily, generators: Su2Generators,
@@ -299,7 +316,7 @@ def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
 
     side='right': [g(j), tau] = tau (g(j + theta) - g(j)),
     side='left' : [g(j), tau] = (g(j) - g(j - theta)) tau,
-    both on zero-weight interior columns, on which both sides are formed.
+    both on the weight-0 interior, formed from the weight-0 blocks.
     Shifted denominators vanish only at half-integer j, so integer spectra
     stay clear of the poles; an actual pole raises SpectralFunctionError
     naming the sector.
@@ -313,20 +330,21 @@ def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
     def g(j: float) -> float:
         return 1.0 / (2.0 * j + (2 * k + 1))
 
-    g_op = generators.function_of_j(g)
+    w0 = generators.weight0()
+    op = w0.of(tau.op)
+    g_op = w0.function_of_j(g)
     margin = LADDER_MARGIN
     if theta == 0:
         # Both sides vanish identically: tau[0] preserves j, and the
         # difference of equal resolvents is zero.
-        return commutator_residual(g_op, tau.op, margin, col_weight=0)
+        return commutator_residual(g_op, op, margin)
     if side == "right":
-        diff = generators.function_of_j(lambda j: g(j + theta) - g(j))
-        rhs = tau.op @ on_columns(diff, margin, col_weight=0)
+        diff = w0.function_of_j(lambda j: g(j + theta) - g(j))
+        rhs = op @ on_columns(diff, margin)
     else:
-        diff = generators.function_of_j(lambda j: g(j) - g(j - theta))
-        rhs = diff @ on_columns(tau.op, margin, col_weight=0)
-    return residual(commutator_on_columns(g_op, tau.op, margin, col_weight=0),
-                    rhs, margin, col_weight=0)
+        diff = w0.function_of_j(lambda j: g(j) - g(j - theta))
+        rhs = diff @ on_columns(op, margin)
+    return residual(commutator_on_columns(g_op, op, margin), rhs, margin)
 
 
 # -- lattice of kernel nodes -----------------------------------------------------
@@ -559,19 +577,20 @@ def complete_set_check(basis: SectorBasis, generators: Su2Generators,
 
     The products tau+ tau conserve N and weight, so the J_z and N commutators
     are checked on the full interior (margin PAIR_MARGIN); the J^2
-    commutator on zero-weight columns, where the ladder relation that
-    implies it holds.  The scan then looks for kernel nodes of dimension
+    commutator on the weight-0 interior, where the ladder relation that
+    implies it holds, from the products' weight-0 blocks.  The scan then looks for kernel nodes of dimension
     >= 2 and reports whether the eigenvalues of the tau+ tau operators
     restricted to the node separate its states (eigenvalues within 1e-6,
     relative, count as degenerate).
     """
     residuals: dict[tuple[int, str], ResidualReport] = {}
     prods: dict[int, SparseOperator] = {}
+    w0 = generators.weight0()
     for theta in sorted(taus):
         t_dag = taus[theta].op
         prod = prods[theta] = t_dag @ t_dag.adjoint()
         residuals[(theta, "J2")] = commutator_residual(
-            prod, generators.J2, PAIR_MARGIN, col_weight=0)
+            w0.of(prod), w0.J2, PAIR_MARGIN)
         residuals[(theta, "Jz")] = commutator_residual(
             prod, generators.Jz, PAIR_MARGIN)
         residuals[(theta, "N")] = commutator_residual(

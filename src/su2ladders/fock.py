@@ -117,13 +117,12 @@ class SectorBasis:
         self.weight_constraint = weight
         self.modes = 2 * self.spin + 1
 
-        states = []
-        for occ in _states_total_at_most(self.modes, self.n_max):
-            if n is not None and sum(occ) != n:
-                continue
-            if weight is not None and weight_of(occ, self.spin) != weight:
-                continue
-            states.append(occ)
+        self._set_states([
+            occ for occ in _states_total_at_most(self.modes, self.n_max)
+            if (n is None or sum(occ) == n)
+            and (weight is None or weight_of(occ, self.spin) == weight)])
+
+    def _set_states(self, states: list[Occupation]) -> None:
         self.states: tuple[Occupation, ...] = tuple(states)
         self.index: dict[Occupation, int] = {s: i for i, s in enumerate(self.states)}
         #: Occupation numbers, one row per state, modes in storage order.
@@ -132,6 +131,18 @@ class SectorBasis:
         self.totals = self.occupations.sum(axis=1)
         self.weights = self.occupations @ np.arange(-self.spin, self.spin + 1)
         self._ranks = _lex_ranks(self.occupations, self.n_max)
+
+    def restricted_to_weight(self, weight: int) -> "SectorBasis":
+        """The basis ``SectorBasis(spin, n_max, n, weight)``: this basis's
+        states of J_z weight ``weight``, read off instead of enumerated again."""
+        if self.weight_constraint not in (None, weight):
+            raise ValueError(f"basis already has weight {self.weight_constraint}")
+        out = object.__new__(SectorBasis)
+        out.spin, out.n_max, out.modes = self.spin, self.n_max, self.modes
+        out.n_constraint, out.weight_constraint = self.n_constraint, weight
+        out._set_states([self.states[i]
+                         for i in np.flatnonzero(self.weights == weight)])
+        return out
 
     def __len__(self) -> int:
         return len(self.states)

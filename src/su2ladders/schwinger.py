@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -229,15 +230,31 @@ class SpectralDecomposition:
                 "operator couples distinct (n, weight) sectors, e.g. states "
                 f"{basis.states[rows[bad]]} and {basis.states[cols[bad]]}")
 
-        keys = {}
-        for i in range(len(basis)):
-            keys.setdefault((int(basis.totals[i]), int(basis.weights[i])), []).append(i)
+        # One stable sort groups the states by (n, weight), in ascending
+        # index order within a sector; one pass over the entries then writes
+        # every sector's dense block, all blocks laid end to end.
+        order = np.lexsort((basis.weights, basis.totals))
+        keys = np.stack((basis.totals[order], basis.weights[order]), axis=1)
+        starts = np.flatnonzero(np.concatenate(
+            ([len(order) > 0], np.any(keys[1:] != keys[:-1], axis=1))))
+        sizes = np.diff(np.append(starts, len(order)))
+        sector = np.empty(len(order), dtype=np.int64)
+        sector[order] = np.repeat(np.arange(len(starts)), sizes)
+        local = np.empty(len(order), dtype=np.int64)
+        local[order] = np.arange(len(order)) - np.repeat(starts, sizes)
+        offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
+        coo = op.matrix.tocoo()
+        # Entries across sectors can only be explicit zeros (checked above).
+        inside = sector[coo.row] == sector[coo.col]
+        r, c, k = coo.row[inside], coo.col[inside], sector[coo.row[inside]]
+        flat = np.zeros(offsets[-1], dtype=op.matrix.dtype)
+        flat[offsets[k] + local[r] * sizes[k] + local[c]] = coo.data[inside]
         sectors = []
-        for key in sorted(keys):
-            idx = np.array(keys[key], dtype=np.int64)
-            block = op.matrix[idx][:, idx].toarray()
+        for k, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            block = flat[offsets[k]:offsets[k + 1]].reshape(size, size)
             vals, vecs = np.linalg.eigh(block)
-            sectors.append((key, idx, vals, vecs))
+            sectors.append((tuple(keys[start].tolist()),
+                            order[start:start + size], vals, vecs))
         return SpectralDecomposition(basis, sectors, op)
 
     def assemble(self, values: list) -> SparseOperator:
@@ -259,6 +276,47 @@ class SpectralDecomposition:
                               for (*_, vecs), fvals in zip(self.sectors, values))),
                 dtype)
         return SparseOperator(self.basis, out, function_of=self.operator)
+
+
+def _label_values(label_groups: tuple, basis: SectorBasis, f: Callable,
+                  with_n: bool, index: Optional[tuple] = None) -> list:
+    """Values of f(n, j) (``with_n``) or f(j) on each sector's eigenvectors.
+
+    ``label_groups`` is ``Su2Generators._label_groups()`` of generators on
+    ``basis``.  f is called once per distinct argument, at the exact integer
+    labels; a failure raises SpectralFunctionError naming the label's
+    witness sector.  Entry k lists the values on sector k, in eigenvalue
+    order; with ``index``, a ``_label_index`` of some sectors, the entries
+    are those sectors' only.  The values are gathered from the (n, j) table
+    in one index and split at the sector bounds.
+    """
+    _labels, witness, every_sector = label_groups
+    values: dict[tuple, float | complex] = {}
+    image = []
+    for (n, j), (key, lam) in witness.items():
+        args = (n, j) if with_n else (j,)
+        if args not in values:
+            values[args] = _evaluate(f, args, key, lam)
+        image.append(values[args])
+    image = np.array(image)
+    table = np.zeros((basis.n_max + 1, basis.n_max * basis.spin + 1),
+                     dtype=image.dtype)
+    ns, js = zip(*witness)
+    table[ns, js] = image
+    rows, cols, bounds = every_sector if index is None else index
+    return np.split(table[rows, cols], bounds)
+
+
+def _label_index(sectors: list, labels: list, positions: Iterable[int]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the label-table values of the sectors at ``positions`` sit: the
+    row n and column j of each eigenvector, concatenated in sector order,
+    and the split points between the sectors."""
+    positions = list(positions)
+    sizes = [len(labels[k]) for k in positions]
+    rows = np.repeat([sectors[k][0][0] for k in positions], sizes)
+    return (rows, np.concatenate([labels[k] for k in positions]),
+            np.cumsum(sizes)[:-1])
 
 
 class Su2Generators:
@@ -294,8 +352,9 @@ class Su2Generators:
         self.J2 = j2.hermitized()
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
         self._j2_decomp: Optional[SpectralDecomposition] = None
-        self._labels: Optional[tuple[list, dict]] = None
+        self._labels: Optional[tuple[list, dict, tuple]] = None
         self._j_hat: Optional[SparseOperator] = None
+        self._weight0: Optional[Weight0View] = None
 
     def j2_decomposition(self) -> SpectralDecomposition:
         if self._j2_decomp is None:
@@ -306,9 +365,9 @@ class Su2Generators:
         return {key: _j_from_casimir(vals)
                 for key, idx, vals, vecs in self.j2_decomposition().sectors}
 
-    def _label_groups(self) -> tuple[list, dict]:
-        """Integer labels per sector of the J^2 decomposition, and a witness
-        per distinct (n, j).
+    def _label_groups(self) -> tuple[list, dict, tuple]:
+        """Integer labels per sector of the J^2 decomposition, a witness per
+        distinct (n, j), and the ``_label_index`` of every sector.
 
         Every sector is snapped (``_snap_labels``) before the table is cached,
         so a damaged spectrum raises on each use.  The witness is the first
@@ -317,40 +376,20 @@ class Su2Generators:
         """
         if self._labels is None:
             labels, witness = [], {}
-            for key, _idx, vals, _vecs in self.j2_decomposition().sectors:
+            sectors = self.j2_decomposition().sectors
+            for key, _idx, vals, _vecs in sectors:
                 js = _snap_labels(vals, key, self.s)
                 labels.append(js)
                 for j, k in zip(*np.unique(js, return_index=True)):
                     witness.setdefault((key[0], int(j)), (key, float(vals[k])))
-            self._labels = (labels, witness)
+            self._labels = (labels, witness,
+                            _label_index(sectors, labels, range(len(sectors))))
         return self._labels
-
-    def _label_values(self, f: Callable, with_n: bool) -> list:
-        """Values of f(n, j) (``with_n``) or f(j) on each sector's eigenvectors.
-
-        f is called once per distinct argument, at the exact integer labels;
-        a failure raises SpectralFunctionError naming the label's witness
-        sector.  Entry k lists the values on sector k, in eigenvalue order.
-        """
-        labels, witness = self._label_groups()
-        values: dict[tuple, float | complex] = {}
-        image = []
-        for (n, j), (key, lam) in witness.items():
-            args = (n, j) if with_n else (j,)
-            if args not in values:
-                values[args] = _evaluate(f, args, key, lam)
-            image.append(values[args])
-        image = np.array(image)
-        table = np.zeros((self.basis.n_max + 1, self.basis.n_max * self.s + 1),
-                         dtype=image.dtype)
-        ns, js = zip(*witness)
-        table[ns, js] = image
-        return [table[key[0], js] for (key, *_), js
-                in zip(self.j2_decomposition().sectors, labels)]
 
     def _label_image(self, f: Callable, with_n: bool) -> SparseOperator:
         """Spectral image of f(n, j) (``with_n``) or f(j), one call per label."""
-        return self.j2_decomposition().assemble(self._label_values(f, with_n))
+        return self.j2_decomposition().assemble(
+            _label_values(self._label_groups(), self.basis, f, with_n))
 
     def sum_times_functions_of_j(
             self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
@@ -389,7 +428,8 @@ class Su2Generators:
                 f"operator sends sector (n, weight)={decomp.sectors[k][0]} "
                 f"into several sectors {reached}")
         targets = np.where(reach.any(axis=1), reach.argmax(axis=1), -1)
-        values = [self._label_values(f, with_n=False) for _op, f in terms]
+        values = [_label_values(self._label_groups(), self.basis, f, False)
+                  for _op, f in terms]
 
         # The blocks of X_1..X_K side by side: sector k's rows are its
         # target's states, its K * d_k columns the terms' columns in turn.
@@ -437,6 +477,93 @@ class Su2Generators:
         """Spectral image of f(n, j) for the commuting pair (N, j); f is
         called once per distinct integer pair (n, j)."""
         return self._label_image(f, with_n=True)
+
+    def weight0(self) -> "Weight0View":
+        """The generators on the weight-0 subspace (``Weight0View``), built
+        once and cached."""
+        if self._weight0 is None:
+            self._weight0 = Weight0View(self)
+        return self._weight0
+
+
+class WeightLeakError(ValueError):
+    """An operator sends a weight-0 state out of the weight-0 subspace."""
+
+
+class Weight0View:
+    """The J_z kernel: the weight-0 states of every level, and the operators
+    there.
+
+    Every ladder claim lives on the weight-0 columns, and J^2, j, tau and
+    every function of j leave the weight-0 subspace invariant.  ``basis`` is
+    the weight-0 ``SectorBasis`` (the same n_max, so an interior margin
+    keeps the same levels), ``rows`` its states' whole-space indices, and
+    ``J2`` and ``j`` are restricted to it.  ``function_of_j`` assembles only
+    the (n, 0) sectors of the generators' J^2 decomposition; its images
+    record ``J2`` as what they are a function of.  ``of`` restricts a
+    whole-space operator, and refuses one with a nonzero entry from a
+    weight-0 column into a row of another weight (``WeightLeakError``).
+    Given that guard on every factor, a product of restrictions sums, for
+    each entry, the same terms in the same order as the whole-space CSR
+    product does on the weight-0 columns, so a residual read here equals
+    one read there on weight-0 columns, float for float.
+    """
+
+    def __init__(self, generators: Su2Generators):
+        self.whole_basis = generators.basis
+        self.basis = generators.basis.restricted_to_weight(0)
+        self.rows = np.flatnonzero(generators.basis.weights == 0)
+        self._restricted: dict[int, tuple[weakref.ref, SparseOperator]] = {}
+        self.J2 = self.of(generators.J2)
+        self._label_groups = generators._label_groups()
+        sectors = generators.j2_decomposition().sectors
+        kept = [k for k, (key, *_rest) in enumerate(sectors) if key[1] == 0]
+        self._index = _label_index(sectors, self._label_groups[0], kept)
+        self._decomposition = SpectralDecomposition(
+            self.basis,
+            [(key, np.searchsorted(self.rows, idx), vals, vecs)
+             for key, idx, vals, vecs in (sectors[k] for k in kept)],
+            self.J2)
+        self.j = self.function_of_j(lambda j: j)
+
+    def function_of_j(self, f: Callable[[int], float]) -> SparseOperator:
+        """f(j) on the weight-0 subspace; f is called as by
+        ``Su2Generators.function_of_j``, and the image equals that one's
+        weight-0 rows and columns exactly."""
+        return self._decomposition.assemble(
+            _label_values(self._label_groups, self.whole_basis, f, False,
+                          self._index))
+
+    def of(self, op: SparseOperator) -> SparseOperator:
+        """The weight-0 rows and columns of a whole-space operator.
+
+        Raises WeightLeakError when some weight-0 column of ``op`` has a
+        nonzero entry in a row of another weight: the restriction would then
+        drop part of what the operator does on the subspace.  Each operator
+        is restricted once; the restriction is kept while ``op`` lives.
+        """
+        whole = self.whole_basis
+        if op.basis is not whole and op.basis != whole:
+            raise BasisMismatchError("operator does not act on the generators' basis")
+        cached = self._restricted.get(id(op))
+        if cached is not None and cached[0]() is op:
+            return cached[1]
+        columns = op.matrix[:, self.rows]
+        row_of = np.repeat(np.arange(len(whole)), np.diff(columns.indptr))
+        leaks = np.flatnonzero((whole.weights[row_of] != 0) & (columns.data != 0))
+        if len(leaks):
+            row, col = row_of[leaks[0]], self.rows[columns.indices[leaks[0]]]
+            raise WeightLeakError(
+                f"operator sends weight-0 state {whole.states[col]} to "
+                f"{whole.states[row]} of weight {int(whole.weights[row])} "
+                f"(entry {columns.data[leaks[0]].item()!r}, {len(leaks)} "
+                "such entries)")
+        out = SparseOperator(self.basis, columns[self.rows])
+        for key in [k for k, (ref, _out) in self._restricted.items()
+                    if ref() is None]:
+            del self._restricted[key]
+        self._restricted[id(op)] = (weakref.ref(op), out)
+        return out
 
 
 def su2_generators(basis: SectorBasis) -> Su2Generators:

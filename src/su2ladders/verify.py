@@ -500,23 +500,24 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.residual_check("power-identity-number", "power-identity", p, 1e-10,
                      lambda: check_power_identity(gens.Ntot, ad0, ident, 3, 1))
 
+    # The theta = 1 ladder relations, on the weight-0 subspace.
+    w0 = gens.weight0()
     tau1 = ctx.taus[1]
-    rf_op = gens.function_of_j(tau1.right_function)
+    rf_op = w0.function_of_j(tau1.right_function)
     r.residual_check(
         "power-identity-casimir", "power-identity", {"s": s, "theta": 1, "n": 2},
-        1e-8, lambda: check_power_identity(gens.J2, tau1.op, rf_op, 2, 1,
-                                           col_weight=0))
+        1e-8, lambda: check_power_identity(w0.J2, w0.of(tau1.op), rf_op, 2, 1))
 
     r.residual_check(
         "rlo-compose-polynomial", "rlo-composition", {"s": s, "theta": 1},
         1e-8, lambda: check_rlo_compose(
-            gens.J2, tau1.op, rf_op,
-            gens.function_of_j(lambda j: j * j + 1.0), 1, col_weight=0))
+            w0.J2, w0.of(tau1.op), rf_op,
+            w0.function_of_j(lambda j: j * j + 1.0), 1))
 
     r.residual_check(
         "rlo-compose-number", "rlo-composition", {"s": s, "theta": 1},
-        1e-8, lambda: check_rlo_compose(gens.J2, tau1.op, rf_op, gens.Ntot, 1,
-                                        col_weight=0))
+        1e-8, lambda: check_rlo_compose(w0.J2, w0.of(tau1.op), rf_op,
+                                        w0.of(gens.Ntot), 1))
 
 
 def _symbolic_checks(r: _Runner, ctx: _SpinContext,
@@ -852,11 +853,10 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
             herm = max((lz - lz.adjoint()).norm(), (l2 - l2.adjoint()).norm())
             if herm > 1e-10 * (1 + lz.norm() + l2.norm()):
                 return herm, False, "deformed generators are not hermitian"
+            w0 = gens.weight0()
             worst = max(
-                commutator_residual(l2, gens.J2, 2, col_weight=0
-                                    ).frobenius_relative,
-                commutator_residual(lz, gens.J2, 2, col_weight=0
-                                    ).frobenius_relative,
+                commutator_residual(w0.of(l2), w0.J2, 2).frobenius_relative,
+                commutator_residual(w0.of(lz), w0.J2, 2).frobenius_relative,
                 commutator_residual(l2, gens.Ntot, 2).frobenius_relative,
                 commutator_residual(lz, gens.Ntot, 2).frobenius_relative)
             return worst, worst < tol, ""

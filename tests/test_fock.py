@@ -126,3 +126,21 @@ def test_json_dump_order_is_internal_order():
     basis = enumerate_sector(1, 2)
     dump = basis.to_json_list()
     assert dump == [list(s) for s in basis.states]
+
+
+@pytest.mark.parametrize("spin,n_max,n", [(1, 3, None), (2, 4, None),
+                                          (3, 3, 2), (0, 2, None)])
+@pytest.mark.parametrize("weight", [0, 1, -2])
+def test_restricted_to_weight_equals_the_enumerated_basis(spin, n_max, n,
+                                                          weight):
+    whole = enumerate_sector(spin, n_max, n=n)
+    got = whole.restricted_to_weight(weight)
+    want = enumerate_sector(spin, n_max, n=n, weight=weight)
+    assert got == want and repr(got) == repr(want)
+    assert got.states == want.states and got.index == want.index
+    for name in ("occupations", "totals", "weights", "_ranks"):
+        assert (getattr(got, name) == getattr(want, name)).all()
+    assert got.indices_of(want.occupations).tolist() == list(range(len(want)))
+    assert got.restricted_to_weight(weight).states == want.states
+    with pytest.raises(ValueError):
+        got.restricted_to_weight(weight + 1)

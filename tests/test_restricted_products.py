@@ -14,8 +14,10 @@ import pytest
 
 from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
                                 _worst_alpha_entry, alpha_entry_deviation,
-                                certify_alpha, lattice_report,
-                                resolvent_commutator_check, tau_shift_residual)
+                                certify_alpha, complete_set_check,
+                                deformed_generators, lattice_report,
+                                resolvent_commutator_check,
+                                tau_casimir_ladder_residual, tau_shift_residual)
 from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
                                check_llo, check_power_identity, check_rlo,
                                check_rlo_compose)
@@ -24,6 +26,8 @@ from su2ladders.operators import (SparseOperator, commutator,
                                   creation_op, on_columns, residual,
                                   zero_residual)
 from su2ladders.schwinger import jz_kernel
+from su2ladders.verify import (SuiteConfig, VerificationReport, _deformed_checks,
+                               _engine_checks, _Runner, _SpinContext)
 
 SPINS = [2, 3]
 
@@ -302,3 +306,170 @@ def test_lattice_rejects_an_injected_leak(ctx, leak):
         _per_vector_arrows(c, taus, 3)
     with pytest.raises(LatticeSchemeError):
         lattice_report(c.basis, c.gens, taus, 3)
+
+
+# -- the weight-0 view against the whole-space forms ---------------------------
+#
+# The converted certificates read the weight-0 blocks (``Su2Generators.
+# weight0``).  The references below are the whole-space forms they replaced:
+# f(J^2) from ``function_of_j`` over every sector, right factors cut to the
+# weight-0 interior by ``on_columns(..., col_weight=0)``, and ``residual(...,
+# col_weight=0)``.  The reports must be equal, not merely close.
+
+CONFIGS = [(1, 4), (2, 4), (3, 5), (4, 4)]
+
+
+def _whole_certify_alpha(alpha, gens, families):
+    ops = families.ops(alpha.family)
+    out = {}
+    for eta, t_eta in ops.items():
+        lhs = commutator_on_columns(gens.J2, t_eta, 1, col_weight=0)
+        rhs = SparseOperator.zeros(families.basis)
+        for mu, t_mu in ops.items():
+            poly = alpha.entry(mu, eta)
+            if not poly.is_zero():
+                rhs = rhs + t_mu @ on_columns(gens.function_of_j(poly), 1,
+                                              col_weight=0)
+        out[eta] = residual(lhs, rhs, 1, col_weight=0)
+    return out
+
+
+def _whole_worst_alpha_entry(alpha, eta, gens, families):
+    # The whole-space commutator on weight-0 columns, applied level by level.
+    ops = families.ops(alpha.family)
+    comm = commutator_on_columns(gens.J2, ops[eta], 1, col_weight=0)
+    basis = families.basis
+    worst = (None, 0.0)
+    for n in range(0, basis.n_max):
+        nodes = jz_kernel(basis, gens, n)
+        if not nodes:
+            continue
+        idx = np.flatnonzero((basis.totals == n) & (basis.weights == 0))
+        block = np.array([kv.vector[idx] for kv in nodes]).T
+        lhs_all = (comm.matrix[:, idx] @ block).T
+        imgs = [(t.matrix[:, idx] @ block).T for t in ops.values()]
+        for i, node in enumerate(nodes):
+            m = np.array([img[i] for img in imgs]).T
+            if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
+                continue
+            coef, *_ = np.linalg.lstsq(m, lhs_all[i], rcond=None)
+            if np.linalg.norm(m @ coef - lhs_all[i]) > 1e-6 * (
+                    1 + np.linalg.norm(lhs_all[i])):
+                continue
+            for mu, value in zip(ops, coef):
+                dev = abs(float(value.real) - float(alpha.entry(mu, eta)(node.j)))
+                if dev > worst[1]:
+                    worst = (mu, dev)
+    return worst
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+@pytest.mark.parametrize("variant", ["p", "m", "p-diag4"])
+def test_weight0_closure_certificate_equals_whole_space_form(ctx, spin, n_max,
+                                                             variant):
+    c = ctx(spin, n_max)
+    alpha = (build_alpha_variant_diag4(spin, "p") if variant == "p-diag4"
+             else build_alpha(spin, variant))
+    # tol=inf returns the reports of the rejected variant too.
+    assert certify_alpha(alpha, c.gens, c.families, tol=np.inf) == \
+        _whole_certify_alpha(alpha, c.gens, c.families)
+    for eta in alpha.ks:
+        assert _worst_alpha_entry(alpha, eta, c.gens, c.families) == \
+            _whole_worst_alpha_entry(alpha, eta, c.gens, c.families)
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+def test_weight0_tau_certificates_equal_whole_space_forms(ctx, spin, n_max):
+    c = ctx(spin, n_max)
+    g = c.gens
+    jh = g.j_hat()
+    for theta, tau in sorted(c.taus.items()):
+        assert tau_casimir_ladder_residual(tau, g) == check_rlo(
+            g.J2, tau.op, g.function_of_j(tau.right_function), 1, col_weight=0)
+        if theta == 0:
+            want = commutator_residual(jh, tau.op, 1, col_weight=0)
+        else:
+            want = residual(commutator_on_columns(jh, tau.op, 1, col_weight=0),
+                            float(theta) * on_columns(tau.op, 1, col_weight=0),
+                            1, col_weight=0)
+        assert tau_shift_residual(tau, g) == want
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_weight0_resolvent_check_equals_whole_space_form(ctx, spin, n_max,
+                                                         side):
+    c = ctx(spin, n_max)
+    g = c.gens
+    for k in (0, 2):
+        def res(j, k=k):
+            return 1.0 / (2.0 * j + (2 * k + 1))
+        g_op = g.function_of_j(res)
+        for theta, tau in sorted(c.taus.items()):
+            if theta == 0:
+                want = commutator_residual(g_op, tau.op, 1, col_weight=0)
+            else:
+                if side == "right":
+                    diff = g.function_of_j(lambda j: res(j + theta) - res(j))
+                    rhs = tau.op @ on_columns(diff, 1, col_weight=0)
+                else:
+                    diff = g.function_of_j(lambda j: res(j) - res(j - theta))
+                    rhs = diff @ on_columns(tau.op, 1, col_weight=0)
+                want = residual(commutator_on_columns(g_op, tau.op, 1,
+                                                      col_weight=0),
+                                rhs, 1, col_weight=0)
+            assert resolvent_commutator_check(g, tau, k, side) == want
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+def test_weight0_complete_set_commutator_equals_whole_space_form(ctx, spin,
+                                                                 n_max):
+    c = ctx(spin, n_max)
+    rep = complete_set_check(c.basis, c.gens, c.taus, min(n_max, 4))
+    for theta, tau in sorted(c.taus.items()):
+        prod = tau.op @ tau.op.adjoint()
+        assert rep.commutator_residuals[(theta, "J2")] == commutator_residual(
+            prod, c.gens.J2, 2, col_weight=0)
+
+
+def _check_residuals(block, spin, n_max):
+    ctx = _SpinContext(spin, n_max)
+    report = VerificationReport(config=SuiteConfig(spins=[spin], n_max=n_max))
+    block(_Runner(report.config, report), ctx)
+    return ctx, {(c.name, tuple(sorted(c.params.items()))): c.residual
+                 for c in report.checks}
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+def test_weight0_engine_checks_equal_whole_space_forms(spin, n_max):
+    ctx, got = _check_residuals(_engine_checks, spin, n_max)
+    g, tau1 = ctx.gens, ctx.taus[1]
+    rf_op = g.function_of_j(tau1.right_function)
+    params = (("s", spin), ("theta", 1))
+    want = {
+        ("power-identity-casimir", params + (("n", 2),)): check_power_identity(
+            g.J2, tau1.op, rf_op, 2, 1, col_weight=0),
+        ("rlo-compose-polynomial", params): check_rlo_compose(
+            g.J2, tau1.op, rf_op, g.function_of_j(lambda j: j * j + 1.0), 1,
+            col_weight=0),
+        ("rlo-compose-number", params): check_rlo_compose(
+            g.J2, tau1.op, rf_op, g.Ntot, 1, col_weight=0),
+    }
+    for key, rep in want.items():
+        assert got[(key[0], tuple(sorted(key[1])))] == rep.frobenius_relative
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+def test_weight0_deformed_generators_equal_whole_space_forms(spin, n_max):
+    ctx, got = _check_residuals(_deformed_checks, spin, n_max)
+    g = ctx.gens
+    for omega in range(1, spin + 1):
+        lz, l2 = deformed_generators(ctx.taus[-omega])
+        want = max(
+            commutator_residual(l2, g.J2, 2, col_weight=0).frobenius_relative,
+            commutator_residual(lz, g.J2, 2, col_weight=0).frobenius_relative,
+            commutator_residual(l2, g.Ntot, 2).frobenius_relative,
+            commutator_residual(lz, g.Ntot, 2).frobenius_relative)
+        key = ("deformed-algebra-generators",
+               (("omega", omega), ("s", spin)))
+        assert got[key] == want

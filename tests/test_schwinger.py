@@ -9,11 +9,12 @@ from su2ladders.casimir import build_families, build_taus
 from su2ladders.fock import enumerate_sector
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import right_function_poly
-from su2ladders.operators import (SparseOperator, commutator,
-                                  commutator_residual, residual)
+from su2ladders.operators import (BasisMismatchError, SparseOperator,
+                                  commutator, commutator_residual, residual)
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
-                                  SpectrumSnapError, _evaluate, _phase_fixed,
+                                  SpectrumSnapError, WeightLeakError,
+                                  _evaluate, _label_values, _phase_fixed,
                                   jordan_schwinger, jz_kernel, su2_generators)
 
 
@@ -313,7 +314,8 @@ def test_function_of_j_pole_names_a_sector_holding_the_label(ctx):
     lambda g: g.j_hat(),
     lambda g: jz_kernel(g.basis, g, 2),
     lambda g: build_taus(build_families(g.basis, g), g, certify=False),
-], ids=["function_of_j", "j_hat", "jz_kernel", "build_taus"])
+    lambda g: g.weight0(),
+], ids=["function_of_j", "j_hat", "jz_kernel", "build_taus", "weight0"])
 def test_function_of_j_rejects_unsnappable_spectrum(consumer):
     # Every reader of the label table must refuse a damaged J^2, on every
     # call: the table is never cached past the failure.
@@ -404,3 +406,104 @@ def test_sum_times_functions_of_j_rejects_two_target_sectors(ctx):
     # So does one operator that mixes weights.
     with pytest.raises(SectorStructureError):
         g.sum_times_functions_of_j([(g.Jplus + g.Jminus, lambda j: 1.0)])
+
+
+CONFIGS = [(1, 4), (2, 4), (3, 5), (4, 4)]
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+def test_decomposition_blocks_equal_per_sector_extraction(ctx, spin, n_max):
+    # Reference: group the states one by one, slice each sector's block out
+    # of the sparse matrix, diagonalise it.  Same sectors, same ascending
+    # index arrays, and bit-identical eigenpairs.
+    g = ctx(spin, n_max).gens
+    basis, mat = g.basis, g.J2.matrix
+    keys = {}
+    for i in range(len(basis)):
+        keys.setdefault((int(basis.totals[i]), int(basis.weights[i])), []).append(i)
+    sectors = g.j2_decomposition().sectors
+    assert [key for key, *_ in sectors] == sorted(keys)
+    for (key, idx, vals, vecs), want in zip(sectors, sorted(keys)):
+        ref_idx = np.array(keys[want], dtype=np.int64)
+        ref_vals, ref_vecs = np.linalg.eigh(mat[ref_idx][:, ref_idx].toarray())
+        assert idx.dtype == np.int64 and np.array_equal(idx, ref_idx)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+def test_label_values_are_f_at_each_label(ctx, spin, n_max):
+    # One gather over all sectors (or over the weight-0 ones) gives, for
+    # every eigenvector, exactly f at its label.
+    g = ctx(spin, n_max).gens
+    groups = g._label_groups()
+    labels = groups[0]
+
+    def f(j):
+        return 1.0 / (2.0 * j + 3.0)
+
+    values = _label_values(groups, g.basis, f, False)
+    assert len(values) == len(labels)
+    for got, js in zip(values, labels):
+        assert np.array_equal(got, [f(int(j)) for j in js])
+    pairs = _label_values(groups, g.basis, lambda n, j: n + 1j * j, True)
+    for got, (key, *_), js in zip(pairs, g.j2_decomposition().sectors, labels):
+        assert np.array_equal(got, key[0] + 1j * js)
+    w0 = g.weight0()
+    kept = [k for k, (key, *_) in enumerate(g.j2_decomposition().sectors)
+            if key[1] == 0]
+    restricted = _label_values(groups, g.basis, f, False, w0._index)
+    assert len(restricted) == len(kept) == n_max + 1
+    for got, k in zip(restricted, kept):
+        assert np.array_equal(got, values[k])
+
+
+@pytest.mark.parametrize("spin,n_max", CONFIGS)
+def test_weight0_view_is_the_weight0_block(ctx, spin, n_max):
+    g = ctx(spin, n_max).gens
+    w0 = g.weight0()
+    assert g.weight0() is w0
+    assert w0.basis == enumerate_sector(spin, n_max, weight=0)
+    assert w0.basis.states == tuple(g.basis.states[i] for i in w0.rows)
+
+    def block(op):
+        return op.matrix[w0.rows][:, w0.rows]
+
+    def same(got, want):
+        assert got.basis is w0.basis
+        assert np.array_equal(got.matrix.indptr, want.indptr)
+        assert np.array_equal(got.matrix.indices, want.indices)
+        assert np.array_equal(got.matrix.data, want.data)
+
+    same(w0.J2, block(g.J2))
+    same(w0.j, block(g.j_hat()))
+    for f in (lambda j: 1.0 / (2.0 * j + 1.0), lambda j: 1j * j,
+              right_function_poly(-2)):
+        image = w0.function_of_j(f)
+        same(image, block(g.function_of_j(f)))
+        assert image.function_of is w0.J2
+    assert w0.j.function_of is w0.J2
+    tau = ctx(spin, n_max).taus[1].op
+    assert w0.of(tau) is w0.of(tau)
+    same(w0.of(tau), block(tau))
+
+
+def test_weight0_view_refuses_a_weight_leak(ctx):
+    c = ctx(2, 4)
+    w0 = c.gens.weight0()
+    for op in (c.gens.Jplus, c.gens.Jminus, c.gens.Jplus @ c.taus[0].op):
+        with pytest.raises(WeightLeakError, match="weight-0 state"):
+            w0.of(op)
+    with pytest.raises(BasisMismatchError):
+        w0.of(ctx(2, 3).gens.J2)
+    # A weight-conserving product of leaking factors is restricted as usual.
+    assert w0.of(c.gens.Jplus @ c.gens.Jminus).nnz > 0
+
+
+def test_weight0_function_pole_names_the_whole_space_witness(ctx):
+    g = ctx(1, 4).gens
+    with pytest.raises(SpectralFunctionError) as whole:
+        g.function_of_j(lambda j: 1.0 / (j - 1))
+    with pytest.raises(SpectralFunctionError) as restricted:
+        g.weight0().function_of_j(lambda j: 1.0 / (j - 1))
+    assert restricted.value.sector == whole.value.sector
+    assert restricted.value.eigenvalue == whole.value.eigenvalue

@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 import su2ladders.verify
+from scipy import sparse
+from su2ladders import bruteforce
+from su2ladders.casimir import assemble_tau
+from su2ladders.ladder import build_alpha, family_for_theta, solve_sigma
 from su2ladders.operators import SparseOperator
+from su2ladders.schwinger import Su2Generators, WeightLeakError
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
                                _lattice_checks, _listed_annihilation,
                                _Runner, _s1_demo_checks, _SpinContext,
-                               export_report, report_from_json, run_suite)
+                               _tau_checks, export_report, report_from_json,
+                               run_suite)
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +209,67 @@ def test_s1_weyl_pair_gate_catches_entrywise_perturbation(monkeypatch):
     report = _run_block(lambda r, c: _s1_demo_checks(r, c, r.report), ctx)
     check = next(c for c in report.checks if c.name == "s1-weyl-pair")
     assert not check.passed and check.residual > 1e-8
+
+
+def _weight_leak(op, weight, delta=1e-6):
+    # One entry delta from the first one-particle weight-0 state to the
+    # first two-particle state of the given weight.
+    basis = op.basis
+    col = np.flatnonzero((basis.totals == 1) & (basis.weights == 0))[0]
+    row = np.flatnonzero((basis.totals == 2) & (basis.weights == weight))[0]
+    extra = sparse.csr_matrix(([delta], ([row], [col])), shape=op.matrix.shape)
+    return SparseOperator(basis, op.matrix + extra)
+
+
+@pytest.mark.parametrize("spin", [2, 3])
+@pytest.mark.parametrize("weight", [1, -1])
+def test_weight_leak_fails_the_tau_build(monkeypatch, spin, weight):
+    # A 1e-6 entry of tau from weight 0 into weight +-1 cannot hide in the
+    # weight-0 restriction the certificates read.
+    assemble = Su2Generators.sum_times_functions_of_j
+    monkeypatch.setattr(
+        Su2Generators, "sum_times_functions_of_j",
+        lambda self, terms: _weight_leak(assemble(self, terms), weight))
+    ctx = _SpinContext(spin, 4)
+    sigma = solve_sigma(build_alpha(spin, family_for_theta(spin, 1)), 1)
+    with pytest.raises(WeightLeakError):
+        assemble_tau(ctx.families, sigma, ctx.gens, certify=True)
+    with pytest.raises(WeightLeakError):
+        ctx.gens.weight0().of(ctx.gens.Jplus)
+
+
+@pytest.mark.parametrize("spin", [2, 3])
+@pytest.mark.parametrize("weight", [1, -1])
+def test_weight_leak_fails_the_tau_checks(spin, weight):
+    ctx = _SpinContext(spin, 4)
+    tau = ctx.taus[1]
+    ctx.taus[1] = dataclasses.replace(tau, op=_weight_leak(tau.op, weight))
+    report = _run_block(_tau_checks, ctx)
+    names = ("tau-casimir-ladder", "tau-label-shift", "resolvent-ladder-right",
+             "resolvent-ladder-left")
+    checks = [c for c in report.checks if c.name in names]
+    assert len(checks) == 6 * (2 * spin + 1)
+    for check in checks:
+        leaked = check.params["theta"] == 1
+        assert check.passed is not leaked
+        assert check.detail.startswith("WeightLeakError") is leaked
+
+
+def test_oracles_catch_a_dropped_weight0_state(monkeypatch):
+    # Dropping one two-particle weight-0 state from the brute-force
+    # enumeration must fail both oracle checks and change no other verdict.
+    config = SuiteConfig(spins=[2], n_max=4)
+    before = run_suite(config)
+    enumerate_states = bruteforce.enumerate_states
+
+    def dropped(spin, n_max, n=None, weight=None):
+        states = enumerate_states(spin, n_max, n=n, weight=weight)
+        return states[:-1] if (n, weight) == (2, 0) else states
+    monkeypatch.setattr(bruteforce, "enumerate_states", dropped)
+    after = run_suite(config)
+    assert [(c.name, c.params) for c in after.checks] == \
+        [(c.name, c.params) for c in before.checks]
+    changed = [c.name for b, c in zip(before.checks, after.checks)
+               if b.passed != c.passed]
+    assert before.overall_pass
+    assert sorted(changed) == ["kernel-dimensions", "multiplicity-oracle"]
