@@ -49,14 +49,17 @@ def _check_spin(spin: int) -> None:
         raise ValueError(f"spin must be a non-negative integer, got {spin!r}")
 
 
-def _states_total_at_most(modes: int, cap: int) -> Iterator[Occupation]:
-    # Ascending lexicographic order, leftmost mode most significant.
+def _states_with_total(modes: int, cap: int, exact: bool
+                       ) -> Iterator[Occupation]:
+    # Every state with total <= cap (== cap when ``exact``), in ascending
+    # lexicographic order, leftmost mode most significant.  With ``exact``
+    # the last mode takes what is left, so only states of that total are
+    # ever formed.
     if modes == 1:
-        for c in range(cap + 1):
-            yield (c,)
+        yield from ((c,) for c in ((cap,) if exact else range(cap + 1)))
         return
     for c in range(cap + 1):
-        for rest in _states_total_at_most(modes - 1, cap - c):
+        for rest in _states_with_total(modes - 1, cap - c, exact):
             yield (c,) + rest
 
 
@@ -99,8 +102,10 @@ class SectorBasis:
         If given, keep only states with J_z weight equal to ``weight``.
 
     States are stored in ascending lexicographic order and indexed by an
-    exact inverse map.  Instances are immutable after construction and safe
-    for concurrent reads.
+    exact inverse map.  The states are fixed at construction; the interior
+    masks and hop tables are built on first use and cached as read-only
+    arrays.  Two threads that miss the cache at once build equal arrays, so
+    instances stay safe for concurrent reads.
     """
 
     def __init__(self, spin: int, n_max: int, n: Optional[int] = None,
@@ -117,10 +122,11 @@ class SectorBasis:
         self.weight_constraint = weight
         self.modes = 2 * self.spin + 1
 
-        self._set_states([
-            occ for occ in _states_total_at_most(self.modes, self.n_max)
-            if (n is None or sum(occ) == n)
-            and (weight is None or weight_of(occ, self.spin) == weight)])
+        states = (_states_with_total(self.modes, self.n_max, exact=False)
+                  if n is None else
+                  _states_with_total(self.modes, n, exact=True))
+        self._set_states([occ for occ in states if weight is None
+                          or weight_of(occ, self.spin) == weight])
 
     def _set_states(self, states: list[Occupation]) -> None:
         self.states: tuple[Occupation, ...] = tuple(states)
@@ -131,6 +137,8 @@ class SectorBasis:
         self.totals = self.occupations.sum(axis=1)
         self.weights = self.occupations @ np.arange(-self.spin, self.spin + 1)
         self._ranks = _lex_ranks(self.occupations, self.n_max)
+        self._interior_masks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._hops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def restricted_to_weight(self, weight: int) -> "SectorBasis":
         """The basis ``SectorBasis(spin, n_max, n, weight)``: this basis's
@@ -197,9 +205,57 @@ class SectorBasis:
 
     def interior_indices(self, margin: int) -> np.ndarray:
         """Indices of states with total occupation <= n_max - margin."""
+        return np.flatnonzero(self.interior_masks(margin)[0])
+
+    def interior_masks(self, margin: int, col_weight: Optional[int] = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only boolean masks over the basis: the rows with total
+        occupation <= n_max - margin, and the columns among them of J_z
+        weight ``col_weight`` (all of those rows when it is None).
+
+        Built once per (margin, col_weight); an empty column mask is
+        returned but not kept.
+        """
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin}")
-        return np.flatnonzero(self.totals <= self.n_max - margin)
+        key = (margin, col_weight)
+        masks = self._interior_masks.get(key)
+        if masks is None:
+            rows = self.totals <= self.n_max - margin
+            cols = (rows if col_weight is None
+                    else rows & (self.weights == col_weight))
+            rows.flags.writeable = False
+            cols.flags.writeable = False
+            masks = (rows, cols)
+            if cols.any():
+                self._interior_masks[key] = masks
+        return masks
+
+    def hop_table(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where a_i^dagger a_j sends each basis state, for mode storage
+        positions i and j: (rows, cols), read-only int32 arrays.
+
+        Column ``cols[k]`` goes to row ``rows[k]``.  Only states with
+        n_j >= 1 whose image lies in the basis appear, in ascending column
+        order.  Built once per pair.
+        """
+        key = (i, j)
+        table = self._hops.get(key)
+        if table is None:
+            cols = np.flatnonzero(self.occupations[:, j] > 0)
+            rows = cols
+            if i != j:
+                moved = self.occupations[cols]
+                moved[:, j] -= 1
+                moved[:, i] += 1
+                rows = self.indices_of(moved)
+                cols = cols[rows >= 0]
+                rows = rows[rows >= 0]
+            table = (rows.astype(np.int32), cols.astype(np.int32))
+            for a in table:
+                a.flags.writeable = False
+            self._hops[key] = table
+        return table
 
     def vacuum_index(self) -> Optional[int]:
         return self.state_index((0,) * self.modes)

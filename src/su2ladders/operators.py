@@ -22,6 +22,13 @@ each kept column of a CSR product is summed over the same terms in the same
 order whether or not the other columns are present.  ``on_columns`` forms
 X P and ``commutator_on_columns`` forms [X, Y] P, so a restricted residual
 reads the same floats as one sliced from the whole-space product.
+
+A restriction is a pair of boolean row and column masks, cached read-only on
+the basis per (margin, col_weight) (``SectorBasis.interior_masks``); its
+arguments are checked on every call.  Norms and X P are read straight from
+the CSR arrays through these masks, with no sliced sparse copy: a norm sums
+the stored entries in kept rows and columns, explicit zeros included, in CSR
+order, exactly as ``X[rows][:, cols]`` would hold them.
 """
 
 from __future__ import annotations
@@ -54,10 +61,11 @@ class ResidualReport:
         return self.frobenius_relative < tol
 
 
-def _fro(matrix) -> float:
-    if matrix.nnz == 0:
+def _fro(data: np.ndarray) -> float:
+    """Frobenius norm of a CSR data array (or a selection from one)."""
+    if data.size == 0:
         return 0.0
-    return float(math.sqrt(np.sum(np.abs(matrix.data) ** 2)))
+    return float(math.sqrt(np.sum(np.abs(data) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ class SparseOperator:
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return _fro(self.matrix)
+        return _fro(self.matrix.data)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product."""
@@ -191,7 +199,7 @@ class SparseOperator:
         i = self.basis.state_index(tuple(row_state))
         j = self.basis.state_index(tuple(col_state))
         if i is None or j is None:
-            return 0.0
+            return 0j
         return complex(self.matrix[i, j])
 
     def to_coo_json(self) -> dict:
@@ -249,18 +257,15 @@ def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
 # -- interior-restricted residuals -------------------------------------------
 
 def _restriction(basis, margin: int, col_weight=None):
+    """Boolean row and column masks of an interior restriction, from the
+    basis's cache; the arguments are checked on every call."""
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     if margin > basis.n_max:
         raise EmptyInteriorError(
             f"margin {margin} exceeds n_max {basis.n_max}: empty restriction")
-    rows = basis.interior_indices(margin)
-    if col_weight is None:
-        cols = rows
-    else:
-        mask = (basis.totals <= basis.n_max - margin) & (basis.weights == col_weight)
-        cols = np.flatnonzero(mask)
-    if len(rows) == 0 or len(cols) == 0:
+    rows, cols = basis.interior_masks(margin, col_weight)
+    if not cols.any():
         raise EmptyInteriorError(
             f"empty interior restriction (margin={margin}, col_weight={col_weight})")
     return rows, cols
@@ -272,18 +277,19 @@ def on_columns(x: SparseOperator, margin: int,
 
     The columns are those with total occupation <= n_max - margin (and, when
     ``col_weight`` is given, that J_z weight); every other column of X is
-    dropped.  A product with this as its right factor equals the whole-space
-    product on the kept columns, entry for entry.
+    dropped, and so is every explicit zero.  A product with this as its
+    right factor equals the whole-space product on the kept columns, entry
+    for entry.
     """
     _rows, cols = _restriction(x.basis, margin, col_weight)
-    if len(cols) == len(x.basis):
+    if cols.all():
         return x
-    keep = np.zeros(len(x.basis), dtype=bool)
-    keep[cols] = True
-    m = x.matrix.copy()
-    m.data[~keep[m.indices]] = 0
-    m.eliminate_zeros()
-    return SparseOperator(x.basis, m)
+    m = x.matrix
+    keep = cols[m.indices] & (m.data != 0)
+    kept = np.zeros(len(keep) + 1, dtype=m.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return SparseOperator(x.basis, sparse.csr_matrix(
+        (m.data[keep], m.indices[keep], kept[m.indptr]), shape=m.shape))
 
 
 def commutator_on_columns(x: SparseOperator, y: SparseOperator, margin: int,
@@ -294,8 +300,13 @@ def commutator_on_columns(x: SparseOperator, y: SparseOperator, margin: int,
 
 
 def _sliced_fro(matrix, rows, cols) -> float:
-    sub = matrix[rows][:, cols]
-    return _fro(sub)
+    """Frobenius norm of the entries in the masked rows and columns.
+
+    They are read from the CSR arrays: the same entries, explicit zeros
+    included, in the same order as ``matrix[rows][:, cols]`` holds them.
+    """
+    keep = np.repeat(rows, np.diff(matrix.indptr)) & cols[matrix.indices]
+    return _fro(matrix.data[keep])
 
 
 def residual(x: SparseOperator, y: SparseOperator, margin: int,

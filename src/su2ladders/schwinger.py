@@ -1,7 +1,9 @@
 """Bosonic realization of su(2): generator construction and spectral calculus.
 
 The map X = (x_ij) -> sum_ij x_ij a_i^dagger a_j sends matrices on the 2s+1
-mode space to number-conserving bilinear operators and preserves commutators.
+mode space to number-conserving bilinear operators and preserves commutators;
+``jordan_schwinger`` builds each image as one CSR matrix from the basis's
+cached hop tables of a_i^dagger a_j.
 Applied to the spin-s generator matrices it yields J_z, J_+, J_-, from which
 the Casimir J^2 and the label operator j (with J^2 = j(j+1)) are built.
 All of these conserve both total particle number and J_z weight, so they are
@@ -22,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .fock import SectorBasis
-from .operators import BasisMismatchError, SparseOperator, creation_op
+from .operators import BasisMismatchError, SparseOperator
 
 
 class NonHermitianError(ValueError):
@@ -51,28 +53,44 @@ class SpectrumSnapError(ValueError):
 def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
     """Image of a (2s+1) x (2s+1) matrix under the bosonic bilinear map.
 
-    Returns sum_ij x_ij a_i^dagger a_j with modes ordered mu = -s..s, formed
-    as sum_i a_i^dagger (sum_j x_ij a_j): one sparse product per mode.  The
+    Returns sum_ij x_ij a_i^dagger a_j with modes ordered mu = -s..s, built
+    as one CSR matrix from the basis's hop tables (``SectorBasis.hop_table``)
+    of the pairs with x_ij != 0.  With n the occupations of the column, each
+    entry is sqrt(n_i + 1) * (x_ij * sqrt(n_j)), and the diagonal sums its
+    terms sqrt(n_i) * (x_ii * sqrt(n_i)) in ascending i: the floats, bit for
+    bit, of the sum of products sum_i a_i^dagger (sum_j x_ij a_j).  The
     image conserves total particle number, so it is exact on the whole
-    truncated space.  A real X gives a real operator.
+    truncated space; on an n or weight sector it is that sector's block.  A
+    real X gives a real operator.
     """
     x = np.asarray(x)
     m = basis.modes
     if x.shape != (m, m):
         raise ValueError(f"matrix shape {x.shape} does not match {m} modes")
-    adag = [creation_op(basis, mu).matrix
-            for mu in range(-basis.spin, basis.spin + 1)]
-    a = [op.getH().tocsr() for op in adag]
+    roots = np.sqrt(np.arange(basis.n_max + 2.0))
+    occ = basis.occupations
+    diagonal = np.zeros(len(basis), dtype=np.result_type(x, np.float64))
+    rows, cols, data = [], [], []
+    for i, j in zip(*np.nonzero(x)):
+        target, source = basis.hop_table(int(i), int(j))
+        values = (roots[occ[source, i] + (i != j)]
+                  * (x[i, j] * roots[occ[source, j]]))
+        if i == j:
+            diagonal[source] += values
+        else:
+            rows.append(target)
+            cols.append(source)
+            data.append(values)
+    occupied = np.flatnonzero(diagonal)
+    rows.append(occupied)
+    cols.append(occupied)
+    data.append(diagonal[occupied])
     dim = len(basis)
-    acc = sparse.csr_matrix((dim, dim))
-    for i in range(m):
-        lowered = sparse.csr_matrix((dim, dim))
-        for j in np.flatnonzero(x[i]):
-            lowered = lowered + x[i, j] * a[j]
-        acc = acc + adag[i] @ lowered
-    acc = acc.tocsr()
-    acc.eliminate_zeros()
-    return SparseOperator(basis, acc)
+    out = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+    out.eliminate_zeros()
+    return SparseOperator(basis, out)
 
 
 #: How far a j eigenvalue may sit from its integer label before the spectrum

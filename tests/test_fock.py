@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from su2ladders.fock import (dimension, enumerate_sector,
+from su2ladders.fock import (SectorBasis, dimension, enumerate_sector,
                              total_occupation, weight_of)
 
 
@@ -144,3 +144,17 @@ def test_restricted_to_weight_equals_the_enumerated_basis(spin, n_max, n,
     assert got.restricted_to_weight(weight).states == want.states
     with pytest.raises(ValueError):
         got.restricted_to_weight(weight + 1)
+
+
+@pytest.mark.parametrize("spin", range(0, 5))
+@pytest.mark.parametrize("n_max", range(0, 6))
+def test_n_sector_walk_equals_filtered_walk(spin, n_max):
+    # SectorBasis(..., n=k) walks only the compositions of k; the reference
+    # filters the whole total <= n_max walk.  Same states, same order.
+    whole = SectorBasis(spin, n_max).states
+    for n in range(n_max + 1):
+        for weight in [None] + list(range(-n * spin, n * spin + 1)):
+            want = [s for s in whole if sum(s) == n and (
+                weight is None or weight_of(s, spin) == weight)]
+            assert list(SectorBasis(spin, n_max, n=n,
+                                    weight=weight).states) == want

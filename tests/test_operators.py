@@ -9,8 +9,9 @@ from scipy import sparse
 from su2ladders.fock import SectorBasis, enumerate_sector
 from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
                                   SparseOperator, annihilation_op,
-                                  commutator, commutator_residual,
-                                  creation_op, number_op, residual)
+                                  commutator, commutator_on_columns,
+                                  commutator_residual, creation_op, number_op,
+                                  on_columns, residual, zero_residual)
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +255,50 @@ def test_indices_of_is_a_vectorised_state_index():
     got = basis.indices_of(np.array(probe))
     assert [None if g < 0 else int(g) for g in got] == want
     assert basis.indices_of(np.array([[-1, 0, 1, 0, 1]]))[0] == -1
+
+
+def test_entry_is_complex_inside_and_outside_the_basis(basis):
+    ad0 = creation_op(basis, 0)
+    inside = ad0.entry((0, 1, 0), (0, 0, 0))
+    zero = ad0.entry((0, 0, 0), (0, 0, 0))
+    outside = ad0.entry((0, 4, 0), (0, 3, 0))  # total 4 > n_max = 3
+    assert [type(v) for v in (inside, zero, outside)] == [complex] * 3
+    assert (inside, zero, outside) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, m, w: residual(x, x, m, col_weight=w),
+    lambda x, m, w: commutator_residual(x, x, m, col_weight=w),
+    lambda x, m, w: zero_residual(x, m, col_weight=w),
+    lambda x, m, w: on_columns(x, m, col_weight=w),
+    lambda x, m, w: commutator_on_columns(x, x, m, col_weight=w),
+])
+def test_restriction_errors_raise_on_every_call(call):
+    basis = enumerate_sector(1, 3)
+    x = number_op(basis, 0)
+    for _ in range(2):
+        call(x, 1, 0)  # a cached restriction does not mask the checks
+        with pytest.raises(ValueError):
+            call(x, -1, None)
+        with pytest.raises(EmptyInteriorError):
+            call(x, basis.n_max + 1, None)
+        with pytest.raises(EmptyInteriorError):
+            call(x, basis.n_max, 1)  # only the vacuum, of weight 0
+        with pytest.raises(EmptyInteriorError):
+            call(x, 0, 7)
+
+
+def test_cached_masks_and_hop_tables_are_read_only():
+    basis = enumerate_sector(1, 3)
+    for col_weight in (None, 0, -1):
+        rows, cols = basis.interior_masks(1, col_weight)
+        assert basis.interior_masks(1, col_weight)[1] is cols
+        for mask in (rows, cols):
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+    for i, j in ((0, 2), (1, 1)):
+        table = basis.hop_table(i, j)
+        assert basis.hop_table(i, j) is table
+        for a in table:
+            with pytest.raises(ValueError):
+                a[0] = 0

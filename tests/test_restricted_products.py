@@ -8,6 +8,7 @@ the same identities from whole-space products and slice them with
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
 from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
                                check_llo, check_power_identity, check_rlo,
                                check_rlo_compose)
-from su2ladders.operators import (SparseOperator, commutator,
+from su2ladders.operators import (EmptyInteriorError, ResidualReport,
+                                  SparseOperator, commutator,
                                   commutator_on_columns, commutator_residual,
                                   creation_op, on_columns, residual,
                                   zero_residual)
@@ -473,3 +475,122 @@ def test_weight0_deformed_generators_equal_whole_space_forms(spin, n_max):
         key = ("deformed-algebra-generators",
                (("omega", omega), ("s", spin)))
         assert got[key] == want
+
+
+# -- mask forms against fancy-index slicing ----------------------------------
+#
+# The residuals read their restricted entries straight from the CSR arrays
+# through boolean masks cached on the basis.  The references below slice
+# ``matrix[rows][:, cols]`` with integer index arrays and drop columns by
+# copying, zeroing and ``eliminate_zeros``; the results must be equal.
+
+def _ref_restriction(basis, margin, col_weight):
+    interior = basis.totals <= basis.n_max - margin
+    rows = np.flatnonzero(interior)
+    cols = rows if col_weight is None else np.flatnonzero(
+        interior & (basis.weights == col_weight))
+    if len(rows) == 0 or len(cols) == 0:
+        raise EmptyInteriorError
+    return rows, cols
+
+
+def _ref_fro(matrix, rows, cols):
+    sub = matrix[rows][:, cols]
+    if sub.nnz == 0:
+        return 0.0
+    return float(math.sqrt(np.sum(np.abs(sub.data) ** 2)))
+
+
+def _ref_on_columns(x, margin, col_weight):
+    _rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    if len(cols) == len(x.basis):
+        return x
+    keep = np.zeros(len(x.basis), dtype=bool)
+    keep[cols] = True
+    m = x.matrix.copy()
+    m.data[~keep[m.indices]] = 0
+    m.eliminate_zeros()
+    return SparseOperator(x.basis, m)
+
+
+def _ref_residual(x, y, margin, col_weight):
+    rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    absolute = _ref_fro((x.matrix - y.matrix).tocsr(), rows, cols)
+    denom = max(_ref_fro(x.matrix, rows, cols), _ref_fro(y.matrix, rows, cols))
+    return ResidualReport(absolute, absolute / denom if denom > 0 else absolute,
+                          margin)
+
+
+def _ref_commutator_residual(x, y, margin, col_weight):
+    rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    c = (x @ _ref_on_columns(y, margin, col_weight)
+         - y @ _ref_on_columns(x, margin, col_weight))
+    absolute = _ref_fro(c.matrix, rows, cols)
+    scale = _ref_fro(x.matrix, rows, cols) * _ref_fro(y.matrix, rows, cols)
+    return ResidualReport(absolute, absolute / scale if scale > 0 else absolute,
+                          margin)
+
+
+def _ref_zero_residual(x, margin, col_weight, scale):
+    rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    absolute = _ref_fro(x.matrix, rows, cols)
+    return ResidualReport(absolute, absolute / scale if scale > 0 else absolute,
+                          margin)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyInteriorError:
+        return EmptyInteriorError
+
+
+def _with_explicit_zeros(op):
+    # Every third stored entry set to an explicit zero, kept in the pattern.
+    m = op.matrix.copy()
+    m.data[::3] = 0
+    out = SparseOperator(op.basis, m)
+    assert (out.matrix.data == 0).any()
+    return out
+
+
+def _mask_cases(c):
+    """Operator pairs, some of them carrying explicit zeros."""
+    g = c.gens
+    f = _with_explicit_zeros(g.function_of_j(lambda j: j * (j - 1.0)))
+    tau = c.taus[1].op
+    tau0 = _with_explicit_zeros(tau)
+    return [(g.J2, tau), (f, tau), (tau0, f), (f, g.Jplus),
+            (g.Jplus, g.Jminus), (creation_op(c.basis, 0), g.Ntot),
+            (tau0, tau.adjoint())]
+
+
+@pytest.mark.parametrize("spin", [1, 2])
+def test_residuals_equal_sliced_references(ctx, spin):
+    c = ctx(spin, 4)
+    for x, y in _mask_cases(c):
+        for margin in range(c.basis.n_max + 1):
+            for col_weight in (None, 0, 1, -1):
+                args = (margin, col_weight)
+                assert _outcome(residual, x, y, *args) == \
+                    _outcome(_ref_residual, x, y, *args)
+                assert _outcome(commutator_residual, x, y, *args) == \
+                    _outcome(_ref_commutator_residual, x, y, *args)
+                assert _outcome(zero_residual, x, *args, 2.5) == \
+                    _outcome(_ref_zero_residual, x, *args, 2.5)
+
+
+@pytest.mark.parametrize("spin", [1, 2])
+def test_on_columns_equals_copy_and_zero_reference(ctx, spin):
+    c = ctx(spin, 4)
+    for x, _y in _mask_cases(c):
+        for margin in range(c.basis.n_max + 1):
+            for col_weight in (None, 0, 1, -1):
+                got = _outcome(on_columns, x, margin, col_weight)
+                want = _outcome(_ref_on_columns, x, margin, col_weight)
+                if want is EmptyInteriorError:
+                    assert got is EmptyInteriorError
+                    continue
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got.matrix, name),
+                                          getattr(want.matrix, name))

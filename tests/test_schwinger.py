@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from su2ladders import bruteforce
 from su2ladders.casimir import build_families, build_taus
@@ -10,7 +11,8 @@ from su2ladders.fock import enumerate_sector
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import right_function_poly
 from su2ladders.operators import (BasisMismatchError, SparseOperator,
-                                  commutator, commutator_residual, residual)
+                                  commutator, commutator_residual,
+                                  creation_op, residual)
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
                                   SpectrumSnapError, WeightLeakError,
@@ -507,3 +509,79 @@ def test_weight0_function_pole_names_the_whole_space_witness(ctx):
         g.weight0().function_of_j(lambda j: 1.0 / (j - 1))
     assert restricted.value.sector == whole.value.sector
     assert restricted.value.eigenvalue == whole.value.eigenvalue
+
+
+def _jordan_schwinger_products(basis, x):
+    """Reference image: sum_i a_i^dagger (sum_j x_ij a_j), one sparse sum per
+    nonzero x_ij and one sparse product per mode."""
+    adag = [creation_op(basis, mu).matrix
+            for mu in range(-basis.spin, basis.spin + 1)]
+    a = [op.getH().tocsr() for op in adag]
+    dim = len(basis)
+    acc = sparse.csr_matrix((dim, dim))
+    for i in range(basis.modes):
+        lowered = sparse.csr_matrix((dim, dim))
+        for j in np.flatnonzero(x[i]):
+            lowered = lowered + x[i, j] * a[j]
+        acc = acc + adag[i] @ lowered
+    acc = acc.tocsr()
+    acc.eliminate_zeros()
+    return SparseOperator(basis, acc)
+
+
+def _schwinger_matrices(spin, seed):
+    m = 2 * spin + 1
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal((m, m))
+    herm = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    herm = herm + herm.conj().T
+    general = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    jplus = np.zeros((m, m))
+    for mu in range(-spin, spin):
+        jplus[mu + spin + 1, mu + spin] = math.sqrt((spin + mu + 1) * (spin - mu))
+    return {"real": real, "hermitian": herm, "general": general,
+            "eye": np.eye(m), "zero": np.zeros((m, m)), "jplus": jplus}
+
+
+def _assert_same_csr(got, want):
+    assert got.dtype == want.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 1), (1, 4), (2, 4), (3, 5),
+                                        (4, 4), (5, 3)])
+def test_jordan_schwinger_equals_sum_of_products(spin, n_max):
+    # The one-pass build must give the products' floats exactly.
+    basis = enumerate_sector(spin, n_max)
+    for name, x in _schwinger_matrices(spin, 100 + spin).items():
+        _assert_same_csr(jordan_schwinger(basis, x).matrix,
+                         _jordan_schwinger_products(basis, x).matrix)
+
+
+def test_jordan_schwinger_independent_of_hop_cache_order():
+    mats = _schwinger_matrices(2, 5)
+    fresh = enumerate_sector(2, 4)
+    want = {k: jordan_schwinger(fresh, x).matrix for k, x in mats.items()}
+    warmed = enumerate_sector(2, 4)
+    jordan_schwinger(warmed, mats["jplus"])  # caches the J+ pairs first
+    for i in reversed(range(warmed.modes)):
+        for j in range(warmed.modes):
+            warmed.hop_table(i, j)
+    for name in reversed(list(mats)):
+        _assert_same_csr(jordan_schwinger(warmed, mats[name]).matrix,
+                         want[name])
+
+
+@pytest.mark.parametrize("n,weight", [(3, None), (None, 1), (4, 0)])
+def test_jordan_schwinger_on_a_sector_basis(n, weight):
+    # On an n or weight sector the image is the sector block of the
+    # whole-space image: sum x_ij a_i^dagger a_j conserves n, and within a
+    # weight sector only its weight-conserving part stays.
+    whole = enumerate_sector(2, 4)
+    sector = enumerate_sector(2, 4, n=n, weight=weight)
+    idx = whole.indices_of(sector.occupations)
+    for name, x in _schwinger_matrices(2, 9).items():
+        block = jordan_schwinger(whole, x).matrix[idx][:, idx].toarray()
+        assert np.array_equal(jordan_schwinger(sector, x).matrix.toarray(),
+                              block)
