@@ -31,8 +31,8 @@ from .jpoly import JPoly
 from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
                      AlphaVerificationError, build_alpha, check_llo, check_rlo,
                      right_function_poly, right_functions, solve_sigma)
-from .operators import (ResidualReport, SparseOperator, commutator,
-                        commutator_on_columns, commutator_residual,
+from .operators import (BasisMismatchError, ResidualReport, SparseOperator,
+                        commutator, commutator_on_columns, commutator_residual,
                         creation_op, number_op, on_columns, residual)
 from .schwinger import (KernelVector, Su2Generators, Weight0View, _phase_fixed,
                         jz_kernel)
@@ -49,6 +49,10 @@ class LadderFamily:
     basis: SectorBasis
     p_ops: tuple[SparseOperator, ...]
     m_ops: tuple[SparseOperator, ...]
+    # family -> its measured closure coefficients (``closure_fit``).  Not an
+    # init field, so a ``dataclasses.replace`` copy starts with its own.
+    _fits: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def ops(self, family: str) -> dict[int, SparseOperator]:
         if family == P_FAMILY:
@@ -56,6 +60,18 @@ class LadderFamily:
         if family == M_FAMILY:
             return {k: self.m_ops[k - 1] for k in range(1, self.s + 1)}
         raise ValueError(f"unknown family {family!r}")
+
+    def closure_fit(self, family: str, generators: Su2Generators
+                    ) -> dict[int, list[tuple[int, np.ndarray]]]:
+        """The family's closure coefficients measured on the J^2 kernel
+        nodes (``_measure_closure``), fitted on first use and kept on this
+        instance; a failed fit is not kept."""
+        if generators.basis is not self.basis and generators.basis != self.basis:
+            raise BasisMismatchError("generators do not act on the families' basis")
+        fit = self._fits.get(family)
+        if fit is None:
+            fit = self._fits[family] = _measure_closure(self, generators, family)
+        return fit
 
 
 def build_families(basis: SectorBasis, generators: Su2Generators) -> LadderFamily:
@@ -98,8 +114,8 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     sum_mu T_mu alpha[mu, eta](j) is computed on the weight-0 interior
     (margin LADDER_MARGIN), from the weight-0 blocks of the generators
     (``Su2Generators.weight0``).  A failure aborts with the offending
-    (mu, eta) pair, identified by coefficient extraction on the same
-    columns.
+    (mu, eta) pair, identified against the family's measured closure
+    coefficients (``LadderFamily.closure_fit``).
     """
     w0 = generators.weight0()
     ops = {k: w0.of(t) for k, t in families.ops(alpha.family).items()}
@@ -123,44 +139,64 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     return reports
 
 
-def _worst_alpha_entry(alpha, eta, generators, families):
-    """(mu, deviation) of column eta's entry farthest from its measured value.
+def _measure_closure(families: LadderFamily, generators: Su2Generators,
+                     family: str) -> dict[int, list[tuple[int, np.ndarray]]]:
+    """Coefficients of each [J^2, T_eta] in the family, fitted node by node.
 
-    On each node the coefficients of [J^2, T_eta] in the family images are
-    fitted by least squares; a node whose images are too ill-conditioned to
-    identify them (e.g. several images vanish) is skipped.  The nodes of
-    levels n <= n_max - LADDER_MARGIN are the weight-0 columns that
-    ``certify_alpha`` reads, so the commutator is formed once, from the
-    same weight-0 blocks, and applied to each level's nodes at once.  The
-    images are fitted in whole-space coordinates (zero off weight 0): the
-    least-squares solve then sees the very matrix of a whole-space product.
+    Returns, for every eta, (j, coef) per identified node in (n, node)
+    order, coef[i] being the coefficient of the i-th operator of
+    ``families.ops(family)``.  The nodes of levels n <= n_max -
+    LADDER_MARGIN are the weight-0 columns that ``certify_alpha`` reads.
+    Each commutator is formed once, from the weight-0 blocks, and each
+    operator's images are taken a level at a time.  A node whose images are
+    too ill-conditioned to identify the coefficients (e.g. several images
+    vanish) is skipped, and so is a (node, eta) whose least-squares fit
+    leaves a residual.  The images are fitted in whole-space coordinates
+    (zero off weight 0): the solve then sees the very matrix of a
+    whole-space product.  No closure matrix is read.
     """
     w0 = generators.weight0()
-    ops = {k: w0.of(t) for k, t in families.ops(alpha.family).items()}
-    mus = list(ops)
-    comm = commutator_on_columns(w0.J2, ops[eta], LADDER_MARGIN)
-    worst = (None, 0.0)
+    ops = {k: w0.of(t) for k, t in families.ops(family).items()}
+    comms = {eta: commutator_on_columns(w0.J2, t_eta, LADDER_MARGIN)
+             for eta, t_eta in ops.items()}
+    fit: dict[int, list[tuple[int, np.ndarray]]] = {eta: [] for eta in ops}
     basis = families.basis
     for n in range(0, basis.n_max - LADDER_MARGIN + 1):
         nodes = jz_kernel(basis, generators, n)
         if not nodes:
             continue
         idx, block = _kernel_block(w0, n, nodes)
-        lhs_all = _images(comm.matrix[:, idx], block, w0)
-        imgs = [_images(ops[mu].matrix[:, idx], block, w0) for mu in mus]
+        imgs = [_images(t.matrix[:, idx], block, w0) for t in ops.values()]
+        lhs_all = {eta: _images(comm.matrix[:, idx], block, w0)
+                   for eta, comm in comms.items()}
         for i, node in enumerate(nodes):
-            lhs = lhs_all[i]
             m = np.array([img[i] for img in imgs]).T
-            if np.linalg.matrix_rank(m, tol=1e-8) < len(mus):
+            if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
                 continue
-            coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
-            fit = m @ coef
-            if np.linalg.norm(fit - lhs) > 1e-6 * (1 + np.linalg.norm(lhs)):
-                continue
-            for mu, c in zip(mus, coef):
-                dev = abs(float(c.real) - float(alpha.entry(mu, eta)(node.j)))
-                if dev > worst[1]:
-                    worst = (mu, dev)
+            for eta, lhs_level in lhs_all.items():
+                lhs = lhs_level[i]
+                coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
+                if np.linalg.norm(m @ coef - lhs) > 1e-6 * (1 + np.linalg.norm(lhs)):
+                    continue
+                fit[eta].append((node.j, coef))
+    return fit
+
+
+def _worst_alpha_entry(alpha, eta, generators, families):
+    """(mu, deviation) of column eta's entry farthest from its measured value.
+
+    Scans the family's measured coefficients (``LadderFamily.closure_fit``,
+    fitted once per family instance) in (n, node, mu) order and compares
+    each with alpha[mu, eta] at the node's label; the first largest
+    deviation wins.  Any candidate alpha is read against the same fit.
+    """
+    mus = list(families.ops(alpha.family))
+    worst = (None, 0.0)
+    for j, coef in families.closure_fit(alpha.family, generators)[eta]:
+        for mu, c in zip(mus, coef):
+            dev = abs(float(c.real) - float(alpha.entry(mu, eta)(j)))
+            if dev > worst[1]:
+                worst = (mu, dev)
     return worst
 
 
@@ -193,7 +229,11 @@ def _images(columns, block: np.ndarray, w0: Weight0View) -> np.ndarray:
 
 def alpha_entry_deviation(alpha: AlphaMatrix, generators: Su2Generators,
                           families: LadderFamily) -> float:
-    """Largest deviation of measured closure coefficients from the matrix."""
+    """Largest deviation of measured closure coefficients from the matrix.
+
+    Every column is read against the family's one closure fit
+    (``LadderFamily.closure_fit``); see ``_worst_alpha_entry``.
+    """
     dev = 0.0
     for eta in alpha.ks:
         mu, d = _worst_alpha_entry(alpha, eta, generators, families)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .jpoly import JPoly, poly_matrix_det
+from .jpoly import JPoly
 from .operators import (ResidualReport, SparseOperator, commutator_on_columns,
                         commutator_residual, on_columns, residual)
 
@@ -265,14 +265,27 @@ def family_for_theta(s: int, theta: int) -> str:
 
 
 def det_certificate(s: int, family: str, theta: int) -> JPoly:
-    """Exact det(A - theta(theta + 2j + 1) I) for the given family."""
+    """Exact det(A - theta(theta + 2j + 1) I) for the given family.
+
+    A is tridiagonal, so the determinant is the continuant: with D_0 = 1 and
+    D_1 the first diagonal entry of A - f, the leading minors obey
+    D_{i+1} = (a_ii - f) D_i - a_{i,i-1} a_{i-1,i} D_{i-1}, one polynomial
+    product per entry instead of a Laplace expansion.  An entry of A off the
+    three diagonals would be dropped by the recurrence, so it raises
+    ValueError.
+    """
     alpha = build_alpha(s, family)
+    off = sorted(key for key, poly in alpha.entries.items()
+                 if abs(key[0] - key[1]) > 1 and not poly.is_zero())
+    if off:
+        raise ValueError(f"closure matrix is not tridiagonal: entries {off}")
     f = right_function_poly(theta)
-    rows = alpha.as_rows()
     ks = list(alpha.ks)
-    for i in range(len(ks)):
-        rows[i][i] = rows[i][i] - f
-    return poly_matrix_det(rows)
+    prev, det = JPoly.one(), alpha.entry(ks[0], ks[0]) - f
+    for a, b in zip(ks, ks[1:]):
+        prev, det = det, ((alpha.entry(b, b) - f) * det
+                          - alpha.entry(b, a) * alpha.entry(a, b) * prev)
+    return det
 
 
 def right_functions(s: int) -> list[RightFunction]:

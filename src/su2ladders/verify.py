@@ -258,6 +258,8 @@ class _SpinContext:
         self.basis = enumerate_sector(s, n_max)
         self.gens = su2_generators(self.basis)
         self._families = None
+        self._right_functions = None
+        self._sigmas = None
         self._taus = None
         self._lattice = None
         self._complete_set = None
@@ -268,6 +270,24 @@ class _SpinContext:
         if self._families is None:
             self._families = build_families(self.basis, self.gens)
         return self._families
+
+    @property
+    def right_functions(self):
+        """The 2s+1 right functions, each certified by its exact determinant
+        (``right_functions``); a failure raises on every read."""
+        if self._right_functions is None:
+            self._right_functions = right_functions(self.s)
+        return self._right_functions
+
+    @property
+    def sigmas(self):
+        """theta -> the exact sigma vector of its parity-matched family."""
+        if self._sigmas is None:
+            alphas = {fam: build_alpha(self.s, fam)
+                      for fam in (P_FAMILY, M_FAMILY)}
+            self._sigmas = {rf.theta: solve_sigma(alphas[rf.family], rf.theta)
+                            for rf in self.right_functions}
+        return self._sigmas
 
     @property
     def taus(self):
@@ -566,10 +586,9 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
           DEFAULT_TOLERANCE, alpha_variant)
 
     def det_certs(tol):
-        for rf in right_functions(s):
-            det = det_certificate(s, rf.family, rf.theta)
-            if not det.is_zero():
-                return 1.0, False, f"determinant nonzero at theta={rf.theta}"
+        # Reading the right functions certifies every theta = -s..s
+        # determinant; a nonzero one raises RightFunctionError here.
+        ctx.right_functions
         for fam in (P_FAMILY, M_FAMILY):
             if det_certificate(s, fam, s + 1).is_zero():
                 return 1.0, False, "negative control theta=s+1 vanished"
@@ -579,18 +598,18 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
 
     def parity(tol):
         ok = all(rf.family == (P_FAMILY if (rf.theta - s) % 2 == 0 else M_FAMILY)
-                 for rf in right_functions(s))
+                 for rf in ctx.right_functions)
         return None, ok, "" if ok else "parity assignment violated"
     r.run("right-function-parity", "right-function-parity", p,
           DEFAULT_TOLERANCE, parity)
 
     r.run("right-function-family", "right-function-family", p,
           DEFAULT_TOLERANCE,
-          lambda tol: (None, len(right_functions(s)) == 2 * s + 1, ""))
+          lambda tol: (None, len(ctx.right_functions) == 2 * s + 1, ""))
 
     def sigma_all(tol):
-        for rf in right_functions(s):
-            sig = solve_sigma(build_alpha(s, rf.family), rf.theta)
+        for rf in ctx.right_functions:
+            sig = ctx.sigmas[rf.theta]
             for k, poly in sig.sigmas.items():
                 if poly.degree > s - k:
                     return 1.0, False, \
@@ -605,8 +624,8 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
           DEFAULT_TOLERANCE, sigma_all)
 
     def sigma_closed(tol):
-        for rf in right_functions(s):
-            sig = solve_sigma(build_alpha(s, rf.family), rf.theta)
+        for rf in ctx.right_functions:
+            sig = ctx.sigmas[rf.theta]
             closed = sigma_closed_form_next_to_top(s, rf.theta)
             got = sig.sigmas.get(s - 1)
             if got is None:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy import sparse
 
 import su2ladders.ladder as ladder_module
-from su2ladders.jpoly import JPoly
+from su2ladders.jpoly import JPoly, poly_matrix_det
 from su2ladders.ladder import (ConsistencyError, PreconditionError,
                                build_alpha,
                                build_alpha_variant_diag4, check_llo,
@@ -189,6 +190,31 @@ def test_determinant_certificates_exact(s):
 def test_determinant_negative_control(s):
     for family in ("p", "m"):
         assert not det_certificate(s, family, s + 1).is_zero()
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_continuant_equals_laplace_determinant(s):
+    for family in ("p", "m"):
+        for theta in range(-s, s + 2):
+            rows = build_alpha(s, family).as_rows()
+            f = right_function_poly(theta)
+            for i in range(len(rows)):
+                rows[i][i] = rows[i][i] - f
+            assert det_certificate(s, family, theta) == poly_matrix_det(rows)
+
+
+def test_continuant_rejects_non_tridiagonal_alpha(monkeypatch):
+    # The three-term recurrence would drop an entry two places off the
+    # diagonal, so the certificate refuses such a matrix.
+    build = ladder_module.build_alpha
+
+    def with_corner(s, family):
+        alpha = build(s, family)
+        return dataclasses.replace(
+            alpha, entries={**alpha.entries, (0, 2): JPoly.one()})
+    monkeypatch.setattr(ladder_module, "build_alpha", with_corner)
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        det_certificate(2, "p", 0)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])

@@ -9,10 +9,12 @@ the same identities from whole-space products and slice them with
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import su2ladders.casimir
 from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
                                 _worst_alpha_entry, alpha_entry_deviation,
                                 certify_alpha, complete_set_check,
@@ -22,14 +24,15 @@ from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
 from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
                                check_llo, check_power_identity, check_rlo,
                                check_rlo_compose)
-from su2ladders.operators import (EmptyInteriorError, ResidualReport,
-                                  SparseOperator, commutator,
+from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
+                                  ResidualReport, SparseOperator, commutator,
                                   commutator_on_columns, commutator_residual,
                                   creation_op, on_columns, residual,
                                   zero_residual)
 from su2ladders.schwinger import jz_kernel
 from su2ladders.verify import (SuiteConfig, VerificationReport, _deformed_checks,
-                               _engine_checks, _Runner, _SpinContext)
+                               _engine_checks, _Runner, _SpinContext,
+                               run_suite)
 
 SPINS = [2, 3]
 
@@ -222,6 +225,76 @@ def test_alpha_entry_extraction_equals_per_node_products(ctx, spin):
             assert _worst_alpha_entry(alpha, eta, c.gens, c.families) == want
             worst = max(worst, want[1])
         assert alpha_entry_deviation(alpha, c.gens, c.families) == worst
+
+
+def test_run_suite_fits_each_family_once_per_spin(monkeypatch):
+    # closure-entries-extracted, closure-variant-rejected and certify_alpha's
+    # error path all read the same two fits of a spin.
+    built = []
+    measure = su2ladders.casimir._measure_closure
+
+    def counted(families, generators, family):
+        built.append((families.s, family))
+        return measure(families, generators, family)
+    monkeypatch.setattr(su2ladders.casimir, "_measure_closure", counted)
+    assert run_suite(SuiteConfig(spins=[1, 2], n_max=4)).overall_pass
+    assert sorted(built) == [(1, "m"), (1, "p"), (2, "m"), (2, "p")]
+
+
+@pytest.mark.parametrize("spin", SPINS)
+@pytest.mark.parametrize("family", ["p", "m"])
+def test_closure_fit_belongs_to_one_family_instance(ctx, spin, family):
+    # A copy with one operator scaled by 1 + 1e-6 is measured afresh, and its
+    # fit does not replace the original's: the correct alpha deviates on the
+    # copy beyond the 1e-10 of closure-entries-extracted and stays below it
+    # on the original families.
+    c = ctx(spin, 4)
+    alpha = build_alpha(spin, family)
+    assert alpha_entry_deviation(alpha, c.gens, c.families) < 1e-10
+    field = "p_ops" if family == "p" else "m_ops"
+    ops = list(getattr(c.families, field))
+    ops[1] = (1 + 1e-6) * ops[1]
+    scaled = dataclasses.replace(c.families, **{field: tuple(ops)})
+    assert alpha_entry_deviation(alpha, c.gens, scaled) > 1e-10
+    assert alpha_entry_deviation(alpha, c.gens, c.families) < 1e-10
+    assert scaled.closure_fit(family, c.gens) is not \
+        c.families.closure_fit(family, c.gens)
+
+
+@pytest.mark.parametrize("spin", SPINS)
+@pytest.mark.parametrize("family", ["p", "m"])
+def test_perturbed_alpha_entry_read_against_a_cached_fit(ctx, spin, family):
+    c = ctx(spin, 4)
+    alpha = build_alpha(spin, family)
+    fit = c.families.closure_fit(family, c.gens)
+    for key, poly in sorted(alpha.entries.items()):
+        entries = {**alpha.entries, key: poly * Fraction(1_000_001, 1_000_000)}
+        perturbed = dataclasses.replace(alpha, entries=entries)
+        assert alpha_entry_deviation(perturbed, c.gens, c.families) > 1e-10, key
+    assert c.families.closure_fit(family, c.gens) is fit
+
+
+def test_closure_fit_refuses_generators_of_another_basis(ctx):
+    c, other = ctx(2, 4), ctx(2, 3)
+    with pytest.raises(BasisMismatchError):
+        c.families.closure_fit("p", other.gens)
+
+
+def test_failed_closure_fit_is_not_cached(monkeypatch):
+    spin_ctx = _SpinContext(2, 3)
+    families, gens = spin_ctx.families, spin_ctx.gens
+    measure = su2ladders.casimir._measure_closure
+
+    def failing(*args):
+        raise RuntimeError("fit failed")
+    monkeypatch.setattr(su2ladders.casimir, "_measure_closure", failing)
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            families.closure_fit("p", gens)
+    monkeypatch.setattr(su2ladders.casimir, "_measure_closure", measure)
+    fit = families.closure_fit("p", gens)
+    assert fit is families.closure_fit("p", gens)
+    assert fit and all(fit.values())
 
 
 @pytest.mark.parametrize("spin", SPINS)

@@ -4,19 +4,23 @@ import json
 import numpy as np
 import pytest
 
+import su2ladders.casimir
+import su2ladders.ladder
 import su2ladders.verify
 from scipy import sparse
 from su2ladders import bruteforce
 from su2ladders.casimir import assemble_tau
-from su2ladders.ladder import build_alpha, family_for_theta, solve_sigma
+from su2ladders.jpoly import JPoly
+from su2ladders.ladder import (RightFunctionError, build_alpha,
+                               family_for_theta, solve_sigma)
 from su2ladders.operators import SparseOperator
 from su2ladders.schwinger import Su2Generators, WeightLeakError
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
                                _lattice_checks, _listed_annihilation,
                                _Runner, _s1_demo_checks, _SpinContext,
-                               _tau_checks, export_report, report_from_json,
-                               run_suite)
+                               _symbolic_checks, _tau_checks, export_report,
+                               report_from_json, run_suite)
 
 
 @pytest.fixture(scope="module")
@@ -273,3 +277,64 @@ def test_oracles_catch_a_dropped_weight0_state(monkeypatch):
                if b.passed != c.passed]
     assert before.overall_pass
     assert sorted(changed) == ["kernel-dimensions", "multiplicity-oracle"]
+
+
+@pytest.mark.parametrize("spin,n_max", [(2, 4), (3, 3)])
+def test_right_functions_run_twice_per_spin(monkeypatch, spin, n_max):
+    # Once for the context, whose checks share them, and once in build_taus.
+    callers = []
+    original = su2ladders.ladder.right_functions
+    for module in (su2ladders.verify, su2ladders.casimir):
+        def counted(s, module=module):
+            callers.append(module.__name__)
+            return original(s)
+        monkeypatch.setattr(module, "right_functions", counted)
+    assert run_suite(SuiteConfig(spins=[spin], n_max=n_max)).overall_pass
+    assert sorted(callers) == ["su2ladders.casimir", "su2ladders.verify"]
+
+
+#: The checks that read the context's right functions (and sigmas).
+RIGHT_FUNCTION_READERS = ("determinant-certificates", "right-function-parity",
+                          "right-function-family",
+                          "sigma-consistency-and-degrees", "sigma-closed-form")
+
+
+def _nonzero_determinant(monkeypatch, theta):
+    certificate = su2ladders.ladder.det_certificate
+
+    def broken(s, family, th):
+        det = certificate(s, family, th)
+        return det + JPoly.one() if th == theta else det
+    monkeypatch.setattr(su2ladders.ladder, "det_certificate", broken)
+    return certificate
+
+
+@pytest.mark.parametrize("theta", [-2, 0, 1])
+def test_nonzero_determinant_fails_every_right_function_reader(monkeypatch,
+                                                               theta):
+    # The exact layer alone: the numerical blocks read the taus, which
+    # build_taus cannot assemble without the right functions.
+    _nonzero_determinant(monkeypatch, theta)
+    report = _run_block(lambda r, c: _symbolic_checks(r, c, r.report),
+                        _SpinContext(2, 3))
+    readers = [c for c in report.checks if c.name in RIGHT_FUNCTION_READERS]
+    assert len(readers) == len(RIGHT_FUNCTION_READERS)
+    assert all(c.passed for c in report.checks if c not in readers)
+    for check in readers:
+        assert not check.passed
+        assert check.detail.startswith("RightFunctionError"), check.detail
+        assert f"theta={theta}" in check.detail
+
+
+def test_no_right_function_failure_is_cached(monkeypatch):
+    ctx = _SpinContext(2, 3)
+    certificate = _nonzero_determinant(monkeypatch, 1)
+    for _ in range(2):
+        with pytest.raises(RightFunctionError):
+            ctx.right_functions
+        with pytest.raises(RightFunctionError):
+            ctx.sigmas
+    monkeypatch.setattr(su2ladders.ladder, "det_certificate", certificate)
+    assert [rf.theta for rf in ctx.right_functions] == list(range(-2, 3))
+    assert sorted(ctx.sigmas) == list(range(-2, 3))
+    assert ctx.right_functions is ctx.right_functions
