@@ -36,12 +36,13 @@ for arrow in report.arrows:
         print(f"  tau[-1] kills {arrow.source}")
 
 print("\ndeformed-algebra generators from the lowering pairs:")
+w0 = gens.weight0()
 for omega in (1, 2):
     lz, l2 = deformed_generators(taus[-omega])
     print(f"  omega={omega}: L_z hermitian gap "
           f"{(lz - lz.adjoint()).norm():.1e}, "
           f"[L^2, J^2] residual "
-          f"{commutator_residual(l2, gens.J2, 2, col_weight=0).frobenius_relative:.2e}")
+          f"{commutator_residual(w0.of(l2), w0.J2, 2).frobenius_relative:.2e}")
     classes = residue_classes(report, omega)
     print(f"    residue classes j mod {omega}: "
           + ", ".join(f"r={r}: {len(nodes)} nodes"

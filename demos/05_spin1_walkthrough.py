@@ -21,8 +21,9 @@ gens = su2_generators(basis)
 families = build_families(basis, gens)
 demo = demo_s1_operators(gens, families)
 
-weyl = residual(commutator(demo.a_op, demo.a_dag),
-                SparseOperator.identity(basis), 2, col_weight=0)
+w0 = gens.weight0()
+weyl = residual(w0.of(commutator(demo.a_op, demo.a_dag)),
+                SparseOperator.identity(w0.basis), 2)
 print(f"[A, A+] = identity on the zero-weight interior: "
       f"{weyl.frobenius_relative:.2e}")
 

@@ -696,13 +696,16 @@ def s1_full_closure_residuals(generators: Su2Generators,
     derived by coefficient extraction and exact on the full space.  The
     variant with correction term +2 m_1 J_z is also evaluated and recorded;
     it fails off the zero-weight subspace and is kept as a falsified
-    alternative in verification reports.
+    alternative in verification reports.  The kernel form
+    [J^2, p_1] = p_0 J^2 is read on the weight-0 view
+    (``Su2Generators.weight0``), where J_z vanishes.
     """
     if generators.s != 1:
         raise ValueError("this closure check is specific to spin 1")
     p0, p1 = families.p_ops[0], families.p_ops[1]
     m1 = families.m_ops[0]
     lhs = commutator(generators.J2, p1)
+    w0 = generators.weight0()
     jz = generators.Jz
     ident = SparseOperator.identity(families.basis)
     # (j - J_z)(j + J_z + 1) = J^2 - J_z(J_z + 1), all factors commuting.
@@ -713,7 +716,7 @@ def s1_full_closure_residuals(generators: Su2Generators,
     return {
         "certified": residual(lhs, certified, margin),
         "variant_plus_2mJz": residual(lhs, variant, margin),
-        "kernel_form": residual(lhs, p0 @ fn, margin, col_weight=0),
+        "kernel_form": residual(w0.of(lhs), w0.of(p0) @ w0.J2, margin),
     }
 
 
@@ -724,7 +727,8 @@ def s1_mutual_commutators(generators: Su2Generators, families: LadderFamily
     [p_0, p_0^+] = 4 holds on the full interior, as do the cross relations
     [p_1, p_0^+] = [p_0, p_1^+] = 2(N - N_0).  The diagonal relation
     [p_1, p_1^+] = 2j(j+1) - J_z(2J_z+1) + (N - N_0)(J_z - 2) is certified on
-    zero-weight columns (it fails unrestricted, which is recorded).
+    the weight-0 view (``Su2Generators.weight0``); it fails unrestricted,
+    which is recorded.
     """
     if generators.s != 1:
         raise ValueError("these commutators are specific to spin 1")
@@ -737,14 +741,15 @@ def s1_mutual_commutators(generators: Su2Generators, families: LadderFamily
     two_nn0 = 2.0 * n_minus_n0
     diag_rhs = (2.0 * generators.J2 - (jz @ (2.0 * jz + ident))
                 + n_minus_n0 @ (jz - 2.0 * ident))
+    diag = commutator(p1, p1d)
+    w0 = generators.weight0()
     margin = PAIR_MARGIN
     return {
         "p0_p0dag": residual(commutator(p0, p0d), 4.0 * ident, margin),
         "p1_p0dag": residual(commutator(p1, p0d), two_nn0, margin),
         "p0_p1dag": residual(commutator(p0, p1d), two_nn0, margin),
-        "p1_p1dag_weight0": residual(commutator(p1, p1d), diag_rhs, margin,
-                                     col_weight=0),
-        "p1_p1dag_unrestricted": residual(commutator(p1, p1d), diag_rhs, margin),
+        "p1_p1dag_weight0": residual(w0.of(diag), w0.of(diag_rhs), margin),
+        "p1_p1dag_unrestricted": residual(diag, diag_rhs, margin),
     }
 
 
@@ -919,10 +924,12 @@ def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
                   families: LadderFamily) -> TauBarReport:
     """Single-mode ladder forms tbar[+/-1] = +/-[j, a_0^dagger] + a_0^dagger.
 
-    Verifies on zero-weight interior columns that each is a ladder operator
-    of J^2 with the same right functions as tau[+/-1] (they differ from the
-    reference ladders by the right factor 1/(2j+1), confirmed per node), and
-    that the double commutator [j, [j, a_0^dagger]] returns a_0^dagger.
+    Verifies on the weight-0 view (``Su2Generators.weight0``) that each is
+    a ladder operator of J^2 with the same right functions as tau[+/-1]
+    (they differ from the reference ladders by the right factor 1/(2j+1),
+    confirmed per node), and that the double commutator [j, [j, a_0^dagger]]
+    returns a_0^dagger.  The left-ladder relations of the adjoints are read
+    on the whole interior.
     """
     if generators.s != 1:
         raise ValueError("single-mode ladder forms are specific to spin 1")
@@ -933,14 +940,23 @@ def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
     tbar_minus = -1.0 * bracket + ad0
 
     margin = LADDER_MARGIN
-    double = residual(commutator(jh, bracket), ad0, margin, col_weight=0)
-    f_plus = generators.function_of_j(lambda j: 2.0 * (j + 1.0))
-    f_minus = generators.function_of_j(lambda j: -2.0 * j)
-    rlo_plus = check_rlo(generators.J2, tbar_plus, f_plus, margin, col_weight=0)
-    rlo_minus = check_rlo(generators.J2, tbar_minus, f_minus, margin, col_weight=0)
+    w0 = generators.weight0()
+    double = residual(w0.of(commutator(jh, bracket)), w0.of(ad0), margin)
+
+    def plus(j):
+        return 2.0 * (j + 1.0)
+
+    def minus(j):
+        return -2.0 * j
+    rlo_plus = check_rlo(w0.J2, w0.of(tbar_plus), w0.function_of_j(plus),
+                         margin)
+    rlo_minus = check_rlo(w0.J2, w0.of(tbar_minus), w0.function_of_j(minus),
+                          margin)
     # Conjugate (left-ladder) relations for the lowering partners.
-    llo_plus = check_llo(generators.J2, tbar_plus.adjoint(), f_plus, margin)
-    llo_minus = check_llo(generators.J2, tbar_minus.adjoint(), f_minus, margin)
+    llo_plus = check_llo(generators.J2, tbar_plus.adjoint(),
+                         generators.function_of_j(plus), margin)
+    llo_minus = check_llo(generators.J2, tbar_minus.adjoint(),
+                          generators.function_of_j(minus), margin)
 
     tau_plus, tau_minus = s1_reference_taus(generators, families)
     ratios: list[tuple[int, int, float, float]] = []
@@ -964,7 +980,8 @@ def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
 
 def s1_inverse_expressions(generators: Su2Generators, families: LadderFamily
                            ) -> dict[str, ResidualReport]:
-    """Recover the family operators from the ladder pair (zero-weight columns).
+    """Recover the family operators from the ladder pair, on the weight-0
+    view (``Su2Generators.weight0``).
 
     p_0 = (tau[+1] + tau[-1]) / (2j+1) and
     p_1 = ((tau[+1] - tau[-1]) - (tau[+1] + tau[-1])/(2j+1)) / 4,
@@ -973,22 +990,23 @@ def s1_inverse_expressions(generators: Su2Generators, families: LadderFamily
     """
     if generators.s != 1:
         raise ValueError("inverse expressions are specific to spin 1")
-    tau_plus, tau_minus = s1_reference_taus(generators, families)
-    p0, p1 = families.p_ops[0], families.p_ops[1]
-    inv = generators.function_of_j(lambda j: 1.0 / (2.0 * j + 1.0))
-    jh = generators.j_hat()
+    w0 = generators.weight0()
+    tau_plus, tau_minus = map(w0.of, s1_reference_taus(generators, families))
+    p0, p1 = w0.of(families.p_ops[0]), w0.of(families.p_ops[1])
+    inv = w0.function_of_j(lambda j: 1.0 / (2.0 * j + 1.0))
+    jh = w0.j
     p0_expr = (tau_plus + tau_minus) @ inv
     p1_expr = 0.25 * ((tau_plus - tau_minus) - (tau_plus + tau_minus) @ inv)
     comm_p0 = commutator(jh, p0)
     comm_p1 = commutator(jh, p1)
     rhs_p0 = (p0 + 4.0 * p1) @ inv
-    rhs_p1 = (p0 @ generators.J2 - p1) @ inv
+    rhs_p1 = (p0 @ w0.J2 - p1) @ inv
     margin = LADDER_MARGIN
     return {
-        "p0_from_taus": residual(p0_expr, p0, margin, col_weight=0),
-        "p1_from_taus": residual(p1_expr, p1, margin, col_weight=0),
-        "label_comm_p0": residual(comm_p0, rhs_p0, margin, col_weight=0),
-        "label_comm_p1": residual(comm_p1, rhs_p1, margin, col_weight=0),
+        "p0_from_taus": residual(p0_expr, p0, margin),
+        "p1_from_taus": residual(p1_expr, p1, margin),
+        "label_comm_p0": residual(comm_p0, rhs_p0, margin),
+        "label_comm_p1": residual(comm_p1, rhs_p1, margin),
     }
 
 
@@ -1002,18 +1020,20 @@ def s1_tau_bracket_ladder(generators: Su2Generators, families: LadderFamily
     shifts +1 and -1 cancel, as the Jacobi identity forces); that variant is
     evaluated and recorded as well.
 
-    Both are read at margin PAIR_MARGIN, so the mixed-pair relation has
+    Both are read on the weight-0 view (``Su2Generators.weight0``) at
+    margin PAIR_MARGIN, so the mixed-pair relation has
     content only when n_max >= 4: it sends a node (n, j) to (n, j + 2),
     which exists only for n >= 2.  Below that both sides vanish on the
     restriction up to rounding, and their ratio means nothing.
     """
-    tau_plus, tau_minus = s1_reference_taus(generators, families)
-    jh = generators.j_hat()
+    w0 = generators.weight0()
+    tau_plus, tau_minus = map(w0.of, s1_reference_taus(generators, families))
+    jh = w0.j
     mixed = commutator(tau_plus, tau_minus.adjoint())
     both_raising = commutator(tau_plus, tau_minus)
     return {
         "mixed_pair_shift2": residual(commutator(jh, mixed), 2.0 * mixed,
-                                      PAIR_MARGIN, col_weight=0),
+                                      PAIR_MARGIN),
         "raising_pair_commutes": commutator_residual(jh, both_raising,
-                                                     PAIR_MARGIN, col_weight=0),
+                                                     PAIR_MARGIN),
     }

@@ -22,11 +22,6 @@ def mode_weights(spin: int) -> range:
     return range(-spin, spin + 1)
 
 
-def total_occupation(state: Occupation) -> int:
-    """Total particle number of an occupation tuple."""
-    return sum(state)
-
-
 def weight_of(state: Occupation, spin: int) -> int:
     """J_z weight, sum_mu mu * n_mu, of an occupation tuple."""
     return sum(mu * n for mu, n in zip(mode_weights(spin), state))
@@ -137,7 +132,7 @@ class SectorBasis:
         self.totals = self.occupations.sum(axis=1)
         self.weights = self.occupations @ np.arange(-self.spin, self.spin + 1)
         self._ranks = _lex_ranks(self.occupations, self.n_max)
-        self._interior_masks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._interior_masks: dict[int, np.ndarray] = {}
         self._hops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def restricted_to_weight(self, weight: int) -> "SectorBasis":
@@ -203,33 +198,22 @@ class SectorBasis:
             raise ValueError(f"mode weight {mu} outside [-{self.spin}, {self.spin}]")
         return mu + self.spin
 
-    def interior_indices(self, margin: int) -> np.ndarray:
-        """Indices of states with total occupation <= n_max - margin."""
-        return np.flatnonzero(self.interior_masks(margin)[0])
+    def interior_masks(self, margin: int) -> np.ndarray:
+        """Read-only boolean mask over the basis of the states with total
+        occupation <= n_max - margin: the rows and the columns an interior
+        residual at this margin reads.
 
-    def interior_masks(self, margin: int, col_weight: Optional[int] = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only boolean masks over the basis: the rows with total
-        occupation <= n_max - margin, and the columns among them of J_z
-        weight ``col_weight`` (all of those rows when it is None).
-
-        Built once per (margin, col_weight); an empty column mask is
-        returned but not kept.
+        Built once per margin; an empty mask is returned but not kept.
         """
         if margin < 0:
             raise ValueError(f"margin must be >= 0, got {margin}")
-        key = (margin, col_weight)
-        masks = self._interior_masks.get(key)
-        if masks is None:
-            rows = self.totals <= self.n_max - margin
-            cols = (rows if col_weight is None
-                    else rows & (self.weights == col_weight))
-            rows.flags.writeable = False
-            cols.flags.writeable = False
-            masks = (rows, cols)
-            if cols.any():
-                self._interior_masks[key] = masks
-        return masks
+        mask = self._interior_masks.get(margin)
+        if mask is None:
+            mask = self.totals <= self.n_max - margin
+            mask.flags.writeable = False
+            if mask.any():
+                self._interior_masks[margin] = mask
+        return mask
 
     def hop_table(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Where a_i^dagger a_j sends each basis state, for mode storage
@@ -256,9 +240,6 @@ class SectorBasis:
                 a.flags.writeable = False
             self._hops[key] = table
         return table
-
-    def vacuum_index(self) -> Optional[int]:
-        return self.state_index((0,) * self.modes)
 
     def unit_vector(self, state: Occupation) -> np.ndarray:
         """Basis vector for an occupation tuple."""

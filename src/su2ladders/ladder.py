@@ -86,7 +86,7 @@ def _check_commutes(x: SparseOperator, y: SparseOperator, margin: int,
 
 
 def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
-              margin: int, col_weight: Optional[int] = None) -> ResidualReport:
+              margin: int) -> ResidualReport:
     """Residual of the right-ladder relation [H, p+] - p+ P on the interior.
 
     Precondition: P commutes with H to 1e-10 on the full interior
@@ -107,14 +107,13 @@ def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
     _check_commutes(h, p_fn, margin, _PRECONDITION_TOL,
                     "right function does not commute with H")
     if p_dag.is_zero() or p_fn.is_zero():
-        return commutator_residual(h, p_dag, margin, col_weight=col_weight)
-    return residual(commutator_on_columns(h, p_dag, margin, col_weight),
-                    p_dag @ on_columns(p_fn, margin, col_weight), margin,
-                    col_weight=col_weight)
+        return commutator_residual(h, p_dag, margin)
+    return residual(commutator_on_columns(h, p_dag, margin),
+                    p_dag @ on_columns(p_fn, margin), margin)
 
 
 def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
-              margin: int, col_weight: Optional[int] = None) -> ResidualReport:
+              margin: int) -> ResidualReport:
     """Residual of the left-ladder relation [p, H] - P p on the interior.
 
     The precondition, and when it is taken as given, is that of
@@ -126,39 +125,37 @@ def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
     _check_commutes(h, p_fn, margin, _PRECONDITION_TOL,
                     "left function does not commute with H")
     if p.is_zero() or p_fn.is_zero():
-        return commutator_residual(h, p, margin, col_weight=col_weight)
-    return residual(commutator_on_columns(p, h, margin, col_weight),
-                    p_fn @ on_columns(p, margin, col_weight), margin,
-                    col_weight=col_weight)
+        return commutator_residual(h, p, margin)
+    return residual(commutator_on_columns(p, h, margin),
+                    p_fn @ on_columns(p, margin), margin)
 
 
 def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
-                         p_fn: SparseOperator, n: int, margin: int,
-                         col_weight: Optional[int] = None) -> ResidualReport:
+                         p_fn: SparseOperator, n: int,
+                         margin: int) -> ResidualReport:
     """Residual of [H^n, p+] - p+ ((H + P)^n - H^n).
 
     Requires the base right-ladder relation to hold at 1e-8 first.
     """
-    base = check_rlo(h, p_dag, p_fn, margin, col_weight=col_weight)
+    base = check_rlo(h, p_dag, p_fn, margin)
     if base.frobenius_relative > 1e-8:
         raise PreconditionError(
             f"base ladder relation fails at {base.frobenius_relative:.3e}", base)
     hn = h.power(n)
-    lhs = commutator_on_columns(hn, p_dag, margin, col_weight)
-    rhs = p_dag @ on_columns((h + p_fn).power(n) - hn, margin, col_weight)
-    return residual(lhs, rhs, margin, col_weight=col_weight)
+    lhs = commutator_on_columns(hn, p_dag, margin)
+    rhs = p_dag @ on_columns((h + p_fn).power(n) - hn, margin)
+    return residual(lhs, rhs, margin)
 
 
 def check_rlo_compose(h: SparseOperator, p_dag: SparseOperator,
-                      p_fn: SparseOperator, a: SparseOperator, margin: int,
-                      col_weight: Optional[int] = None) -> ResidualReport:
+                      p_fn: SparseOperator, a: SparseOperator,
+                      margin: int) -> ResidualReport:
     """Residual of [H, p+ A] - p+ A P for A commuting with H + P (to 1e-8)."""
     _check_commutes(h + p_fn, a, margin, 1e-8,
                     "A does not commute with H + P")
     pa = p_dag @ a
-    return residual(commutator_on_columns(h, pa, margin, col_weight),
-                    pa @ on_columns(p_fn, margin, col_weight), margin,
-                    col_weight=col_weight)
+    return residual(commutator_on_columns(h, pa, margin),
+                    pa @ on_columns(p_fn, margin), margin)
 
 
 # -- closure matrix -----------------------------------------------------------

@@ -23,12 +23,14 @@ order whether or not the other columns are present.  ``on_columns`` forms
 X P and ``commutator_on_columns`` forms [X, Y] P, so a restricted residual
 reads the same floats as one sliced from the whole-space product.
 
-A restriction is a pair of boolean row and column masks, cached read-only on
-the basis per (margin, col_weight) (``SectorBasis.interior_masks``); its
-arguments are checked on every call.  Norms and X P are read straight from
-the CSR arrays through these masks, with no sliced sparse copy: a norm sums
+A restriction is one boolean mask over the basis, the same for rows and
+columns, cached read-only on the basis per margin
+(``SectorBasis.interior_masks``); the margin is checked on every call.
+A claim that holds only on the weight-0 states is read on the weight-0
+basis, through ``Su2Generators.weight0()``.  Norms and X P are read straight
+from the CSR arrays through the mask, with no sliced sparse copy: a norm sums
 the stored entries in kept rows and columns, explicit zeros included, in CSR
-order, exactly as ``X[rows][:, cols]`` would hold them.
+order, exactly as ``X[kept][:, kept]`` would hold them.
 """
 
 from __future__ import annotations
@@ -256,32 +258,30 @@ def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
 
 # -- interior-restricted residuals -------------------------------------------
 
-def _restriction(basis, margin: int, col_weight=None):
-    """Boolean row and column masks of an interior restriction, from the
-    basis's cache; the arguments are checked on every call."""
+def _restriction(basis, margin: int) -> np.ndarray:
+    """Boolean mask of an interior restriction, from the basis's cache; the
+    margin is checked on every call."""
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     if margin > basis.n_max:
         raise EmptyInteriorError(
             f"margin {margin} exceeds n_max {basis.n_max}: empty restriction")
-    rows, cols = basis.interior_masks(margin, col_weight)
-    if not cols.any():
+    kept = basis.interior_masks(margin)
+    if not kept.any():
         raise EmptyInteriorError(
-            f"empty interior restriction (margin={margin}, col_weight={col_weight})")
-    return rows, cols
+            f"empty interior restriction (margin={margin})")
+    return kept
 
 
-def on_columns(x: SparseOperator, margin: int,
-               col_weight=None) -> SparseOperator:
+def on_columns(x: SparseOperator, margin: int) -> SparseOperator:
     """X P, where P projects onto the columns a residual at this restriction reads.
 
-    The columns are those with total occupation <= n_max - margin (and, when
-    ``col_weight`` is given, that J_z weight); every other column of X is
-    dropped, and so is every explicit zero.  A product with this as its
-    right factor equals the whole-space product on the kept columns, entry
-    for entry.
+    The columns are those with total occupation <= n_max - margin; every
+    other column of X is dropped, and so is every explicit zero.  A product
+    with this as its right factor equals the whole-space product on the kept
+    columns, entry for entry.
     """
-    _rows, cols = _restriction(x.basis, margin, col_weight)
+    cols = _restriction(x.basis, margin)
     if cols.all():
         return x
     m = x.matrix
@@ -292,44 +292,42 @@ def on_columns(x: SparseOperator, margin: int,
         (m.data[keep], m.indices[keep], kept[m.indptr]), shape=m.shape))
 
 
-def commutator_on_columns(x: SparseOperator, y: SparseOperator, margin: int,
-                          col_weight=None) -> SparseOperator:
+def commutator_on_columns(x: SparseOperator, y: SparseOperator,
+                          margin: int) -> SparseOperator:
     """[X, Y] P, formed as X (Y P) - Y (X P) on the columns ``on_columns`` keeps."""
-    return (x @ on_columns(y, margin, col_weight)
-            - y @ on_columns(x, margin, col_weight))
+    return x @ on_columns(y, margin) - y @ on_columns(x, margin)
 
 
-def _sliced_fro(matrix, rows, cols) -> float:
-    """Frobenius norm of the entries in the masked rows and columns.
+def _sliced_fro(matrix, kept) -> float:
+    """Frobenius norm of the entries in the kept rows and columns.
 
     They are read from the CSR arrays: the same entries, explicit zeros
-    included, in the same order as ``matrix[rows][:, cols]`` holds them.
+    included, in the same order as ``matrix[kept][:, kept]`` holds them.
     """
-    keep = np.repeat(rows, np.diff(matrix.indptr)) & cols[matrix.indices]
+    keep = np.repeat(kept, np.diff(matrix.indptr)) & kept[matrix.indices]
     return _fro(matrix.data[keep])
 
 
-def residual(x: SparseOperator, y: SparseOperator, margin: int,
-             col_weight=None) -> ResidualReport:
+def residual(x: SparseOperator, y: SparseOperator,
+             margin: int) -> ResidualReport:
     """Frobenius residual of X - Y restricted to interior rows and columns.
 
     Rows and columns are restricted to states with total occupation
-    <= n_max - margin; if ``col_weight`` is given, columns are additionally
-    restricted to that J_z weight.  The relative residual is normalized by
-    the larger restricted operand norm (and equals the absolute residual
-    when both operands vanish).
+    <= n_max - margin.  The relative residual is normalized by the larger
+    restricted operand norm (and equals the absolute residual when both
+    operands vanish).
     """
     x._require_same_basis(y)
-    rows, cols = _restriction(x.basis, margin, col_weight)
+    kept = _restriction(x.basis, margin)
     diff = (x.matrix - y.matrix).tocsr()
-    absolute = _sliced_fro(diff, rows, cols)
-    denom = max(_sliced_fro(x.matrix, rows, cols), _sliced_fro(y.matrix, rows, cols))
+    absolute = _sliced_fro(diff, kept)
+    denom = max(_sliced_fro(x.matrix, kept), _sliced_fro(y.matrix, kept))
     relative = absolute / denom if denom > 0 else absolute
     return ResidualReport(absolute, relative, margin)
 
 
-def commutator_residual(x: SparseOperator, y: SparseOperator, margin: int,
-                        col_weight=None) -> ResidualReport:
+def commutator_residual(x: SparseOperator, y: SparseOperator,
+                        margin: int) -> ResidualReport:
     """Residual of [X, Y] against zero, normalized by ||X|| * ||Y||.
 
     Zero-target identities cannot use ``residual``'s operand normalization
@@ -337,18 +335,17 @@ def commutator_residual(x: SparseOperator, y: SparseOperator, margin: int,
     product is used instead.  The commutator is formed on the restricted
     columns only (``commutator_on_columns``).
     """
-    c = commutator_on_columns(x, y, margin, col_weight)
-    rows, cols = _restriction(x.basis, margin, col_weight)
-    absolute = _sliced_fro(c.matrix, rows, cols)
-    scale = _sliced_fro(x.matrix, rows, cols) * _sliced_fro(y.matrix, rows, cols)
+    c = commutator_on_columns(x, y, margin)
+    kept = _restriction(x.basis, margin)
+    absolute = _sliced_fro(c.matrix, kept)
+    scale = _sliced_fro(x.matrix, kept) * _sliced_fro(y.matrix, kept)
     relative = absolute / scale if scale > 0 else absolute
     return ResidualReport(absolute, relative, margin)
 
 
-def zero_residual(x: SparseOperator, margin: int, col_weight=None,
+def zero_residual(x: SparseOperator, margin: int,
                   scale: float = 1.0) -> ResidualReport:
     """Residual of X against the zero operator, with an explicit scale."""
-    rows, cols = _restriction(x.basis, margin, col_weight)
-    absolute = _sliced_fro(x.matrix, rows, cols)
+    absolute = _sliced_fro(x.matrix, _restriction(x.basis, margin))
     relative = absolute / scale if scale > 0 else absolute
     return ResidualReport(absolute, relative, margin)

@@ -520,24 +520,25 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.residual_check("power-identity-number", "power-identity", p, 1e-10,
                      lambda: check_power_identity(gens.Ntot, ad0, ident, 3, 1))
 
-    # The theta = 1 ladder relations, on the weight-0 subspace.
+    # The theta = 1 ladder relations, on the weight-0 subspace.  The taus are
+    # read inside each check, so a failure to build them fails the check.
     w0 = gens.weight0()
-    tau1 = ctx.taus[1]
-    rf_op = w0.function_of_j(tau1.right_function)
+
+    def tau1():
+        tau = ctx.taus[1]
+        return w0.of(tau.op), w0.function_of_j(tau.right_function)
     r.residual_check(
         "power-identity-casimir", "power-identity", {"s": s, "theta": 1, "n": 2},
-        1e-8, lambda: check_power_identity(w0.J2, w0.of(tau1.op), rf_op, 2, 1))
+        1e-8, lambda: check_power_identity(w0.J2, *tau1(), 2, 1))
 
     r.residual_check(
         "rlo-compose-polynomial", "rlo-composition", {"s": s, "theta": 1},
         1e-8, lambda: check_rlo_compose(
-            w0.J2, w0.of(tau1.op), rf_op,
-            w0.function_of_j(lambda j: j * j + 1.0), 1))
+            w0.J2, *tau1(), w0.function_of_j(lambda j: j * j + 1.0), 1))
 
     r.residual_check(
         "rlo-compose-number", "rlo-composition", {"s": s, "theta": 1},
-        1e-8, lambda: check_rlo_compose(w0.J2, w0.of(tau1.op), rf_op,
-                                        w0.of(gens.Ntot), 1))
+        1e-8, lambda: check_rlo_compose(w0.J2, *tau1(), w0.of(gens.Ntot), 1))
 
 
 def _symbolic_checks(r: _Runner, ctx: _SpinContext,
@@ -687,20 +688,24 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
         return worst, worst < tol, ""
     r.run("family-jz-commuting", "family-jz-commuting", p, 1e-10, jz_commuting)
 
-    for theta in sorted(ctx.taus):
-        tau = ctx.taus[theta]
+    # theta runs over -s..s, not over ctx.taus: the taus are read inside
+    # each check, so a failure to build them fails the check.
+    for theta in range(-s, s + 1):
         pt = {"s": s, "theta": theta}
         r.residual_check("tau-casimir-ladder", "tau-casimir-ladder", pt, 1e-8,
-                         lambda tau=tau: tau_casimir_ladder_residual(tau, gens))
+                         lambda theta=theta: tau_casimir_ladder_residual(
+                             ctx.taus[theta], gens))
         r.residual_check("tau-label-shift", "tau-label-shift", pt, 1e-8,
-                         lambda tau=tau: tau_shift_residual(tau, gens))
+                         lambda theta=theta: tau_shift_residual(
+                             ctx.taus[theta], gens))
         for k in (0, 2):
             for side in ("right", "left"):
                 r.residual_check(
                     f"resolvent-ladder-{side}", f"resolvent-ladder-{side}",
                     {"s": s, "theta": theta, "k": k}, 1e-8,
-                    lambda tau=tau, k=k, side=side:
-                        resolvent_commutator_check(gens, tau, k, side))
+                    lambda theta=theta, k=k, side=side:
+                        resolvent_commutator_check(gens, ctx.taus[theta], k,
+                                                   side))
 
     def complete_set(tol):
         worst = max(rep.frobenius_relative
@@ -865,13 +870,9 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
     s, gens = ctx.s, ctx.gens
     for omega in range(1, s + 1):
         p = {"s": s, "omega": omega}
-        tau_minus = ctx.taus[-omega]
 
-        def deformed(tol, tau_minus=tau_minus):
-            lz, l2 = deformed_generators(tau_minus)
-            herm = max((lz - lz.adjoint()).norm(), (l2 - l2.adjoint()).norm())
-            if herm > 1e-10 * (1 + lz.norm() + l2.norm()):
-                return herm, False, "deformed generators are not hermitian"
+        def deformed(tol, omega=omega):
+            lz, l2 = deformed_generators(ctx.taus[-omega])
             w0 = gens.weight0()
             worst = max(
                 commutator_residual(w0.of(l2), w0.J2, 2).frobenius_relative,
@@ -940,8 +941,10 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         return worst, worst < tol, ""
     r.run("casimir-closure-full", "casimir-closure-full", p, 1e-8, closure_full)
 
+    w0 = gens.weight0()
+
     def m1_kernel(tol):
-        rep = zero_residual(fam.m_ops[0], 1, col_weight=0,
+        rep = zero_residual(w0.of(fam.m_ops[0]), 1,
                             scale=max(fam.m_ops[0].norm(), 1.0))
         return rep.frobenius_relative, rep.frobenius_relative < tol, ""
     r.run("s1-m1-annihilates-kernel", "s1-m1-annihilates-kernel", p, 1e-10,
@@ -962,8 +965,8 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
 
     r.residual_check(
         "s1-weyl-pair", "s1-weyl-pair", p, 1e-8,
-        lambda: residual(commutator(demo.a_op, demo.a_dag),
-                         SparseOperator.identity(basis), 2, col_weight=0))
+        lambda: residual(w0.of(commutator(demo.a_op, demo.a_dag)),
+                         SparseOperator.identity(w0.basis), 2))
 
     def number_like(tol):
         ada = demo.a_dag @ demo.a_op
@@ -999,10 +1002,8 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     })
 
     def double_comm(tol):
-        jh = gens.j_hat()
-        ad0 = creation_op(basis, 0)
-        rep = residual(commutator(jh, commutator(jh, ad0)), ad0, 1,
-                       col_weight=0)
+        ad0 = w0.of(creation_op(basis, 0))
+        rep = residual(commutator(w0.j, commutator(w0.j, ad0)), ad0, 1)
         return rep.frobenius_relative, rep.frobenius_relative < tol, ""
     r.run("s1-double-commutator", "s1-double-commutator", p, 1e-8, double_comm)
 
@@ -1128,7 +1129,3 @@ def export_report(report: VerificationReport, path: str,
     except OSError as exc:
         raise OSError(f"cannot write report to {path!r}: {exc}") from exc
 
-
-def report_from_json(text: str) -> dict:
-    """Parse an exported JSON report back into its dictionary form."""
-    return json.loads(text)

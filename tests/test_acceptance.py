@@ -121,9 +121,9 @@ def test_criterion_05_s1_expression_match(ctx):
 def test_criterion_06_s1_demo_block(ctx):
     c = ctx(1, 5)
     demo = demo_s1_operators(c.gens, c.families)
-    weyl = residual(commutator(demo.a_op, demo.a_dag),
-                    SparseOperator.identity(c.basis), 2,
-                    col_weight=0).frobenius_relative
+    w0 = c.gens.weight0()
+    weyl = residual(w0.of(commutator(demo.a_op, demo.a_dag)),
+                    SparseOperator.identity(w0.basis), 2).frobenius_relative
     ada = demo.a_dag @ demo.a_op
     worst_eigen = 0.0
     for n in range(5):
@@ -137,10 +137,9 @@ def test_criterion_06_s1_demo_block(ctx):
                                      - m * kv.vector)),
                 float(np.linalg.norm(demo.l_2.apply(kv.vector)
                                      - ell * (ell + 1) * kv.vector)))
-    jh = c.gens.j_hat()
-    ad0 = creation_op(c.basis, 0)
-    double = residual(commutator(jh, commutator(jh, ad0)), ad0, 1,
-                      col_weight=0).frobenius_relative
+    ad0 = w0.of(creation_op(c.basis, 0))
+    double = residual(commutator(w0.j, commutator(w0.j, ad0)), ad0,
+                      1).frobenius_relative
     ok = weyl < 1e-8 and worst_eigen < 1e-8 and double < 1e-8
     _report(6, "spin-1 demo block (Weyl pair, counting operator, deformed "
             "su(2) spectra, double commutator) < 1e-8",

@@ -50,7 +50,7 @@ def test_p0_weyl_constant(ctx):
 
 def test_m1_annihilates_zero_weight_states(ctx):
     c = ctx(1, 5)
-    rep = zero_residual(c.families.m_ops[0], 1, col_weight=0,
+    rep = zero_residual(c.gens.weight0().of(c.families.m_ops[0]), 1,
                         scale=c.families.m_ops[0].norm())
     assert rep.frobenius_relative < 1e-14
     # Off the kernel it acts nontrivially.
@@ -291,8 +291,8 @@ def test_deformed_generators(ctx, spin, omega):
     lz, l2 = deformed_generators(c.taus[-omega])
     assert (lz - lz.adjoint()).norm() == 0.0
     assert (l2 - l2.adjoint()).norm() == 0.0
-    assert commutator_residual(l2, c.gens.J2, 2, col_weight=0
-                               ).frobenius_relative < 1e-8
+    w0 = c.gens.weight0()
+    assert commutator_residual(w0.of(l2), w0.J2, 2).frobenius_relative < 1e-8
     assert commutator_residual(lz, c.gens.Ntot, 2).frobenius_relative < 1e-8
 
 

@@ -19,8 +19,9 @@ def _ctx(ctx):
 def test_weyl_commutator(ctx):
     c = _ctx(ctx)
     d = demo_s1_operators(c.gens, c.families)
-    rep = residual(commutator(d.a_op, d.a_dag),
-                   SparseOperator.identity(c.basis), 2, col_weight=0)
+    w0 = c.gens.weight0()
+    rep = residual(w0.of(commutator(d.a_op, d.a_dag)),
+                   SparseOperator.identity(w0.basis), 2)
     assert rep.frobenius_relative < 1e-8
 
 
@@ -50,20 +51,21 @@ def test_deformed_su2_spectra(ctx):
 def test_demo_operators_are_casimir_ladders(ctx):
     c = _ctx(ctx)
     d = demo_s1_operators(c.gens, c.families)
-    f_plus = c.gens.function_of_j(lambda j: 2.0 * (j + 1.0))
-    f_minus = c.gens.function_of_j(lambda j: -2.0 * j)
+    w0 = c.gens.weight0()
+    f_plus = w0.function_of_j(lambda j: 2.0 * (j + 1.0))
+    f_minus = w0.function_of_j(lambda j: -2.0 * j)
     from su2ladders.ladder import check_rlo
-    assert check_rlo(c.gens.J2, d.a_dag, f_plus, 1, col_weight=0
+    assert check_rlo(w0.J2, w0.of(d.a_dag), f_plus, 1
                      ).frobenius_relative < 1e-8
-    assert check_rlo(c.gens.J2, d.l_plus, f_minus, 1, col_weight=0
+    assert check_rlo(w0.J2, w0.of(d.l_plus), f_minus, 1
                      ).frobenius_relative < 1e-8
 
 
 def test_double_commutator_returns_creation(ctx):
     c = _ctx(ctx)
-    jh = c.gens.j_hat()
-    ad0 = creation_op(c.basis, 0)
-    rep = residual(commutator(jh, commutator(jh, ad0)), ad0, 1, col_weight=0)
+    w0 = c.gens.weight0()
+    ad0 = w0.of(creation_op(c.basis, 0))
+    rep = residual(commutator(w0.j, commutator(w0.j, ad0)), ad0, 1)
     assert rep.frobenius_relative < 1e-8
 
 

@@ -12,6 +12,7 @@ from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
                                   commutator, commutator_on_columns,
                                   commutator_residual, creation_op, number_op,
                                   on_columns, residual, zero_residual)
+from su2ladders.schwinger import WeightLeakError, su2_generators
 
 
 @pytest.fixture(scope="module")
@@ -205,13 +206,14 @@ def test_dtype_follows_data(basis):
 
 
 def test_weight_restricted_residual(basis):
-    # A weight-changing operator has no weight-0 -> weight-0 matrix elements.
+    # The weight-0 view refuses a weight-changing operator: its weight-0
+    # columns have entries only in rows of another weight.
+    w0 = su2_generators(basis).weight0()
     jp_like = creation_op(basis, 1) @ annihilation_op(basis, 0)
-    rep = residual(jp_like, SparseOperator.zeros(basis), 1, col_weight=0)
-    assert rep.frobenius_absolute > 0.1  # columns exist, rows elsewhere
-    n0 = number_op(basis, 0)
-    rep0 = residual(n0, n0, 1, col_weight=0)
-    assert rep0.frobenius_absolute == 0.0
+    with pytest.raises(WeightLeakError):
+        w0.of(jp_like)
+    n0 = w0.of(number_op(basis, 0))
+    assert residual(n0, n0, 1).frobenius_absolute == 0.0
 
 
 def _creation_per_state(basis, mu):
@@ -267,35 +269,34 @@ def test_entry_is_complex_inside_and_outside_the_basis(basis):
 
 
 @pytest.mark.parametrize("call", [
-    lambda x, m, w: residual(x, x, m, col_weight=w),
-    lambda x, m, w: commutator_residual(x, x, m, col_weight=w),
-    lambda x, m, w: zero_residual(x, m, col_weight=w),
-    lambda x, m, w: on_columns(x, m, col_weight=w),
-    lambda x, m, w: commutator_on_columns(x, x, m, col_weight=w),
+    lambda x, m: residual(x, x, m),
+    lambda x, m: commutator_residual(x, x, m),
+    lambda x, m: zero_residual(x, m),
+    lambda x, m: on_columns(x, m),
+    lambda x, m: commutator_on_columns(x, x, m),
 ])
 def test_restriction_errors_raise_on_every_call(call):
     basis = enumerate_sector(1, 3)
     x = number_op(basis, 0)
+    # Three particles exactly: no state lies at or below n_max - 1.
+    level = number_op(enumerate_sector(1, 3, n=3), 0)
     for _ in range(2):
-        call(x, 1, 0)  # a cached restriction does not mask the checks
+        call(x, 1)  # a cached restriction does not mask the checks
         with pytest.raises(ValueError):
-            call(x, -1, None)
+            call(x, -1)
         with pytest.raises(EmptyInteriorError):
-            call(x, basis.n_max + 1, None)
+            call(x, basis.n_max + 1)
         with pytest.raises(EmptyInteriorError):
-            call(x, basis.n_max, 1)  # only the vacuum, of weight 0
-        with pytest.raises(EmptyInteriorError):
-            call(x, 0, 7)
+            call(level, 1)
 
 
 def test_cached_masks_and_hop_tables_are_read_only():
     basis = enumerate_sector(1, 3)
-    for col_weight in (None, 0, -1):
-        rows, cols = basis.interior_masks(1, col_weight)
-        assert basis.interior_masks(1, col_weight)[1] is cols
-        for mask in (rows, cols):
-            with pytest.raises(ValueError):
-                mask[0] = not mask[0]
+    for margin in (0, 1, basis.n_max):
+        mask = basis.interior_masks(margin)
+        assert basis.interior_masks(margin) is mask
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
     for i, j in ((0, 2), (1, 1)):
         table = basis.hop_table(i, j)
         assert basis.hop_table(i, j) is table

@@ -2,8 +2,8 @@
 
 Every interior residual reads only the columns its restriction keeps, and the
 library forms its products on those columns alone.  The references below form
-the same identities from whole-space products and slice them with
-``residual``; the reports must be equal, not merely close, because
+the same identities from whole-space products and slice them with dense
+masks; the reports must be equal, not merely close, because
 (X Y) P = X (Y P) holds entry for entry in floating point.
 """
 
@@ -18,36 +18,105 @@ import su2ladders.casimir
 from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
                                 _worst_alpha_entry, alpha_entry_deviation,
                                 certify_alpha, complete_set_check,
-                                deformed_generators, lattice_report,
-                                resolvent_commutator_check,
-                                tau_casimir_ladder_residual, tau_shift_residual)
+                                deformed_generators, demo_s1_operators,
+                                lattice_report, resolvent_commutator_check,
+                                s1_full_closure_residuals,
+                                s1_inverse_expressions, s1_mutual_commutators,
+                                s1_reference_taus, s1_tau_bracket_ladder,
+                                tau_bar_forms, tau_casimir_ladder_residual,
+                                tau_shift_residual)
 from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
                                check_llo, check_power_identity, check_rlo,
                                check_rlo_compose)
 from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
                                   ResidualReport, SparseOperator, commutator,
                                   commutator_on_columns, commutator_residual,
-                                  creation_op, on_columns, residual,
-                                  zero_residual)
+                                  creation_op, number_op, on_columns,
+                                  residual, zero_residual)
 from su2ladders.schwinger import jz_kernel
 from su2ladders.verify import (SuiteConfig, VerificationReport, _deformed_checks,
-                               _engine_checks, _Runner, _SpinContext,
-                               run_suite)
+                               _engine_checks, _Runner, _s1_demo_checks,
+                               _SpinContext, run_suite)
 
 SPINS = [2, 3]
 
 
+# -- references: whole-space operators under dense masks ----------------------
+#
+# Each reference slices ``matrix[rows][:, cols]`` with integer index arrays
+# and drops columns by copying, zeroing and ``eliminate_zeros``.  With a
+# ``col_weight`` the columns are further cut to that J_z weight: the
+# whole-space form of a claim the library reads on the weight-0 view.
+
+def _ref_restriction(basis, margin, col_weight):
+    interior = basis.totals <= basis.n_max - margin
+    rows = np.flatnonzero(interior)
+    cols = rows if col_weight is None else np.flatnonzero(
+        interior & (basis.weights == col_weight))
+    if len(rows) == 0 or len(cols) == 0:
+        raise EmptyInteriorError
+    return rows, cols
+
+
+def _ref_fro(matrix, rows, cols):
+    sub = matrix[rows][:, cols]
+    if sub.nnz == 0:
+        return 0.0
+    return float(math.sqrt(np.sum(np.abs(sub.data) ** 2)))
+
+
+def _ref_on_columns(x, margin, col_weight):
+    _rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    if len(cols) == len(x.basis):
+        return x
+    keep = np.zeros(len(x.basis), dtype=bool)
+    keep[cols] = True
+    m = x.matrix.copy()
+    m.data[~keep[m.indices]] = 0
+    m.eliminate_zeros()
+    return SparseOperator(x.basis, m)
+
+
+def _ref_residual(x, y, margin, col_weight):
+    rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    absolute = _ref_fro((x.matrix - y.matrix).tocsr(), rows, cols)
+    denom = max(_ref_fro(x.matrix, rows, cols), _ref_fro(y.matrix, rows, cols))
+    return ResidualReport(absolute, absolute / denom if denom > 0 else absolute,
+                          margin)
+
+
+def _ref_commutator_on_columns(x, y, margin, col_weight):
+    return (x @ _ref_on_columns(y, margin, col_weight)
+            - y @ _ref_on_columns(x, margin, col_weight))
+
+
+def _ref_commutator_residual(x, y, margin, col_weight):
+    rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    c = _ref_commutator_on_columns(x, y, margin, col_weight)
+    absolute = _ref_fro(c.matrix, rows, cols)
+    scale = _ref_fro(x.matrix, rows, cols) * _ref_fro(y.matrix, rows, cols)
+    return ResidualReport(absolute, absolute / scale if scale > 0 else absolute,
+                          margin)
+
+
+def _ref_zero_residual(x, margin, col_weight, scale):
+    rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    absolute = _ref_fro(x.matrix, rows, cols)
+    return ResidualReport(absolute, absolute / scale if scale > 0 else absolute,
+                          margin)
+
+
 def _full_commutator_residual(x, y, margin, col_weight=None):
     # commutator_residual from the whole-space commutator.
-    scale = (zero_residual(x, margin, col_weight).frobenius_absolute
-             * zero_residual(y, margin, col_weight).frobenius_absolute)
-    return zero_residual(commutator(x, y), margin, col_weight, scale=scale)
+    rows, cols = _ref_restriction(x.basis, margin, col_weight)
+    scale = _ref_fro(x.matrix, rows, cols) * _ref_fro(y.matrix, rows, cols)
+    return _ref_zero_residual(commutator(x, y), margin, col_weight, scale)
 
 
 def _full_ladder_residual(lhs, rhs, degenerate, margin, col_weight):
     if rhs.is_zero():
         return _full_commutator_residual(*degenerate, margin, col_weight)
-    return residual(lhs, rhs, margin, col_weight=col_weight)
+    return _ref_residual(lhs, rhs, margin, col_weight)
 
 
 def _ref_rlo(h, p_dag, p_fn, margin, col_weight=None):
@@ -60,14 +129,31 @@ def _ref_llo(h, p, p_fn, margin, col_weight=None):
                                  col_weight)
 
 
+def _ref_power_identity(h, p_dag, p_fn, n, margin, col_weight=None):
+    hn = h.power(n)
+    return _ref_residual(commutator(hn, p_dag),
+                         p_dag @ ((h + p_fn).power(n) - hn), margin, col_weight)
+
+
+def _ref_rlo_compose(h, p_dag, p_fn, a, margin, col_weight=None):
+    pa = p_dag @ a
+    return _ref_residual(commutator(h, pa), pa @ p_fn, margin, col_weight)
+
+
+def _whole(x):
+    return x
+
+
 def _rlo_cases(c):
-    """(H, p+, P, col_weight) for every tau, plus the number-operator pair."""
+    """(H, p+, P, col_weight, view) for the number-operator pair and every
+    tau: ``view`` maps a whole-space operator to the space the library reads
+    the claim on, the weight-0 view for a tau and its weight-0 columns."""
     gens = c.gens
     cases = [(gens.Ntot, creation_op(c.basis, 0),
-              SparseOperator.identity(c.basis), None)]
+              SparseOperator.identity(c.basis), None, _whole)]
     for theta, tau in sorted(c.taus.items()):
-        cases.append((gens.J2, tau.op,
-                      gens.function_of_j(tau.right_function), 0))
+        cases.append((gens.J2, tau.op, gens.function_of_j(tau.right_function),
+                      0, gens.weight0().of))
     return cases
 
 
@@ -75,21 +161,16 @@ def _rlo_cases(c):
 def test_on_columns_keeps_exactly_the_restricted_columns(ctx, spin):
     c = ctx(spin, 4)
     tau = c.taus[1].op
-    for margin, col_weight in ((1, 0), (1, None), (2, 0)):
-        cols = np.flatnonzero(
-            (c.basis.totals <= c.basis.n_max - margin)
-            & ((c.basis.weights == col_weight) if col_weight is not None
-               else True))
+    for margin in (1, 2):
+        cols = np.flatnonzero(c.basis.totals <= c.basis.n_max - margin)
         full = tau.matrix.toarray()
         want = np.zeros_like(full)
         want[:, cols] = full[:, cols]
-        assert np.array_equal(on_columns(tau, margin, col_weight)
-                              .matrix.toarray(), want)
+        assert np.array_equal(on_columns(tau, margin).matrix.toarray(), want)
         comm = commutator(c.gens.J2, tau).matrix.toarray()
         want[:] = 0.0
         want[:, cols] = comm[:, cols]
-        assert np.array_equal(commutator_on_columns(c.gens.J2, tau, margin,
-                                                    col_weight)
+        assert np.array_equal(commutator_on_columns(c.gens.J2, tau, margin)
                               .matrix.toarray(), want)
 
 
@@ -97,35 +178,33 @@ def test_on_columns_keeps_exactly_the_restricted_columns(ctx, spin):
 def test_commutator_residual_equals_full_product(ctx, spin):
     c = ctx(spin, 4)
     g = c.gens
-    for x, y, margin, col_weight in ((g.J2, c.taus[0].op, 1, 0),
-                                     (g.J2, c.taus[1].op, 1, 0),
-                                     (g.Ntot, c.taus[1].op, 1, None),
-                                     (g.Jz, g.Jplus, 0, None)):
-        assert commutator_residual(x, y, margin, col_weight) == \
+    w0 = g.weight0()
+    for x, y, margin, col_weight, view in (
+            (g.J2, c.taus[0].op, 1, 0, w0.of),
+            (g.J2, c.taus[1].op, 1, 0, w0.of),
+            (g.Ntot, c.taus[1].op, 1, None, _whole),
+            (g.Jz, g.Jplus, 0, None, _whole)):
+        assert commutator_residual(view(x), view(y), margin) == \
             _full_commutator_residual(x, y, margin, col_weight)
 
 
 @pytest.mark.parametrize("spin", SPINS)
 def test_check_rlo_and_llo_equal_full_products(ctx, spin):
     c = ctx(spin, 4)
-    for h, p_dag, p_fn, col_weight in _rlo_cases(c):
-        assert check_rlo(h, p_dag, p_fn, 1, col_weight=col_weight) == \
+    for h, p_dag, p_fn, col_weight, view in _rlo_cases(c):
+        assert check_rlo(view(h), view(p_dag), view(p_fn), 1) == \
             _ref_rlo(h, p_dag, p_fn, 1, col_weight)
         p = p_dag.adjoint()
-        assert check_llo(h, p, p_fn, 1, col_weight=col_weight) == \
+        assert check_llo(view(h), view(p), view(p_fn), 1) == \
             _ref_llo(h, p, p_fn, 1, col_weight)
 
 
 @pytest.mark.parametrize("spin", SPINS)
 def test_check_power_identity_equals_full_products(ctx, spin):
     c = ctx(spin, 4)
-    for h, p_dag, p_fn, col_weight in _rlo_cases(c):
-        hn = h.power(2)
-        want = residual(commutator(hn, p_dag),
-                        p_dag @ ((h + p_fn).power(2) - hn), 1,
-                        col_weight=col_weight)
-        assert check_power_identity(h, p_dag, p_fn, 2, 1,
-                                    col_weight=col_weight) == want
+    for h, p_dag, p_fn, col_weight, view in _rlo_cases(c):
+        assert check_power_identity(view(h), view(p_dag), view(p_fn), 2, 1) \
+            == _ref_power_identity(h, p_dag, p_fn, 2, 1, col_weight)
 
 
 @pytest.mark.parametrize("spin", SPINS)
@@ -133,12 +212,10 @@ def test_check_rlo_compose_equals_full_products(ctx, spin):
     c = ctx(spin, 4)
     g = c.gens
     for a in (g.function_of_j(lambda j: j * j + 1.0), g.Ntot):
-        for h, p_dag, p_fn, col_weight in _rlo_cases(c):
-            pa = p_dag @ a
-            want = residual(commutator(h, pa), pa @ p_fn, 1,
-                            col_weight=col_weight)
-            assert check_rlo_compose(h, p_dag, p_fn, a, 1,
-                                     col_weight=col_weight) == want
+        for h, p_dag, p_fn, col_weight, view in _rlo_cases(c):
+            assert check_rlo_compose(view(h), view(p_dag), view(p_fn),
+                                     view(a), 1) == \
+                _ref_rlo_compose(h, p_dag, p_fn, a, 1, col_weight)
 
 
 @pytest.mark.parametrize("spin", SPINS)
@@ -149,8 +226,8 @@ def test_tau_shift_residual_equals_full_products(ctx, spin):
         if theta == 0:
             want = _full_commutator_residual(jh, tau.op, 1, 0)
         else:
-            want = residual(commutator(jh, tau.op), float(theta) * tau.op, 1,
-                            col_weight=0)
+            want = _ref_residual(commutator(jh, tau.op), float(theta) * tau.op,
+                                 1, 0)
         assert tau_shift_residual(tau, c.gens) == want
 
 
@@ -168,12 +245,12 @@ def test_resolvent_check_equals_full_products(ctx, spin, side):
                 want = _full_commutator_residual(g_op, tau.op, 1, 0)
             elif side == "right":
                 diff = g.function_of_j(lambda j: res(j + theta) - res(j))
-                want = residual(commutator(g_op, tau.op), tau.op @ diff, 1,
-                                col_weight=0)
+                want = _ref_residual(commutator(g_op, tau.op), tau.op @ diff,
+                                     1, 0)
             else:
                 diff = g.function_of_j(lambda j: res(j) - res(j - theta))
-                want = residual(commutator(g_op, tau.op), diff @ tau.op, 1,
-                                col_weight=0)
+                want = _ref_residual(commutator(g_op, tau.op), diff @ tau.op,
+                                     1, 0)
             assert resolvent_commutator_check(g, tau, k, side) == want
 
 
@@ -189,8 +266,7 @@ def test_certify_alpha_equals_full_products(ctx, spin, family):
         for mu, t_mu in ops.items():
             if not alpha.entry(mu, eta).is_zero():
                 rhs = rhs + t_mu @ c.gens.function_of_j(alpha.entry(mu, eta))
-        want[eta] = residual(commutator(c.gens.J2, t_eta), rhs, 1,
-                             col_weight=0)
+        want[eta] = _ref_residual(commutator(c.gens.J2, t_eta), rhs, 1, 0)
     assert certify_alpha(alpha, c.gens, c.families) == want
 
 
@@ -385,11 +461,11 @@ def test_lattice_rejects_an_injected_leak(ctx, leak):
 
 # -- the weight-0 view against the whole-space forms ---------------------------
 #
-# The converted certificates read the weight-0 blocks (``Su2Generators.
-# weight0``).  The references below are the whole-space forms they replaced:
-# f(J^2) from ``function_of_j`` over every sector, right factors cut to the
-# weight-0 interior by ``on_columns(..., col_weight=0)``, and ``residual(...,
-# col_weight=0)``.  The reports must be equal, not merely close.
+# The certificates read the weight-0 blocks (``Su2Generators.weight0``).  The
+# references below are their whole-space forms: f(J^2) from ``function_of_j``
+# over every sector, right factors cut to the weight-0 interior columns by
+# ``_ref_on_columns(..., 0)``, and ``_ref_residual(..., 0)``.  The reports
+# must be equal, not merely close.
 
 CONFIGS = [(1, 4), (2, 4), (3, 5), (4, 4)]
 
@@ -398,21 +474,21 @@ def _whole_certify_alpha(alpha, gens, families):
     ops = families.ops(alpha.family)
     out = {}
     for eta, t_eta in ops.items():
-        lhs = commutator_on_columns(gens.J2, t_eta, 1, col_weight=0)
+        lhs = _ref_commutator_on_columns(gens.J2, t_eta, 1, 0)
         rhs = SparseOperator.zeros(families.basis)
         for mu, t_mu in ops.items():
             poly = alpha.entry(mu, eta)
             if not poly.is_zero():
-                rhs = rhs + t_mu @ on_columns(gens.function_of_j(poly), 1,
-                                              col_weight=0)
-        out[eta] = residual(lhs, rhs, 1, col_weight=0)
+                rhs = rhs + t_mu @ _ref_on_columns(gens.function_of_j(poly),
+                                                   1, 0)
+        out[eta] = _ref_residual(lhs, rhs, 1, 0)
     return out
 
 
 def _whole_worst_alpha_entry(alpha, eta, gens, families):
     # The whole-space commutator on weight-0 columns, applied level by level.
     ops = families.ops(alpha.family)
-    comm = commutator_on_columns(gens.J2, ops[eta], 1, col_weight=0)
+    comm = _ref_commutator_on_columns(gens.J2, ops[eta], 1, 0)
     basis = families.basis
     worst = (None, 0.0)
     for n in range(0, basis.n_max):
@@ -459,14 +535,14 @@ def test_weight0_tau_certificates_equal_whole_space_forms(ctx, spin, n_max):
     g = c.gens
     jh = g.j_hat()
     for theta, tau in sorted(c.taus.items()):
-        assert tau_casimir_ladder_residual(tau, g) == check_rlo(
-            g.J2, tau.op, g.function_of_j(tau.right_function), 1, col_weight=0)
+        assert tau_casimir_ladder_residual(tau, g) == _ref_rlo(
+            g.J2, tau.op, g.function_of_j(tau.right_function), 1, 0)
         if theta == 0:
-            want = commutator_residual(jh, tau.op, 1, col_weight=0)
+            want = _ref_commutator_residual(jh, tau.op, 1, 0)
         else:
-            want = residual(commutator_on_columns(jh, tau.op, 1, col_weight=0),
-                            float(theta) * on_columns(tau.op, 1, col_weight=0),
-                            1, col_weight=0)
+            want = _ref_residual(_ref_commutator_on_columns(jh, tau.op, 1, 0),
+                                 float(theta) * _ref_on_columns(tau.op, 1, 0),
+                                 1, 0)
         assert tau_shift_residual(tau, g) == want
 
 
@@ -482,17 +558,16 @@ def test_weight0_resolvent_check_equals_whole_space_form(ctx, spin, n_max,
         g_op = g.function_of_j(res)
         for theta, tau in sorted(c.taus.items()):
             if theta == 0:
-                want = commutator_residual(g_op, tau.op, 1, col_weight=0)
+                want = _ref_commutator_residual(g_op, tau.op, 1, 0)
             else:
                 if side == "right":
                     diff = g.function_of_j(lambda j: res(j + theta) - res(j))
-                    rhs = tau.op @ on_columns(diff, 1, col_weight=0)
+                    rhs = tau.op @ _ref_on_columns(diff, 1, 0)
                 else:
                     diff = g.function_of_j(lambda j: res(j) - res(j - theta))
-                    rhs = diff @ on_columns(tau.op, 1, col_weight=0)
-                want = residual(commutator_on_columns(g_op, tau.op, 1,
-                                                      col_weight=0),
-                                rhs, 1, col_weight=0)
+                    rhs = diff @ _ref_on_columns(tau.op, 1, 0)
+                want = _ref_residual(
+                    _ref_commutator_on_columns(g_op, tau.op, 1, 0), rhs, 1, 0)
             assert resolvent_commutator_check(g, tau, k, side) == want
 
 
@@ -503,8 +578,8 @@ def test_weight0_complete_set_commutator_equals_whole_space_form(ctx, spin,
     rep = complete_set_check(c.basis, c.gens, c.taus, min(n_max, 4))
     for theta, tau in sorted(c.taus.items()):
         prod = tau.op @ tau.op.adjoint()
-        assert rep.commutator_residuals[(theta, "J2")] == commutator_residual(
-            prod, c.gens.J2, 2, col_weight=0)
+        assert rep.commutator_residuals[(theta, "J2")] == \
+            _ref_commutator_residual(prod, c.gens.J2, 2, 0)
 
 
 def _check_residuals(block, spin, n_max):
@@ -522,13 +597,13 @@ def test_weight0_engine_checks_equal_whole_space_forms(spin, n_max):
     rf_op = g.function_of_j(tau1.right_function)
     params = (("s", spin), ("theta", 1))
     want = {
-        ("power-identity-casimir", params + (("n", 2),)): check_power_identity(
-            g.J2, tau1.op, rf_op, 2, 1, col_weight=0),
-        ("rlo-compose-polynomial", params): check_rlo_compose(
+        ("power-identity-casimir", params + (("n", 2),)): _ref_power_identity(
+            g.J2, tau1.op, rf_op, 2, 1, 0),
+        ("rlo-compose-polynomial", params): _ref_rlo_compose(
             g.J2, tau1.op, rf_op, g.function_of_j(lambda j: j * j + 1.0), 1,
-            col_weight=0),
-        ("rlo-compose-number", params): check_rlo_compose(
-            g.J2, tau1.op, rf_op, g.Ntot, 1, col_weight=0),
+            0),
+        ("rlo-compose-number", params): _ref_rlo_compose(
+            g.J2, tau1.op, rf_op, g.Ntot, 1, 0),
     }
     for key, rep in want.items():
         assert got[(key[0], tuple(sorted(key[1])))] == rep.frobenius_relative
@@ -541,8 +616,8 @@ def test_weight0_deformed_generators_equal_whole_space_forms(spin, n_max):
     for omega in range(1, spin + 1):
         lz, l2 = deformed_generators(ctx.taus[-omega])
         want = max(
-            commutator_residual(l2, g.J2, 2, col_weight=0).frobenius_relative,
-            commutator_residual(lz, g.J2, 2, col_weight=0).frobenius_relative,
+            _ref_commutator_residual(l2, g.J2, 2, 0).frobenius_relative,
+            _ref_commutator_residual(lz, g.J2, 2, 0).frobenius_relative,
             commutator_residual(l2, g.Ntot, 2).frobenius_relative,
             commutator_residual(lz, g.Ntot, 2).frobenius_relative)
         key = ("deformed-algebra-generators",
@@ -550,66 +625,80 @@ def test_weight0_deformed_generators_equal_whole_space_forms(spin, n_max):
         assert got[key] == want
 
 
+def _whole_s1_residuals(c):
+    """Every spin-1 residual the library reads on the weight-0 view, formed
+    from whole-space operators and read on the weight-0 interior columns."""
+    g, fam, basis = c.gens, c.families, c.basis
+    p0, p1, m1 = fam.p_ops[0], fam.p_ops[1], fam.m_ops[0]
+    ident = SparseOperator.identity(basis)
+    jz, jh = g.Jz, g.j_hat()
+    ad0 = creation_op(basis, 0)
+    bracket = commutator(jh, ad0)
+    n_minus_n0 = g.Ntot - number_op(basis, 0)
+    diag_rhs = (2.0 * g.J2 - (jz @ (2.0 * jz + ident))
+                + n_minus_n0 @ (jz - 2.0 * ident))
+    tau_plus, tau_minus = s1_reference_taus(g, fam)
+    inv = g.function_of_j(lambda j: 1.0 / (2.0 * j + 1.0))
+    pair_sum = tau_plus + tau_minus
+    mixed = commutator(tau_plus, tau_minus.adjoint())
+    demo = demo_s1_operators(g, fam)
+    return {
+        "kernel_form": _ref_residual(commutator(g.J2, p1),
+                                     p0 @ (g.J2 - (jz @ jz + jz)), 1, 0),
+        "p1_p1dag_weight0": _ref_residual(
+            commutator(p1.adjoint(), p1), diag_rhs, 2, 0),
+        "double_commutator": _ref_residual(commutator(jh, bracket), ad0, 1, 0),
+        "rlo_plus": _ref_rlo(g.J2, bracket + ad0,
+                             g.function_of_j(lambda j: 2.0 * (j + 1.0)), 1, 0),
+        "rlo_minus": _ref_rlo(g.J2, -1.0 * bracket + ad0,
+                              g.function_of_j(lambda j: -2.0 * j), 1, 0),
+        "p0_from_taus": _ref_residual(pair_sum @ inv, p0, 1, 0),
+        "p1_from_taus": _ref_residual(
+            0.25 * ((tau_plus - tau_minus) - pair_sum @ inv), p1, 1, 0),
+        "label_comm_p0": _ref_residual(commutator(jh, p0),
+                                       (p0 + 4.0 * p1) @ inv, 1, 0),
+        "label_comm_p1": _ref_residual(commutator(jh, p1),
+                                       (p0 @ g.J2 - p1) @ inv, 1, 0),
+        "mixed_pair_shift2": _ref_residual(commutator(jh, mixed), 2.0 * mixed,
+                                           2, 0),
+        "raising_pair_commutes": _ref_commutator_residual(
+            jh, commutator(tau_plus, tau_minus), 2, 0),
+        "s1-m1-annihilates-kernel": _ref_zero_residual(
+            m1, 1, 0, max(m1.norm(), 1.0)),
+        "s1-weyl-pair": _ref_residual(commutator(demo.a_op, demo.a_dag),
+                                      ident, 2, 0),
+        "s1-double-commutator": _ref_residual(commutator(jh, bracket), ad0,
+                                              1, 0),
+    }
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 5, 6])
+def test_weight0_spin1_residuals_equal_whole_space_forms(ctx, n_max):
+    c = ctx(1, n_max)
+    g, fam = c.gens, c.families
+    tb = tau_bar_forms(c.basis, g, fam)
+    got = {
+        **s1_full_closure_residuals(g, fam), **s1_mutual_commutators(g, fam),
+        "double_commutator": tb.double_commutator,
+        "rlo_plus": tb.rlo_plus, "rlo_minus": tb.rlo_minus,
+        **s1_inverse_expressions(g, fam), **s1_tau_bracket_ladder(g, fam),
+    }
+    want = _whole_s1_residuals(c)
+    _ctx, checks = _check_residuals(
+        lambda r, spin_ctx: _s1_demo_checks(r, spin_ctx, r.report), 1, n_max)
+    for name in ("s1-m1-annihilates-kernel", "s1-weyl-pair",
+                 "s1-double-commutator"):
+        assert checks[(name, (("s", 1),))] == \
+            want.pop(name).frobenius_relative, name
+    for key, rep in want.items():
+        assert got[key] == rep, key
+
+
 # -- mask forms against fancy-index slicing ----------------------------------
 #
 # The residuals read their restricted entries straight from the CSR arrays
-# through boolean masks cached on the basis.  The references below slice
-# ``matrix[rows][:, cols]`` with integer index arrays and drop columns by
-# copying, zeroing and ``eliminate_zeros``; the results must be equal.
-
-def _ref_restriction(basis, margin, col_weight):
-    interior = basis.totals <= basis.n_max - margin
-    rows = np.flatnonzero(interior)
-    cols = rows if col_weight is None else np.flatnonzero(
-        interior & (basis.weights == col_weight))
-    if len(rows) == 0 or len(cols) == 0:
-        raise EmptyInteriorError
-    return rows, cols
-
-
-def _ref_fro(matrix, rows, cols):
-    sub = matrix[rows][:, cols]
-    if sub.nnz == 0:
-        return 0.0
-    return float(math.sqrt(np.sum(np.abs(sub.data) ** 2)))
-
-
-def _ref_on_columns(x, margin, col_weight):
-    _rows, cols = _ref_restriction(x.basis, margin, col_weight)
-    if len(cols) == len(x.basis):
-        return x
-    keep = np.zeros(len(x.basis), dtype=bool)
-    keep[cols] = True
-    m = x.matrix.copy()
-    m.data[~keep[m.indices]] = 0
-    m.eliminate_zeros()
-    return SparseOperator(x.basis, m)
-
-
-def _ref_residual(x, y, margin, col_weight):
-    rows, cols = _ref_restriction(x.basis, margin, col_weight)
-    absolute = _ref_fro((x.matrix - y.matrix).tocsr(), rows, cols)
-    denom = max(_ref_fro(x.matrix, rows, cols), _ref_fro(y.matrix, rows, cols))
-    return ResidualReport(absolute, absolute / denom if denom > 0 else absolute,
-                          margin)
-
-
-def _ref_commutator_residual(x, y, margin, col_weight):
-    rows, cols = _ref_restriction(x.basis, margin, col_weight)
-    c = (x @ _ref_on_columns(y, margin, col_weight)
-         - y @ _ref_on_columns(x, margin, col_weight))
-    absolute = _ref_fro(c.matrix, rows, cols)
-    scale = _ref_fro(x.matrix, rows, cols) * _ref_fro(y.matrix, rows, cols)
-    return ResidualReport(absolute, absolute / scale if scale > 0 else absolute,
-                          margin)
-
-
-def _ref_zero_residual(x, margin, col_weight, scale):
-    rows, cols = _ref_restriction(x.basis, margin, col_weight)
-    absolute = _ref_fro(x.matrix, rows, cols)
-    return ResidualReport(absolute, absolute / scale if scale > 0 else absolute,
-                          margin)
-
+# through boolean masks cached on the basis; the results must equal the
+# sliced references at the top of this file.
 
 def _outcome(fn, *args):
     try:
@@ -643,14 +732,12 @@ def test_residuals_equal_sliced_references(ctx, spin):
     c = ctx(spin, 4)
     for x, y in _mask_cases(c):
         for margin in range(c.basis.n_max + 1):
-            for col_weight in (None, 0, 1, -1):
-                args = (margin, col_weight)
-                assert _outcome(residual, x, y, *args) == \
-                    _outcome(_ref_residual, x, y, *args)
-                assert _outcome(commutator_residual, x, y, *args) == \
-                    _outcome(_ref_commutator_residual, x, y, *args)
-                assert _outcome(zero_residual, x, *args, 2.5) == \
-                    _outcome(_ref_zero_residual, x, *args, 2.5)
+            assert _outcome(residual, x, y, margin) == \
+                _outcome(_ref_residual, x, y, margin, None)
+            assert _outcome(commutator_residual, x, y, margin) == \
+                _outcome(_ref_commutator_residual, x, y, margin, None)
+            assert _outcome(zero_residual, x, margin, 2.5) == \
+                _outcome(_ref_zero_residual, x, margin, None, 2.5)
 
 
 @pytest.mark.parametrize("spin", [1, 2])
@@ -658,12 +745,11 @@ def test_on_columns_equals_copy_and_zero_reference(ctx, spin):
     c = ctx(spin, 4)
     for x, _y in _mask_cases(c):
         for margin in range(c.basis.n_max + 1):
-            for col_weight in (None, 0, 1, -1):
-                got = _outcome(on_columns, x, margin, col_weight)
-                want = _outcome(_ref_on_columns, x, margin, col_weight)
-                if want is EmptyInteriorError:
-                    assert got is EmptyInteriorError
-                    continue
-                for name in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(got.matrix, name),
-                                          getattr(want.matrix, name))
+            got = _outcome(on_columns, x, margin)
+            want = _outcome(_ref_on_columns, x, margin, None)
+            if want is EmptyInteriorError:
+                assert got is EmptyInteriorError
+                continue
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got.matrix, name),
+                                      getattr(want.matrix, name))

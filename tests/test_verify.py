@@ -20,7 +20,7 @@ from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                _lattice_checks, _listed_annihilation,
                                _Runner, _s1_demo_checks, _SpinContext,
                                _symbolic_checks, _tau_checks, export_report,
-                               report_from_json, run_suite)
+                               run_suite)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def test_reports_are_byte_identical(default_report):
 
 
 def test_json_roundtrip(default_report):
-    parsed = report_from_json(default_report.to_json())
+    parsed = json.loads(default_report.to_json())
     assert parsed == default_report.to_json_dict()
     assert parsed["overall_pass"] is True
     assert parsed["counts"]["total"] == len(default_report.checks)
@@ -72,7 +72,7 @@ def test_wall_times_not_serialized(default_report):
 def test_export_and_parse(tmp_path, default_report):
     path = tmp_path / "report.json"
     export_report(default_report, str(path))
-    assert report_from_json(path.read_text()) == default_report.to_json_dict()
+    assert json.loads(path.read_text()) == default_report.to_json_dict()
     csv_path = tmp_path / "report.csv"
     export_report(default_report, str(csv_path), "csv")
     assert csv_path.read_text() == default_report.to_csv()
@@ -312,8 +312,8 @@ def _nonzero_determinant(monkeypatch, theta):
 @pytest.mark.parametrize("theta", [-2, 0, 1])
 def test_nonzero_determinant_fails_every_right_function_reader(monkeypatch,
                                                                theta):
-    # The exact layer alone: the numerical blocks read the taus, which
-    # build_taus cannot assemble without the right functions.
+    # The exact layer alone, where only the right-function readers fail;
+    # test_run_suite_records_a_right_function_failure runs the whole suite.
     _nonzero_determinant(monkeypatch, theta)
     report = _run_block(lambda r, c: _symbolic_checks(r, c, r.report),
                         _SpinContext(2, 3))
@@ -324,6 +324,37 @@ def test_nonzero_determinant_fails_every_right_function_reader(monkeypatch,
         assert not check.passed
         assert check.detail.startswith("RightFunctionError"), check.detail
         assert f"theta={theta}" in check.detail
+
+
+#: The checks that read the taus, which build_taus cannot assemble without
+#: the right functions.
+TAU_READERS = ("power-identity-casimir", "rlo-compose-polynomial",
+               "rlo-compose-number", "tau-casimir-ladder", "tau-label-shift",
+               "resolvent-ladder-right", "resolvent-ladder-left",
+               "tau-complete-set", "complete-set-separation",
+               "lattice-scheme", "tau-annihilation-rules",
+               "tau-trivial-kernel-parity", "tau-zero-preserves-j",
+               "multiplicity-oracle", "deformed-algebra-generators",
+               "residue-classes")
+
+
+def test_run_suite_records_a_right_function_failure(monkeypatch):
+    # A failed certificate is recorded, not raised: the suite runs the same
+    # checks with the same params, and exactly the readers of the right
+    # functions and of the taus fail, each with the certificate's error.
+    config = SuiteConfig(spins=[2], n_max=3)
+    clean = run_suite(config)
+    _nonzero_determinant(monkeypatch, 1)
+    broken = run_suite(config)
+    assert clean.overall_pass
+    assert [(c.name, c.params) for c in broken.checks] == \
+        [(c.name, c.params) for c in clean.checks]
+    failed = [c for c in broken.checks if not c.passed]
+    assert {c.name for c in failed} == \
+        set(RIGHT_FUNCTION_READERS) | set(TAU_READERS)
+    for check in failed:
+        assert check.detail.startswith("RightFunctionError"), check.detail
+        assert "theta=1" in check.detail
 
 
 def test_no_right_function_failure_is_cached(monkeypatch):
