@@ -11,14 +11,19 @@ tau[theta] that shift the Casimir label j by theta while raising the total
 particle number by one.  Everything the construction claims is certified
 numerically on the zero-weight (J_z kernel) subspace, where the closure
 relations hold; the few identities that hold unrestricted are checked on the
-full interior.  The ladder certificates read the weight-0 blocks of the
-generators (``Su2Generators.weight0``): tau's assembled CSR entries, J^2's
-sparse entries and f(J^2) on the (n, 0) sectors, and no whole-space
-function of j.
+full interior.  Each tau is held on weight 0: ``assemble_tau`` builds only
+its weight-0 block (``TauOperator.weight0``), and refuses a family operator
+that leaks out of weight 0 (WeightLeakError).  The ladder certificates, the
+resolvent relations and the kernel lattice read that block, J^2's sparse
+entries and f(J^2) on the (n, 0) sectors (``Su2Generators.weight0``), and
+no whole-space function of j.  The whole-space tau (``TauOperator.op``) is
+built on demand, for the claims read on the whole interior (the complete
+set, the deformed generators, the spin-1 expressions) and for export.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,10 +54,11 @@ class LadderFamily:
     basis: SectorBasis
     p_ops: tuple[SparseOperator, ...]
     m_ops: tuple[SparseOperator, ...]
-    # family -> its measured closure coefficients (``closure_fit``).  Not an
-    # init field, so a ``dataclasses.replace`` copy starts with its own.
-    _fits: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    # What is formed from these operators once and kept (``closure_fit``,
+    # ``closure_commutators``, ``s1_reference_taus``).  Not an init field,
+    # so a ``dataclasses.replace`` copy starts with its own.
+    _values: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def ops(self, family: str) -> dict[int, SparseOperator]:
         if family == P_FAMILY:
@@ -61,17 +67,35 @@ class LadderFamily:
             return {k: self.m_ops[k - 1] for k in range(1, self.s + 1)}
         raise ValueError(f"unknown family {family!r}")
 
+    def kept(self, key, generators: Su2Generators, build):
+        """``build()``, formed on first use and kept on this instance under
+        ``key``; a failed build is not kept.  The generators must act on the
+        families' basis."""
+        if generators.basis is not self.basis and generators.basis != self.basis:
+            raise BasisMismatchError("generators do not act on the families' basis")
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = build()
+        return value
+
     def closure_fit(self, family: str, generators: Su2Generators
                     ) -> dict[int, list[tuple[int, np.ndarray]]]:
         """The family's closure coefficients measured on the J^2 kernel
-        nodes (``_measure_closure``), fitted on first use and kept on this
-        instance; a failed fit is not kept."""
-        if generators.basis is not self.basis and generators.basis != self.basis:
-            raise BasisMismatchError("generators do not act on the families' basis")
-        fit = self._fits.get(family)
-        if fit is None:
-            fit = self._fits[family] = _measure_closure(self, generators, family)
-        return fit
+        nodes (``_measure_closure``), fitted on first use and kept."""
+        return self.kept(("fit", family), generators,
+                         lambda: _measure_closure(self, generators, family))
+
+    def closure_commutators(self, family: str, generators: Su2Generators
+                            ) -> dict[int, SparseOperator]:
+        """[J^2, T_eta] for each eta of the family, on the weight-0 interior
+        columns (margin LADDER_MARGIN), formed from the weight-0 blocks on
+        first use and kept: ``certify_alpha`` and the closure fit read the
+        same ones."""
+        def build():
+            w0 = generators.weight0()
+            return {eta: commutator_on_columns(w0.J2, w0.of(t), LADDER_MARGIN)
+                    for eta, t in self.ops(family).items()}
+        return self.kept(("commutators", family), generators, build)
 
 
 def build_families(basis: SectorBasis, generators: Su2Generators) -> LadderFamily:
@@ -113,15 +137,16 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     For every family index eta the residual of [J^2, T_eta] minus
     sum_mu T_mu alpha[mu, eta](j) is computed on the weight-0 interior
     (margin LADDER_MARGIN), from the weight-0 blocks of the generators
-    (``Su2Generators.weight0``).  A failure aborts with the offending
-    (mu, eta) pair, identified against the family's measured closure
-    coefficients (``LadderFamily.closure_fit``).
+    (``Su2Generators.weight0``); the commutators are the family's kept ones
+    (``LadderFamily.closure_commutators``).  A failure aborts with the
+    offending (mu, eta) pair, identified against the family's measured
+    closure coefficients (``LadderFamily.closure_fit``).
     """
     w0 = generators.weight0()
     ops = {k: w0.of(t) for k, t in families.ops(alpha.family).items()}
     reports = {}
-    for eta, t_eta in ops.items():
-        lhs = commutator_on_columns(w0.J2, t_eta, LADDER_MARGIN)
+    for eta, lhs in families.closure_commutators(alpha.family,
+                                                 generators).items():
         rhs = SparseOperator.zeros(w0.basis)
         for mu, t_mu in ops.items():
             poly = alpha.entry(mu, eta)
@@ -147,18 +172,18 @@ def _measure_closure(families: LadderFamily, generators: Su2Generators,
     order, coef[i] being the coefficient of the i-th operator of
     ``families.ops(family)``.  The nodes of levels n <= n_max -
     LADDER_MARGIN are the weight-0 columns that ``certify_alpha`` reads.
-    Each commutator is formed once, from the weight-0 blocks, and each
-    operator's images are taken a level at a time.  A node whose images are
-    too ill-conditioned to identify the coefficients (e.g. several images
-    vanish) is skipped, and so is a (node, eta) whose least-squares fit
-    leaves a residual.  The images are fitted in whole-space coordinates
-    (zero off weight 0): the solve then sees the very matrix of a
-    whole-space product.  No closure matrix is read.
+    The commutators are the family's kept ones
+    (``LadderFamily.closure_commutators``), and each operator's images are
+    taken a level at a time.  A node whose images are too ill-conditioned to
+    identify the coefficients (e.g. several images vanish) is skipped, and
+    so is a (node, eta) whose least-squares fit leaves a residual.  The
+    images are fitted in whole-space coordinates (zero off weight 0): the
+    solve then sees the very matrix of a whole-space product.  No closure
+    matrix is read.
     """
     w0 = generators.weight0()
     ops = {k: w0.of(t) for k, t in families.ops(family).items()}
-    comms = {eta: commutator_on_columns(w0.J2, t_eta, LADDER_MARGIN)
-             for eta, t_eta in ops.items()}
+    comms = families.closure_commutators(family, generators)
     fit: dict[int, list[tuple[int, np.ndarray]]] = {eta: [] for eta in ops}
     basis = families.basis
     for n in range(0, basis.n_max - LADDER_MARGIN + 1):
@@ -266,15 +291,36 @@ class TauCertificationError(ValueError):
 
 @dataclass(frozen=True)
 class TauOperator:
-    """Ladder operator of the Casimir: shifts j by theta, raises N by one."""
+    """Ladder operator of the Casimir: shifts j by theta, raises N by one.
+
+    ``weight0`` is tau's block on the weight-0 subspace
+    (``Su2Generators.weight0``), where every ladder claim is read.  ``op``
+    is tau on the whole space: it is assembled from the same sigma, families
+    and generators on first read and kept on this instance.  It is not a
+    field, so a ``dataclasses.replace`` copy starts without it.
+    """
     theta: int
     family: str
-    op: SparseOperator
+    weight0: SparseOperator
     right_function: JPoly
     sigma: SigmaVector = field(repr=False)
+    families: LadderFamily = field(repr=False, compare=False)
+    generators: Su2Generators = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def op(self) -> SparseOperator:
+        return self.generators.sum_times_functions_of_j(
+            _tau_terms(self.families, self.sigma))
 
     def adjoint(self) -> SparseOperator:
         return self.op.adjoint()
+
+
+def _tau_terms(families: LadderFamily, sigma: SigmaVector) -> list:
+    """The terms (T_k, sigma_k) of sum_k T_k sigma_k(j) with sigma_k != 0."""
+    return [(t_k, sigma.sigmas[k])
+            for k, t_k in families.ops(sigma.family).items()
+            if not sigma.sigmas[k].is_zero()]
 
 
 def assemble_tau(families: LadderFamily, sigma: SigmaVector,
@@ -282,27 +328,29 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
                  ) -> TauOperator:
     """Combine a family with its sigma coefficients into a single ladder.
 
-    op = sum_k T_k sigma_k(j), the polynomials standing to the right as
-    functions of the label.  It is formed sector by sector in the J^2
-    eigenbasis (``Su2Generators.sum_times_functions_of_j``): on a sector with
-    eigenvectors V and labels js, its columns are
-    (sum_k (T_k V) diag sigma_k(js)) V^T.  This equals
-    sum_k T_k @ function_of_j(sigma_k) up to rounding, and never forms the
-    whole-space images sigma_k(J^2).  When ``certify`` is set (default), the
-    ladder relation with J^2 and the shift of j by theta must both hold to
-    1e-8 on the weight-0 interior before the operator is returned.  Those
-    certificates read tau's assembled CSR entries, J^2's sparse entries and
-    f(J^2) on the (n, 0) sectors (``Su2Generators.weight0``), so they check
-    the sector-wise assembly by an independent route; an entry of tau that
-    leaves weight 0 raises WeightLeakError.
+    tau = sum_k T_k sigma_k(j), the polynomials standing to the right as
+    functions of the label.  Only its weight-0 block is assembled here
+    (``Weight0View.sum_times_functions_of_j``), sector by sector in the J^2
+    eigenbasis: on an (n, 0) sector with eigenvectors V and labels js, its
+    columns are (sum_k (T_k V) diag sigma_k(js)) V^T.  This equals the
+    weight-0 block of sum_k T_k @ function_of_j(sigma_k) up to rounding,
+    and never forms an image sigma_k(J^2).  A family operator T_k with an
+    entry from weight 0 into another weight raises WeightLeakError.  The
+    whole-space tau (``TauOperator.op``) is assembled the same way on the
+    whole decomposition, on first read.  When ``certify`` is set (default),
+    the ladder relation with J^2 and the shift of j by theta must both hold
+    to 1e-8 on the weight-0 interior before the operator is returned.
+    Those certificates read tau's assembled CSR entries, J^2's sparse
+    entries and f(J^2) on the (n, 0) sectors, so they check the sector-wise
+    assembly by an independent route.
     """
-    ops = families.ops(sigma.family)
-    op = generators.sum_times_functions_of_j(
-        [(t_k, sigma.sigmas[k]) for k, t_k in ops.items()
-         if not sigma.sigmas[k].is_zero()])
     fpoly = right_function_poly(sigma.theta)
-    tau = TauOperator(theta=sigma.theta, family=sigma.family, op=op,
-                      right_function=fpoly, sigma=sigma)
+    tau = TauOperator(
+        theta=sigma.theta, family=sigma.family,
+        weight0=generators.weight0().sum_times_functions_of_j(
+            _tau_terms(families, sigma)),
+        right_function=fpoly, sigma=sigma, families=families,
+        generators=generators)
     if certify:
         rep = tau_casimir_ladder_residual(tau, generators)
         if rep.frobenius_relative > 1e-8:
@@ -318,7 +366,7 @@ def tau_casimir_ladder_residual(tau: TauOperator, generators: Su2Generators
     """Residual of [J^2, tau] - tau * theta(theta + 2j + 1) on the weight-0
     interior."""
     w0 = generators.weight0()
-    return check_rlo(w0.J2, w0.of(tau.op), w0.function_of_j(tau.right_function),
+    return check_rlo(w0.J2, tau.weight0, w0.function_of_j(tau.right_function),
                      LADDER_MARGIN)
 
 
@@ -326,7 +374,7 @@ def tau_shift_residual(tau: TauOperator, generators: Su2Generators
                        ) -> ResidualReport:
     """Residual of [j, tau] - theta * tau on the weight-0 interior."""
     w0 = generators.weight0()
-    op = w0.of(tau.op)
+    op = tau.weight0
     margin = LADDER_MARGIN
     if tau.theta == 0:
         return commutator_residual(w0.j, op, margin)
@@ -371,7 +419,7 @@ def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
         return 1.0 / (2.0 * j + (2 * k + 1))
 
     w0 = generators.weight0()
-    op = w0.of(tau.op)
+    op = tau.weight0
     g_op = w0.function_of_j(g)
     margin = LADDER_MARGIN
     if theta == 0:
@@ -467,9 +515,12 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     Any other image with a component outside the predicted target node
     (n +/- 1, j +/- theta) of norm above 1e-8 * max(1, |image|) is a hard
     error.  Each operator is applied to all source nodes at once, through
-    its weight-0 columns (raising) or rows (lowering), sliced once per
-    theta; the images of all nodes are projected onto their predicted nodes
-    in one product.
+    the columns (raising) or rows (lowering) of its weight-0 block
+    (``TauOperator.weight0``), sliced once per theta; no whole-space tau is
+    read.  A tau that leaves weight 0 is refused when it is assembled, and
+    tau maps every weight to itself, so the block holds every entry that
+    meets a node.  The images of all nodes are projected onto their
+    predicted nodes in one product.
     """
     if n_limit > basis.n_max:
         raise ValueError(f"n_limit={n_limit} exceeds n_max={basis.n_max}")
@@ -494,7 +545,9 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     node_n = np.array([n for n in sorted(nodes) for _kv in nodes[n]])
     node_j = np.array([kv.j for kv in kvs])
     n_src = int(np.sum(node_n <= n_limit))
-    w0 = np.flatnonzero((basis.weights == 0) & (basis.totals <= max(nodes)))
+    view = generators.weight0()
+    kept = np.flatnonzero(view.basis.totals <= max(nodes))
+    w0 = view.rows[kept]
     vecs = np.array([kv.vector[w0] for kv in kvs]).T
     sources = sparse.csr_matrix(vecs[:, :n_src])
 
@@ -502,8 +555,10 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
         # Norm of each source node's image, and its leak out of the node
         # (n + dn, j + dj).  Each image entry sums the same terms in the same
         # order as the whole-space product with the node vector, and the
-        # norm is taken of a contiguous whole-space row.
-        images = (columns @ sources).T.toarray(order="C")
+        # norm is taken of a contiguous whole-space row (zero off weight 0).
+        product = (columns @ sources).T.toarray()
+        images = np.zeros((n_src, len(basis)), dtype=product.dtype)
+        images[:, view.rows] = product
         norms = [float(np.linalg.norm(row)) for row in images]
         return norms, _leaks(images, w0, vecs, node_n, node_j, dn, dj)
 
@@ -511,9 +566,9 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     for theta in sorted(taus):
         # tau raises N by one: (n, j) -> (n+1, j+theta); its adjoint lowers
         # N: (n, j) -> (n-1, j-theta).
-        tau = taus[theta].op.matrix
-        raised_norm, raised_leak = apply(tau[:, w0], 1, theta)
-        lowered_norm, lowered_leak = apply(tau[w0].getH(), -1, -theta)
+        tau = taus[theta].weight0.matrix
+        raised_norm, raised_leak = apply(tau[:, kept], 1, theta)
+        lowered_norm, lowered_leak = apply(tau[kept].getH(), -1, -theta)
         for i, kv in enumerate(kvs[:n_src]):
             n = int(node_n[i])
             source = (n, kv.j)
@@ -775,15 +830,17 @@ def s1_reference_taus(generators: Su2Generators, families: LadderFamily
 
     tau[+1] = p_0 (j + 1) + 2 p_1 and tau[-1] = p_0 j - 2 p_1; these equal
     the sigma-assembled ladders up to one global rational scale per theta.
+    The pair is formed once per family instance (``LadderFamily.kept``).
     """
     if generators.s != 1:
         raise ValueError("reference expressions are specific to spin 1")
-    p0, p1 = families.p_ops[0], families.p_ops[1]
-    j_plus_1 = generators.function_of_j(lambda j: j + 1.0)
-    j_op = generators.j_hat()
-    tau_plus = p0 @ j_plus_1 + 2.0 * p1
-    tau_minus = p0 @ j_op - 2.0 * p1
-    return tau_plus, tau_minus
+
+    def build():
+        p0, p1 = families.p_ops[0], families.p_ops[1]
+        j_plus_1 = generators.function_of_j(lambda j: j + 1.0)
+        j_op = generators.j_hat()
+        return p0 @ j_plus_1 + 2.0 * p1, p0 @ j_op - 2.0 * p1
+    return families.kept("s1-reference-taus", generators, build)
 
 
 def expression_match_scale(assembled: SparseOperator,

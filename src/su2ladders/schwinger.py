@@ -229,6 +229,61 @@ class SpectralDecomposition:
         out.eliminate_zeros()
         return out
 
+    def sum_times(self, matrices: list, values: list) -> sparse.csr_matrix:
+        """sum_k X_k f_k(H) for the CSR matrices X_k and ``values[k]``, the
+        values of f_k on each sector's eigenvectors, sector by sector.
+
+        On a sector with eigenvectors V, f_k(H) = V diag f_k V^T, so the
+        sum's columns there are
+
+            W V^T,   W = sum_k X_k V diag f_k,
+
+        one dense block per sector, W formed as one product of the terms'
+        blocks side by side: no image f_k(H) and no sparse product
+        X_k f_k(H) is formed.  Every X_k must send each sector's columns into
+        one common target sector, else SectorStructureError is raised.  The
+        blocks are written straight into the cached CSR pattern for that
+        (source -> target) structure (``block_pattern``).
+        """
+        sector, local = self.positions()
+        nsec = len(self.sectors)
+        coo = [m.tocoo() for m in matrices]
+        src = [sector[m.col] for m in coo]
+        reach = np.zeros((nsec, nsec), dtype=bool)
+        for m, cols in zip(coo, src):
+            reach[cols, sector[m.row]] = True
+        for k in np.flatnonzero(reach.sum(axis=1) > 1).tolist():
+            reached = [self.sectors[t][0] for t in np.flatnonzero(reach[k])]
+            raise SectorStructureError(
+                f"operator sends sector (n, weight)={self.sectors[k][0]} "
+                f"into several sectors {reached}")
+        targets = np.where(reach.any(axis=1), reach.argmax(axis=1), -1)
+
+        # The blocks of X_1..X_K side by side: sector k's rows are its
+        # target's states, its K * d_k columns the terms' columns in turn.
+        count = len(coo)
+        widths = np.array([len(idx) for _key, idx, _vals, _vecs in self.sectors])
+        sizes = np.where(targets >= 0, widths[targets] * widths * count, 0)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        flat = np.zeros(int(offsets[-1]),
+                        dtype=np.result_type(*(m.dtype for m in coo)))
+        for t, (m, cols) in enumerate(zip(coo, src)):
+            flat[offsets[cols] + (local[m.row] * count + t) * widths[cols]
+                 + local[m.col]] = m.data
+        del coo, src
+
+        def block(k: int) -> np.ndarray:
+            vecs = self.sectors[k][3]
+            x_block = flat[offsets[k]:offsets[k + 1]].reshape(-1, count * widths[k])
+            w = x_block @ np.concatenate([vecs * vals[k] for vals in values])
+            return w @ vecs.conj().T
+
+        dtype = np.result_type(flat, *(vecs.dtype for *_, vecs in self.sectors),
+                               *(v.dtype for vals in values for v in vals))
+        return self.scatter(
+            targets, (block(k) for k in np.flatnonzero(targets >= 0).tolist()),
+            dtype)
+
     @staticmethod
     def of(op: SparseOperator) -> "SpectralDecomposition":
         basis = op.basis
@@ -412,68 +467,19 @@ class Su2Generators:
     def sum_times_functions_of_j(
             self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
             ) -> SparseOperator:
-        """sum_k X_k f_k(j) for ``terms`` = [(X_k, f_k), ...], sector by sector.
+        """sum_k X_k f_k(j) for ``terms`` = [(X_k, f_k), ...], sector by sector
+        (``SpectralDecomposition.sum_times``).
 
-        On a J^2 sector with eigenvectors V and labels js,
-        f_k(j) = V diag f_k(js) V^T, so the sum's columns there are
-
-            W V^T,   W = sum_k X_k V diag f_k(js),
-
-        one dense block per sector, W formed as one product of the terms'
-        blocks side by side: no whole-space image f_k(J^2) and no sparse
-        product X_k f_k(J^2) is formed.  Every X_k must send each
-        sector's columns into one common target sector, else
-        SectorStructureError is raised.  The blocks are written straight into
-        the decomposition's cached CSR pattern for that (source -> target)
-        structure (``SpectralDecomposition.block_pattern``).  f_k is
-        evaluated as in ``function_of_j``: once per label, and a pole raises
-        SpectralFunctionError naming its witness sector.  The result equals
-        sum_k X_k @ function_of_j(f_k) up to rounding.
+        f_k is evaluated as in ``function_of_j``: once per label, and a pole
+        raises SpectralFunctionError naming its witness sector.  The result
+        equals sum_k X_k @ function_of_j(f_k) up to rounding.
         """
         if not terms:
             return SparseOperator.zeros(self.basis)
-        decomp = self.j2_decomposition()
-        sector, local = decomp.positions()
-        nsec = len(decomp.sectors)
-        coo = [op.matrix.tocoo() for op, _f in terms]
-        src = [sector[m.col] for m in coo]
-        reach = np.zeros((nsec, nsec), dtype=bool)
-        for m, cols in zip(coo, src):
-            reach[cols, sector[m.row]] = True
-        for k in np.flatnonzero(reach.sum(axis=1) > 1).tolist():
-            reached = [decomp.sectors[t][0] for t in np.flatnonzero(reach[k])]
-            raise SectorStructureError(
-                f"operator sends sector (n, weight)={decomp.sectors[k][0]} "
-                f"into several sectors {reached}")
-        targets = np.where(reach.any(axis=1), reach.argmax(axis=1), -1)
         values = [_label_values(self._label_groups(), self.basis, f, False)
                   for _op, f in terms]
-
-        # The blocks of X_1..X_K side by side: sector k's rows are its
-        # target's states, its K * d_k columns the terms' columns in turn.
-        count = len(terms)
-        widths = np.array([len(idx) for _key, idx, _vals, _vecs in decomp.sectors])
-        sizes = np.where(targets >= 0, widths[targets] * widths * count, 0)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        flat = np.zeros(int(offsets[-1]),
-                        dtype=np.result_type(*(m.dtype for m in coo)))
-        for t, (m, cols) in enumerate(zip(coo, src)):
-            flat[offsets[cols] + (local[m.row] * count + t) * widths[cols]
-                 + local[m.col]] = m.data
-        del coo, src
-
-        def block(k: int) -> np.ndarray:
-            vecs = decomp.sectors[k][3]
-            x_block = flat[offsets[k]:offsets[k + 1]].reshape(-1, count * widths[k])
-            w = x_block @ np.concatenate([vecs * vals[k] for vals in values])
-            return w @ vecs.conj().T
-
-        dtype = np.result_type(flat, *(vecs.dtype for *_, vecs in decomp.sectors),
-                               *(v.dtype for vals in values for v in vals))
-        out = decomp.scatter(
-            targets, (block(k) for k in np.flatnonzero(targets >= 0).tolist()),
-            dtype)
-        return SparseOperator(self.basis, out)
+        return SparseOperator(self.basis, self.j2_decomposition().sum_times(
+            [op.matrix for op, _f in terms], values))
 
     def j_hat(self) -> SparseOperator:
         """The label operator: spectral image of (sqrt(1 + 4 J^2) - 1)/2.
@@ -516,11 +522,13 @@ class Weight0View:
     every function of j leave the weight-0 subspace invariant.  ``basis`` is
     the weight-0 ``SectorBasis`` (the same n_max, so an interior margin
     keeps the same levels), ``rows`` its states' whole-space indices, and
-    ``J2`` and ``j`` are restricted to it.  ``function_of_j`` assembles only
-    the (n, 0) sectors of the generators' J^2 decomposition; its images
-    record ``J2`` as what they are a function of.  ``of`` restricts a
-    whole-space operator, and refuses one with a nonzero entry from a
-    weight-0 column into a row of another weight (``WeightLeakError``).
+    ``J2`` and ``j`` are restricted to it.  ``function_of_j`` and
+    ``sum_times_functions_of_j`` assemble only on the (n, 0) sectors of the
+    generators' J^2 decomposition; this is where each tau is built
+    (``TauOperator.weight0``).  The spectral images record ``J2`` as what
+    they are a function of.  ``of`` restricts a whole-space operator, and
+    refuses one with a nonzero entry from a weight-0 column into a row of
+    another weight (``WeightLeakError``).
     Given that guard on every factor, a product of restrictions sums, for
     each entry, the same terms in the same order as the whole-space CSR
     product does on the weight-0 columns, so a residual read here equals
@@ -551,6 +559,26 @@ class Weight0View:
         return self._decomposition.assemble(
             _label_values(self._label_groups, self.whole_basis, f, False,
                           self._index))
+
+    def sum_times_functions_of_j(
+            self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
+            ) -> SparseOperator:
+        """The weight-0 block of ``Su2Generators.sum_times_functions_of_j``.
+
+        Each whole-space X_k is restricted by ``of``, so one that leaks out
+        of weight 0 raises WeightLeakError, and the sum is assembled on the
+        (n, 0) sectors alone.  Each sector's block is the same product of the
+        same blocks as in the whole-space sum, so the result equals that
+        sum's restriction, array for array.
+        """
+        if not terms:
+            return SparseOperator.zeros(self.basis)
+        matrices = [self.of(op).matrix for op, _f in terms]
+        values = [_label_values(self._label_groups, self.whole_basis, f, False,
+                                self._index)
+                  for _op, f in terms]
+        return SparseOperator(self.basis,
+                              self._decomposition.sum_times(matrices, values))
 
     def of(self, op: SparseOperator) -> SparseOperator:
         """The weight-0 rows and columns of a whole-space operator.

@@ -526,7 +526,7 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     def tau1():
         tau = ctx.taus[1]
-        return w0.of(tau.op), w0.function_of_j(tau.right_function)
+        return tau.weight0, w0.function_of_j(tau.right_function)
     r.residual_check(
         "power-identity-casimir", "power-identity", {"s": s, "theta": 1, "n": 2},
         1e-8, lambda: check_power_identity(w0.J2, *tau1(), 2, 1))

@@ -136,19 +136,21 @@ def test_tau_ladder_relations(ctx, spin):
         assert tau_shift_residual(tau, c.gens).frobenius_relative < 1e-8
 
 
-def _perturbed(tau, basis, seed, delta=1e-6):
-    # Every stored entry times (1 + delta * r), r uniform in [-1, 1].
-    m = tau.op.matrix.copy()
+def _perturbed(tau, seed, delta=1e-6):
+    # Every stored entry of the weight-0 block, the only entries the
+    # certificates read, times (1 + delta * r), r uniform in [-1, 1].
+    m = tau.weight0.matrix.copy()
     m.data = m.data * (1.0 + delta * np.random.default_rng(seed).uniform(
         -1.0, 1.0, m.nnz))
-    return dataclasses.replace(tau, op=SparseOperator(basis, m))
+    return dataclasses.replace(
+        tau, weight0=SparseOperator(tau.weight0.basis, m))
 
 
 @pytest.mark.parametrize("spin", [2, 3])
 def test_tau_certificates_catch_entrywise_perturbation(ctx, spin):
     c = ctx(spin, 4)
     for theta, tau in sorted(c.taus.items()):
-        bad = _perturbed(tau, c.basis, seed=100 * spin + theta)
+        bad = _perturbed(tau, seed=100 * spin + theta)
         assert tau_casimir_ladder_residual(bad, c.gens).frobenius_relative > 1e-8
         assert tau_shift_residual(bad, c.gens).frobenius_relative > 1e-8
         assert resolvent_commutator_check(
@@ -246,10 +248,8 @@ def test_lattice_rejects_scheme_violation(ctx):
     # A weight-preserving raiser that is NOT a Casimir ladder leaks across
     # j targets, which the report must treat as a hard error.
     fake = dict(c.taus)
-    fake[1] = type(c.taus[1])(theta=1, family="p",
-                              op=c.families.p_ops[0],
-                              right_function=c.taus[1].right_function,
-                              sigma=c.taus[1].sigma)
+    fake[1] = dataclasses.replace(
+        c.taus[1], weight0=c.gens.weight0().of(c.families.p_ops[0]))
     with pytest.raises(LatticeSchemeError):
         lattice_report(c.basis, c.gens, fake, 3)
 

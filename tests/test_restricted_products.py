@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 import su2ladders.casimir
+import su2ladders.cli
 from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
                                 _worst_alpha_entry, alpha_entry_deviation,
-                                certify_alpha, complete_set_check,
+                                build_families, build_taus, certify_alpha,
+                                complete_set_check,
                                 deformed_generators, demo_s1_operators,
                                 lattice_report, resolvent_commutator_check,
                                 s1_full_closure_residuals,
@@ -33,7 +35,9 @@ from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
                                   commutator_on_columns, commutator_residual,
                                   creation_op, number_op, on_columns,
                                   residual, zero_residual)
-from su2ladders.schwinger import jz_kernel
+from su2ladders.cli import _json_dump, main
+from su2ladders.fock import enumerate_sector
+from su2ladders.schwinger import WeightLeakError, jz_kernel, su2_generators
 from su2ladders.verify import (SuiteConfig, VerificationReport, _deformed_checks,
                                _engine_checks, _Runner, _s1_demo_checks,
                                _SpinContext, run_suite)
@@ -317,6 +321,44 @@ def test_run_suite_fits_each_family_once_per_spin(monkeypatch):
     assert sorted(built) == [(1, "m"), (1, "p"), (2, "m"), (2, "p")]
 
 
+def test_run_suite_forms_each_kept_value_once(monkeypatch):
+    # certify_alpha and the closure fit share one set of [J^2, T_eta] per
+    # family, and the six spin-1 readers of s1_reference_taus one pair.
+    built = []
+    kept = su2ladders.casimir.LadderFamily.kept
+
+    def counted(self, key, generators, build):
+        def build_counted():
+            built.append((self.s, key))
+            return build()
+        return kept(self, key, generators, build_counted)
+    monkeypatch.setattr(su2ladders.casimir.LadderFamily, "kept", counted)
+    assert run_suite(SuiteConfig(spins=[1, 2], n_max=4)).overall_pass
+    per_family = [(k, fam) for k in ("commutators", "fit") for fam in "mp"]
+    assert sorted(built, key=str) == sorted(
+        [(1, "s1-reference-taus")]
+        + [(s, key) for s in (1, 2) for key in per_family], key=str)
+
+
+@pytest.mark.parametrize("family", ["p", "m"])
+def test_certify_alpha_reads_the_kept_commutators(ctx, monkeypatch, family):
+    c = ctx(2, 4)
+    c.families.closure_commutators(family, c.gens)
+    formed = []
+    monkeypatch.setattr(su2ladders.casimir, "commutator_on_columns",
+                        lambda *args: formed.append(args))
+    certify_alpha(build_alpha(2, family), c.gens, c.families)
+    assert not formed
+
+
+def test_s1_reference_taus_belong_to_one_family_instance(ctx):
+    c = ctx(1, 4)
+    pair = s1_reference_taus(c.gens, c.families)
+    assert s1_reference_taus(c.gens, c.families) is pair
+    copy = dataclasses.replace(c.families)
+    assert s1_reference_taus(c.gens, copy) is not pair
+
+
 @pytest.mark.parametrize("spin", SPINS)
 @pytest.mark.parametrize("family", ["p", "m"])
 def test_closure_fit_belongs_to_one_family_instance(ctx, spin, family):
@@ -396,15 +438,16 @@ def test_lattice_amplitudes_equal_per_vector_products(ctx, spin):
     assert next(arrows, None) is None
 
 
-def _per_vector_arrows(c, taus, n_limit):
-    """Lattice arrows from one whole-space product and one projection per
-    node vector, each predicted node vector subtracted in turn."""
+def _per_vector_arrows(c, ops, n_limit):
+    """Lattice arrows of the whole-space taus ``ops`` (theta -> operator)
+    from one whole-space product and one projection per node vector, each
+    predicted node vector subtracted in turn."""
     basis, gens = c.basis, c.gens
     nodes = {n: jz_kernel(basis, gens, n)
              for n in range(0, min(n_limit + 1, basis.n_max) + 1)}
     arrows = []
-    for theta in sorted(taus):
-        tau = taus[theta].op
+    for theta in sorted(ops):
+        tau = ops[theta]
         tau_low = tau.adjoint()
         for n in range(0, n_limit + 1):
             for kv in nodes[n]:
@@ -438,23 +481,69 @@ def test_lattice_arrows_equal_per_vector_reference(ctx, spin, n_max, n_limit):
     # exactly: same targets and flags, and the same amplitude floats.
     c = ctx(spin, n_max)
     rep = lattice_report(c.basis, c.gens, c.taus, n_limit)
-    assert rep.arrows == _per_vector_arrows(c, c.taus, n_limit)
+    assert rep.arrows == _per_vector_arrows(
+        c, {theta: tau.op for theta, tau in c.taus.items()}, n_limit)
+
+
+def test_kernel_json_equals_the_whole_space_lattice(ctx, capsys):
+    # `su2ladders kernel` reads the taus' weight-0 blocks; its JSON is the
+    # lattice whose arrows come from the whole-space taus, byte for byte.
+    c = ctx(3, 5)
+    assert main(["kernel", "--spin", "3", "--nmax", "5"]) == 0
+    want = lattice_report(c.basis, c.gens, c.taus, 4)
+    want.arrows = _per_vector_arrows(
+        c, {theta: tau.op for theta, tau in c.taus.items()}, 4)
+    assert capsys.readouterr().out == _json_dump(want.to_json_dict())
+
+
+def test_build_and_kernel_never_build_a_whole_space_tau(monkeypatch, capsys):
+    # The README pipeline at (5, 5) and `su2ladders kernel` read only the
+    # weight-0 blocks.
+    basis = enumerate_sector(5, 5)
+    gens = su2_generators(basis)
+    taus = build_taus(build_families(basis, gens), gens, certify=True)
+    lattice_report(basis, gens, taus, 4)
+    assert not any("op" in vars(tau) for tau in taus.values())
+
+    seen = []
+    report = su2ladders.cli.lattice_report
+
+    def recorded(basis, gens, taus, n_limit):
+        seen.append(taus)
+        return report(basis, gens, taus, n_limit)
+    monkeypatch.setattr(su2ladders.cli, "lattice_report", recorded)
+    assert main(["kernel", "--spin", "5", "--nmax", "5"]) == 0
+    capsys.readouterr()
+    assert len(seen) == 1 and len(seen[0]) == 11
+    assert not any("op" in vars(tau) for tau in seen[0].values())
 
 
 @pytest.mark.parametrize("leak", ["other-node", "off-weight"])
 def test_lattice_rejects_an_injected_leak(ctx, leak):
-    # A 1e-6 admixture that leaves the predicted node of tau[+1] (to other
-    # j, or to weight 1, outside every node) is a hard error.
+    # A 1e-6 admixture that leaves the predicted node of tau[+1] to other j
+    # is a hard error of the lattice.  One to weight 1, outside every node,
+    # cannot be held by tau's weight-0 block: the same admixture in a family
+    # operator is refused when the taus are assembled.
     c = ctx(2, 4)
+    p0 = c.families.p_ops[0]
+    if leak == "off-weight":
+        stray = c.gens.Jplus @ p0
+        bad = SparseOperator(c.basis, p0.matrix
+                             + 1e-6 * p0.norm() / stray.norm() * stray.matrix)
+        families = dataclasses.replace(
+            c.families, p_ops=(bad,) + c.families.p_ops[1:])
+        with pytest.raises(WeightLeakError):
+            build_taus(families, c.gens, certify=False)
+        return
     tau = c.taus[1]
-    stray = (c.families.p_ops[0] if leak == "other-node"
-             else c.gens.Jplus @ c.families.p_ops[0])
     bad = SparseOperator(c.basis, tau.op.matrix
-                         + 1e-6 * tau.op.norm() / stray.norm() * stray.matrix)
+                         + 1e-6 * tau.op.norm() / p0.norm() * p0.matrix)
+    ops = {theta: t.op for theta, t in c.taus.items()}
+    ops[1] = bad
     taus = dict(c.taus)
-    taus[1] = dataclasses.replace(tau, op=bad)
+    taus[1] = dataclasses.replace(tau, weight0=c.gens.weight0().of(bad))
     with pytest.raises(LatticeSchemeError):
-        _per_vector_arrows(c, taus, 3)
+        _per_vector_arrows(c, ops, 3)
     with pytest.raises(LatticeSchemeError):
         lattice_report(c.basis, c.gens, taus, 3)
 

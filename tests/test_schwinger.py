@@ -410,6 +410,44 @@ def test_sum_times_functions_of_j_rejects_two_target_sectors(ctx):
         g.sum_times_functions_of_j([(g.Jplus + g.Jminus, lambda j: 1.0)])
 
 
+def _same_arrays(got, want):
+    assert got.matrix.dtype == want.matrix.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, name),
+                              getattr(want.matrix, name)), name
+
+
+def test_weight0_sum_times_functions_of_j_equals_the_restriction(ctx):
+    # The same sector blocks, assembled on the (n, 0) sectors only.
+    c = ctx(2, 4)
+    g = c.gens
+    w0 = g.weight0()
+    cases = [
+        [(c.families.p_ops[1], lambda j: j * j - 3), (c.families.p_ops[2], lambda j: 0.5)],
+        [(c.families.m_ops[0].adjoint(), lambda j: 1.0 / (j + 1))],
+        [(g.J2, lambda j: 1j * j), (g.Ntot, lambda j: 1.0)],
+    ]
+    for terms in cases:
+        _same_arrays(w0.sum_times_functions_of_j(terms),
+                     w0.of(g.sum_times_functions_of_j(terms)))
+    assert w0.sum_times_functions_of_j([]).is_zero()
+    with pytest.raises(WeightLeakError):
+        w0.sum_times_functions_of_j([(g.Jplus, lambda j: 1.0)])
+
+
+@pytest.mark.parametrize("spin", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_max", [3, 4, 5])
+def test_tau_weight0_equals_the_whole_space_restriction(spin, n_max):
+    # Fresh objects: the whole-space taus are not kept past the test.
+    basis = enumerate_sector(spin, n_max)
+    gens = su2_generators(basis)
+    w0 = gens.weight0()
+    taus = build_taus(build_families(basis, gens), gens, certify=False)
+    for theta, tau in taus.items():
+        assert "op" not in vars(tau), theta
+        _same_arrays(tau.weight0, w0.of(tau.op))
+
+
 CONFIGS = [(1, 4), (2, 4), (3, 5), (4, 4)]
 
 

@@ -14,7 +14,7 @@ from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
 from su2ladders.operators import SparseOperator
-from su2ladders.schwinger import Su2Generators, WeightLeakError
+from su2ladders.schwinger import WeightLeakError
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
                                _lattice_checks, _listed_annihilation,
@@ -191,8 +191,10 @@ def test_deformed_generators_gate_catches_entrywise_perturbation(spin):
     ctx = _SpinContext(spin, 4)
     for omega in range(1, spin + 1):
         tau = ctx.taus[-omega]
-        ctx.taus[-omega] = dataclasses.replace(
-            tau, op=_perturbed(tau.op, seed=10 * spin + omega))
+        bad = ctx.taus[-omega] = dataclasses.replace(tau)
+        # The whole-space tau, which the check reads, is built on demand and
+        # kept on the instance: the copy keeps the perturbed one.
+        vars(bad)["op"] = _perturbed(tau.op, seed=10 * spin + omega)
     report = _run_block(_deformed_checks, ctx)
     checks = [c for c in report.checks
               if c.name == "deformed-algebra-generators"]
@@ -225,19 +227,26 @@ def _weight_leak(op, weight, delta=1e-6):
     return SparseOperator(basis, op.matrix + extra)
 
 
+def _leaked_family(families, sigma, weight):
+    """The families with ``_weight_leak`` added to the first operator that
+    enters sigma's tau (sigma_k != 0)."""
+    k = min(k for k, poly in sigma.sigmas.items() if not poly.is_zero())
+    field, i = ("p_ops", k) if sigma.family == "p" else ("m_ops", k - 1)
+    ops = list(getattr(families, field))
+    ops[i] = _weight_leak(ops[i], weight)
+    return dataclasses.replace(families, **{field: tuple(ops)})
+
+
 @pytest.mark.parametrize("spin", [2, 3])
 @pytest.mark.parametrize("weight", [1, -1])
-def test_weight_leak_fails_the_tau_build(monkeypatch, spin, weight):
-    # A 1e-6 entry of tau from weight 0 into weight +-1 cannot hide in the
-    # weight-0 restriction the certificates read.
-    assemble = Su2Generators.sum_times_functions_of_j
-    monkeypatch.setattr(
-        Su2Generators, "sum_times_functions_of_j",
-        lambda self, terms: _weight_leak(assemble(self, terms), weight))
+def test_weight_leak_fails_the_tau_build(spin, weight):
+    # A 1e-6 entry from weight 0 into weight +-1 of a family operator cannot
+    # hide in the weight-0 block that tau is assembled on.
     ctx = _SpinContext(spin, 4)
     sigma = solve_sigma(build_alpha(spin, family_for_theta(spin, 1)), 1)
     with pytest.raises(WeightLeakError):
-        assemble_tau(ctx.families, sigma, ctx.gens, certify=True)
+        assemble_tau(_leaked_family(ctx.families, sigma, weight), sigma,
+                     ctx.gens, certify=True)
     with pytest.raises(WeightLeakError):
         ctx.gens.weight0().of(ctx.gens.Jplus)
 
@@ -245,18 +254,19 @@ def test_weight_leak_fails_the_tau_build(monkeypatch, spin, weight):
 @pytest.mark.parametrize("spin", [2, 3])
 @pytest.mark.parametrize("weight", [1, -1])
 def test_weight_leak_fails_the_tau_checks(spin, weight):
+    # The taus are built inside each check, so a leaked family operator
+    # fails every tau check with the leak, not the whole run.
     ctx = _SpinContext(spin, 4)
-    tau = ctx.taus[1]
-    ctx.taus[1] = dataclasses.replace(tau, op=_weight_leak(tau.op, weight))
+    sigma = solve_sigma(build_alpha(spin, family_for_theta(spin, 1)), 1)
+    ctx._families = _leaked_family(ctx.families, sigma, weight)
     report = _run_block(_tau_checks, ctx)
     names = ("tau-casimir-ladder", "tau-label-shift", "resolvent-ladder-right",
              "resolvent-ladder-left")
     checks = [c for c in report.checks if c.name in names]
     assert len(checks) == 6 * (2 * spin + 1)
     for check in checks:
-        leaked = check.params["theta"] == 1
-        assert check.passed is not leaked
-        assert check.detail.startswith("WeightLeakError") is leaked
+        assert not check.passed
+        assert check.detail.startswith("WeightLeakError")
 
 
 def test_oracles_catch_a_dropped_weight0_state(monkeypatch):
