@@ -42,7 +42,7 @@ for omega in (1, 2):
     print(f"  omega={omega}: L_z hermitian gap "
           f"{(lz - lz.adjoint()).norm():.1e}, "
           f"[L^2, J^2] residual "
-          f"{commutator_residual(w0.of(l2), w0.J2, 2).frobenius_relative:.2e}")
+          f"{commutator_residual(l2, w0.J2, 2).frobenius_relative:.2e}")
     classes = residue_classes(report, omega)
     print(f"    residue classes j mod {omega}: "
           + ", ".join(f"r={r}: {len(nodes)} nodes"

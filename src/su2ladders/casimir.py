@@ -14,11 +14,15 @@ relations hold; the few identities that hold unrestricted are checked on the
 full interior.  Each tau is held on weight 0: ``assemble_tau`` builds only
 its weight-0 block (``TauOperator.weight0``), and refuses a family operator
 that leaks out of weight 0 (WeightLeakError).  The ladder certificates, the
-resolvent relations and the kernel lattice read that block, J^2's sparse
-entries and f(J^2) on the (n, 0) sectors (``Su2Generators.weight0``), and
-no whole-space function of j.  The whole-space tau (``TauOperator.op``) is
-built on demand, for the claims read on the whole interior (the complete
-set, the deformed generators, the spin-1 expressions) and for export.
+resolvent relations, the kernel lattice, the complete set and the deformed
+generators read that block, J^2's sparse entries and f(J^2) on the (n, 0)
+sectors (``Su2Generators.weight0``), and no whole-space function of j.
+What tau does off weight 0 is certified from its grade instead: every term
+T_k maps each (n, w) sector into (n + 1, w) (``tau_off_grade``), and its
+sigma_k(j) is block diagonal over the sectors, so tau tau^dagger and the
+deformed generators commute with N and J_z exactly.  The whole-space tau
+(``TauOperator.op``) is built on demand, for the spin-1 expressions and for
+export.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
                      right_function_poly, right_functions, solve_sigma)
 from .operators import (BasisMismatchError, ResidualReport, SparseOperator,
                         commutator, commutator_on_columns, commutator_residual,
-                        creation_op, number_op, on_columns, residual)
+                        creation_op, entry_grades, number_op, on_columns,
+                        residual)
 from .schwinger import (KernelVector, Su2Generators, Weight0View, _phase_fixed,
                         jz_kernel)
 
@@ -294,10 +299,13 @@ class TauOperator:
     """Ladder operator of the Casimir: shifts j by theta, raises N by one.
 
     ``weight0`` is tau's block on the weight-0 subspace
-    (``Su2Generators.weight0``), where every ladder claim is read.  ``op``
-    is tau on the whole space: it is assembled from the same sigma, families
-    and generators on first read and kept on this instance.  It is not a
-    field, so a ``dataclasses.replace`` copy starts without it.
+    (``Su2Generators.weight0``), where every ladder claim is read; its
+    action off weight 0 is certified from the grade of its terms
+    (``tau_off_grade``).  ``op`` is tau on the whole space, read only by
+    ``dump-op``, the spin-1 scale checks and the tests: it is assembled
+    from the same sigma, families and generators on first read and kept on
+    this instance.  It is not a field, so a ``dataclasses.replace`` copy
+    starts without it.
     """
     theta: int
     family: str
@@ -310,17 +318,41 @@ class TauOperator:
     @functools.cached_property
     def op(self) -> SparseOperator:
         return self.generators.sum_times_functions_of_j(
-            _tau_terms(self.families, self.sigma))
-
-    def adjoint(self) -> SparseOperator:
-        return self.op.adjoint()
+            list(_tau_terms(self.families, self.sigma).values()))
 
 
-def _tau_terms(families: LadderFamily, sigma: SigmaVector) -> list:
-    """The terms (T_k, sigma_k) of sum_k T_k sigma_k(j) with sigma_k != 0."""
-    return [(t_k, sigma.sigmas[k])
+def _tau_terms(families: LadderFamily, sigma: SigmaVector) -> dict:
+    """k -> (T_k, sigma_k), the terms of sum_k T_k sigma_k(j) with
+    sigma_k != 0."""
+    return {k: (t_k, sigma.sigmas[k])
             for k, t_k in families.ops(sigma.family).items()
-            if not sigma.sigmas[k].is_zero()]
+            if not sigma.sigmas[k].is_zero()}
+
+
+def tau_off_grade(tau: TauOperator) -> list[str]:
+    """Each term T_k of tau with an entry off grade (1, 0), named by theta,
+    k and the entry's two states; empty when tau has grade (1, 0).
+
+    tau = sum_k T_k sigma_k(j), and each sigma_k(j) is block diagonal over
+    the (n, w) sectors (``SpectralDecomposition.of`` refuses a J^2 that
+    couples them).  So when every T_k maps each (n, w) sector into
+    (n + 1, w), tau has grade (1, 0), and tau tau^dagger and the deformed
+    generators have grade (0, 0): they commute with N and J_z exactly.  The
+    grades are read from the terms' CSR entries (``entry_grades``), with no
+    tolerance and no product.
+    """
+    states = tau.families.basis.states
+    out = []
+    for k, (t_k, _sigma_k) in _tau_terms(tau.families, tau.sigma).items():
+        rows, cols, dn, dw = entry_grades(t_k)
+        bad = np.flatnonzero((dn != 1) | (dw != 0))
+        if len(bad):
+            i = bad[0]
+            out.append(
+                f"tau[{tau.theta:+d}] term k={k} sends {states[cols[i]]} to "
+                f"{states[rows[i]]}: grade ({dn[i]}, {dw[i]}), not (1, 0) "
+                f"({len(bad)} such entries)")
+    return out
 
 
 def assemble_tau(families: LadderFamily, sigma: SigmaVector,
@@ -348,7 +380,7 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
     tau = TauOperator(
         theta=sigma.theta, family=sigma.family,
         weight0=generators.weight0().sum_times_functions_of_j(
-            _tau_terms(families, sigma)),
+            list(_tau_terms(families, sigma).values())),
         right_function=fpoly, sigma=sigma, families=families,
         generators=generators)
     if certify:
@@ -625,11 +657,15 @@ def deformed_generators(tau_minus: TauOperator
     """Deformation generators from a lowering pair (theta = -omega, omega >= 1).
 
     L_z = [tau+, tau] and L^2 = L_z^2 + (tau+ tau + tau tau+)/2, both exactly
-    hermitian by construction.
+    hermitian by construction, formed from tau's weight-0 block
+    (``TauOperator.weight0``), so they live on the weight-0 basis.  tau maps
+    weight 0 to itself, so they equal the weight-0 blocks of the whole-space
+    products array for array.  Off weight 0 they are certified from tau's
+    grade (``tau_off_grade``): grade (0, 0), so they commute with N and J_z.
     """
     if tau_minus.theta >= 0:
         raise ValueError("deformed generators need theta = -omega with omega >= 1")
-    t_dag = tau_minus.op
+    t_dag = tau_minus.weight0
     t = t_dag.adjoint()
     lz = commutator(t_dag, t).hermitized()
     l2 = (lz @ lz + 0.5 * (t_dag @ t + t @ t_dag)).hermitized()
@@ -663,33 +699,34 @@ class SeparationNode:
 class CompleteSetReport:
     commutator_residuals: dict[tuple[int, str], ResidualReport]
     separation: list[SeparationNode]
+    off_grade: list[str]
 
 
 def complete_set_check(basis: SectorBasis, generators: Su2Generators,
                        taus: dict[int, TauOperator], n_limit: int
                        ) -> CompleteSetReport:
-    """Commutation of tau+ tau with {J^2, J_z, N}, plus a separation scan.
+    """Commutation of A_theta = tau+ tau with {J^2, J_z, N}, plus a
+    separation scan.
 
-    The products tau+ tau conserve N and weight, so the J_z and N commutators
-    are checked on the full interior (margin PAIR_MARGIN); the J^2
-    commutator on the weight-0 interior, where the ladder relation that
-    implies it holds, from the products' weight-0 blocks.  The scan then looks for kernel nodes of dimension
-    >= 2 and reports whether the eigenvalues of the tau+ tau operators
-    restricted to the node separate its states (eigenvalues within 1e-6,
-    relative, count as degenerate).
+    Each A_theta is formed on weight 0, from tau's weight-0 block.  Its
+    commutator with J^2 is read on the weight-0 interior (margin
+    PAIR_MARGIN), where the ladder relation that implies it holds.  Its
+    commutators with J_z and N are certified from tau's grade
+    (``tau_off_grade``), exactly and on every weight: ``off_grade`` lists
+    each term of each tau with an entry off grade (1, 0).  The scan then
+    looks for kernel nodes of dimension >= 2 and reports whether the
+    eigenvalues of the A_theta restricted to the node separate its states
+    (eigenvalues within 1e-6, relative, count as degenerate).
     """
     residuals: dict[tuple[int, str], ResidualReport] = {}
     prods: dict[int, SparseOperator] = {}
+    off_grade: list[str] = []
     w0 = generators.weight0()
     for theta in sorted(taus):
-        t_dag = taus[theta].op
+        t_dag = taus[theta].weight0
         prod = prods[theta] = t_dag @ t_dag.adjoint()
-        residuals[(theta, "J2")] = commutator_residual(
-            w0.of(prod), w0.J2, PAIR_MARGIN)
-        residuals[(theta, "Jz")] = commutator_residual(
-            prod, generators.Jz, PAIR_MARGIN)
-        residuals[(theta, "N")] = commutator_residual(
-            prod, generators.Ntot, PAIR_MARGIN)
+        residuals[(theta, "J2")] = commutator_residual(prod, w0.J2, PAIR_MARGIN)
+        off_grade += tau_off_grade(taus[theta])
 
     separation: list[SeparationNode] = []
     for n in range(0, n_limit + 1):
@@ -699,14 +736,16 @@ def complete_set_check(basis: SectorBasis, generators: Su2Generators,
         for j, kvs in sorted(groups.items()):
             if len(kvs) < 2:
                 continue
-            separation.append(_separate_node((n, j), kvs, prods))
+            vectors = np.array([kv.vector[w0.rows] for kv in kvs]).T
+            separation.append(_separate_node((n, j), vectors, prods))
     return CompleteSetReport(commutator_residuals=residuals,
-                             separation=separation)
+                             separation=separation, off_grade=off_grade)
 
 
-def _separate_node(node, kvs, prods):
-    basis_mat = np.array([kv.vector for kv in kvs]).T
-    dim = len(kvs)
+def _separate_node(node, basis_mat, prods):
+    """Refine a node by the eigenvalues of each A_theta in turn; the node's
+    vectors are the columns of ``basis_mat``, on the operators' basis."""
+    dim = basis_mat.shape[1]
     blocks = [list(range(dim))]
     tuples = [tuple() for _ in range(dim)]
     for theta in sorted(prods):

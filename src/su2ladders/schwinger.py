@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .fock import SectorBasis
-from .operators import BasisMismatchError, SparseOperator
+from .operators import BasisMismatchError, SparseOperator, entry_grades
 
 
 class NonHermitianError(ValueError):
@@ -294,11 +294,10 @@ class SpectralDecomposition:
             raise NonHermitianError(
                 f"operator deviates from hermiticity by {gap:.3e}")
 
-        rows, cols = op.matrix.nonzero()
-        if len(rows) and (np.any(basis.totals[rows] != basis.totals[cols])
-                          or np.any(basis.weights[rows] != basis.weights[cols])):
-            bad = np.flatnonzero((basis.totals[rows] != basis.totals[cols])
-                                 | (basis.weights[rows] != basis.weights[cols]))[0]
+        rows, cols, dn, dw = entry_grades(op)
+        off_grade = np.flatnonzero((dn != 0) | (dw != 0))
+        if len(off_grade):
+            bad = off_grade[0]
             raise SectorStructureError(
                 "operator couples distinct (n, weight) sectors, e.g. states "
                 f"{basis.states[rows[bad]]} and {basis.states[cols[bad]]}")

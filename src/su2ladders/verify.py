@@ -29,7 +29,8 @@ from .casimir import (alpha_entry_deviation, build_alpha_certified,
                       resolvent_commutator_check, s1_full_closure_residuals,
                       s1_inverse_expressions, s1_mutual_commutators,
                       s1_reference_taus, s1_tau_bracket_ladder, tau_bar_forms,
-                      tau_casimir_ladder_residual, tau_shift_residual)
+                      tau_casimir_ladder_residual, tau_off_grade,
+                      tau_shift_residual)
 from .fock import dimension, enumerate_sector
 from .ladder import (M_FAMILY, P_FAMILY, build_alpha, build_alpha_variant_diag4,
                      check_llo, check_power_identity, check_rlo,
@@ -708,9 +709,12 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
                                                    side))
 
     def complete_set(tol):
+        # [A, J^2] is read on weight 0; [A, J_z] and [A, N] vanish exactly
+        # when every tau has grade (1, 0), which is certified structurally.
+        cs = ctx.complete_set
         worst = max(rep.frobenius_relative
-                    for rep in ctx.complete_set.commutator_residuals.values())
-        return worst, worst < tol, ""
+                    for rep in cs.commutator_residuals.values())
+        return worst, worst < tol and not cs.off_grade, "; ".join(cs.off_grade)
     r.run("tau-complete-set", "tau-complete-set", p, 1e-8, complete_set)
 
     def separation(tol):
@@ -872,14 +876,16 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
         p = {"s": s, "omega": omega}
 
         def deformed(tol, omega=omega):
-            lz, l2 = deformed_generators(ctx.taus[-omega])
+            # L_z and L^2 live on weight 0; they commute with N because
+            # tau[-omega] has grade (1, 0), which is certified structurally.
+            tau = ctx.taus[-omega]
+            lz, l2 = deformed_generators(tau)
             w0 = gens.weight0()
             worst = max(
-                commutator_residual(w0.of(l2), w0.J2, 2).frobenius_relative,
-                commutator_residual(w0.of(lz), w0.J2, 2).frobenius_relative,
-                commutator_residual(l2, gens.Ntot, 2).frobenius_relative,
-                commutator_residual(lz, gens.Ntot, 2).frobenius_relative)
-            return worst, worst < tol, ""
+                commutator_residual(l2, w0.J2, 2).frobenius_relative,
+                commutator_residual(lz, w0.J2, 2).frobenius_relative)
+            off_grade = tau_off_grade(tau)
+            return worst, worst < tol and not off_grade, "; ".join(off_grade)
         r.run("deformed-algebra-generators", "deformed-algebra-generators",
               p, 1e-8, deformed)
 

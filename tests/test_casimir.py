@@ -285,15 +285,29 @@ def test_lattice_json_roundtrip(ctx):
 # -- deformed generators -------------------------------------------------------------------
 
 
+def _whole_deformed_generators(tau_minus):
+    """L_z and L^2 formed from the whole-space tau: the reference."""
+    t_dag = tau_minus.op
+    t = t_dag.adjoint()
+    lz = commutator(t_dag, t).hermitized()
+    return lz, (lz @ lz + 0.5 * (t_dag @ t + t @ t_dag)).hermitized()
+
+
 @pytest.mark.parametrize("spin,omega", [(1, 1), (2, 1), (2, 2)])
 def test_deformed_generators(ctx, spin, omega):
     c = ctx(spin, 4)
     lz, l2 = deformed_generators(c.taus[-omega])
+    w0 = c.gens.weight0()
+    assert lz.basis is w0.basis and l2.basis is w0.basis
     assert (lz - lz.adjoint()).norm() == 0.0
     assert (l2 - l2.adjoint()).norm() == 0.0
-    w0 = c.gens.weight0()
-    assert commutator_residual(w0.of(l2), w0.J2, 2).frobenius_relative < 1e-8
-    assert commutator_residual(lz, c.gens.Ntot, 2).frobenius_relative < 1e-8
+    assert commutator_residual(l2, w0.J2, 2).frobenius_relative < 1e-8
+    # The whole-space forms commute with N, and their weight-0 blocks are
+    # the generators themselves.
+    lz_ref, l2_ref = _whole_deformed_generators(c.taus[-omega])
+    assert commutator_residual(lz_ref, c.gens.Ntot, 2).frobenius_relative < 1e-8
+    assert (w0.of(lz_ref) - lz).is_zero()
+    assert (w0.of(l2_ref) - l2).is_zero()
 
 
 def test_deformed_generators_need_lowering_shift(ctx):
@@ -320,6 +334,7 @@ def test_complete_set_commutators(ctx, spin):
     cs = complete_set_check(c.basis, c.gens, c.taus, 4)
     for rep in cs.commutator_residuals.values():
         assert rep.frobenius_relative < 1e-8
+    assert cs.off_grade == []
 
 
 def test_separation_s1_trivial(ctx):

@@ -17,7 +17,8 @@ import pytest
 import su2ladders.casimir
 import su2ladders.cli
 from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
-                                _worst_alpha_entry, alpha_entry_deviation,
+                                _separate_node, _worst_alpha_entry,
+                                alpha_entry_deviation,
                                 build_families, build_taus, certify_alpha,
                                 complete_set_check,
                                 deformed_generators, demo_s1_operators,
@@ -26,7 +27,7 @@ from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
                                 s1_inverse_expressions, s1_mutual_commutators,
                                 s1_reference_taus, s1_tau_bracket_ladder,
                                 tau_bar_forms, tau_casimir_ladder_residual,
-                                tau_shift_residual)
+                                tau_off_grade, tau_shift_residual)
 from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
                                check_llo, check_power_identity, check_rlo,
                                check_rlo_compose)
@@ -671,6 +672,63 @@ def test_weight0_complete_set_commutator_equals_whole_space_form(ctx, spin,
             _ref_commutator_residual(prod, c.gens.J2, 2, 0)
 
 
+def _whole_deformed_generators(tau_minus):
+    """L_z and L^2 formed from the whole-space tau."""
+    t_dag = tau_minus.op
+    t = t_dag.adjoint()
+    lz = commutator(t_dag, t).hermitized()
+    return lz, (lz @ lz + 0.5 * (t_dag @ t + t @ t_dag)).hermitized()
+
+
+def _same_arrays(got, want):
+    assert got.basis is want.basis
+    assert got.matrix.dtype == want.matrix.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, name),
+                              getattr(want.matrix, name)), name
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5)])
+def test_grade_certified_claims_hold_on_the_whole_space(ctx, spin, n_max):
+    # The claims certified from the grade, cross-checked in floats: the
+    # whole-space A_theta, L_z and L^2, formed from tau.op, commute with N
+    # and J_z to exactly 0.0, and their weight-0 blocks are the operators
+    # the checks read.
+    c = ctx(spin, n_max)
+    g, w0 = c.gens, c.gens.weight0()
+    for theta, tau in sorted(c.taus.items()):
+        assert tau_off_grade(tau) == []
+        whole = [tau.op @ tau.op.adjoint()]
+        local = [tau.weight0 @ tau.weight0.adjoint()]
+        if theta < 0:
+            whole += _whole_deformed_generators(tau)
+            local += deformed_generators(tau)
+        for x, y in zip(whole, local):
+            for diag in (g.Jz, g.Ntot):
+                assert commutator_residual(x, diag, 0).frobenius_absolute == 0.0
+            _same_arrays(w0.of(x), y)
+
+
+@pytest.mark.parametrize("spin,n_max",
+                         [(1, 4), (2, 4), (3, 5), (4, 4), (2, 5)])
+def test_separation_equals_the_whole_space_scan(ctx, spin, n_max):
+    # Reference: each node's whole-space vectors against the whole-space
+    # tau tau^dagger.
+    c = ctx(spin, n_max)
+    n_limit = min(n_max, 4)
+    prods = {theta: tau.op @ tau.op.adjoint() for theta, tau in c.taus.items()}
+    want = []
+    for n in range(n_limit + 1):
+        groups = {}
+        for kv in jz_kernel(c.basis, c.gens, n):
+            groups.setdefault(kv.j, []).append(kv.vector)
+        want += [_separate_node((n, j), np.array(vectors).T, prods)
+                 for j, vectors in sorted(groups.items()) if len(vectors) > 1]
+    got = complete_set_check(c.basis, c.gens, c.taus, n_limit).separation
+    assert got == want
+    assert bool(want) == (spin > 1)
+
+
 def _check_residuals(block, spin, n_max):
     ctx = _SpinContext(spin, n_max)
     report = VerificationReport(config=SuiteConfig(spins=[spin], n_max=n_max))
@@ -703,7 +761,7 @@ def test_weight0_deformed_generators_equal_whole_space_forms(spin, n_max):
     ctx, got = _check_residuals(_deformed_checks, spin, n_max)
     g = ctx.gens
     for omega in range(1, spin + 1):
-        lz, l2 = deformed_generators(ctx.taus[-omega])
+        lz, l2 = _whole_deformed_generators(ctx.taus[-omega])
         want = max(
             _ref_commutator_residual(l2, g.J2, 2, 0).frobenius_relative,
             _ref_commutator_residual(lz, g.J2, 2, 0).frobenius_relative,

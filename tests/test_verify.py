@@ -13,7 +13,8 @@ from su2ladders.casimir import assemble_tau
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
-from su2ladders.operators import SparseOperator
+from su2ladders.operators import (SparseOperator, commutator_residual,
+                                  creation_op)
 from su2ladders.schwinger import WeightLeakError
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
@@ -187,19 +188,117 @@ def _run_block(block, ctx):
 
 @pytest.mark.parametrize("spin", [1, 2, 3])
 def test_deformed_generators_gate_catches_entrywise_perturbation(spin):
-    # The four commutators read about 1e-7 at delta = 1e-6; the gate is 1e-8.
+    # The two J^2 commutators read about 1e-7 at delta = 1e-6; the gate is
+    # 1e-8.  The check reads tau's weight-0 block, so that is perturbed.
     ctx = _SpinContext(spin, 4)
     for omega in range(1, spin + 1):
         tau = ctx.taus[-omega]
-        bad = ctx.taus[-omega] = dataclasses.replace(tau)
-        # The whole-space tau, which the check reads, is built on demand and
-        # kept on the instance: the copy keeps the perturbed one.
-        vars(bad)["op"] = _perturbed(tau.op, seed=10 * spin + omega)
+        ctx.taus[-omega] = dataclasses.replace(
+            tau, weight0=_perturbed(tau.weight0, seed=10 * spin + omega))
     report = _run_block(_deformed_checks, ctx)
     checks = [c for c in report.checks
               if c.name == "deformed-algebra-generators"]
     assert len(checks) == spin
     assert not any(c.passed for c in checks)
+
+
+def _off_grade_run(mutate):
+    """The tau and deformed checks at s = 2, n_max = 4, before and after
+    ``mutate`` replaces the p family (p_0, p_1, p_2) in the context's
+    families; the checks by (name, theta or omega)."""
+    def run(ctx):
+        report = _run_block(
+            lambda r, c: (_tau_checks(r, c), _deformed_checks(r, c)), ctx)
+        return {(c.name, c.params.get("theta", c.params.get("omega"))): c
+                for c in report.checks}
+    ctx = _SpinContext(2, 4)
+    before = run(ctx)
+    ops = mutate(ctx.basis, ctx.families.p_ops)
+    ctx = _SpinContext(2, 4)
+    ctx._families = dataclasses.replace(ctx.families, p_ops=ops)
+    return ctx, before, run(ctx)
+
+
+def _assert_only_grade_checks_fail(before, after):
+    # The families' own J_z check reads them on the whole interior and
+    # sees the change.  Every residual read from tau is unchanged (its
+    # weight-0 block is), and of the tau checks only the two that read the
+    # grade certificate fail.
+    failing = {("family-jz-commuting", None), ("tau-complete-set", None),
+               ("deformed-algebra-generators", 2)}
+    assert before.keys() == after.keys()
+    for key, check in after.items():
+        assert before[key].passed
+        assert check.passed == (key not in failing), key
+        if key != ("family-jz-commuting", None):
+            assert check.residual == before[key].residual, key
+
+
+def _first_state(basis, n, weight):
+    return int(np.flatnonzero((basis.totals == n)
+                              & (basis.weights == weight))[0])
+
+
+def test_off_grade_stray_fails_the_complete_set_and_deformed_checks():
+    # A stray 1e-6 max|p_1| in p_1 from the first (n=1, w=1) state into the
+    # first (n=2, w=2) state: grade (1, 1).  It sits on a weight-1 column,
+    # so tau's weight-0 block, and every float residual read there, stays
+    # as it is; the grade certificate names the entry.
+    def stray(basis, p_ops):
+        p0, p1, p2 = p_ops
+        col, row = _first_state(basis, 1, 1), _first_state(basis, 2, 2)
+        size = 1e-6 * np.abs(p1.matrix.data).max()
+        return p0, SparseOperator(basis, p1.matrix + sparse.csr_matrix(
+            ([size], ([row], [col])), shape=p1.matrix.shape)), p2
+    ctx, before, after = _off_grade_run(stray)
+    basis = ctx.basis
+    entry = (f"term k=1 sends {basis.states[_first_state(basis, 1, 1)]} to "
+             f"{basis.states[_first_state(basis, 2, 2)]}: grade (1, 1), "
+             "not (1, 0) (1 such entries)")
+    _assert_only_grade_checks_fail(before, after)
+    # p_1 enters the p-family ladders theta = -2, 0, 2.
+    assert after[("tau-complete-set", None)].detail == "; ".join(
+        f"tau[{theta:+d}] {entry}" for theta in (-2, 0, 2))
+    assert after[("deformed-algebra-generators", 2)].detail == \
+        f"tau[-2] {entry}"
+
+
+def test_consistent_off_grade_block_fails_the_grade_certificate():
+    # Every p_k sends the whole (2, 1) sector into (3, 2) instead of (3, 1),
+    # one consistent sector map: the whole-space tau assembles, and its
+    # A_theta = tau tau^dagger still has grade (0, 0), so no float residual
+    # of A_theta can see the change.  The grade of tau's terms does.
+    def moved(basis, p_ops):
+        sector = (basis.totals == 2) & (basis.weights == 1)
+        into = creation_op(basis, 1) @ SparseOperator.diagonal(basis, sector)
+        return tuple(p @ SparseOperator.diagonal(basis, ~sector) + into
+                     for p in p_ops)
+    ctx, before, after = _off_grade_run(moved)
+    _assert_only_grade_checks_fail(before, after)
+    for theta in (-2, 0, 2):
+        for k in range(3):
+            assert f"tau[{theta:+d}] term k={k} sends" in \
+                after[("tau-complete-set", None)].detail
+        whole = ctx.taus[theta].op
+        prod = whole @ whole.adjoint()
+        for diag in (ctx.gens.Jz, ctx.gens.Ntot):
+            assert commutator_residual(prod, diag, 0).frobenius_absolute == 0.0
+
+
+@pytest.mark.parametrize("spin", [1, 2, 3])
+def test_run_suite_builds_no_whole_space_tau_above_spin_1(monkeypatch, spin):
+    # Only the spin-1 scale checks read the whole-space tau, of theta = +-1.
+    built = []
+    build_taus = su2ladders.verify.build_taus
+
+    def recorded(*args, **kwargs):
+        built.append(build_taus(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(su2ladders.verify, "build_taus", recorded)
+    assert run_suite(SuiteConfig(spins=[spin], n_max=4)).overall_pass
+    assert len(built) == 1
+    assert {theta for theta, tau in built[0].items() if "op" in vars(tau)} \
+        == ({-1, 1} if spin == 1 else set())
 
 
 def test_s1_weyl_pair_gate_catches_entrywise_perturbation(monkeypatch):
