@@ -16,19 +16,21 @@ its weight-0 block (``TauOperator.weight0``), and refuses a family operator
 that leaks out of weight 0 (WeightLeakError).  The ladder certificates, the
 resolvent relations, the kernel lattice, the complete set and the deformed
 generators read that block, J^2's sparse entries and f(J^2) on the (n, 0)
-sectors (``Su2Generators.weight0``), and no whole-space function of j.
-What tau does off weight 0 is certified from its grade instead: every term
-T_k maps each (n, w) sector into (n + 1, w) (``tau_off_grade``), and its
-sigma_k(j) is block diagonal over the sectors, so tau tau^dagger and the
-deformed generators commute with N and J_z exactly.  The whole-space tau
-(``TauOperator.op``) is built on demand, for the spin-1 expressions and for
-export.
+sectors (``Su2Generators.weight0``), and the kernel nodes in weight-0
+coordinates (``Weight0View.nodes``): no whole-space function of j and no
+whole-space node vector.  What tau does off weight 0 is certified from its
+grade instead: every term T_k maps each (n, w) sector into (n + 1, w)
+(``tau_off_grade``), and its sigma_k(j) is block diagonal over the sectors,
+so tau tau^dagger and the deformed generators commute with N and J_z
+exactly.  The whole-space tau (``TauOperator.op``) is built on demand, for
+the spin-1 expressions and for export.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,8 +46,7 @@ from .operators import (BasisMismatchError, ResidualReport, SparseOperator,
                         commutator, commutator_on_columns, commutator_residual,
                         creation_op, entry_grades, number_op, on_columns,
                         residual)
-from .schwinger import (KernelVector, Su2Generators, Weight0View, _phase_fixed,
-                        jz_kernel)
+from .schwinger import Su2Generators, _phase_fixed, jz_kernel
 
 
 @dataclass(frozen=True)
@@ -179,36 +180,33 @@ def _measure_closure(families: LadderFamily, generators: Su2Generators,
     LADDER_MARGIN are the weight-0 columns that ``certify_alpha`` reads.
     The commutators are the family's kept ones
     (``LadderFamily.closure_commutators``), and each operator's images are
-    taken a level at a time.  A node whose images are too ill-conditioned to
-    identify the coefficients (e.g. several images vanish) is skipped, and
-    so is a (node, eta) whose least-squares fit leaves a residual.  The
-    images are fitted in whole-space coordinates (zero off weight 0): the
-    solve then sees the very matrix of a whole-space product.  No closure
+    taken a level at a time, T_w0[:, positions] @ vectors on the level's
+    nodes (``Weight0View.nodes``): every image and every fit lives on the
+    weight-0 rows.  A node whose images are too ill-conditioned to identify
+    the coefficients (e.g. several images vanish) is skipped, and so is a
+    (node, eta) whose least-squares fit leaves a residual.  No closure
     matrix is read.
     """
     w0 = generators.weight0()
     ops = {k: w0.of(t) for k, t in families.ops(family).items()}
     comms = families.closure_commutators(family, generators)
     fit: dict[int, list[tuple[int, np.ndarray]]] = {eta: [] for eta in ops}
-    basis = families.basis
-    for n in range(0, basis.n_max - LADDER_MARGIN + 1):
-        nodes = jz_kernel(basis, generators, n)
-        if not nodes:
-            continue
-        idx, block = _kernel_block(w0, n, nodes)
-        imgs = [_images(t.matrix[:, idx], block, w0) for t in ops.values()]
-        lhs_all = {eta: _images(comm.matrix[:, idx], block, w0)
+    for n in range(0, families.basis.n_max - LADDER_MARGIN + 1):
+        level = w0.nodes(n)
+        idx, vecs = level.positions, level.vectors
+        imgs = [t.matrix[:, idx] @ vecs for t in ops.values()]
+        lhs_all = {eta: comm.matrix[:, idx] @ vecs
                    for eta, comm in comms.items()}
-        for i, node in enumerate(nodes):
-            m = np.array([img[i] for img in imgs]).T
+        for i, j in enumerate(level.labels.tolist()):
+            m = np.array([img[:, i] for img in imgs]).T
             if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
                 continue
             for eta, lhs_level in lhs_all.items():
-                lhs = lhs_level[i]
+                lhs = lhs_level[:, i]
                 coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
                 if np.linalg.norm(m @ coef - lhs) > 1e-6 * (1 + np.linalg.norm(lhs)):
                     continue
-                fit[eta].append((node.j, coef))
+                fit[eta].append((j, coef))
     return fit
 
 
@@ -228,33 +226,6 @@ def _worst_alpha_entry(alpha, eta, generators, families):
             if dev > worst[1]:
                 worst = (mu, dev)
     return worst
-
-
-def _kernel_block(w0: Weight0View, n: int, nodes: list[KernelVector]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 0) sector's indices in the weight-0 basis and the nodes'
-    entries there, one per column.
-
-    Kernel vectors of level n vanish off that sector.
-    """
-    idx = np.flatnonzero(w0.basis.totals == n)
-    return idx, np.array([kv.vector[w0.rows[idx]] for kv in nodes]).T
-
-
-def _images(columns, block: np.ndarray, w0: Weight0View) -> np.ndarray:
-    """X v for each vector v of a ``_kernel_block``, one contiguous
-    whole-space row each.
-
-    ``columns`` holds the sector's columns of X's weight-0 block, the only
-    ones that meet nonzero entries of v; X has no other rows there
-    (``Weight0View.of``).  Each image entry sums the same terms in the same
-    order as the whole-space product X v, and the other entries are zero.
-    """
-    product = columns @ block
-    images = np.zeros((product.shape[1], len(w0.whole_basis)),
-                      dtype=product.dtype)
-    images[:, w0.rows] = product.T
-    return images
 
 
 def alpha_entry_deviation(alpha: AlphaMatrix, generators: Su2Generators,
@@ -546,95 +517,71 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     up to ``n_limit``.  An image of norm at most 1e-8 counts as annihilated.
     Any other image with a component outside the predicted target node
     (n +/- 1, j +/- theta) of norm above 1e-8 * max(1, |image|) is a hard
-    error.  Each operator is applied to all source nodes at once, through
-    the columns (raising) or rows (lowering) of its weight-0 block
-    (``TauOperator.weight0``), sliced once per theta; no whole-space tau is
-    read.  A tau that leaves weight 0 is refused when it is assembled, and
-    tau maps every weight to itself, so the block holds every entry that
-    meets a node.  The images of all nodes are projected onto their
-    predicted nodes in one product.
+    error.  Everything is read in weight-0 coordinates: the nodes of each
+    level (``Weight0View.nodes``), and tau's weight-0 block
+    (``TauOperator.weight0``) for raising, its adjoint for lowering.  A tau
+    that leaves weight 0 is refused when it is assembled, so the block
+    holds every entry that meets a node.  Each operator is applied to all
+    source nodes at once, and the images of all nodes are projected onto
+    their predicted nodes in one product.
     """
     if n_limit > basis.n_max:
         raise ValueError(f"n_limit={n_limit} exceeds n_max={basis.n_max}")
-    nodes: dict[int, list[KernelVector]] = {}
-    for n in range(0, min(n_limit + 1, basis.n_max) + 1):
-        nodes[n] = jz_kernel(basis, generators, n)
-    node_dims: dict[tuple[int, int], int] = {}
-    weight0_dims: dict[int, int] = {}
-    known_nodes: dict[tuple[int, int], int] = {}
-    for n in range(0, n_limit + 1):
-        weight0_dims[n] = len(nodes[n])
-        for kv in nodes[n]:
-            node_dims[(n, kv.j)] = node_dims.get((n, kv.j), 0) + 1
-    for n, level in nodes.items():
-        for kv in level:
-            known_nodes[(n, kv.j)] = known_nodes.get((n, kv.j), 0) + 1
-
-    # Every node, level by level, on the weight-0 states of levels up to the
-    # highest target; the nodes of a level span its (n, 0) sector, and the
-    # first ``n_src`` of them (levels <= n_limit) are the sources.
-    kvs = [kv for n in sorted(nodes) for kv in nodes[n]]
-    node_n = np.array([n for n in sorted(nodes) for _kv in nodes[n]])
-    node_j = np.array([kv.j for kv in kvs])
-    n_src = int(np.sum(node_n <= n_limit))
     view = generators.weight0()
-    kept = np.flatnonzero(view.basis.totals <= max(nodes))
-    w0 = view.rows[kept]
-    vecs = np.array([kv.vector[w0] for kv in kvs]).T
+    levels = {n: view.nodes(n)
+              for n in range(0, min(n_limit + 1, basis.n_max) + 1)}
+    known_nodes = dict(Counter((n, j) for n, level in levels.items()
+                               for j in level.labels.tolist()))
+    node_dims = {key: d for key, d in known_nodes.items() if key[0] <= n_limit}
+    weight0_dims = {n: len(level.labels) for n, level in levels.items()
+                    if n <= n_limit}
+
+    # Every node, level by level, as a column on the weight-0 basis; the
+    # nodes of a level span its (n, 0) sector, and the first ``n_src`` of
+    # them (levels <= n_limit) are the sources.
+    node_n = np.repeat(list(levels),
+                       [len(level.labels) for level in levels.values()])
+    node_j = np.concatenate([level.labels for level in levels.values()])
+    n_src = int(np.sum(node_n <= n_limit))
+    vecs = np.concatenate([level.embedded(level.positions, len(view.basis))
+                           for level in levels.values()]).T
     sources = sparse.csr_matrix(vecs[:, :n_src])
 
-    def apply(columns, dn: int, dj: int) -> tuple[list, np.ndarray]:
-        # Norm of each source node's image, and its leak out of the node
-        # (n + dn, j + dj).  Each image entry sums the same terms in the same
-        # order as the whole-space product with the node vector, and the
-        # norm is taken of a contiguous whole-space row (zero off weight 0).
-        product = (columns @ sources).T.toarray()
-        images = np.zeros((n_src, len(basis)), dtype=product.dtype)
-        images[:, view.rows] = product
-        norms = [float(np.linalg.norm(row)) for row in images]
-        return norms, _leaks(images, w0, vecs, node_n, node_j, dn, dj)
+    def apply(matrix, dn: int, dj: int) -> tuple[list, np.ndarray]:
+        # Norm of each source node's image, one weight-0 row each, and of its
+        # leak: what is left once the image is projected onto the nodes of
+        # (n + dn, j + dj).  The nodes are orthonormal, so the projection is
+        # one product, and a part above the highest node level stays whole.
+        # The leak is formed explicitly, which avoids the cancellation that
+        # |image|^2 - |projection|^2 would suffer.
+        images = (matrix @ sources).T.toarray()
+        predicted = ((node_n == node_n[:n_src, None] + dn)
+                     & (node_j == node_j[:n_src, None] + dj))
+        leaks = images - ((images @ vecs.conj()) * predicted) @ vecs.T
+        return ([float(np.linalg.norm(row)) for row in images],
+                np.linalg.norm(leaks, axis=1))
 
     arrows: list[LatticeArrow] = []
     for theta in sorted(taus):
         # tau raises N by one: (n, j) -> (n+1, j+theta); its adjoint lowers
         # N: (n, j) -> (n-1, j-theta).
         tau = taus[theta].weight0.matrix
-        raised_norm, raised_leak = apply(tau[:, kept], 1, theta)
-        lowered_norm, lowered_leak = apply(tau[kept].getH(), -1, -theta)
-        for i, kv in enumerate(kvs[:n_src]):
-            n = int(node_n[i])
-            source = (n, kv.j)
+        raised_norm, raised_leak = apply(tau, 1, theta)
+        lowered_norm, lowered_leak = apply(tau.getH(), -1, -theta)
+        for i in range(n_src):
+            n, j = int(node_n[i]), int(node_j[i])
+            source = (n, j)
             if n <= basis.n_max - 1:
                 arrows.append(_classify_image(
-                    f"tau_dag[{theta:+d}]", source, (n + 1, kv.j + theta),
+                    f"tau_dag[{theta:+d}]", source, (n + 1, j + theta),
                     raised_norm[i], raised_leak[i]))
             arrows.append(_classify_image(
-                f"tau[{theta:+d}]", source, (n - 1, kv.j - theta),
+                f"tau[{theta:+d}]", source, (n - 1, j - theta),
                 lowered_norm[i], lowered_leak[i]))
     return KernelLatticeReport(spin=generators.s, n_limit=n_limit,
                                node_dims=node_dims, arrows=arrows,
                                weight0_dims=weight0_dims,
                                known_nodes=known_nodes)
-
-
-def _leaks(images, w0, vecs, node_n, node_j, dn, dj) -> np.ndarray:
-    """Norm of each image row outside its predicted node, all rows at once.
-
-    Row i comes from node i and is predicted on the nodes a with
-    (n_a, j_a) = (n_i + dn, j_i + dj).  The node vectors (columns of
-    ``vecs``, entries on the weight-0 states ``w0``) are orthonormal, so the
-    projection onto the predicted nodes is one product.  The residual is
-    formed explicitly, which avoids the cancellation that
-    |image|^2 - |projection|^2 would suffer.  ``images`` is overwritten.
-    """
-    m = len(images)
-    predicted = ((node_n[None, :] == node_n[:m, None] + dn)
-                 & (node_j[None, :] == node_j[:m, None] + dj))
-    inside = images[:, w0]
-    inside -= ((inside @ vecs.conj()) * predicted) @ vecs.T
-    images[:, w0] = 0.0
-    return np.hypot(np.linalg.norm(inside, axis=1),
-                    [np.linalg.norm(row) for row in images])
 
 
 def _classify_image(label, source, predicted, norm, leak):
@@ -714,9 +661,10 @@ def complete_set_check(basis: SectorBasis, generators: Su2Generators,
     commutators with J_z and N are certified from tau's grade
     (``tau_off_grade``), exactly and on every weight: ``off_grade`` lists
     each term of each tau with an entry off grade (1, 0).  The scan then
-    looks for kernel nodes of dimension >= 2 and reports whether the
-    eigenvalues of the A_theta restricted to the node separate its states
-    (eigenvalues within 1e-6, relative, count as degenerate).
+    looks for kernel nodes of dimension >= 2 (``Weight0View.nodes``) and
+    reports whether the eigenvalues of the A_theta restricted to the node
+    separate its states (eigenvalues within 1e-6, relative, count as
+    degenerate).
     """
     residuals: dict[tuple[int, str], ResidualReport] = {}
     prods: dict[int, SparseOperator] = {}
@@ -730,14 +678,12 @@ def complete_set_check(basis: SectorBasis, generators: Su2Generators,
 
     separation: list[SeparationNode] = []
     for n in range(0, n_limit + 1):
-        groups: dict[int, list[KernelVector]] = {}
-        for kv in jz_kernel(basis, generators, n):
-            groups.setdefault(kv.j, []).append(kv)
-        for j, kvs in sorted(groups.items()):
-            if len(kvs) < 2:
-                continue
-            vectors = np.array([kv.vector[w0.rows] for kv in kvs]).T
-            separation.append(_separate_node((n, j), vectors, prods))
+        level = w0.nodes(n)
+        vectors = level.embedded(level.positions, len(w0.basis))
+        labels, counts = np.unique(level.labels, return_counts=True)
+        for j in labels[counts > 1].tolist():
+            separation.append(_separate_node(
+                (n, j), vectors[level.labels == j].T, prods))
     return CompleteSetReport(commutator_residuals=residuals,
                              separation=separation, off_grade=off_grade)
 

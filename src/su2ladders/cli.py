@@ -81,8 +81,12 @@ def _cmd_spectrum(args) -> int:
     gens = su2_generators(basis)
     sector_filter = None
     if args.sector:
-        n_str, _, w_str = args.sector.partition(",")
-        sector_filter = (int(n_str), int(w_str))
+        try:
+            n, w = (int(x) for x in args.sector.split(","))
+        except ValueError:
+            raise SystemExit(f"bad --sector {args.sector!r}; expected N,W, "
+                             "two integers such as 2,0")
+        sector_filter = (n, w)
     rows = []
     for key, idx, vals, vecs in gens.j2_decomposition().sectors:
         if sector_filter and key != sector_filter:
@@ -161,22 +165,28 @@ def _cmd_basis(args) -> int:
 def _resolve_operator(name: str, basis, gens, families, taus):
     if ":" in name:
         kind, _, arg = name.partition(":")
-        value = int(arg)
-        if kind == "a":
-            return annihilation_op(basis, value)
-        if kind == "adag":
-            return creation_op(basis, value)
-        if kind == "n":
-            return number_op(basis, value)
-        if kind == "p":
-            return families().p_ops[value]
-        if kind == "m":
-            return families().m_ops[value - 1]
-        if kind == "tau":
-            return taus()[value].op
-        if kind == "taulow":
-            return taus()[value].op.adjoint()
-        raise SystemExit(f"unknown operator kind {kind!r}")
+        s = basis.spin
+        # kind -> (lowest index, the operator at an index up to s)
+        indexed = {
+            "a": (-s, lambda v: annihilation_op(basis, v)),
+            "adag": (-s, lambda v: creation_op(basis, v)),
+            "n": (-s, lambda v: number_op(basis, v)),
+            "p": (0, lambda v: families().p_ops[v]),
+            "m": (1, lambda v: families().m_ops[v - 1]),
+            "tau": (-s, lambda v: taus()[v].op),
+            "taulow": (-s, lambda v: taus()[v].op.adjoint()),
+        }
+        if kind not in indexed:
+            raise SystemExit(f"unknown operator kind {kind!r}")
+        low, build = indexed[kind]
+        try:
+            value = int(arg)
+        except ValueError:
+            raise SystemExit(f"operator {name!r} needs an integer after ':'")
+        if not low <= value <= s:
+            raise SystemExit(f"operator {name!r}: the index must lie in "
+                             f"{low}..{s} at spin {s}")
+        return build(value)
     plain = {
         "N": lambda: gens.Ntot,
         "Jz": lambda: gens.Jz,

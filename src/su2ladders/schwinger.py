@@ -525,9 +525,11 @@ class Weight0View:
     ``sum_times_functions_of_j`` assemble only on the (n, 0) sectors of the
     generators' J^2 decomposition; this is where each tau is built
     (``TauOperator.weight0``).  The spectral images record ``J2`` as what
-    they are a function of.  ``of`` restricts a whole-space operator, and
-    refuses one with a nonzero entry from a weight-0 column into a row of
-    another weight (``WeightLeakError``).
+    they are a function of.  ``nodes`` builds the J_z-kernel nodes of a
+    level, in these coordinates; no other code builds them.  ``of``
+    restricts a whole-space operator, and refuses one with a nonzero entry
+    from a weight-0 column into a row of another weight
+    (``WeightLeakError``).
     Given that guard on every factor, a product of restrictions sums, for
     each entry, the same terms in the same order as the whole-space CSR
     product does on the weight-0 columns, so a residual read here equals
@@ -549,7 +551,35 @@ class Weight0View:
             [(key, np.searchsorted(self.rows, idx), vals, vecs)
              for key, idx, vals, vecs in (sectors[k] for k in kept)],
             self.J2)
+        # Level n -> its (n, 0) sector of the decomposition and the labels.
+        self._levels = {
+            sector[0][0]: (sector, self._label_groups[0][k])
+            for sector, k in zip(self._decomposition.sectors, kept)}
         self.j = self.function_of_j(lambda j: j)
+
+    def labels(self, n: int) -> np.ndarray:
+        """The labels j of level n's kernel nodes in ascending order, as
+        ``nodes`` lists them, with no vector formed."""
+        return np.sort(self._levels[n][1])
+
+    def nodes(self, n: int) -> "KernelNodes":
+        """The J_z-kernel nodes of level n (0 <= n <= n_max), in weight-0
+        coordinates.
+
+        They are the eigenvectors of the (n, 0) sector of the generators' J^2
+        decomposition, so J_z is zero on each by construction, and their
+        labels come from the generators' label table.  Each is rotated so its
+        first non-negligible entry is real and positive.  The order is
+        deterministic: ascending j, then lexicographic on the phase-fixed
+        coordinates.
+        """
+        (_key, positions, _vals, vecs), labels = self._levels[n]
+        fixed = [_phase_fixed(v) for v in vecs.T]
+        order = sorted(range(len(labels)), key=lambda k: (
+            labels[k], tuple(np.round(fixed[k].real, 10))
+            + tuple(np.round(fixed[k].imag, 10))))
+        return KernelNodes(positions, labels[order],
+                           np.array([fixed[k] for k in order]).T)
 
     def function_of_j(self, f: Callable[[int], float]) -> SparseOperator:
         """f(j) on the weight-0 subspace; f is called as by
@@ -624,6 +654,24 @@ class KernelVector:
     vector: np.ndarray = field(repr=False)
 
 
+@dataclass(frozen=True)
+class KernelNodes:
+    """The J_z-kernel nodes of one level n on the weight-0 basis
+    (``Weight0View.nodes``): ``positions`` are the (n, 0) sector's indices
+    there, ``labels`` the nodes' j, and column k of ``vectors`` node k's
+    entries on ``positions`` (the nodes vanish elsewhere)."""
+    positions: np.ndarray = field(repr=False)
+    labels: np.ndarray
+    vectors: np.ndarray = field(repr=False)
+
+    def embedded(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """The nodes as the rows of a (nodes, ``size``) array, with the
+        entries of ``positions`` at ``rows`` and zeros elsewhere."""
+        out = np.zeros((len(self.labels), size), dtype=self.vectors.dtype)
+        out[:, rows] = self.vectors.T
+        return out
+
+
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     """Rotate vec so its first non-negligible entry is real and positive."""
     amax = np.max(np.abs(vec))
@@ -639,30 +687,15 @@ def jz_kernel(basis: SectorBasis, generators: Su2Generators, n: int
               ) -> list[KernelVector]:
     """Orthonormal basis of the weight-0, n-particle subspace, labeled by j.
 
-    The vectors are the eigenvectors of the (n, 0) sector of the generators'
-    J^2 decomposition, so J_z is zero on each by construction; their labels
-    come from the generators' label table.  Ordering is deterministic:
-    ascending j label, then lexicographic on the (phase-fixed) coordinate
-    tuple.  The list may be empty.
+    These are the level's nodes (``Weight0View.nodes``), in their order,
+    each embedded into the whole space.
     """
     if basis is not generators.basis and basis != generators.basis:
         raise BasisMismatchError("basis does not match the generators")
-    if n > basis.n_max:
-        raise ValueError(f"n={n} exceeds n_max={basis.n_max}")
-    sectors = generators.j2_decomposition().sectors
-    pos = next((k for k, sec in enumerate(sectors) if sec[0] == (n, 0)), None)
-    if pos is None:
-        return []
-    _key, idx, _vals, vecs = sectors[pos]
-    labels = generators._label_groups()[0][pos]
-    out = []
-    for k, j in enumerate(labels):
-        full = np.zeros(len(basis), dtype=vecs.dtype)
-        full[idx] = vecs[:, k]
-        out.append(KernelVector(n=n, j=int(j), vector=_phase_fixed(full)))
-    # The vectors vanish off the (ascending) sector indices, so comparing
-    # their entries there orders them as the whole-space coordinates would.
-    out.sort(key=lambda kv: (kv.j, tuple(np.round(kv.vector[idx].real, 10))
-                             + tuple(np.round(kv.vector[idx].imag, 10))))
-    return out
-
+    if not 0 <= n <= basis.n_max:
+        raise ValueError(f"n={n} lies outside 0..n_max={basis.n_max}")
+    w0 = generators.weight0()
+    level = w0.nodes(n)
+    whole = level.embedded(w0.rows[level.positions], len(basis))
+    return [KernelVector(n=n, j=j, vector=vector)
+            for j, vector in zip(level.labels.tolist(), whole)]

@@ -488,8 +488,9 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.run("canonical-su2-action", "canonical-su2-action", p, 1e-8, su2_action)
 
     def kernel_dims(tol):
+        w0 = gens.weight0()
         for n in range(0, min(basis.n_max, 4) + 1):
-            got = len(jz_kernel(basis, gens, n))
+            got = len(w0.labels(n))
             want = len(bruteforce.enumerate_states(s, n, n=n, weight=0))
             if got != want:
                 return float(abs(got - want)), False, \

@@ -173,3 +173,36 @@ def test_dump_op_tau(capsys):
 def test_dump_op_unknown_name(capsys):
     with pytest.raises(SystemExit):
         main(["dump-op", "--spin", "1", "--nmax", "2", "--op", "bogus"])
+
+
+@pytest.mark.parametrize("args,valid", [
+    (["dump-op", "--spin", "1", "--nmax", "2", "--op", "m:0"], "1..1"),
+    (["dump-op", "--spin", "1", "--nmax", "2", "--op", "m:2"], "1..1"),
+    (["dump-op", "--spin", "1", "--nmax", "2", "--op", "p:-1"], "0..1"),
+    (["dump-op", "--spin", "1", "--nmax", "2", "--op", "p:9"], "0..1"),
+    (["dump-op", "--spin", "2", "--nmax", "2", "--op", "tau:5"], "-2..2"),
+    (["dump-op", "--spin", "2", "--nmax", "2", "--op", "taulow:-3"], "-2..2"),
+    (["dump-op", "--spin", "1", "--nmax", "2", "--op", "a:9"], "-1..1"),
+    (["dump-op", "--spin", "1", "--nmax", "2", "--op", "n:-5"], "-1..1"),
+    (["dump-op", "--spin", "1", "--nmax", "2", "--op", "p:x"], "integer"),
+    (["spectrum", "--spin", "1", "--nmax", "2", "--sector", "1"], "N,W"),
+    (["spectrum", "--spin", "1", "--nmax", "2", "--sector", "1,0,2"], "N,W"),
+    (["spectrum", "--spin", "1", "--nmax", "2", "--sector", "a,b"], "N,W"),
+], ids=["m:0", "m:2", "p:-1", "p:9", "tau:5", "taulow:-3", "a:9", "n:-5",
+        "p:x", "sector-1", "sector-3-parts", "sector-not-integers"])
+def test_out_of_range_selectors_name_the_valid_range(args, valid, capsys):
+    # An index outside its range, or a sector that is not two integers,
+    # must stop with the valid range instead of dumping another operator
+    # (m:0 used to wrap to m_s, p:-1 to p_s) or raising a traceback.
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert valid in str(err.value.code)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("op", ["p:0", "p:2", "m:1", "m:2", "tau:-2",
+                                "taulow:2"])
+def test_selectors_at_the_ends_of_their_range(op, capsys):
+    code, out, err = run_cli(["dump-op", "--spin", "2", "--nmax", "2",
+                              "--op", op], capsys)
+    assert code == 0 and json.loads(out)["entries"]

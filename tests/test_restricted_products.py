@@ -13,9 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import su2ladders
 import su2ladders.casimir
 import su2ladders.cli
+import su2ladders.schwinger
+import su2ladders.verify
 from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
                                 _separate_node, _worst_alpha_entry,
                                 alpha_entry_deviation,
@@ -41,7 +45,7 @@ from su2ladders.fock import enumerate_sector
 from su2ladders.schwinger import WeightLeakError, jz_kernel, su2_generators
 from su2ladders.verify import (SuiteConfig, VerificationReport, _deformed_checks,
                                _engine_checks, _Runner, _s1_demo_checks,
-                               _SpinContext, run_suite)
+                               _schwinger_checks, _SpinContext, run_suite)
 
 SPINS = [2, 3]
 
@@ -275,14 +279,24 @@ def test_certify_alpha_equals_full_products(ctx, spin, family):
     assert certify_alpha(alpha, c.gens, c.families) == want
 
 
+def _on_weight0(gens, image):
+    """The weight-0 rows of a whole-space image, which is exactly zero on
+    every other row."""
+    assert not image[gens.basis.weights != 0].any()
+    return image[gens.weight0().rows]
+
+
 def _worst_alpha_entry_per_node(alpha, eta, gens, families):
-    # One whole-space commutator and one matrix-vector product per node.
+    # One whole-space commutator and one matrix-vector product per node,
+    # fitted on the images' weight-0 rows.
     ops = families.ops(alpha.family)
     worst = (None, 0.0)
     for n in range(0, families.basis.n_max):
         for node in jz_kernel(families.basis, gens, n):
-            lhs = commutator(gens.J2, ops[eta]).apply(node.vector)
-            m = np.array([t.apply(node.vector) for t in ops.values()]).T
+            lhs = _on_weight0(
+                gens, commutator(gens.J2, ops[eta]).apply(node.vector))
+            m = np.array([_on_weight0(gens, t.apply(node.vector))
+                          for t in ops.values()]).T
             if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
                 continue
             coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
@@ -431,7 +445,7 @@ def test_lattice_amplitudes_equal_per_vector_products(ctx, spin):
                 for label, image in images:
                     arrow = next(arrows)
                     assert (arrow.operator, arrow.source) == (label, (n, kv.j))
-                    norm = float(np.linalg.norm(image))
+                    norm = float(np.linalg.norm(_on_weight0(c.gens, image)))
                     if arrow.annihilated:
                         assert norm <= 1e-8
                     else:
@@ -442,7 +456,8 @@ def test_lattice_amplitudes_equal_per_vector_products(ctx, spin):
 def _per_vector_arrows(c, ops, n_limit):
     """Lattice arrows of the whole-space taus ``ops`` (theta -> operator)
     from one whole-space product and one projection per node vector, each
-    predicted node vector subtracted in turn."""
+    predicted node vector subtracted in turn.  Each image is exactly zero
+    off weight 0, and its norm and leak are read on its weight-0 rows."""
     basis, gens = c.basis, c.gens
     nodes = {n: jz_kernel(basis, gens, n)
              for n in range(0, min(n_limit + 1, basis.n_max) + 1)}
@@ -459,13 +474,15 @@ def _per_vector_arrows(c, ops, n_limit):
                 images.append((f"tau[{theta:+d}]", (n - 1, kv.j - theta),
                                tau_low.apply(kv.vector)))
                 for label, target, image in images:
+                    image = _on_weight0(gens, image)
                     norm = float(np.linalg.norm(image))
                     if norm <= 1e-8:
                         arrows.append(LatticeArrow(label, (n, kv.j), None, 0.0,
                                                    True))
                         continue
                     outside = image.copy()
-                    for v in [w.vector for w in nodes.get(target[0], [])
+                    for v in [_on_weight0(gens, w.vector)
+                              for w in nodes.get(target[0], [])
                               if w.j == target[1]]:
                         outside = outside - v * np.vdot(v, image)
                     if np.linalg.norm(outside) > 1e-8 * max(1.0, norm):
@@ -549,6 +566,76 @@ def test_lattice_rejects_an_injected_leak(ctx, leak):
         lattice_report(c.basis, c.gens, taus, 3)
 
 
+@pytest.mark.parametrize("spin", [1, 2])
+def test_lattice_rejects_a_leak_past_the_node_levels(ctx, spin):
+    # A stray entry of grade (2, 0) in tau's weight-0 block sends a level-4
+    # weight-0 state to level 6.  At n_limit 4 the nodes reach level 5, so
+    # the image lands on weight-0 rows above every node level: the part of
+    # the leak that no node projection sees.
+    c = ctx(spin, 6)
+    w0 = c.gens.weight0()
+    tau = c.taus[1]
+    source = np.flatnonzero(w0.basis.totals == 4)[0]
+    target = np.flatnonzero(w0.basis.totals == 6)[0]
+    stray = sparse.csr_matrix(([1e-3], ([target], [source])),
+                              shape=tau.weight0.matrix.shape)
+    taus = dict(c.taus)
+    taus[1] = dataclasses.replace(tau, weight0=SparseOperator(
+        w0.basis, tau.weight0.matrix + stray))
+    lattice_report(c.basis, c.gens, c.taus, 4)
+    with pytest.raises(LatticeSchemeError, match=r"tau_dag\[\+1\].*\(4, "):
+        lattice_report(c.basis, c.gens, taus, 4)
+
+
+def test_weight0_readers_build_no_whole_space_node_vector(ctx, monkeypatch):
+    # The closure fit, the lattice, the separation scan and kernel-dimensions
+    # read the nodes on the weight-0 view; with jz_kernel refusing every
+    # call they still pass and give the same results.
+    c = ctx(3, 5)
+    want = (c.families.closure_fit("p", c.gens),
+            c.families.closure_fit("m", c.gens),
+            lattice_report(c.basis, c.gens, c.taus, 4),
+            complete_set_check(c.basis, c.gens, c.taus, 4))
+
+    def refused(*args):
+        raise AssertionError("jz_kernel called")
+    for module in (su2ladders, su2ladders.schwinger, su2ladders.casimir,
+                   su2ladders.verify):
+        monkeypatch.setattr(module, "jz_kernel", refused)
+    families = dataclasses.replace(c.families)
+    fits = (families.closure_fit("p", c.gens),
+            families.closure_fit("m", c.gens))
+    for got, expected in zip(fits, want):
+        assert got.keys() == expected.keys()
+        for eta in got:
+            assert [j for j, _coef in got[eta]] == \
+                [j for j, _coef in expected[eta]]
+            for (_j, a), (_k, b) in zip(got[eta], expected[eta]):
+                assert np.array_equal(a, b)
+    assert lattice_report(c.basis, c.gens, c.taus, 4) == want[2]
+    assert complete_set_check(c.basis, c.gens, c.taus, 4) == want[3]
+    _spin_ctx, results = _run_block(_schwinger_checks, 3, 5)
+    checks = {check.name: check for check in results}
+    assert checks["kernel-dimensions"].passed
+    assert "jz_kernel called" in checks["canonical-su2-action"].detail
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 6), (2, 4), (3, 5)])
+def test_jz_kernel_embeds_the_view_nodes(ctx, spin, n_max):
+    c = ctx(spin, n_max)
+    w0 = c.gens.weight0()
+    for n in range(n_max + 1):
+        level = w0.nodes(n)
+        kvs = jz_kernel(c.basis, c.gens, n)
+        assert [kv.j for kv in kvs] == level.labels.tolist() == \
+            w0.labels(n).tolist()
+        for kv, vec in zip(kvs, level.vectors.T):
+            full = np.zeros(len(c.basis))
+            full[w0.rows[level.positions]] = vec
+            assert kv.n == n
+            assert np.array_equal(kv.vector, full)
+
+
 # -- the weight-0 view against the whole-space forms ---------------------------
 #
 # The certificates read the weight-0 blocks (``Su2Generators.weight0``).  The
@@ -576,7 +663,8 @@ def _whole_certify_alpha(alpha, gens, families):
 
 
 def _whole_worst_alpha_entry(alpha, eta, gens, families):
-    # The whole-space commutator on weight-0 columns, applied level by level.
+    # The whole-space commutator on weight-0 columns, applied level by level
+    # and fitted on the images' weight-0 rows.
     ops = families.ops(alpha.family)
     comm = _ref_commutator_on_columns(gens.J2, ops[eta], 1, 0)
     basis = families.basis
@@ -587,8 +675,11 @@ def _whole_worst_alpha_entry(alpha, eta, gens, families):
             continue
         idx = np.flatnonzero((basis.totals == n) & (basis.weights == 0))
         block = np.array([kv.vector[idx] for kv in nodes]).T
-        lhs_all = (comm.matrix[:, idx] @ block).T
-        imgs = [(t.matrix[:, idx] @ block).T for t in ops.values()]
+        lhs_all = [_on_weight0(gens, image)
+                   for image in (comm.matrix[:, idx] @ block).T]
+        imgs = [[_on_weight0(gens, image)
+                 for image in (t.matrix[:, idx] @ block).T]
+                for t in ops.values()]
         for i, node in enumerate(nodes):
             m = np.array([img[i] for img in imgs]).T
             if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
@@ -729,12 +820,17 @@ def test_separation_equals_the_whole_space_scan(ctx, spin, n_max):
     assert bool(want) == (spin > 1)
 
 
-def _check_residuals(block, spin, n_max):
+def _run_block(block, spin, n_max):
     ctx = _SpinContext(spin, n_max)
     report = VerificationReport(config=SuiteConfig(spins=[spin], n_max=n_max))
     block(_Runner(report.config, report), ctx)
+    return ctx, report.checks
+
+
+def _check_residuals(block, spin, n_max):
+    ctx, checks = _run_block(block, spin, n_max)
     return ctx, {(c.name, tuple(sorted(c.params.items()))): c.residual
-                 for c in report.checks}
+                 for c in checks}
 
 
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
