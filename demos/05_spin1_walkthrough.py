@@ -11,7 +11,7 @@ from a+_0 alone.
 
 import numpy as np
 
-from su2ladders import (SparseOperator, build_families, canonical_basis_s1,
+from su2ladders import (SectorBlocks, build_families, canonical_basis_s1,
                         commutator, demo_s1_operators, enumerate_sector,
                         jz_kernel, residual, su2_generators, tau_bar_forms)
 from su2ladders.casimir import s1_tau_bracket_ladder
@@ -23,7 +23,7 @@ demo = demo_s1_operators(gens, families)
 
 w0 = gens.weight0()
 weyl = residual(w0.of(commutator(demo.a_op, demo.a_dag)),
-                SparseOperator.identity(w0.basis), 2)
+                SectorBlocks.identity(w0.basis), 2)
 print(f"[A, A+] = identity on the zero-weight interior: "
       f"{weyl.frobenius_relative:.2e}")
 

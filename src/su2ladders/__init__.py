@@ -5,8 +5,8 @@ suite.
 The pieces, bottom up:
 
 - ``fock``: enumeration and indexing of truncated multi-mode Fock bases.
-- ``operators``: sparse operator algebra with truncation-aware interior
-  residuals.
+- ``operators``: sparse operator algebra, dense level-block operators on
+  one weight, and truncation-aware interior residuals read alike on both.
 - ``schwinger``: the bilinear bosonic map, su(2) generators, the Casimir,
   the label operator j, zero-weight kernel extraction, and the generators
   restricted to the weight-0 subspace.
@@ -23,8 +23,8 @@ The pieces, bottom up:
 
 from .fock import SectorBasis, dimension, enumerate_sector
 from .operators import (BasisMismatchError, EmptyInteriorError,
-                        ResidualReport, SparseOperator, annihilation_op,
-                        commutator, commutator_residual,
+                        ResidualReport, SectorBlocks, SparseOperator,
+                        annihilation_op, commutator, commutator_residual,
                         creation_op, number_op, residual, zero_residual)
 from .schwinger import (KernelVector, SpectralDecomposition,
                         SpectralFunctionError, Su2Generators, Weight0View,
@@ -56,10 +56,10 @@ __all__ = [
     "ConsistencyError", "DemoS1Operators", "EmptyInteriorError", "JPoly",
     "KernelLatticeReport", "KernelVector", "LadderFamily", "LatticeArrow",
     "PreconditionError", "ResidualReport", "RightFunction",
-    "RightFunctionError", "SectorBasis", "SigmaVector", "SparseOperator",
-    "SpectralDecomposition", "SpectralFunctionError", "Su2Generators",
-    "SuiteConfig", "TauOperator", "VerificationReport", "Weight0View",
-    "WeightLeakError", "annihilation_op",
+    "RightFunctionError", "SectorBasis", "SectorBlocks", "SigmaVector",
+    "SparseOperator", "SpectralDecomposition", "SpectralFunctionError",
+    "Su2Generators", "SuiteConfig", "TauOperator", "VerificationReport",
+    "Weight0View", "WeightLeakError", "annihilation_op",
     "assemble_tau", "build_alpha", "build_alpha_certified",
     "build_families", "build_taus", "canonical_basis_s1", "certify_alpha",
     "check_llo", "check_power_identity", "check_rlo", "check_rlo_compose",

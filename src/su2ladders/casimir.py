@@ -12,13 +12,16 @@ particle number by one.  Everything the construction claims is certified
 numerically on the zero-weight (J_z kernel) subspace, where the closure
 relations hold; the few identities that hold unrestricted are checked on the
 full interior.  Each tau is held on weight 0: ``assemble_tau`` builds only
-its weight-0 block (``TauOperator.weight0``), and refuses a family operator
-that leaks out of weight 0 (WeightLeakError).  The ladder certificates, the
-resolvent relations, the kernel lattice, the complete set and the deformed
-generators read that block, J^2's sparse entries and f(J^2) on the (n, 0)
-sectors (``Su2Generators.weight0``), and the kernel nodes in weight-0
-coordinates (``Weight0View.nodes``): no whole-space function of j and no
-whole-space node vector.  What tau does off weight 0 is certified from its
+its dense (n, 0) -> (n + 1, 0) level blocks (``TauOperator.weight0``, a
+``SectorBlocks``), and refuses a family operator that leaks out of weight 0
+(WeightLeakError) or sends a weight-0 level into two (SectorStructureError).
+The ladder certificates, the resolvent relations, the kernel lattice, the
+complete set and the deformed generators read those blocks, the blocks of
+J^2 read from its sparse entries, f(J^2) on the (n, 0) sectors
+(``Su2Generators.weight0``), and the kernel nodes of each level
+(``Weight0View.nodes``): every product is one gemm per level block, with no
+whole-space function of j and no whole-space node vector.  What tau does off
+weight 0 is certified from its
 grade instead: every term T_k maps each (n, w) sector into (n + 1, w)
 (``tau_off_grade``), and its sigma_k(j) is block diagonal over the sectors,
 so tau tau^dagger and the deformed generators commute with N and J_z
@@ -35,15 +38,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-
 from .fock import SectorBasis
 from .jpoly import JPoly
 from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
                      AlphaVerificationError, build_alpha, check_llo, check_rlo,
                      right_function_poly, right_functions, solve_sigma)
-from .operators import (BasisMismatchError, ResidualReport, SparseOperator,
-                        commutator, commutator_on_columns, commutator_residual,
+from .operators import (BasisMismatchError, ResidualReport, SectorBlocks,
+                        SectorStructureError, SparseOperator, commutator,
+                        commutator_on_columns, commutator_residual,
                         creation_op, entry_grades, number_op, on_columns,
                         residual)
 from .schwinger import Su2Generators, _phase_fixed, jz_kernel
@@ -92,7 +94,7 @@ class LadderFamily:
                          lambda: _measure_closure(self, generators, family))
 
     def closure_commutators(self, family: str, generators: Su2Generators
-                            ) -> dict[int, SparseOperator]:
+                            ) -> dict[int, SectorBlocks]:
         """[J^2, T_eta] for each eta of the family, on the weight-0 interior
         columns (margin LADDER_MARGIN), formed from the weight-0 blocks on
         first use and kept: ``certify_alpha`` and the closure fit read the
@@ -153,7 +155,7 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     reports = {}
     for eta, lhs in families.closure_commutators(alpha.family,
                                                  generators).items():
-        rhs = SparseOperator.zeros(w0.basis)
+        rhs = SectorBlocks.zeros(w0.basis)
         for mu, t_mu in ops.items():
             poly = alpha.entry(mu, eta)
             if poly.is_zero():
@@ -180,11 +182,16 @@ def _measure_closure(families: LadderFamily, generators: Su2Generators,
     LADDER_MARGIN are the weight-0 columns that ``certify_alpha`` reads.
     The commutators are the family's kept ones
     (``LadderFamily.closure_commutators``), and each operator's images are
-    taken a level at a time, T_w0[:, positions] @ vectors on the level's
+    taken a level at a time, one gemm of its level-n block with the level's
     nodes (``Weight0View.nodes``): every image and every fit lives on the
-    weight-0 rows.  A node whose images are too ill-conditioned to identify
-    the coefficients (e.g. several images vanish) is skipped, and so is a
-    (node, eta) whose least-squares fit leaves a residual.  No closure
+    rows of the one level the blocks reach, n + 1.  A node whose images are
+    too ill-conditioned to identify the coefficients (numerical rank below
+    their number, e.g. several images vanish) is skipped.  Otherwise each
+    (node, eta) is fitted by least squares through one Householder QR of
+    the node's images; a fit that leaves a residual is skipped.  (The
+    SVD-based ``np.linalg.lstsq`` read up to four times larger deviations
+    on the level rows than on the same rows padded with zeros, at s = 5,
+    n_max = 6; the QR fit reads the same floor either way.)  No closure
     matrix is read.
     """
     w0 = generators.weight0()
@@ -193,21 +200,37 @@ def _measure_closure(families: LadderFamily, generators: Su2Generators,
     fit: dict[int, list[tuple[int, np.ndarray]]] = {eta: [] for eta in ops}
     for n in range(0, families.basis.n_max - LADDER_MARGIN + 1):
         level = w0.nodes(n)
-        idx, vecs = level.positions, level.vectors
-        imgs = [t.matrix[:, idx] @ vecs for t in ops.values()]
-        lhs_all = {eta: comm.matrix[:, idx] @ vecs
-                   for eta, comm in comms.items()}
+        imgs = _level_images(list(ops.values()) + list(comms.values()), n,
+                             level.vectors)
+        lhs_all = dict(zip(comms, imgs[len(ops):]))
+        imgs = imgs[:len(ops)]
         for i, j in enumerate(level.labels.tolist()):
             m = np.array([img[:, i] for img in imgs]).T
             if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
                 continue
+            q, r = np.linalg.qr(m)
             for eta, lhs_level in lhs_all.items():
                 lhs = lhs_level[:, i]
-                coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
+                coef = np.linalg.solve(r, q.conj().T @ lhs)
                 if np.linalg.norm(m @ coef - lhs) > 1e-6 * (1 + np.linalg.norm(lhs)):
                     continue
                 fit[eta].append((j, coef))
     return fit
+
+
+def _level_images(ops: list[SectorBlocks], n: int, vectors: np.ndarray
+                  ) -> list[np.ndarray]:
+    """Each operator's images of the columns of ``vectors`` on level n, one
+    gemm with its level-n block; zeros for an operator that vanishes there.
+    The blocks must all reach one level, else SectorStructureError."""
+    blocks = [op.blocks.get(n) for op in ops]
+    targets = sorted({block[0] for block in blocks if block})
+    if len(targets) > 1:
+        raise SectorStructureError(
+            f"the operators send level {n} into levels {targets}")
+    rows = next((block[1].shape[0] for block in blocks if block), 0)
+    return [block[1] @ vectors if block
+            else np.zeros((rows, vectors.shape[1])) for block in blocks]
 
 
 def _worst_alpha_entry(alpha, eta, generators, families):
@@ -269,18 +292,18 @@ class TauCertificationError(ValueError):
 class TauOperator:
     """Ladder operator of the Casimir: shifts j by theta, raises N by one.
 
-    ``weight0`` is tau's block on the weight-0 subspace
-    (``Su2Generators.weight0``), where every ladder claim is read; its
-    action off weight 0 is certified from the grade of its terms
-    (``tau_off_grade``).  ``op`` is tau on the whole space, read only by
-    ``dump-op``, the spin-1 scale checks and the tests: it is assembled
-    from the same sigma, families and generators on first read and kept on
-    this instance.  It is not a field, so a ``dataclasses.replace`` copy
-    starts without it.
+    ``weight0`` is tau on the weight-0 subspace (``Su2Generators.weight0``),
+    where every ladder claim is read: a ``SectorBlocks`` with one dense
+    block from each level n into level n + 1.  Its action off weight 0 is
+    certified from the grade of its terms (``tau_off_grade``).  ``op`` is
+    tau on the whole space, read only by ``dump-op``, the spin-1 scale
+    checks and the tests: it is assembled from the same sigma, families and
+    generators on first read and kept on this instance.  It is not a field,
+    so a ``dataclasses.replace`` copy starts without it.
     """
     theta: int
     family: str
-    weight0: SparseOperator
+    weight0: SectorBlocks
     right_function: JPoly
     sigma: SigmaVector = field(repr=False)
     families: LadderFamily = field(repr=False, compare=False)
@@ -332,10 +355,10 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
     """Combine a family with its sigma coefficients into a single ladder.
 
     tau = sum_k T_k sigma_k(j), the polynomials standing to the right as
-    functions of the label.  Only its weight-0 block is assembled here
-    (``Weight0View.sum_times_functions_of_j``), sector by sector in the J^2
-    eigenbasis: on an (n, 0) sector with eigenvectors V and labels js, its
-    columns are (sum_k (T_k V) diag sigma_k(js)) V^T.  This equals the
+    functions of the label.  Only its weight-0 level blocks are assembled
+    here (``Weight0View.sum_times_functions_of_j``), sector by sector in the
+    J^2 eigenbasis: on an (n, 0) sector with eigenvectors V and labels js,
+    its block is (sum_k (T_k V) diag sigma_k(js)) V^T.  This equals the
     weight-0 block of sum_k T_k @ function_of_j(sigma_k) up to rounding,
     and never forms an image sigma_k(J^2).  A family operator T_k with an
     entry from weight 0 into another weight raises WeightLeakError.  The
@@ -343,9 +366,9 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
     whole decomposition, on first read.  When ``certify`` is set (default),
     the ladder relation with J^2 and the shift of j by theta must both hold
     to 1e-8 on the weight-0 interior before the operator is returned.
-    Those certificates read tau's assembled CSR entries, J^2's sparse
-    entries and f(J^2) on the (n, 0) sectors, so they check the sector-wise
-    assembly by an independent route.
+    Those certificates multiply tau's assembled blocks with the blocks of
+    J^2 read from its sparse entries and with f(J^2) on the (n, 0) sectors,
+    so they check the sector-wise assembly by an independent route.
     """
     fpoly = right_function_poly(sigma.theta)
     tau = TauOperator(
@@ -517,13 +540,15 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     up to ``n_limit``.  An image of norm at most 1e-8 counts as annihilated.
     Any other image with a component outside the predicted target node
     (n +/- 1, j +/- theta) of norm above 1e-8 * max(1, |image|) is a hard
-    error.  Everything is read in weight-0 coordinates: the nodes of each
-    level (``Weight0View.nodes``), and tau's weight-0 block
-    (``TauOperator.weight0``) for raising, its adjoint for lowering.  A tau
-    that leaves weight 0 is refused when it is assembled, so the block
-    holds every entry that meets a node.  Each operator is applied to all
-    source nodes at once, and the images of all nodes are projected onto
-    their predicted nodes in one product.
+    error.  Everything is read level by level in weight-0 coordinates: the
+    nodes of each level (``Weight0View.nodes``), and tau's level blocks
+    (``TauOperator.weight0``) for raising, their adjoints for lowering.  A
+    tau that leaves weight 0, or sends a level into two, is refused when it
+    is assembled, so each source level's image is one gemm of one block with
+    the level's nodes, and it lies on one target level; the images of a
+    level's nodes are projected onto their predicted nodes in one more
+    product.  An image on any other level than the predicted one, or above
+    the highest node level, is a leak as a whole.
     """
     if n_limit > basis.n_max:
         raise ValueError(f"n_limit={n_limit} exceeds n_max={basis.n_max}")
@@ -536,48 +561,46 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     weight0_dims = {n: len(level.labels) for n, level in levels.items()
                     if n <= n_limit}
 
-    # Every node, level by level, as a column on the weight-0 basis; the
-    # nodes of a level span its (n, 0) sector, and the first ``n_src`` of
-    # them (levels <= n_limit) are the sources.
-    node_n = np.repeat(list(levels),
-                       [len(level.labels) for level in levels.values()])
-    node_j = np.concatenate([level.labels for level in levels.values()])
-    n_src = int(np.sum(node_n <= n_limit))
-    vecs = np.concatenate([level.embedded(level.positions, len(view.basis))
-                           for level in levels.values()]).T
-    sources = sparse.csr_matrix(vecs[:, :n_src])
-
-    def apply(matrix, dn: int, dj: int) -> tuple[list, np.ndarray]:
-        # Norm of each source node's image, one weight-0 row each, and of its
-        # leak: what is left once the image is projected onto the nodes of
+    def apply(op: SectorBlocks, n: int, dn: int, dj: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+        # Norm of the image of each node of level n, and of its leak: what
+        # is left once the image is projected onto the nodes of
         # (n + dn, j + dj).  The nodes are orthonormal, so the projection is
-        # one product, and a part above the highest node level stays whole.
-        # The leak is formed explicitly, which avoids the cancellation that
-        # |image|^2 - |projection|^2 would suffer.
-        images = (matrix @ sources).T.toarray()
-        predicted = ((node_n == node_n[:n_src, None] + dn)
-                     & (node_j == node_j[:n_src, None] + dj))
-        leaks = images - ((images @ vecs.conj()) * predicted) @ vecs.T
-        return ([float(np.linalg.norm(row)) for row in images],
-                np.linalg.norm(leaks, axis=1))
+        # one product.  The leak is formed explicitly, which avoids the
+        # cancellation that |image|^2 - |projection|^2 would suffer.
+        source = levels[n]
+        if n not in op.blocks:
+            zero = np.zeros(len(source.labels))
+            return zero, zero
+        target, block = op.blocks[n]
+        images = block @ source.vectors
+        leaks = images
+        if target == n + dn and target in levels:
+            nodes = levels[target]
+            predicted = nodes.labels[:, None] == source.labels + dj
+            leaks = images - nodes.vectors @ (
+                (nodes.vectors.conj().T @ images) * predicted)
+        return (np.linalg.norm(images, axis=0),
+                np.linalg.norm(leaks, axis=0))
 
     arrows: list[LatticeArrow] = []
     for theta in sorted(taus):
         # tau raises N by one: (n, j) -> (n+1, j+theta); its adjoint lowers
         # N: (n, j) -> (n-1, j-theta).
-        tau = taus[theta].weight0.matrix
-        raised_norm, raised_leak = apply(tau, 1, theta)
-        lowered_norm, lowered_leak = apply(tau.getH(), -1, -theta)
-        for i in range(n_src):
-            n, j = int(node_n[i]), int(node_j[i])
-            source = (n, j)
-            if n <= basis.n_max - 1:
+        tau = taus[theta].weight0
+        tau_low = tau.adjoint()
+        for n in range(0, n_limit + 1):
+            raised = apply(tau, n, 1, theta)
+            lowered = apply(tau_low, n, -1, -theta)
+            for i, j in enumerate(levels[n].labels.tolist()):
+                source = (n, j)
+                if n <= basis.n_max - 1:
+                    arrows.append(_classify_image(
+                        f"tau_dag[{theta:+d}]", source, (n + 1, j + theta),
+                        float(raised[0][i]), raised[1][i]))
                 arrows.append(_classify_image(
-                    f"tau_dag[{theta:+d}]", source, (n + 1, j + theta),
-                    raised_norm[i], raised_leak[i]))
-            arrows.append(_classify_image(
-                f"tau[{theta:+d}]", source, (n - 1, j - theta),
-                lowered_norm[i], lowered_leak[i]))
+                    f"tau[{theta:+d}]", source, (n - 1, j - theta),
+                    float(lowered[0][i]), lowered[1][i]))
     return KernelLatticeReport(spin=generators.s, n_limit=n_limit,
                                node_dims=node_dims, arrows=arrows,
                                weight0_dims=weight0_dims,
@@ -600,15 +623,16 @@ def _classify_image(label, source, predicted, norm, leak):
 
 
 def deformed_generators(tau_minus: TauOperator
-                        ) -> tuple[SparseOperator, SparseOperator]:
+                        ) -> tuple[SectorBlocks, SectorBlocks]:
     """Deformation generators from a lowering pair (theta = -omega, omega >= 1).
 
     L_z = [tau+, tau] and L^2 = L_z^2 + (tau+ tau + tau tau+)/2, both exactly
-    hermitian by construction, formed from tau's weight-0 block
-    (``TauOperator.weight0``), so they live on the weight-0 basis.  tau maps
-    weight 0 to itself, so they equal the weight-0 blocks of the whole-space
-    products array for array.  Off weight 0 they are certified from tau's
-    grade (``tau_off_grade``): grade (0, 0), so they commute with N and J_z.
+    hermitian by construction, formed from tau's weight-0 level blocks
+    (``TauOperator.weight0``), so they live on the weight-0 basis, one block
+    per level.  tau maps weight 0 to itself, so they are the weight-0 blocks
+    of the whole-space products up to rounding.  Off weight 0 they are
+    certified from tau's grade (``tau_off_grade``): grade (0, 0), so they
+    commute with N and J_z.
     """
     if tau_minus.theta >= 0:
         raise ValueError("deformed generators need theta = -omega with omega >= 1")
@@ -649,25 +673,25 @@ class CompleteSetReport:
     off_grade: list[str]
 
 
-def complete_set_check(basis: SectorBasis, generators: Su2Generators,
+def complete_set_check(generators: Su2Generators,
                        taus: dict[int, TauOperator], n_limit: int
                        ) -> CompleteSetReport:
     """Commutation of A_theta = tau+ tau with {J^2, J_z, N}, plus a
     separation scan.
 
-    Each A_theta is formed on weight 0, from tau's weight-0 block.  Its
-    commutator with J^2 is read on the weight-0 interior (margin
-    PAIR_MARGIN), where the ladder relation that implies it holds.  Its
-    commutators with J_z and N are certified from tau's grade
+    Each A_theta is formed on weight 0, from tau's level blocks, one block
+    per level.  Its commutator with J^2 is read on the weight-0 interior
+    (margin PAIR_MARGIN), where the ladder relation that implies it holds.
+    Its commutators with J_z and N are certified from tau's grade
     (``tau_off_grade``), exactly and on every weight: ``off_grade`` lists
     each term of each tau with an entry off grade (1, 0).  The scan then
     looks for kernel nodes of dimension >= 2 (``Weight0View.nodes``) and
     reports whether the eigenvalues of the A_theta restricted to the node
     separate its states (eigenvalues within 1e-6, relative, count as
-    degenerate).
+    degenerate), reading each A_theta's block of the node's level.
     """
     residuals: dict[tuple[int, str], ResidualReport] = {}
-    prods: dict[int, SparseOperator] = {}
+    prods: dict[int, SectorBlocks] = {}
     off_grade: list[str] = []
     w0 = generators.weight0()
     for theta in sorted(taus):
@@ -679,23 +703,26 @@ def complete_set_check(basis: SectorBasis, generators: Su2Generators,
     separation: list[SeparationNode] = []
     for n in range(0, n_limit + 1):
         level = w0.nodes(n)
-        vectors = level.embedded(level.positions, len(w0.basis))
+        size = len(level.labels)
+        blocks = {theta: prod.blocks[n][1] if n in prod.blocks
+                  else np.zeros((size, size)) for theta, prod in prods.items()}
         labels, counts = np.unique(level.labels, return_counts=True)
         for j in labels[counts > 1].tolist():
             separation.append(_separate_node(
-                (n, j), vectors[level.labels == j].T, prods))
+                (n, j), level.vectors[:, level.labels == j], blocks))
     return CompleteSetReport(commutator_residuals=residuals,
                              separation=separation, off_grade=off_grade)
 
 
 def _separate_node(node, basis_mat, prods):
     """Refine a node by the eigenvalues of each A_theta in turn; the node's
-    vectors are the columns of ``basis_mat``, on the operators' basis."""
+    vectors are the columns of ``basis_mat``, and ``prods`` holds each
+    A_theta's dense block on the node's level, in the same coordinates."""
     dim = basis_mat.shape[1]
     blocks = [list(range(dim))]
     tuples = [tuple() for _ in range(dim)]
     for theta in sorted(prods):
-        small = basis_mat.conj().T @ (prods[theta].matrix @ basis_mat)
+        small = basis_mat.conj().T @ (prods[theta] @ basis_mat)
         small = 0.5 * (small + small.conj().T)
         new_blocks = []
         for block in blocks:

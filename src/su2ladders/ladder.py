@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .jpoly import JPoly
-from .operators import (ResidualReport, SparseOperator, commutator_on_columns,
+from .operators import (Operator, ResidualReport, commutator_on_columns,
                         commutator_residual, on_columns, residual)
 
 P_FAMILY = "p"
@@ -73,7 +73,7 @@ class AlphaVerificationError(ValueError):
 _PRECONDITION_TOL = 1e-10
 
 
-def _check_commutes(x: SparseOperator, y: SparseOperator, margin: int,
+def _check_commutes(x: Operator, y: Operator, margin: int,
                     tol: float, what: str) -> None:
     if y.function_of is x:
         # y was assembled from the eigendecomposition of this very x.
@@ -85,7 +85,7 @@ def _check_commutes(x: SparseOperator, y: SparseOperator, margin: int,
             f"{rep.frobenius_relative:.3e} > {tol:.1e})", rep)
 
 
-def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
+def check_rlo(h: Operator, p_dag: Operator, p_fn: Operator,
               margin: int) -> ResidualReport:
     """Residual of the right-ladder relation [H, p+] - p+ P on the interior.
 
@@ -112,7 +112,7 @@ def check_rlo(h: SparseOperator, p_dag: SparseOperator, p_fn: SparseOperator,
                     p_dag @ on_columns(p_fn, margin), margin)
 
 
-def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
+def check_llo(h: Operator, p: Operator, p_fn: Operator,
               margin: int) -> ResidualReport:
     """Residual of the left-ladder relation [p, H] - P p on the interior.
 
@@ -130,8 +130,8 @@ def check_llo(h: SparseOperator, p: SparseOperator, p_fn: SparseOperator,
                     p_fn @ on_columns(p, margin), margin)
 
 
-def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
-                         p_fn: SparseOperator, n: int,
+def check_power_identity(h: Operator, p_dag: Operator,
+                         p_fn: Operator, n: int,
                          margin: int) -> ResidualReport:
     """Residual of [H^n, p+] - p+ ((H + P)^n - H^n).
 
@@ -147,8 +147,8 @@ def check_power_identity(h: SparseOperator, p_dag: SparseOperator,
     return residual(lhs, rhs, margin)
 
 
-def check_rlo_compose(h: SparseOperator, p_dag: SparseOperator,
-                      p_fn: SparseOperator, a: SparseOperator,
+def check_rlo_compose(h: Operator, p_dag: Operator,
+                      p_fn: Operator, a: Operator,
                       margin: int) -> ResidualReport:
     """Residual of [H, p+ A] - p+ A P for A commuting with H + P (to 1e-8)."""
     _check_commutes(h + p_fn, a, margin, 1e-8,

@@ -1,13 +1,18 @@
-"""Sparse operator algebra over a SectorBasis-indexed space.
+"""Operator algebra over a SectorBasis-indexed space: sparse and by level.
 
-Operators are immutable wrappers around CSR matrices whose dtype follows
-their data: float64 when every entry is real, complex128 only when some entry
-has a nonzero imaginary part.  The Jordan-Schwinger image of su(2) is real,
-so the whole ladder stack runs in real arithmetic.  Operators are truncated
-at n_max, so an identity between them is asserted only on the interior:
-states with total occupation <= n_max - margin, where truncation has no
-effect.  Each check names its margin explicitly, at least the number of
-particles its operator products can shift.
+A ``SparseOperator`` wraps an immutable CSR matrix whose dtype follows its
+data: float64 when every entry is real, complex128 only when some entry has a
+nonzero imaginary part.  The Jordan-Schwinger image of su(2) is real, so the
+whole ladder stack runs in real arithmetic.  A ``SectorBlocks`` is an operator
+on a basis of one J_z weight (the weight-0 basis of ``Su2Generators.weight0``)
+that sends each level n, the states of total occupation n, into one level,
+held as one dense block per level: the form of every operator the ladder
+claims are read on, whose products are one gemm per block.
+
+Operators are truncated at n_max, so an identity between them is asserted
+only on the interior: states with total occupation <= n_max - margin, where
+truncation has no effect.  Each check names its margin explicitly, at least
+the number of particles its operator products can shift.
 
 Every relative residual comes from one of three functions: ``residual`` for
 a two-sided identity X = Y, normalised by the larger restricted operand norm;
@@ -19,18 +24,23 @@ A residual reads only the columns its restriction keeps, so the products it
 compares are formed on those columns alone.  With P the projector onto them,
 (X Y) P = X (Y P) and [X, Y] P = X (Y P) - Y (X P) hold entry for entry:
 each kept column of a CSR product is summed over the same terms in the same
-order whether or not the other columns are present.  ``on_columns`` forms
-X P and ``commutator_on_columns`` forms [X, Y] P, so a restricted residual
-reads the same floats as one sliced from the whole-space product.
+order whether or not the other columns are present, and each kept block of a
+block product is the same gemm.  ``on_columns`` forms X P and
+``commutator_on_columns`` forms [X, Y] P, so a restricted residual reads the
+same floats as one sliced from the unrestricted product.
 
-A restriction is one boolean mask over the basis, the same for rows and
+The residuals read either operator type through two primitives of its own,
+``kept_norm`` (the Frobenius norm of the kept rows and columns) and
+``on_columns`` (X P), and otherwise use only the operator algebra.  A sparse
+restriction is one boolean mask over the basis, the same for rows and
 columns, cached read-only on the basis per margin
-(``SectorBasis.interior_masks``); the margin is checked on every call.
-A claim that holds only on the weight-0 states is read on the weight-0
-basis, through ``Su2Generators.weight0()``.  Norms and X P are read straight
-from the CSR arrays through the mask, with no sliced sparse copy: a norm sums
-the stored entries in kept rows and columns, explicit zeros included, in CSR
-order, exactly as ``X[kept][:, kept]`` would hold them.
+(``SectorBasis.interior_masks``); its norm and X P are read straight from the
+CSR arrays through the mask, with no sliced sparse copy: a norm sums the
+stored entries in kept rows and columns, explicit zeros included, in CSR
+order, exactly as ``X[kept][:, kept]`` would hold them.  A block restriction
+keeps the blocks whose source and target levels are both <= n_max - margin
+(X P: whose source level is), and its norm sums their entries in ascending
+source level, each block row-major.  The margin is checked on every call.
 """
 
 from __future__ import annotations
@@ -52,6 +62,11 @@ class EmptyInteriorError(ValueError):
     """The requested interior restriction contains no states."""
 
 
+class SectorStructureError(ValueError):
+    """Operator is not block diagonal over (n, weight) sectors, or sends one
+    level into several."""
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Frobenius residual of an operator identity on an interior restriction."""
@@ -68,6 +83,18 @@ def _fro(data: np.ndarray) -> float:
     if data.size == 0:
         return 0.0
     return float(math.sqrt(np.sum(np.abs(data) ** 2)))
+
+
+def _require_same_basis(x, y) -> None:
+    if type(x) is not type(y):
+        raise TypeError(f"cannot combine a {type(x).__name__} with a "
+                        f"{type(y).__name__}")
+    if x.basis is not y.basis and x.basis != y.basis:
+        raise BasisMismatchError("operators live on different bases")
+
+
+def _scalar(value) -> float | complex:
+    return float(value) if isinstance(value, numbers.Real) else complex(value)
 
 
 @dataclass(frozen=True)
@@ -129,21 +156,17 @@ class SparseOperator:
 
     # -- algebra ----------------------------------------------------------
 
-    def _require_same_basis(self, other: "SparseOperator") -> None:
-        if self.basis is not other.basis and self.basis != other.basis:
-            raise BasisMismatchError("operators live on different bases")
-
     def adjoint(self) -> "SparseOperator":
         return SparseOperator(self.basis, self.matrix.getH().tocsr())
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        self._require_same_basis(other)
+        _require_same_basis(self, other)
         out = (self.matrix + other.matrix).tocsr()
         out.eliminate_zeros()
         return SparseOperator(self.basis, out)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        self._require_same_basis(other)
+        _require_same_basis(self, other)
         out = (self.matrix - other.matrix).tocsr()
         out.eliminate_zeros()
         return SparseOperator(self.basis, out)
@@ -152,14 +175,12 @@ class SparseOperator:
         return SparseOperator(self.basis, -self.matrix)
 
     def __mul__(self, scalar) -> "SparseOperator":
-        factor = (float(scalar) if isinstance(scalar, numbers.Real)
-                  else complex(scalar))
-        return SparseOperator(self.basis, self.matrix * factor)
+        return SparseOperator(self.basis, self.matrix * _scalar(scalar))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        self._require_same_basis(other)
+        _require_same_basis(self, other)
         out = (self.matrix @ other.matrix).tocsr()
         out.eliminate_zeros()
         return SparseOperator(self.basis, out)
@@ -193,6 +214,30 @@ class SparseOperator:
         """Frobenius norm."""
         return _fro(self.matrix.data)
 
+    def kept_norm(self, margin: int) -> float:
+        """Frobenius norm of the entries in the rows and columns an interior
+        residual at this margin keeps, read from the CSR arrays: the same
+        entries, explicit zeros included, in the same order as
+        ``matrix[kept][:, kept]`` holds them."""
+        kept = _restriction(self.basis, margin)
+        m = self.matrix
+        keep = np.repeat(kept, np.diff(m.indptr)) & kept[m.indices]
+        return _fro(m.data[keep])
+
+    def on_columns(self, margin: int) -> "SparseOperator":
+        """X P, where P projects onto the columns an interior residual at this
+        margin keeps; every other column of X is dropped, and so is every
+        explicit zero."""
+        cols = _restriction(self.basis, margin)
+        if cols.all():
+            return self
+        m = self.matrix
+        keep = cols[m.indices] & (m.data != 0)
+        kept = np.zeros(len(keep) + 1, dtype=m.indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        return SparseOperator(self.basis, sparse.csr_matrix(
+            (m.data[keep], m.indices[keep], kept[m.indptr]), shape=m.shape))
+
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product."""
         return self.matrix @ np.asarray(vector)
@@ -213,6 +258,203 @@ class SparseOperator:
                    for k in order]
         dim = len(self.basis)
         return {"rows": dim, "cols": dim, "dim": dim, "entries": entries}
+
+
+def _level_sizes(basis) -> np.ndarray:
+    """The number of states of each level n = 0..n_max of the basis."""
+    return np.bincount(basis.totals, minlength=basis.n_max + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBlocks:
+    """Immutable operator held as dense level blocks, on a basis of one J_z
+    weight (the weight-0 basis of ``Su2Generators.weight0``).
+
+    Level n is the basis's states of total occupation n, in basis order.
+    ``blocks`` maps a source level n to (m, B): the operator sends level n
+    into level m alone, and B is its d_m x d_n block there.  A level without
+    a block is sent to zero, and a block without a nonzero entry is dropped,
+    so the blocks held are the nonzero ones.  This is the shape of J^2, j,
+    every f(j), tau and the family operators on weight 0, the one that
+    ``SpectralDecomposition.sum_times`` enforces.  ``@`` is one gemm per
+    pair of matching blocks; a sum or an adjoint that would send one level
+    into two raises SectorStructureError.  The blocks are stored read-only,
+    in ascending source level, and real unless some entry has a nonzero
+    imaginary part.
+
+    ``function_of`` records provenance as ``SparseOperator.function_of``
+    does: only a spectral image (``Weight0View.function_of_j``) sets it.
+    """
+    basis: "SectorBasis"
+    blocks: dict
+    function_of: Optional["SectorBlocks"] = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = _level_sizes(self.basis)
+        blocks = {}
+        for n, (m, block) in sorted(self.blocks.items()):
+            n, m, block = int(n), int(m), np.asarray(block)
+            if not (0 <= n < len(sizes) and 0 <= m < len(sizes)):
+                raise ValueError(f"block {n} -> {m} lies outside levels "
+                                 f"0..{len(sizes) - 1}")
+            if block.shape != (sizes[m], sizes[n]):
+                raise ValueError(f"block {n} -> {m} has shape {block.shape}, "
+                                 f"not {(int(sizes[m]), int(sizes[n]))}")
+            if not block.any():
+                continue
+            if np.iscomplexobj(block) and not block.imag.any():
+                block = np.ascontiguousarray(block.real)
+            if block.flags.writeable:
+                block = block.view()
+                block.flags.writeable = False
+            blocks[n] = (m, block)
+        object.__setattr__(self, "blocks", blocks)
+
+    # -- construction -----------------------------------------------------
+
+    @staticmethod
+    def zeros(basis) -> "SectorBlocks":
+        return SectorBlocks(basis, {})
+
+    @staticmethod
+    def identity(basis) -> "SectorBlocks":
+        return SectorBlocks(basis, {
+            n: (n, np.eye(d))
+            for n, d in enumerate(_level_sizes(basis).tolist()) if d})
+
+    @staticmethod
+    def from_entries(basis, rows: np.ndarray, cols: np.ndarray,
+                     data: np.ndarray) -> "SectorBlocks":
+        """The operator with entries ``data`` at (``rows``, ``cols``), given
+        once each; zero entries are dropped.
+
+        Raises SectorStructureError when the entries send one level into
+        two, naming an entry into each.
+        """
+        nonzero = data != 0
+        rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
+        totals, sizes = basis.totals, _level_sizes(basis)
+        # Each state's index within its level.
+        local = np.empty(len(totals), dtype=np.int64)
+        order = np.argsort(totals, kind="stable")
+        local[order] = (np.arange(len(totals))
+                        - np.repeat(np.cumsum(sizes) - sizes, sizes))
+        src, dst = totals[cols], totals[rows]
+        reach = np.zeros((len(sizes), len(sizes)), dtype=bool)
+        reach[src, dst] = True
+        for n in np.flatnonzero(reach.sum(axis=1) > 1)[:1].tolist():
+            entries = [np.flatnonzero((src == n) & (dst == m))[0]
+                       for m in np.flatnonzero(reach[n])[:2].tolist()]
+            a, b = (f"{basis.states[cols[k]]} to {basis.states[rows[k]]}"
+                    for k in entries)
+            raise SectorStructureError(
+                f"operator sends level {n} into levels {int(dst[entries[0]])} "
+                f"and {int(dst[entries[1]])}: state {a}, and {b}")
+        sources = np.flatnonzero(reach.any(axis=1))
+        target = reach.argmax(axis=1)
+        span = np.zeros(len(sizes), dtype=np.int64)
+        span[sources] = sizes[target[sources]] * sizes[sources]
+        offsets = np.concatenate(([0], np.cumsum(span)))
+        flat = np.zeros(int(offsets[-1]), dtype=data.dtype)
+        flat[offsets[src] + local[rows] * sizes[src] + local[cols]] = data
+        return SectorBlocks(basis, {
+            n: (target[n], flat[offsets[n]:offsets[n + 1]].reshape(
+                sizes[target[n]], sizes[n]))
+            for n in sources.tolist()})
+
+    # -- algebra ----------------------------------------------------------
+
+    def adjoint(self) -> "SectorBlocks":
+        out = {}
+        for n, (m, block) in self.blocks.items():
+            if m in out:
+                raise SectorStructureError(
+                    f"levels {out[m][0]} and {n} both reach level {m}: the "
+                    f"adjoint would send level {m} into both")
+            out[m] = (n, np.ascontiguousarray(block.conj().T))
+        return SectorBlocks(self.basis, out)
+
+    def __add__(self, other: "SectorBlocks") -> "SectorBlocks":
+        _require_same_basis(self, other)
+        out = dict(self.blocks)
+        for n, (m, block) in other.blocks.items():
+            if n not in out:
+                out[n] = (m, block)
+            elif out[n][0] != m:
+                raise SectorStructureError(
+                    f"the sum sends level {n} into levels {out[n][0]} and {m}")
+            else:
+                out[n] = (m, out[n][1] + block)
+        return SectorBlocks(self.basis, out)
+
+    def __sub__(self, other: "SectorBlocks") -> "SectorBlocks":
+        return self + (-other)
+
+    def __neg__(self) -> "SectorBlocks":
+        return SectorBlocks(self.basis, {n: (m, -block) for n, (m, block)
+                                         in self.blocks.items()})
+
+    def __mul__(self, scalar) -> "SectorBlocks":
+        factor = _scalar(scalar)
+        return SectorBlocks(self.basis, {
+            n: (m, block * factor) for n, (m, block) in self.blocks.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "SectorBlocks") -> "SectorBlocks":
+        _require_same_basis(self, other)
+        out = {}
+        for n, (m, right) in other.blocks.items():
+            if m in self.blocks:
+                target, left = self.blocks[m]
+                out[n] = (target, left @ right)
+        return SectorBlocks(self.basis, out)
+
+    def power(self, n: int) -> "SectorBlocks":
+        if n < 0:
+            raise ValueError("negative operator powers are not supported")
+        out = SectorBlocks.identity(self.basis) if n == 0 else self
+        for _ in range(n - 1):
+            out = out @ self
+        return out
+
+    def hermitized(self) -> "SectorBlocks":
+        """(X + X^dagger)/2; makes hermiticity exact entry-wise."""
+        return (self + self.adjoint()) * 0.5
+
+    # -- queries ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        """True when no entry is nonzero, i.e. no block is held."""
+        return not self.blocks
+
+    def _fro(self, top: int) -> float:
+        """Frobenius norm of the blocks with source and target level <= top,
+        in ascending source level, each block row-major."""
+        data = [block.ravel() for n, (m, block) in self.blocks.items()
+                if n <= top and m <= top]
+        return _fro(np.concatenate(data)) if data else 0.0
+
+    def norm(self) -> float:
+        """Frobenius norm."""
+        return self._fro(self.basis.n_max)
+
+    def kept_norm(self, margin: int) -> float:
+        """Frobenius norm of the blocks an interior residual at this margin
+        keeps: those whose source and target levels are <= n_max - margin."""
+        _restriction(self.basis, margin)
+        return self._fro(self.basis.n_max - margin)
+
+    def on_columns(self, margin: int) -> "SectorBlocks":
+        """X P, where P projects onto the levels <= n_max - margin: the blocks
+        from higher levels are dropped."""
+        _restriction(self.basis, margin)
+        top = self.basis.n_max - margin
+        if all(n <= top for n in self.blocks):
+            return self
+        return SectorBlocks(self.basis, {n: value for n, value
+                                         in self.blocks.items() if n <= top})
 
 
 # -- elementary operators ---------------------------------------------------
@@ -248,12 +490,9 @@ def number_op(basis, mu: int) -> SparseOperator:
         basis, basis.occupations[:, basis.mode_position(mu)])
 
 
-def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
+def commutator(x: "Operator", y: "Operator") -> "Operator":
     """XY - YX."""
-    x._require_same_basis(y)
-    out = (x.matrix @ y.matrix - y.matrix @ x.matrix).tocsr()
-    out.eliminate_zeros()
-    return SparseOperator(x.basis, out)
+    return x @ y - y @ x
 
 
 def entry_grades(x: SparseOperator
@@ -293,60 +532,43 @@ def _restriction(basis, margin: int) -> np.ndarray:
     return kept
 
 
-def on_columns(x: SparseOperator, margin: int) -> SparseOperator:
+#: Either operator type; the residuals below read both alike.
+Operator = SparseOperator | SectorBlocks
+
+
+def on_columns(x: Operator, margin: int) -> Operator:
     """X P, where P projects onto the columns a residual at this restriction reads.
 
-    The columns are those with total occupation <= n_max - margin; every
-    other column of X is dropped, and so is every explicit zero.  A product
-    with this as its right factor equals the whole-space product on the kept
-    columns, entry for entry.
+    The columns are those with total occupation <= n_max - margin
+    (``SparseOperator.on_columns``, ``SectorBlocks.on_columns``).  A product
+    with this as its right factor equals the unrestricted product on the
+    kept columns, entry for entry.
     """
-    cols = _restriction(x.basis, margin)
-    if cols.all():
-        return x
-    m = x.matrix
-    keep = cols[m.indices] & (m.data != 0)
-    kept = np.zeros(len(keep) + 1, dtype=m.indptr.dtype)
-    np.cumsum(keep, out=kept[1:])
-    return SparseOperator(x.basis, sparse.csr_matrix(
-        (m.data[keep], m.indices[keep], kept[m.indptr]), shape=m.shape))
+    return x.on_columns(margin)
 
 
-def commutator_on_columns(x: SparseOperator, y: SparseOperator,
-                          margin: int) -> SparseOperator:
+def commutator_on_columns(x: Operator, y: Operator, margin: int) -> Operator:
     """[X, Y] P, formed as X (Y P) - Y (X P) on the columns ``on_columns`` keeps."""
     return x @ on_columns(y, margin) - y @ on_columns(x, margin)
 
 
-def _sliced_fro(matrix, kept) -> float:
-    """Frobenius norm of the entries in the kept rows and columns.
-
-    They are read from the CSR arrays: the same entries, explicit zeros
-    included, in the same order as ``matrix[kept][:, kept]`` holds them.
-    """
-    keep = np.repeat(kept, np.diff(matrix.indptr)) & kept[matrix.indices]
-    return _fro(matrix.data[keep])
-
-
-def residual(x: SparseOperator, y: SparseOperator,
-             margin: int) -> ResidualReport:
+def residual(x: Operator, y: Operator, margin: int) -> ResidualReport:
     """Frobenius residual of X - Y restricted to interior rows and columns.
 
     Rows and columns are restricted to states with total occupation
-    <= n_max - margin.  The relative residual is normalized by the larger
-    restricted operand norm (and equals the absolute residual when both
-    operands vanish).
+    <= n_max - margin (``kept_norm``).  The relative residual is normalized
+    by the larger restricted operand norm (and equals the absolute residual
+    when both operands vanish).
     """
-    x._require_same_basis(y)
-    kept = _restriction(x.basis, margin)
-    diff = (x.matrix - y.matrix).tocsr()
-    absolute = _sliced_fro(diff, kept)
-    denom = max(_sliced_fro(x.matrix, kept), _sliced_fro(y.matrix, kept))
+    _require_same_basis(x, y)
+    _restriction(x.basis, margin)
+    absolute = (x - y).kept_norm(margin)
+    denom = max(x.kept_norm(margin), y.kept_norm(margin))
     relative = absolute / denom if denom > 0 else absolute
     return ResidualReport(absolute, relative, margin)
 
 
-def commutator_residual(x: SparseOperator, y: SparseOperator,
+def commutator_residual(x: Operator, y: Operator,
                         margin: int) -> ResidualReport:
     """Residual of [X, Y] against zero, normalized by ||X|| * ||Y||.
 
@@ -355,17 +577,15 @@ def commutator_residual(x: SparseOperator, y: SparseOperator,
     product is used instead.  The commutator is formed on the restricted
     columns only (``commutator_on_columns``).
     """
-    c = commutator_on_columns(x, y, margin)
-    kept = _restriction(x.basis, margin)
-    absolute = _sliced_fro(c.matrix, kept)
-    scale = _sliced_fro(x.matrix, kept) * _sliced_fro(y.matrix, kept)
+    absolute = commutator_on_columns(x, y, margin).kept_norm(margin)
+    scale = x.kept_norm(margin) * y.kept_norm(margin)
     relative = absolute / scale if scale > 0 else absolute
     return ResidualReport(absolute, relative, margin)
 
 
-def zero_residual(x: SparseOperator, margin: int,
+def zero_residual(x: Operator, margin: int,
                   scale: float = 1.0) -> ResidualReport:
     """Residual of X against the zero operator, with an explicit scale."""
-    absolute = _sliced_fro(x.matrix, _restriction(x.basis, margin))
+    absolute = x.kept_norm(margin)
     relative = absolute / scale if scale > 0 else absolute
     return ResidualReport(absolute, relative, margin)

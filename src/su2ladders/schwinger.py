@@ -24,15 +24,12 @@ import numpy as np
 from scipy import sparse
 
 from .fock import SectorBasis
-from .operators import BasisMismatchError, SparseOperator, entry_grades
+from .operators import (BasisMismatchError, SectorBlocks, SectorStructureError,
+                        SparseOperator, entry_grades)
 
 
 class NonHermitianError(ValueError):
     """Spectral calculus requires a hermitian operator."""
-
-
-class SectorStructureError(ValueError):
-    """Operator is not block diagonal over (n, weight) sectors."""
 
 
 class SpectralFunctionError(ValueError):
@@ -134,6 +131,17 @@ def _evaluate(f: Callable, args: tuple, sector: tuple, eigenvalue: float
     if value is None or not cmath.isfinite(value):
         raise SpectralFunctionError(sector, eigenvalue, f"non-finite value {y!r}")
     return value.real if value.imag == 0 else value
+
+
+def _spectral_block(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^dagger of one sector, hermitized within the block;
+    complex values g + i h as g(H) + i h(H), each part hermitized on its
+    own."""
+    if np.iscomplexobj(values):
+        return (_spectral_block(vecs, values.real)
+                + 1j * _spectral_block(vecs, values.imag))
+    block = (vecs * values) @ vecs.conj().T
+    return (block + block.conj().T) * 0.5
 
 
 @dataclass
@@ -332,21 +340,16 @@ class SpectralDecomposition:
     def assemble(self, values: list) -> SparseOperator:
         """The operator with eigenvalues ``values[k]`` on sector k's eigenvectors.
 
-        Each block V diag(values) V^dagger is hermitized within the block.
-        Complex values g + i h are assembled as g(H) + i h(H), so that each
-        part is hermitized on its own.  The result records ``operator`` as
+        Each block V diag(values) V^dagger is hermitized within the block
+        (``_spectral_block``; complex values g + i h as g(H) + i h(H), each
+        part hermitized on its own).  The result records ``operator`` as
         what it is a function of.
         """
-        if any(np.iscomplexobj(v) for v in values):
-            out = (self.assemble([v.real for v in values])
-                   + 1j * self.assemble([v.imag for v in values])).matrix
-        else:
-            dtype = np.result_type(float, *(vecs.dtype for *_, vecs in self.sectors))
-            out = self.scatter(np.arange(len(self.sectors)), (
-                (block + block.conj().T) * 0.5
-                for block in ((vecs * fvals) @ vecs.conj().T
-                              for (*_, vecs), fvals in zip(self.sectors, values))),
-                dtype)
+        dtype = np.result_type(float, *(vecs.dtype for *_, vecs in self.sectors),
+                               *(v.dtype for v in values))
+        out = self.scatter(np.arange(len(self.sectors)), (
+            _spectral_block(vecs, fvals)
+            for (*_, vecs), fvals in zip(self.sectors, values)), dtype)
         return SparseOperator(self.basis, out, function_of=self.operator)
 
 
@@ -515,52 +518,50 @@ class WeightLeakError(ValueError):
 
 class Weight0View:
     """The J_z kernel: the weight-0 states of every level, and the operators
-    there.
+    there as dense level blocks (``SectorBlocks``).
 
     Every ladder claim lives on the weight-0 columns, and J^2, j, tau and
     every function of j leave the weight-0 subspace invariant.  ``basis`` is
     the weight-0 ``SectorBasis`` (the same n_max, so an interior margin
     keeps the same levels), ``rows`` its states' whole-space indices, and
-    ``J2`` and ``j`` are restricted to it.  ``function_of_j`` and
-    ``sum_times_functions_of_j`` assemble only on the (n, 0) sectors of the
-    generators' J^2 decomposition; this is where each tau is built
-    (``TauOperator.weight0``).  The spectral images record ``J2`` as what
-    they are a function of.  ``nodes`` builds the J_z-kernel nodes of a
-    level, in these coordinates; no other code builds them.  ``of``
-    restricts a whole-space operator, and refuses one with a nonzero entry
-    from a weight-0 column into a row of another weight
-    (``WeightLeakError``).
-    Given that guard on every factor, a product of restrictions sums, for
-    each entry, the same terms in the same order as the whole-space CSR
-    product does on the weight-0 columns, so a residual read here equals
-    one read there on weight-0 columns, float for float.
+    level n its (n, 0) sector.  ``of`` restricts a whole-space operator to
+    its weight-0 blocks, read from its CSR entries; ``J2`` is J^2's, so the
+    certificates read J^2 from its sparse entries and never from its
+    eigenvectors.  ``function_of_j``, ``j`` and ``sum_times_functions_of_j``
+    are assembled level by level from the eigenvectors of the (n, 0) sectors
+    of the generators' J^2 decomposition; this is where each tau is built
+    (``TauOperator.weight0``).  Each of these blocks is the same array as
+    the (n, 0) block of the whole-space operator (``of`` of ``J2``,
+    ``function_of_j``, ``j_hat``, ``sum_times_functions_of_j``), float for
+    float; a product of blocks is then one gemm per block.  The spectral
+    images record ``J2`` as what they are a function of.  ``nodes`` builds
+    the J_z-kernel nodes of a level, in the coordinates of its blocks; no
+    other code builds them.
     """
 
     def __init__(self, generators: Su2Generators):
         self.whole_basis = generators.basis
         self.basis = generators.basis.restricted_to_weight(0)
         self.rows = np.flatnonzero(generators.basis.weights == 0)
-        self._restricted: dict[int, tuple[weakref.ref, SparseOperator]] = {}
-        self.J2 = self.of(generators.J2)
+        self._restricted: dict[int, tuple[weakref.ref, SectorBlocks]] = {}
         self._label_groups = generators._label_groups()
+        self.J2 = self.of(generators.J2)
         sectors = generators.j2_decomposition().sectors
         kept = [k for k, (key, *_rest) in enumerate(sectors) if key[1] == 0]
         self._index = _label_index(sectors, self._label_groups[0], kept)
-        self._decomposition = SpectralDecomposition(
-            self.basis,
-            [(key, np.searchsorted(self.rows, idx), vals, vecs)
-             for key, idx, vals, vecs in (sectors[k] for k in kept)],
-            self.J2)
-        # Level n -> its (n, 0) sector of the decomposition and the labels.
+        # Level n -> its states' positions on the weight-0 basis, the
+        # eigenvectors of its (n, 0) sector, and their labels; in ascending
+        # n, the order of ``_index``.
         self._levels = {
-            sector[0][0]: (sector, self._label_groups[0][k])
-            for sector, k in zip(self._decomposition.sectors, kept)}
+            sectors[k][0][0]: (np.searchsorted(self.rows, sectors[k][1]),
+                               sectors[k][3], self._label_groups[0][k])
+            for k in kept}
         self.j = self.function_of_j(lambda j: j)
 
     def labels(self, n: int) -> np.ndarray:
         """The labels j of level n's kernel nodes in ascending order, as
         ``nodes`` lists them, with no vector formed."""
-        return np.sort(self._levels[n][1])
+        return np.sort(self._levels[n][2])
 
     def nodes(self, n: int) -> "KernelNodes":
         """The J_z-kernel nodes of level n (0 <= n <= n_max), in weight-0
@@ -573,7 +574,7 @@ class Weight0View:
         deterministic: ascending j, then lexicographic on the phase-fixed
         coordinates.
         """
-        (_key, positions, _vals, vecs), labels = self._levels[n]
+        positions, vecs, labels = self._levels[n]
         fixed = [_phase_fixed(v) for v in vecs.T]
         order = sorted(range(len(labels)), key=lambda k: (
             labels[k], tuple(np.round(fixed[k].real, 10))
@@ -581,41 +582,65 @@ class Weight0View:
         return KernelNodes(positions, labels[order],
                            np.array([fixed[k] for k in order]).T)
 
-    def function_of_j(self, f: Callable[[int], float]) -> SparseOperator:
+    def _values(self, f: Callable[[int], float]) -> list:
+        """f at the labels of each level's eigenvectors, in ascending n."""
+        return _label_values(self._label_groups, self.whole_basis, f, False,
+                             self._index)
+
+    def function_of_j(self, f: Callable[[int], float]) -> SectorBlocks:
         """f(j) on the weight-0 subspace; f is called as by
-        ``Su2Generators.function_of_j``, and the image equals that one's
-        weight-0 rows and columns exactly."""
-        return self._decomposition.assemble(
-            _label_values(self._label_groups, self.whole_basis, f, False,
-                          self._index))
+        ``Su2Generators.function_of_j``, and each level's block equals that
+        image's (n, 0) block exactly."""
+        return SectorBlocks(self.basis, {
+            n: (n, _spectral_block(vecs, values))
+            for (n, (_pos, vecs, _labels)), values
+            in zip(self._levels.items(), self._values(f))},
+            function_of=self.J2)
 
     def sum_times_functions_of_j(
             self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
-            ) -> SparseOperator:
-        """The weight-0 block of ``Su2Generators.sum_times_functions_of_j``.
+            ) -> SectorBlocks:
+        """The weight-0 blocks of ``Su2Generators.sum_times_functions_of_j``.
 
         Each whole-space X_k is restricted by ``of``, so one that leaks out
-        of weight 0 raises WeightLeakError, and the sum is assembled on the
-        (n, 0) sectors alone.  Each sector's block is the same product of the
-        same blocks as in the whole-space sum, so the result equals that
-        sum's restriction, array for array.
+        of weight 0 raises WeightLeakError, and the sum is assembled level by
+        level.  On level n with eigenvectors V, the block is W V^T with
+        W = sum_k X_k V diag f_k formed as one product of the terms' blocks
+        side by side, exactly as ``SpectralDecomposition.sum_times`` forms
+        the whole-space sum's (n, 0) block, so the two are equal array for
+        array.  Terms that send a level into different levels raise
+        SectorStructureError.
         """
         if not terms:
-            return SparseOperator.zeros(self.basis)
-        matrices = [self.of(op).matrix for op, _f in terms]
-        values = [_label_values(self._label_groups, self.whole_basis, f, False,
-                                self._index)
-                  for _op, f in terms]
-        return SparseOperator(self.basis,
-                              self._decomposition.sum_times(matrices, values))
+            return SectorBlocks.zeros(self.basis)
+        ops = [self.of(op) for op, _f in terms]
+        values = [self._values(f) for _op, f in terms]
+        blocks = {}
+        for i, (n, (_pos, vecs, _labels)) in enumerate(self._levels.items()):
+            reached = sorted({op.blocks[n][0] for op in ops if n in op.blocks})
+            if len(reached) > 1:
+                raise SectorStructureError(
+                    f"the terms send level {n} into several levels {reached}")
+            if not reached:
+                continue
+            target = reached[0]
+            empty = np.zeros((len(self._levels[target][0]), len(vecs)))
+            x_block = np.concatenate(
+                [op.blocks[n][1] if n in op.blocks else empty for op in ops],
+                axis=1)
+            w = x_block @ np.concatenate([vecs * vals[i] for vals in values])
+            blocks[n] = (target, w @ vecs.conj().T)
+        return SectorBlocks(self.basis, blocks)
 
-    def of(self, op: SparseOperator) -> SparseOperator:
-        """The weight-0 rows and columns of a whole-space operator.
+    def of(self, op: SparseOperator) -> SectorBlocks:
+        """The weight-0 blocks of a whole-space operator, from its CSR entries.
 
         Raises WeightLeakError when some weight-0 column of ``op`` has a
         nonzero entry in a row of another weight: the restriction would then
-        drop part of what the operator does on the subspace.  Each operator
-        is restricted once; the restriction is kept while ``op`` lives.
+        drop part of what the operator does on the subspace.  Raises
+        SectorStructureError when it sends one weight-0 level into two
+        (``SectorBlocks.from_entries``).  Each operator is restricted once;
+        the restriction is kept while ``op`` lives.
         """
         whole = self.whole_basis
         if op.basis is not whole and op.basis != whole:
@@ -625,7 +650,8 @@ class Weight0View:
             return cached[1]
         columns = op.matrix[:, self.rows]
         row_of = np.repeat(np.arange(len(whole)), np.diff(columns.indptr))
-        leaks = np.flatnonzero((whole.weights[row_of] != 0) & (columns.data != 0))
+        inside = whole.weights[row_of] == 0
+        leaks = np.flatnonzero(~inside & (columns.data != 0))
         if len(leaks):
             row, col = row_of[leaks[0]], self.rows[columns.indices[leaks[0]]]
             raise WeightLeakError(
@@ -633,7 +659,9 @@ class Weight0View:
                 f"{whole.states[row]} of weight {int(whole.weights[row])} "
                 f"(entry {columns.data[leaks[0]].item()!r}, {len(leaks)} "
                 "such entries)")
-        out = SparseOperator(self.basis, columns[self.rows])
+        out = SectorBlocks.from_entries(
+            self.basis, np.searchsorted(self.rows, row_of[inside]),
+            columns.indices[inside], columns.data[inside])
         for key in [k for k, (ref, _out) in self._restricted.items()
                     if ref() is None]:
             del self._restricted[key]
@@ -659,7 +687,8 @@ class KernelNodes:
     """The J_z-kernel nodes of one level n on the weight-0 basis
     (``Weight0View.nodes``): ``positions`` are the (n, 0) sector's indices
     there, ``labels`` the nodes' j, and column k of ``vectors`` node k's
-    entries on ``positions`` (the nodes vanish elsewhere)."""
+    entries on ``positions``, the row order of the level's blocks (the nodes
+    vanish elsewhere)."""
     positions: np.ndarray = field(repr=False)
     labels: np.ndarray
     vectors: np.ndarray = field(repr=False)

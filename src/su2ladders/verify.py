@@ -36,9 +36,9 @@ from .ladder import (M_FAMILY, P_FAMILY, build_alpha, build_alpha_variant_diag4,
                      check_llo, check_power_identity, check_rlo,
                      check_rlo_compose, det_certificate, right_functions,
                      sigma_closed_form_next_to_top, solve_sigma)
-from .operators import (EmptyInteriorError, SparseOperator, annihilation_op,
-                        commutator, commutator_residual, creation_op,
-                        residual, zero_residual)
+from .operators import (EmptyInteriorError, SectorBlocks, SparseOperator,
+                        annihilation_op, commutator, commutator_residual,
+                        creation_op, residual, zero_residual)
 from .schwinger import jordan_schwinger, jz_kernel, su2_generators
 
 DEFAULT_TOLERANCE = 1e-10
@@ -300,7 +300,7 @@ class _SpinContext:
     def complete_set(self):
         if self._complete_set is None:
             self._complete_set = complete_set_check(
-                self.basis, self.gens, self.taus, min(self.n_max, 4))
+                self.gens, self.taus, min(self.n_max, 4))
         return self._complete_set
 
     @property
@@ -973,7 +973,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     r.residual_check(
         "s1-weyl-pair", "s1-weyl-pair", p, 1e-8,
         lambda: residual(w0.of(commutator(demo.a_op, demo.a_dag)),
-                         SparseOperator.identity(w0.basis), 2))
+                         SectorBlocks.identity(w0.basis), 2))
 
     def number_like(tol):
         ada = demo.a_dag @ demo.a_op

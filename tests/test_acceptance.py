@@ -18,7 +18,7 @@ from su2ladders.casimir import (demo_s1_operators, expression_match_scale,
 from su2ladders.fock import enumerate_sector
 from su2ladders.ladder import (build_alpha, det_certificate, right_functions,
                                solve_sigma)
-from su2ladders.operators import (SparseOperator, commutator,
+from su2ladders.operators import (SectorBlocks, commutator,
                                   commutator_residual, creation_op, residual)
 from su2ladders.schwinger import jz_kernel, su2_generators
 from su2ladders.verify import SuiteConfig, export_report, run_suite
@@ -123,7 +123,7 @@ def test_criterion_06_s1_demo_block(ctx):
     demo = demo_s1_operators(c.gens, c.families)
     w0 = c.gens.weight0()
     weyl = residual(w0.of(commutator(demo.a_op, demo.a_dag)),
-                    SparseOperator.identity(w0.basis), 2).frobenius_relative
+                    SectorBlocks.identity(w0.basis), 2).frobenius_relative
     ada = demo.a_dag @ demo.a_op
     worst_eigen = 0.0
     for n in range(5):

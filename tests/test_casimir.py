@@ -20,7 +20,7 @@ from su2ladders.casimir import (LatticeSchemeError, TauCertificationError,
 from su2ladders.ladder import (AlphaVerificationError, build_alpha,
                                build_alpha_variant_diag4, right_function_poly,
                                solve_sigma)
-from su2ladders.operators import (SparseOperator, commutator,
+from su2ladders.operators import (SectorBlocks, SparseOperator, commutator,
                                   commutator_residual, creation_op, residual,
                                   zero_residual)
 
@@ -136,14 +136,41 @@ def test_tau_ladder_relations(ctx, spin):
         assert tau_shift_residual(tau, c.gens).frobenius_relative < 1e-8
 
 
-def _perturbed(tau, seed, delta=1e-6):
-    # Every stored entry of the weight-0 block, the only entries the
-    # certificates read, times (1 + delta * r), r uniform in [-1, 1].
-    m = tau.weight0.matrix.copy()
-    m.data = m.data * (1.0 + delta * np.random.default_rng(seed).uniform(
-        -1.0, 1.0, m.nnz))
+def _perturbed(tau, seed, delta=1e-6, sources=None):
+    # Every entry of tau's weight-0 level blocks, the only entries the
+    # certificates read, times (1 + delta * r), r uniform in [-1, 1]; with
+    # ``sources``, only the blocks from those levels.
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for n, (m, block) in tau.weight0.blocks.items():
+        if sources is None or n in sources:
+            block = block * (1.0 + delta * rng.uniform(-1.0, 1.0, block.shape))
+        blocks[n] = (m, block)
     return dataclasses.replace(
-        tau, weight0=SparseOperator(tau.weight0.basis, m))
+        tau, weight0=SectorBlocks(tau.weight0.basis, blocks))
+
+
+@pytest.mark.parametrize("spin", [2, 3])
+def test_margin_one_certificates_read_exactly_the_interior_blocks(ctx, spin):
+    # At margin 1 a residual keeps the blocks with source and target level
+    # <= n_max - 1.  A 1e-6 perturbation of tau[+1]'s highest kept block,
+    # n_max - 2 -> n_max - 1, fails the three certificates; the same
+    # perturbation of the block n_max - 1 -> n_max, which no margin-1
+    # residual reads, leaves every report as it is.
+    n_max = 5
+    c = ctx(spin, n_max)
+    tau = c.taus[1]
+
+    def reports(t):
+        return (tau_casimir_ladder_residual(t, c.gens),
+                tau_shift_residual(t, c.gens),
+                resolvent_commutator_check(c.gens, t, 0, "right"))
+    base = reports(tau)
+    assert all(rep.frobenius_relative < 1e-8 for rep in base)
+    inside = reports(_perturbed(tau, seed=spin, sources={n_max - 2}))
+    assert all(rep.frobenius_relative > 1e-8 for rep in inside)
+    assert tau.weight0.blocks[n_max - 1][0] == n_max
+    assert reports(_perturbed(tau, seed=spin, sources={n_max - 1})) == base
 
 
 @pytest.mark.parametrize("spin", [2, 3])
@@ -285,9 +312,9 @@ def test_lattice_json_roundtrip(ctx):
 # -- deformed generators -------------------------------------------------------------------
 
 
-def _whole_deformed_generators(tau_minus):
-    """L_z and L^2 formed from the whole-space tau: the reference."""
-    t_dag = tau_minus.op
+def _whole_deformed_generators(t_dag):
+    """L_z and L^2 formed from tau, the reference: on the whole space from
+    tau.op, or as level blocks from tau.op's weight-0 blocks."""
     t = t_dag.adjoint()
     lz = commutator(t_dag, t).hermitized()
     return lz, (lz @ lz + 0.5 * (t_dag @ t + t @ t_dag)).hermitized()
@@ -302,12 +329,14 @@ def test_deformed_generators(ctx, spin, omega):
     assert (lz - lz.adjoint()).norm() == 0.0
     assert (l2 - l2.adjoint()).norm() == 0.0
     assert commutator_residual(l2, w0.J2, 2).frobenius_relative < 1e-8
-    # The whole-space forms commute with N, and their weight-0 blocks are
-    # the generators themselves.
-    lz_ref, l2_ref = _whole_deformed_generators(c.taus[-omega])
+    # The whole-space forms commute with N, and the same products of
+    # tau.op's weight-0 blocks are the generators themselves.
+    tau_op = c.taus[-omega].op
+    lz_ref, _l2_ref = _whole_deformed_generators(tau_op)
     assert commutator_residual(lz_ref, c.gens.Ntot, 2).frobenius_relative < 1e-8
-    assert (w0.of(lz_ref) - lz).is_zero()
-    assert (w0.of(l2_ref) - l2).is_zero()
+    lz_blocks, l2_blocks = _whole_deformed_generators(w0.of(tau_op))
+    assert (lz_blocks - lz).is_zero()
+    assert (l2_blocks - l2).is_zero()
 
 
 def test_deformed_generators_need_lowering_shift(ctx):
@@ -331,7 +360,7 @@ def test_residue_classes(ctx):
 @pytest.mark.parametrize("spin", [1, 2])
 def test_complete_set_commutators(ctx, spin):
     c = ctx(spin, 4)
-    cs = complete_set_check(c.basis, c.gens, c.taus, 4)
+    cs = complete_set_check(c.gens, c.taus, 4)
     for rep in cs.commutator_residuals.values():
         assert rep.frobenius_relative < 1e-8
     assert cs.off_grade == []
@@ -339,13 +368,13 @@ def test_complete_set_commutators(ctx, spin):
 
 def test_separation_s1_trivial(ctx):
     c = ctx(1, 4)
-    cs = complete_set_check(c.basis, c.gens, c.taus, 4)
+    cs = complete_set_check(c.gens, c.taus, 4)
     assert cs.separation == []
 
 
 def test_separation_s2_first_degenerate_nodes(ctx):
     c = ctx(2, 4)
-    cs = complete_set_check(c.basis, c.gens, c.taus, 4)
+    cs = complete_set_check(c.gens, c.taus, 4)
     nodes = {sn.node: sn for sn in cs.separation}
     # Brute force: the first nodes with multiplicity 2 sit at n = 4.
     assert bruteforce.j_multiplicities(2, 4)[2] == 2

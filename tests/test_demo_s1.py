@@ -7,7 +7,7 @@ from su2ladders.casimir import (TauBarReport, canonical_basis_s1,
                                 demo_s1_operators, s1_inverse_expressions,
                                 s1_reference_taus, s1_tau_bracket_ladder,
                                 tau_bar_forms)
-from su2ladders.operators import (ResidualReport, SparseOperator, commutator,
+from su2ladders.operators import (ResidualReport, SectorBlocks, commutator,
                                   creation_op, residual)
 from su2ladders.schwinger import jz_kernel
 
@@ -21,7 +21,7 @@ def test_weyl_commutator(ctx):
     d = demo_s1_operators(c.gens, c.families)
     w0 = c.gens.weight0()
     rep = residual(w0.of(commutator(d.a_op, d.a_dag)),
-                   SparseOperator.identity(w0.basis), 2)
+                   SectorBlocks.identity(w0.basis), 2)
     assert rep.frobenius_relative < 1e-8
 
 

@@ -15,7 +15,8 @@ from su2ladders.ladder import (ConsistencyError, PreconditionError,
                                family_for_theta, right_function_poly,
                                right_functions, sigma_closed_form_next_to_top,
                                solve_sigma)
-from su2ladders.operators import (SparseOperator, annihilation_op, commutator,
+from su2ladders.operators import (SectorBlocks, SparseOperator,
+                                  annihilation_op, commutator,
                                   creation_op, number_op)
 from su2ladders.schwinger import su2_generators
 
@@ -95,7 +96,7 @@ def test_rlo_compose_identity_reduces(ctx):
     c = ctx(1, 4)
     tau, w0 = c.taus[1], c.gens.weight0()
     rf = w0.function_of_j(tau.right_function)
-    ident = SparseOperator.identity(w0.basis)
+    ident = SectorBlocks.identity(w0.basis)
     base = check_rlo(w0.J2, w0.of(tau.op), rf, 1)
     comp = check_rlo_compose(w0.J2, w0.of(tau.op), rf, ident, 1)
     assert comp.frobenius_absolute == pytest.approx(base.frobenius_absolute,

@@ -36,10 +36,11 @@ from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
                                check_llo, check_power_identity, check_rlo,
                                check_rlo_compose)
 from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
-                                  ResidualReport, SparseOperator, commutator,
-                                  commutator_on_columns, commutator_residual,
-                                  creation_op, number_op, on_columns,
-                                  residual, zero_residual)
+                                  ResidualReport, SectorBlocks,
+                                  SectorStructureError, SparseOperator,
+                                  commutator, commutator_on_columns,
+                                  commutator_residual, creation_op, number_op,
+                                  on_columns, residual, zero_residual)
 from su2ladders.cli import _json_dump, main
 from su2ladders.fock import enumerate_sector
 from su2ladders.schwinger import WeightLeakError, jz_kernel, su2_generators
@@ -52,19 +53,15 @@ SPINS = [2, 3]
 
 # -- references: whole-space operators under dense masks ----------------------
 #
-# Each reference slices ``matrix[rows][:, cols]`` with integer index arrays
-# and drops columns by copying, zeroing and ``eliminate_zeros``.  With a
-# ``col_weight`` the columns are further cut to that J_z weight: the
-# whole-space form of a claim the library reads on the weight-0 view.
+# Each sparse reference slices ``matrix[rows][:, cols]`` with integer index
+# arrays and drops columns by copying, zeroing and ``eliminate_zeros``.
 
-def _ref_restriction(basis, margin, col_weight):
-    interior = basis.totals <= basis.n_max - margin
-    rows = np.flatnonzero(interior)
-    cols = rows if col_weight is None else np.flatnonzero(
-        interior & (basis.weights == col_weight))
-    if len(rows) == 0 or len(cols) == 0:
+
+def _ref_restriction(basis, margin):
+    rows = np.flatnonzero(basis.totals <= basis.n_max - margin)
+    if len(rows) == 0:
         raise EmptyInteriorError
-    return rows, cols
+    return rows
 
 
 def _ref_fro(matrix, rows, cols):
@@ -74,8 +71,115 @@ def _ref_fro(matrix, rows, cols):
     return float(math.sqrt(np.sum(np.abs(sub.data) ** 2)))
 
 
-def _ref_on_columns(x, margin, col_weight):
-    _rows, cols = _ref_restriction(x.basis, margin, col_weight)
+# -- references: weight-0 level blocks sliced out of whole-space operators ---
+#
+# A claim the library reads on the weight-0 view (``SectorBlocks``) is
+# referenced on ``_Blocks``: the dense (n, 0) -> (m, 0) blocks of the
+# whole-space operators (tau.op, gens.J2, gens.function_of_j, gens.j_hat(),
+# the families), sliced with integer index arrays, combined with plain numpy
+# products level by level, and normed over the blocks with both levels
+# <= n_max - margin in ascending source level.  The library assembles the
+# same blocks on weight 0 alone and forms the same products, so the reports
+# must be equal, not merely close.
+
+
+class _Blocks:
+    """Source level -> (target level, dense block); no block where the
+    operator vanishes on the level."""
+
+    def __init__(self, blocks, n_max):
+        self.blocks = {n: (m, b) for n, (m, b) in sorted(blocks.items())
+                       if b.any()}
+        self.n_max = n_max
+
+    @staticmethod
+    def of(op):
+        basis = op.basis
+        levels = [np.flatnonzero((basis.totals == n) & (basis.weights == 0))
+                  for n in range(basis.n_max + 1)]
+        blocks = {}
+        for n, cols in enumerate(levels):
+            for m, rows in enumerate(levels):
+                block = op.matrix[rows][:, cols].toarray()
+                if block.any():
+                    assert n not in blocks
+                    blocks[n] = (m, block)
+        return _Blocks(blocks, basis.n_max)
+
+    def __matmul__(self, other):
+        return _Blocks({n: (self.blocks[m][0], self.blocks[m][1] @ b)
+                        for n, (m, b) in other.blocks.items()
+                        if m in self.blocks}, self.n_max)
+
+    def _combine(self, other, sign):
+        out = dict(self.blocks)
+        for n, (m, b) in other.blocks.items():
+            if n in out:
+                assert out[n][0] == m
+                out[n] = (m, out[n][1] + b if sign > 0 else out[n][1] - b)
+            else:
+                out[n] = (m, b if sign > 0 else -b)
+        return _Blocks(out, self.n_max)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __rmul__(self, scalar):
+        return _Blocks({n: (m, b * float(scalar))
+                        for n, (m, b) in self.blocks.items()}, self.n_max)
+
+    def adjoint(self):
+        return _Blocks({m: (n, np.ascontiguousarray(b.conj().T))
+                        for n, (m, b) in self.blocks.items()}, self.n_max)
+
+    def hermitized(self):
+        return 0.5 * (self + self.adjoint())
+
+    def power(self, k):
+        out = self
+        for _ in range(k - 1):
+            out = out @ self
+        return out
+
+    def is_zero(self):
+        return not self.blocks
+
+    def on_columns(self, margin):
+        return _Blocks({n: v for n, v in self.blocks.items()
+                        if n <= self.n_max - margin}, self.n_max)
+
+    def kept_fro(self, margin):
+        top = self.n_max - margin
+        if top < 0:
+            raise EmptyInteriorError
+        kept = [b.ravel() for n, (m, b) in self.blocks.items()
+                if n <= top and m <= top]
+        if not kept:
+            return 0.0
+        return float(math.sqrt(np.sum(np.abs(np.concatenate(kept)) ** 2)))
+
+    def level(self, n, size):
+        """The block from level n, or zeros (``size`` x ``size``) when the
+        operator vanishes there (a level-preserving operator)."""
+        if n not in self.blocks:
+            return np.zeros((size, size))
+        return self.blocks[n][1]
+
+
+def _ref_kept_fro(x, margin):
+    if isinstance(x, _Blocks):
+        return x.kept_fro(margin)
+    rows = _ref_restriction(x.basis, margin)
+    return _ref_fro(x.matrix, rows, rows)
+
+
+def _ref_on_columns(x, margin):
+    if isinstance(x, _Blocks):
+        return x.on_columns(margin)
+    cols = _ref_restriction(x.basis, margin)
     if len(cols) == len(x.basis):
         return x
     keep = np.zeros(len(x.basis), dtype=bool)
@@ -86,67 +190,65 @@ def _ref_on_columns(x, margin, col_weight):
     return SparseOperator(x.basis, m)
 
 
-def _ref_residual(x, y, margin, col_weight):
-    rows, cols = _ref_restriction(x.basis, margin, col_weight)
-    absolute = _ref_fro((x.matrix - y.matrix).tocsr(), rows, cols)
-    denom = max(_ref_fro(x.matrix, rows, cols), _ref_fro(y.matrix, rows, cols))
+def _ref_residual(x, y, margin):
+    if isinstance(x, _Blocks):
+        absolute = (x - y).kept_fro(margin)
+    else:
+        rows = _ref_restriction(x.basis, margin)
+        absolute = _ref_fro((x.matrix - y.matrix).tocsr(), rows, rows)
+    denom = max(_ref_kept_fro(x, margin), _ref_kept_fro(y, margin))
     return ResidualReport(absolute, absolute / denom if denom > 0 else absolute,
                           margin)
 
 
-def _ref_commutator_on_columns(x, y, margin, col_weight):
-    return (x @ _ref_on_columns(y, margin, col_weight)
-            - y @ _ref_on_columns(x, margin, col_weight))
+def _ref_commutator_on_columns(x, y, margin):
+    return (x @ _ref_on_columns(y, margin)
+            - y @ _ref_on_columns(x, margin))
 
 
-def _ref_commutator_residual(x, y, margin, col_weight):
-    rows, cols = _ref_restriction(x.basis, margin, col_weight)
-    c = _ref_commutator_on_columns(x, y, margin, col_weight)
-    absolute = _ref_fro(c.matrix, rows, cols)
-    scale = _ref_fro(x.matrix, rows, cols) * _ref_fro(y.matrix, rows, cols)
+def _ref_commutator_residual(x, y, margin):
+    absolute = _ref_kept_fro(_ref_commutator_on_columns(x, y, margin), margin)
+    scale = _ref_kept_fro(x, margin) * _ref_kept_fro(y, margin)
     return ResidualReport(absolute, absolute / scale if scale > 0 else absolute,
                           margin)
 
 
-def _ref_zero_residual(x, margin, col_weight, scale):
-    rows, cols = _ref_restriction(x.basis, margin, col_weight)
-    absolute = _ref_fro(x.matrix, rows, cols)
+def _ref_zero_residual(x, margin, scale):
+    absolute = _ref_kept_fro(x, margin)
     return ResidualReport(absolute, absolute / scale if scale > 0 else absolute,
                           margin)
 
 
-def _full_commutator_residual(x, y, margin, col_weight=None):
-    # commutator_residual from the whole-space commutator.
-    rows, cols = _ref_restriction(x.basis, margin, col_weight)
-    scale = _ref_fro(x.matrix, rows, cols) * _ref_fro(y.matrix, rows, cols)
-    return _ref_zero_residual(commutator(x, y), margin, col_weight, scale)
+def _full_commutator_residual(x, y, margin):
+    # commutator_residual from the unrestricted commutator.
+    scale = _ref_kept_fro(x, margin) * _ref_kept_fro(y, margin)
+    return _ref_zero_residual(commutator(x, y), margin, scale)
 
 
-def _full_ladder_residual(lhs, rhs, degenerate, margin, col_weight):
+def _full_ladder_residual(lhs, rhs, degenerate, margin):
     if rhs.is_zero():
-        return _full_commutator_residual(*degenerate, margin, col_weight)
-    return _ref_residual(lhs, rhs, margin, col_weight)
+        return _full_commutator_residual(*degenerate, margin)
+    return _ref_residual(lhs, rhs, margin)
 
 
-def _ref_rlo(h, p_dag, p_fn, margin, col_weight=None):
+def _ref_rlo(h, p_dag, p_fn, margin):
     return _full_ladder_residual(commutator(h, p_dag), p_dag @ p_fn,
-                                 (h, p_dag), margin, col_weight)
+                                 (h, p_dag), margin)
 
 
-def _ref_llo(h, p, p_fn, margin, col_weight=None):
-    return _full_ladder_residual(commutator(p, h), p_fn @ p, (h, p), margin,
-                                 col_weight)
+def _ref_llo(h, p, p_fn, margin):
+    return _full_ladder_residual(commutator(p, h), p_fn @ p, (h, p), margin)
 
 
-def _ref_power_identity(h, p_dag, p_fn, n, margin, col_weight=None):
+def _ref_power_identity(h, p_dag, p_fn, n, margin):
     hn = h.power(n)
     return _ref_residual(commutator(hn, p_dag),
-                         p_dag @ ((h + p_fn).power(n) - hn), margin, col_weight)
+                         p_dag @ ((h + p_fn).power(n) - hn), margin)
 
 
-def _ref_rlo_compose(h, p_dag, p_fn, a, margin, col_weight=None):
+def _ref_rlo_compose(h, p_dag, p_fn, a, margin):
     pa = p_dag @ a
-    return _ref_residual(commutator(h, pa), pa @ p_fn, margin, col_weight)
+    return _ref_residual(commutator(h, pa), pa @ p_fn, margin)
 
 
 def _whole(x):
@@ -154,15 +256,16 @@ def _whole(x):
 
 
 def _rlo_cases(c):
-    """(H, p+, P, col_weight, view) for the number-operator pair and every
-    tau: ``view`` maps a whole-space operator to the space the library reads
-    the claim on, the weight-0 view for a tau and its weight-0 columns."""
+    """(H, p+, P, view, ref) for the number-operator pair and every tau:
+    ``view`` maps a whole-space operator to the space the library reads the
+    claim on, the weight-0 view for a tau, and ``ref`` to its reference
+    form there, the level blocks for a tau."""
     gens = c.gens
     cases = [(gens.Ntot, creation_op(c.basis, 0),
-              SparseOperator.identity(c.basis), None, _whole)]
+              SparseOperator.identity(c.basis), _whole, _whole)]
     for theta, tau in sorted(c.taus.items()):
         cases.append((gens.J2, tau.op, gens.function_of_j(tau.right_function),
-                      0, gens.weight0().of))
+                      gens.weight0().of, _Blocks.of))
     return cases
 
 
@@ -188,32 +291,32 @@ def test_commutator_residual_equals_full_product(ctx, spin):
     c = ctx(spin, 4)
     g = c.gens
     w0 = g.weight0()
-    for x, y, margin, col_weight, view in (
-            (g.J2, c.taus[0].op, 1, 0, w0.of),
-            (g.J2, c.taus[1].op, 1, 0, w0.of),
-            (g.Ntot, c.taus[1].op, 1, None, _whole),
-            (g.Jz, g.Jplus, 0, None, _whole)):
+    for x, y, margin, view, ref in (
+            (g.J2, c.taus[0].op, 1, w0.of, _Blocks.of),
+            (g.J2, c.taus[1].op, 1, w0.of, _Blocks.of),
+            (g.Ntot, c.taus[1].op, 1, _whole, _whole),
+            (g.Jz, g.Jplus, 0, _whole, _whole)):
         assert commutator_residual(view(x), view(y), margin) == \
-            _full_commutator_residual(x, y, margin, col_weight)
+            _full_commutator_residual(ref(x), ref(y), margin)
 
 
 @pytest.mark.parametrize("spin", SPINS)
 def test_check_rlo_and_llo_equal_full_products(ctx, spin):
     c = ctx(spin, 4)
-    for h, p_dag, p_fn, col_weight, view in _rlo_cases(c):
+    for h, p_dag, p_fn, view, ref in _rlo_cases(c):
         assert check_rlo(view(h), view(p_dag), view(p_fn), 1) == \
-            _ref_rlo(h, p_dag, p_fn, 1, col_weight)
+            _ref_rlo(ref(h), ref(p_dag), ref(p_fn), 1)
         p = p_dag.adjoint()
         assert check_llo(view(h), view(p), view(p_fn), 1) == \
-            _ref_llo(h, p, p_fn, 1, col_weight)
+            _ref_llo(ref(h), ref(p), ref(p_fn), 1)
 
 
 @pytest.mark.parametrize("spin", SPINS)
 def test_check_power_identity_equals_full_products(ctx, spin):
     c = ctx(spin, 4)
-    for h, p_dag, p_fn, col_weight, view in _rlo_cases(c):
+    for h, p_dag, p_fn, view, ref in _rlo_cases(c):
         assert check_power_identity(view(h), view(p_dag), view(p_fn), 2, 1) \
-            == _ref_power_identity(h, p_dag, p_fn, 2, 1, col_weight)
+            == _ref_power_identity(ref(h), ref(p_dag), ref(p_fn), 2, 1)
 
 
 @pytest.mark.parametrize("spin", SPINS)
@@ -221,22 +324,22 @@ def test_check_rlo_compose_equals_full_products(ctx, spin):
     c = ctx(spin, 4)
     g = c.gens
     for a in (g.function_of_j(lambda j: j * j + 1.0), g.Ntot):
-        for h, p_dag, p_fn, col_weight, view in _rlo_cases(c):
+        for h, p_dag, p_fn, view, ref in _rlo_cases(c):
             assert check_rlo_compose(view(h), view(p_dag), view(p_fn),
                                      view(a), 1) == \
-                _ref_rlo_compose(h, p_dag, p_fn, a, 1, col_weight)
+                _ref_rlo_compose(ref(h), ref(p_dag), ref(p_fn), ref(a), 1)
 
 
 @pytest.mark.parametrize("spin", SPINS)
 def test_tau_shift_residual_equals_full_products(ctx, spin):
     c = ctx(spin, 4)
-    jh = c.gens.j_hat()
+    jh = _Blocks.of(c.gens.j_hat())
     for theta, tau in sorted(c.taus.items()):
+        op = _Blocks.of(tau.op)
         if theta == 0:
-            want = _full_commutator_residual(jh, tau.op, 1, 0)
+            want = _full_commutator_residual(jh, op, 1)
         else:
-            want = _ref_residual(commutator(jh, tau.op), float(theta) * tau.op,
-                                 1, 0)
+            want = _ref_residual(commutator(jh, op), float(theta) * op, 1)
         assert tau_shift_residual(tau, c.gens) == want
 
 
@@ -248,18 +351,19 @@ def test_resolvent_check_equals_full_products(ctx, spin, side):
     for k in (0, 1):
         def res(j, k=k):
             return 1.0 / (2.0 * j + (2 * k + 1))
-        g_op = g.function_of_j(res)
+        g_op = _Blocks.of(g.function_of_j(res))
         for theta, tau in sorted(c.taus.items()):
+            op = _Blocks.of(tau.op)
             if theta == 0:
-                want = _full_commutator_residual(g_op, tau.op, 1, 0)
+                want = _full_commutator_residual(g_op, op, 1)
             elif side == "right":
-                diff = g.function_of_j(lambda j: res(j + theta) - res(j))
-                want = _ref_residual(commutator(g_op, tau.op), tau.op @ diff,
-                                     1, 0)
+                diff = _Blocks.of(
+                    g.function_of_j(lambda j: res(j + theta) - res(j)))
+                want = _ref_residual(commutator(g_op, op), op @ diff, 1)
             else:
-                diff = g.function_of_j(lambda j: res(j) - res(j - theta))
-                want = _ref_residual(commutator(g_op, tau.op), diff @ tau.op,
-                                     1, 0)
+                diff = _Blocks.of(
+                    g.function_of_j(lambda j: res(j) - res(j - theta)))
+                want = _ref_residual(commutator(g_op, op), diff @ op, 1)
             assert resolvent_commutator_check(g, tau, k, side) == want
 
 
@@ -268,42 +372,60 @@ def test_resolvent_check_equals_full_products(ctx, spin, side):
 def test_certify_alpha_equals_full_products(ctx, spin, family):
     c = ctx(spin, 4)
     alpha = build_alpha(spin, family)
-    ops = c.families.ops(family)
+    ops = {k: _Blocks.of(t) for k, t in c.families.ops(family).items()}
+    j2 = _Blocks.of(c.gens.J2)
     want = {}
     for eta, t_eta in ops.items():
-        rhs = SparseOperator.zeros(c.basis)
+        rhs = _Blocks({}, c.basis.n_max)
         for mu, t_mu in ops.items():
             if not alpha.entry(mu, eta).is_zero():
-                rhs = rhs + t_mu @ c.gens.function_of_j(alpha.entry(mu, eta))
-        want[eta] = _ref_residual(commutator(c.gens.J2, t_eta), rhs, 1, 0)
+                rhs = rhs + t_mu @ _Blocks.of(
+                    c.gens.function_of_j(alpha.entry(mu, eta)))
+        want[eta] = _ref_residual(commutator(j2, t_eta), rhs, 1)
     assert certify_alpha(alpha, c.gens, c.families) == want
 
 
-def _on_weight0(gens, image):
-    """The weight-0 rows of a whole-space image, which is exactly zero on
-    every other row."""
-    assert not image[gens.basis.weights != 0].any()
-    return image[gens.weight0().rows]
+def _level_nodes(gens, n):
+    """Level n's node labels and vectors, the whole-space ``jz_kernel``
+    vectors cut to the level's weight-0 states (columns, in node order)."""
+    basis = gens.basis
+    rows = np.flatnonzero((basis.totals == n) & (basis.weights == 0))
+    kvs = jz_kernel(basis, gens, n)
+    return [kv.j for kv in kvs], np.array([kv.vector[rows] for kv in kvs]).T
+
+
+def _level_image(op, n, vectors, size):
+    """op's level-n block times ``vectors``; zeros on ``size`` rows where op
+    vanishes on level n."""
+    if n not in op.blocks:
+        return np.zeros((size, vectors.shape[1]))
+    return op.blocks[n][1] @ vectors
 
 
 def _worst_alpha_entry_per_node(alpha, eta, gens, families):
-    # One whole-space commutator and one matrix-vector product per node,
-    # fitted on the images' weight-0 rows.
-    ops = families.ops(alpha.family)
+    # Each level's images as one product of the level blocks of the
+    # whole-space [J^2, T_eta] and T_mu with the level's node vectors,
+    # fitted node by node on level n + 1.
+    ops = {k: _Blocks.of(t) for k, t in families.ops(alpha.family).items()}
+    comm = commutator(_Blocks.of(gens.J2), ops[eta])
+    basis = families.basis
     worst = (None, 0.0)
-    for n in range(0, families.basis.n_max):
-        for node in jz_kernel(families.basis, gens, n):
-            lhs = _on_weight0(
-                gens, commutator(gens.J2, ops[eta]).apply(node.vector))
-            m = np.array([_on_weight0(gens, t.apply(node.vector))
-                          for t in ops.values()]).T
+    for n in range(0, basis.n_max):
+        labels, vecs = _level_nodes(gens, n)
+        size = int(np.sum((basis.totals == n + 1) & (basis.weights == 0)))
+        lhs_all = _level_image(comm, n, vecs, size)
+        imgs = [_level_image(t, n, vecs, size) for t in ops.values()]
+        for i, j in enumerate(labels):
+            m = np.array([img[:, i] for img in imgs]).T
             if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
                 continue
-            coef, *_ = np.linalg.lstsq(m, lhs, rcond=None)
+            lhs = lhs_all[:, i]
+            q, r = np.linalg.qr(m)
+            coef = np.linalg.solve(r, q.conj().T @ lhs)
             if np.linalg.norm(m @ coef - lhs) > 1e-6 * (1 + np.linalg.norm(lhs)):
                 continue
             for mu, value in zip(ops, coef):
-                dev = abs(float(value.real) - float(alpha.entry(mu, eta)(node.j)))
+                dev = abs(float(value.real) - float(alpha.entry(mu, eta)(j)))
                 if dev > worst[1]:
                     worst = (mu, dev)
     return worst
@@ -432,62 +554,71 @@ def test_failed_closure_fit_is_not_cached(monkeypatch):
 
 @pytest.mark.parametrize("spin", SPINS)
 def test_lattice_amplitudes_equal_per_vector_products(ctx, spin):
+    # Each amplitude is the norm of its node's column of one product of the
+    # level block of tau.op (or of its adjoint) with the level's nodes.
     c = ctx(spin, 4)
     rep = lattice_report(c.basis, c.gens, c.taus, 3)
     arrows = iter(rep.arrows)
     for theta in sorted(c.taus):
-        tau = c.taus[theta].op
+        tau = _Blocks.of(c.taus[theta].op)
         tau_low = tau.adjoint()
         for n in range(0, 4):
-            for kv in jz_kernel(c.basis, c.gens, n):
-                images = [(f"tau_dag[{theta:+d}]", tau.apply(kv.vector))]
-                images.append((f"tau[{theta:+d}]", tau_low.apply(kv.vector)))
-                for label, image in images:
+            labels, vecs = _level_nodes(c.gens, n)
+            norms = [np.linalg.norm(_level_image(op, n, vecs, 0), axis=0)
+                     for op in (tau, tau_low)]
+            for i, j in enumerate(labels):
+                for label, norm in ((f"tau_dag[{theta:+d}]", norms[0]),
+                                    (f"tau[{theta:+d}]", norms[1])):
                     arrow = next(arrows)
-                    assert (arrow.operator, arrow.source) == (label, (n, kv.j))
-                    norm = float(np.linalg.norm(_on_weight0(c.gens, image)))
+                    assert (arrow.operator, arrow.source) == (label, (n, j))
                     if arrow.annihilated:
-                        assert norm <= 1e-8
+                        assert norm[i] <= 1e-8
                     else:
-                        assert arrow.amplitude == norm
+                        assert arrow.amplitude == float(norm[i])
     assert next(arrows, None) is None
 
 
 def _per_vector_arrows(c, ops, n_limit):
-    """Lattice arrows of the whole-space taus ``ops`` (theta -> operator)
-    from one whole-space product and one projection per node vector, each
-    predicted node vector subtracted in turn.  Each image is exactly zero
-    off weight 0, and its norm and leak are read on its weight-0 rows."""
+    """Lattice arrows of the taus ``ops`` (theta -> ``_Blocks``), each
+    level's images one product of a level block with the level's node
+    vectors, and each image's leak found by subtracting the predicted node
+    vectors one at a time.  An image on another level than the predicted
+    one, or above the node levels, leaks as a whole."""
     basis, gens = c.basis, c.gens
-    nodes = {n: jz_kernel(basis, gens, n)
+    nodes = {n: _level_nodes(gens, n)
              for n in range(0, min(n_limit + 1, basis.n_max) + 1)}
     arrows = []
     for theta in sorted(ops):
         tau = ops[theta]
         tau_low = tau.adjoint()
         for n in range(0, n_limit + 1):
-            for kv in nodes[n]:
-                images = []
-                if n <= basis.n_max - 1:
-                    images.append((f"tau_dag[{theta:+d}]", (n + 1, kv.j + theta),
-                                   tau.apply(kv.vector)))
-                images.append((f"tau[{theta:+d}]", (n - 1, kv.j - theta),
-                               tau_low.apply(kv.vector)))
-                for label, target, image in images:
-                    image = _on_weight0(gens, image)
-                    norm = float(np.linalg.norm(image))
+            labels, vecs = nodes[n]
+            images = []
+            if n <= basis.n_max - 1:
+                images.append((f"tau_dag[{theta:+d}]", 1, theta, tau))
+            images.append((f"tau[{theta:+d}]", -1, -theta, tau_low))
+            images = [(label, dn, dj, op.blocks[n][0], op.blocks[n][1] @ vecs)
+                      if n in op.blocks else (label, dn, dj, None, None)
+                      for label, dn, dj, op in images]
+            for i, j in enumerate(labels):
+                for label, dn, dj, level, image in images:
+                    norm = (0.0 if image is None else
+                            float(np.linalg.norm(image, axis=0)[i]))
                     if norm <= 1e-8:
-                        arrows.append(LatticeArrow(label, (n, kv.j), None, 0.0,
+                        arrows.append(LatticeArrow(label, (n, j), None, 0.0,
                                                    True))
                         continue
-                    outside = image.copy()
-                    for v in [_on_weight0(gens, w.vector)
-                              for w in nodes.get(target[0], [])
-                              if w.j == target[1]]:
-                        outside = outside - v * np.vdot(v, image)
+                    target = (n + dn, j + dj)
+                    outside = image[:, i].copy()
+                    if level == target[0] and level in nodes:
+                        target_labels, target_vecs = nodes[level]
+                        for k, v in zip(target_labels, target_vecs.T):
+                            if k == target[1]:
+                                outside = outside - v * np.vdot(v, image[:, i])
                     if np.linalg.norm(outside) > 1e-8 * max(1.0, norm):
-                        raise LatticeSchemeError(f"{label} leaks from {(n, kv.j)}")
-                    arrows.append(LatticeArrow(label, (n, kv.j), target, norm,
+                        raise LatticeSchemeError(
+                            f"{label} leaks from {(n, j)}")
+                    arrows.append(LatticeArrow(label, (n, j), target, norm,
                                                False))
     return arrows
 
@@ -500,7 +631,8 @@ def test_lattice_arrows_equal_per_vector_reference(ctx, spin, n_max, n_limit):
     c = ctx(spin, n_max)
     rep = lattice_report(c.basis, c.gens, c.taus, n_limit)
     assert rep.arrows == _per_vector_arrows(
-        c, {theta: tau.op for theta, tau in c.taus.items()}, n_limit)
+        c, {theta: _Blocks.of(tau.op) for theta, tau in c.taus.items()},
+        n_limit)
 
 
 def test_kernel_json_equals_the_whole_space_lattice(ctx, capsys):
@@ -510,7 +642,7 @@ def test_kernel_json_equals_the_whole_space_lattice(ctx, capsys):
     assert main(["kernel", "--spin", "3", "--nmax", "5"]) == 0
     want = lattice_report(c.basis, c.gens, c.taus, 4)
     want.arrows = _per_vector_arrows(
-        c, {theta: tau.op for theta, tau in c.taus.items()}, 4)
+        c, {theta: _Blocks.of(tau.op) for theta, tau in c.taus.items()}, 4)
     assert capsys.readouterr().out == _json_dump(want.to_json_dict())
 
 
@@ -556,8 +688,8 @@ def test_lattice_rejects_an_injected_leak(ctx, leak):
     tau = c.taus[1]
     bad = SparseOperator(c.basis, tau.op.matrix
                          + 1e-6 * tau.op.norm() / p0.norm() * p0.matrix)
-    ops = {theta: t.op for theta, t in c.taus.items()}
-    ops[1] = bad
+    ops = {theta: _Blocks.of(t.op) for theta, t in c.taus.items()}
+    ops[1] = _Blocks.of(bad)
     taus = dict(c.taus)
     taus[1] = dataclasses.replace(tau, weight0=c.gens.weight0().of(bad))
     with pytest.raises(LatticeSchemeError):
@@ -568,20 +700,30 @@ def test_lattice_rejects_an_injected_leak(ctx, leak):
 
 @pytest.mark.parametrize("spin", [1, 2])
 def test_lattice_rejects_a_leak_past_the_node_levels(ctx, spin):
-    # A stray entry of grade (2, 0) in tau's weight-0 block sends a level-4
-    # weight-0 state to level 6.  At n_limit 4 the nodes reach level 5, so
-    # the image lands on weight-0 rows above every node level: the part of
-    # the leak that no node projection sees.
+    # A stray entry of grade (2, 0) beside tau's (n, 0) -> (n + 1, 0) entries
+    # would send level 4 into both level 5 and level 6.  No level block can
+    # hold it, so it is refused where tau's blocks are read from its
+    # entries.  A level-4 block moved to level 6 as a whole is held, and the
+    # lattice refuses it: at n_limit 4 the nodes reach level 5, so its image
+    # lands on weight-0 rows above every node level.
     c = ctx(spin, 6)
     w0 = c.gens.weight0()
     tau = c.taus[1]
-    source = np.flatnonzero(w0.basis.totals == 4)[0]
-    target = np.flatnonzero(w0.basis.totals == 6)[0]
+    source, target = (
+        np.flatnonzero((c.basis.totals == n) & (c.basis.weights == 0))[0]
+        for n in (4, 6))
     stray = sparse.csr_matrix(([1e-3], ([target], [source])),
-                              shape=tau.weight0.matrix.shape)
+                              shape=tau.op.matrix.shape)
+    with pytest.raises(SectorStructureError,
+                       match="sends level 4 into levels 5 and 6"):
+        w0.of(SparseOperator(c.basis, tau.op.matrix + stray))
+    moved = np.zeros((np.sum(w0.basis.totals == 6),
+                      np.sum(w0.basis.totals == 4)))
+    moved[0, 0] = 1e-3
+    blocks = {n: value for n, value in tau.weight0.blocks.items() if n != 5}
+    blocks[4] = (6, moved)
     taus = dict(c.taus)
-    taus[1] = dataclasses.replace(tau, weight0=SparseOperator(
-        w0.basis, tau.weight0.matrix + stray))
+    taus[1] = dataclasses.replace(tau, weight0=SectorBlocks(w0.basis, blocks))
     lattice_report(c.basis, c.gens, c.taus, 4)
     with pytest.raises(LatticeSchemeError, match=r"tau_dag\[\+1\].*\(4, "):
         lattice_report(c.basis, c.gens, taus, 4)
@@ -595,7 +737,7 @@ def test_weight0_readers_build_no_whole_space_node_vector(ctx, monkeypatch):
     want = (c.families.closure_fit("p", c.gens),
             c.families.closure_fit("m", c.gens),
             lattice_report(c.basis, c.gens, c.taus, 4),
-            complete_set_check(c.basis, c.gens, c.taus, 4))
+            complete_set_check(c.gens, c.taus, 4))
 
     def refused(*args):
         raise AssertionError("jz_kernel called")
@@ -613,7 +755,7 @@ def test_weight0_readers_build_no_whole_space_node_vector(ctx, monkeypatch):
             for (_j, a), (_k, b) in zip(got[eta], expected[eta]):
                 assert np.array_equal(a, b)
     assert lattice_report(c.basis, c.gens, c.taus, 4) == want[2]
-    assert complete_set_check(c.basis, c.gens, c.taus, 4) == want[3]
+    assert complete_set_check(c.gens, c.taus, 4) == want[3]
     _spin_ctx, results = _run_block(_schwinger_checks, 3, 5)
     checks = {check.name: check for check in results}
     assert checks["kernel-dimensions"].passed
@@ -638,61 +780,30 @@ def test_jz_kernel_embeds_the_view_nodes(ctx, spin, n_max):
 
 # -- the weight-0 view against the whole-space forms ---------------------------
 #
-# The certificates read the weight-0 blocks (``Su2Generators.weight0``).  The
-# references below are their whole-space forms: f(J^2) from ``function_of_j``
-# over every sector, right factors cut to the weight-0 interior columns by
-# ``_ref_on_columns(..., 0)``, and ``_ref_residual(..., 0)``.  The reports
-# must be equal, not merely close.
+# The certificates read the weight-0 level blocks (``Su2Generators.weight0``).
+# The references below form the same identities from the level blocks of the
+# whole-space operators (``_Blocks.of``): f(J^2) from ``function_of_j`` over
+# every sector, tau from ``tau.op``, right factors cut to the interior
+# levels by ``_ref_on_columns``.  The reports must be equal, not merely
+# close.
 
 CONFIGS = [(1, 4), (2, 4), (3, 5), (4, 4)]
 
 
 def _whole_certify_alpha(alpha, gens, families):
-    ops = families.ops(alpha.family)
+    ops = {k: _Blocks.of(t) for k, t in families.ops(alpha.family).items()}
+    j2 = _Blocks.of(gens.J2)
     out = {}
     for eta, t_eta in ops.items():
-        lhs = _ref_commutator_on_columns(gens.J2, t_eta, 1, 0)
-        rhs = SparseOperator.zeros(families.basis)
+        lhs = _ref_commutator_on_columns(j2, t_eta, 1)
+        rhs = _Blocks({}, families.basis.n_max)
         for mu, t_mu in ops.items():
             poly = alpha.entry(mu, eta)
             if not poly.is_zero():
-                rhs = rhs + t_mu @ _ref_on_columns(gens.function_of_j(poly),
-                                                   1, 0)
-        out[eta] = _ref_residual(lhs, rhs, 1, 0)
+                rhs = rhs + t_mu @ _ref_on_columns(
+                    _Blocks.of(gens.function_of_j(poly)), 1)
+        out[eta] = _ref_residual(lhs, rhs, 1)
     return out
-
-
-def _whole_worst_alpha_entry(alpha, eta, gens, families):
-    # The whole-space commutator on weight-0 columns, applied level by level
-    # and fitted on the images' weight-0 rows.
-    ops = families.ops(alpha.family)
-    comm = _ref_commutator_on_columns(gens.J2, ops[eta], 1, 0)
-    basis = families.basis
-    worst = (None, 0.0)
-    for n in range(0, basis.n_max):
-        nodes = jz_kernel(basis, gens, n)
-        if not nodes:
-            continue
-        idx = np.flatnonzero((basis.totals == n) & (basis.weights == 0))
-        block = np.array([kv.vector[idx] for kv in nodes]).T
-        lhs_all = [_on_weight0(gens, image)
-                   for image in (comm.matrix[:, idx] @ block).T]
-        imgs = [[_on_weight0(gens, image)
-                 for image in (t.matrix[:, idx] @ block).T]
-                for t in ops.values()]
-        for i, node in enumerate(nodes):
-            m = np.array([img[i] for img in imgs]).T
-            if np.linalg.matrix_rank(m, tol=1e-8) < len(ops):
-                continue
-            coef, *_ = np.linalg.lstsq(m, lhs_all[i], rcond=None)
-            if np.linalg.norm(m @ coef - lhs_all[i]) > 1e-6 * (
-                    1 + np.linalg.norm(lhs_all[i])):
-                continue
-            for mu, value in zip(ops, coef):
-                dev = abs(float(value.real) - float(alpha.entry(mu, eta)(node.j)))
-                if dev > worst[1]:
-                    worst = (mu, dev)
-    return worst
 
 
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
@@ -707,23 +818,23 @@ def test_weight0_closure_certificate_equals_whole_space_form(ctx, spin, n_max,
         _whole_certify_alpha(alpha, c.gens, c.families)
     for eta in alpha.ks:
         assert _worst_alpha_entry(alpha, eta, c.gens, c.families) == \
-            _whole_worst_alpha_entry(alpha, eta, c.gens, c.families)
+            _worst_alpha_entry_per_node(alpha, eta, c.gens, c.families)
 
 
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
 def test_weight0_tau_certificates_equal_whole_space_forms(ctx, spin, n_max):
     c = ctx(spin, n_max)
     g = c.gens
-    jh = g.j_hat()
+    j2, jh = _Blocks.of(g.J2), _Blocks.of(g.j_hat())
     for theta, tau in sorted(c.taus.items()):
+        op = _Blocks.of(tau.op)
         assert tau_casimir_ladder_residual(tau, g) == _ref_rlo(
-            g.J2, tau.op, g.function_of_j(tau.right_function), 1, 0)
+            j2, op, _Blocks.of(g.function_of_j(tau.right_function)), 1)
         if theta == 0:
-            want = _ref_commutator_residual(jh, tau.op, 1, 0)
+            want = _ref_commutator_residual(jh, op, 1)
         else:
-            want = _ref_residual(_ref_commutator_on_columns(jh, tau.op, 1, 0),
-                                 float(theta) * _ref_on_columns(tau.op, 1, 0),
-                                 1, 0)
+            want = _ref_residual(_ref_commutator_on_columns(jh, op, 1),
+                                 float(theta) * _ref_on_columns(op, 1), 1)
         assert tau_shift_residual(tau, g) == want
 
 
@@ -736,19 +847,22 @@ def test_weight0_resolvent_check_equals_whole_space_form(ctx, spin, n_max,
     for k in (0, 2):
         def res(j, k=k):
             return 1.0 / (2.0 * j + (2 * k + 1))
-        g_op = g.function_of_j(res)
+        g_op = _Blocks.of(g.function_of_j(res))
         for theta, tau in sorted(c.taus.items()):
+            op = _Blocks.of(tau.op)
             if theta == 0:
-                want = _ref_commutator_residual(g_op, tau.op, 1, 0)
+                want = _ref_commutator_residual(g_op, op, 1)
             else:
                 if side == "right":
-                    diff = g.function_of_j(lambda j: res(j + theta) - res(j))
-                    rhs = tau.op @ _ref_on_columns(diff, 1, 0)
+                    diff = _Blocks.of(
+                        g.function_of_j(lambda j: res(j + theta) - res(j)))
+                    rhs = op @ _ref_on_columns(diff, 1)
                 else:
-                    diff = g.function_of_j(lambda j: res(j) - res(j - theta))
-                    rhs = diff @ _ref_on_columns(tau.op, 1, 0)
+                    diff = _Blocks.of(
+                        g.function_of_j(lambda j: res(j) - res(j - theta)))
+                    rhs = diff @ _ref_on_columns(op, 1)
                 want = _ref_residual(
-                    _ref_commutator_on_columns(g_op, tau.op, 1, 0), rhs, 1, 0)
+                    _ref_commutator_on_columns(g_op, op, 1), rhs, 1)
             assert resolvent_commutator_check(g, tau, k, side) == want
 
 
@@ -756,66 +870,78 @@ def test_weight0_resolvent_check_equals_whole_space_form(ctx, spin, n_max,
 def test_weight0_complete_set_commutator_equals_whole_space_form(ctx, spin,
                                                                  n_max):
     c = ctx(spin, n_max)
-    rep = complete_set_check(c.basis, c.gens, c.taus, min(n_max, 4))
+    rep = complete_set_check(c.gens, c.taus, min(n_max, 4))
+    j2 = _Blocks.of(c.gens.J2)
     for theta, tau in sorted(c.taus.items()):
-        prod = tau.op @ tau.op.adjoint()
+        op = _Blocks.of(tau.op)
         assert rep.commutator_residuals[(theta, "J2")] == \
-            _ref_commutator_residual(prod, c.gens.J2, 2, 0)
+            _ref_commutator_residual(op @ op.adjoint(), j2, 2)
 
 
-def _whole_deformed_generators(tau_minus):
-    """L_z and L^2 formed from the whole-space tau."""
-    t_dag = tau_minus.op
+def _whole_deformed_generators(t_dag):
+    """L_z and L^2 formed from tau: whole-space operators from ``tau.op``,
+    level blocks from ``_Blocks.of(tau.op)``."""
     t = t_dag.adjoint()
     lz = commutator(t_dag, t).hermitized()
     return lz, (lz @ lz + 0.5 * (t_dag @ t + t @ t_dag)).hermitized()
 
 
-def _same_arrays(got, want):
-    assert got.basis is want.basis
-    assert got.matrix.dtype == want.matrix.dtype
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got.matrix, name),
-                              getattr(want.matrix, name)), name
+def _same_blocks(got, want):
+    assert got.blocks.keys() == want.blocks.keys()
+    for n, (m, block) in want.blocks.items():
+        assert got.blocks[n][0] == m
+        assert got.blocks[n][1].dtype == block.dtype
+        assert np.array_equal(got.blocks[n][1], block), n
 
 
 @pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5)])
 def test_grade_certified_claims_hold_on_the_whole_space(ctx, spin, n_max):
     # The claims certified from the grade, cross-checked in floats: the
     # whole-space A_theta, L_z and L^2, formed from tau.op, commute with N
-    # and J_z to exactly 0.0, and their weight-0 blocks are the operators
-    # the checks read.
+    # and J_z to exactly 0.0, and the same products of tau.op's level blocks
+    # are the operators the checks read.
     c = ctx(spin, n_max)
-    g, w0 = c.gens, c.gens.weight0()
+    g = c.gens
     for theta, tau in sorted(c.taus.items()):
         assert tau_off_grade(tau) == []
+        blocks = _Blocks.of(tau.op)
         whole = [tau.op @ tau.op.adjoint()]
+        level = [blocks @ blocks.adjoint()]
         local = [tau.weight0 @ tau.weight0.adjoint()]
         if theta < 0:
-            whole += _whole_deformed_generators(tau)
+            whole += _whole_deformed_generators(tau.op)
+            level += _whole_deformed_generators(blocks)
             local += deformed_generators(tau)
-        for x, y in zip(whole, local):
+        for x in whole:
             for diag in (g.Jz, g.Ntot):
                 assert commutator_residual(x, diag, 0).frobenius_absolute == 0.0
-            _same_arrays(w0.of(x), y)
+        for x, y in zip(level, local):
+            assert y.basis is g.weight0().basis
+            _same_blocks(y, x)
 
 
 @pytest.mark.parametrize("spin,n_max",
                          [(1, 4), (2, 4), (3, 5), (4, 4), (2, 5)])
 def test_separation_equals_the_whole_space_scan(ctx, spin, n_max):
-    # Reference: each node's whole-space vectors against the whole-space
-    # tau tau^dagger.
+    # Reference: each node's vectors cut from jz_kernel to its level,
+    # against the level block of tau.op's tau tau^dagger.
     c = ctx(spin, n_max)
     n_limit = min(n_max, 4)
-    prods = {theta: tau.op @ tau.op.adjoint() for theta, tau in c.taus.items()}
+    prods = {}
+    for theta, tau in c.taus.items():
+        op = _Blocks.of(tau.op)
+        prods[theta] = op @ op.adjoint()
     want = []
     for n in range(n_limit + 1):
+        labels, vecs = _level_nodes(c.gens, n)
+        blocks = {theta: prod.level(n, len(labels))
+                  for theta, prod in prods.items()}
         groups = {}
-        for kv in jz_kernel(c.basis, c.gens, n):
-            groups.setdefault(kv.j, []).append(kv.vector)
-        want += [_separate_node((n, j), np.array(vectors).T, prods)
+        for j, vector in zip(labels, vecs.T):
+            groups.setdefault(j, []).append(vector)
+        want += [_separate_node((n, j), np.array(vectors).T, blocks)
                  for j, vectors in sorted(groups.items()) if len(vectors) > 1]
-    got = complete_set_check(c.basis, c.gens, c.taus, n_limit).separation
+    got = complete_set_check(c.gens, c.taus, n_limit).separation
     assert got == want
     assert bool(want) == (spin > 1)
 
@@ -836,17 +962,18 @@ def _check_residuals(block, spin, n_max):
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
 def test_weight0_engine_checks_equal_whole_space_forms(spin, n_max):
     ctx, got = _check_residuals(_engine_checks, spin, n_max)
-    g, tau1 = ctx.gens, ctx.taus[1]
-    rf_op = g.function_of_j(tau1.right_function)
+    g = ctx.gens
+    j2, tau1 = _Blocks.of(g.J2), _Blocks.of(ctx.taus[1].op)
+    rf_op = _Blocks.of(g.function_of_j(ctx.taus[1].right_function))
     params = (("s", spin), ("theta", 1))
     want = {
         ("power-identity-casimir", params + (("n", 2),)): _ref_power_identity(
-            g.J2, tau1.op, rf_op, 2, 1, 0),
+            j2, tau1, rf_op, 2, 1),
         ("rlo-compose-polynomial", params): _ref_rlo_compose(
-            g.J2, tau1.op, rf_op, g.function_of_j(lambda j: j * j + 1.0), 1,
-            0),
+            j2, tau1, rf_op,
+            _Blocks.of(g.function_of_j(lambda j: j * j + 1.0)), 1),
         ("rlo-compose-number", params): _ref_rlo_compose(
-            g.J2, tau1.op, rf_op, g.Ntot, 1, 0),
+            j2, tau1, rf_op, _Blocks.of(g.Ntot), 1),
     }
     for key, rep in want.items():
         assert got[(key[0], tuple(sorted(key[1])))] == rep.frobenius_relative
@@ -856,13 +983,16 @@ def test_weight0_engine_checks_equal_whole_space_forms(spin, n_max):
 def test_weight0_deformed_generators_equal_whole_space_forms(spin, n_max):
     ctx, got = _check_residuals(_deformed_checks, spin, n_max)
     g = ctx.gens
+    j2 = _Blocks.of(g.J2)
     for omega in range(1, spin + 1):
-        lz, l2 = _whole_deformed_generators(ctx.taus[-omega])
+        tau = ctx.taus[-omega]
+        lz, l2 = _whole_deformed_generators(_Blocks.of(tau.op))
+        lz_whole, l2_whole = _whole_deformed_generators(tau.op)
         want = max(
-            _ref_commutator_residual(l2, g.J2, 2, 0).frobenius_relative,
-            _ref_commutator_residual(lz, g.J2, 2, 0).frobenius_relative,
-            commutator_residual(l2, g.Ntot, 2).frobenius_relative,
-            commutator_residual(lz, g.Ntot, 2).frobenius_relative)
+            _ref_commutator_residual(l2, j2, 2).frobenius_relative,
+            _ref_commutator_residual(lz, j2, 2).frobenius_relative,
+            commutator_residual(l2_whole, g.Ntot, 2).frobenius_relative,
+            commutator_residual(lz_whole, g.Ntot, 2).frobenius_relative)
         key = ("deformed-algebra-generators",
                (("omega", omega), ("s", spin)))
         assert got[key] == want
@@ -870,48 +1000,51 @@ def test_weight0_deformed_generators_equal_whole_space_forms(spin, n_max):
 
 def _whole_s1_residuals(c):
     """Every spin-1 residual the library reads on the weight-0 view, formed
-    from whole-space operators and read on the weight-0 interior columns."""
+    from the level blocks of whole-space operators."""
     g, fam, basis = c.gens, c.families, c.basis
+    b = _Blocks.of
     p0, p1, m1 = fam.p_ops[0], fam.p_ops[1], fam.m_ops[0]
     ident = SparseOperator.identity(basis)
-    jz, jh = g.Jz, g.j_hat()
+    jz, jh = g.Jz, b(g.j_hat())
     ad0 = creation_op(basis, 0)
-    bracket = commutator(jh, ad0)
+    bracket = commutator(g.j_hat(), ad0)
     n_minus_n0 = g.Ntot - number_op(basis, 0)
     diag_rhs = (2.0 * g.J2 - (jz @ (2.0 * jz + ident))
                 + n_minus_n0 @ (jz - 2.0 * ident))
-    tau_plus, tau_minus = s1_reference_taus(g, fam)
-    inv = g.function_of_j(lambda j: 1.0 / (2.0 * j + 1.0))
-    pair_sum = tau_plus + tau_minus
+    tau_plus, tau_minus = map(b, s1_reference_taus(g, fam))
+    inv = b(g.function_of_j(lambda j: 1.0 / (2.0 * j + 1.0)))
     mixed = commutator(tau_plus, tau_minus.adjoint())
     demo = demo_s1_operators(g, fam)
+    p0b, p1b, ad0b = b(p0), b(p1), b(ad0)
     return {
-        "kernel_form": _ref_residual(commutator(g.J2, p1),
-                                     p0 @ (g.J2 - (jz @ jz + jz)), 1, 0),
+        "kernel_form": _ref_residual(b(commutator(g.J2, p1)),
+                                     p0b @ b(g.J2 - (jz @ jz + jz)), 1),
         "p1_p1dag_weight0": _ref_residual(
-            commutator(p1.adjoint(), p1), diag_rhs, 2, 0),
-        "double_commutator": _ref_residual(commutator(jh, bracket), ad0, 1, 0),
-        "rlo_plus": _ref_rlo(g.J2, bracket + ad0,
-                             g.function_of_j(lambda j: 2.0 * (j + 1.0)), 1, 0),
-        "rlo_minus": _ref_rlo(g.J2, -1.0 * bracket + ad0,
-                              g.function_of_j(lambda j: -2.0 * j), 1, 0),
-        "p0_from_taus": _ref_residual(pair_sum @ inv, p0, 1, 0),
+            b(commutator(p1.adjoint(), p1)), b(diag_rhs), 2),
+        "double_commutator": _ref_residual(b(commutator(g.j_hat(), bracket)),
+                                           ad0b, 1),
+        "rlo_plus": _ref_rlo(b(g.J2), b(bracket + ad0),
+                             b(g.function_of_j(lambda j: 2.0 * (j + 1.0))), 1),
+        "rlo_minus": _ref_rlo(b(g.J2), b(-1.0 * bracket + ad0),
+                              b(g.function_of_j(lambda j: -2.0 * j)), 1),
+        "p0_from_taus": _ref_residual((tau_plus + tau_minus) @ inv, p0b, 1),
         "p1_from_taus": _ref_residual(
-            0.25 * ((tau_plus - tau_minus) - pair_sum @ inv), p1, 1, 0),
-        "label_comm_p0": _ref_residual(commutator(jh, p0),
-                                       (p0 + 4.0 * p1) @ inv, 1, 0),
-        "label_comm_p1": _ref_residual(commutator(jh, p1),
-                                       (p0 @ g.J2 - p1) @ inv, 1, 0),
+            0.25 * ((tau_plus - tau_minus) - (tau_plus + tau_minus) @ inv),
+            p1b, 1),
+        "label_comm_p0": _ref_residual(commutator(jh, p0b),
+                                       (p0b + 4.0 * p1b) @ inv, 1),
+        "label_comm_p1": _ref_residual(commutator(jh, p1b),
+                                       (p0b @ b(g.J2) - p1b) @ inv, 1),
         "mixed_pair_shift2": _ref_residual(commutator(jh, mixed), 2.0 * mixed,
-                                           2, 0),
+                                           2),
         "raising_pair_commutes": _ref_commutator_residual(
-            jh, commutator(tau_plus, tau_minus), 2, 0),
+            jh, commutator(tau_plus, tau_minus), 2),
         "s1-m1-annihilates-kernel": _ref_zero_residual(
-            m1, 1, 0, max(m1.norm(), 1.0)),
-        "s1-weyl-pair": _ref_residual(commutator(demo.a_op, demo.a_dag),
-                                      ident, 2, 0),
-        "s1-double-commutator": _ref_residual(commutator(jh, bracket), ad0,
-                                              1, 0),
+            b(m1), 1, max(m1.norm(), 1.0)),
+        "s1-weyl-pair": _ref_residual(b(commutator(demo.a_op, demo.a_dag)),
+                                      b(ident), 2),
+        "s1-double-commutator": _ref_residual(commutator(jh, commutator(
+            jh, ad0b)), ad0b, 1),
     }
 
 
@@ -976,11 +1109,11 @@ def test_residuals_equal_sliced_references(ctx, spin):
     for x, y in _mask_cases(c):
         for margin in range(c.basis.n_max + 1):
             assert _outcome(residual, x, y, margin) == \
-                _outcome(_ref_residual, x, y, margin, None)
+                _outcome(_ref_residual, x, y, margin)
             assert _outcome(commutator_residual, x, y, margin) == \
-                _outcome(_ref_commutator_residual, x, y, margin, None)
+                _outcome(_ref_commutator_residual, x, y, margin)
             assert _outcome(zero_residual, x, margin, 2.5) == \
-                _outcome(_ref_zero_residual, x, margin, None, 2.5)
+                _outcome(_ref_zero_residual, x, margin, 2.5)
 
 
 @pytest.mark.parametrize("spin", [1, 2])
@@ -989,7 +1122,7 @@ def test_on_columns_equals_copy_and_zero_reference(ctx, spin):
     for x, _y in _mask_cases(c):
         for margin in range(c.basis.n_max + 1):
             got = _outcome(on_columns, x, margin)
-            want = _outcome(_ref_on_columns, x, margin, None)
+            want = _outcome(_ref_on_columns, x, margin)
             if want is EmptyInteriorError:
                 assert got is EmptyInteriorError
                 continue

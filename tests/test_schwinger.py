@@ -410,15 +410,18 @@ def test_sum_times_functions_of_j_rejects_two_target_sectors(ctx):
         g.sum_times_functions_of_j([(g.Jplus + g.Jminus, lambda j: 1.0)])
 
 
-def _same_arrays(got, want):
-    assert got.matrix.dtype == want.matrix.dtype
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got.matrix, name),
-                              getattr(want.matrix, name)), name
+def _same_blocks(got, want):
+    assert got.basis is want.basis
+    assert got.blocks.keys() == want.blocks.keys()
+    for n, (m, block) in want.blocks.items():
+        assert got.blocks[n][0] == m
+        assert got.blocks[n][1].dtype == block.dtype
+        assert np.array_equal(got.blocks[n][1], block), n
 
 
 def test_weight0_sum_times_functions_of_j_equals_the_restriction(ctx):
-    # The same sector blocks, assembled on the (n, 0) sectors only.
+    # The same sector blocks, assembled on the (n, 0) sectors only, equal
+    # the level blocks read from the whole-space sum's CSR entries.
     c = ctx(2, 4)
     g = c.gens
     w0 = g.weight0()
@@ -428,7 +431,7 @@ def test_weight0_sum_times_functions_of_j_equals_the_restriction(ctx):
         [(g.J2, lambda j: 1j * j), (g.Ntot, lambda j: 1.0)],
     ]
     for terms in cases:
-        _same_arrays(w0.sum_times_functions_of_j(terms),
+        _same_blocks(w0.sum_times_functions_of_j(terms),
                      w0.of(g.sum_times_functions_of_j(terms)))
     assert w0.sum_times_functions_of_j([]).is_zero()
     with pytest.raises(WeightLeakError):
@@ -445,7 +448,7 @@ def test_tau_weight0_equals_the_whole_space_restriction(spin, n_max):
     taus = build_taus(build_families(basis, gens), gens, certify=False)
     for theta, tau in taus.items():
         assert "op" not in vars(tau), theta
-        _same_arrays(tau.weight0, w0.of(tau.op))
+        _same_blocks(tau.weight0, w0.of(tau.op))
 
 
 CONFIGS = [(1, 4), (2, 4), (3, 5), (4, 4)]
@@ -506,13 +509,26 @@ def test_weight0_view_is_the_weight0_block(ctx, spin, n_max):
     assert w0.basis.states == tuple(g.basis.states[i] for i in w0.rows)
 
     def block(op):
-        return op.matrix[w0.rows][:, w0.rows]
+        # The level blocks sliced out of the whole-space operator's weight-0
+        # rows and columns, one per level with a nonzero entry.
+        levels = [
+            np.flatnonzero((g.basis.totals == n) & (g.basis.weights == 0))
+            for n in range(n_max + 1)]
+        out = {}
+        for n, cols in enumerate(levels):
+            for m, rows in enumerate(levels):
+                dense = op.matrix[rows][:, cols].toarray()
+                if dense.any():
+                    assert n not in out
+                    out[n] = (m, dense)
+        return out
 
     def same(got, want):
         assert got.basis is w0.basis
-        assert np.array_equal(got.matrix.indptr, want.indptr)
-        assert np.array_equal(got.matrix.indices, want.indices)
-        assert np.array_equal(got.matrix.data, want.data)
+        assert got.blocks.keys() == want.keys()
+        for n, (m, dense) in want.items():
+            assert got.blocks[n][0] == m
+            assert np.array_equal(got.blocks[n][1], dense)
 
     same(w0.J2, block(g.J2))
     same(w0.j, block(g.j_hat()))
@@ -536,7 +552,27 @@ def test_weight0_view_refuses_a_weight_leak(ctx):
     with pytest.raises(BasisMismatchError):
         w0.of(ctx(2, 3).gens.J2)
     # A weight-conserving product of leaking factors is restricted as usual.
-    assert w0.of(c.gens.Jplus @ c.gens.Jminus).nnz > 0
+    assert not w0.of(c.gens.Jplus @ c.gens.Jminus).is_zero()
+
+
+def test_weight0_view_refuses_two_target_levels(ctx):
+    # An operator whose weight-0 level 4 reaches both level 5 and level 6
+    # has no level block; the refusal names an entry into each.
+    c = ctx(2, 6)
+    basis = c.basis
+    source = np.flatnonzero((basis.totals == 4) & (basis.weights == 0))
+    five = np.flatnonzero((basis.totals == 5) & (basis.weights == 0))
+    six = np.flatnonzero((basis.totals == 6) & (basis.weights == 0))
+    op = SparseOperator(basis, sparse.csr_matrix(
+        ([1.0, 1.0], ([five[0], six[1]], [source[0], source[2]])),
+        shape=(len(basis), len(basis))))
+    states = basis.states
+    with pytest.raises(SectorStructureError) as err:
+        c.gens.weight0().of(op)
+    assert str(err.value) == (
+        "operator sends level 4 into levels 5 and 6: state "
+        f"{states[source[0]]} to {states[five[0]]}, and {states[source[2]]} "
+        f"to {states[six[1]]}")
 
 
 def test_weight0_function_pole_names_the_whole_space_witness(ctx):

@@ -13,8 +13,8 @@ from su2ladders.casimir import assemble_tau
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
-from su2ladders.operators import (SparseOperator, commutator_residual,
-                                  creation_op)
+from su2ladders.operators import (SectorBlocks, SparseOperator,
+                                  commutator_residual, creation_op)
 from su2ladders.schwinger import WeightLeakError
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
@@ -172,10 +172,19 @@ def test_missed_listed_annihilation_fails_the_rules_check():
 
 
 def _perturbed(op, seed, delta=1e-6):
-    # Every stored entry times (1 + delta * r), r uniform in [-1, 1].
+    # Every entry of the weight-0 level blocks times (1 + delta * r), r
+    # uniform in [-1, 1]: the blocks of a SectorBlocks, or of a whole-space
+    # operator the entries from a weight-0 state into a weight-0 state.
+    rng = np.random.default_rng(seed)
+    if isinstance(op, SectorBlocks):
+        return SectorBlocks(op.basis, {
+            n: (m, block * (1.0 + delta * rng.uniform(-1.0, 1.0, block.shape)))
+            for n, (m, block) in op.blocks.items()})
     m = op.matrix.copy()
-    m.data = m.data * (1.0 + delta * np.random.default_rng(seed).uniform(
-        -1.0, 1.0, m.nnz))
+    weights = op.basis.weights
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    block = (weights[rows] == 0) & (weights[m.indices] == 0)
+    m.data[block] *= 1.0 + delta * rng.uniform(-1.0, 1.0, int(block.sum()))
     return SparseOperator(op.basis, m)
 
 
@@ -189,7 +198,8 @@ def _run_block(block, ctx):
 @pytest.mark.parametrize("spin", [1, 2, 3])
 def test_deformed_generators_gate_catches_entrywise_perturbation(spin):
     # The two J^2 commutators read about 1e-7 at delta = 1e-6; the gate is
-    # 1e-8.  The check reads tau's weight-0 block, so that is perturbed.
+    # 1e-8.  The check reads tau's weight-0 level blocks, so those are
+    # perturbed.
     ctx = _SpinContext(spin, 4)
     for omega in range(1, spin + 1):
         tau = ctx.taus[-omega]
@@ -302,7 +312,8 @@ def test_run_suite_builds_no_whole_space_tau_above_spin_1(monkeypatch, spin):
 
 
 def test_s1_weyl_pair_gate_catches_entrywise_perturbation(monkeypatch):
-    # [A, A+] = 1 reads about 1e-6 with A+ perturbed at 1e-6; the gate is 1e-8.
+    # [A, A+] = 1 reads about 1e-6 with A+ perturbed at 1e-6 on its weight-0
+    # blocks, the entries the check reads; the gate is 1e-8.
     build = su2ladders.verify.demo_s1_operators
 
     def perturbed_demo(gens, families):
