@@ -36,7 +36,7 @@ print("  [N, J+] stored entries:", commutator(gens.Ntot, gens.Jplus).nnz,
 
 jh = gens.j_hat()
 print("\nlabel operator: || j(j+1) - J^2 || =",
-      f"{residual(jh @ jh + jh, gens.J2, 0).frobenius_relative:.2e}")
+      f"{residual(jh @ jh + jh, gens.j2_blocks(), 0).frobenius_relative:.2e}")
 
 print("\nj eigenvalues by (n, weight) sector:")
 for key, js in sorted(gens.j_values_by_sector().items()):

@@ -5,11 +5,11 @@ suite.
 The pieces, bottom up:
 
 - ``fock``: enumeration and indexing of truncated multi-mode Fock bases.
-- ``operators``: sparse operator algebra, dense level-block operators on
-  one weight, and truncation-aware interior residuals read alike on both.
+- ``operators``: sparse operator algebra, dense (n, weight) sector-block
+  operators, and truncation-aware interior residuals read alike on both.
 - ``schwinger``: the bilinear bosonic map, su(2) generators, the Casimir,
-  the label operator j, zero-weight kernel extraction, and the generators
-  restricted to the weight-0 subspace.
+  the label operator j and every function of it as sector blocks,
+  zero-weight kernel extraction, and the weight-0 slice of the same blocks.
 - ``jpoly`` / ``ladder``: exact rational polynomials, ladder-operator checks,
   the tridiagonal closure matrix, right functions theta(theta + 2j + 1) with
   exact determinant certificates, and the sigma back-substitution.

@@ -47,7 +47,7 @@ from .operators import (BasisMismatchError, ResidualReport, SectorBlocks,
                         SectorStructureError, SparseOperator, commutator,
                         commutator_on_columns, commutator_residual,
                         creation_op, entry_grades, number_op, on_columns,
-                        residual)
+                        residual, sector_blocks)
 from .schwinger import Su2Generators, _phase_fixed, jz_kernel
 
 
@@ -296,10 +296,11 @@ class TauOperator:
     where every ladder claim is read: a ``SectorBlocks`` with one dense
     block from each level n into level n + 1.  Its action off weight 0 is
     certified from the grade of its terms (``tau_off_grade``).  ``op`` is
-    tau on the whole space, read only by ``dump-op``, the spin-1 scale
-    checks and the tests: it is assembled from the same sigma, families and
-    generators on first read and kept on this instance.  It is not a field,
-    so a ``dataclasses.replace`` copy starts without it.
+    tau on the whole space, as (n, w) sector blocks, read only by
+    ``dump-op``, the spin-1 scale checks and the tests: it is assembled from
+    the same sigma, families and generators on first read
+    (``Su2Generators.sum_times_functions_of_j``) and kept on this instance.
+    It is not a field, so a ``dataclasses.replace`` copy starts without it.
     """
     theta: int
     family: str
@@ -310,7 +311,7 @@ class TauOperator:
     generators: Su2Generators = field(repr=False, compare=False)
 
     @functools.cached_property
-    def op(self) -> SparseOperator:
+    def op(self) -> SectorBlocks:
         return self.generators.sum_times_functions_of_j(
             list(_tau_terms(self.families, self.sigma).values()))
 
@@ -362,13 +363,13 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
     weight-0 block of sum_k T_k @ function_of_j(sigma_k) up to rounding,
     and never forms an image sigma_k(J^2).  A family operator T_k with an
     entry from weight 0 into another weight raises WeightLeakError.  The
-    whole-space tau (``TauOperator.op``) is assembled the same way on the
-    whole decomposition, on first read.  When ``certify`` is set (default),
-    the ladder relation with J^2 and the shift of j by theta must both hold
-    to 1e-8 on the weight-0 interior before the operator is returned.
-    Those certificates multiply tau's assembled blocks with the blocks of
-    J^2 read from its sparse entries and with f(J^2) on the (n, 0) sectors,
-    so they check the sector-wise assembly by an independent route.
+    whole-space tau (``TauOperator.op``) is assembled by the same routine on
+    the whole decomposition, on first read.  When ``certify`` is set
+    (default), the ladder relation with J^2 and the shift of j by theta must
+    both hold to 1e-8 on the weight-0 interior before the operator is
+    returned.  Those certificates multiply tau's assembled blocks with the
+    blocks of J^2 read from its sparse entries and with f(J^2) on the (n, 0)
+    sectors, so they check the sector-wise assembly by an independent route.
     """
     fpoly = right_function_poly(sigma.theta)
     tau = TauOperator(
@@ -825,55 +826,55 @@ def s1_mutual_commutators(generators: Su2Generators, families: LadderFamily
 
 @dataclass
 class DemoS1Operators:
-    """Weyl pair and deformed su(2) generators built from the spin-1 ladders."""
-    tau_plus: SparseOperator        # p_0 (j+1) + 2 p_1
-    tau_minus: SparseOperator       # p_0 j - 2 p_1
-    a_dag: SparseOperator
-    a_op: SparseOperator
-    l_plus: SparseOperator
-    l_minus: SparseOperator
-    l_z: SparseOperator
-    l_2: SparseOperator
+    """Weyl pair and deformed su(2) generators built from the spin-1 ladders,
+    as whole-space sector blocks."""
+    tau_plus: SectorBlocks          # p_0 (j+1) + 2 p_1
+    tau_minus: SectorBlocks         # p_0 j - 2 p_1
+    a_dag: SectorBlocks
+    a_op: SectorBlocks
+    l_plus: SectorBlocks
+    l_minus: SectorBlocks
+    l_z: SectorBlocks
+    l_2: SectorBlocks
 
 
 def s1_reference_taus(generators: Su2Generators, families: LadderFamily
-                      ) -> tuple[SparseOperator, SparseOperator]:
+                      ) -> tuple[SectorBlocks, SectorBlocks]:
     """The spin-1 ladder pair in its conventional normalization.
 
     tau[+1] = p_0 (j + 1) + 2 p_1 and tau[-1] = p_0 j - 2 p_1; these equal
     the sigma-assembled ladders up to one global rational scale per theta.
-    The pair is formed once per family instance (``LadderFamily.kept``).
+    The pair is formed once per family instance (``LadderFamily.kept``), as
+    whole-space sector blocks.
     """
     if generators.s != 1:
         raise ValueError("reference expressions are specific to spin 1")
 
     def build():
-        p0, p1 = families.p_ops[0], families.p_ops[1]
+        p0, p1 = map(sector_blocks, families.p_ops[:2])
         j_plus_1 = generators.function_of_j(lambda j: j + 1.0)
         j_op = generators.j_hat()
         return p0 @ j_plus_1 + 2.0 * p1, p0 @ j_op - 2.0 * p1
     return families.kept("s1-reference-taus", generators, build)
 
 
-def expression_match_scale(assembled: SparseOperator,
-                           reference: SparseOperator) -> tuple[float, float]:
+def expression_match_scale(assembled: SectorBlocks,
+                           reference: SectorBlocks) -> tuple[float, float]:
     """Global scale lambda with reference ~ lambda * assembled, and the residual.
 
-    The scale is the ratio of the first nonzero entries (row-major); the
-    returned residual is the relative Frobenius gap after scaling.
+    The scale is the ratio of the two operators' entries at the first
+    nonzero entry of ``assembled`` (row-major); the returned residual is the
+    relative Frobenius gap after scaling.
     """
-    a = assembled.matrix.tocoo()
-    order = np.lexsort((a.col, a.row))
-    lam = None
-    for k in order:
-        val = a.data[k]
-        if abs(val) > 1e-12:
-            lam = complex(reference.matrix[a.row[k], a.col[k]]) / val
-            break
-    if lam is None:
+    entries = assembled.to_coo_json()["entries"]
+    first = next(((r, c, complex(re, im)) for r, c, re, im in entries
+                  if abs(complex(re, im)) > 1e-12), None)
+    if first is None:
         raise ValueError("assembled operator is zero; no scale to extract")
-    diff = (reference.matrix - lam * assembled.matrix)
-    num = math.sqrt(np.sum(np.abs(diff.data) ** 2)) if diff.nnz else 0.0
+    row, col, value = first
+    column = reference.apply(np.eye(1, len(reference.basis), col)[0])
+    lam = complex(column[row]) / value
+    num = (reference - lam * assembled).norm()
     den = reference.norm()
     return (float(lam.real) if abs(lam.imag) < 1e-12 else complex(lam),
             num / den if den > 0 else num)
@@ -1003,7 +1004,7 @@ def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
     if generators.s != 1:
         raise ValueError("single-mode ladder forms are specific to spin 1")
     jh = generators.j_hat()
-    ad0 = creation_op(basis, 0)
+    ad0 = sector_blocks(creation_op(basis, 0))
     bracket = commutator(jh, ad0)
     tbar_plus = bracket + ad0
     tbar_minus = -1.0 * bracket + ad0
@@ -1022,9 +1023,10 @@ def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
     rlo_minus = check_rlo(w0.J2, w0.of(tbar_minus), w0.function_of_j(minus),
                           margin)
     # Conjugate (left-ladder) relations for the lowering partners.
-    llo_plus = check_llo(generators.J2, tbar_plus.adjoint(),
+    j2 = generators.j2_blocks()
+    llo_plus = check_llo(j2, tbar_plus.adjoint(),
                          generators.function_of_j(plus), margin)
-    llo_minus = check_llo(generators.J2, tbar_minus.adjoint(),
+    llo_minus = check_llo(j2, tbar_minus.adjoint(),
                           generators.function_of_j(minus), margin)
 
     tau_plus, tau_minus = s1_reference_taus(generators, families)

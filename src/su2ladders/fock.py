@@ -10,6 +10,7 @@ is deterministic and stable across runs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -82,6 +83,21 @@ def _lex_ranks(occupations: np.ndarray, n_max: int) -> np.ndarray:
     return ranks
 
 
+@dataclass(frozen=True)
+class SectorTable:
+    """A basis's states grouped by (n, weight) sector
+    (``SectorBasis.sector_table``): ``keys`` lists the sectors holding a
+    state in ascending (n, weight), ``members[k]`` sector k's state indices
+    in ascending order and ``sizes[k]`` their number; ``sector`` and
+    ``local`` give, per state, its sector's position and its index within
+    it.  The arrays are read-only."""
+    keys: tuple[tuple[int, int], ...]
+    members: tuple[np.ndarray, ...]
+    sizes: np.ndarray
+    sector: np.ndarray
+    local: np.ndarray
+
+
 class SectorBasis:
     """Ordered, indexed set of Fock states satisfying optional constraints.
 
@@ -97,10 +113,10 @@ class SectorBasis:
         If given, keep only states with J_z weight equal to ``weight``.
 
     States are stored in ascending lexicographic order and indexed by an
-    exact inverse map.  The states are fixed at construction; the interior
-    masks and hop tables are built on first use and cached as read-only
-    arrays.  Two threads that miss the cache at once build equal arrays, so
-    instances stay safe for concurrent reads.
+    exact inverse map.  The states are fixed at construction; the sector
+    table, the interior masks and the hop tables are built on first use and
+    cached as read-only arrays.  Two threads that miss the cache at once
+    build equal arrays, so instances stay safe for concurrent reads.
     """
 
     def __init__(self, spin: int, n_max: int, n: Optional[int] = None,
@@ -132,6 +148,7 @@ class SectorBasis:
         self.totals = self.occupations.sum(axis=1)
         self.weights = self.occupations @ np.arange(-self.spin, self.spin + 1)
         self._ranks = _lex_ranks(self.occupations, self.n_max)
+        self._sector_table: Optional[SectorTable] = None
         self._interior_masks: dict[int, np.ndarray] = {}
         self._hops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -197,6 +214,26 @@ class SectorBasis:
         if not -self.spin <= mu <= self.spin:
             raise ValueError(f"mode weight {mu} outside [-{self.spin}, {self.spin}]")
         return mu + self.spin
+
+    def sector_table(self) -> SectorTable:
+        """The states grouped by (n, weight) sector (``SectorTable``), built
+        once; a stable sort by sector keeps ascending index order within
+        each."""
+        if self._sector_table is None:
+            keys, sector = np.unique(np.stack((self.totals, self.weights), 1),
+                                     axis=0, return_inverse=True)
+            sector = sector.ravel()
+            order = np.argsort(sector, kind="stable")
+            sizes = np.bincount(sector, minlength=len(keys))
+            starts = np.cumsum(sizes) - sizes
+            local = np.empty_like(sector)
+            local[order] = np.arange(len(order)) - np.repeat(starts, sizes)
+            members = tuple(np.split(order, starts[1:])) if len(order) else ()
+            for a in (sizes, sector, local) + members:
+                a.flags.writeable = False
+            self._sector_table = SectorTable(
+                tuple(map(tuple, keys.tolist())), members, sizes, sector, local)
+        return self._sector_table
 
     def interior_masks(self, margin: int) -> np.ndarray:
         """Read-only boolean mask over the basis of the states with total

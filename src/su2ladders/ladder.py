@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .jpoly import JPoly
-from .operators import (Operator, ResidualReport, commutator_on_columns,
-                        commutator_residual, on_columns, residual)
+from .operators import (Operator, ResidualReport, SectorBlocks,
+                        commutator_on_columns, commutator_residual, on_columns,
+                        residual)
 
 P_FAMILY = "p"
 M_FAMILY = "m"
@@ -75,7 +76,7 @@ _PRECONDITION_TOL = 1e-10
 
 def _check_commutes(x: Operator, y: Operator, margin: int,
                     tol: float, what: str) -> None:
-    if y.function_of is x:
+    if isinstance(y, SectorBlocks) and y.function_of is x:
         # y was assembled from the eigendecomposition of this very x.
         return
     rep = commutator_residual(x, y, margin)
@@ -91,11 +92,12 @@ def check_rlo(h: Operator, p_dag: Operator, p_fn: Operator,
 
     Precondition: P commutes with H to 1e-10 on the full interior
     (violations raise PreconditionError carrying the offending commutator
-    norm).  A P assembled from the eigendecomposition of this very H (its
-    ``function_of`` is ``h``, as for ``Su2Generators.function_of_j`` with
-    ``h`` the generators' J^2) commutes with it by construction, and the
-    check is skipped; any other P, including a re-wrapped, perturbed or
-    summed copy of such an image, is checked.
+    norm).  A P assembled from the eigendecomposition of this very H (a
+    ``SectorBlocks`` whose ``function_of`` is ``h``: ``function_of_j`` of
+    the generators for their ``j2_blocks()``, or of the weight-0 view for
+    its ``J2``) commutes with it by construction, and the check is skipped;
+    any other P, including a re-wrapped, perturbed or summed copy of such an
+    image, is checked.
 
     Both sides are formed on the restricted columns only.  When p+ or P
     vanishes identically (a zero right function), p+ P vanishes on every

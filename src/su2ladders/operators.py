@@ -1,13 +1,13 @@
-"""Operator algebra over a SectorBasis-indexed space: sparse and by level.
+"""Operator algebra over a SectorBasis-indexed space: sparse and by sector.
 
 A ``SparseOperator`` wraps an immutable CSR matrix whose dtype follows its
 data: float64 when every entry is real, complex128 only when some entry has a
 nonzero imaginary part.  The Jordan-Schwinger image of su(2) is real, so the
-whole ladder stack runs in real arithmetic.  A ``SectorBlocks`` is an operator
-on a basis of one J_z weight (the weight-0 basis of ``Su2Generators.weight0``)
-that sends each level n, the states of total occupation n, into one level,
-held as one dense block per level: the form of every operator the ladder
-claims are read on, whose products are one gemm per block.
+whole ladder stack runs in real arithmetic.  A ``SectorBlocks`` holds an
+operator that sends each (n, weight) sector of its basis into one sector, as
+one dense block per sector: J^2, j and every f(j), J_+/-, the families and
+tau, on the whole space or on the weight-0 basis, where sector n is level n.
+Its products are one gemm per block.
 
 Operators are truncated at n_max, so an identity between them is asserted
 only on the interior: states with total occupation <= n_max - margin, where
@@ -32,19 +32,19 @@ same floats as one sliced from the unrestricted product.
 The residuals read either operator type through two primitives of its own,
 ``kept_norm`` (the Frobenius norm of the kept rows and columns) and
 ``on_columns`` (X P), and otherwise use only the operator algebra.  A sparse
-restriction is one boolean mask over the basis, the same for rows and
-columns, cached read-only on the basis per margin
-(``SectorBasis.interior_masks``); its norm and X P are read straight from the
-CSR arrays through the mask, with no sliced sparse copy: a norm sums the
-stored entries in kept rows and columns, explicit zeros included, in CSR
-order, exactly as ``X[kept][:, kept]`` would hold them.  A block restriction
-keeps the blocks whose source and target levels are both <= n_max - margin
-(X P: whose source level is), and its norm sums their entries in ascending
-source level, each block row-major.  The margin is checked on every call.
+restriction is one boolean mask over the basis, cached read-only per margin
+(``SectorBasis.interior_masks``), read straight from the CSR arrays: a norm
+sums the stored entries in kept rows and columns, explicit zeros included,
+in CSR order, exactly as ``X[kept][:, kept]`` would hold them.  A block
+restriction keeps the blocks whose source and target sectors have
+n <= n_max - margin (X P: whose source sector has), and its norm sums their
+entries in ascending source sector, each block row-major.  The margin is
+checked on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -64,7 +64,7 @@ class EmptyInteriorError(ValueError):
 
 class SectorStructureError(ValueError):
     """Operator is not block diagonal over (n, weight) sectors, or sends one
-    level into several."""
+    sector into several."""
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,9 @@ class SparseOperator:
     The matrix is stored as float64 CSR unless an entry has a nonzero
     imaginary part, in which case it is complex128; sums, products and
     commutators promote as numpy does.
-
-    ``function_of`` records provenance: a spectral image f(H) assembled from
-    the decomposition of H (``SpectralDecomposition.assemble``) holds H
-    itself, so a check may take [H, f(H)] = 0 as given for that very H.  It
-    is not compared, and nothing else sets it: sums, products, scalings,
-    adjoints and re-wraps in ``SparseOperator(...)`` carry None.
     """
     basis: "SectorBasis"
     matrix: sparse.csr_matrix
-    function_of: Optional["SparseOperator"] = field(
-        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -206,8 +198,7 @@ class SparseOperator:
         return self.matrix.nnz
 
     def is_zero(self) -> bool:
-        """True when no entry is nonzero; explicit zeros in the pattern
-        (a spectral image with f = 0 keeps its block pattern) do not count."""
+        """True when no entry is nonzero; explicit zeros do not count."""
         return not self.matrix.data.any()
 
     def norm(self) -> float:
@@ -260,30 +251,29 @@ class SparseOperator:
         return {"rows": dim, "cols": dim, "dim": dim, "entries": entries}
 
 
-def _level_sizes(basis) -> np.ndarray:
-    """The number of states of each level n = 0..n_max of the basis."""
-    return np.bincount(basis.totals, minlength=basis.n_max + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class SectorBlocks:
-    """Immutable operator held as dense level blocks, on a basis of one J_z
-    weight (the weight-0 basis of ``Su2Generators.weight0``).
+    """Immutable operator held as dense (n, weight) sector blocks, on any
+    SectorBasis.
 
-    Level n is the basis's states of total occupation n, in basis order.
-    ``blocks`` maps a source level n to (m, B): the operator sends level n
-    into level m alone, and B is its d_m x d_n block there.  A level without
-    a block is sent to zero, and a block without a nonzero entry is dropped,
-    so the blocks held are the nonzero ones.  This is the shape of J^2, j,
-    every f(j), tau and the family operators on weight 0, the one that
-    ``SpectralDecomposition.sum_times`` enforces.  ``@`` is one gemm per
-    pair of matching blocks; a sum or an adjoint that would send one level
-    into two raises SectorStructureError.  The blocks are stored read-only,
-    in ascending source level, and real unless some entry has a nonzero
+    Sector k is the k-th (n, weight) sector of the basis in ascending order
+    (``SectorBasis.sector_table``); on the weight-0 basis of
+    ``Su2Generators.weight0`` it is level n = k.  ``blocks`` maps a source
+    sector k to (t, B): the operator sends sector k into sector t alone, and
+    B is its d_t x d_k block there.  A sector without a block is sent to
+    zero, and a block without a nonzero entry is dropped, so the blocks held
+    are the nonzero ones.  This is the shape of J^2, J_+/-, j, every f(j),
+    tau and the family operators; ``@`` is one gemm per pair of matching
+    blocks, and a sum or an adjoint that would send one sector into two
+    raises SectorStructureError.  The blocks are stored read-only, in
+    ascending source sector, and real unless some entry has a nonzero
     imaginary part.
 
-    ``function_of`` records provenance as ``SparseOperator.function_of``
-    does: only a spectral image (``Weight0View.function_of_j``) sets it.
+    ``function_of`` records provenance: a spectral image f(H) assembled from
+    the decomposition of H (``SpectralDecomposition.assemble``) holds H
+    itself, so a check may take [H, f(H)] = 0 as given for that very H.  It
+    is not compared, and nothing else sets it: sums, products, scalings,
+    adjoints and re-wraps in ``SectorBlocks(...)`` carry None.
     """
     basis: "SectorBasis"
     blocks: dict
@@ -291,16 +281,16 @@ class SectorBlocks:
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = _level_sizes(self.basis)
+        sizes = self.basis.sector_table().sizes
         blocks = {}
-        for n, (m, block) in sorted(self.blocks.items()):
-            n, m, block = int(n), int(m), np.asarray(block)
-            if not (0 <= n < len(sizes) and 0 <= m < len(sizes)):
-                raise ValueError(f"block {n} -> {m} lies outside levels "
+        for k, (t, block) in sorted(self.blocks.items()):
+            k, t, block = int(k), int(t), np.asarray(block)
+            if not (0 <= k < len(sizes) and 0 <= t < len(sizes)):
+                raise ValueError(f"block {k} -> {t} lies outside sectors "
                                  f"0..{len(sizes) - 1}")
-            if block.shape != (sizes[m], sizes[n]):
-                raise ValueError(f"block {n} -> {m} has shape {block.shape}, "
-                                 f"not {(int(sizes[m]), int(sizes[n]))}")
+            if block.shape != (sizes[t], sizes[k]):
+                raise ValueError(f"block {k} -> {t} has shape {block.shape}, "
+                                 f"not {(int(sizes[t]), int(sizes[k]))}")
             if not block.any():
                 continue
             if np.iscomplexobj(block) and not block.imag.any():
@@ -308,7 +298,7 @@ class SectorBlocks:
             if block.flags.writeable:
                 block = block.view()
                 block.flags.writeable = False
-            blocks[n] = (m, block)
+            blocks[k] = (t, block)
         object.__setattr__(self, "blocks", blocks)
 
     # -- construction -----------------------------------------------------
@@ -320,8 +310,8 @@ class SectorBlocks:
     @staticmethod
     def identity(basis) -> "SectorBlocks":
         return SectorBlocks(basis, {
-            n: (n, np.eye(d))
-            for n, d in enumerate(_level_sizes(basis).tolist()) if d})
+            k: (k, np.eye(d))
+            for k, d in enumerate(basis.sector_table().sizes.tolist())})
 
     @staticmethod
     def from_entries(basis, rows: np.ndarray, cols: np.ndarray,
@@ -329,28 +319,25 @@ class SectorBlocks:
         """The operator with entries ``data`` at (``rows``, ``cols``), given
         once each; zero entries are dropped.
 
-        Raises SectorStructureError when the entries send one level into
+        Raises SectorStructureError when the entries send one sector into
         two, naming an entry into each.
         """
         nonzero = data != 0
         rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
-        totals, sizes = basis.totals, _level_sizes(basis)
-        # Each state's index within its level.
-        local = np.empty(len(totals), dtype=np.int64)
-        order = np.argsort(totals, kind="stable")
-        local[order] = (np.arange(len(totals))
-                        - np.repeat(np.cumsum(sizes) - sizes, sizes))
-        src, dst = totals[cols], totals[rows]
+        table = basis.sector_table()
+        sizes, local = table.sizes, table.local
+        src, dst = table.sector[cols], table.sector[rows]
         reach = np.zeros((len(sizes), len(sizes)), dtype=bool)
         reach[src, dst] = True
-        for n in np.flatnonzero(reach.sum(axis=1) > 1)[:1].tolist():
-            entries = [np.flatnonzero((src == n) & (dst == m))[0]
-                       for m in np.flatnonzero(reach[n])[:2].tolist()]
-            a, b = (f"{basis.states[cols[k]]} to {basis.states[rows[k]]}"
-                    for k in entries)
+        for k in np.flatnonzero(reach.sum(axis=1) > 1)[:1].tolist():
+            entries = [np.flatnonzero((src == k) & (dst == t))[0]
+                       for t in np.flatnonzero(reach[k])[:2].tolist()]
+            a, b = (f"{basis.states[cols[i]]} to {basis.states[rows[i]]}"
+                    for i in entries)
             raise SectorStructureError(
-                f"operator sends level {n} into levels {int(dst[entries[0]])} "
-                f"and {int(dst[entries[1]])}: state {a}, and {b}")
+                f"operator sends sector {table.keys[k]} into sectors "
+                f"{table.keys[dst[entries[0]]]} and "
+                f"{table.keys[dst[entries[1]]]}: state {a}, and {b}")
         sources = np.flatnonzero(reach.any(axis=1))
         target = reach.argmax(axis=1)
         span = np.zeros(len(sizes), dtype=np.int64)
@@ -359,56 +346,61 @@ class SectorBlocks:
         flat = np.zeros(int(offsets[-1]), dtype=data.dtype)
         flat[offsets[src] + local[rows] * sizes[src] + local[cols]] = data
         return SectorBlocks(basis, {
-            n: (target[n], flat[offsets[n]:offsets[n + 1]].reshape(
-                sizes[target[n]], sizes[n]))
-            for n in sources.tolist()})
+            k: (target[k], flat[offsets[k]:offsets[k + 1]].reshape(
+                sizes[target[k]], sizes[k]))
+            for k in sources.tolist()})
 
     # -- algebra ----------------------------------------------------------
 
+    def _key(self, k: int) -> tuple[int, int]:
+        return self.basis.sector_table().keys[k]
+
     def adjoint(self) -> "SectorBlocks":
         out = {}
-        for n, (m, block) in self.blocks.items():
-            if m in out:
+        for k, (t, block) in self.blocks.items():
+            if t in out:
                 raise SectorStructureError(
-                    f"levels {out[m][0]} and {n} both reach level {m}: the "
-                    f"adjoint would send level {m} into both")
-            out[m] = (n, np.ascontiguousarray(block.conj().T))
+                    f"sectors {self._key(out[t][0])} and {self._key(k)} both "
+                    f"reach sector {self._key(t)}: the adjoint would send "
+                    "it into both")
+            out[t] = (k, np.ascontiguousarray(block.conj().T))
         return SectorBlocks(self.basis, out)
 
     def __add__(self, other: "SectorBlocks") -> "SectorBlocks":
         _require_same_basis(self, other)
         out = dict(self.blocks)
-        for n, (m, block) in other.blocks.items():
-            if n not in out:
-                out[n] = (m, block)
-            elif out[n][0] != m:
+        for k, (t, block) in other.blocks.items():
+            if k not in out:
+                out[k] = (t, block)
+            elif out[k][0] != t:
                 raise SectorStructureError(
-                    f"the sum sends level {n} into levels {out[n][0]} and {m}")
+                    f"the sum sends sector {self._key(k)} into sectors "
+                    f"{self._key(out[k][0])} and {self._key(t)}")
             else:
-                out[n] = (m, out[n][1] + block)
+                out[k] = (t, out[k][1] + block)
         return SectorBlocks(self.basis, out)
 
     def __sub__(self, other: "SectorBlocks") -> "SectorBlocks":
         return self + (-other)
 
     def __neg__(self) -> "SectorBlocks":
-        return SectorBlocks(self.basis, {n: (m, -block) for n, (m, block)
+        return SectorBlocks(self.basis, {k: (t, -block) for k, (t, block)
                                          in self.blocks.items()})
 
     def __mul__(self, scalar) -> "SectorBlocks":
         factor = _scalar(scalar)
         return SectorBlocks(self.basis, {
-            n: (m, block * factor) for n, (m, block) in self.blocks.items()})
+            k: (t, block * factor) for k, (t, block) in self.blocks.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "SectorBlocks") -> "SectorBlocks":
         _require_same_basis(self, other)
         out = {}
-        for n, (m, right) in other.blocks.items():
-            if m in self.blocks:
-                target, left = self.blocks[m]
-                out[n] = (target, left @ right)
+        for k, (t, right) in other.blocks.items():
+            if t in self.blocks:
+                target, left = self.blocks[t]
+                out[k] = (target, left @ right)
         return SectorBlocks(self.basis, out)
 
     def power(self, n: int) -> "SectorBlocks":
@@ -425,15 +417,22 @@ class SectorBlocks:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def nnz(self) -> int:
+        """The number of nonzero entries."""
+        return sum(int(np.count_nonzero(block))
+                   for _t, block in self.blocks.values())
+
     def is_zero(self) -> bool:
         """True when no entry is nonzero, i.e. no block is held."""
         return not self.blocks
 
     def _fro(self, top: int) -> float:
-        """Frobenius norm of the blocks with source and target level <= top,
-        in ascending source level, each block row-major."""
-        data = [block.ravel() for n, (m, block) in self.blocks.items()
-                if n <= top and m <= top]
+        """Frobenius norm of the blocks whose source and target sectors have
+        n <= top, in ascending source sector, each block row-major."""
+        keys = self.basis.sector_table().keys
+        data = [block.ravel() for k, (t, block) in self.blocks.items()
+                if keys[k][0] <= top and keys[t][0] <= top]
         return _fro(np.concatenate(data)) if data else 0.0
 
     def norm(self) -> float:
@@ -442,19 +441,62 @@ class SectorBlocks:
 
     def kept_norm(self, margin: int) -> float:
         """Frobenius norm of the blocks an interior residual at this margin
-        keeps: those whose source and target levels are <= n_max - margin."""
+        keeps: those whose source and target sectors have
+        n <= n_max - margin."""
         _restriction(self.basis, margin)
         return self._fro(self.basis.n_max - margin)
 
     def on_columns(self, margin: int) -> "SectorBlocks":
-        """X P, where P projects onto the levels <= n_max - margin: the blocks
-        from higher levels are dropped."""
+        """X P, where P projects onto the sectors with n <= n_max - margin:
+        the blocks from the other sectors are dropped."""
         _restriction(self.basis, margin)
         top = self.basis.n_max - margin
-        if all(n <= top for n in self.blocks):
+        keys = self.basis.sector_table().keys
+        if all(keys[k][0] <= top for k in self.blocks):
             return self
-        return SectorBlocks(self.basis, {n: value for n, value
-                                         in self.blocks.items() if n <= top})
+        return SectorBlocks(self.basis, {k: value for k, value
+                                         in self.blocks.items()
+                                         if keys[k][0] <= top})
+
+    @functools.cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and value of each nonzero entry, in basis indices and
+        row-major order: the entries a ``SparseOperator`` would store."""
+        members = self.basis.sector_table().members
+        empty = np.zeros(0, dtype=np.int64)
+        parts = [(empty, empty, np.zeros(0))] + [
+            (members[t][r], members[k][c], block[r, c])
+            for k, (t, block) in self.blocks.items()
+            for r, c in [np.nonzero(block)]]
+        rows, cols, data = (np.concatenate(a) for a in zip(*parts))
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], data[order]
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """Matrix-vector product.  Each row sums its entries' products in
+        ascending column order, and a complex product is formed part by
+        part, as a CSR product does: the result equals that of the
+        ``SparseOperator`` with the same entries exactly."""
+        rows, cols, data = self._entries
+        x = np.asarray(vector)[cols]
+        dim = len(self.basis)
+        if not (np.iscomplexobj(data) or np.iscomplexobj(x)):
+            return np.bincount(rows, weights=data * x, minlength=dim)
+        out = np.empty(dim, dtype=np.complex128)
+        out.real = np.bincount(rows, weights=data.real * x.real
+                               - data.imag * x.imag, minlength=dim)
+        out.imag = np.bincount(rows, weights=data.real * x.imag
+                               + data.imag * x.real, minlength=dim)
+        return out
+
+    def to_coo_json(self) -> dict:
+        """Coordinate-triplet export, as ``SparseOperator.to_coo_json``:
+        {rows, cols, dim, entries}, the nonzero entries row-major."""
+        rows, cols, data = self._entries
+        entries = list(map(list, zip(rows.tolist(), cols.tolist(),
+                                     data.real.tolist(), data.imag.tolist())))
+        dim = len(self.basis)
+        return {"rows": dim, "cols": dim, "dim": dim, "entries": entries}
 
 
 # -- elementary operators ---------------------------------------------------
@@ -493,6 +535,13 @@ def number_op(basis, mu: int) -> SparseOperator:
 def commutator(x: "Operator", y: "Operator") -> "Operator":
     """XY - YX."""
     return x @ y - y @ x
+
+
+def sector_blocks(x: SparseOperator) -> SectorBlocks:
+    """X as (n, weight) sector blocks, read from its stored entries
+    (``SectorBlocks.from_entries``, which refuses a sector sent into two)."""
+    m = x.matrix.tocoo()
+    return SectorBlocks.from_entries(x.basis, m.row, m.col, m.data)
 
 
 def entry_grades(x: SparseOperator

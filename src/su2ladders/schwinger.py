@@ -6,15 +6,20 @@ mode space to number-conserving bilinear operators and preserves commutators;
 cached hop tables of a_i^dagger a_j.
 Applied to the spin-s generator matrices it yields J_z, J_+, J_-, from which
 the Casimir J^2 and the label operator j (with J^2 = j(j+1)) are built.
-All of these conserve both total particle number and J_z weight, so they are
-block diagonal over (n, weight) sectors; functions of them are evaluated
-sector by sector.  The J^2 eigenvalues snap to integer labels j, so a
-function of j is evaluated once per label, at the exact integer.
+All of these conserve both total particle number and J_z weight, so J^2 is
+block diagonal over the (n, weight) sectors and is diagonalised sector by
+sector (``SpectralDecomposition``).  Every function of j, and every sum
+X f(j) of sector maps X, is assembled from that one decomposition as dense
+sector blocks (``SectorBlocks``), on the whole space or on its weight-0 slice
+(``Weight0View``), by the same two routines.  The J^2 eigenvalues snap to
+integer labels j, so a function of j is evaluated once per label, at the
+exact integer.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -25,7 +30,7 @@ from scipy import sparse
 
 from .fock import SectorBasis
 from .operators import (BasisMismatchError, SectorBlocks, SectorStructureError,
-                        SparseOperator, entry_grades)
+                        SparseOperator, sector_blocks)
 
 
 class NonHermitianError(ValueError):
@@ -148,152 +153,66 @@ def _spectral_block(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Per-(n, weight)-sector eigendecomposition of a hermitian operator.
 
-    Every operator assembled from it is a union of dense sector blocks: a
-    spectral image V diag(f) V^dagger fills the diagonal blocks, and a sum
-    X f(H) of sector maps X fills the blocks from each source sector to the
-    sector X sends it to.  Such a CSR pattern depends on the block structure
-    alone, so each is built once (``block_pattern``) and every operator
-    scatters its dense blocks into it.  A real operator has real
-    eigenvectors, and real values of f then give a real image.
-    ``operator`` is the operator that was decomposed; the spectral images
-    record it as their ``SparseOperator.function_of``.
+    ``sectors[k]`` is (key, indices, eigenvalues, eigenvectors) of the
+    basis's sector k (``SectorBasis.sector_table``), so every operator
+    assembled from it is a ``SectorBlocks``: a spectral image
+    V diag(f) V^dagger is one block per sector, and a sum X f(H) of sector
+    maps X one block from each source sector to the sector X sends it to.
+    A real operator has real eigenvectors, and real values of f then give a
+    real image.  ``source`` is the operator that was decomposed.
     """
     basis: SectorBasis
     sectors: list  # list of (key, indices, eigenvalues, eigenvectors)
-    operator: Optional[SparseOperator] = field(default=None, repr=False,
-                                               compare=False)
-    _patterns: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-    _positions: Optional[tuple] = field(default=None, init=False, repr=False,
-                                        compare=False)
+    source: SparseOperator | SectorBlocks = field(repr=False, compare=False)
 
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per basis state: the position of its sector in ``sectors``, and
-        its index within that sector."""
-        if self._positions is None:
-            sector = np.empty(len(self.basis), dtype=np.int64)
-            local = np.empty(len(self.basis), dtype=np.int64)
-            for k, (_key, idx, _vals, _vecs) in enumerate(self.sectors):
-                sector[idx] = k
-                local[idx] = np.arange(len(idx))
-            self._positions = (sector, local)
-        return self._positions
+    @functools.cached_property
+    def operator(self) -> SectorBlocks:
+        """``source`` as sector blocks, read on first use (so a reader of the
+        weight-0 slice alone never holds the whole-space blocks) and kept;
+        the spectral images record it as their ``function_of``."""
+        return (self.source if isinstance(self.source, SectorBlocks)
+                else sector_blocks(self.source))
 
-    def block_pattern(self, targets: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR pattern of the dense blocks from each sector k's columns to
-        sector ``targets[k]``'s rows (no block where ``targets[k]`` is -1).
-
-        Returns (indptr, indices, order), where ``order`` maps block-major
-        entries (the blocks in sector order, each row-major) to CSR data
-        positions.  A row holds the ascending union of its source sectors'
-        indices.  Patterns are cached by ``targets``; the spectral images
-        use the diagonal one, targets[k] = k.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        key = targets.tobytes()
-        if key in self._patterns:
-            return self._patterns[key]
-        idxs = [idx for _key, idx, _vals, _vecs in self.sectors]
-        cols = {t: np.sort(np.concatenate([idxs[k] for k in
-                                           np.flatnonzero(targets == t)]))
-                for t in np.unique(targets[targets >= 0]).tolist()}
-        dim = len(self.basis)
-        widths = np.zeros(dim, dtype=np.int64)
-        for t, c in cols.items():
-            widths[idxs[t]] = len(c)
-        nnz = int(widths.sum())
-        itype = np.int32 if nnz < 2 ** 31 else np.int64
-        indptr = np.zeros(dim + 1, dtype=itype)
-        np.cumsum(widths, out=indptr[1:])
-        indices = np.empty(nnz, dtype=itype)
-        for t, c in cols.items():
-            starts = indptr[idxs[t]][:, None]
-            indices[(starts + np.arange(len(c))).ravel()] = np.tile(c, len(starts))
-        order = np.empty(nnz, dtype=itype)
-        offset = 0
-        for k, t in enumerate(targets.tolist()):
-            if t < 0:
-                continue
-            pos = indptr[idxs[t]][:, None] + np.searchsorted(cols[t], idxs[k])
-            order[offset:offset + pos.size] = pos.ravel()
-            offset += pos.size
-        self._patterns[key] = (indptr, indices, order)
-        return indptr, indices, order
-
-    def scatter(self, targets: np.ndarray, blocks: Iterable[np.ndarray], dtype
-                ) -> sparse.csr_matrix:
-        """The CSR matrix with the dense ``blocks`` of ``block_pattern(targets)``,
-        one per sector with a target, in sector order; exact zeros are dropped."""
-        indptr, indices, order = self.block_pattern(targets)
-        data = np.empty(len(order), dtype=dtype)
-        offset = 0
-        for block in blocks:
-            data[order[offset:offset + block.size]] = block.ravel()
-            offset += block.size
-        dim = len(self.basis)
-        out = sparse.csr_matrix((data, indices.copy(), indptr.copy()),
-                                shape=(dim, dim))
-        out.eliminate_zeros()
-        return out
-
-    def sum_times(self, matrices: list, values: list) -> sparse.csr_matrix:
-        """sum_k X_k f_k(H) for the CSR matrices X_k and ``values[k]``, the
+    def sum_times(self, ops: list[SectorBlocks], values: list) -> SectorBlocks:
+        """sum_k X_k f_k(H) for the operators X_k and ``values[k]``, the
         values of f_k on each sector's eigenvectors, sector by sector.
 
         On a sector with eigenvectors V, f_k(H) = V diag f_k V^T, so the
-        sum's columns there are
+        sum's block from that sector is
 
             W V^T,   W = sum_k X_k V diag f_k,
 
-        one dense block per sector, W formed as one product of the terms'
-        blocks side by side: no image f_k(H) and no sparse product
-        X_k f_k(H) is formed.  Every X_k must send each sector's columns into
-        one common target sector, else SectorStructureError is raised.  The
-        blocks are written straight into the cached CSR pattern for that
-        (source -> target) structure (``block_pattern``).
+        W formed as one product of the terms' blocks side by side: no image
+        f_k(H) and no product X_k f_k(H) is formed.  Every X_k must send
+        each sector into one common target sector, else SectorStructureError
+        is raised.
         """
-        sector, local = self.positions()
-        nsec = len(self.sectors)
-        coo = [m.tocoo() for m in matrices]
-        src = [sector[m.col] for m in coo]
-        reach = np.zeros((nsec, nsec), dtype=bool)
-        for m, cols in zip(coo, src):
-            reach[cols, sector[m.row]] = True
-        for k in np.flatnonzero(reach.sum(axis=1) > 1).tolist():
-            reached = [self.sectors[t][0] for t in np.flatnonzero(reach[k])]
-            raise SectorStructureError(
-                f"operator sends sector (n, weight)={self.sectors[k][0]} "
-                f"into several sectors {reached}")
-        targets = np.where(reach.any(axis=1), reach.argmax(axis=1), -1)
-
-        # The blocks of X_1..X_K side by side: sector k's rows are its
-        # target's states, its K * d_k columns the terms' columns in turn.
-        count = len(coo)
-        widths = np.array([len(idx) for _key, idx, _vals, _vecs in self.sectors])
-        sizes = np.where(targets >= 0, widths[targets] * widths * count, 0)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        flat = np.zeros(int(offsets[-1]),
-                        dtype=np.result_type(*(m.dtype for m in coo)))
-        for t, (m, cols) in enumerate(zip(coo, src)):
-            flat[offsets[cols] + (local[m.row] * count + t) * widths[cols]
-                 + local[m.col]] = m.data
-        del coo, src
-
-        def block(k: int) -> np.ndarray:
-            vecs = self.sectors[k][3]
-            x_block = flat[offsets[k]:offsets[k + 1]].reshape(-1, count * widths[k])
+        blocks = {}
+        for k, (key, _idx, _vals, vecs) in enumerate(self.sectors):
+            reached = sorted({op.blocks[k][0] for op in ops if k in op.blocks})
+            if len(reached) > 1:
+                raise SectorStructureError(
+                    f"the terms send sector (n, weight)={key} into several "
+                    f"sectors {[self.sectors[t][0] for t in reached]}")
+            if not reached:
+                continue
+            target = reached[0]
+            empty = np.zeros((len(self.sectors[target][1]), len(vecs)))
+            x_block = np.concatenate(
+                [op.blocks[k][1] if k in op.blocks else empty for op in ops],
+                axis=1)
             w = x_block @ np.concatenate([vecs * vals[k] for vals in values])
-            return w @ vecs.conj().T
-
-        dtype = np.result_type(flat, *(vecs.dtype for *_, vecs in self.sectors),
-                               *(v.dtype for vals in values for v in vals))
-        return self.scatter(
-            targets, (block(k) for k in np.flatnonzero(targets >= 0).tolist()),
-            dtype)
+            blocks[k] = (target, w @ vecs.conj().T)
+        return SectorBlocks(self.basis, blocks)
 
     @staticmethod
     def of(op: SparseOperator) -> "SpectralDecomposition":
+        """Diagonalise a hermitian operator sector by sector, from its block
+        form read off its entries (``sector_blocks``, not kept).
+
+        Raises NonHermitianError when ``op`` is not hermitian, and
+        SectorStructureError when it couples distinct (n, weight) sectors.
+        """
         basis = op.basis
         herm_gap = (op.matrix - op.matrix.getH()).tocsr()
         scale = op.norm() + 1.0
@@ -301,56 +220,36 @@ class SpectralDecomposition:
         if gap > 1e-10 * scale:
             raise NonHermitianError(
                 f"operator deviates from hermiticity by {gap:.3e}")
-
-        rows, cols, dn, dw = entry_grades(op)
-        off_grade = np.flatnonzero((dn != 0) | (dw != 0))
-        if len(off_grade):
-            bad = off_grade[0]
-            raise SectorStructureError(
-                "operator couples distinct (n, weight) sectors, e.g. states "
-                f"{basis.states[rows[bad]]} and {basis.states[cols[bad]]}")
-
-        # One stable sort groups the states by (n, weight), in ascending
-        # index order within a sector; one pass over the entries then writes
-        # every sector's dense block, all blocks laid end to end.
-        order = np.lexsort((basis.weights, basis.totals))
-        keys = np.stack((basis.totals[order], basis.weights[order]), axis=1)
-        starts = np.flatnonzero(np.concatenate(
-            ([len(order) > 0], np.any(keys[1:] != keys[:-1], axis=1))))
-        sizes = np.diff(np.append(starts, len(order)))
-        sector = np.empty(len(order), dtype=np.int64)
-        sector[order] = np.repeat(np.arange(len(starts)), sizes)
-        local = np.empty(len(order), dtype=np.int64)
-        local[order] = np.arange(len(order)) - np.repeat(starts, sizes)
-        offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
-        coo = op.matrix.tocoo()
-        # Entries across sectors can only be explicit zeros (checked above).
-        inside = sector[coo.row] == sector[coo.col]
-        r, c, k = coo.row[inside], coo.col[inside], sector[coo.row[inside]]
-        flat = np.zeros(offsets[-1], dtype=op.matrix.dtype)
-        flat[offsets[k] + local[r] * sizes[k] + local[c]] = coo.data[inside]
+        blocks = sector_blocks(op)
+        table = basis.sector_table()
+        for k, (t, block) in blocks.blocks.items():
+            if t != k:
+                r, c = (idx[0] for idx in np.nonzero(block))
+                raise SectorStructureError(
+                    "operator couples distinct (n, weight) sectors, e.g. "
+                    f"states {basis.states[table.members[t][r]]} and "
+                    f"{basis.states[table.members[k][c]]}")
         sectors = []
-        for k, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
-            block = flat[offsets[k]:offsets[k + 1]].reshape(size, size)
-            vals, vecs = np.linalg.eigh(block)
-            sectors.append((tuple(keys[start].tolist()),
-                            order[start:start + size], vals, vecs))
+        for k, (key, idx) in enumerate(zip(table.keys, table.members)):
+            block = (blocks.blocks[k][1] if k in blocks.blocks
+                     else np.zeros((len(idx), len(idx))))
+            vals, vecs = np.linalg.eigh(block.astype(op.matrix.dtype, copy=False))
+            sectors.append((key, idx, vals, vecs))
         return SpectralDecomposition(basis, sectors, op)
 
-    def assemble(self, values: list) -> SparseOperator:
-        """The operator with eigenvalues ``values[k]`` on sector k's eigenvectors.
+    def assemble(self, values: list) -> SectorBlocks:
+        """The operator with eigenvalues ``values[k]`` on sector k's
+        eigenvectors.
 
         Each block V diag(values) V^dagger is hermitized within the block
         (``_spectral_block``; complex values g + i h as g(H) + i h(H), each
         part hermitized on its own).  The result records ``operator`` as
         what it is a function of.
         """
-        dtype = np.result_type(float, *(vecs.dtype for *_, vecs in self.sectors),
-                               *(v.dtype for v in values))
-        out = self.scatter(np.arange(len(self.sectors)), (
-            _spectral_block(vecs, fvals)
-            for (*_, vecs), fvals in zip(self.sectors, values)), dtype)
-        return SparseOperator(self.basis, out, function_of=self.operator)
+        return SectorBlocks(self.basis, {
+            k: (k, _spectral_block(vecs, fvals))
+            for k, ((*_, vecs), fvals) in enumerate(zip(self.sectors, values))},
+            function_of=self.operator)
 
 
 def _label_values(label_groups: tuple, basis: SectorBasis, f: Callable,
@@ -428,13 +327,19 @@ class Su2Generators:
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
         self._j2_decomp: Optional[SpectralDecomposition] = None
         self._labels: Optional[tuple[list, dict, tuple]] = None
-        self._j_hat: Optional[SparseOperator] = None
+        self._j_hat: Optional[SectorBlocks] = None
         self._weight0: Optional[Weight0View] = None
 
     def j2_decomposition(self) -> SpectralDecomposition:
         if self._j2_decomp is None:
             self._j2_decomp = SpectralDecomposition.of(self.J2)
         return self._j2_decomp
+
+    def j2_blocks(self) -> SectorBlocks:
+        """J^2 as (n, weight) sector blocks, read from its sparse entries on
+        first use and kept: what every whole-space spectral image records
+        as its ``function_of``."""
+        return self.j2_decomposition().operator
 
     def j_values_by_sector(self) -> dict:
         return {key: _j_from_casimir(vals)
@@ -461,29 +366,26 @@ class Su2Generators:
                             _label_index(sectors, labels, range(len(sectors))))
         return self._labels
 
-    def _label_image(self, f: Callable, with_n: bool) -> SparseOperator:
-        """Spectral image of f(n, j) (``with_n``) or f(j), one call per label."""
-        return self.j2_decomposition().assemble(
-            _label_values(self._label_groups(), self.basis, f, with_n))
+    def _values(self, f: Callable, with_n: bool) -> list:
+        """f(n, j) (``with_n``) or f(j) on each sector's eigenvectors."""
+        return _label_values(self._label_groups(), self.basis, f, with_n)
 
     def sum_times_functions_of_j(
             self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
-            ) -> SparseOperator:
+            ) -> SectorBlocks:
         """sum_k X_k f_k(j) for ``terms`` = [(X_k, f_k), ...], sector by sector
-        (``SpectralDecomposition.sum_times``).
+        (``SpectralDecomposition.sum_times``), each X_k read as sector blocks
+        from its entries (``SectorBlocks.from_entries``).
 
         f_k is evaluated as in ``function_of_j``: once per label, and a pole
         raises SpectralFunctionError naming its witness sector.  The result
         equals sum_k X_k @ function_of_j(f_k) up to rounding.
         """
-        if not terms:
-            return SparseOperator.zeros(self.basis)
-        values = [_label_values(self._label_groups(), self.basis, f, False)
-                  for _op, f in terms]
-        return SparseOperator(self.basis, self.j2_decomposition().sum_times(
-            [op.matrix for op, _f in terms], values))
+        return self.j2_decomposition().sum_times(
+            [sector_blocks(op) for op, _f in terms],
+            [self._values(f, False) for _op, f in terms])
 
-    def j_hat(self) -> SparseOperator:
+    def j_hat(self) -> SectorBlocks:
         """The label operator: spectral image of (sqrt(1 + 4 J^2) - 1)/2.
 
         Its eigenvalues are the integer labels themselves.  Like every
@@ -492,17 +394,18 @@ class Su2Generators:
         spin) raises SpectrumSnapError.  The assembled operator is cached.
         """
         if self._j_hat is None:
-            self._j_hat = self._label_image(lambda j: j, with_n=False)
+            self._j_hat = self.j2_decomposition().assemble(
+                self._values(lambda j: j, False))
         return self._j_hat
 
-    def function_of_j(self, f: Callable[[int], float]) -> SparseOperator:
+    def function_of_j(self, f: Callable[[int], float]) -> SectorBlocks:
         """Spectral image of f(j); f is called once per integer label j."""
-        return self._label_image(f, with_n=False)
+        return self.j2_decomposition().assemble(self._values(f, False))
 
-    def function_of_nj(self, f: Callable[[int, int], float]) -> SparseOperator:
+    def function_of_nj(self, f: Callable[[int, int], float]) -> SectorBlocks:
         """Spectral image of f(n, j) for the commuting pair (N, j); f is
         called once per distinct integer pair (n, j)."""
-        return self._label_image(f, with_n=True)
+        return self.j2_decomposition().assemble(self._values(f, True))
 
     def weight0(self) -> "Weight0View":
         """The generators on the weight-0 subspace (``Weight0View``), built
@@ -518,25 +421,26 @@ class WeightLeakError(ValueError):
 
 class Weight0View:
     """The J_z kernel: the weight-0 states of every level, and the operators
-    there as dense level blocks (``SectorBlocks``).
+    there as dense level blocks (``SectorBlocks`` on the weight-0 basis).
 
     Every ladder claim lives on the weight-0 columns, and J^2, j, tau and
     every function of j leave the weight-0 subspace invariant.  ``basis`` is
     the weight-0 ``SectorBasis`` (the same n_max, so an interior margin
     keeps the same levels), ``rows`` its states' whole-space indices, and
-    level n its (n, 0) sector.  ``of`` restricts a whole-space operator to
-    its weight-0 blocks, read from its CSR entries; ``J2`` is J^2's, so the
-    certificates read J^2 from its sparse entries and never from its
-    eigenvectors.  ``function_of_j``, ``j`` and ``sum_times_functions_of_j``
-    are assembled level by level from the eigenvectors of the (n, 0) sectors
-    of the generators' J^2 decomposition; this is where each tau is built
-    (``TauOperator.weight0``).  Each of these blocks is the same array as
-    the (n, 0) block of the whole-space operator (``of`` of ``J2``,
-    ``function_of_j``, ``j_hat``, ``sum_times_functions_of_j``), float for
-    float; a product of blocks is then one gemm per block.  The spectral
-    images record ``J2`` as what they are a function of.  ``nodes`` builds
-    the J_z-kernel nodes of a level, in the coordinates of its blocks; no
-    other code builds them.
+    level n its (n, 0) sector, sector n of its sector table.  ``of``
+    restricts a whole-space operator to its weight-0 blocks; ``J2`` is
+    J^2's, read from its sparse entries, so the certificates never read J^2
+    from its eigenvectors.
+    ``decomposition`` is the (n, 0) slice of the generators' J^2
+    decomposition, the same eigenvectors on weight-0 coordinates, and
+    ``function_of_j``, ``j`` and ``sum_times_functions_of_j`` call its
+    ``assemble`` and ``sum_times``, the routines that assemble the
+    whole-space images; this is where each tau is built
+    (``TauOperator.weight0``).  Each block is then the same array as the
+    (n, 0) block of the whole-space image, float for float, and a product of
+    blocks is one gemm per block.  The spectral images record ``J2`` as
+    what they are a function of.  ``nodes`` builds the J_z-kernel nodes of
+    a level, in the coordinates of its blocks; no other code builds them.
     """
 
     def __init__(self, generators: Su2Generators):
@@ -549,19 +453,19 @@ class Weight0View:
         sectors = generators.j2_decomposition().sectors
         kept = [k for k, (key, *_rest) in enumerate(sectors) if key[1] == 0]
         self._index = _label_index(sectors, self._label_groups[0], kept)
-        # Level n -> its states' positions on the weight-0 basis, the
-        # eigenvectors of its (n, 0) sector, and their labels; in ascending
-        # n, the order of ``_index``.
-        self._levels = {
-            sectors[k][0][0]: (np.searchsorted(self.rows, sectors[k][1]),
-                               sectors[k][3], self._label_groups[0][k])
-            for k in kept}
+        # The (n, 0) sectors on weight-0 coordinates, and the labels of
+        # their eigenvectors, in ascending n.
+        members = self.basis.sector_table().members
+        self.decomposition = SpectralDecomposition(self.basis, [
+            (sectors[k][0], members[n], *sectors[k][2:])
+            for n, k in enumerate(kept)], self.J2)
+        self._labels = [self._label_groups[0][k] for k in kept]
         self.j = self.function_of_j(lambda j: j)
 
     def labels(self, n: int) -> np.ndarray:
         """The labels j of level n's kernel nodes in ascending order, as
         ``nodes`` lists them, with no vector formed."""
-        return np.sort(self._levels[n][2])
+        return np.sort(self._labels[n])
 
     def nodes(self, n: int) -> "KernelNodes":
         """The J_z-kernel nodes of level n (0 <= n <= n_max), in weight-0
@@ -574,7 +478,8 @@ class Weight0View:
         deterministic: ascending j, then lexicographic on the phase-fixed
         coordinates.
         """
-        positions, vecs, labels = self._levels[n]
+        _key, positions, _vals, vecs = self.decomposition.sectors[n]
+        labels = self._labels[n]
         fixed = [_phase_fixed(v) for v in vecs.T]
         order = sorted(range(len(labels)), key=lambda k: (
             labels[k], tuple(np.round(fixed[k].real, 10))
@@ -591,49 +496,24 @@ class Weight0View:
         """f(j) on the weight-0 subspace; f is called as by
         ``Su2Generators.function_of_j``, and each level's block equals that
         image's (n, 0) block exactly."""
-        return SectorBlocks(self.basis, {
-            n: (n, _spectral_block(vecs, values))
-            for (n, (_pos, vecs, _labels)), values
-            in zip(self._levels.items(), self._values(f))},
-            function_of=self.J2)
+        return self.decomposition.assemble(self._values(f))
 
     def sum_times_functions_of_j(
             self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
             ) -> SectorBlocks:
-        """The weight-0 blocks of ``Su2Generators.sum_times_functions_of_j``.
-
-        Each whole-space X_k is restricted by ``of``, so one that leaks out
-        of weight 0 raises WeightLeakError, and the sum is assembled level by
-        level.  On level n with eigenvectors V, the block is W V^T with
-        W = sum_k X_k V diag f_k formed as one product of the terms' blocks
-        side by side, exactly as ``SpectralDecomposition.sum_times`` forms
-        the whole-space sum's (n, 0) block, so the two are equal array for
-        array.  Terms that send a level into different levels raise
-        SectorStructureError.
+        """The weight-0 blocks of ``Su2Generators.sum_times_functions_of_j``,
+        by the same ``SpectralDecomposition.sum_times`` on the weight-0
+        slice, so the two are equal array for array.  Each X_k is restricted
+        by ``of``, so one that leaks out of weight 0 raises WeightLeakError.
         """
-        if not terms:
-            return SectorBlocks.zeros(self.basis)
-        ops = [self.of(op) for op, _f in terms]
-        values = [self._values(f) for _op, f in terms]
-        blocks = {}
-        for i, (n, (_pos, vecs, _labels)) in enumerate(self._levels.items()):
-            reached = sorted({op.blocks[n][0] for op in ops if n in op.blocks})
-            if len(reached) > 1:
-                raise SectorStructureError(
-                    f"the terms send level {n} into several levels {reached}")
-            if not reached:
-                continue
-            target = reached[0]
-            empty = np.zeros((len(self._levels[target][0]), len(vecs)))
-            x_block = np.concatenate(
-                [op.blocks[n][1] if n in op.blocks else empty for op in ops],
-                axis=1)
-            w = x_block @ np.concatenate([vecs * vals[i] for vals in values])
-            blocks[n] = (target, w @ vecs.conj().T)
-        return SectorBlocks(self.basis, blocks)
+        return self.decomposition.sum_times(
+            [self.of(op) for op, _f in terms],
+            [self._values(f) for _op, f in terms])
 
-    def of(self, op: SparseOperator) -> SectorBlocks:
-        """The weight-0 blocks of a whole-space operator, from its CSR entries.
+    def of(self, op: SparseOperator | SectorBlocks) -> SectorBlocks:
+        """The weight-0 blocks of a whole-space operator: read from the CSR
+        entries of its weight-0 columns, or sliced from its (n, 0) sector
+        blocks (the same arrays).
 
         Raises WeightLeakError when some weight-0 column of ``op`` has a
         nonzero entry in a row of another weight: the restriction would then
@@ -648,25 +528,48 @@ class Weight0View:
         cached = self._restricted.get(id(op))
         if cached is not None and cached[0]() is op:
             return cached[1]
-        columns = op.matrix[:, self.rows]
-        row_of = np.repeat(np.arange(len(whole)), np.diff(columns.indptr))
-        inside = whole.weights[row_of] == 0
-        leaks = np.flatnonzero(~inside & (columns.data != 0))
-        if len(leaks):
-            row, col = row_of[leaks[0]], self.rows[columns.indices[leaks[0]]]
-            raise WeightLeakError(
-                f"operator sends weight-0 state {whole.states[col]} to "
-                f"{whole.states[row]} of weight {int(whole.weights[row])} "
-                f"(entry {columns.data[leaks[0]].item()!r}, {len(leaks)} "
-                "such entries)")
-        out = SectorBlocks.from_entries(
-            self.basis, np.searchsorted(self.rows, row_of[inside]),
-            columns.indices[inside], columns.data[inside])
+        out = (self._slice(op) if isinstance(op, SectorBlocks)
+               else self._from_columns(op))
         for key in [k for k, (ref, _out) in self._restricted.items()
                     if ref() is None]:
             del self._restricted[key]
         self._restricted[id(op)] = (weakref.ref(op), out)
         return out
+
+    def _leak(self, col: int, row: int, value, count: int) -> WeightLeakError:
+        whole = self.whole_basis
+        return WeightLeakError(
+            f"operator sends weight-0 state {whole.states[col]} to "
+            f"{whole.states[row]} of weight {int(whole.weights[row])} "
+            f"(entry {value!r}, {count} such entries)")
+
+    def _from_columns(self, op: SparseOperator) -> SectorBlocks:
+        whole = self.whole_basis
+        columns = op.matrix[:, self.rows]
+        row_of = np.repeat(np.arange(len(whole)), np.diff(columns.indptr))
+        inside = whole.weights[row_of] == 0
+        leaks = np.flatnonzero(~inside & (columns.data != 0))
+        if len(leaks):
+            raise self._leak(self.rows[columns.indices[leaks[0]]],
+                             row_of[leaks[0]], columns.data[leaks[0]].item(),
+                             len(leaks))
+        return SectorBlocks.from_entries(
+            self.basis, np.searchsorted(self.rows, row_of[inside]),
+            columns.indices[inside], columns.data[inside])
+
+    def _slice(self, op: SectorBlocks) -> SectorBlocks:
+        table = self.whole_basis.sector_table()
+        keys, members = table.keys, table.members
+        blocks = {k: value for k, value in op.blocks.items() if keys[k][1] == 0}
+        leaks = [(k, t, block) for k, (t, block) in blocks.items()
+                 if keys[t][1] != 0]
+        if leaks:
+            k, t, block = leaks[0]
+            r, c = np.argwhere(block)[0]
+            raise self._leak(members[k][c], members[t][r], block[r, c].item(),
+                             sum(np.count_nonzero(b) for *_kt, b in leaks))
+        return SectorBlocks(self.basis, {
+            keys[k][0]: (keys[t][0], block) for k, (t, block) in blocks.items()})
 
 
 def su2_generators(basis: SectorBasis) -> Su2Generators:

@@ -450,7 +450,7 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     def j_defining(tol):
         jh = gens.j_hat()
-        rep = residual(jh @ jh + jh, gens.J2, 0)
+        rep = residual(jh @ jh + jh, gens.j2_blocks(), 0)
         return rep.frobenius_relative, rep.frobenius_relative < tol, ""
     r.run("j-defining-identity", "j-operator", p, 1e-10, j_defining)
 

@@ -62,7 +62,7 @@ def test_criterion_02_label_operator(ctx):
     for s in (1, 2, 3):
         g = ctx(s, 5).gens
         jh = g.j_hat()
-        worst_def = max(worst_def, residual(jh @ jh + jh, g.J2, 0
+        worst_def = max(worst_def, residual(jh @ jh + jh, g.j2_blocks(), 0
                                             ).frobenius_relative)
         for (n, w), js in g.j_values_by_sector().items():
             for j in js:

@@ -24,6 +24,8 @@ from su2ladders.operators import (SectorBlocks, SparseOperator, commutator,
                                   commutator_residual, creation_op, residual,
                                   zero_residual)
 
+from conftest import whole_csr
+
 
 # -- families -------------------------------------------------------------------
 
@@ -331,7 +333,7 @@ def test_deformed_generators(ctx, spin, omega):
     assert commutator_residual(l2, w0.J2, 2).frobenius_relative < 1e-8
     # The whole-space forms commute with N, and the same products of
     # tau.op's weight-0 blocks are the generators themselves.
-    tau_op = c.taus[-omega].op
+    tau_op = whole_csr(c.taus[-omega].op)
     lz_ref, _l2_ref = _whole_deformed_generators(tau_op)
     assert commutator_residual(lz_ref, c.gens.Ntot, 2).frobenius_relative < 1e-8
     lz_blocks, l2_blocks = _whole_deformed_generators(w0.of(tau_op))
@@ -409,12 +411,13 @@ def test_s1_mutual_commutators(ctx):
 
 
 def _tau_by_products(c, tau):
-    """sum_k T_k @ function_of_j(sigma_k): whole-space images, sparse products."""
+    """sum_k T_k @ function_of_j(sigma_k): whole-space images, read as CSR
+    through their coordinate export, and sparse products."""
     ref = SparseOperator.zeros(c.basis)
     for k, t_k in c.families.ops(tau.family).items():
         poly = tau.sigma.sigmas[k]
         if not poly.is_zero():
-            ref = ref + t_k @ c.gens.function_of_j(poly)
+            ref = ref + t_k @ whole_csr(c.gens.function_of_j(poly))
     return ref
 
 
@@ -423,7 +426,7 @@ def test_sector_wise_tau_equals_sparse_products(ctx, spin, n_max):
     c = ctx(spin, n_max)
     for theta, tau in c.taus.items():
         ref = _tau_by_products(c, tau)
-        assert (tau.op - ref).norm() <= 1e-14 * ref.norm(), theta
+        assert (whole_csr(tau.op) - ref).norm() <= 1e-14 * ref.norm(), theta
 
 
 @pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5), (4, 4)])
@@ -432,7 +435,7 @@ def test_tau_lives_on_the_raising_sector_blocks(ctx, spin, n_max):
     c = ctx(spin, n_max)
     b = c.basis
     for tau in c.taus.values():
-        rows, cols = tau.op.matrix.nonzero()
+        rows, cols = whole_csr(tau.op).matrix.nonzero()
         assert len(rows)
         assert np.array_equal(b.totals[rows], b.totals[cols] + 1)
         assert np.array_equal(b.weights[rows], b.weights[cols])

@@ -17,7 +17,7 @@ from su2ladders.ladder import (ConsistencyError, PreconditionError,
                                solve_sigma)
 from su2ladders.operators import (SectorBlocks, SparseOperator,
                                   annihilation_op, commutator,
-                                  creation_op, number_op)
+                                  creation_op, number_op, sector_blocks)
 from su2ladders.schwinger import su2_generators
 
 
@@ -119,7 +119,8 @@ def test_rlo_compose_precondition(ctx):
     tau = c.taus[1]
     rf = c.gens.function_of_j(tau.right_function)
     with pytest.raises(PreconditionError):
-        check_rlo_compose(c.gens.J2, tau.op, rf, creation_op(c.basis, 0), 1)
+        check_rlo_compose(c.gens.j2_blocks(), tau.op, rf,
+                          sector_blocks(creation_op(c.basis, 0)), 1)
 
 
 # -- closure matrix -------------------------------------------------------------
@@ -290,9 +291,9 @@ def _right_function(c, theta=1):
 def test_spectral_image_records_the_decomposed_operator(ctx):
     c = ctx(1, 4)
     _tau, rf = _right_function(c)
-    assert rf.function_of is c.gens.J2
-    ident = SparseOperator.identity(c.basis)
-    for derived in (SparseOperator(c.basis, rf.matrix), rf + ident, rf - ident,
+    assert rf.function_of is c.gens.j2_blocks()
+    ident = SectorBlocks.identity(c.basis)
+    for derived in (SectorBlocks(c.basis, rf.blocks), rf + ident, rf - ident,
                     rf @ ident, 2.0 * rf, rf.adjoint(), rf.hermitized(), -rf):
         assert derived.function_of is None
         assert derived == derived
@@ -312,9 +313,10 @@ def test_precondition_skipped_only_for_the_decomposed_operator(ctx, monkeypatch,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ladder_module, "commutator_residual", counting)
-    tagged = check(c.gens.J2, op, rf, 1)
+    j2 = c.gens.j2_blocks()
+    tagged = check(j2, op, rf, 1)
     assert calls == []
-    rewrapped = check(c.gens.J2, op, SparseOperator(c.basis, rf.matrix), 1)
+    rewrapped = check(j2, op, SectorBlocks(c.basis, rf.blocks), 1)
     assert len(calls) == 1
     # Skipping the precondition leaves the report unchanged.
     assert tagged == rewrapped
@@ -323,21 +325,21 @@ def test_precondition_skipped_only_for_the_decomposed_operator(ctx, monkeypatch,
 def test_perturbed_right_function_still_fails_the_precondition(ctx):
     c = ctx(1, 4)
     tau, rf = _right_function(c)
-    n0 = number_op(c.basis, 0)
+    n0 = sector_blocks(number_op(c.basis, 0))
     bad = rf + (1e-6 * rf.norm() / n0.norm()) * n0
     for check, op in ((check_rlo, tau.op), (check_llo, tau.op.adjoint())):
         with pytest.raises(PreconditionError):
-            check(c.gens.J2, op, bad, 1)
+            check(c.gens.j2_blocks(), op, bad, 1)
 
 
 def test_rewrapped_noncommuting_copy_fails_the_precondition(ctx):
     c = ctx(1, 4)
     tau, rf = _right_function(c)
-    m = rf.matrix.copy()
     rng = np.random.default_rng(7)
-    m.data *= 1.0 + 1e-6 * rng.standard_normal(m.nnz)
+    blocks = {k: (t, block * (1.0 + 1e-6 * rng.standard_normal(block.shape)))
+              for k, (t, block) in rf.blocks.items()}
     with pytest.raises(PreconditionError):
-        check_rlo(c.gens.J2, tau.op, SparseOperator(c.basis, m), 1)
+        check_rlo(c.gens.j2_blocks(), tau.op, SectorBlocks(c.basis, blocks), 1)
 
 
 def test_right_function_of_other_generators_fails_the_precondition(ctx):
@@ -354,8 +356,8 @@ def test_right_function_of_other_generators_fails_the_precondition(ctx):
     rot = sparse.csr_matrix(rot)
     other.J2 = SparseOperator(c.basis, rot @ c.gens.J2.matrix @ rot.T).hermitized()
     rf_other = other.function_of_j(tau.right_function)
-    assert rf_other.function_of is other.J2
+    assert rf_other.function_of is other.j2_blocks()
     with pytest.raises(PreconditionError):
-        check_rlo(c.gens.J2, tau.op, rf_other, 1)
+        check_rlo(c.gens.j2_blocks(), tau.op, rf_other, 1)
     with pytest.raises(PreconditionError):
-        check_llo(c.gens.J2, tau.op.adjoint(), rf_other, 1)
+        check_llo(c.gens.j2_blocks(), tau.op.adjoint(), rf_other, 1)

@@ -1,4 +1,6 @@
+import ast
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +10,12 @@ from scipy import sparse
 
 from su2ladders.fock import SectorBasis, enumerate_sector
 from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
+                                  SectorBlocks, SectorStructureError,
                                   SparseOperator, annihilation_op,
                                   commutator, commutator_on_columns,
                                   commutator_residual, creation_op,
                                   entry_grades, number_op, on_columns,
-                                  residual, zero_residual)
+                                  residual, sector_blocks, zero_residual)
 from su2ladders.schwinger import WeightLeakError, su2_generators
 
 
@@ -325,3 +328,106 @@ def test_cached_masks_and_hop_tables_are_read_only():
         for a in table:
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+# -- whole-space sector blocks ----------------------------------------------------
+
+
+def test_sector_table_groups_the_states_by_n_and_weight():
+    basis = enumerate_sector(2, 4)
+    table = basis.sector_table()
+    assert basis.sector_table() is table
+    keys = sorted({(int(n), int(w)) for n, w in zip(basis.totals, basis.weights)})
+    assert list(table.keys) == keys
+    for k, (key, idx) in enumerate(zip(table.keys, table.members)):
+        assert np.array_equal(idx, np.flatnonzero(
+            (basis.totals == key[0]) & (basis.weights == key[1])))
+        assert table.sizes[k] == len(idx)
+        assert np.array_equal(table.sector[idx], np.full(len(idx), k))
+        assert np.array_equal(table.local[idx], np.arange(len(idx)))
+    for a in (table.sizes, table.sector, table.local) + table.members:
+        assert not a.flags.writeable
+
+
+def test_jplus_blocks_send_each_sector_into_the_next_weight():
+    basis = enumerate_sector(2, 4)
+    jplus = su2_generators(basis).Jplus
+    m = jplus.matrix.tocoo()
+    blocks = SectorBlocks.from_entries(basis, m.row, m.col, m.data)
+    table = basis.sector_table()
+    keys, sizes = table.keys, table.sizes
+    assert sorted(blocks.blocks) == [
+        k for k, (n, w) in enumerate(keys) if n > 0 and (n, w + 1) in keys]
+    for k, (t, block) in blocks.blocks.items():
+        n, w = keys[k]
+        assert keys[t] == (n, w + 1)
+        assert block.shape == (sizes[t], sizes[k])
+    assert blocks.to_coo_json() == jplus.to_coo_json()
+
+
+def test_jplus_plus_jminus_has_no_sector_blocks():
+    # J_+ + J_- sends (1, -1) into (1, 0) and into (1, -2); the refusal names
+    # a state sent into each, and both are entries of the operator.
+    basis = enumerate_sector(2, 4)
+    gens = su2_generators(basis)
+    both = (gens.Jplus + gens.Jminus).matrix
+    m = both.tocoo()
+    with pytest.raises(SectorStructureError) as err:
+        SectorBlocks.from_entries(basis, m.row, m.col, m.data)
+    found = re.fullmatch(
+        r"operator sends sector \(1, -1\) into sectors \(1, -2\) and "
+        r"\(1, 0\): state (\(.*?\)) to (\(.*?\)), and (\(.*?\)) to "
+        r"(\(.*?\))", str(err.value))
+    assert found
+    source, low, other, high = (basis.state_index(ast.literal_eval(g))
+                                for g in found.groups())
+    for col, row, weight in ((source, low, -2), (other, high, 0)):
+        assert basis.totals[col] == 1 and basis.weights[col] == -1
+        assert basis.weights[row] == weight
+        assert both[row, col] != 0
+
+
+def test_weight0_view_refuses_whole_space_blocks_that_leave_weight_0():
+    basis = enumerate_sector(2, 4)
+    gens = su2_generators(basis)
+    w0 = gens.weight0()
+    for op in (sector_blocks(gens.Jplus),
+               gens.function_of_j(lambda j: j + 1.0) @ sector_blocks(gens.Jminus)):
+        with pytest.raises(WeightLeakError, match="weight-0 state"):
+            w0.of(op)
+    assert not w0.of(sector_blocks(gens.Jplus @ gens.Jminus)).is_zero()
+
+
+def _scattered(op):
+    """The SparseOperator with the entries of a SectorBlocks, its blocks
+    written into a dense matrix; CSR keeps its nonzero entries only."""
+    members = op.basis.sector_table().members
+    dense = np.zeros((len(op.basis), len(op.basis)),
+                     dtype=np.result_type(float, *(b for _t, b
+                                                   in op.blocks.values())))
+    for k, (t, block) in op.blocks.items():
+        dense[np.ix_(members[t], members[k])] = block
+    return SparseOperator(op.basis, sparse.csr_matrix(dense))
+
+
+def test_sector_blocks_export_apply_and_count_as_their_sparse_form():
+    basis = enumerate_sector(2, 4)
+    gens = su2_generators(basis)
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal(len(basis))
+    cplx = real + 1j * rng.standard_normal(len(basis))
+    # J_+ and a_0^dagger hold exact zeros inside their dense blocks.
+    ops = [sector_blocks(gens.Jplus), sector_blocks(creation_op(basis, 0)),
+           gens.j_hat(), gens.function_of_j(lambda j: 1j * j - 0.5),
+           gens.sum_times_functions_of_j(
+               [(creation_op(basis, 0), lambda j: 1.0 / (j + 1))])]
+    assert all(any((b == 0).any() for _t, b in op.blocks.values())
+               for op in ops[:2])
+    for op in ops:
+        want = _scattered(op)
+        assert op.to_coo_json() == want.to_coo_json()
+        assert op.nnz == want.nnz
+        for vector in (real, cplx):
+            got = op.apply(vector)
+            assert got.dtype == want.apply(vector).dtype
+            assert np.array_equal(got, want.apply(vector))

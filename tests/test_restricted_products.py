@@ -48,6 +48,8 @@ from su2ladders.verify import (SuiteConfig, VerificationReport, _deformed_checks
                                _engine_checks, _Runner, _s1_demo_checks,
                                _schwinger_checks, _SpinContext, run_suite)
 
+from conftest import whole_csr
+
 SPINS = [2, 3]
 
 
@@ -76,7 +78,9 @@ def _ref_fro(matrix, rows, cols):
 # A claim the library reads on the weight-0 view (``SectorBlocks``) is
 # referenced on ``_Blocks``: the dense (n, 0) -> (m, 0) blocks of the
 # whole-space operators (tau.op, gens.J2, gens.function_of_j, gens.j_hat(),
-# the families), sliced with integer index arrays, combined with plain numpy
+# the families), their weight-0 columns read from the CSR matrix or, for the
+# sector-block images, as the images of unit vectors (``apply``), sliced
+# with integer index arrays, combined with plain numpy
 # products level by level, and normed over the blocks with both levels
 # <= n_max - margin in ascending source level.  The library assembles the
 # same blocks on weight 0 alone and forms the same products, so the reports
@@ -97,10 +101,19 @@ class _Blocks:
         basis = op.basis
         levels = [np.flatnonzero((basis.totals == n) & (basis.weights == 0))
                   for n in range(basis.n_max + 1)]
+        # The weight-0 columns, dense: sliced from a CSR matrix, or a
+        # sector-block operator's images of the unit vectors (``apply``).
+        weight0 = np.concatenate(levels)
+        if isinstance(op, SparseOperator):
+            columns = op.matrix[:, weight0].toarray()
+        else:
+            columns = np.array([op.apply(e) for e
+                                in np.eye(len(basis))[weight0]]).T
+        starts = np.cumsum([0] + [len(cols) for cols in levels])
         blocks = {}
-        for n, cols in enumerate(levels):
+        for n in range(len(levels)):
             for m, rows in enumerate(levels):
-                block = op.matrix[rows][:, cols].toarray()
+                block = columns[rows, starts[n]:starts[n + 1]]
                 if block.any():
                     assert n not in blocks
                     blocks[n] = (m, block)
@@ -272,7 +285,7 @@ def _rlo_cases(c):
 @pytest.mark.parametrize("spin", SPINS)
 def test_on_columns_keeps_exactly_the_restricted_columns(ctx, spin):
     c = ctx(spin, 4)
-    tau = c.taus[1].op
+    tau = whole_csr(c.taus[1].op)
     for margin in (1, 2):
         cols = np.flatnonzero(c.basis.totals <= c.basis.n_max - margin)
         full = tau.matrix.toarray()
@@ -294,7 +307,7 @@ def test_commutator_residual_equals_full_product(ctx, spin):
     for x, y, margin, view, ref in (
             (g.J2, c.taus[0].op, 1, w0.of, _Blocks.of),
             (g.J2, c.taus[1].op, 1, w0.of, _Blocks.of),
-            (g.Ntot, c.taus[1].op, 1, _whole, _whole),
+            (g.Ntot, whole_csr(c.taus[1].op), 1, _whole, _whole),
             (g.Jz, g.Jplus, 0, _whole, _whole)):
         assert commutator_residual(view(x), view(y), margin) == \
             _full_commutator_residual(ref(x), ref(y), margin)
@@ -323,7 +336,7 @@ def test_check_power_identity_equals_full_products(ctx, spin):
 def test_check_rlo_compose_equals_full_products(ctx, spin):
     c = ctx(spin, 4)
     g = c.gens
-    for a in (g.function_of_j(lambda j: j * j + 1.0), g.Ntot):
+    for a in (whole_csr(g.function_of_j(lambda j: j * j + 1.0)), g.Ntot):
         for h, p_dag, p_fn, view, ref in _rlo_cases(c):
             assert check_rlo_compose(view(h), view(p_dag), view(p_fn),
                                      view(a), 1) == \
@@ -686,8 +699,9 @@ def test_lattice_rejects_an_injected_leak(ctx, leak):
             build_taus(families, c.gens, certify=False)
         return
     tau = c.taus[1]
-    bad = SparseOperator(c.basis, tau.op.matrix
-                         + 1e-6 * tau.op.norm() / p0.norm() * p0.matrix)
+    whole = whole_csr(tau.op)
+    bad = SparseOperator(c.basis, whole.matrix
+                         + 1e-6 * whole.norm() / p0.norm() * p0.matrix)
     ops = {theta: _Blocks.of(t.op) for theta, t in c.taus.items()}
     ops[1] = _Blocks.of(bad)
     taus = dict(c.taus)
@@ -712,11 +726,12 @@ def test_lattice_rejects_a_leak_past_the_node_levels(ctx, spin):
     source, target = (
         np.flatnonzero((c.basis.totals == n) & (c.basis.weights == 0))[0]
         for n in (4, 6))
+    whole = whole_csr(tau.op).matrix
     stray = sparse.csr_matrix(([1e-3], ([target], [source])),
-                              shape=tau.op.matrix.shape)
-    with pytest.raises(SectorStructureError,
-                       match="sends level 4 into levels 5 and 6"):
-        w0.of(SparseOperator(c.basis, tau.op.matrix + stray))
+                              shape=whole.shape)
+    with pytest.raises(SectorStructureError, match=r"sends sector \(4, 0\) "
+                       r"into sectors \(5, 0\) and \(6, 0\)"):
+        w0.of(SparseOperator(c.basis, whole + stray))
     moved = np.zeros((np.sum(w0.basis.totals == 6),
                       np.sum(w0.basis.totals == 4)))
     moved[0, 0] = 1e-3
@@ -905,11 +920,12 @@ def test_grade_certified_claims_hold_on_the_whole_space(ctx, spin, n_max):
     for theta, tau in sorted(c.taus.items()):
         assert tau_off_grade(tau) == []
         blocks = _Blocks.of(tau.op)
-        whole = [tau.op @ tau.op.adjoint()]
+        op = whole_csr(tau.op)
+        whole = [op @ op.adjoint()]
         level = [blocks @ blocks.adjoint()]
         local = [tau.weight0 @ tau.weight0.adjoint()]
         if theta < 0:
-            whole += _whole_deformed_generators(tau.op)
+            whole += _whole_deformed_generators(op)
             level += _whole_deformed_generators(blocks)
             local += deformed_generators(tau)
         for x in whole:
@@ -987,7 +1003,7 @@ def test_weight0_deformed_generators_equal_whole_space_forms(spin, n_max):
     for omega in range(1, spin + 1):
         tau = ctx.taus[-omega]
         lz, l2 = _whole_deformed_generators(_Blocks.of(tau.op))
-        lz_whole, l2_whole = _whole_deformed_generators(tau.op)
+        lz_whole, l2_whole = _whole_deformed_generators(whole_csr(tau.op))
         want = max(
             _ref_commutator_residual(l2, j2, 2).frobenius_relative,
             _ref_commutator_residual(lz, j2, 2).frobenius_relative,
@@ -1007,7 +1023,8 @@ def _whole_s1_residuals(c):
     ident = SparseOperator.identity(basis)
     jz, jh = g.Jz, b(g.j_hat())
     ad0 = creation_op(basis, 0)
-    bracket = commutator(g.j_hat(), ad0)
+    # Each entry of [j, a_0^dagger] is a single product.
+    bracket = commutator(whole_csr(g.j_hat()), ad0)
     n_minus_n0 = g.Ntot - number_op(basis, 0)
     diag_rhs = (2.0 * g.J2 - (jz @ (2.0 * jz + ident))
                 + n_minus_n0 @ (jz - 2.0 * ident))
@@ -1021,7 +1038,7 @@ def _whole_s1_residuals(c):
                                      p0b @ b(g.J2 - (jz @ jz + jz)), 1),
         "p1_p1dag_weight0": _ref_residual(
             b(commutator(p1.adjoint(), p1)), b(diag_rhs), 2),
-        "double_commutator": _ref_residual(b(commutator(g.j_hat(), bracket)),
+        "double_commutator": _ref_residual(commutator(jh, b(bracket)),
                                            ad0b, 1),
         "rlo_plus": _ref_rlo(b(g.J2), b(bracket + ad0),
                              b(g.function_of_j(lambda j: 2.0 * (j + 1.0))), 1),
@@ -1041,7 +1058,7 @@ def _whole_s1_residuals(c):
             jh, commutator(tau_plus, tau_minus), 2),
         "s1-m1-annihilates-kernel": _ref_zero_residual(
             b(m1), 1, max(m1.norm(), 1.0)),
-        "s1-weyl-pair": _ref_residual(b(commutator(demo.a_op, demo.a_dag)),
+        "s1-weyl-pair": _ref_residual(commutator(b(demo.a_op), b(demo.a_dag)),
                                       b(ident), 2),
         "s1-double-commutator": _ref_residual(commutator(jh, commutator(
             jh, ad0b)), ad0b, 1),
@@ -1095,8 +1112,8 @@ def _with_explicit_zeros(op):
 def _mask_cases(c):
     """Operator pairs, some of them carrying explicit zeros."""
     g = c.gens
-    f = _with_explicit_zeros(g.function_of_j(lambda j: j * (j - 1.0)))
-    tau = c.taus[1].op
+    f = _with_explicit_zeros(whole_csr(g.function_of_j(lambda j: j * (j - 1.0))))
+    tau = whole_csr(c.taus[1].op)
     tau0 = _with_explicit_zeros(tau)
     return [(g.J2, tau), (f, tau), (tau0, f), (f, g.Jplus),
             (g.Jplus, g.Jminus), (creation_op(c.basis, 0), g.Ntot),

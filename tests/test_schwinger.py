@@ -19,6 +19,8 @@ from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   _evaluate, _label_values, _phase_fixed,
                                   jordan_schwinger, jz_kernel, su2_generators)
 
+from conftest import whole_csr
+
 
 def spectral_function(op, f):
     """Per-eigenvalue reference f(H): f(key, lam) at every eigenvalue lam of
@@ -135,19 +137,19 @@ def test_single_particle_casimir(ctx):
 def test_spectral_identity_reassembles(ctx):
     g = ctx(1, 3).gens
     re = spectral_function(g.J2, lambda key, x: x)
-    assert residual(re, g.J2, 0).frobenius_relative < 1e-10
+    assert residual(whole_csr(re), g.J2, 0).frobenius_relative < 1e-10
 
 
 def test_spectral_square_matches_product(ctx):
     g = ctx(1, 3).gens
     sq = spectral_function(g.Jz, lambda key, x: x * x)
-    assert residual(sq, g.Jz @ g.Jz, 0).frobenius_relative < 1e-10
+    assert residual(whole_csr(sq), g.Jz @ g.Jz, 0).frobenius_relative < 1e-10
 
 
 def test_spectral_commutes_with_source(ctx):
     g = ctx(2, 3).gens
     f = spectral_function(g.J2, lambda key, x: 1.0 / (1.0 + x))
-    assert commutator_residual(f, g.J2, 0).frobenius_relative < 1e-10
+    assert commutator_residual(whole_csr(f), g.J2, 0).frobenius_relative < 1e-10
 
 
 def test_spectral_j_values_n2_sector(ctx):
@@ -195,7 +197,7 @@ def test_j_hat_values(ctx):
 def test_j_hat_defining_identity(ctx):
     for spin in (1, 2):
         g = ctx(spin, 4).gens
-        jh = g.j_hat()
+        jh = whole_csr(g.j_hat())
         assert residual(jh @ jh + jh, g.J2, 0).frobenius_relative < 1e-10
 
 
@@ -334,7 +336,9 @@ def test_real_stack_is_float64(ctx):
     ops = [g.Jz, g.Jplus, g.Jminus, g.J2, g.Ntot, g.j_hat()]
     ops += list(c.families.p_ops) + list(c.families.m_ops)
     ops += [tau.op for tau in c.taus.values()]
-    assert all(op.matrix.dtype == np.float64 for op in ops)
+    assert all(op.matrix.dtype == np.float64 if isinstance(op, SparseOperator)
+               else all(b.dtype == np.float64 for _t, b in op.blocks.values())
+               for op in ops)
     kvs = [kv for n in range(c.basis.n_max + 1)
            for kv in jz_kernel(c.basis, g, n)]
     assert kvs and all(kv.vector.dtype == np.float64 for kv in kvs)
@@ -343,7 +347,7 @@ def test_real_stack_is_float64(ctx):
 def test_function_of_j_with_complex_values(ctx):
     g = ctx(2, 4).gens
     img = g.function_of_j(lambda j: 1j * j)
-    assert img.matrix.dtype == np.complex128
+    assert all(b.dtype == np.complex128 for _t, b in img.blocks.values())
     assert (img - 1j * g.j_hat()).norm() < 1e-12 * g.j_hat().norm()
 
 
@@ -381,8 +385,8 @@ def test_sum_times_functions_of_j_equals_products(ctx):
     for terms in cases:
         ref = SparseOperator.zeros(c.basis)
         for op, f in terms:
-            ref = ref + op @ g.function_of_j(f)
-        got = g.sum_times_functions_of_j(terms)
+            ref = ref + op @ whole_csr(g.function_of_j(f))
+        got = whole_csr(g.sum_times_functions_of_j(terms))
         assert got.matrix.dtype == ref.matrix.dtype
         assert (got - ref).norm() <= 1e-14 * ref.norm()
     assert g.sum_times_functions_of_j([]).is_zero()
@@ -421,7 +425,7 @@ def _same_blocks(got, want):
 
 def test_weight0_sum_times_functions_of_j_equals_the_restriction(ctx):
     # The same sector blocks, assembled on the (n, 0) sectors only, equal
-    # the level blocks read from the whole-space sum's CSR entries.
+    # the level blocks read from the whole-space sum's entries.
     c = ctx(2, 4)
     g = c.gens
     w0 = g.weight0()
@@ -432,7 +436,7 @@ def test_weight0_sum_times_functions_of_j_equals_the_restriction(ctx):
     ]
     for terms in cases:
         _same_blocks(w0.sum_times_functions_of_j(terms),
-                     w0.of(g.sum_times_functions_of_j(terms)))
+                     w0.of(whole_csr(g.sum_times_functions_of_j(terms))))
     assert w0.sum_times_functions_of_j([]).is_zero()
     with pytest.raises(WeightLeakError):
         w0.sum_times_functions_of_j([(g.Jplus, lambda j: 1.0)])
@@ -514,10 +518,11 @@ def test_weight0_view_is_the_weight0_block(ctx, spin, n_max):
         levels = [
             np.flatnonzero((g.basis.totals == n) & (g.basis.weights == 0))
             for n in range(n_max + 1)]
+        matrix = whole_csr(op).matrix
         out = {}
         for n, cols in enumerate(levels):
             for m, rows in enumerate(levels):
-                dense = op.matrix[rows][:, cols].toarray()
+                dense = matrix[rows][:, cols].toarray()
                 if dense.any():
                     assert n not in out
                     out[n] = (m, dense)
@@ -546,7 +551,8 @@ def test_weight0_view_is_the_weight0_block(ctx, spin, n_max):
 def test_weight0_view_refuses_a_weight_leak(ctx):
     c = ctx(2, 4)
     w0 = c.gens.weight0()
-    for op in (c.gens.Jplus, c.gens.Jminus, c.gens.Jplus @ c.taus[0].op):
+    for op in (c.gens.Jplus, c.gens.Jminus,
+               c.gens.Jplus @ whole_csr(c.taus[0].op)):
         with pytest.raises(WeightLeakError, match="weight-0 state"):
             w0.of(op)
     with pytest.raises(BasisMismatchError):
@@ -570,7 +576,7 @@ def test_weight0_view_refuses_two_target_levels(ctx):
     with pytest.raises(SectorStructureError) as err:
         c.gens.weight0().of(op)
     assert str(err.value) == (
-        "operator sends level 4 into levels 5 and 6: state "
+        "operator sends sector (4, 0) into sectors (5, 0) and (6, 0): state "
         f"{states[source[0]]} to {states[five[0]]}, and {states[source[2]]} "
         f"to {states[six[1]]}")
 

@@ -15,13 +15,16 @@ from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
 from su2ladders.operators import (SectorBlocks, SparseOperator,
                                   commutator_residual, creation_op)
-from su2ladders.schwinger import WeightLeakError
+from su2ladders.schwinger import Su2Generators, WeightLeakError
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
                                _lattice_checks, _listed_annihilation,
-                               _Runner, _s1_demo_checks, _SpinContext,
-                               _symbolic_checks, _tau_checks, export_report,
+                               _Runner, _s1_demo_checks, _schwinger_checks,
+                               _SpinContext, _symbolic_checks, _tau_checks,
+                               export_report,
                                run_suite)
+
+from conftest import whole_csr
 
 
 @pytest.fixture(scope="module")
@@ -172,14 +175,17 @@ def test_missed_listed_annihilation_fails_the_rules_check():
 
 
 def _perturbed(op, seed, delta=1e-6):
-    # Every entry of the weight-0 level blocks times (1 + delta * r), r
-    # uniform in [-1, 1]: the blocks of a SectorBlocks, or of a whole-space
-    # operator the entries from a weight-0 state into a weight-0 state.
+    # Every entry from a weight-0 state into a weight-0 state times
+    # (1 + delta * r), r uniform in [-1, 1]: the blocks of a SectorBlocks
+    # between weight-0 sectors (on the weight-0 basis, every block), or the
+    # CSR entries of a whole-space operator.
     rng = np.random.default_rng(seed)
     if isinstance(op, SectorBlocks):
+        keys = op.basis.sector_table().keys
         return SectorBlocks(op.basis, {
-            n: (m, block * (1.0 + delta * rng.uniform(-1.0, 1.0, block.shape)))
-            for n, (m, block) in op.blocks.items()})
+            k: (t, block * (1.0 + delta * rng.uniform(-1.0, 1.0, block.shape))
+                if keys[k][1] == keys[t][1] == 0 else block)
+            for k, (t, block) in op.blocks.items()})
     m = op.matrix.copy()
     weights = op.basis.weights
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
@@ -210,6 +216,31 @@ def test_deformed_generators_gate_catches_entrywise_perturbation(spin):
               if c.name == "deformed-algebra-generators"]
     assert len(checks) == spin
     assert not any(c.passed for c in checks)
+
+
+def test_j_defining_identity_gate_catches_one_perturbed_entry(monkeypatch):
+    # j(j+1) = J^2 reads about 1e-15 at (2, 4); one entry of the (4, 0)
+    # sector block of j moved by 1e-9 max|j| fails its 1e-10 gate.
+    def check():
+        report = _run_block(_schwinger_checks, _SpinContext(2, 4))
+        return next(c for c in report.checks
+                    if c.name == "j-defining-identity")
+    assert check().passed and check().residual < 1e-14
+    j_hat = Su2Generators.j_hat
+
+    def perturbed(self):
+        jh = j_hat(self)
+        k = self.basis.sector_table().keys.index((4, 0))
+        blocks = dict(jh.blocks)
+        target, block = blocks[k]
+        block = block.copy()
+        block[1, 2] += 1e-9 * max(np.abs(b).max() for _t, b in blocks.values())
+        blocks[k] = (target, block)
+        return SectorBlocks(self.basis, blocks)
+    monkeypatch.setattr(Su2Generators, "j_hat", perturbed)
+    failed = check()
+    assert not failed.passed and failed.residual > 1e-10
+    assert failed.tolerance == 1e-10
 
 
 def _off_grade_run(mutate):
@@ -289,7 +320,7 @@ def test_consistent_off_grade_block_fails_the_grade_certificate():
         for k in range(3):
             assert f"tau[{theta:+d}] term k={k} sends" in \
                 after[("tau-complete-set", None)].detail
-        whole = ctx.taus[theta].op
+        whole = whole_csr(ctx.taus[theta].op)
         prod = whole @ whole.adjoint()
         for diag in (ctx.gens.Jz, ctx.gens.Ntot):
             assert commutator_residual(prod, diag, 0).frobenius_absolute == 0.0
