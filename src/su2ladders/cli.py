@@ -31,7 +31,7 @@ from .fock import enumerate_sector
 from .ladder import build_alpha, right_functions, solve_sigma
 from .operators import (SparseOperator, annihilation_op, creation_op,
                         number_op)
-from .schwinger import _snap_labels, su2_generators
+from .schwinger import su2_generators
 from .verify import SuiteConfig, run_suite
 
 TOLERANCE_ENV_VAR = "SU2LADDERS_TOLERANCE"
@@ -88,10 +88,12 @@ def _cmd_spectrum(args) -> int:
                              "two integers such as 2,0")
         sector_filter = (n, w)
     rows = []
-    for key, idx, vals, vecs in gens.j2_decomposition().sectors:
+    decomposition = gens.j2_decomposition()
+    for (key, _idx, vals, _vecs), js in zip(decomposition.sectors,
+                                            decomposition.labels):
         if sector_filter and key != sector_filter:
             continue
-        labels = _snap_labels(vals, key, args.spin).tolist()
+        labels = js.tolist()
         counts = Counter(labels)
         for lam, j in zip(vals.tolist(), labels):
             rows.append((key[0], key[1], lam, j, counts[j]))

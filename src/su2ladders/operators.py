@@ -366,22 +366,29 @@ class SectorBlocks:
             out[t] = (k, np.ascontiguousarray(block.conj().T))
         return SectorBlocks(self.basis, out)
 
-    def __add__(self, other: "SectorBlocks") -> "SectorBlocks":
+    def _combine(self, other: "SectorBlocks", both, alone) -> "SectorBlocks":
+        """Block by block: ``both(x, y)`` where each operand holds a block
+        from a sector, ``alone(y)`` where only ``other`` does."""
         _require_same_basis(self, other)
         out = dict(self.blocks)
         for k, (t, block) in other.blocks.items():
             if k not in out:
-                out[k] = (t, block)
+                out[k] = (t, alone(block))
             elif out[k][0] != t:
                 raise SectorStructureError(
                     f"the sum sends sector {self._key(k)} into sectors "
                     f"{self._key(out[k][0])} and {self._key(t)}")
             else:
-                out[k] = (t, out[k][1] + block)
+                out[k] = (t, both(out[k][1], block))
         return SectorBlocks(self.basis, out)
 
+    def __add__(self, other: "SectorBlocks") -> "SectorBlocks":
+        return self._combine(other, np.add, lambda block: block)
+
     def __sub__(self, other: "SectorBlocks") -> "SectorBlocks":
-        return self + (-other)
+        # x - y, not x + (-y): no negated copy of y's shared blocks is
+        # formed, and IEEE a - b equals a + (-b) bit for bit.
+        return self._combine(other, np.subtract, np.negative)
 
     def __neg__(self) -> "SectorBlocks":
         return SectorBlocks(self.basis, {k: (t, -block) for k, (t, block)

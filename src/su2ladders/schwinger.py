@@ -8,12 +8,15 @@ Applied to the spin-s generator matrices it yields J_z, J_+, J_-, from which
 the Casimir J^2 and the label operator j (with J^2 = j(j+1)) are built.
 All of these conserve both total particle number and J_z weight, so J^2 is
 block diagonal over the (n, weight) sectors and is diagonalised sector by
-sector (``SpectralDecomposition``).  Every function of j, and every sum
-X f(j) of sector maps X, is assembled from that one decomposition as dense
-sector blocks (``SectorBlocks``), on the whole space or on its weight-0 slice
-(``Weight0View``), by the same two routines.  The J^2 eigenvalues snap to
-integer labels j, so a function of j is evaluated once per label, at the
-exact integer.
+sector (``SpectralDecomposition``), which also owns the rule that snaps its
+eigenvalues j(j+1) to integer labels j: a function of j is evaluated once
+per label, at the exact integer.  Every function of j, and every sum X f(j)
+of sector maps X, is assembled from a decomposition as dense sector blocks
+(``SectorBlocks``) by the same two routines.  The whole space has its
+decomposition, built on first read; the weight-0 subspace (``Weight0View``)
+diagonalises its own J^2 level blocks, the same arrays as the whole-space
+(n, 0) blocks, so the ladder build never diagonalises a sector of nonzero
+weight.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -160,6 +163,10 @@ class SpectralDecomposition:
     maps X one block from each source sector to the sector X sends it to.
     A real operator has real eigenvectors, and real values of f then give a
     real image.  ``source`` is the operator that was decomposed.
+
+    For H = J^2 the eigenvalues j(j+1) snap to integer labels j
+    (``labels``), and ``values`` and ``function_of`` evaluate a function of
+    j, or of (n, j), once per distinct argument, at the exact integer.
     """
     basis: SectorBasis
     sectors: list  # list of (key, indices, eigenvalues, eigenvectors)
@@ -167,11 +174,56 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def operator(self) -> SectorBlocks:
-        """``source`` as sector blocks, read on first use (so a reader of the
-        weight-0 slice alone never holds the whole-space blocks) and kept;
+        """``source`` as sector blocks, read on first use (so a reader of
+        the eigenpairs or labels alone never holds the blocks) and kept;
         the spectral images record it as their ``function_of``."""
         return (self.source if isinstance(self.source, SectorBlocks)
                 else sector_blocks(self.source))
+
+    @functools.cached_property
+    def labels(self) -> list[np.ndarray]:
+        """The integer label j of each eigenvalue j(j+1), sector by sector
+        (``_snap_labels``).  A spectrum that does not snap raises
+        SpectrumSnapError, and the failure is not kept: every read raises."""
+        return [_snap_labels(vals, key, self.basis.spin)
+                for key, _idx, vals, _vecs in self.sectors]
+
+    @functools.cached_property
+    def _distinct_labels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per sector: its distinct labels in ascending order, the position
+        of each one's first eigenvalue, and each eigenvalue's label among
+        them (``np.unique``)."""
+        return [np.unique(js, return_index=True, return_inverse=True)
+                for js in self.labels]
+
+    def values(self, f: Callable, with_n: bool = False) -> list:
+        """f(n, j) (``with_n``) or f(j) on each sector's eigenvectors, in
+        eigenvalue order.
+
+        f is called once per distinct argument, at the exact integer labels,
+        in ascending sector and then label order; a failure raises
+        SpectralFunctionError naming the first sector that holds the
+        argument and the eigenvalue there.  All sectors share one dtype:
+        complex when some value is.
+        """
+        seen: dict[tuple, float | complex] = {}
+        distinct, bounds = [], [0]
+        for (key, _idx, vals, _vecs), (js, first, _inverse) in zip(
+                self.sectors, self._distinct_labels):
+            for j, k in zip(js.tolist(), first.tolist()):
+                args = (key[0], j) if with_n else (j,)
+                if args not in seen:
+                    seen[args] = _evaluate(f, args, key, float(vals[k]))
+                distinct.append(seen[args])
+            bounds.append(len(distinct))
+        distinct = np.array(distinct)
+        return [distinct[lo:hi][inverse] for lo, hi, (*_, inverse)
+                in zip(bounds, bounds[1:], self._distinct_labels)]
+
+    def function_of(self, f: Callable, with_n: bool = False) -> SectorBlocks:
+        """The spectral image of f(j), or of f(n, j) (``with_n``): the
+        operator with ``values(f, with_n)`` on the eigenvectors."""
+        return self.assemble(self.values(f, with_n))
 
     def sum_times(self, ops: list[SectorBlocks], values: list) -> SectorBlocks:
         """sum_k X_k f_k(H) for the operators X_k and ``values[k]``, the
@@ -206,21 +258,23 @@ class SpectralDecomposition:
         return SectorBlocks(self.basis, blocks)
 
     @staticmethod
-    def of(op: SparseOperator) -> "SpectralDecomposition":
-        """Diagonalise a hermitian operator sector by sector, from its block
-        form read off its entries (``sector_blocks``, not kept).
+    def of(op: SparseOperator | SectorBlocks) -> "SpectralDecomposition":
+        """Diagonalise a hermitian operator sector by sector, from its sector
+        blocks: ``op`` itself, or read off its entries (``sector_blocks``,
+        not kept).
 
         Raises NonHermitianError when ``op`` is not hermitian, and
         SectorStructureError when it couples distinct (n, weight) sectors.
         """
         basis = op.basis
-        herm_gap = (op.matrix - op.matrix.getH()).tocsr()
-        scale = op.norm() + 1.0
-        gap = math.sqrt(np.sum(np.abs(herm_gap.data) ** 2)) if herm_gap.nnz else 0.0
-        if gap > 1e-10 * scale:
+        gap = (op - op.adjoint()).norm()
+        if gap > 1e-10 * (op.norm() + 1.0):
             raise NonHermitianError(
                 f"operator deviates from hermiticity by {gap:.3e}")
-        blocks = sector_blocks(op)
+        blocks = op if isinstance(op, SectorBlocks) else sector_blocks(op)
+        dtype = (np.complex128 if any(np.iscomplexobj(b) for _t, b
+                                      in blocks.blocks.values())
+                 else np.float64)
         table = basis.sector_table()
         for k, (t, block) in blocks.blocks.items():
             if t != k:
@@ -233,7 +287,7 @@ class SpectralDecomposition:
         for k, (key, idx) in enumerate(zip(table.keys, table.members)):
             block = (blocks.blocks[k][1] if k in blocks.blocks
                      else np.zeros((len(idx), len(idx))))
-            vals, vecs = np.linalg.eigh(block.astype(op.matrix.dtype, copy=False))
+            vals, vecs = np.linalg.eigh(block.astype(dtype, copy=False))
             sectors.append((key, idx, vals, vecs))
         return SpectralDecomposition(basis, sectors, op)
 
@@ -250,47 +304,6 @@ class SpectralDecomposition:
             k: (k, _spectral_block(vecs, fvals))
             for k, ((*_, vecs), fvals) in enumerate(zip(self.sectors, values))},
             function_of=self.operator)
-
-
-def _label_values(label_groups: tuple, basis: SectorBasis, f: Callable,
-                  with_n: bool, index: Optional[tuple] = None) -> list:
-    """Values of f(n, j) (``with_n``) or f(j) on each sector's eigenvectors.
-
-    ``label_groups`` is ``Su2Generators._label_groups()`` of generators on
-    ``basis``.  f is called once per distinct argument, at the exact integer
-    labels; a failure raises SpectralFunctionError naming the label's
-    witness sector.  Entry k lists the values on sector k, in eigenvalue
-    order; with ``index``, a ``_label_index`` of some sectors, the entries
-    are those sectors' only.  The values are gathered from the (n, j) table
-    in one index and split at the sector bounds.
-    """
-    _labels, witness, every_sector = label_groups
-    values: dict[tuple, float | complex] = {}
-    image = []
-    for (n, j), (key, lam) in witness.items():
-        args = (n, j) if with_n else (j,)
-        if args not in values:
-            values[args] = _evaluate(f, args, key, lam)
-        image.append(values[args])
-    image = np.array(image)
-    table = np.zeros((basis.n_max + 1, basis.n_max * basis.spin + 1),
-                     dtype=image.dtype)
-    ns, js = zip(*witness)
-    table[ns, js] = image
-    rows, cols, bounds = every_sector if index is None else index
-    return np.split(table[rows, cols], bounds)
-
-
-def _label_index(sectors: list, labels: list, positions: Iterable[int]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the label-table values of the sectors at ``positions`` sit: the
-    row n and column j of each eigenvector, concatenated in sector order,
-    and the split points between the sectors."""
-    positions = list(positions)
-    sizes = [len(labels[k]) for k in positions]
-    rows = np.repeat([sectors[k][0][0] for k in positions], sizes)
-    return (rows, np.concatenate([labels[k] for k in positions]),
-            np.cumsum(sizes)[:-1])
 
 
 class Su2Generators:
@@ -326,11 +339,15 @@ class Su2Generators:
         self.J2 = j2.hermitized()
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
         self._j2_decomp: Optional[SpectralDecomposition] = None
-        self._labels: Optional[tuple[list, dict, tuple]] = None
         self._j_hat: Optional[SectorBlocks] = None
         self._weight0: Optional[Weight0View] = None
 
     def j2_decomposition(self) -> SpectralDecomposition:
+        """The decomposition of J^2 over every (n, weight) sector, built on
+        first read and kept: what the whole-space readers (``j_hat``, every
+        whole-space function of j, ``su2ladders spectrum``) read.  The
+        weight-0 view diagonalises its own level blocks and never builds
+        it."""
         if self._j2_decomp is None:
             self._j2_decomp = SpectralDecomposition.of(self.J2)
         return self._j2_decomp
@@ -345,31 +362,6 @@ class Su2Generators:
         return {key: _j_from_casimir(vals)
                 for key, idx, vals, vecs in self.j2_decomposition().sectors}
 
-    def _label_groups(self) -> tuple[list, dict, tuple]:
-        """Integer labels per sector of the J^2 decomposition, a witness per
-        distinct (n, j), and the ``_label_index`` of every sector.
-
-        Every sector is snapped (``_snap_labels``) before the table is cached,
-        so a damaged spectrum raises on each use.  The witness is the first
-        sector holding the label together with the J^2 eigenvalue there; it
-        is what a failing scalar function reports.
-        """
-        if self._labels is None:
-            labels, witness = [], {}
-            sectors = self.j2_decomposition().sectors
-            for key, _idx, vals, _vecs in sectors:
-                js = _snap_labels(vals, key, self.s)
-                labels.append(js)
-                for j, k in zip(*np.unique(js, return_index=True)):
-                    witness.setdefault((key[0], int(j)), (key, float(vals[k])))
-            self._labels = (labels, witness,
-                            _label_index(sectors, labels, range(len(sectors))))
-        return self._labels
-
-    def _values(self, f: Callable, with_n: bool) -> list:
-        """f(n, j) (``with_n``) or f(j) on each sector's eigenvectors."""
-        return _label_values(self._label_groups(), self.basis, f, with_n)
-
     def sum_times_functions_of_j(
             self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
             ) -> SectorBlocks:
@@ -378,34 +370,35 @@ class Su2Generators:
         from its entries (``SectorBlocks.from_entries``).
 
         f_k is evaluated as in ``function_of_j``: once per label, and a pole
-        raises SpectralFunctionError naming its witness sector.  The result
-        equals sum_k X_k @ function_of_j(f_k) up to rounding.
+        raises SpectralFunctionError naming a sector that holds the label.
+        The result equals sum_k X_k @ function_of_j(f_k) up to rounding.
         """
-        return self.j2_decomposition().sum_times(
+        decomposition = self.j2_decomposition()
+        return decomposition.sum_times(
             [sector_blocks(op) for op, _f in terms],
-            [self._values(f, False) for _op, f in terms])
+            [decomposition.values(f) for _op, f in terms])
 
     def j_hat(self) -> SectorBlocks:
         """The label operator: spectral image of (sqrt(1 + 4 J^2) - 1)/2.
 
         Its eigenvalues are the integer labels themselves.  Like every
-        function of j it reads the label table, so a J^2 eigenvalue farther
-        than SNAP_TOL from a label in [0, n*s] (truncation damage or a wrong
-        spin) raises SpectrumSnapError.  The assembled operator is cached.
+        function of j it reads the decomposition's labels, so a J^2
+        eigenvalue farther than SNAP_TOL from a label in [0, n*s]
+        (truncation damage or a wrong spin) raises SpectrumSnapError.  The
+        assembled operator is cached.
         """
         if self._j_hat is None:
-            self._j_hat = self.j2_decomposition().assemble(
-                self._values(lambda j: j, False))
+            self._j_hat = self.j2_decomposition().function_of(lambda j: j)
         return self._j_hat
 
     def function_of_j(self, f: Callable[[int], float]) -> SectorBlocks:
         """Spectral image of f(j); f is called once per integer label j."""
-        return self.j2_decomposition().assemble(self._values(f, False))
+        return self.j2_decomposition().function_of(f)
 
     def function_of_nj(self, f: Callable[[int, int], float]) -> SectorBlocks:
         """Spectral image of f(n, j) for the commuting pair (N, j); f is
         called once per distinct integer pair (n, j)."""
-        return self.j2_decomposition().assemble(self._values(f, True))
+        return self.j2_decomposition().function_of(f, with_n=True)
 
     def weight0(self) -> "Weight0View":
         """The generators on the weight-0 subspace (``Weight0View``), built
@@ -431,16 +424,17 @@ class Weight0View:
     restricts a whole-space operator to its weight-0 blocks; ``J2`` is
     J^2's, read from its sparse entries, so the certificates never read J^2
     from its eigenvectors.
-    ``decomposition`` is the (n, 0) slice of the generators' J^2
-    decomposition, the same eigenvectors on weight-0 coordinates, and
+    ``decomposition`` diagonalises those J^2 level blocks
+    (``SpectralDecomposition.of``), so no sector of nonzero weight is
+    diagonalised for the view; the blocks are the same arrays as the (n, 0)
+    blocks of the whole-space decomposition, and so are their eigenpairs.
     ``function_of_j``, ``j`` and ``sum_times_functions_of_j`` call its
-    ``assemble`` and ``sum_times``, the routines that assemble the
+    ``function_of`` and ``sum_times``, the routines that assemble the
     whole-space images; this is where each tau is built
-    (``TauOperator.weight0``).  Each block is then the same array as the
-    (n, 0) block of the whole-space image, float for float, and a product of
-    blocks is one gemm per block.  The spectral images record ``J2`` as
-    what they are a function of.  ``nodes`` builds the J_z-kernel nodes of
-    a level, in the coordinates of its blocks; no other code builds them.
+    (``TauOperator.weight0``).  A product of blocks is one gemm per block.
+    The spectral images record ``J2`` as what they are a function of.
+    ``nodes`` builds the J_z-kernel nodes of a level, in the coordinates of
+    its blocks; no other code builds them.
     """
 
     def __init__(self, generators: Su2Generators):
@@ -448,38 +442,27 @@ class Weight0View:
         self.basis = generators.basis.restricted_to_weight(0)
         self.rows = np.flatnonzero(generators.basis.weights == 0)
         self._restricted: dict[int, tuple[weakref.ref, SectorBlocks]] = {}
-        self._label_groups = generators._label_groups()
         self.J2 = self.of(generators.J2)
-        sectors = generators.j2_decomposition().sectors
-        kept = [k for k, (key, *_rest) in enumerate(sectors) if key[1] == 0]
-        self._index = _label_index(sectors, self._label_groups[0], kept)
-        # The (n, 0) sectors on weight-0 coordinates, and the labels of
-        # their eigenvectors, in ascending n.
-        members = self.basis.sector_table().members
-        self.decomposition = SpectralDecomposition(self.basis, [
-            (sectors[k][0], members[n], *sectors[k][2:])
-            for n, k in enumerate(kept)], self.J2)
-        self._labels = [self._label_groups[0][k] for k in kept]
+        self.decomposition = SpectralDecomposition.of(self.J2)
         self.j = self.function_of_j(lambda j: j)
 
     def labels(self, n: int) -> np.ndarray:
         """The labels j of level n's kernel nodes in ascending order, as
         ``nodes`` lists them, with no vector formed."""
-        return np.sort(self._labels[n])
+        return np.sort(self.decomposition.labels[n])
 
     def nodes(self, n: int) -> "KernelNodes":
         """The J_z-kernel nodes of level n (0 <= n <= n_max), in weight-0
         coordinates.
 
-        They are the eigenvectors of the (n, 0) sector of the generators' J^2
-        decomposition, so J_z is zero on each by construction, and their
-        labels come from the generators' label table.  Each is rotated so its
-        first non-negligible entry is real and positive.  The order is
-        deterministic: ascending j, then lexicographic on the phase-fixed
-        coordinates.
+        They are the eigenvectors of level n's J^2 block (``decomposition``),
+        so J_z is zero on each by construction, with the decomposition's
+        labels.  Each is rotated so its first non-negligible entry is real
+        and positive.  The order is deterministic: ascending j, then
+        lexicographic on the phase-fixed coordinates.
         """
         _key, positions, _vals, vecs = self.decomposition.sectors[n]
-        labels = self._labels[n]
+        labels = self.decomposition.labels[n]
         fixed = [_phase_fixed(v) for v in vecs.T]
         order = sorted(range(len(labels)), key=lambda k: (
             labels[k], tuple(np.round(fixed[k].real, 10))
@@ -487,28 +470,25 @@ class Weight0View:
         return KernelNodes(positions, labels[order],
                            np.array([fixed[k] for k in order]).T)
 
-    def _values(self, f: Callable[[int], float]) -> list:
-        """f at the labels of each level's eigenvectors, in ascending n."""
-        return _label_values(self._label_groups, self.whole_basis, f, False,
-                             self._index)
-
     def function_of_j(self, f: Callable[[int], float]) -> SectorBlocks:
-        """f(j) on the weight-0 subspace; f is called as by
-        ``Su2Generators.function_of_j``, and each level's block equals that
-        image's (n, 0) block exactly."""
-        return self.decomposition.assemble(self._values(f))
+        """f(j) on the weight-0 subspace, from ``decomposition``: f is called
+        once per label, as by ``Su2Generators.function_of_j``, and each
+        level's block equals that image's (n, 0) block exactly.  A pole
+        raises SpectralFunctionError naming the first level's sector (n, 0)
+        that holds the label."""
+        return self.decomposition.function_of(f)
 
     def sum_times_functions_of_j(
             self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
             ) -> SectorBlocks:
         """The weight-0 blocks of ``Su2Generators.sum_times_functions_of_j``,
-        by the same ``SpectralDecomposition.sum_times`` on the weight-0
-        slice, so the two are equal array for array.  Each X_k is restricted
-        by ``of``, so one that leaks out of weight 0 raises WeightLeakError.
+        by the same ``SpectralDecomposition.sum_times`` on ``decomposition``,
+        so the two are equal array for array.  Each X_k is restricted by
+        ``of``, so one that leaks out of weight 0 raises WeightLeakError.
         """
         return self.decomposition.sum_times(
             [self.of(op) for op, _f in terms],
-            [self._values(f) for _op, f in terms])
+            [self.decomposition.values(f) for _op, f in terms])
 
     def of(self, op: SparseOperator | SectorBlocks) -> SectorBlocks:
         """The weight-0 blocks of a whole-space operator: read from the CSR

@@ -10,6 +10,7 @@ deterministic: identical configurations produce byte-identical JSON.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -250,7 +251,8 @@ class _Runner:
 
 
 class _SpinContext:
-    """Lazily built per-spin objects shared across checks."""
+    """Lazily built per-spin objects shared across checks.  A build that
+    raises is not kept, so every check that reads it fails."""
 
     def __init__(self, s: int, n_max: int):
         self.s = s
@@ -258,63 +260,40 @@ class _SpinContext:
         self.n_limit = min(n_max - 1, 4)  # source levels of the lattice
         self.basis = enumerate_sector(s, n_max)
         self.gens = su2_generators(self.basis)
-        self._families = None
-        self._right_functions = None
-        self._sigmas = None
-        self._taus = None
-        self._lattice = None
-        self._complete_set = None
-        self._s1_inverse = None
 
-    @property
+    @functools.cached_property
     def families(self):
-        if self._families is None:
-            self._families = build_families(self.basis, self.gens)
-        return self._families
+        return build_families(self.basis, self.gens)
 
-    @property
+    @functools.cached_property
     def right_functions(self):
         """The 2s+1 right functions, each certified by its exact determinant
         (``right_functions``); a failure raises on every read."""
-        if self._right_functions is None:
-            self._right_functions = right_functions(self.s)
-        return self._right_functions
+        return right_functions(self.s)
 
-    @property
+    @functools.cached_property
     def sigmas(self):
         """theta -> the exact sigma vector of its parity-matched family."""
-        if self._sigmas is None:
-            alphas = {fam: build_alpha(self.s, fam)
-                      for fam in (P_FAMILY, M_FAMILY)}
-            self._sigmas = {rf.theta: solve_sigma(alphas[rf.family], rf.theta)
-                            for rf in self.right_functions}
-        return self._sigmas
+        alphas = {fam: build_alpha(self.s, fam)
+                  for fam in (P_FAMILY, M_FAMILY)}
+        return {rf.theta: solve_sigma(alphas[rf.family], rf.theta)
+                for rf in self.right_functions}
 
-    @property
+    @functools.cached_property
     def taus(self):
-        if self._taus is None:
-            self._taus = build_taus(self.families, self.gens, certify=False)
-        return self._taus
+        return build_taus(self.families, self.gens, certify=False)
 
-    @property
+    @functools.cached_property
     def complete_set(self):
-        if self._complete_set is None:
-            self._complete_set = complete_set_check(
-                self.gens, self.taus, min(self.n_max, 4))
-        return self._complete_set
+        return complete_set_check(self.gens, self.taus, min(self.n_max, 4))
 
-    @property
+    @functools.cached_property
     def s1_inverse(self):
-        if self._s1_inverse is None:
-            self._s1_inverse = s1_inverse_expressions(self.gens, self.families)
-        return self._s1_inverse
+        return s1_inverse_expressions(self.gens, self.families)
 
-    @property
+    @functools.cached_property
     def lattice(self):
-        if self._lattice is None:
-            self._lattice = lattice_report(self.basis, self.gens, self.taus,
-                                           self.n_limit)
-        return self._lattice
+        return lattice_report(self.basis, self.gens, self.taus, self.n_limit)
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -448,11 +427,11 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
         return worst, worst < tol, ""
     r.run("casimir-centrality", "casimir-centrality", p, 1e-12, casimir_central)
 
-    def j_defining(tol):
+    def j_defining():
         jh = gens.j_hat()
-        rep = residual(jh @ jh + jh, gens.j2_blocks(), 0)
-        return rep.frobenius_relative, rep.frobenius_relative < tol, ""
-    r.run("j-defining-identity", "j-operator", p, 1e-10, j_defining)
+        return residual(jh @ jh + jh, gens.j2_blocks(), 0)
+    r.residual_check("j-defining-identity", "j-operator", p, 1e-10,
+                     j_defining)
 
     def j_spectrum(tol):
         worst = 0.0
@@ -907,13 +886,12 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     p = {"s": 1}
     n_limit = ctx.n_limit
 
-    def family_defs(tol):
+    def family_defs():
         rhs = creation_op(basis, 1) @ gens.Jminus \
             + creation_op(basis, -1) @ gens.Jplus
-        rep = residual(math.sqrt(2.0) * fam.p_ops[1], rhs, 0)
-        return rep.frobenius_relative, rep.frobenius_relative < tol, ""
-    r.run("s1-family-definitions", "s1-family-definitions", p, 1e-12,
-          family_defs)
+        return residual(math.sqrt(2.0) * fam.p_ops[1], rhs, 0)
+    r.residual_check("s1-family-definitions", "s1-family-definitions", p,
+                     1e-12, family_defs)
 
     def mutual(tol):
         reps = s1_mutual_commutators(gens, fam)
@@ -950,12 +928,10 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
 
     w0 = gens.weight0()
 
-    def m1_kernel(tol):
-        rep = zero_residual(w0.of(fam.m_ops[0]), 1,
-                            scale=max(fam.m_ops[0].norm(), 1.0))
-        return rep.frobenius_relative, rep.frobenius_relative < tol, ""
-    r.run("s1-m1-annihilates-kernel", "s1-m1-annihilates-kernel", p, 1e-10,
-          m1_kernel)
+    r.residual_check(
+        "s1-m1-annihilates-kernel", "s1-m1-annihilates-kernel", p, 1e-10,
+        lambda: zero_residual(w0.of(fam.m_ops[0]), 1,
+                              scale=max(fam.m_ops[0].norm(), 1.0)))
 
     def tau_match(tol):
         tau_plus_ref, tau_minus_ref = s1_reference_taus(gens, fam)
@@ -1008,11 +984,11 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                  "of j and fails the advertised spectra)"),
     })
 
-    def double_comm(tol):
+    def double_comm():
         ad0 = w0.of(creation_op(basis, 0))
-        rep = residual(commutator(w0.j, commutator(w0.j, ad0)), ad0, 1)
-        return rep.frobenius_relative, rep.frobenius_relative < tol, ""
-    r.run("s1-double-commutator", "s1-double-commutator", p, 1e-8, double_comm)
+        return residual(commutator(w0.j, commutator(w0.j, ad0)), ad0, 1)
+    r.residual_check("s1-double-commutator", "s1-double-commutator", p, 1e-8,
+                     double_comm)
 
     def single_mode(tol):
         tb = tau_bar_forms(basis, gens, fam)

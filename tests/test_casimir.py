@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from su2ladders import bruteforce
 from su2ladders.casimir import (LatticeSchemeError, TauCertificationError,
                                 alpha_entry_deviation, assemble_tau,
-                                build_alpha_certified, certify_alpha,
+                                build_alpha_certified, build_families,
+                                build_taus, certify_alpha,
                                 complete_set_check,
                                 deformed_generators, expression_match_scale,
                                 lattice_report, residue_classes,
@@ -17,12 +19,14 @@ from su2ladders.casimir import (LatticeSchemeError, TauCertificationError,
                                 s1_mutual_commutators,
                                 tau_casimir_ladder_residual,
                                 tau_shift_residual)
+from su2ladders.fock import enumerate_sector
 from su2ladders.ladder import (AlphaVerificationError, build_alpha,
                                build_alpha_variant_diag4, right_function_poly,
                                solve_sigma)
 from su2ladders.operators import (SectorBlocks, SparseOperator, commutator,
                                   commutator_residual, creation_op, residual,
                                   zero_residual)
+from su2ladders.schwinger import Su2Generators, su2_generators
 
 from conftest import whole_csr
 
@@ -309,6 +313,37 @@ def test_lattice_json_roundtrip(ctx):
     assert payload["spin"] == 1
     assert {tuple(n["node"]) for n in payload["reachable_by"]} \
         == set(rep.node_dims)
+
+
+
+@pytest.mark.parametrize("spin,n_max", [(2, 5), (3, 5)])
+def test_build_path_never_builds_the_whole_space_decomposition(
+        monkeypatch, spin, n_max):
+    # The families, the certified taus and the lattice read J^2 on weight 0
+    # only: with the whole-space decomposition refused they build the same
+    # tau level blocks and the same lattice report.
+    def build():
+        basis = enumerate_sector(spin, n_max)
+        gens = su2_generators(basis)
+        taus = build_taus(build_families(basis, gens), gens, certify=True)
+        return taus, lattice_report(basis, gens, taus, min(n_max - 1, 4))
+
+    want_taus, want_lattice = build()
+
+    def refuse(self):
+        raise AssertionError("the build read the whole-space J^2 decomposition")
+
+    monkeypatch.setattr(Su2Generators, "j2_decomposition", refuse)
+    got_taus, got_lattice = build()
+    assert got_taus.keys() == want_taus.keys()
+    for theta, tau in want_taus.items():
+        got = got_taus[theta].weight0
+        assert got.blocks.keys() == tau.weight0.blocks.keys()
+        for k, (t, block) in tau.weight0.blocks.items():
+            assert got.blocks[k][0] == t
+            assert np.array_equal(got.blocks[k][1], block), (theta, k)
+    assert (json.dumps(got_lattice.to_json_dict(), sort_keys=True)
+            == json.dumps(want_lattice.to_json_dict(), sort_keys=True))
 
 
 # -- deformed generators -------------------------------------------------------------------

@@ -398,6 +398,29 @@ def test_weight0_view_refuses_whole_space_blocks_that_leave_weight_0():
     assert not w0.of(sector_blocks(gens.Jplus @ gens.Jminus)).is_zero()
 
 
+def test_sector_blocks_subtract_as_the_sum_with_the_negation():
+    # x - y is formed block by block, with no negated copy of y, and IEEE
+    # a - b = a + (-b) makes it x + (-1.0 * y) array for array: on the
+    # blocks both hold and on the blocks only one of them holds.
+    basis = enumerate_sector(2, 4)
+    gens = su2_generators(basis)
+    a = gens.function_of_j(lambda j: 1.0 / (j + 1))
+    b = gens.function_of_j(lambda j: 1j * j - 0.5)
+    x = SectorBlocks(basis, {k: v for k, v in a.blocks.items() if k % 2 == 0})
+    y = SectorBlocks(basis, {k: v for k, v in b.blocks.items() if k % 3 == 0})
+    assert y.blocks.keys() - x.blocks.keys() and x.blocks.keys() - y.blocks.keys()
+    for left, right in ((x, y), (y, x), (x, a), (a, x), (x, x)):
+        got, want = left - right, left + (-1.0 * right)
+        assert got.blocks.keys() == want.blocks.keys()
+        for k, (t, block) in want.blocks.items():
+            assert got.blocks[k][0] == t
+            assert got.blocks[k][1].dtype == block.dtype
+            assert np.array_equal(got.blocks[k][1], block), k
+    assert (x - x).is_zero()
+    with pytest.raises(SectorStructureError):
+        sector_blocks(gens.Jplus) - sector_blocks(gens.Jminus)
+
+
 def _scattered(op):
     """The SparseOperator with the entries of a SectorBlocks, its blocks
     written into a dense matrix; CSR keeps its nonzero entries only."""

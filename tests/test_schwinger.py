@@ -16,7 +16,7 @@ from su2ladders.operators import (BasisMismatchError, SparseOperator,
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
                                   SpectrumSnapError, WeightLeakError,
-                                  _evaluate, _label_values, _phase_fixed,
+                                  _evaluate, _phase_fixed,
                                   jordan_schwinger, jz_kernel, su2_generators)
 
 from conftest import whole_csr
@@ -321,8 +321,8 @@ def test_function_of_j_pole_names_a_sector_holding_the_label(ctx):
     lambda g: g.weight0(),
 ], ids=["function_of_j", "j_hat", "jz_kernel", "build_taus", "weight0"])
 def test_function_of_j_rejects_unsnappable_spectrum(consumer):
-    # Every reader of the label table must refuse a damaged J^2, on every
-    # call: the table is never cached past the failure.
+    # Every reader of the J^2 labels must refuse a damaged J^2, on every
+    # call: the labels are never cached past the failure.
     g = su2_generators(enumerate_sector(1, 3))
     g.J2 = g.J2 * (1.0 + 1e-3)
     for _ in range(2):
@@ -479,29 +479,31 @@ def test_decomposition_blocks_equal_per_sector_extraction(ctx, spin, n_max):
 
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
 def test_label_values_are_f_at_each_label(ctx, spin, n_max):
-    # One gather over all sectors (or over the weight-0 ones) gives, for
-    # every eigenvector, exactly f at its label.
+    # On the whole-space decomposition and on the weight-0 view's, every
+    # eigenvector of every sector gets exactly f at its label.
     g = ctx(spin, n_max).gens
-    groups = g._label_groups()
-    labels = groups[0]
 
     def f(j):
         return 1.0 / (2.0 * j + 3.0)
 
-    values = _label_values(groups, g.basis, f, False)
-    assert len(values) == len(labels)
-    for got, js in zip(values, labels):
-        assert np.array_equal(got, [f(int(j)) for j in js])
-    pairs = _label_values(groups, g.basis, lambda n, j: n + 1j * j, True)
-    for got, (key, *_), js in zip(pairs, g.j2_decomposition().sectors, labels):
-        assert np.array_equal(got, key[0] + 1j * js)
-    w0 = g.weight0()
-    kept = [k for k, (key, *_) in enumerate(g.j2_decomposition().sectors)
-            if key[1] == 0]
-    restricted = _label_values(groups, g.basis, f, False, w0._index)
-    assert len(restricted) == len(kept) == n_max + 1
-    for got, k in zip(restricted, kept):
-        assert np.array_equal(got, values[k])
+    whole, w0 = g.j2_decomposition(), g.weight0().decomposition
+    for decomposition in (whole, w0):
+        labels = decomposition.labels
+        assert len(labels) == len(decomposition.sectors)
+        for got, js in zip(decomposition.values(f), labels):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, [f(int(j)) for j in js])
+        pairs = decomposition.values(lambda n, j: n + 1j * j, with_n=True)
+        for got, (key, *_), js in zip(pairs, decomposition.sectors, labels):
+            assert np.array_equal(got, key[0] + 1j * js)
+    # The view's levels are the whole space's (n, 0) sectors: the same
+    # labels, so the same values.
+    kept = [k for k, (key, *_) in enumerate(whole.sectors) if key[1] == 0]
+    assert len(kept) == len(w0.sectors) == n_max + 1
+    for n, k in enumerate(kept):
+        assert w0.sectors[n][0] == whole.sectors[k][0] == (n, 0)
+        assert np.array_equal(w0.labels[n], whole.labels[k])
+        assert np.array_equal(w0.values(f)[n], whole.values(f)[k])
 
 
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
@@ -581,14 +583,22 @@ def test_weight0_view_refuses_two_target_levels(ctx):
         f"to {states[six[1]]}")
 
 
-def test_weight0_function_pole_names_the_whole_space_witness(ctx):
+def test_weight0_function_pole_names_a_weight0_witness(ctx):
+    # The whole space names the first sector holding the label, (1, -1); the
+    # weight-0 view decomposes its own levels, so it names the sector (1, 0),
+    # which holds the label too, with its J^2 eigenvalue there.
     g = ctx(1, 4).gens
     with pytest.raises(SpectralFunctionError) as whole:
         g.function_of_j(lambda j: 1.0 / (j - 1))
+    assert whole.value.sector == (1, -1)
+    w0 = g.weight0()
     with pytest.raises(SpectralFunctionError) as restricted:
-        g.weight0().function_of_j(lambda j: 1.0 / (j - 1))
-    assert restricted.value.sector == whole.value.sector
-    assert restricted.value.eigenvalue == whole.value.eigenvalue
+        w0.function_of_j(lambda j: 1.0 / (j - 1))
+    assert restricted.value.sector == (1, 0)
+    _key, _idx, vals, _vecs = w0.decomposition.sectors[1]
+    labels = w0.decomposition.labels[1]
+    assert restricted.value.eigenvalue in vals[labels == 1].tolist()
+    assert restricted.value.eigenvalue == pytest.approx(2.0)
 
 
 def _jordan_schwinger_products(basis, x):

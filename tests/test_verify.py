@@ -256,7 +256,7 @@ def _off_grade_run(mutate):
     before = run(ctx)
     ops = mutate(ctx.basis, ctx.families.p_ops)
     ctx = _SpinContext(2, 4)
-    ctx._families = dataclasses.replace(ctx.families, p_ops=ops)
+    ctx.families = dataclasses.replace(ctx.families, p_ops=ops)
     return ctx, before, run(ctx)
 
 
@@ -399,7 +399,7 @@ def test_weight_leak_fails_the_tau_checks(spin, weight):
     # fails every tau check with the leak, not the whole run.
     ctx = _SpinContext(spin, 4)
     sigma = solve_sigma(build_alpha(spin, family_for_theta(spin, 1)), 1)
-    ctx._families = _leaked_family(ctx.families, sigma, weight)
+    ctx.families = _leaked_family(ctx.families, sigma, weight)
     report = _run_block(_tau_checks, ctx)
     names = ("tau-casimir-ladder", "tau-label-shift", "resolvent-ladder-right",
              "resolvent-ladder-left")
