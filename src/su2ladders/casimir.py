@@ -11,22 +11,34 @@ tau[theta] that shift the Casimir label j by theta while raising the total
 particle number by one.  Everything the construction claims is certified
 numerically on the zero-weight (J_z kernel) subspace, where the closure
 relations hold; the few identities that hold unrestricted are checked on the
-full interior.  Each tau is held on weight 0: ``assemble_tau`` builds only
-its dense (n, 0) -> (n + 1, 0) level blocks (``TauOperator.weight0``, a
-``SectorBlocks``), and refuses a family operator that leaks out of weight 0
-(WeightLeakError) or sends a weight-0 level into two (SectorStructureError).
-The ladder certificates, the resolvent relations, the kernel lattice, the
-complete set and the deformed generators read those blocks, the blocks of
-J^2 read from its sparse entries, f(J^2) on the (n, 0) sectors
-(``Su2Generators.weight0``), and the kernel nodes of each level
-(``Weight0View.nodes``): every product is one gemm per level block, with no
-whole-space function of j and no whole-space node vector.  What tau does off
-weight 0 is certified from its
-grade instead: every term T_k maps each (n, w) sector into (n + 1, w)
-(``tau_off_grade``), and its sigma_k(j) is block diagonal over the sectors,
-so tau tau^dagger and the deformed generators commute with N and J_z
-exactly.  The whole-space tau (``TauOperator.op``) is built on demand, for
-the spin-1 expressions and for export.
+full interior.
+
+The families are formed on weight 0: ``build_families`` applies J_+/- to the
+weight-0 columns alone, as CSR products on the thin column block, and each
+a_mu^dagger as a row map (``_family_columns``), and keeps each T_k as its
+dense (n, 0) -> (n + 1, 0) level blocks (``LadderFamily.weight0_ops``); a
+column that leaves weight 0 is refused (WeightLeakError), and so is one
+weight-0 level sent into two (SectorStructureError).  No whole-space power
+of J_+/- and no whole-space a_mu^dagger is formed there.  The same routine
+on every column gives the whole-space operators (``LadderFamily.ops``),
+formed on first read by the readers that need them: the family checks of
+``verify``, the grade certificate, the whole-space tau, the spin-1
+expressions and ``dump-op``.
+
+Each tau is held on weight 0 too: ``assemble_tau`` builds only its level
+blocks (``TauOperator.weight0``, a ``SectorBlocks``) from the families'.
+The closure certificate and fit, the ladder certificates, the resolvent
+relations, the kernel lattice, the complete set and the deformed generators
+read those blocks, the blocks of J^2 read from its sparse entries, f(J^2) on
+the (n, 0) sectors (``Su2Generators.weight0``), and the kernel nodes of each
+level (``Weight0View.nodes``): every product is one gemm per level block,
+with no whole-space function of j and no whole-space node vector.  What tau
+does off weight 0 is certified from its grade instead: every term T_k maps
+each (n, w) sector into (n + 1, w) (``tau_off_grade``), and its sigma_k(j)
+is block diagonal over the sectors, so tau tau^dagger and the deformed
+generators commute with N and J_z exactly.  The whole-space tau
+(``TauOperator.op``) is built on demand, for the spin-1 expressions and for
+export.
 """
 
 from __future__ import annotations
@@ -38,6 +50,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
+
 from .fock import SectorBasis
 from .jpoly import JPoly
 from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
@@ -47,7 +61,7 @@ from .operators import (BasisMismatchError, ResidualReport, SectorBlocks,
                         SectorStructureError, SparseOperator, commutator,
                         commutator_on_columns, commutator_residual,
                         creation_op, entry_grades, number_op, on_columns,
-                        residual, sector_blocks)
+                        raised_states, residual, sector_blocks)
 from .schwinger import Su2Generators, _phase_fixed, jz_kernel
 
 
@@ -56,24 +70,65 @@ class LadderFamily:
     """The symmetric (p) and antisymmetric (m) operator families for one spin.
 
     Both commute with J_z and raise the total particle number by one;
-    ``p_ops[k]`` holds index k = 0..s, ``m_ops[k-1]`` holds index k = 1..s.
+    index k = 0..s of the p family sits at position k, index k = 1..s of
+    the m family at position k - 1.  Each operator is held in two forms,
+    both formed by ``_family_columns``:
+
+    - ``p_weight0``/``m_weight0``, its weight-0 level blocks, a
+      ``SectorBlocks`` on the weight-0 basis of ``generators.weight0()``,
+      formed from the weight-0 columns alone by ``build_families``: what
+      the closure certificate and fit, tau and the lattice read;
+    - ``p_ops``/``m_ops``, the whole-space ``SparseOperator``, formed on
+      first read and kept on this instance (not a field, so a
+      ``dataclasses.replace`` copy forms its own): what the grade
+      certificate, the family checks, the whole-space tau and the spin-1
+      expressions read.
+
+    Each column of a CSR product sums the same terms in the same order
+    whatever the other columns are, so the level blocks equal
+    ``Weight0View.of`` of the whole-space operators array for array.
     """
     s: int
     basis: SectorBasis
-    p_ops: tuple[SparseOperator, ...]
-    m_ops: tuple[SparseOperator, ...]
+    generators: Su2Generators = field(repr=False, compare=False)
+    p_weight0: tuple[SectorBlocks, ...]
+    m_weight0: tuple[SectorBlocks, ...]
     # What is formed from these operators once and kept (``closure_fit``,
     # ``closure_commutators``, ``s1_reference_taus``).  Not an init field,
     # so a ``dataclasses.replace`` copy starts with its own.
     _values: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
-    def ops(self, family: str) -> dict[int, SparseOperator]:
+    @functools.cached_property
+    def _whole_space(self) -> tuple[tuple[SparseOperator, ...],
+                                    tuple[SparseOperator, ...]]:
+        p, m = _family_columns(self.generators, np.arange(len(self.basis)))
+        return (tuple(SparseOperator(self.basis, x) for x in p),
+                tuple(SparseOperator(self.basis, x) for x in m))
+
+    @property
+    def p_ops(self) -> tuple[SparseOperator, ...]:
+        return self._whole_space[0]
+
+    @property
+    def m_ops(self) -> tuple[SparseOperator, ...]:
+        return self._whole_space[1]
+
+    @staticmethod
+    def _indexed(family: str, p: tuple, m: tuple) -> dict:
         if family == P_FAMILY:
-            return {k: self.p_ops[k] for k in range(self.s + 1)}
+            return dict(enumerate(p))
         if family == M_FAMILY:
-            return {k: self.m_ops[k - 1] for k in range(1, self.s + 1)}
+            return dict(enumerate(m, start=1))
         raise ValueError(f"unknown family {family!r}")
+
+    def ops(self, family: str) -> dict[int, SparseOperator]:
+        """k -> T_k of the family, on the whole space."""
+        return self._indexed(family, self.p_ops, self.m_ops)
+
+    def weight0_ops(self, family: str) -> dict[int, SectorBlocks]:
+        """k -> T_k of the family, as its weight-0 level blocks."""
+        return self._indexed(family, self.p_weight0, self.m_weight0)
 
     def kept(self, key, generators: Su2Generators, build):
         """``build()``, formed on first use and kept on this instance under
@@ -101,29 +156,76 @@ class LadderFamily:
         same ones."""
         def build():
             w0 = generators.weight0()
-            return {eta: commutator_on_columns(w0.J2, w0.of(t), LADDER_MARGIN)
-                    for eta, t in self.ops(family).items()}
+            return {eta: commutator_on_columns(w0.J2, t, LADDER_MARGIN)
+                    for eta, t in self.weight0_ops(family).items()}
         return self.kept(("commutators", family), generators, build)
 
 
 def build_families(basis: SectorBasis, generators: Su2Generators) -> LadderFamily:
-    """Construct both operator families for the generators' spin."""
-    s = generators.s
-    adag = {mu: creation_op(basis, mu) for mu in range(-s, s + 1)}
-    p_ops = [2.0 * adag[0]]
-    m_ops = []
-    jp_pow = SparseOperator.identity(basis)
-    jm_pow = SparseOperator.identity(basis)
+    """Construct both operator families for the generators' spin, as their
+    weight-0 level blocks (``Weight0View.from_columns``, which refuses a
+    column that leaves weight 0 with WeightLeakError); the whole-space
+    operators are formed on first read."""
+    if generators.basis is not basis and generators.basis != basis:
+        raise BasisMismatchError("basis does not match the generators")
+    w0 = generators.weight0()
+    p, m = _family_columns(generators, w0.rows)
+    return LadderFamily(s=generators.s, basis=basis, generators=generators,
+                        p_weight0=tuple(map(w0.from_columns, p)),
+                        m_weight0=tuple(map(w0.from_columns, m)))
+
+
+def _family_columns(generators: Su2Generators, columns: np.ndarray
+                    ) -> tuple[list[sparse.csr_matrix],
+                               list[sparse.csr_matrix]]:
+    """T_k P for every operator of both families, P the basis columns
+    ``columns``: the p family's and the m family's, each a CSR block with a
+    row per basis state and a column per entry of ``columns``.
+
+    J_+ and J_- act as CSR products on the thin block, right-associated,
+    J^k P = J (J^(k-1) P), and a_mu^dagger as a row map
+    (``_raised_rows``), so no whole-space power of J_+/- and no whole-space
+    a_mu^dagger is formed.  Each column of the result is summed over the
+    same terms in the same order whatever the other columns are.
+    """
+    basis, s = generators.basis, generators.s
+    dim, width = len(basis), len(columns)
+    block = sparse.csr_matrix((np.ones(width), (columns, np.arange(width))),
+                              shape=(dim, width))
+    p = [2.0 * _raised_rows(basis, 0, block)]
+    m = []
+    up = down = block
     norm = 1.0
     for k in range(1, s + 1):
-        jp_pow = jp_pow @ generators.Jplus
-        jm_pow = jm_pow @ generators.Jminus
+        up = generators.Jplus.matrix @ up
+        down = generators.Jminus.matrix @ down
         norm *= math.sqrt((s + k) * (s - k + 1))
-        plus = adag[-k] @ jp_pow + adag[k] @ jm_pow
-        minus = adag[-k] @ jp_pow - adag[k] @ jm_pow
-        p_ops.append((1.0 / norm) * plus)
-        m_ops.append((1.0 / norm) * minus)
-    return LadderFamily(s=s, basis=basis, p_ops=tuple(p_ops), m_ops=tuple(m_ops))
+        plus, minus = _raised_rows(basis, -k, up), _raised_rows(basis, k, down)
+        p.append((1.0 / norm) * (plus + minus))
+        m.append((1.0 / norm) * (plus - minus))
+    return p, m
+
+
+def _raised_rows(basis: SectorBasis, mu: int, x: sparse.csr_matrix
+                 ) -> sparse.csr_matrix:
+    """a_mu^dagger X as a row map: each stored row of X moves to the row of
+    its state with one more boson in mode mu, times sqrt(n_mu + 1)
+    (``raised_states``, computed for those rows alone); a row at n_max is
+    dropped.  The raising is injective, so each entry is one product, the
+    float a CSR product with a_mu^dagger forms."""
+    counts = np.diff(x.indptr)
+    sources, targets, amps = raised_states(basis, mu, np.flatnonzero(counts))
+    order = np.argsort(targets)
+    sources, targets, amps = sources[order], targets[order], amps[order]
+    sizes = counts[sources]
+    indptr = np.zeros(x.shape[0] + 1, dtype=x.indptr.dtype)
+    indptr[targets + 1] = sizes
+    np.cumsum(indptr, out=indptr)
+    taken = (np.repeat(x.indptr[sources] - indptr[targets], sizes)
+             + np.arange(indptr[-1]))
+    return sparse.csr_matrix(
+        (x.data[taken] * np.repeat(amps, sizes), x.indices[taken], indptr),
+        shape=x.shape)
 
 
 #: Interior margin of the identities with one raising step (closure
@@ -145,13 +247,14 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     For every family index eta the residual of [J^2, T_eta] minus
     sum_mu T_mu alpha[mu, eta](j) is computed on the weight-0 interior
     (margin LADDER_MARGIN), from the weight-0 blocks of the generators
-    (``Su2Generators.weight0``); the commutators are the family's kept ones
+    (``Su2Generators.weight0``) and of the family
+    (``LadderFamily.weight0_ops``); the commutators are the family's kept ones
     (``LadderFamily.closure_commutators``).  A failure aborts with the
     offending (mu, eta) pair, identified against the family's measured
     closure coefficients (``LadderFamily.closure_fit``).
     """
     w0 = generators.weight0()
-    ops = {k: w0.of(t) for k, t in families.ops(alpha.family).items()}
+    ops = families.weight0_ops(alpha.family)
     reports = {}
     for eta, lhs in families.closure_commutators(alpha.family,
                                                  generators).items():
@@ -178,7 +281,7 @@ def _measure_closure(families: LadderFamily, generators: Su2Generators,
 
     Returns, for every eta, (j, coef) per identified node in (n, node)
     order, coef[i] being the coefficient of the i-th operator of
-    ``families.ops(family)``.  The nodes of levels n <= n_max -
+    ``families.weight0_ops(family)``.  The nodes of levels n <= n_max -
     LADDER_MARGIN are the weight-0 columns that ``certify_alpha`` reads.
     The commutators are the family's kept ones
     (``LadderFamily.closure_commutators``), and each operator's images are
@@ -195,7 +298,7 @@ def _measure_closure(families: LadderFamily, generators: Su2Generators,
     matrix is read.
     """
     w0 = generators.weight0()
-    ops = {k: w0.of(t) for k, t in families.ops(family).items()}
+    ops = families.weight0_ops(family)
     comms = families.closure_commutators(family, generators)
     fit: dict[int, list[tuple[int, np.ndarray]]] = {eta: [] for eta in ops}
     for n in range(0, families.basis.n_max - LADDER_MARGIN + 1):
@@ -241,7 +344,7 @@ def _worst_alpha_entry(alpha, eta, generators, families):
     each with alpha[mu, eta] at the node's label; the first largest
     deviation wins.  Any candidate alpha is read against the same fit.
     """
-    mus = list(families.ops(alpha.family))
+    mus = list(families.weight0_ops(alpha.family))
     worst = (None, 0.0)
     for j, coef in families.closure_fit(alpha.family, generators)[eta]:
         for mu, c in zip(mus, coef):
@@ -312,15 +415,15 @@ class TauOperator:
 
     @functools.cached_property
     def op(self) -> SectorBlocks:
-        return self.generators.sum_times_functions_of_j(
-            list(_tau_terms(self.families, self.sigma).values()))
+        return self.generators.sum_times_functions_of_j(list(_tau_terms(
+            self.families.ops(self.family), self.sigma).values()))
 
 
-def _tau_terms(families: LadderFamily, sigma: SigmaVector) -> dict:
+def _tau_terms(ops: dict, sigma: SigmaVector) -> dict:
     """k -> (T_k, sigma_k), the terms of sum_k T_k sigma_k(j) with
-    sigma_k != 0."""
-    return {k: (t_k, sigma.sigmas[k])
-            for k, t_k in families.ops(sigma.family).items()
+    sigma_k != 0, for the family operators ``ops`` (k -> T_k, either form,
+    ``LadderFamily.ops`` or ``LadderFamily.weight0_ops``)."""
+    return {k: (t_k, sigma.sigmas[k]) for k, t_k in ops.items()
             if not sigma.sigmas[k].is_zero()}
 
 
@@ -338,7 +441,8 @@ def tau_off_grade(tau: TauOperator) -> list[str]:
     """
     states = tau.families.basis.states
     out = []
-    for k, (t_k, _sigma_k) in _tau_terms(tau.families, tau.sigma).items():
+    for k, (t_k, _sigma_k) in _tau_terms(tau.families.ops(tau.family),
+                                         tau.sigma).items():
         rows, cols, dn, dw = entry_grades(t_k)
         bad = np.flatnonzero((dn != 1) | (dw != 0))
         if len(bad):
@@ -357,25 +461,28 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
 
     tau = sum_k T_k sigma_k(j), the polynomials standing to the right as
     functions of the label.  Only its weight-0 level blocks are assembled
-    here (``Weight0View.sum_times_functions_of_j``), sector by sector in the
+    here (``Weight0View.sum_times_functions_of_j``), from the families'
+    weight-0 blocks (``LadderFamily.weight0_ops``), sector by sector in the
     J^2 eigenbasis: on an (n, 0) sector with eigenvectors V and labels js,
     its block is (sum_k (T_k V) diag sigma_k(js)) V^T.  This equals the
     weight-0 block of sum_k T_k @ function_of_j(sigma_k) up to rounding,
-    and never forms an image sigma_k(J^2).  A family operator T_k with an
-    entry from weight 0 into another weight raises WeightLeakError.  The
-    whole-space tau (``TauOperator.op``) is assembled by the same routine on
-    the whole decomposition, on first read.  When ``certify`` is set
-    (default), the ladder relation with J^2 and the shift of j by theta must
-    both hold to 1e-8 on the weight-0 interior before the operator is
-    returned.  Those certificates multiply tau's assembled blocks with the
-    blocks of J^2 read from its sparse entries and with f(J^2) on the (n, 0)
-    sectors, so they check the sector-wise assembly by an independent route.
+    and never forms an image sigma_k(J^2).  A family operator with an entry
+    from weight 0 into another weight is refused where its blocks are
+    formed (``build_families``, WeightLeakError).  The whole-space tau
+    (``TauOperator.op``) is assembled by the same routine on the whole
+    decomposition, from the whole-space families, on first read.  When
+    ``certify`` is set (default), the ladder relation with J^2 and the
+    shift of j by theta must both hold to 1e-8 on the weight-0 interior
+    before the operator is returned.  Those certificates multiply tau's
+    assembled blocks with the blocks of J^2 read from its sparse entries
+    and with f(J^2) on the (n, 0) sectors, so they check the sector-wise
+    assembly by an independent route.
     """
     fpoly = right_function_poly(sigma.theta)
     tau = TauOperator(
         theta=sigma.theta, family=sigma.family,
-        weight0=generators.weight0().sum_times_functions_of_j(
-            list(_tau_terms(families, sigma).values())),
+        weight0=generators.weight0().sum_times_functions_of_j(list(
+            _tau_terms(families.weight0_ops(sigma.family), sigma).values())),
         right_function=fpoly, sigma=sigma, families=families,
         generators=generators)
     if certify:
@@ -1063,7 +1170,7 @@ def s1_inverse_expressions(generators: Su2Generators, families: LadderFamily
         raise ValueError("inverse expressions are specific to spin 1")
     w0 = generators.weight0()
     tau_plus, tau_minus = map(w0.of, s1_reference_taus(generators, families))
-    p0, p1 = w0.of(families.p_ops[0]), w0.of(families.p_ops[1])
+    p0, p1 = families.p_weight0[:2]
     inv = w0.function_of_j(lambda j: 1.0 / (2.0 * j + 1.0))
     jh = w0.j
     p0_expr = (tau_plus + tau_minus) @ inv

@@ -9,6 +9,7 @@ is deterministic and stable across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -59,6 +60,18 @@ def _states_with_total(modes: int, cap: int, exact: bool
             yield (c,) + rest
 
 
+@functools.lru_cache(maxsize=None)
+def _binomials(top: int, modes: int) -> np.ndarray:
+    """Read-only table of C(a, b) for 0 <= a <= top and 0 <= b <= modes
+    (zero for b > a), built once per (top, modes)."""
+    binom = np.zeros((top + 1, modes + 1), dtype=np.int64)
+    for a in range(top + 1):
+        for b in range(min(a, modes) + 1):
+            binom[a, b] = math.comb(a, b)
+    binom.flags.writeable = False
+    return binom
+
+
 def _lex_ranks(occupations: np.ndarray, n_max: int) -> np.ndarray:
     """Position of each occupation row among all states of its mode count
     with total <= n_max, in ascending lexicographic order.
@@ -68,11 +81,7 @@ def _lex_ranks(occupations: np.ndarray, n_max: int) -> np.ndarray:
     = C(cap + k + 1, k + 1) - C(cap - o_i + k + 1, k + 1).
     """
     count, modes = occupations.shape
-    top = n_max + modes + 1
-    binom = np.zeros((top + 1, modes + 1), dtype=np.int64)
-    for a in range(top + 1):
-        for b in range(min(a, modes) + 1):
-            binom[a, b] = math.comb(a, b)
+    binom = _binomials(n_max + modes + 1, modes)
     ranks = np.zeros(count, dtype=np.int64)
     cap = np.full(count, n_max, dtype=np.int64)
     for i in range(modes):

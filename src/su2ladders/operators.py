@@ -508,20 +508,34 @@ class SectorBlocks:
 
 # -- elementary operators ---------------------------------------------------
 
+def raised_states(basis, mu: int, states: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a_mu^dagger sends the basis states ``states`` (indices):
+    (sources, targets, amplitudes).
+
+    A state whose image, one more boson in mode mu, lies in the basis is
+    kept in ``sources``, in the given order, with that image's index in
+    ``targets`` and the amplitude sqrt(n_mu + 1); a state at n_max, pushed
+    past the truncation, is dropped.  This is the one definition of a
+    creation operator's entries (``creation_op``).
+    """
+    pos = basis.mode_position(mu)
+    states = states[basis.totals[states] < basis.n_max]
+    raised = basis.occupations[states]
+    raised[:, pos] += 1
+    targets = basis.indices_of(raised)
+    keep = targets >= 0
+    states, targets = states[keep], targets[keep]
+    return states, targets, np.sqrt(basis.occupations[states, pos] + 1.0)
+
+
 def creation_op(basis, mu: int) -> SparseOperator:
     """Creation operator for mode weight mu: amplitude sqrt(n_mu + 1).
 
     States pushed past the truncation n_max are dropped, so identities
     involving it hold on the interior at margin >= 1.
     """
-    pos = basis.mode_position(mu)
-    cols = np.flatnonzero(basis.totals < basis.n_max)
-    raised = basis.occupations[cols]
-    raised[:, pos] += 1
-    rows = basis.indices_of(raised)
-    keep = rows >= 0
-    rows, cols = rows[keep], cols[keep]
-    data = np.sqrt(basis.occupations[cols, pos] + 1.0)
+    cols, rows, data = raised_states(basis, mu, np.arange(len(basis)))
     dim = len(basis)
     mat = sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim),
                             dtype=float).tocsr()

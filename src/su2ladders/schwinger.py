@@ -421,7 +421,9 @@ class Weight0View:
     the weight-0 ``SectorBasis`` (the same n_max, so an interior margin
     keeps the same levels), ``rows`` its states' whole-space indices, and
     level n its (n, 0) sector, sector n of its sector table.  ``of``
-    restricts a whole-space operator to its weight-0 blocks; ``J2`` is
+    restricts a whole-space operator to its weight-0 blocks, and
+    ``from_columns`` reads them from the operator's weight-0 columns alone
+    (how the families are formed, ``build_families``); ``J2`` is
     J^2's, read from its sparse entries, so the certificates never read J^2
     from its eigenvectors.
     ``decomposition`` diagonalises those J^2 level blocks
@@ -458,17 +460,19 @@ class Weight0View:
         They are the eigenvectors of level n's J^2 block (``decomposition``),
         so J_z is zero on each by construction, with the decomposition's
         labels.  Each is rotated so its first non-negligible entry is real
-        and positive.  The order is deterministic: ascending j, then
-        lexicographic on the phase-fixed coordinates.
+        and positive (``_phase_fixed``).  The order is deterministic:
+        ascending j, then lexicographic on the phase-fixed coordinates
+        rounded to 10 decimals, real parts before imaginary parts, and the
+        eigenvalue order on a tie.
         """
         _key, positions, _vals, vecs = self.decomposition.sectors[n]
         labels = self.decomposition.labels[n]
-        fixed = [_phase_fixed(v) for v in vecs.T]
-        order = sorted(range(len(labels)), key=lambda k: (
-            labels[k], tuple(np.round(fixed[k].real, 10))
-            + tuple(np.round(fixed[k].imag, 10))))
-        return KernelNodes(positions, labels[order],
-                           np.array([fixed[k] for k in order]).T)
+        fixed = _phase_fixed(vecs)
+        # One stable sort; np.lexsort's last key is the primary one.
+        order = np.lexsort(np.concatenate((
+            np.round(fixed.imag, 10)[::-1], np.round(fixed.real, 10)[::-1],
+            labels[None])))
+        return KernelNodes(positions, labels[order], fixed.T[order].T)
 
     def function_of_j(self, f: Callable[[int], float]) -> SectorBlocks:
         """f(j) on the weight-0 subspace, from ``decomposition``: f is called
@@ -479,12 +483,15 @@ class Weight0View:
         return self.decomposition.function_of(f)
 
     def sum_times_functions_of_j(
-            self, terms: list[tuple[SparseOperator, Callable[[int], float]]]
+            self, terms: list[tuple[SparseOperator | SectorBlocks,
+                                    Callable[[int], float]]]
             ) -> SectorBlocks:
         """The weight-0 blocks of ``Su2Generators.sum_times_functions_of_j``,
         by the same ``SpectralDecomposition.sum_times`` on ``decomposition``,
-        so the two are equal array for array.  Each X_k is restricted by
-        ``of``, so one that leaks out of weight 0 raises WeightLeakError.
+        so the two are equal array for array.  Each X_k is read through
+        ``of``: a whole-space one that leaks out of weight 0 raises
+        WeightLeakError, and a weight-0 one (the families' level blocks,
+        ``LadderFamily.weight0_ops``) is taken as it is.
         """
         return self.decomposition.sum_times(
             [self.of(op) for op, _f in terms],
@@ -492,8 +499,9 @@ class Weight0View:
 
     def of(self, op: SparseOperator | SectorBlocks) -> SectorBlocks:
         """The weight-0 blocks of a whole-space operator: read from the CSR
-        entries of its weight-0 columns, or sliced from its (n, 0) sector
-        blocks (the same arrays).
+        entries of its weight-0 columns (``from_columns``), or sliced from
+        its (n, 0) sector blocks (the same arrays).  An operator already on
+        the weight-0 basis is its own restriction and is returned as it is.
 
         Raises WeightLeakError when some weight-0 column of ``op`` has a
         nonzero entry in a row of another weight: the restriction would then
@@ -502,6 +510,9 @@ class Weight0View:
         (``SectorBlocks.from_entries``).  Each operator is restricted once;
         the restriction is kept while ``op`` lives.
         """
+        if isinstance(op, SectorBlocks) and (op.basis is self.basis
+                                             or op.basis == self.basis):
+            return op
         whole = self.whole_basis
         if op.basis is not whole and op.basis != whole:
             raise BasisMismatchError("operator does not act on the generators' basis")
@@ -509,7 +520,7 @@ class Weight0View:
         if cached is not None and cached[0]() is op:
             return cached[1]
         out = (self._slice(op) if isinstance(op, SectorBlocks)
-               else self._from_columns(op))
+               else self.from_columns(op.matrix[:, self.rows]))
         for key in [k for k, (ref, _out) in self._restricted.items()
                     if ref() is None]:
             del self._restricted[key]
@@ -523,9 +534,16 @@ class Weight0View:
             f"{whole.states[row]} of weight {int(whole.weights[row])} "
             f"(entry {value!r}, {count} such entries)")
 
-    def _from_columns(self, op: SparseOperator) -> SectorBlocks:
+    def from_columns(self, columns: sparse.csr_matrix) -> SectorBlocks:
+        """The weight-0 blocks of an operator given by its weight-0 columns:
+        a CSR block with a row per whole-space state and a column per
+        weight-0 state, column i the image of ``basis`` state i.
+
+        Raises WeightLeakError when a column has a nonzero entry in a row
+        of another weight, and SectorStructureError when it sends one
+        weight-0 level into two (``SectorBlocks.from_entries``).
+        """
         whole = self.whole_basis
-        columns = op.matrix[:, self.rows]
         row_of = np.repeat(np.arange(len(whole)), np.diff(columns.indptr))
         inside = whole.weights[row_of] == 0
         leaks = np.flatnonzero(~inside & (columns.data != 0))
@@ -584,15 +602,18 @@ class KernelNodes:
         return out
 
 
-def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    """Rotate vec so its first non-negligible entry is real and positive."""
-    amax = np.max(np.abs(vec))
-    if amax == 0:
-        return vec
-    nz = np.flatnonzero(np.abs(vec) > 1e-8 * amax)
-    lead = vec[nz[0]]
-    phase = lead / abs(lead)
-    return vec / phase
+def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
+    """Rotate a vector, or each column of a matrix, so its first entry above
+    1e-8 of its largest magnitude is real and positive; a zero vector is
+    left as it is.  A real vector's phase is +-1, so each column gets the
+    floats a fix of that vector alone would give."""
+    cols = vecs.reshape(len(vecs), -1)
+    mags = np.abs(cols)
+    amax = mags.max(axis=0, initial=0.0)
+    first = np.argmax(mags > 1e-8 * amax, axis=0)
+    lead = cols[first, np.arange(cols.shape[1])]
+    lead = np.where(amax > 0, lead, 1)
+    return (cols / (lead / np.abs(lead))).reshape(vecs.shape)
 
 
 def jz_kernel(basis: SectorBasis, generators: Su2Generators, n: int

@@ -643,11 +643,13 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
 
 def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
     s, basis, gens = ctx.s, ctx.basis, ctx.gens
-    fam = ctx.families
     p = {"s": s}
 
+    # The families are read inside each check, as the taus are, so a
+    # failure to build them fails the check.
     def number_ladder_family(tol):
         worst = 0.0
+        fam = ctx.families
         for ops in (fam.ops(P_FAMILY), fam.ops(M_FAMILY)):
             for k, t in ops.items():
                 if t.is_zero():
@@ -660,6 +662,7 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     def jz_commuting(tol):
         worst = 0.0
+        fam = ctx.families
         for ops in (fam.ops(P_FAMILY), fam.ops(M_FAMILY)):
             for k, t in ops.items():
                 if t.is_zero():

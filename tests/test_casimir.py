@@ -6,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import su2ladders.casimir
+import su2ladders.operators
 from su2ladders import bruteforce
-from su2ladders.casimir import (LatticeSchemeError, TauCertificationError,
+from su2ladders.casimir import (LadderFamily, LatticeSchemeError,
+                                TauCertificationError,
                                 alpha_entry_deviation, assemble_tau,
                                 build_alpha_certified, build_families,
                                 build_taus, certify_alpha,
@@ -62,6 +65,27 @@ def test_m1_annihilates_zero_weight_states(ctx):
     # Off the kernel it acts nontrivially.
     v = c.basis.unit_vector((1, 0, 0))
     assert np.linalg.norm(c.families.m_ops[0].apply(v)) > 0.9
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 5), (3, 5), (5, 5)])
+def test_weight0_family_blocks_equal_the_whole_space_restriction(ctx, spin,
+                                                                 n_max):
+    # The families are formed on the weight-0 columns alone; each column of
+    # a CSR product sums the same terms in the same order whatever the other
+    # columns are, so the blocks equal the whole-space operators' weight-0
+    # blocks array for array.
+    c = ctx(spin, n_max)
+    w0 = c.gens.weight0()
+    pairs = list(zip(c.families.p_weight0 + c.families.m_weight0,
+                     c.families.p_ops + c.families.m_ops))
+    assert len(pairs) == 2 * spin + 1
+    for got, whole in pairs:
+        want = w0.of(whole)
+        assert got.basis == w0.basis
+        assert got.blocks.keys() == want.blocks.keys()
+        for k, (t, block) in want.blocks.items():
+            assert got.blocks[k][0] == t
+            assert np.array_equal(got.blocks[k][1], block), k
 
 
 @pytest.mark.parametrize("spin", [1, 2, 3])
@@ -335,6 +359,50 @@ def test_build_path_never_builds_the_whole_space_decomposition(
 
     monkeypatch.setattr(Su2Generators, "j2_decomposition", refuse)
     got_taus, got_lattice = build()
+    assert got_taus.keys() == want_taus.keys()
+    for theta, tau in want_taus.items():
+        got = got_taus[theta].weight0
+        assert got.blocks.keys() == tau.weight0.blocks.keys()
+        for k, (t, block) in tau.weight0.blocks.items():
+            assert got.blocks[k][0] == t
+            assert np.array_equal(got.blocks[k][1], block), (theta, k)
+    assert (json.dumps(got_lattice.to_json_dict(), sort_keys=True)
+            == json.dumps(want_lattice.to_json_dict(), sort_keys=True))
+
+
+@pytest.mark.parametrize("spin,n_max", [(2, 5), (3, 5)])
+def test_build_path_never_builds_the_whole_space_families(
+        monkeypatch, spin, n_max):
+    # The families, the certified taus and the lattice read the families'
+    # weight-0 blocks only: with the whole-space families, every whole-space
+    # a^dagger and every whole-space sparse product (so every J_+/-^k)
+    # refused, and the family columns formed on the weight-0 columns alone,
+    # they build the same tau level blocks and the same lattice report.
+    def build(gens):
+        taus = build_taus(build_families(gens.basis, gens), gens, certify=True)
+        return taus, lattice_report(gens.basis, gens, taus, min(n_max - 1, 4))
+
+    want_taus, want_lattice = build(
+        su2_generators(enumerate_sector(spin, n_max)))
+    gens = su2_generators(enumerate_sector(spin, n_max))
+    widths = []
+    family_columns = su2ladders.casimir._family_columns
+
+    def recorded(generators, columns):
+        widths.append(len(columns))
+        return family_columns(generators, columns)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build formed a whole-space family operator")
+
+    monkeypatch.setattr(su2ladders.casimir, "_family_columns", recorded)
+    monkeypatch.setattr(LadderFamily, "_whole_space", property(refuse))
+    monkeypatch.setattr(su2ladders.casimir, "creation_op", refuse)
+    monkeypatch.setattr(su2ladders.operators, "creation_op", refuse)
+    monkeypatch.setattr(SparseOperator, "__matmul__", refuse)
+    monkeypatch.setattr(SparseOperator, "power", refuse)
+    got_taus, got_lattice = build(gens)
+    assert widths == [int((gens.basis.weights == 0).sum())]
     assert got_taus.keys() == want_taus.keys()
     for theta, tau in want_taus.items():
         got = got_taus[theta].weight0

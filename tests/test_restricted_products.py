@@ -512,14 +512,14 @@ def test_s1_reference_taus_belong_to_one_family_instance(ctx):
 @pytest.mark.parametrize("spin", SPINS)
 @pytest.mark.parametrize("family", ["p", "m"])
 def test_closure_fit_belongs_to_one_family_instance(ctx, spin, family):
-    # A copy with one operator scaled by 1 + 1e-6 is measured afresh, and its
-    # fit does not replace the original's: the correct alpha deviates on the
-    # copy beyond the 1e-10 of closure-entries-extracted and stays below it
-    # on the original families.
+    # A copy with one operator's weight-0 blocks (what the fit reads) scaled
+    # by 1 + 1e-6 is measured afresh, and its fit does not replace the
+    # original's: the correct alpha deviates on the copy beyond the 1e-10 of
+    # closure-entries-extracted and stays below it on the original families.
     c = ctx(spin, 4)
     alpha = build_alpha(spin, family)
     assert alpha_entry_deviation(alpha, c.gens, c.families) < 1e-10
-    field = "p_ops" if family == "p" else "m_ops"
+    field = "p_weight0" if family == "p" else "m_weight0"
     ops = list(getattr(c.families, field))
     ops[1] = (1 + 1e-6) * ops[1]
     scaled = dataclasses.replace(c.families, **{field: tuple(ops)})
@@ -682,21 +682,26 @@ def test_build_and_kernel_never_build_a_whole_space_tau(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("leak", ["other-node", "off-weight"])
-def test_lattice_rejects_an_injected_leak(ctx, leak):
+def test_lattice_rejects_an_injected_leak(ctx, monkeypatch, leak):
     # A 1e-6 admixture that leaves the predicted node of tau[+1] to other j
     # is a hard error of the lattice.  One to weight 1, outside every node,
-    # cannot be held by tau's weight-0 block: the same admixture in a family
-    # operator is refused when the taus are assembled.
+    # cannot be held by tau's weight-0 block, nor by the families' blocks
+    # it is assembled from: the same admixture in the columns of a family
+    # operator is refused when the families are formed.
     c = ctx(2, 4)
     p0 = c.families.p_ops[0]
     if leak == "off-weight":
-        stray = c.gens.Jplus @ p0
-        bad = SparseOperator(c.basis, p0.matrix
-                             + 1e-6 * p0.norm() / stray.norm() * stray.matrix)
-        families = dataclasses.replace(
-            c.families, p_ops=(bad,) + c.families.p_ops[1:])
+        family_columns = su2ladders.casimir._family_columns
+
+        def leaked(generators, columns):
+            p, m = family_columns(generators, columns)
+            stray = generators.Jplus.matrix @ p[0]
+            p[0] = p[0] + (1e-6 * np.linalg.norm(p[0].data)
+                           / np.linalg.norm(stray.data)) * stray
+            return p, m
+        monkeypatch.setattr(su2ladders.casimir, "_family_columns", leaked)
         with pytest.raises(WeightLeakError):
-            build_taus(families, c.gens, certify=False)
+            build_taus(build_families(c.basis, c.gens), c.gens, certify=False)
         return
     tau = c.taus[1]
     whole = whole_csr(tau.op)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -366,6 +368,58 @@ def test_kernel_vectors_are_the_decomposition_eigenvectors(ctx, n):
     assert len(kvs) == len(expected)
     for kv in kvs:
         assert sum(np.array_equal(kv.vector, e) for e in expected) == 1
+
+
+def _nodes_by_the_per_vector_sort(labels, vecs):
+    """A level's nodes as one phase fix per vector and one ``sorted`` over
+    per-node tuples: the reference for ``Weight0View.nodes``."""
+    def phase_fixed(vec):
+        amax = np.max(np.abs(vec))
+        if amax == 0:
+            return vec
+        lead = vec[np.flatnonzero(np.abs(vec) > 1e-8 * amax)[0]]
+        return vec / (lead / abs(lead))
+    fixed = [phase_fixed(v) for v in vecs.T]
+    order = sorted(range(len(labels)), key=lambda k: (
+        labels[k], tuple(np.round(fixed[k].real, 10))
+        + tuple(np.round(fixed[k].imag, 10))))
+    return labels[order], np.array([fixed[k] for k in order]).T
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_weight0_nodes_equal_the_per_vector_sort(ctx, rotated):
+    # Level 4 at (2, 4) has two two-dimensional nodes, so the order within a
+    # label is decided by the coordinates.  Rotated: each node's
+    # eigenvectors mixed by a seeded orthogonal matrix, so the signs the
+    # phase fix flips and the coordinates the sort reads all change.  (J^2
+    # is real, so the nodes are: a real vector's phase is +-1, and both
+    # routes form the same floats.)
+    c = ctx(2, 4)
+    w0 = c.gens.weight0()
+    n = 4
+    decomposition = w0.decomposition
+    key, positions, vals, vecs = decomposition.sectors[n]
+    labels = decomposition.labels[n]
+    assert (np.unique(labels, return_counts=True)[1] > 1).sum() == 2
+    view = w0
+    if rotated:
+        rng = np.random.default_rng(7)
+        vecs = vecs.copy()
+        for j in np.unique(labels):
+            cols = np.flatnonzero(labels == j)
+            q = np.linalg.qr(rng.standard_normal((len(cols),) * 2))[0]
+            vecs[:, cols] = vecs[:, cols] @ q
+        sectors = list(decomposition.sectors)
+        sectors[n] = (key, positions, vals, vecs)
+        view = copy.copy(w0)
+        view.decomposition = dataclasses.replace(decomposition,
+                                                 sectors=sectors)
+        assert not np.array_equal(view.nodes(n).vectors, w0.nodes(n).vectors)
+    got = view.nodes(n)
+    want_labels, want_vectors = _nodes_by_the_per_vector_sort(labels, vecs)
+    assert np.array_equal(got.labels, want_labels)
+    assert np.array_equal(got.vectors, want_vectors)
+    assert got.vectors.flags.f_contiguous == want_vectors.flags.f_contiguous
 
 
 # -- sums X_k f_k(j), sector by sector ---------------------------------------------

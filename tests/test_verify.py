@@ -9,7 +9,7 @@ import su2ladders.ladder
 import su2ladders.verify
 from scipy import sparse
 from su2ladders import bruteforce
-from su2ladders.casimir import assemble_tau
+from su2ladders.casimir import build_families
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
@@ -256,8 +256,18 @@ def _off_grade_run(mutate):
     before = run(ctx)
     ops = mutate(ctx.basis, ctx.families.p_ops)
     ctx = _SpinContext(2, 4)
-    ctx.families = dataclasses.replace(ctx.families, p_ops=ops)
+    ctx.families = _with_whole_space_p(ctx.families, ops)
     return ctx, before, run(ctx)
+
+
+def _with_whole_space_p(families, p_ops):
+    """A copy of the families whose whole-space p family is ``p_ops``; its
+    weight-0 blocks are the originals.  The whole-space operators are formed
+    on first read and kept under ``_whole_space``, so the copy is given them
+    in advance."""
+    copy = dataclasses.replace(families)
+    vars(copy)["_whole_space"] = (tuple(p_ops), families.m_ops)
+    return copy
 
 
 def _assert_only_grade_checks_fail(before, after):
@@ -358,48 +368,55 @@ def test_s1_weyl_pair_gate_catches_entrywise_perturbation(monkeypatch):
     assert not check.passed and check.residual > 1e-8
 
 
-def _weight_leak(op, weight, delta=1e-6):
-    # One entry delta from the first one-particle weight-0 state to the
-    # first two-particle state of the given weight.
-    basis = op.basis
-    col = np.flatnonzero((basis.totals == 1) & (basis.weights == 0))[0]
-    row = np.flatnonzero((basis.totals == 2) & (basis.weights == weight))[0]
-    extra = sparse.csr_matrix(([delta], ([row], [col])), shape=op.matrix.shape)
-    return SparseOperator(basis, op.matrix + extra)
-
-
-def _leaked_family(families, sigma, weight):
-    """The families with ``_weight_leak`` added to the first operator that
-    enters sigma's tau (sigma_k != 0)."""
+def _leak_the_family_columns(monkeypatch, sigma, weight, delta=1e-6):
+    """Patch the family routine (``_family_columns``) so that the first
+    operator entering sigma's tau (sigma_k != 0) gets one entry delta from
+    the first one-particle weight-0 state to the first two-particle state
+    of the given weight, on whatever columns it forms."""
     k = min(k for k, poly in sigma.sigmas.items() if not poly.is_zero())
-    field, i = ("p_ops", k) if sigma.family == "p" else ("m_ops", k - 1)
-    ops = list(getattr(families, field))
-    ops[i] = _weight_leak(ops[i], weight)
-    return dataclasses.replace(families, **{field: tuple(ops)})
+    i = k if sigma.family == "p" else k - 1
+    family_columns = su2ladders.casimir._family_columns
+
+    def leaked(generators, columns):
+        p, m = family_columns(generators, columns)
+        ops = p if sigma.family == "p" else m
+        basis = generators.basis
+        col = np.flatnonzero((basis.totals == 1) & (basis.weights == 0))[0]
+        row = np.flatnonzero((basis.totals == 2)
+                             & (basis.weights == weight))[0]
+        local = np.flatnonzero(columns == col)
+        ops[i] = ops[i] + sparse.csr_matrix(
+            (np.full(len(local), delta), (np.full(len(local), row), local)),
+            shape=ops[i].shape)
+        return p, m
+    monkeypatch.setattr(su2ladders.casimir, "_family_columns", leaked)
 
 
 @pytest.mark.parametrize("spin", [2, 3])
 @pytest.mark.parametrize("weight", [1, -1])
-def test_weight_leak_fails_the_tau_build(spin, weight):
+def test_weight_leak_fails_the_tau_build(monkeypatch, spin, weight):
     # A 1e-6 entry from weight 0 into weight +-1 of a family operator cannot
-    # hide in the weight-0 block that tau is assembled on.
+    # hide in the weight-0 blocks that tau is assembled from: it is refused
+    # where those blocks are formed from the families' columns, the first
+    # step of the tau build.
     ctx = _SpinContext(spin, 4)
     sigma = solve_sigma(build_alpha(spin, family_for_theta(spin, 1)), 1)
+    _leak_the_family_columns(monkeypatch, sigma, weight)
     with pytest.raises(WeightLeakError):
-        assemble_tau(_leaked_family(ctx.families, sigma, weight), sigma,
-                     ctx.gens, certify=True)
+        build_families(ctx.basis, ctx.gens)
     with pytest.raises(WeightLeakError):
         ctx.gens.weight0().of(ctx.gens.Jplus)
 
 
 @pytest.mark.parametrize("spin", [2, 3])
 @pytest.mark.parametrize("weight", [1, -1])
-def test_weight_leak_fails_the_tau_checks(spin, weight):
-    # The taus are built inside each check, so a leaked family operator
-    # fails every tau check with the leak, not the whole run.
+def test_weight_leak_fails_the_tau_checks(monkeypatch, spin, weight):
+    # The families and the taus are built inside each check, so a leaked
+    # family operator fails every tau check with the leak, not the whole
+    # run.
     ctx = _SpinContext(spin, 4)
     sigma = solve_sigma(build_alpha(spin, family_for_theta(spin, 1)), 1)
-    ctx.families = _leaked_family(ctx.families, sigma, weight)
+    _leak_the_family_columns(monkeypatch, sigma, weight)
     report = _run_block(_tau_checks, ctx)
     names = ("tau-casimir-ladder", "tau-label-shift", "resolvent-ladder-right",
              "resolvent-ladder-left")
