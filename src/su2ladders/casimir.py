@@ -439,7 +439,7 @@ def tau_off_grade(tau: TauOperator) -> list[str]:
     grades are read from the terms' CSR entries (``entry_grades``), with no
     tolerance and no product.
     """
-    states = tau.families.basis.states
+    basis = tau.families.basis
     out = []
     for k, (t_k, _sigma_k) in _tau_terms(tau.families.ops(tau.family),
                                          tau.sigma).items():
@@ -448,8 +448,8 @@ def tau_off_grade(tau: TauOperator) -> list[str]:
         if len(bad):
             i = bad[0]
             out.append(
-                f"tau[{tau.theta:+d}] term k={k} sends {states[cols[i]]} to "
-                f"{states[rows[i]]}: grade ({dn[i]}, {dw[i]}), not (1, 0) "
+                f"tau[{tau.theta:+d}] term k={k} sends {basis.states[cols[i]]} "
+                f"to {basis.states[rows[i]]}: grade ({dn[i]}, {dw[i]}), not (1, 0) "
                 f"({len(bad)} such entries)")
     return out
 

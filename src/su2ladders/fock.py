@@ -4,7 +4,8 @@ A basis is parametrized by an integer spin ``s``: there is one bosonic mode
 per weight mu in {-s, ..., s} (stored left to right), and a Fock state is the
 tuple of occupation numbers (n_{-s}, ..., n_s).  Truncation is by total
 particle number only; states are kept in ascending lexicographic order, which
-is deterministic and stable across runs.
+is deterministic and stable across runs.  A basis is built and indexed as
+integer arrays; the occupation tuples are formed only when read.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,11 +23,6 @@ Occupation = tuple[int, ...]
 def mode_weights(spin: int) -> range:
     """Mode weights mu = -s, ..., s in storage order."""
     return range(-spin, spin + 1)
-
-
-def weight_of(state: Occupation, spin: int) -> int:
-    """J_z weight, sum_mu mu * n_mu, of an occupation tuple."""
-    return sum(mu * n for mu, n in zip(mode_weights(spin), state))
 
 
 def dimension(spin: int, n_max: int) -> int:
@@ -46,28 +42,34 @@ def _check_spin(spin: int) -> None:
         raise ValueError(f"spin must be a non-negative integer, got {spin!r}")
 
 
-def _states_with_total(modes: int, cap: int, exact: bool
-                       ) -> Iterator[Occupation]:
-    # Every state with total <= cap (== cap when ``exact``), in ascending
-    # lexicographic order, leftmost mode most significant.  With ``exact``
-    # the last mode takes what is left, so only states of that total are
-    # ever formed.
-    if modes == 1:
-        yield from ((c,) for c in ((cap,) if exact else range(cap + 1)))
-        return
-    for c in range(cap + 1):
-        for rest in _states_with_total(modes - 1, cap - c, exact):
-            yield (c,) + rest
+def _occupation_rows(modes: int, cap: int, exact: bool) -> np.ndarray:
+    """Every state of ``modes`` modes with total <= cap (== cap when
+    ``exact``), one row each, in ascending lexicographic order (leftmost mode
+    most significant).  ``tails[c]`` holds the states of the last k modes
+    with total <= c (== c); each value a of the next mode prefixed to
+    ``tails[c - a]``, a = 0..c, gives those of the last k + 1 modes."""
+    tails = [np.full((1, 1), c) if exact else np.arange(c + 1)[:, None]
+             for c in range(cap + 1)]
+
+    def prefixed(c: int) -> np.ndarray:
+        parts = tails[c::-1]
+        heads = np.repeat(np.arange(c + 1), [len(p) for p in parts])
+        return np.hstack((heads[:, None], np.concatenate(parts)))
+
+    for _ in range(modes - 2):
+        tails = [prefixed(c) for c in range(cap + 1)]
+    return tails[cap] if modes == 1 else prefixed(cap)
 
 
 @functools.lru_cache(maxsize=None)
 def _binomials(top: int, modes: int) -> np.ndarray:
-    """Read-only table of C(a, b) for 0 <= a <= top and 0 <= b <= modes
-    (zero for b > a), built once per (top, modes)."""
-    binom = np.zeros((top + 1, modes + 1), dtype=np.int64)
+    """Read-only table of C(a, b) at [b, a] for 0 <= a <= top and
+    0 <= b <= modes (zero for b > a), built once per (top, modes); each b
+    is one contiguous row."""
+    binom = np.zeros((modes + 1, top + 1), dtype=np.int64)
     for a in range(top + 1):
         for b in range(min(a, modes) + 1):
-            binom[a, b] = math.comb(a, b)
+            binom[b, a] = math.comb(a, b)
     binom.flags.writeable = False
     return binom
 
@@ -86,9 +88,9 @@ def _lex_ranks(occupations: np.ndarray, n_max: int) -> np.ndarray:
     cap = np.full(count, n_max, dtype=np.int64)
     for i in range(modes):
         k = modes - 1 - i
-        occ = occupations[:, i]
-        ranks += binom[cap + k + 1, k + 1] - binom[cap - occ + k + 1, k + 1]
-        cap -= occ
+        ranks += binom[k + 1][cap + k + 1]
+        cap -= occupations[:, i]
+        ranks -= binom[k + 1][cap + k + 1]
     return ranks
 
 
@@ -121,10 +123,12 @@ class SectorBasis:
     weight : int, optional
         If given, keep only states with J_z weight equal to ``weight``.
 
-    States are stored in ascending lexicographic order and indexed by an
-    exact inverse map.  The states are fixed at construction; the sector
-    table, the interior masks and the hop tables are built on first use and
-    cached as read-only arrays.  Two threads that miss the cache at once
+    States are stored in ascending lexicographic order as the rows of
+    ``occupations``, built with array operations at construction and
+    indexed by their lexicographic ranks (``indices_of``).  The ``states``
+    tuples and the ``index`` dict are built on first read only; the sector
+    table, the interior masks and the hop tables on first use, cached as
+    read-only arrays.  Two threads that miss the cache at once
     build equal arrays, so instances stay safe for concurrent reads.
     """
 
@@ -142,24 +146,32 @@ class SectorBasis:
         self.weight_constraint = weight
         self.modes = 2 * self.spin + 1
 
-        states = (_states_with_total(self.modes, self.n_max, exact=False)
-                  if n is None else
-                  _states_with_total(self.modes, n, exact=True))
-        self._set_states([occ for occ in states if weight is None
-                          or weight_of(occ, self.spin) == weight])
+        occupations = _occupation_rows(
+            self.modes, self.n_max if n is None else n, exact=n is not None)
+        if weight is not None:
+            occupations = occupations[
+                occupations @ np.array(mode_weights(self.spin)) == weight]
+        self._set_occupations(occupations)
 
-    def _set_states(self, states: list[Occupation]) -> None:
-        self.states: tuple[Occupation, ...] = tuple(states)
-        self.index: dict[Occupation, int] = {s: i for i, s in enumerate(self.states)}
+    def _set_occupations(self, occupations: np.ndarray) -> None:
         #: Occupation numbers, one row per state, modes in storage order.
-        self.occupations = np.array(states, dtype=np.int64).reshape(
-            len(states), self.modes)
-        self.totals = self.occupations.sum(axis=1)
-        self.weights = self.occupations @ np.arange(-self.spin, self.spin + 1)
-        self._ranks = _lex_ranks(self.occupations, self.n_max)
+        self.occupations = occupations
+        self.totals = occupations.sum(axis=1)
+        self.weights = occupations @ np.array(mode_weights(self.spin))
+        self._ranks = _lex_ranks(occupations, self.n_max)
         self._sector_table: Optional[SectorTable] = None
         self._interior_masks: dict[int, np.ndarray] = {}
         self._hops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    @functools.cached_property
+    def states(self) -> tuple[Occupation, ...]:
+        """The states as occupation tuples, built on first read."""
+        return tuple(map(tuple, self.occupations.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict[Occupation, int]:
+        """Occupation tuple -> position, built on first read."""
+        return {s: i for i, s in enumerate(self.states)}
 
     def restricted_to_weight(self, weight: int) -> "SectorBasis":
         """The basis ``SectorBasis(spin, n_max, n, weight)``: this basis's
@@ -169,12 +181,11 @@ class SectorBasis:
         out = object.__new__(SectorBasis)
         out.spin, out.n_max, out.modes = self.spin, self.n_max, self.modes
         out.n_constraint, out.weight_constraint = self.n_constraint, weight
-        out._set_states([self.states[i]
-                         for i in np.flatnonzero(self.weights == weight)])
+        out._set_occupations(self.occupations[self.weights == weight])
         return out
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SectorBasis):
@@ -269,23 +280,28 @@ class SectorBasis:
         n_j >= 1 whose image lies in the basis appear, in ascending column
         order.  Built once per pair.
         """
-        key = (i, j)
-        table = self._hops.get(key)
-        if table is None:
-            cols = np.flatnonzero(self.occupations[:, j] > 0)
-            rows = cols
-            if i != j:
-                moved = self.occupations[cols]
-                moved[:, j] -= 1
-                moved[:, i] += 1
-                rows = self.indices_of(moved)
-                cols = cols[rows >= 0]
-                rows = rows[rows >= 0]
-            table = (rows.astype(np.int32), cols.astype(np.int32))
+        return self.hop_tables([(i, j)])[0]
+
+    def hop_tables(self, pairs: list[tuple[int, int]]
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``hop_table(i, j)`` of each pair, the missing ones built together
+        with one rank lookup (``indices_of``) of every moved state."""
+        missing = [p for p in dict.fromkeys(pairs) if p not in self._hops]
+        cols = [np.flatnonzero(self.occupations[:, j] > 0) for _, j in missing]
+        unit = np.eye(self.modes, dtype=np.int64)
+        moved = [self.occupations[c] + unit[i] - unit[j]
+                 for (i, j), c in zip(missing, cols) if i != j]
+        targets = iter(np.split(
+            self.indices_of(np.concatenate(moved)),
+            np.cumsum([len(m) for m in moved])[:-1]) if moved else ())
+        for (i, j), c in zip(missing, cols):
+            rows = next(targets) if i != j else c
+            table = (rows[rows >= 0].astype(np.int32),
+                     c[rows >= 0].astype(np.int32))
             for a in table:
                 a.flags.writeable = False
-            self._hops[key] = table
-        return table
+            self._hops[(i, j)] = table
+        return [self._hops[p] for p in pairs]
 
     def unit_vector(self, state: Occupation) -> np.ndarray:
         """Basis vector for an occupation tuple."""

@@ -59,8 +59,9 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
     """Image of a (2s+1) x (2s+1) matrix under the bosonic bilinear map.
 
     Returns sum_ij x_ij a_i^dagger a_j with modes ordered mu = -s..s, built
-    as one CSR matrix from the basis's hop tables (``SectorBasis.hop_table``)
-    of the pairs with x_ij != 0.  With n the occupations of the column, each
+    as one CSR matrix from the basis's hop tables of the pairs with
+    x_ij != 0 (``SectorBasis.hop_tables``, one rank lookup for the missing
+    ones).  With n the occupations of the column, each
     entry is sqrt(n_i + 1) * (x_ij * sqrt(n_j)), and the diagonal sums its
     terms sqrt(n_i) * (x_ii * sqrt(n_i)) in ascending i: the floats, bit for
     bit, of the sum of products sum_i a_i^dagger (sum_j x_ij a_j).  The
@@ -76,8 +77,8 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
     occ = basis.occupations
     diagonal = np.zeros(len(basis), dtype=np.result_type(x, np.float64))
     rows, cols, data = [], [], []
-    for i, j in zip(*np.nonzero(x)):
-        target, source = basis.hop_table(int(i), int(j))
+    pairs = [tuple(p) for p in np.argwhere(x).tolist()]
+    for (i, j), (target, source) in zip(pairs, basis.hop_tables(pairs)):
         values = (roots[occ[source, i] + (i != j)]
                   * (x[i, j] * roots[occ[source, j]]))
         if i == j:

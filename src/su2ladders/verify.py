@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -148,15 +148,7 @@ class CheckResult:
 
     def to_json_dict(self) -> dict:
         # wall_time is intentionally excluded: reports must be byte-stable.
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "params": self.params,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return {k: v for k, v in vars(self).items() if k != "wall_time"}
 
 
 @dataclass
@@ -175,13 +167,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": {
-                "spins": list(self.config.spins),
-                "n_max": self.config.n_max,
-                "tolerance_overrides": dict(self.config.tolerance_overrides),
-                "output_format": self.config.output_format,
-                "default_tolerance": self.config.default_tolerance,
-            },
+            "config": asdict(self.config),
             "overall_pass": self.overall_pass,
             "counts": {
                 "total": len(self.checks),
@@ -286,6 +272,10 @@ class _SpinContext:
     @functools.cached_property
     def complete_set(self):
         return complete_set_check(self.gens, self.taus, min(self.n_max, 4))
+
+    @functools.cached_property
+    def demo_s1(self):
+        return demo_s1_operators(self.gens, self.families)
 
     @functools.cached_property
     def s1_inverse(self):
@@ -885,19 +875,19 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
 
 def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                     report: VerificationReport) -> None:
-    basis, gens, fam = ctx.basis, ctx.gens, ctx.families
+    basis, gens = ctx.basis, ctx.gens
     p = {"s": 1}
     n_limit = ctx.n_limit
 
     def family_defs():
         rhs = creation_op(basis, 1) @ gens.Jminus \
             + creation_op(basis, -1) @ gens.Jplus
-        return residual(math.sqrt(2.0) * fam.p_ops[1], rhs, 0)
+        return residual(math.sqrt(2.0) * ctx.families.p_ops[1], rhs, 0)
     r.residual_check("s1-family-definitions", "s1-family-definitions", p,
                      1e-12, family_defs)
 
     def mutual(tol):
-        reps = s1_mutual_commutators(gens, fam)
+        reps = s1_mutual_commutators(gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-diagonal-commutator-restriction",
             "s": 1,
@@ -914,7 +904,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     r.run("s1-family-commutators", "s1-family-commutators", p, 1e-10, mutual)
 
     def closure_full(tol):
-        reps = s1_full_closure_residuals(gens, fam)
+        reps = s1_full_closure_residuals(gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-unrestricted-closure-correction",
             "s": 1,
@@ -933,11 +923,11 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
 
     r.residual_check(
         "s1-m1-annihilates-kernel", "s1-m1-annihilates-kernel", p, 1e-10,
-        lambda: zero_residual(w0.of(fam.m_ops[0]), 1,
-                              scale=max(fam.m_ops[0].norm(), 1.0)))
+        lambda: zero_residual(w0.of(ctx.families.m_ops[0]), 1,
+                              scale=max(ctx.families.m_ops[0].norm(), 1.0)))
 
     def tau_match(tol):
-        tau_plus_ref, tau_minus_ref = s1_reference_taus(gens, fam)
+        tau_plus_ref, tau_minus_ref = s1_reference_taus(gens, ctx.families)
         scale_p, res_p = expression_match_scale(ctx.taus[1].op, tau_plus_ref)
         scale_m, res_m = expression_match_scale(ctx.taus[-1].op, tau_minus_ref)
         worst = max(res_p, res_m)
@@ -947,15 +937,13 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         return worst, ok, detail
     r.run("s1-tau-expressions", "s1-tau-expressions", p, 1e-10, tau_match)
 
-    demo = demo_s1_operators(gens, fam)
-
     r.residual_check(
         "s1-weyl-pair", "s1-weyl-pair", p, 1e-8,
-        lambda: residual(w0.of(commutator(demo.a_op, demo.a_dag)),
+        lambda: residual(w0.of(commutator(ctx.demo_s1.a_op, ctx.demo_s1.a_dag)),
                          SectorBlocks.identity(w0.basis), 2))
 
     def number_like(tol):
-        ada = demo.a_dag @ demo.a_op
+        ada = ctx.demo_s1.a_dag @ ctx.demo_s1.a_op
         worst = 0.0
         for n in range(0, n_limit + 1):
             for kv in jz_kernel(basis, gens, n):
@@ -966,6 +954,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
           number_like)
 
     def deformed_spectrum(tol):
+        demo = ctx.demo_s1
         worst = 0.0
         for n in range(0, n_limit + 1):
             for kv in jz_kernel(basis, gens, n):
@@ -994,7 +983,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                      double_comm)
 
     def single_mode(tol):
-        tb = tau_bar_forms(basis, gens, fam)
+        tb = tau_bar_forms(basis, gens, ctx.families)
         worst = max(tb.double_commutator.frobenius_relative,
                     tb.rlo_plus.frobenius_relative,
                     tb.rlo_minus.frobenius_relative,
@@ -1021,7 +1010,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     r.run("s1-label-commutators", "s1-label-commutators", p, 1e-8, label_comms)
 
     def bracket(tol):
-        reps = s1_tau_bracket_ladder(gens, fam)
+        reps = s1_tau_bracket_ladder(gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-bracket-ladder-pairing",
             "s": 1,
@@ -1076,7 +1065,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
           irrep_dims)
 
     def canonical(tol):
-        vectors = canonical_basis_s1(basis, gens, fam, n_limit)
+        vectors = canonical_basis_s1(basis, gens, ctx.families, n_limit)
         mat = np.array([cv.vector for cv in vectors])
         gram = mat.conj() @ mat.T
         worst = float(np.max(np.abs(gram - np.eye(len(vectors)))))

@@ -2,7 +2,14 @@ from itertools import product
 
 import pytest
 
-from su2ladders.fock import SectorBasis, dimension, enumerate_sector, weight_of
+from su2ladders import (build_families, build_taus, lattice_report,
+                        su2_generators)
+from su2ladders.fock import SectorBasis, dimension, enumerate_sector
+
+
+def jz_weight(state, spin):
+    """J_z weight sum_mu mu * n_mu, modes stored as mu = -s..s."""
+    return sum(mu * n for mu, n in zip(range(-spin, spin + 1), state))
 
 
 def brute_states(spin, n_max, n=None, weight=None):
@@ -14,7 +21,7 @@ def brute_states(spin, n_max, n=None, weight=None):
             continue
         if n is not None and sum(occ) != n:
             continue
-        if weight is not None and weight_of(occ, spin) != weight:
+        if weight is not None and jz_weight(occ, spin) != weight:
             continue
         out.append(occ)
     return sorted(out)
@@ -117,9 +124,9 @@ def test_totals_and_weights():
     basis = enumerate_sector(1, 3)
     for i, state in enumerate(basis.states):
         assert basis.totals[i] == sum(state)
-        assert basis.weights[i] == weight_of(state, 1)
-    assert weight_of((1, 0, 1), 1) == 0
-    assert weight_of((0, 0, 2), 1) == 2
+        assert basis.weights[i] == jz_weight(state, 1)
+    assert basis.weights[basis.state_index((1, 0, 1))] == 0
+    assert basis.weights[basis.state_index((0, 0, 2))] == 2
 
 
 def test_json_dump_order_is_internal_order():
@@ -155,6 +162,44 @@ def test_n_sector_walk_equals_filtered_walk(spin, n_max):
     for n in range(n_max + 1):
         for weight in [None] + list(range(-n * spin, n * spin + 1)):
             want = [s for s in whole if sum(s) == n and (
-                weight is None or weight_of(s, spin) == weight)]
+                weight is None or jz_weight(s, spin) == weight)]
             assert list(SectorBasis(spin, n_max, n=n,
                                     weight=weight).states) == want
+
+
+@pytest.mark.parametrize("spin", range(0, 4))
+@pytest.mark.parametrize("n_max", range(0, 5))
+def test_array_built_basis_equals_the_product_oracle(spin, n_max):
+    # The occupations are built with array operations; states, index and
+    # state_index are derived from them on first read.
+    whole = SectorBasis(spin, n_max)
+    for n in [None] + list(range(n_max + 1)):
+        for w in [None] + list(range(-n_max * spin, n_max * spin + 1)):
+            want = brute_states(spin, n_max, n=n, weight=w)
+            bases = [SectorBasis(spin, n_max, n=n, weight=w)]
+            if w is not None:
+                bases.append((whole if n is None else SectorBasis(
+                    spin, n_max, n=n)).restricted_to_weight(w))
+            for basis in bases:
+                assert "states" not in vars(basis) and len(basis) == len(want)
+                assert basis.occupations.tolist() == [list(s) for s in want]
+                assert list(basis.states) == want
+                assert basis.index == {s: i for i, s in enumerate(want)}
+                assert [basis.state_index(s) for s in want] == list(
+                    range(len(want)))
+                assert basis.totals.tolist() == [sum(s) for s in want]
+                assert basis.weights.tolist() == [jz_weight(s, spin)
+                                                  for s in want]
+
+
+def test_build_path_never_materialises_the_state_tuples(monkeypatch):
+    # The build reads the occupation arrays only: a read of ``states`` (or of
+    # ``index``, built from it) anywhere on the path fails the build.
+    def refuse(basis):
+        raise AssertionError(f"states of {basis!r} materialised")
+    monkeypatch.setattr(SectorBasis, "states", property(refuse))
+    basis = enumerate_sector(2, 5)
+    gens = su2_generators(basis)
+    taus = build_taus(build_families(basis, gens), gens, certify=True)
+    report = lattice_report(basis, gens, taus, n_limit=4)
+    assert sorted(taus) == list(range(-2, 3)) and report.arrows

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +239,28 @@ def test_sigma_s1():
         [Fraction(1, 2), Fraction(1, 2)])
     sig_minus = solve_sigma(build_alpha(1, "p"), -1)
     assert sig_minus.sigmas[0] == JPoly.from_coeffs([0, Fraction(-1, 2)])
+
+
+def test_sigma_table_digest_s1_to_s13():
+    # The exact right functions and sigma vectors for s = 1..13, hashed in
+    # the canonical JSON of the benchmark's exact-ladders gate: the
+    # rationals are unique, so any correct arithmetic reproduces the digest.
+    table = {}
+    for s in range(1, 14):
+        rows = []
+        for rf in right_functions(s):
+            sigma = solve_sigma(build_alpha(s, rf.family), rf.theta)
+            rows.append({
+                "theta": rf.theta, "family": rf.family,
+                "poly": rf.poly.to_pairs(),
+                "sigma": {str(k): p.to_pairs()
+                          for k, p in sorted(sigma.sigmas.items())},
+            })
+        table[s] = rows
+    text = json.dumps([[s, table[s]] for s in sorted(table)],
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "165550531f90e67a3aef75e32a721ba179a3683bf718d8c0b97664c0b1964b66")
 
 
 def test_sigma_parity_mismatch_rejected():

@@ -717,6 +717,27 @@ def test_jordan_schwinger_independent_of_hop_cache_order():
                          want[name])
 
 
+def test_jordan_schwinger_builds_its_missing_hop_tables_in_one_lookup(
+        monkeypatch):
+    # A dense X needs a table per mode pair; the off-diagonal ones share one
+    # rank lookup, and a second image reads them all from the cache.
+    basis = enumerate_sector(2, 4)
+    x = _schwinger_matrices(2, 11)["general"]
+    lookups = []
+    indices_of = basis.indices_of
+    monkeypatch.setattr(basis, "indices_of",
+                        lambda occ: lookups.append(len(occ)) or indices_of(occ))
+    first = jordan_schwinger(basis, x).matrix
+    assert len(lookups) == 1
+    assert sorted(basis._hops) == [(i, j) for i in range(5) for j in range(5)]
+    _assert_same_csr(jordan_schwinger(basis, x).matrix, first)
+    assert len(lookups) == 1
+    fresh = enumerate_sector(2, 4)
+    for (i, j), table in basis._hops.items():
+        for got, ref in zip(table, fresh.hop_table(i, j)):
+            assert got.dtype == np.int32 and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("n,weight", [(3, None), (None, 1), (4, 0)])
 def test_jordan_schwinger_on_a_sector_basis(n, weight):
     # On an n or weight sector the image is the sector block of the

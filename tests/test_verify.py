@@ -427,6 +427,33 @@ def test_weight_leak_fails_the_tau_checks(monkeypatch, spin, weight):
         assert check.detail.startswith("WeightLeakError")
 
 
+#: The spin-1 checks that read the families, or the demo operators built
+#: from them.
+S1_FAMILY_READERS = (
+    "s1-family-definitions", "s1-family-commutators", "casimir-closure-full",
+    "s1-m1-annihilates-kernel", "s1-tau-expressions", "s1-weyl-pair",
+    "s1-number-like-spectrum", "s1-deformed-su2-spectrum",
+    "s1-single-mode-ladders", "s1-inverse-expressions",
+    "s1-label-commutators", "s1-bracket-ladder", "s1-lattice-diagram",
+    "s1-canonical-basis")
+
+
+def test_family_build_failure_fails_the_spin1_checks(monkeypatch):
+    # The spin-1 block reads the families and the demo operators inside its
+    # checks, so a family build that raises fails those checks (as it fails
+    # the tau checks at every spin) instead of ending run_suite.
+    def leaking(generators, columns):
+        raise WeightLeakError("family column leaves weight 0")
+    monkeypatch.setattr(su2ladders.casimir, "_family_columns", leaking)
+    report = run_suite(SuiteConfig(spins=[1], n_max=4))
+    assert not report.overall_pass
+    failed = {c.name for c in report.checks if not c.passed}
+    assert set(S1_FAMILY_READERS) <= failed
+    for check in report.checks:
+        if check.name in S1_FAMILY_READERS:
+            assert check.detail.startswith("WeightLeakError"), check.detail
+
+
 def test_oracles_catch_a_dropped_weight0_state(monkeypatch):
     # Dropping one two-particle weight-0 state from the brute-force
     # enumeration must fail both oracle checks and change no other verdict.
