@@ -13,30 +13,26 @@ numerically on the zero-weight (J_z kernel) subspace, where the closure
 relations hold; the few identities that hold unrestricted are checked on the
 full interior.
 
-The families are formed on weight 0: ``build_families`` applies J_+/- to the
-weight-0 columns alone, as CSR products on the thin column block, and each
-a_mu^dagger as a row map (``_family_columns``), and keeps each T_k as its
-dense (n, 0) -> (n + 1, 0) level blocks (``LadderFamily.weight0_ops``); a
-column that leaves weight 0 is refused (WeightLeakError), and so is one
-weight-0 level sent into two (SectorStructureError).  No whole-space power
-of J_+/- and no whole-space a_mu^dagger is formed there.  The same routine
-on every column gives the whole-space operators (``LadderFamily.ops``),
-formed on first read by the readers that need them: the family checks of
-``verify``, the grade certificate, the whole-space tau, the spin-1
-expressions and ``dump-op``.
+The families are formed on weight 0 (``build_families``): J_+/- act as CSR
+products on the weight-0 column block and each a_mu^dagger as a row map
+(``_family_columns``), and each T_k is kept as its dense (n, 0) -> (n + 1, 0)
+level blocks (``LadderFamily.weight0_ops``); a column that leaves weight 0 is
+refused (WeightLeakError).  The same routine on every column gives the
+whole-space operators (``LadderFamily.ops``), formed on first read by the
+family checks of ``verify``, the grade certificate, the whole-space tau, the
+spin-1 expressions and ``dump-op``.
 
-Each tau is held on weight 0 too: ``assemble_tau`` builds only its level
-blocks (``TauOperator.weight0``, a ``SectorBlocks``) from the families'.
-The closure certificate and fit, the ladder certificates, the resolvent
-relations, the kernel lattice, the complete set and the deformed generators
-read those blocks, the blocks of J^2 read from its sparse entries, f(J^2) on
-the (n, 0) sectors (``Su2Generators.weight0``), and the kernel nodes of each
-level (``Weight0View.nodes``): every product is one gemm per level block,
-with no whole-space function of j and no whole-space node vector.  What tau
-does off weight 0 is certified from its grade instead: every term T_k maps
-each (n, w) sector into (n + 1, w) (``tau_off_grade``), and its sigma_k(j)
-is block diagonal over the sectors, so tau tau^dagger and the deformed
-generators commute with N and J_z exactly.  The whole-space tau
+Each tau is held on weight 0 too (``TauOperator.weight0``), and
+``build_taus`` assembles a family's tau in one pass over the levels
+(``_assemble_taus``).  The closure certificate and fit, the ladder
+certificates, the resolvent relations, the lattice, the complete set and the
+deformed generators read those blocks, J^2 read from its sparse entries,
+functions of j on the (n, 0) sectors (``Su2Generators.weight0``) and the
+kernel nodes of each level (``Weight0View.nodes``): every product is one gemm
+per level block.  What tau does off weight 0 is certified from its grade
+instead (``tau_off_grade``): every T_k maps each (n, w) sector into
+(n + 1, w) and sigma_k(j) is block diagonal, so tau tau^dagger and the
+deformed generators commute with N and J_z exactly.  The whole-space tau
 (``TauOperator.op``) is built on demand, for the spin-1 expressions and for
 export.
 """
@@ -72,20 +68,15 @@ class LadderFamily:
     Both commute with J_z and raise the total particle number by one;
     index k = 0..s of the p family sits at position k, index k = 1..s of
     the m family at position k - 1.  Each operator is held in two forms,
-    both formed by ``_family_columns``:
-
-    - ``p_weight0``/``m_weight0``, its weight-0 level blocks, a
-      ``SectorBlocks`` on the weight-0 basis of ``generators.weight0()``,
-      formed from the weight-0 columns alone by ``build_families``: what
-      the closure certificate and fit, tau and the lattice read;
-    - ``p_ops``/``m_ops``, the whole-space ``SparseOperator``, formed on
-      first read and kept on this instance (not a field, so a
-      ``dataclasses.replace`` copy forms its own): what the grade
-      certificate, the family checks, the whole-space tau and the spin-1
-      expressions read.
-
-    Each column of a CSR product sums the same terms in the same order
-    whatever the other columns are, so the level blocks equal
+    both formed by ``_family_columns``: ``p_weight0``/``m_weight0``, its
+    weight-0 level blocks (``SectorBlocks`` on the weight-0 basis), formed
+    by ``build_families`` and read by the closure certificate and fit, tau
+    and the lattice; and ``p_ops``/``m_ops``, the whole-space
+    ``SparseOperator``, formed on first read and kept on this instance (not
+    a field, so a ``dataclasses.replace`` copy forms its own) for the grade
+    certificate, the family checks, the whole-space tau and the spin-1
+    expressions.  Each column of a CSR product sums the same terms in the
+    same order whatever the other columns are, so the level blocks equal
     ``Weight0View.of`` of the whole-space operators array for array.
     """
     s: int
@@ -291,11 +282,9 @@ def _measure_closure(families: LadderFamily, generators: Su2Generators,
     too ill-conditioned to identify the coefficients (numerical rank below
     their number, e.g. several images vanish) is skipped.  Otherwise each
     (node, eta) is fitted by least squares through one Householder QR of
-    the node's images; a fit that leaves a residual is skipped.  (The
-    SVD-based ``np.linalg.lstsq`` read up to four times larger deviations
-    on the level rows than on the same rows padded with zeros, at s = 5,
-    n_max = 6; the QR fit reads the same floor either way.)  No closure
-    matrix is read.
+    the node's images, which reads the same floor on the level rows as on
+    rows padded with zeros (an SVD ``lstsq`` did not); a fit that leaves a
+    residual is skipped.  No closure matrix is read.
     """
     w0 = generators.weight0()
     ops = families.weight0_ops(family)
@@ -400,10 +389,9 @@ class TauOperator:
     block from each level n into level n + 1.  Its action off weight 0 is
     certified from the grade of its terms (``tau_off_grade``).  ``op`` is
     tau on the whole space, as (n, w) sector blocks, read only by
-    ``dump-op``, the spin-1 scale checks and the tests: it is assembled from
-    the same sigma, families and generators on first read
-    (``Su2Generators.sum_times_functions_of_j``) and kept on this instance.
-    It is not a field, so a ``dataclasses.replace`` copy starts without it.
+    ``dump-op``, the spin-1 scale checks and the tests, assembled by the
+    same routine on first read (``Su2Generators.sum_times_functions_of_j``)
+    and kept on this instance, not as a field.
     """
     theta: int
     family: str
@@ -461,46 +449,63 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
 
     tau = sum_k T_k sigma_k(j), the polynomials standing to the right as
     functions of the label.  Only its weight-0 level blocks are assembled
-    here (``Weight0View.sum_times_functions_of_j``), from the families'
-    weight-0 blocks (``LadderFamily.weight0_ops``), sector by sector in the
-    J^2 eigenbasis: on an (n, 0) sector with eigenvectors V and labels js,
-    its block is (sum_k (T_k V) diag sigma_k(js)) V^T.  This equals the
-    weight-0 block of sum_k T_k @ function_of_j(sigma_k) up to rounding,
-    and never forms an image sigma_k(J^2).  A family operator with an entry
-    from weight 0 into another weight is refused where its blocks are
-    formed (``build_families``, WeightLeakError).  The whole-space tau
-    (``TauOperator.op``) is assembled by the same routine on the whole
-    decomposition, from the whole-space families, on first read.  When
-    ``certify`` is set (default), the ladder relation with J^2 and the
-    shift of j by theta must both hold to 1e-8 on the weight-0 interior
-    before the operator is returned.  Those certificates multiply tau's
-    assembled blocks with the blocks of J^2 read from its sparse entries
-    and with f(J^2) on the (n, 0) sectors, so they check the sector-wise
-    assembly by an independent route.
+    (``_assemble_taus``).  When ``certify`` is set (default), the ladder
+    relation with J^2 and the shift of j by theta must both hold to 1e-8 on
+    the weight-0 interior before the operator is returned
+    (``tau_casimir_ladder_residual``, ``tau_shift_residual``).
     """
-    fpoly = right_function_poly(sigma.theta)
-    tau = TauOperator(
-        theta=sigma.theta, family=sigma.family,
-        weight0=generators.weight0().sum_times_functions_of_j(list(
-            _tau_terms(families.weight0_ops(sigma.family), sigma).values())),
-        right_function=fpoly, sigma=sigma, families=families,
-        generators=generators)
+    tau, = _assemble_taus(families, [sigma], generators)
     if certify:
-        rep = tau_casimir_ladder_residual(tau, generators)
-        if rep.frobenius_relative > 1e-8:
-            raise TauCertificationError(sigma.theta, "Casimir ladder", rep)
-        rep_j = tau_shift_residual(tau, generators)
-        if rep_j.frobenius_relative > 1e-8:
-            raise TauCertificationError(sigma.theta, "label shift", rep_j)
+        _certify(tau, generators)
     return tau
+
+
+def _assemble_taus(families: LadderFamily, sigmas: list[SigmaVector],
+                   generators: Su2Generators) -> list[TauOperator]:
+    """The tau of ``sigmas``, all of one family, in one pass over the
+    weight-0 levels (``SpectralDecomposition.sum_times``): on a level with
+    eigenvectors V and labels js, Y_k = T_k V is formed once per family
+    operator (``LadderFamily.weight0_ops``) and dropped with the level, and
+    each tau's block is (sum_k Y_k diag sigma_k(js)) V^T.  The whole-space
+    tau (``TauOperator.op``) is the same routine on the whole
+    decomposition, so its (n, 0) blocks equal these array for array.
+    """
+    decomposition = generators.weight0().decomposition
+    ops = families.weight0_ops(sigmas[0].family)
+    blocks = decomposition.sum_times(list(ops.values()), [
+        [decomposition.values(sigma.sigmas[k]) for k in ops]
+        for sigma in sigmas])
+    return [TauOperator(theta=sigma.theta, family=sigma.family, weight0=block,
+                        right_function=right_function_poly(sigma.theta),
+                        sigma=sigma, families=families, generators=generators)
+            for sigma, block in zip(sigmas, blocks)]
+
+
+def _certify(tau: TauOperator, generators: Su2Generators) -> None:
+    for which, check in (("Casimir ladder", tau_casimir_ladder_residual),
+                         ("label shift", tau_shift_residual)):
+        rep = check(tau, generators)
+        if rep.frobenius_relative > 1e-8:
+            raise TauCertificationError(tau.theta, which, rep)
 
 
 def tau_casimir_ladder_residual(tau: TauOperator, generators: Su2Generators
                                 ) -> ResidualReport:
     """Residual of [J^2, tau] - tau * theta(theta + 2j + 1) on the weight-0
-    interior."""
+    interior.
+
+    The right function c_0 + c_1 j (``TauOperator.right_function``; a
+    higher degree raises ValueError) is formed from the view's j
+    (``Weight0View.affine_in_j``), with no spectral image.  J^2 is read from
+    its sparse entries, so the certificate checks tau's assembly by an
+    independent route.
+    """
+    f = tau.right_function
+    if f.degree > 1:
+        raise ValueError(f"right function {f} is not affine in j")
     w0 = generators.weight0()
-    return check_rlo(w0.J2, tau.weight0, w0.function_of_j(tau.right_function),
+    c0, c1 = (float(c) for c in (f.coeffs + (0, 0))[:2])
+    return check_rlo(w0.J2, tau.weight0, w0.affine_in_j(c0, c1),
                      LADDER_MARGIN)
 
 
@@ -518,15 +523,21 @@ def tau_shift_residual(tau: TauOperator, generators: Su2Generators
 
 def build_taus(families: LadderFamily, generators: Su2Generators,
                certify: bool = True) -> dict[int, TauOperator]:
-    """Assemble the certified ladder operator for every theta in [-s, s]."""
+    """Assemble the ladder operator for every theta in [-s, s], ascending:
+    each family's in one pass (``_assemble_taus``), then each certified as
+    by ``assemble_tau``, in ascending theta."""
     s = generators.s
-    alphas = {fam: build_alpha(s, fam) for fam in (P_FAMILY, M_FAMILY)}
-    out = {}
-    for rf in right_functions(s):
-        sigma = solve_sigma(alphas[rf.family], rf.theta)
-        out[rf.theta] = assemble_tau(families, sigma, generators,
-                                     certify=certify)
-    return out
+    rfs = right_functions(s)
+    taus = {}
+    for family in (P_FAMILY, M_FAMILY):
+        alpha = build_alpha(s, family)
+        taus.update((tau.theta, tau) for tau in _assemble_taus(
+            families, [solve_sigma(alpha, rf.theta) for rf in rfs
+                       if rf.family == family], generators))
+    taus = {theta: taus[theta] for theta in sorted(taus)}
+    for tau in taus.values() if certify else ():
+        _certify(tau, generators)
+    return taus
 
 
 # -- resolvent ladder relations ------------------------------------------------

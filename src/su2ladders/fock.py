@@ -223,9 +223,15 @@ class SectorBasis:
         occupations = np.asarray(occupations, dtype=np.int64)
         valid = ((occupations >= 0).all(axis=1)
                  & (occupations.sum(axis=1) <= self.n_max))
-        ranks = _lex_ranks(np.where(valid[:, None], occupations, 0), self.n_max)
+        return np.where(valid, self._positions(
+            np.where(valid[:, None], occupations, 0)), -1)
+
+    def _positions(self, occupations: np.ndarray) -> np.ndarray:
+        """``indices_of`` for rows known valid (no entry below zero, total
+        at most n_max), with no validity mask."""
+        ranks = _lex_ranks(occupations, self.n_max)
         pos = np.searchsorted(self._ranks, ranks)
-        found = valid & (pos < len(self._ranks))
+        found = pos < len(self._ranks)
         found[found] = self._ranks[pos[found]] == ranks[found]
         return np.where(found, pos, -1)
 
@@ -285,14 +291,15 @@ class SectorBasis:
     def hop_tables(self, pairs: list[tuple[int, int]]
                    ) -> list[tuple[np.ndarray, np.ndarray]]:
         """``hop_table(i, j)`` of each pair, the missing ones built together
-        with one rank lookup (``indices_of``) of every moved state."""
+        with one rank lookup of every moved state (``_positions``: a hop
+        from n_j >= 1 keeps every state valid, so no mask is needed)."""
         missing = [p for p in dict.fromkeys(pairs) if p not in self._hops]
         cols = [np.flatnonzero(self.occupations[:, j] > 0) for _, j in missing]
         unit = np.eye(self.modes, dtype=np.int64)
         moved = [self.occupations[c] + unit[i] - unit[j]
                  for (i, j), c in zip(missing, cols) if i != j]
         targets = iter(np.split(
-            self.indices_of(np.concatenate(moved)),
+            self._positions(np.concatenate(moved)),
             np.cumsum([len(m) for m in moved])[:-1]) if moved else ())
         for (i, j), c in zip(missing, cols):
             rows = next(targets) if i != j else c

@@ -24,6 +24,7 @@ from .operators import (Operator, ResidualReport, SectorBlocks,
 
 P_FAMILY = "p"
 M_FAMILY = "m"
+_ZERO = JPoly.zero()
 
 
 class PreconditionError(ValueError):
@@ -92,10 +93,11 @@ def check_rlo(h: Operator, p_dag: Operator, p_fn: Operator,
 
     Precondition: P commutes with H to 1e-10 on the full interior
     (violations raise PreconditionError carrying the offending commutator
-    norm).  A P assembled from the eigendecomposition of this very H (a
+    norm).  A P formed from the eigendecomposition of this very H (a
     ``SectorBlocks`` whose ``function_of`` is ``h``: ``function_of_j`` of
-    the generators for their ``j2_blocks()``, or of the weight-0 view for
-    its ``J2``) commutes with it by construction, and the check is skipped;
+    the generators for their ``j2_blocks()``, or ``function_of_j`` and
+    ``affine_in_j`` of the weight-0 view for its ``J2``) commutes with it by
+    construction, and the check is skipped;
     any other P, including a re-wrapped, perturbed or summed copy of such an
     image, is checked.
 
@@ -182,7 +184,7 @@ class AlphaMatrix:
         return range(0 if self.family == P_FAMILY else 1, self.spin + 1)
 
     def entry(self, row_k: int, col_k: int) -> JPoly:
-        return self.entries.get((row_k, col_k), JPoly.zero())
+        return self.entries.get((row_k, col_k), _ZERO)
 
     def as_rows(self) -> list[list[JPoly]]:
         ks = list(self.ks)
@@ -347,7 +349,7 @@ def solve_sigma(alpha: AlphaMatrix, theta: int) -> SigmaVector:
     # Rows k = s down to lo+1 determine sigma_{k-1}.
     for k in range(s, lo, -1):
         sigma_k = sigmas[k]
-        sigma_k1 = sigmas.get(k + 1, JPoly.zero())
+        sigma_k1 = sigmas.get(k + 1, _ZERO)
         lead = alpha.entry(k, k - 1)
         if lead.degree != 0:
             raise ValueError("sub-diagonal closure entry is not a constant")
@@ -356,7 +358,7 @@ def solve_sigma(alpha: AlphaMatrix, theta: int) -> SigmaVector:
         sigmas[k - 1] = rhs.scalar_div(lead_c)
     # Unused row lo is the consistency certificate.
     check = ((alpha.entry(lo, lo) - f) * sigmas[lo]
-             + alpha.entry(lo, lo + 1) * sigmas.get(lo + 1, JPoly.zero()))
+             + alpha.entry(lo, lo + 1) * sigmas.get(lo + 1, _ZERO))
     if not check.is_zero():
         raise ConsistencyError(theta, alpha.family, check)
     return SigmaVector(spin=s, theta=theta, family=alpha.family, sigmas=sigmas)

@@ -270,7 +270,8 @@ class SectorBlocks:
     imaginary part.
 
     ``function_of`` records provenance: a spectral image f(H) assembled from
-    the decomposition of H (``SpectralDecomposition.assemble``) holds H
+    the decomposition of H (``SpectralDecomposition.assemble``), or a + b j
+    formed from such an image j (``Weight0View.affine_in_j``), holds H
     itself, so a check may take [H, f(H)] = 0 as given for that very H.  It
     is not compared, and nothing else sets it: sums, products, scalings,
     adjoints and re-wraps in ``SectorBlocks(...)`` carry None.

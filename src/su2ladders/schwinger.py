@@ -32,6 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from .fock import SectorBasis
+from .jpoly import JPoly
 from .operators import (BasisMismatchError, SectorBlocks, SectorStructureError,
                         SparseOperator, sector_blocks)
 
@@ -197,16 +198,34 @@ class SpectralDecomposition:
         return [np.unique(js, return_index=True, return_inverse=True)
                 for js in self.labels]
 
+    @functools.cached_property
+    def _label_table(self) -> tuple[list[int], list[np.ndarray]]:
+        """The distinct labels of all sectors, and each eigenvalue's among them."""
+        distinct, inverse = np.unique(np.concatenate(self.labels),
+                                      return_inverse=True)
+        return distinct.tolist(), np.split(inverse, np.cumsum(
+            [len(js) for js in self.labels])[:-1])
+
     def values(self, f: Callable, with_n: bool = False) -> list:
         """f(n, j) (``with_n``) or f(j) on each sector's eigenvectors, in
         eigenvalue order.
 
-        f is called once per distinct argument, at the exact integer labels,
-        in ascending sector and then label order; a failure raises
-        SpectralFunctionError naming the first sector that holds the
-        argument and the eigenvalue there.  All sectors share one dtype:
-        complex when some value is.
+        A ``JPoly`` f(j) is evaluated once per distinct label of the one
+        label table (``_label_table``), by Horner's rule on its integer
+        numerators and one correctly rounded int / den: the float of the
+        exact value, bit for bit.  Any other f is called once per distinct
+        argument, at the exact integer labels, in ascending sector and then
+        label order; a failure raises SpectralFunctionError naming the first
+        sector that holds the argument and the eigenvalue there.  All
+        sectors share one dtype: complex when some value is.
         """
+        if isinstance(f, JPoly) and not with_n:
+            js, positions = self._label_table
+            acc = [0] * len(js)
+            for a in reversed(f.nums):
+                acc = [x * j + a for x, j in zip(acc, js)]
+            table = np.array([x / f.den for x in acc])
+            return [table[p] for p in positions]
         seen: dict[tuple, float | complex] = {}
         distinct, bounds = [], [0]
         for (key, _idx, vals, _vecs), (js, first, _inverse) in zip(
@@ -226,37 +245,34 @@ class SpectralDecomposition:
         operator with ``values(f, with_n)`` on the eigenvectors."""
         return self.assemble(self.values(f, with_n))
 
-    def sum_times(self, ops: list[SectorBlocks], values: list) -> SectorBlocks:
-        """sum_k X_k f_k(H) for the operators X_k and ``values[k]``, the
-        values of f_k on each sector's eigenvectors, sector by sector.
-
-        On a sector with eigenvectors V, f_k(H) = V diag f_k V^T, so the
-        sum's block from that sector is
-
-            W V^T,   W = sum_k X_k V diag f_k,
-
-        W formed as one product of the terms' blocks side by side: no image
-        f_k(H) and no product X_k f_k(H) is formed.  Every X_k must send
-        each sector into one common target sector, else SectorStructureError
-        is raised.
+    def sum_times(self, ops: list[SectorBlocks], values: list[list]
+                  ) -> list[SectorBlocks]:
+        """sum_k X_k f_ik(H) for each output i, ``values[i][k]`` the values
+        of f_ik on each sector's eigenvectors V.  Output i's block from a
+        sector is (sum_k Y_k diag f_ik) V^T, where each Y_k = X_k V is formed
+        once for all outputs and dropped with its sector, and a term whose
+        values vanish there is skipped: no image f(H) and no product
+        X_k f(H) is formed.  Every X_k must send each sector into one common
+        target sector, else SectorStructureError is raised.
         """
-        blocks = {}
+        outputs = [{} for _ in values]
         for k, (key, _idx, _vals, vecs) in enumerate(self.sectors):
             reached = sorted({op.blocks[k][0] for op in ops if k in op.blocks})
             if len(reached) > 1:
                 raise SectorStructureError(
                     f"the terms send sector (n, weight)={key} into several "
                     f"sectors {[self.sectors[t][0] for t in reached]}")
-            if not reached:
-                continue
-            target = reached[0]
-            empty = np.zeros((len(self.sectors[target][1]), len(vecs)))
-            x_block = np.concatenate(
-                [op.blocks[k][1] if k in op.blocks else empty for op in ops],
-                axis=1)
-            w = x_block @ np.concatenate([vecs * vals[k] for vals in values])
-            blocks[k] = (target, w @ vecs.conj().T)
-        return SectorBlocks(self.basis, blocks)
+            products = {i: op.blocks[k][1] @ vecs for i, op in enumerate(ops)
+                        if k in op.blocks}
+            vecs_t = vecs.conj().T
+            for blocks, fs in zip(outputs, values):
+                w = None
+                for i, y in products.items():
+                    if fs[i][k].any():
+                        w = y * fs[i][k] if w is None else w + y * fs[i][k]
+                if w is not None:
+                    blocks[k] = (reached[0], w @ vecs_t)
+        return [SectorBlocks(self.basis, blocks) for blocks in outputs]
 
     @staticmethod
     def of(op: SparseOperator | SectorBlocks) -> "SpectralDecomposition":
@@ -267,30 +283,7 @@ class SpectralDecomposition:
         Raises NonHermitianError when ``op`` is not hermitian, and
         SectorStructureError when it couples distinct (n, weight) sectors.
         """
-        basis = op.basis
-        gap = (op - op.adjoint()).norm()
-        if gap > 1e-10 * (op.norm() + 1.0):
-            raise NonHermitianError(
-                f"operator deviates from hermiticity by {gap:.3e}")
-        blocks = op if isinstance(op, SectorBlocks) else sector_blocks(op)
-        dtype = (np.complex128 if any(np.iscomplexobj(b) for _t, b
-                                      in blocks.blocks.values())
-                 else np.float64)
-        table = basis.sector_table()
-        for k, (t, block) in blocks.blocks.items():
-            if t != k:
-                r, c = (idx[0] for idx in np.nonzero(block))
-                raise SectorStructureError(
-                    "operator couples distinct (n, weight) sectors, e.g. "
-                    f"states {basis.states[table.members[t][r]]} and "
-                    f"{basis.states[table.members[k][c]]}")
-        sectors = []
-        for k, (key, idx) in enumerate(zip(table.keys, table.members)):
-            block = (blocks.blocks[k][1] if k in blocks.blocks
-                     else np.zeros((len(idx), len(idx))))
-            vals, vecs = np.linalg.eigh(block.astype(dtype, copy=False))
-            sectors.append((key, idx, vals, vecs))
-        return SpectralDecomposition(basis, sectors, op)
+        return _decomposition(op, None)
 
     def assemble(self, values: list) -> SectorBlocks:
         """The operator with eigenvalues ``values[k]`` on sector k's
@@ -305,6 +298,40 @@ class SpectralDecomposition:
             k: (k, _spectral_block(vecs, fvals))
             for k, ((*_, vecs), fvals) in enumerate(zip(self.sectors, values))},
             function_of=self.operator)
+
+
+def _decomposition(op: SparseOperator | SectorBlocks,
+                   reuse: Optional[SpectralDecomposition]
+                   ) -> SpectralDecomposition:
+    """``SpectralDecomposition.of(op)``, with the eigenpairs of each sector
+    that ``reuse`` also holds taken from it instead of computed: the
+    caller's promise that its block there is the same array."""
+    known = {key: pair for key, _i, *pair in (reuse.sectors if reuse else ())}
+    basis = op.basis
+    gap = (op - op.adjoint()).norm()
+    if gap > 1e-10 * (op.norm() + 1.0):
+        raise NonHermitianError(
+            f"operator deviates from hermiticity by {gap:.3e}")
+    blocks = op if isinstance(op, SectorBlocks) else sector_blocks(op)
+    dtype = (np.complex128 if any(np.iscomplexobj(b) for _t, b
+                                  in blocks.blocks.values())
+             else np.float64)
+    table = basis.sector_table()
+    for k, (t, block) in blocks.blocks.items():
+        if t != k:
+            r, c = (idx[0] for idx in np.nonzero(block))
+            raise SectorStructureError(
+                "operator couples distinct (n, weight) sectors, e.g. "
+                f"states {basis.states[table.members[t][r]]} and "
+                f"{basis.states[table.members[k][c]]}")
+    sectors = []
+    for k, (key, idx) in enumerate(zip(table.keys, table.members)):
+        block = (blocks.blocks[k][1] if k in blocks.blocks
+                 else np.zeros((len(idx), len(idx))))
+        vals, vecs = known.get(key) or np.linalg.eigh(
+            block.astype(dtype, copy=False))
+        sectors.append((key, idx, vals, vecs))
+    return SpectralDecomposition(basis, sectors, op)
 
 
 class Su2Generators:
@@ -346,11 +373,12 @@ class Su2Generators:
     def j2_decomposition(self) -> SpectralDecomposition:
         """The decomposition of J^2 over every (n, weight) sector, built on
         first read and kept: what the whole-space readers (``j_hat``, every
-        whole-space function of j, ``su2ladders spectrum``) read.  The
-        weight-0 view diagonalises its own level blocks and never builds
-        it."""
+        whole-space function of j, ``su2ladders spectrum``) read, with the
+        weight-0 view's (n, 0) eigenpairs when the view exists (the view
+        never builds it)."""
         if self._j2_decomp is None:
-            self._j2_decomp = SpectralDecomposition.of(self.J2)
+            self._j2_decomp = _decomposition(
+                self.J2, self._weight0 and self._weight0.decomposition)
         return self._j2_decomp
 
     def j2_blocks(self) -> SectorBlocks:
@@ -368,16 +396,13 @@ class Su2Generators:
             ) -> SectorBlocks:
         """sum_k X_k f_k(j) for ``terms`` = [(X_k, f_k), ...], sector by sector
         (``SpectralDecomposition.sum_times``), each X_k read as sector blocks
-        from its entries (``SectorBlocks.from_entries``).
-
-        f_k is evaluated as in ``function_of_j``: once per label, and a pole
-        raises SpectralFunctionError naming a sector that holds the label.
-        The result equals sum_k X_k @ function_of_j(f_k) up to rounding.
+        from its entries; f_k is evaluated as in ``function_of_j``.  The
+        result equals sum_k X_k @ function_of_j(f_k) up to rounding.
         """
         decomposition = self.j2_decomposition()
         return decomposition.sum_times(
             [sector_blocks(op) for op, _f in terms],
-            [decomposition.values(f) for _op, f in terms])
+            [[decomposition.values(f) for _op, f in terms]])[0]
 
     def j_hat(self) -> SectorBlocks:
         """The label operator: spectral image of (sqrt(1 + 4 J^2) - 1)/2.
@@ -421,23 +446,18 @@ class Weight0View:
     every function of j leave the weight-0 subspace invariant.  ``basis`` is
     the weight-0 ``SectorBasis`` (the same n_max, so an interior margin
     keeps the same levels), ``rows`` its states' whole-space indices, and
-    level n its (n, 0) sector, sector n of its sector table.  ``of``
-    restricts a whole-space operator to its weight-0 blocks, and
-    ``from_columns`` reads them from the operator's weight-0 columns alone
-    (how the families are formed, ``build_families``); ``J2`` is
-    J^2's, read from its sparse entries, so the certificates never read J^2
-    from its eigenvectors.
-    ``decomposition`` diagonalises those J^2 level blocks
-    (``SpectralDecomposition.of``), so no sector of nonzero weight is
-    diagonalised for the view; the blocks are the same arrays as the (n, 0)
-    blocks of the whole-space decomposition, and so are their eigenpairs.
-    ``function_of_j``, ``j`` and ``sum_times_functions_of_j`` call its
-    ``function_of`` and ``sum_times``, the routines that assemble the
-    whole-space images; this is where each tau is built
-    (``TauOperator.weight0``).  A product of blocks is one gemm per block.
-    The spectral images record ``J2`` as what they are a function of.
-    ``nodes`` builds the J_z-kernel nodes of a level, in the coordinates of
-    its blocks; no other code builds them.
+    level n its (n, 0) sector.  ``of`` restricts a whole-space operator to
+    its weight-0 blocks, and ``from_columns`` reads them from its weight-0
+    columns alone (``build_families``).  ``J2`` is J^2's, read from its
+    sparse entries, so the certificates never read J^2 from its
+    eigenvectors.  ``decomposition`` diagonalises those level blocks, the
+    same arrays as the whole-space (n, 0) blocks, with the same eigenpairs
+    (shared with the whole-space decomposition when that exists), so no
+    sector of nonzero weight is diagonalised for the view; its
+    ``function_of`` and ``sum_times`` assemble the view's images and each
+    tau (``TauOperator.weight0``), recording ``J2`` as what they are a
+    function of.  ``nodes`` builds the J_z-kernel nodes of a level, in the
+    coordinates of its blocks; no other code builds them.
     """
 
     def __init__(self, generators: Su2Generators):
@@ -446,7 +466,7 @@ class Weight0View:
         self.rows = np.flatnonzero(generators.basis.weights == 0)
         self._restricted: dict[int, tuple[weakref.ref, SectorBlocks]] = {}
         self.J2 = self.of(generators.J2)
-        self.decomposition = SpectralDecomposition.of(self.J2)
+        self.decomposition = _decomposition(self.J2, generators._j2_decomp)
         self.j = self.function_of_j(lambda j: j)
 
     def labels(self, n: int) -> np.ndarray:
@@ -483,20 +503,17 @@ class Weight0View:
         that holds the label."""
         return self.decomposition.function_of(f)
 
-    def sum_times_functions_of_j(
-            self, terms: list[tuple[SparseOperator | SectorBlocks,
-                                    Callable[[int], float]]]
-            ) -> SectorBlocks:
-        """The weight-0 blocks of ``Su2Generators.sum_times_functions_of_j``,
-        by the same ``SpectralDecomposition.sum_times`` on ``decomposition``,
-        so the two are equal array for array.  Each X_k is read through
-        ``of``: a whole-space one that leaks out of weight 0 raises
-        WeightLeakError, and a weight-0 one (the families' level blocks,
-        ``LadderFamily.weight0_ops``) is taken as it is.
-        """
-        return self.decomposition.sum_times(
-            [self.of(op) for op, _f in terms],
-            [self.decomposition.values(f) for _op, f in terms])
+    def affine_in_j(self, a: float, b: float) -> SectorBlocks:
+        """a + b j, level by level from ``j`` itself (b times its block,
+        plus a on the diagonal), with no spectral image formed.  A function
+        of J^2 by construction, it records ``J2`` as its ``function_of``."""
+        blocks = {}
+        for n, d in enumerate(self.basis.sector_table().sizes.tolist()):
+            block = (b * self.j.blocks[n][1] if n in self.j.blocks
+                     else np.zeros((d, d)))
+            block[np.diag_indices(d)] += a
+            blocks[n] = (n, block)
+        return SectorBlocks(self.basis, blocks, function_of=self.J2)
 
     def of(self, op: SparseOperator | SectorBlocks) -> SectorBlocks:
         """The weight-0 blocks of a whole-space operator: read from the CSR

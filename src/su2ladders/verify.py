@@ -45,63 +45,25 @@ from .schwinger import jordan_schwinger, jz_kernel, su2_generators
 DEFAULT_TOLERANCE = 1e-10
 
 #: Identity anchors that the suite must cover (audited by a registry test).
-REQUIRED_ANCHORS = frozenset({
-    "weyl-algebra",
-    "number-ladder",
-    "vacuum-state",
-    "canonical-matrix-elements",
-    "jordan-schwinger-map",
-    "total-number-image",
-    "su2-commutators",
-    "n-centrality",
-    "casimir-centrality",
-    "canonical-su2-action",
-    "j-operator",
-    "single-particle-irrep",
-    "jz-kernel",
-    "rlo-definition",
-    "llo-definition",
-    "power-identity",
-    "rlo-composition",
-    "closure-tridiagonal",
-    "family-closure-kernel",
-    "casimir-closure-full",
-    "right-function-family",
-    "right-function-parity",
-    "determinant-certificate",
-    "sigma-recurrence",
-    "sigma-closed-form",
-    "family-number-ladder",
-    "family-jz-commuting",
-    "tau-casimir-ladder",
-    "tau-label-shift",
-    "resolvent-ladder-right",
-    "resolvent-ladder-left",
-    "tau-complete-set",
-    "complete-set-separation",
-    "lattice-action",
-    "tau-annihilation-rules",
-    "tau-trivial-kernel-parity",
-    "tau-zero-preserves-j",
-    "deformed-algebra-generators",
-    "residue-classes",
-    "multiplicity-oracle",
-    "s1-family-definitions",
-    "s1-family-commutators",
-    "s1-m1-annihilates-kernel",
-    "s1-tau-expressions",
-    "s1-weyl-pair",
-    "s1-number-like-spectrum",
-    "s1-deformed-su2-spectrum",
-    "s1-lattice-diagram",
-    "irrep-dimensions",
-    "s1-canonical-basis",
-    "s1-inverse-expressions",
-    "s1-label-commutators",
-    "s1-bracket-ladder",
-    "s1-single-mode-ladders",
-    "s1-double-commutator",
-})
+REQUIRED_ANCHORS = frozenset("""
+    weyl-algebra number-ladder vacuum-state canonical-matrix-elements
+    jordan-schwinger-map total-number-image su2-commutators n-centrality
+    casimir-centrality canonical-su2-action j-operator single-particle-irrep
+    jz-kernel rlo-definition llo-definition power-identity rlo-composition
+    closure-tridiagonal family-closure-kernel casimir-closure-full
+    right-function-family right-function-parity determinant-certificate
+    sigma-recurrence sigma-closed-form family-number-ladder
+    family-jz-commuting tau-casimir-ladder tau-label-shift
+    resolvent-ladder-right resolvent-ladder-left tau-complete-set
+    complete-set-separation lattice-action tau-annihilation-rules
+    tau-trivial-kernel-parity tau-zero-preserves-j
+    deformed-algebra-generators residue-classes multiplicity-oracle
+    s1-family-definitions s1-family-commutators s1-m1-annihilates-kernel
+    s1-tau-expressions s1-weyl-pair s1-number-like-spectrum
+    s1-deformed-su2-spectrum s1-lattice-diagram irrep-dimensions
+    s1-canonical-basis s1-inverse-expressions s1-label-commutators
+    s1-bracket-ladder s1-single-mode-ladders s1-double-commutator
+""".split())
 
 
 @dataclass

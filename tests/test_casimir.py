@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +229,92 @@ def test_assemble_tau_certification_catches_corruption(ctx):
     bad = type(sigma)(spin=1, theta=-1, family="p", sigmas=sigma.sigmas)
     with pytest.raises(TauCertificationError):
         assemble_tau(c.families, bad, c.gens)
+
+
+#: The relative Casimir-ladder residual of each tau at (3, 5), theta = -3..3,
+#: with sigma_3 scaled by 1 + 1e-6, as read by one gemm per tau with the
+#: right function as a spectral image; the shared products and the right
+#: function formed from j must read the same to 1e-6 relative.
+SCALED_SIGMA_RESIDUALS = [3.1719860529395064e-07, 4.356931613762553e-07,
+                          1.35053211668668e-06, 5.203950709718093e-08,
+                          8.946929377888639e-07, 7.085775406976577e-07,
+                          7.036960603286402e-08]
+
+
+def test_scaled_sigma_or_wrong_right_function_fails_every_theta(ctx):
+    c = ctx(3, 5)
+    for (theta, tau), want in zip(sorted(c.taus.items()),
+                                  SCALED_SIGMA_RESIDUALS):
+        sigma = tau.sigma
+        scaled = dataclasses.replace(sigma, sigmas={
+            **sigma.sigmas, 3: sigma.sigmas[3] * Fraction(1000001, 1000000)})
+        with pytest.raises(TauCertificationError, match="Casimir") as err:
+            assemble_tau(c.families, scaled, c.gens)
+        assert err.value.report.frobenius_relative == pytest.approx(want,
+                                                                    rel=1e-6)
+        # The same family's sigma, certified against theta -/+ 2.
+        wrong = dataclasses.replace(sigma, theta=theta - 2 if theta > 0
+                                    else theta + 2)
+        with pytest.raises(TauCertificationError, match="Casimir"):
+            assemble_tau(c.families, wrong, c.gens)
+
+
+def _concatenated_tau_blocks(decomposition, ops, sigma):
+    # One tau's level blocks by one gemm per level: the T_k blocks side by
+    # side times the stacked V diag sigma_k(js), then times V^T.
+    out = {}
+    for n, (_key, _idx, _vals, vecs) in enumerate(decomposition.sectors):
+        terms = [(t.blocks[n], sigma.sigmas[k]) for k, t in ops.items()
+                 if n in t.blocks and not sigma.sigmas[k].is_zero()]
+        if terms:
+            js = decomposition.labels[n].tolist()
+            x = np.concatenate([block for (_m, block), _p in terms], axis=1)
+            w = x @ np.concatenate([vecs * np.array([float(p(j)) for j in js])
+                                    for _block, p in terms])
+            out[n] = (terms[0][0][0], w @ vecs.T)
+    return out
+
+
+@pytest.mark.parametrize("spin,n_max", [(2, 5), (3, 5), (5, 5)])
+def test_tau_blocks_match_the_concatenated_product(ctx, spin, n_max):
+    c = ctx(spin, n_max)
+    decomposition = c.gens.weight0().decomposition
+    for tau in c.taus.values():
+        want = SectorBlocks(tau.weight0.basis, _concatenated_tau_blocks(
+            decomposition, c.families.weight0_ops(tau.family),
+            tau.sigma)).blocks
+        assert tau.weight0.blocks.keys() == want.keys()
+        for n, (m, block) in want.items():
+            got = tau.weight0.blocks[n]
+            assert got[0] == m
+            assert (np.linalg.norm(got[1] - block)
+                    <= 1e-13 * np.linalg.norm(block))
+
+
+def test_build_taus_forms_each_shared_product_once_and_keeps_none():
+    # Each Y_k = T_k V is formed once per family operator and level, for all
+    # of the family's tau together, and none outlives build_taus.
+    made = []
+
+    class Tracked(np.ndarray):
+        def __matmul__(self, other):
+            out = np.asarray(self) @ other
+            made.append(weakref.ref(out))
+            return out
+
+    basis = enumerate_sector(3, 4)
+    gens = su2_generators(basis)
+    families = build_families(basis, gens)
+    blocks = 0
+    for op in families.p_weight0 + families.m_weight0:
+        for n, (m, block) in op.blocks.items():
+            op.blocks[n] = (m, block.view(Tracked))
+            blocks += 1
+    taus = build_taus(families, gens)
+    assert sorted(taus) == list(range(-3, 4))
+    gc.collect()
+    assert len(made) == blocks
+    assert all(ref() is None for ref in made)
 
 
 def test_s1_expression_match_scales(ctx):

@@ -803,9 +803,10 @@ def test_jz_kernel_embeds_the_view_nodes(ctx, spin, n_max):
 # The certificates read the weight-0 level blocks (``Su2Generators.weight0``).
 # The references below form the same identities from the level blocks of the
 # whole-space operators (``_Blocks.of``): f(J^2) from ``function_of_j`` over
-# every sector, tau from ``tau.op``, right factors cut to the interior
-# levels by ``_ref_on_columns``.  The reports must be equal, not merely
-# close.
+# every sector (tau's right function c_0 + c_1 j from ``j_hat``, as its
+# certificate forms it), tau from ``tau.op``, right factors cut to the
+# interior levels by ``_ref_on_columns``.  The reports must be equal, not
+# merely close.
 
 CONFIGS = [(1, 4), (2, 4), (3, 5), (4, 4)]
 
@@ -841,15 +842,29 @@ def test_weight0_closure_certificate_equals_whole_space_form(ctx, spin, n_max,
             _worst_alpha_entry_per_node(alpha, eta, c.gens, c.families)
 
 
+def _affine_of_j(jh, a, b, sizes):
+    # a + b j from the level blocks of the whole-space j_hat: b times each
+    # block, plus a on the diagonal.
+    blocks = {}
+    for n, d in enumerate(sizes):
+        block = b * jh.level(n, d)
+        block[np.diag_indices(d)] += a
+        blocks[n] = (n, block)
+    return _Blocks(blocks, jh.n_max)
+
+
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
 def test_weight0_tau_certificates_equal_whole_space_forms(ctx, spin, n_max):
     c = ctx(spin, n_max)
     g = c.gens
     j2, jh = _Blocks.of(g.J2), _Blocks.of(g.j_hat())
+    sizes = [int(((c.basis.totals == n) & (c.basis.weights == 0)).sum())
+             for n in range(n_max + 1)]
     for theta, tau in sorted(c.taus.items()):
         op = _Blocks.of(tau.op)
+        a, b = (float(x) for x in (tau.right_function.coeffs + (0, 0))[:2])
         assert tau_casimir_ladder_residual(tau, g) == _ref_rlo(
-            j2, op, _Blocks.of(g.function_of_j(tau.right_function)), 1)
+            j2, op, _affine_of_j(jh, a, b, sizes), 1)
         if theta == 0:
             want = _ref_commutator_residual(jh, op, 1)
         else:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ from su2ladders import bruteforce
 from su2ladders.casimir import build_families, build_taus
 from su2ladders.fock import enumerate_sector
 from su2ladders.jpoly import JPoly
-from su2ladders.ladder import right_function_poly
+from su2ladders.ladder import (build_alpha, right_function_poly,
+                               right_functions, solve_sigma)
 from su2ladders.operators import (BasisMismatchError, SparseOperator,
                                   commutator, commutator_residual,
                                   creation_op, residual)
@@ -20,6 +22,7 @@ from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectrumSnapError, WeightLeakError,
                                   _evaluate, _phase_fixed,
                                   jordan_schwinger, jz_kernel, su2_generators)
+from su2ladders.verify import SuiteConfig, run_suite
 
 from conftest import whole_csr
 
@@ -488,12 +491,16 @@ def test_weight0_sum_times_functions_of_j_equals_the_restriction(ctx):
         [(c.families.m_ops[0].adjoint(), lambda j: 1.0 / (j + 1))],
         [(g.J2, lambda j: 1j * j), (g.Ntot, lambda j: 1.0)],
     ]
+    def on_weight0(terms):
+        d = w0.decomposition
+        return d.sum_times([w0.of(op) for op, _f in terms],
+                           [[d.values(f) for _op, f in terms]])[0]
     for terms in cases:
-        _same_blocks(w0.sum_times_functions_of_j(terms),
+        _same_blocks(on_weight0(terms),
                      w0.of(whole_csr(g.sum_times_functions_of_j(terms))))
-    assert w0.sum_times_functions_of_j([]).is_zero()
+    assert on_weight0([]).is_zero()
     with pytest.raises(WeightLeakError):
-        w0.sum_times_functions_of_j([(g.Jplus, lambda j: 1.0)])
+        on_weight0([(g.Jplus, lambda j: 1.0)])
 
 
 @pytest.mark.parametrize("spin", [1, 2, 3, 4, 5])
@@ -558,6 +565,54 @@ def test_label_values_are_f_at_each_label(ctx, spin, n_max):
         assert w0.sectors[n][0] == whole.sectors[k][0] == (n, 0)
         assert np.array_equal(w0.labels[n], whole.labels[k])
         assert np.array_equal(w0.values(f)[n], whole.values(f)[k])
+
+
+@pytest.mark.parametrize("spin", range(1, 8))
+def test_jpoly_values_equal_the_general_path(spin):
+    # Every sigma_k and right function, read from the label table by
+    # integer Horner and one int / den, gives the floats of the general
+    # path (float of the exact Fraction at each label) bit for bit.
+    g = su2_generators(enumerate_sector(spin, 3))
+    rfs = right_functions(spin)
+    polys = [rf.poly for rf in rfs] + [
+        poly for rf in rfs
+        for poly in solve_sigma(build_alpha(spin, rf.family),
+                                rf.theta).sigmas.values()]
+    for decomposition in (g.j2_decomposition(), g.weight0().decomposition):
+        for poly in polys:
+            got = decomposition.values(poly)
+            want = decomposition.values(lambda j, poly=poly: poly(j))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_each_weight0_sector_is_diagonalised_once(monkeypatch):
+    # The whole-space decomposition and the weight-0 view share the (n, 0)
+    # eigenpairs, whichever is built first: one eigh per sector in a
+    # run_suite, and the same arrays in both.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_decomposition":
+            calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    sectors = len(enumerate_sector(2, 4).sector_table().keys)
+    assert run_suite(SuiteConfig(spins=[2], n_max=4)).overall_pass
+    assert len(calls) == sectors
+    for whole_first in (True, False):
+        calls.clear()
+        g = su2_generators(enumerate_sector(2, 4))
+        if whole_first:
+            g.j2_decomposition()
+        w0 = g.weight0()
+        whole = {key: (vals, vecs) for key, _idx, vals, vecs
+                 in g.j2_decomposition().sectors}
+        assert len(calls) == sectors
+        for key, _idx, vals, vecs in w0.decomposition.sectors:
+            assert whole[key][0] is vals and whole[key][1] is vecs
 
 
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
@@ -720,15 +775,19 @@ def test_jordan_schwinger_independent_of_hop_cache_order():
 def test_jordan_schwinger_builds_its_missing_hop_tables_in_one_lookup(
         monkeypatch):
     # A dense X needs a table per mode pair; the off-diagonal ones share one
-    # rank lookup, and a second image reads them all from the cache.
+    # rank lookup, and a second image reads them all from the cache.  The
+    # moved states are always valid, so the lookup skips the validity mask
+    # of ``indices_of``.
     basis = enumerate_sector(2, 4)
     x = _schwinger_matrices(2, 11)["general"]
-    lookups = []
-    indices_of = basis.indices_of
+    lookups, masked = [], []
+    positions, indices_of = basis._positions, basis.indices_of
+    monkeypatch.setattr(basis, "_positions",
+                        lambda occ: lookups.append(len(occ)) or positions(occ))
     monkeypatch.setattr(basis, "indices_of",
-                        lambda occ: lookups.append(len(occ)) or indices_of(occ))
+                        lambda occ: masked.append(len(occ)) or indices_of(occ))
     first = jordan_schwinger(basis, x).matrix
-    assert len(lookups) == 1
+    assert len(lookups) == 1 and not masked
     assert sorted(basis._hops) == [(i, j) for i in range(5) for j in range(5)]
     _assert_same_csr(jordan_schwinger(basis, x).matrix, first)
     assert len(lookups) == 1
