@@ -19,8 +19,10 @@ products on the weight-0 column block and each a_mu^dagger as a row map
 level blocks (``LadderFamily.weight0_ops``); a column that leaves weight 0 is
 refused (WeightLeakError).  The same routine on every column gives the
 whole-space operators (``LadderFamily.ops``), formed on first read by the
-family checks of ``verify``, the grade certificate, the whole-space tau, the
-spin-1 expressions and ``dump-op``.
+grade record, the whole-space tau, the spin-1 expressions and ``dump-op``.
+The grade record (``LadderFamily.off_grade``) is the one place the grade of
+each T_k is read, once per family instance: the entries off (1, 0), which
+the family checks of ``verify`` and the grade certificate all read.
 
 Each tau is held on weight 0 too (``TauOperator.weight0``), and
 ``build_taus`` assembles a family's tau in one pass over the levels
@@ -30,11 +32,11 @@ deformed generators read those blocks, J^2 read from its sparse entries,
 functions of j on the (n, 0) sectors (``Su2Generators.weight0``) and the
 kernel nodes of each level (``Weight0View.nodes``): every product is one gemm
 per level block.  What tau does off weight 0 is certified from its grade
-instead (``tau_off_grade``): every T_k maps each (n, w) sector into
-(n + 1, w) and sigma_k(j) is block diagonal, so tau tau^dagger and the
-deformed generators commute with N and J_z exactly.  The whole-space tau
-(``TauOperator.op``) is built on demand, for the spin-1 expressions and for
-export.
+instead (``tau_off_grade``, read from the grade record): every T_k maps
+each (n, w) sector into (n + 1, w) and sigma_k(j) is block diagonal, so
+tau tau^dagger and the deformed generators commute with N and J_z
+exactly.  The whole-space tau (``TauOperator.op``) is built on demand, for
+the spin-1 expressions and for export.
 """
 
 from __future__ import annotations
@@ -74,10 +76,12 @@ class LadderFamily:
     and the lattice; and ``p_ops``/``m_ops``, the whole-space
     ``SparseOperator``, formed on first read and kept on this instance (not
     a field, so a ``dataclasses.replace`` copy forms its own) for the grade
-    certificate, the family checks, the whole-space tau and the spin-1
-    expressions.  Each column of a CSR product sums the same terms in the
-    same order whatever the other columns are, so the level blocks equal
-    ``Weight0View.of`` of the whole-space operators array for array.
+    record, the whole-space tau and the spin-1 expressions.  Each column of
+    a CSR product sums the same terms in the same order whatever the other
+    columns are, so the level blocks equal ``Weight0View.of`` of the
+    whole-space operators array for array.  ``off_grade`` reads each
+    whole-space T_k's entries once and keeps those off grade (1, 0): the
+    grade record, which the family checks and ``tau_off_grade`` select from.
     """
     s: int
     basis: SectorBasis
@@ -85,8 +89,8 @@ class LadderFamily:
     p_weight0: tuple[SectorBlocks, ...]
     m_weight0: tuple[SectorBlocks, ...]
     # What is formed from these operators once and kept (``closure_fit``,
-    # ``closure_commutators``, ``s1_reference_taus``).  Not an init field,
-    # so a ``dataclasses.replace`` copy starts with its own.
+    # ``closure_commutators``, ``off_grade``, ``s1_reference_taus``).  Not
+    # an init field, so a ``dataclasses.replace`` copy starts with its own.
     _values: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
@@ -150,6 +154,32 @@ class LadderFamily:
             return {eta: commutator_on_columns(w0.J2, t, LADDER_MARGIN)
                     for eta, t in self.weight0_ops(family).items()}
         return self.kept(("commutators", family), generators, build)
+
+    def off_grade(self, select=lambda dn, dw: (dn != 1) | (dw != 0)
+                  ) -> dict[tuple[str, int], str]:
+        """(family, k) -> the first entry of the whole-space T_k off grade
+        (1, 0) that ``select(dn, dw)`` picks, in CSR order, named by its two
+        states, for each T_k with one (p family first).  The entries off
+        grade are read once per instance, one ``entry_grades`` per T_k, and
+        kept: the grade record, empty when every T_k has grade (1, 0)."""
+        def read():
+            record = {}
+            for family in (P_FAMILY, M_FAMILY):
+                for k, t_k in self.ops(family).items():
+                    grades = entry_grades(t_k)
+                    off = (grades[2] != 1) | (grades[3] != 0)
+                    if off.any():
+                        record[family, k] = [x[off] for x in grades]
+            return record
+        states, out = self.basis.states, {}
+        for key, (rows, cols, dn, dw) in self.kept(
+                "grade", self.generators, read).items():
+            if len(picked := np.flatnonzero(select(dn, dw))):
+                i = picked[0]
+                out[key] = (f"sends {states[cols[i]]} to {states[rows[i]]}: "
+                            f"grade ({dn[i]}, {dw[i]}), not (1, 0) "
+                            f"({len(picked)} such entries)")
+        return out
 
 
 def build_families(basis: SectorBasis, generators: Su2Generators) -> LadderFamily:
@@ -403,16 +433,10 @@ class TauOperator:
 
     @functools.cached_property
     def op(self) -> SectorBlocks:
-        return self.generators.sum_times_functions_of_j(list(_tau_terms(
-            self.families.ops(self.family), self.sigma).values()))
-
-
-def _tau_terms(ops: dict, sigma: SigmaVector) -> dict:
-    """k -> (T_k, sigma_k), the terms of sum_k T_k sigma_k(j) with
-    sigma_k != 0, for the family operators ``ops`` (k -> T_k, either form,
-    ``LadderFamily.ops`` or ``LadderFamily.weight0_ops``)."""
-    return {k: (t_k, sigma.sigmas[k]) for k, t_k in ops.items()
-            if not sigma.sigmas[k].is_zero()}
+        return self.generators.sum_times_functions_of_j([
+            (t_k, self.sigma.sigmas[k])
+            for k, t_k in self.families.ops(self.family).items()
+            if not self.sigma.sigmas[k].is_zero()])
 
 
 def tau_off_grade(tau: TauOperator) -> list[str]:
@@ -424,22 +448,12 @@ def tau_off_grade(tau: TauOperator) -> list[str]:
     couples them).  So when every T_k maps each (n, w) sector into
     (n + 1, w), tau has grade (1, 0), and tau tau^dagger and the deformed
     generators have grade (0, 0): they commute with N and J_z exactly.  The
-    grades are read from the terms' CSR entries (``entry_grades``), with no
-    tolerance and no product.
+    terms (sigma_k != 0) are looked up in the families' grade record
+    (``LadderFamily.off_grade``), with no tolerance and no product.
     """
-    basis = tau.families.basis
-    out = []
-    for k, (t_k, _sigma_k) in _tau_terms(tau.families.ops(tau.family),
-                                         tau.sigma).items():
-        rows, cols, dn, dw = entry_grades(t_k)
-        bad = np.flatnonzero((dn != 1) | (dw != 0))
-        if len(bad):
-            i = bad[0]
-            out.append(
-                f"tau[{tau.theta:+d}] term k={k} sends {basis.states[cols[i]]} "
-                f"to {basis.states[rows[i]]}: grade ({dn[i]}, {dw[i]}), not (1, 0) "
-                f"({len(bad)} such entries)")
-    return out
+    return [f"tau[{tau.theta:+d}] term k={k} {line}"
+            for (family, k), line in tau.families.off_grade().items()
+            if family == tau.family and not tau.sigma.sigmas[k].is_zero()]
 
 
 def assemble_tau(families: LadderFamily, sigma: SigmaVector,
@@ -750,8 +764,8 @@ def deformed_generators(tau_minus: TauOperator
     (``TauOperator.weight0``), so they live on the weight-0 basis, one block
     per level.  tau maps weight 0 to itself, so they are the weight-0 blocks
     of the whole-space products up to rounding.  Off weight 0 they are
-    certified from tau's grade (``tau_off_grade``): grade (0, 0), so they
-    commute with N and J_z.
+    certified from tau's grade (``tau_off_grade``, read from the families'
+    grade record): grade (0, 0), so they commute with N and J_z.
     """
     if tau_minus.theta >= 0:
         raise ValueError("deformed generators need theta = -omega with omega >= 1")
@@ -803,11 +817,13 @@ def complete_set_check(generators: Su2Generators,
     (margin PAIR_MARGIN), where the ladder relation that implies it holds.
     Its commutators with J_z and N are certified from tau's grade
     (``tau_off_grade``), exactly and on every weight: ``off_grade`` lists
-    each term of each tau with an entry off grade (1, 0).  The scan then
-    looks for kernel nodes of dimension >= 2 (``Weight0View.nodes``) and
-    reports whether the eigenvalues of the A_theta restricted to the node
-    separate its states (eigenvalues within 1e-6, relative, count as
-    degenerate), reading each A_theta's block of the node's level.
+    each term of each tau with an entry off grade (1, 0), from the
+    families' grade record (``LadderFamily.off_grade``, read once).  The
+    scan then looks for kernel nodes of dimension >= 2
+    (``Weight0View.nodes``) and reports whether the eigenvalues of the
+    A_theta restricted to the node separate its states (eigenvalues within
+    1e-6, relative, count as degenerate), reading each A_theta's block of
+    the node's level.
     """
     residuals: dict[tuple[int, str], ResidualReport] = {}
     prods: dict[int, SectorBlocks] = {}

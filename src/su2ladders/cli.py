@@ -18,6 +18,7 @@ the --tolerance flag takes precedence over the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -209,19 +210,8 @@ def _resolve_operator(name: str, basis, gens, families, taus):
 def _cmd_dump_op(args) -> int:
     basis = enumerate_sector(args.spin, args.nmax)
     gens = su2_generators(basis)
-    fam_cache = {}
-    tau_cache = {}
-
-    def families():
-        if "f" not in fam_cache:
-            fam_cache["f"] = build_families(basis, gens)
-        return fam_cache["f"]
-
-    def taus():
-        if "t" not in tau_cache:
-            tau_cache["t"] = build_taus(families(), gens, certify=False)
-        return tau_cache["t"]
-
+    families = functools.cache(lambda: build_families(basis, gens))
+    taus = functools.cache(lambda: build_taus(families(), gens, certify=False))
     op = _resolve_operator(args.op, basis, gens, families, taus)
     _emit(_json_dump(op.to_coo_json()), args.out)
     return 0

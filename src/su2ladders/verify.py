@@ -15,6 +15,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -594,35 +595,25 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
 
 
 def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
-    s, basis, gens = ctx.s, ctx.basis, ctx.gens
+    s, gens = ctx.s, ctx.gens
     p = {"s": s}
 
     # The families are read inside each check, as the taus are, so a
-    # failure to build them fails the check.
-    def number_ladder_family(tol):
-        worst = 0.0
-        fam = ctx.families
-        for ops in (fam.ops(P_FAMILY), fam.ops(M_FAMILY)):
-            for k, t in ops.items():
-                if t.is_zero():
-                    continue
-                worst = max(worst, residual(commutator(gens.Ntot, t), t, 1
-                                            ).frobenius_relative)
-        return worst, worst < tol, ""
+    # failure to build them fails the check.  Both read their part of the
+    # families' grade record (``LadderFamily.off_grade``): exact, so any
+    # entry off grade fails, and no product is formed.
+    def graded(select):
+        def check(tol):
+            off = ctx.families.off_grade(select)
+            if not off:
+                return 0.0, True, ""
+            (family, k), line = next(iter(off.items()))
+            return 1.0, False, f"{family}_{k} {line}"
+        return check
     r.run("family-number-ladder", "family-number-ladder", p, 1e-10,
-          number_ladder_family)
-
-    def jz_commuting(tol):
-        worst = 0.0
-        fam = ctx.families
-        for ops in (fam.ops(P_FAMILY), fam.ops(M_FAMILY)):
-            for k, t in ops.items():
-                if t.is_zero():
-                    continue
-                worst = max(worst,
-                            commutator_residual(gens.Jz, t, 1).frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("family-jz-commuting", "family-jz-commuting", p, 1e-10, jz_commuting)
+          graded(lambda dn, dw: dn != 1))
+    r.run("family-jz-commuting", "family-jz-commuting", p, 1e-10,
+          graded(lambda dn, dw: dw != 0))
 
     # theta runs over -s..s, not over ctx.taus: the taus are read inside
     # each check, so a failure to build them fails the check.
@@ -794,9 +785,11 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
           DEFAULT_TOLERANCE, tau0_preserves)
 
     def oracle(tol):
-        rep = ctx.lattice
+        # The node counts are the weight-0 view's own labels, so a lattice
+        # failure does not reach this check.
+        w0 = ctx.gens.weight0()
         for n in range(0, ctx.n_limit + 1):
-            got = {j: d for (nn, j), d in rep.node_dims.items() if nn == n}
+            got = dict(Counter(w0.labels(n).tolist()))
             want = bruteforce.j_multiplicities(s, n)
             if got != want:
                 return 1.0, False, f"multiplicities at n={n}: {got} != {want}"

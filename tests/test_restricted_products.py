@@ -473,7 +473,9 @@ def test_run_suite_fits_each_family_once_per_spin(monkeypatch):
 
 def test_run_suite_forms_each_kept_value_once(monkeypatch):
     # certify_alpha and the closure fit share one set of [J^2, T_eta] per
-    # family, and the six spin-1 readers of s1_reference_taus one pair.
+    # family, the two family checks and the two grade certificates one
+    # grade record per spin, and the six spin-1 readers of
+    # s1_reference_taus one pair.
     built = []
     kept = su2ladders.casimir.LadderFamily.kept
 
@@ -486,7 +488,7 @@ def test_run_suite_forms_each_kept_value_once(monkeypatch):
     assert run_suite(SuiteConfig(spins=[1, 2], n_max=4)).overall_pass
     per_family = [(k, fam) for k in ("commutators", "fit") for fam in "mp"]
     assert sorted(built, key=str) == sorted(
-        [(1, "s1-reference-taus")]
+        [(1, "s1-reference-taus"), (1, "grade"), (2, "grade")]
         + [(s, key) for s in (1, 2) for key in per_family], key=str)
 
 

@@ -9,13 +9,13 @@ import su2ladders.ladder
 import su2ladders.verify
 from scipy import sparse
 from su2ladders import bruteforce
-from su2ladders.casimir import build_families
+from su2ladders.casimir import LatticeSchemeError, build_families
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
 from su2ladders.operators import (SectorBlocks, SparseOperator,
                                   commutator_residual, creation_op)
-from su2ladders.schwinger import Su2Generators, WeightLeakError
+from su2ladders.schwinger import Su2Generators, Weight0View, WeightLeakError
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
                                _lattice_checks, _listed_annihilation,
@@ -270,19 +270,21 @@ def _with_whole_space_p(families, p_ops):
     return copy
 
 
-def _assert_only_grade_checks_fail(before, after):
-    # The families' own J_z check reads them on the whole interior and
-    # sees the change.  Every residual read from tau is unchanged (its
-    # weight-0 block is), and of the tau checks only the two that read the
-    # grade certificate fail.
-    failing = {("family-jz-commuting", None), ("tau-complete-set", None),
+def _assert_only_grade_checks_fail(before, after,
+                                   family_check="family-jz-commuting"):
+    # The family check that reads the changed grade (``family_check``)
+    # fails, with residual 1.0.  Every residual read from tau is unchanged
+    # (its weight-0 block is), and of the tau checks only the two that read
+    # the grade certificate fail.
+    failing = {(family_check, None), ("tau-complete-set", None),
                ("deformed-algebra-generators", 2)}
     assert before.keys() == after.keys()
     for key, check in after.items():
         assert before[key].passed
         assert check.passed == (key not in failing), key
-        if key != ("family-jz-commuting", None):
+        if key != (family_check, None):
             assert check.residual == before[key].residual, key
+    assert after[(family_check, None)].residual == 1.0
 
 
 def _first_state(basis, n, weight):
@@ -290,28 +292,59 @@ def _first_state(basis, n, weight):
                               & (basis.weights == weight))[0])
 
 
+def _p1_stray(source, target, scale):
+    """A mutation for ``_off_grade_run``: p_1 with one more entry,
+    scale * max|p_1|, from the first state of sector ``source`` (n, w) into
+    the first state of sector ``target``."""
+    def stray(basis, p_ops):
+        p0, p1, p2 = p_ops
+        col, row = _first_state(basis, *source), _first_state(basis, *target)
+        size = scale * np.abs(p1.matrix.data).max()
+        return p0, SparseOperator(basis, p1.matrix + sparse.csr_matrix(
+            ([size], ([row], [col])), shape=p1.matrix.shape)), p2
+    return stray
+
+
+def _assert_stray_named(ctx, after, family_check, source, target, grade):
+    # The family check names the entry as p_1's, the grade certificate as
+    # the term k = 1 of each tau that p_1 enters: theta = -2, 0, 2.
+    basis = ctx.basis
+    entry = (f"sends {basis.states[_first_state(basis, *source)]} to "
+             f"{basis.states[_first_state(basis, *target)]}: grade {grade}, "
+             "not (1, 0) (1 such entries)")
+    assert after[(family_check, None)].detail == f"p_1 {entry}"
+    assert after[("tau-complete-set", None)].detail == "; ".join(
+        f"tau[{theta:+d}] term k=1 {entry}" for theta in (-2, 0, 2))
+    assert after[("deformed-algebra-generators", 2)].detail == \
+        f"tau[-2] term k=1 {entry}"
+
+
 def test_off_grade_stray_fails_the_complete_set_and_deformed_checks():
     # A stray 1e-6 max|p_1| in p_1 from the first (n=1, w=1) state into the
     # first (n=2, w=2) state: grade (1, 1).  It sits on a weight-1 column,
     # so tau's weight-0 block, and every float residual read there, stays
     # as it is; the grade certificate names the entry.
-    def stray(basis, p_ops):
-        p0, p1, p2 = p_ops
-        col, row = _first_state(basis, 1, 1), _first_state(basis, 2, 2)
-        size = 1e-6 * np.abs(p1.matrix.data).max()
-        return p0, SparseOperator(basis, p1.matrix + sparse.csr_matrix(
-            ([size], ([row], [col])), shape=p1.matrix.shape)), p2
-    ctx, before, after = _off_grade_run(stray)
-    basis = ctx.basis
-    entry = (f"term k=1 sends {basis.states[_first_state(basis, 1, 1)]} to "
-             f"{basis.states[_first_state(basis, 2, 2)]}: grade (1, 1), "
-             "not (1, 0) (1 such entries)")
+    ctx, before, after = _off_grade_run(_p1_stray((1, 1), (2, 2), 1e-6))
     _assert_only_grade_checks_fail(before, after)
-    # p_1 enters the p-family ladders theta = -2, 0, 2.
-    assert after[("tau-complete-set", None)].detail == "; ".join(
-        f"tau[{theta:+d}] {entry}" for theta in (-2, 0, 2))
-    assert after[("deformed-algebra-generators", 2)].detail == \
-        f"tau[-2] {entry}"
+    _assert_stray_named(ctx, after, "family-jz-commuting", (1, 1), (2, 2),
+                        (1, 1))
+
+
+@pytest.mark.parametrize("target,scale,family_check,grade", [
+    # Grade (1, 1) at 1e-12 max|p_1|: a whole-space commutator residual with
+    # J_z reads about 2e-14 relative for it, under the check's 1e-10 gate.
+    ((2, 2), 1e-12, "family-jz-commuting", (1, 1)),
+    # A diagonal entry, grade (0, 0): it keeps the weight, so
+    # family-jz-commuting passes, and breaks the number ladder.
+    ((1, 1), 1e-6, "family-number-ladder", (0, 0))])
+def test_off_grade_stray_fails_its_family_check_exactly(target, scale,
+                                                        family_check, grade):
+    # The family checks read the grade record, so one entry off grade
+    # fails the one whose part of the grade it breaks, with residual 1.0,
+    # whatever its size and the tolerance.
+    ctx, before, after = _off_grade_run(_p1_stray((1, 1), target, scale))
+    _assert_only_grade_checks_fail(before, after, family_check)
+    _assert_stray_named(ctx, after, family_check, (1, 1), target, grade)
 
 
 def test_consistent_off_grade_block_fails_the_grade_certificate():
@@ -334,6 +367,37 @@ def test_consistent_off_grade_block_fails_the_grade_certificate():
         prod = whole @ whole.adjoint()
         for diag in (ctx.gens.Jz, ctx.gens.Ntot):
             assert commutator_residual(prod, diag, 0).frobenius_absolute == 0.0
+
+
+@pytest.mark.parametrize("spin", [2, 3])
+def test_the_grade_is_read_once_per_family_instance(monkeypatch, spin):
+    # The family checks and both grade certificates read one record, formed
+    # by one entry_grades call per T_k: 2s + 1 in all.
+    calls = []
+    entry_grades = su2ladders.casimir.entry_grades
+
+    def counted(x):
+        calls.append(x)
+        return entry_grades(x)
+    monkeypatch.setattr(su2ladders.casimir, "entry_grades", counted)
+    report = _run_block(
+        lambda r, c: (_tau_checks(r, c), _deformed_checks(r, c)),
+        _SpinContext(spin, 4))
+    assert all(c.passed for c in report.checks)
+    assert len(calls) == 2 * spin + 1
+
+
+def test_family_grade_checks_form_no_product(monkeypatch):
+    ctx = _SpinContext(2, 4)
+
+    def refuse(*args):
+        raise AssertionError("a family check formed an operator product")
+    monkeypatch.setattr(SparseOperator, "__matmul__", refuse)
+    report = _run_block(_tau_checks, ctx)
+    family = [c for c in report.checks if c.name.startswith("family-")]
+    assert [c.name for c in family] == ["family-number-ladder",
+                                        "family-jz-commuting"]
+    assert all(c.passed and c.residual == 0.0 for c in family)
 
 
 @pytest.mark.parametrize("spin", [1, 2, 3])
@@ -474,6 +538,31 @@ def test_oracles_catch_a_dropped_weight0_state(monkeypatch):
     assert sorted(changed) == ["kernel-dimensions", "multiplicity-oracle"]
 
 
+def test_multiplicity_oracle_reads_its_own_evidence(monkeypatch):
+    # The oracle counts the weight-0 view's labels, not the lattice's
+    # nodes: a lattice that raises fails lattice-scheme and leaves the
+    # oracle passing, while one label counted twice fails it.
+    ctx = _SpinContext(2, 4)
+
+    def leaking(*args):
+        raise LatticeSchemeError("tau_dag[+1] leaks outside its node")
+    monkeypatch.setattr(su2ladders.verify, "lattice_report", leaking)
+    checks = {c.name: c for c in _run_block(_lattice_checks, ctx).checks}
+    assert checks["lattice-scheme"].detail.startswith("LatticeSchemeError")
+    assert not checks["lattice-scheme"].passed
+    assert checks["multiplicity-oracle"].passed
+    labels = Weight0View.labels
+
+    def doubled(self, n):
+        js = labels(self, n)
+        return np.append(js, js[-1]) if n == ctx.n_limit else js
+    monkeypatch.setattr(Weight0View, "labels", doubled)
+    oracle = next(c for c in _run_block(_lattice_checks, ctx).checks
+                  if c.name == "multiplicity-oracle")
+    assert not oracle.passed
+    assert oracle.detail.startswith(f"multiplicities at n={ctx.n_limit}:")
+
+
 @pytest.mark.parametrize("spin,n_max", [(2, 4), (3, 3)])
 def test_right_functions_run_twice_per_spin(monkeypatch, spin, n_max):
     # Once for the context, whose checks share them, and once in build_taus.
@@ -529,8 +618,7 @@ TAU_READERS = ("power-identity-casimir", "rlo-compose-polynomial",
                "tau-complete-set", "complete-set-separation",
                "lattice-scheme", "tau-annihilation-rules",
                "tau-trivial-kernel-parity", "tau-zero-preserves-j",
-               "multiplicity-oracle", "deformed-algebra-generators",
-               "residue-classes")
+               "deformed-algebra-generators", "residue-classes")
 
 
 def test_run_suite_records_a_right_function_failure(monkeypatch):
