@@ -617,7 +617,9 @@ class KernelLatticeReport:
 
     ``node_dims`` covers source levels n <= n_limit; ``known_nodes`` extends
     one level higher (when representable) so that target existence can be
-    decided for raising arrows.
+    decided for raising arrows.  ``weight0_dims`` counts the basis's own
+    (n, 0) states of each level n <= n_limit, which the node dimensions of
+    that level must sum to.
     """
     spin: int
     n_limit: int
@@ -691,8 +693,9 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     known_nodes = dict(Counter((n, j) for n, level in levels.items()
                                for j in level.labels.tolist()))
     node_dims = {key: d for key, d in known_nodes.items() if key[0] <= n_limit}
-    weight0_dims = {n: len(level.labels) for n, level in levels.items()
-                    if n <= n_limit}
+    weight0_dims = {n: int(np.count_nonzero((basis.totals == n)
+                                            & (basis.weights == 0)))
+                    for n in levels if n <= n_limit}
 
     def apply(op: SectorBlocks, n: int, dn: int, dj: int
               ) -> tuple[np.ndarray, np.ndarray]:

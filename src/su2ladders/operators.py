@@ -18,7 +18,11 @@ Every relative residual comes from one of three functions: ``residual`` for
 a two-sided identity X = Y, normalised by the larger restricted operand norm;
 ``commutator_residual`` for [X, Y] = 0, normalised by the product of the
 restricted norms of X and Y; and ``zero_residual`` for a single operator that
-must vanish, against an explicit scale.
+must vanish, against an explicit scale.  A check that reads many two-sided
+identities at once accumulates them in blocks: ``kept_block_squares`` sums
+the squared kept entries of X - Y, X and Y on each block of a stacked CSR
+pair, and ``block_residual`` reads from one block, or from a sum over
+disjoint blocks, the report ``residual`` would give, with its normalisation.
 
 A residual reads only the columns its restriction keeps, so the products it
 compares are formed on those columns alone.  With P the projector onto them,
@@ -633,10 +637,56 @@ def residual(x: Operator, y: Operator, margin: int) -> ResidualReport:
     """
     _require_same_basis(x, y)
     _restriction(x.basis, margin)
-    absolute = (x - y).kept_norm(margin)
-    denom = max(x.kept_norm(margin), y.kept_norm(margin))
+    return _two_sided((x - y).kept_norm(margin), x.kept_norm(margin),
+                      y.kept_norm(margin), margin)
+
+
+def _two_sided(absolute: float, x_norm: float, y_norm: float,
+               margin: int) -> ResidualReport:
+    """The normalisation of X = Y: by the larger kept operand norm, or none
+    when both operands vanish."""
+    denom = max(x_norm, y_norm)
     relative = absolute / denom if denom > 0 else absolute
     return ResidualReport(absolute, relative, margin)
+
+
+def kept_block_squares(x: sparse.csr_matrix, y: sparse.csr_matrix,
+                       kept: np.ndarray, size: int) -> np.ndarray:
+    """Squared kept Frobenius norms of X - Y, X and Y, block by block.
+
+    X and Y are CSR matrices tiled by size x size blocks, and ``kept`` is a
+    boolean mask over their rows and equally over their columns (an interior
+    mask of ``SectorBasis.interior_masks``, tiled to match): an entry counts
+    when its row and its column are both kept.  Returns an array of shape
+    (3, b, b), b blocks a side, whose [:, p, q] holds the sums of squared
+    magnitudes of the kept entries of X - Y, X and Y in rows p*size.. and
+    columns q*size..  The kept entries are grouped by block in one stable
+    sort, so each block is summed as ``kept_norm`` sums its operator: over
+    its stored entries in CSR order.  ``block_residual`` reads a report
+    from one such triple, or from a sum of them over disjoint blocks.
+    """
+    blocks = x.shape[0] // size
+    row_ids = np.arange(blocks * size) // size * blocks
+    out = np.empty((3, blocks * blocks))
+    for k, m in enumerate((x - y, x, y)):
+        counts = np.diff(m.indptr)
+        keep = np.repeat(kept, counts) & kept[m.indices]
+        squares = np.abs(m.data[keep]) ** 2
+        ids = np.repeat(row_ids, counts)[keep] + m.indices[keep] // size
+        order = np.argsort(ids, kind="stable")
+        squares = squares[order]
+        bounds = np.searchsorted(ids[order], np.arange(blocks * blocks + 1))
+        out[k] = [np.sum(squares[lo:hi])
+                  for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    return out.reshape(3, blocks, blocks)
+
+
+def block_residual(squares: np.ndarray, margin: int) -> ResidualReport:
+    """``residual``'s report, normalisation included, from the squared kept
+    norms (||X - Y||^2, ||X||^2, ||Y||^2), as ``kept_block_squares`` gives
+    them for one block."""
+    absolute, x_norm, y_norm = (math.sqrt(float(v)) for v in squares)
+    return _two_sided(absolute, x_norm, y_norm, margin)
 
 
 def commutator_residual(x: Operator, y: Operator,

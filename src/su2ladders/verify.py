@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from . import bruteforce
 from .casimir import (alpha_entry_deviation, build_alpha_certified,
@@ -38,9 +39,11 @@ from .ladder import (M_FAMILY, P_FAMILY, build_alpha, build_alpha_variant_diag4,
                      check_llo, check_power_identity, check_rlo,
                      check_rlo_compose, det_certificate, right_functions,
                      sigma_closed_form_next_to_top, solve_sigma)
-from .operators import (EmptyInteriorError, SectorBlocks, SparseOperator,
-                        annihilation_op, commutator, commutator_residual,
-                        creation_op, residual, zero_residual)
+from .operators import (EmptyInteriorError, SectorBlocks,
+                        SectorStructureError, SparseOperator, block_residual,
+                        commutator, commutator_residual, creation_op,
+                        entry_grades, kept_block_squares, residual,
+                        zero_residual)
 from .schwinger import jordan_schwinger, jz_kernel, su2_generators
 
 DEFAULT_TOLERANCE = 1e-10
@@ -201,7 +204,13 @@ class _Runner:
 
 class _SpinContext:
     """Lazily built per-spin objects shared across checks.  A build that
-    raises is not kept, so every check that reads it fails."""
+    raises is not kept, so every check that reads it fails.
+
+    Besides the basis and generators it holds the mode-operator table
+    (``modes``: a_mu^dagger and a_mu, built once per mode), the p/m
+    families, the right functions and sigmas, the taus, the complete-set
+    certificate, the spin-1 operators and the kernel lattice.
+    """
 
     def __init__(self, s: int, n_max: int):
         self.s = s
@@ -209,6 +218,16 @@ class _SpinContext:
         self.n_limit = min(n_max - 1, 4)  # source levels of the lattice
         self.basis = enumerate_sector(s, n_max)
         self.gens = su2_generators(self.basis)
+
+    @functools.cached_property
+    def modes(self) -> dict[int, tuple[SparseOperator, SparseOperator]]:
+        """mu -> (a_mu^dagger, a_mu) for mu = -s..s: ``creation_op`` and its
+        adjoint, once per mode."""
+        modes = {}
+        for mu in range(-self.s, self.s + 1):
+            adag = creation_op(self.basis, mu)
+            modes[mu] = (adag, adag.adjoint())
+        return modes
 
     @functools.cached_property
     def families(self):
@@ -271,6 +290,86 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 # -- check blocks ----------------------------------------------------------------
 
 
+def _weyl_table(modes: dict) -> sparse.csr_matrix:
+    """Every [a_mu, a_nu^dagger] at once: block (mu, nu) of one stacked CSR
+    matrix, modes in storage order, from the table of ``_SpinContext.modes``.
+
+    vstack(a_mu) @ hstack(a_nu^dagger) holds a_mu a_nu^dagger in block
+    (mu, nu), and vstack(a_nu^dagger) @ hstack(a_mu) holds a_nu^dagger a_mu
+    in block (nu, mu), whose block indices are swapped before the
+    subtraction.  A row of a_mu or of a_nu^dagger stores at most one entry,
+    so each product entry is one product of the same two floats as in the
+    pairwise products, and the table holds the floats of the pairwise
+    commutators.
+    """
+    adags = [adag.matrix for adag, _a in modes.values()]
+    annihilators = [a.matrix for _adag, a in modes.values()]
+    dim = adags[0].shape[0]
+    forward = (sparse.vstack(annihilators, format="csr")
+               @ sparse.hstack(adags, format="csr"))
+    backward = (sparse.vstack(adags, format="csr")
+                @ sparse.hstack(annihilators, format="csr")).tocoo()
+    rows = backward.col // dim * dim + backward.row % dim
+    cols = backward.row // dim * dim + backward.col % dim
+    swapped = sparse.csr_matrix((backward.data, (rows, cols)),
+                                shape=backward.shape)
+    return forward - swapped
+
+
+def _n_blocks(basis, x_hat: SparseOperator, y_hat: SparseOperator,
+              z_hat: SparseOperator):
+    """Yield (C_n, Z_n) for n = 0..n_max: the n-block of [x_hat, y_hat] and
+    that of z_hat, one block at a time.
+
+    The three images must conserve n (``entry_grades``; an entry that
+    changes n raises), so their n-blocks hold every entry.  Their rows are
+    put once into a stable n-order, which keeps the lexicographic order
+    within each n, so each block product sums the same terms in the same
+    order as the whole-space one.  No two-body operator on the whole space
+    is formed.
+    """
+    for op in (x_hat, y_hat, z_hat):
+        rows, cols, dn, _dw = entry_grades(op)
+        if dn.any():
+            k = np.flatnonzero(dn)[0]
+            raise SectorStructureError(
+                f"an image sends {basis.states[cols[k]]} to "
+                f"{basis.states[rows[k]]}: it does not conserve n")
+    order = np.argsort(basis.totals, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    bounds = np.searchsorted(basis.totals[order], np.arange(basis.n_max + 2))
+    ops = [op.matrix[order] for op in (x_hat, y_hat, z_hat)]
+
+    def block(a, lo, hi):
+        # Rows lo..hi of a row-permuted image, which hold its n-block, with
+        # the columns renumbered into the same n-order.
+        start, stop = a.indptr[lo], a.indptr[hi]
+        return sparse.csr_matrix(
+            (a.data[start:stop], rank[a.indices[start:stop]] - lo,
+             a.indptr[lo:hi + 1] - start), shape=(hi - lo, hi - lo))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        x_n, y_n, z_n = (block(a, lo, hi) for a in ops)
+        yield x_n @ y_n - y_n @ x_n, z_n
+
+
+def _homomorphism_residual(basis, x_hat: SparseOperator, y_hat: SparseOperator,
+                           z_hat: SparseOperator):
+    """``residual(commutator(x_hat, y_hat), z_hat, 0)``, read block by block
+    in n.
+
+    Margin 0 keeps every state, so the squared norms of C_n - Z_n, C_n and
+    Z_n are the sums of their squared entries; each is added to a running
+    sum and the block is dropped before the next one is formed.
+    ``block_residual`` reads the sums with ``residual``'s normalisation.
+    """
+    squares = np.zeros(3)
+    for c_n, z_n in _n_blocks(basis, x_hat, y_hat, z_hat):
+        squares += [np.sum(np.abs(m.data) ** 2) for m in (c_n - z_n, c_n, z_n)]
+        del c_n, z_n
+    return block_residual(squares, 0)
+
+
 def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
     s, basis = ctx.s, ctx.basis
     p = {"s": s}
@@ -288,17 +387,20 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
         return None, ok, "" if ok else "sector sizes disagree with the count formula"
     r.run("basis-counting", "jz-kernel", p, DEFAULT_TOLERANCE, counting)
 
-    ident = SparseOperator.identity(basis)
-
     def weyl(tol):
+        # [a_mu, a_nu^dagger] = delta_mu,nu on the margin-1 interior, for
+        # every pair at once: the interior residual of mu = nu against the
+        # identity, relative as ``residual`` normalises it, and the absolute
+        # one of mu != nu.
+        table = _weyl_table(ctx.modes)
+        dim, m = len(basis), basis.modes
+        squares = kept_block_squares(
+            table, sparse.identity(m * dim, format="csr"),
+            np.tile(basis.interior_masks(1), m), dim)
         worst = 0.0
-        adag = {mu: creation_op(basis, mu) for mu in range(-s, s + 1)}
-        a = {mu: op.adjoint() for mu, op in adag.items()}
-        for mu in range(-s, s + 1):
-            for nu in range(-s, s + 1):
-                c = commutator(a[mu], adag[nu])
-                target = ident if mu == nu else SparseOperator.zeros(basis)
-                rep = residual(c, target, 1)
+        for mu in range(m):
+            for nu in range(m):
+                rep = block_residual(squares[:, mu, nu], 1)
                 worst = max(worst, rep.frobenius_relative
                             if mu == nu else rep.frobenius_absolute)
         return worst, worst < tol, ""
@@ -306,13 +408,13 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     r.residual_check(
         "number-ladder", "number-ladder", p, 1e-12,
-        lambda: residual(commutator(ctx.gens.Ntot, creation_op(basis, 0)),
-                         creation_op(basis, 0), 1))
+        lambda: residual(commutator(ctx.gens.Ntot, ctx.modes[0][0]),
+                         ctx.modes[0][0], 1))
 
     def vacuum(tol):
         vac = basis.unit_vector((0,) * basis.modes)
-        worst = max(float(np.linalg.norm(annihilation_op(basis, mu).apply(vac)))
-                    for mu in range(-s, s + 1))
+        worst = max(float(np.linalg.norm(a.apply(vac)))
+                    for _adag, a in ctx.modes.values())
         return worst, worst == 0.0, ""
     r.run("vacuum-annihilation", "vacuum-state", p, DEFAULT_TOLERANCE, vacuum)
 
@@ -320,9 +422,9 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
         vac = (0,) * basis.modes
         one = vac[:s] + (1,) + vac[s + 1:]
         two = vac[:s] + (2,) + vac[s + 1:]
-        dev = abs(creation_op(basis, 0).entry(one, vac) - 1.0)
-        dev = max(dev, abs(annihilation_op(basis, 0).entry(one, two)
-                           - math.sqrt(2)))
+        adag, a = ctx.modes[0]
+        dev = abs(adag.entry(one, vac) - 1.0)
+        dev = max(dev, abs(a.entry(one, two) - math.sqrt(2)))
         return dev, dev < tol, ""
     r.run("matrix-element-amplitudes", "canonical-matrix-elements", p,
           1e-12, matrix_elements)
@@ -334,6 +436,8 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
     m = basis.modes
 
     def homomorphism(tol):
+        # [X^, Y^] = [X, Y]^ for two random hermitian pairs, Frobenius
+        # relative on the whole space, read block by block in n.
         rng = np.random.default_rng(20240 + s)
         worst = 0.0
         for _ in range(2):
@@ -341,9 +445,9 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
             y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             x = 0.5 * (x + x.conj().T)
             y = 0.5 * (y + y.conj().T)
-            lhs = commutator(jordan_schwinger(basis, x), jordan_schwinger(basis, y))
-            rhs = jordan_schwinger(basis, x @ y - y @ x)
-            worst = max(worst, residual(lhs, rhs, 0).frobenius_relative)
+            rep = _homomorphism_residual(basis, *(
+                jordan_schwinger(basis, z) for z in (x, y, x @ y - y @ x)))
+            worst = max(worst, rep.frobenius_relative)
         return worst, worst < tol, ""
     r.run("jordan-schwinger-homomorphism", "jordan-schwinger-map", p,
           1e-12, homomorphism)
@@ -435,7 +539,7 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
     s, basis, gens = ctx.s, ctx.basis, ctx.gens
     p = {"s": s}
     ident = SparseOperator.identity(basis)
-    ad0 = creation_op(basis, 0)
+    ad0, a0 = ctx.modes[0]
 
     r.residual_check("rlo-number-raising", "rlo-definition", p, 1e-12,
                      lambda: check_rlo(gens.Ntot, ad0, ident, 1))
@@ -449,7 +553,7 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
           rlo_negative)
 
     r.residual_check("llo-number-lowering", "llo-definition", p, 1e-12,
-                     lambda: check_llo(gens.Ntot, ad0.adjoint(), ident, 1))
+                     lambda: check_llo(gens.Ntot, a0, ident, 1))
 
     r.residual_check("power-identity-number", "power-identity", p, 1e-10,
                      lambda: check_power_identity(gens.Ntot, ad0, ident, 3, 1))
@@ -835,8 +939,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     n_limit = ctx.n_limit
 
     def family_defs():
-        rhs = creation_op(basis, 1) @ gens.Jminus \
-            + creation_op(basis, -1) @ gens.Jplus
+        rhs = ctx.modes[1][0] @ gens.Jminus + ctx.modes[-1][0] @ gens.Jplus
         return residual(math.sqrt(2.0) * ctx.families.p_ops[1], rhs, 0)
     r.residual_check("s1-family-definitions", "s1-family-definitions", p,
                      1e-12, family_defs)
@@ -932,7 +1035,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     })
 
     def double_comm():
-        ad0 = w0.of(creation_op(basis, 0))
+        ad0 = w0.of(ctx.modes[0][0])
         return residual(commutator(w0.j, commutator(w0.j, ad0)), ad0, 1)
     r.residual_check("s1-double-commutator", "s1-double-commutator", p, 1e-8,
                      double_comm)

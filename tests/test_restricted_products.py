@@ -1168,3 +1168,141 @@ def test_on_columns_equals_copy_and_zero_reference(ctx, spin):
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got.matrix, name),
                                       getattr(want.matrix, name))
+
+
+# -- the Fock-layer certificates in bulk -------------------------------------
+#
+# weyl-pair-commutator reads every [a_mu, a_nu^dagger] from two stacked
+# products, and jordan-schwinger-homomorphism reads [X^, Y^] - Z^ block by
+# block in n.  The references are the pairwise loop and the whole-space
+# commutator those checks replaced.
+
+
+def _check(block, spin, n_max, name):
+    return next(c for c in _run_block(block, spin, n_max)[1]
+                if c.name == name)
+
+
+def _pairwise_weyl(basis, s):
+    # One residual per pair (mu, nu): relative against the identity on the
+    # diagonal, absolute against zero off it.
+    ident = SparseOperator.identity(basis)
+    adag = {mu: creation_op(basis, mu) for mu in range(-s, s + 1)}
+    worst = 0.0
+    for mu in range(-s, s + 1):
+        for nu in range(-s, s + 1):
+            c = commutator(adag[mu].adjoint(), adag[nu])
+            target = ident if mu == nu else SparseOperator.zeros(basis)
+            rep = residual(c, target, 1)
+            worst = max(worst, rep.frobenius_relative
+                        if mu == nu else rep.frobenius_absolute)
+    return worst
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5), (4, 4)])
+def test_weyl_table_equals_the_pairwise_residuals(ctx, spin, n_max):
+    check = _check(su2ladders.verify._fock_operator_checks, spin, n_max,
+                   "weyl-pair-commutator")
+    assert check.passed
+    assert check.residual == _pairwise_weyl(ctx(spin, n_max).basis, spin)
+
+
+def _homomorphism_images(basis, s):
+    # The two draws of jordan-schwinger-homomorphism: (X^, Y^, [X, Y]^).
+    rng = np.random.default_rng(20240 + s)
+    m = basis.modes
+    draws = []
+    for _ in range(2):
+        x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        x = 0.5 * (x + x.conj().T)
+        y = 0.5 * (y + y.conj().T)
+        draws.append(tuple(su2ladders.schwinger.jordan_schwinger(basis, z)
+                           for z in (x, y, x @ y - y @ x)))
+    return draws
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5), (4, 4)])
+def test_streamed_commutator_blocks_equal_the_whole_space_one(
+        ctx, spin, n_max):
+    basis = ctx(spin, n_max).basis
+    order = np.argsort(basis.totals, kind="stable")
+    bounds = np.searchsorted(basis.totals[order],
+                             np.arange(basis.n_max + 2)).tolist()
+    for x_hat, y_hat, z_hat in _homomorphism_images(basis, spin):
+        formed = list(su2ladders.verify._n_blocks(basis, x_hat, y_hat, z_hat))
+        got = su2ladders.verify._homomorphism_residual(basis, x_hat, y_hat,
+                                                       z_hat)
+        whole = commutator(x_hat, y_hat)
+        permuted = whole.matrix[order][:, order].tocsr()
+        z_permuted = z_hat.matrix[order][:, order].tocsr()
+        assert len(formed) == basis.n_max + 1
+        for (c_n, z_n), lo, hi in zip(formed, bounds[:-1], bounds[1:]):
+            assert (z_n != z_permuted[lo:hi, lo:hi]).nnz == 0
+            want = permuted[lo:hi, lo:hi]
+            c_n = c_n.tocsr().copy()
+            c_n.sum_duplicates()
+            c_n.eliminate_zeros()
+            want.eliminate_zeros()
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(c_n, field),
+                                      getattr(want, field))
+        want = residual(whole, z_hat, 0)
+        assert got.interior_margin == 0
+        assert abs(got.frobenius_relative - want.frobenius_relative) <= 1e-15
+        assert math.isclose(got.frobenius_absolute, want.frobenius_absolute,
+                            rel_tol=1e-12)
+
+
+def test_homomorphism_refuses_an_image_that_changes_n(ctx):
+    # The streamed residual reads the n-blocks only, so an entry between two
+    # particle numbers must fail the check instead of going unread.
+    basis = ctx(2, 4).basis
+    x_hat, y_hat, z_hat = _homomorphism_images(basis, 2)[0]
+    m = x_hat.matrix.tolil()
+    i, j = basis.state_index((0, 0, 1, 0, 0)), basis.state_index((0,) * 5)
+    m[i, j] = 1e-3
+    with pytest.raises(SectorStructureError, match="does not conserve n"):
+        su2ladders.verify._homomorphism_residual(
+            basis, SparseOperator(basis, m.tocsr()), y_hat, z_hat)
+
+
+def test_block_squares_read_residual_block_by_block(ctx):
+    # Four pairs laid out as the blocks of one stacked pair: each block's
+    # report is residual's, normalisation included, float for float.
+    c = ctx(2, 4)
+    g = c.gens
+    pairs = [[(g.Jplus, g.Jminus.adjoint()), (g.Ntot, g.Jz)],
+             [(commutator(g.Jz, g.Jplus), g.Jplus), (g.Jz, 2.0 * g.Jz)]]
+    for margin in (0, 1, 2):
+        kept = c.basis.interior_masks(margin)
+        got = su2ladders.operators.kept_block_squares(
+            sparse.bmat([[x.matrix for x, _y in row] for row in pairs],
+                        format="csr"),
+            sparse.bmat([[y.matrix for _x, y in row] for row in pairs],
+                        format="csr"),
+            np.tile(kept, 2), len(c.basis))
+        for p, row in enumerate(pairs):
+            for q, (x, y) in enumerate(row):
+                assert su2ladders.operators.block_residual(
+                    got[:, p, q], margin) == residual(x, y, margin)
+
+
+@pytest.mark.parametrize("spins", [[1, 2], [3]])
+def test_run_suite_builds_each_mode_operator_once(monkeypatch, spins):
+    # Every Fock-layer reader shares the context's mode table.  The spin-1
+    # single-mode ladder forms (tau_bar_forms) build their own a_0^dagger.
+    calls = []
+    for module in (su2ladders.verify, su2ladders.casimir):
+        build = module.creation_op
+
+        def counted(basis, mu, module=module, build=build):
+            calls.append((module.__name__, basis.spin, mu))
+            return build(basis, mu)
+        monkeypatch.setattr(module, "creation_op", counted)
+    assert run_suite(SuiteConfig(spins=spins, n_max=4)).overall_pass
+    want = [("su2ladders.verify", s, mu) for s in spins
+            for mu in range(-s, s + 1)]
+    if 1 in spins:
+        want.append(("su2ladders.casimir", 1, 0))
+    assert sorted(calls) == sorted(want)

@@ -15,10 +15,12 @@ from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
 from su2ladders.operators import (SectorBlocks, SparseOperator,
                                   commutator_residual, creation_op)
-from su2ladders.schwinger import Su2Generators, Weight0View, WeightLeakError
+from su2ladders.schwinger import (KernelNodes, Su2Generators, Weight0View,
+                                  WeightLeakError)
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
-                               _lattice_checks, _listed_annihilation,
+                               _fock_operator_checks, _lattice_checks,
+                               _listed_annihilation,
                                _Runner, _s1_demo_checks, _schwinger_checks,
                                _SpinContext, _symbolic_checks, _tau_checks,
                                export_report,
@@ -241,6 +243,87 @@ def test_j_defining_identity_gate_catches_one_perturbed_entry(monkeypatch):
     failed = check()
     assert not failed.passed and failed.residual > 1e-10
     assert failed.tolerance == 1e-10
+
+
+def _named_check(block, ctx, name):
+    return next(c for c in _run_block(block, ctx).checks if c.name == name)
+
+
+@pytest.mark.parametrize("spin", [1, 2, 3, 4])
+def test_weyl_pair_gate_catches_one_scaled_entry(monkeypatch, spin):
+    # The entry of a_0^dagger from the vacuum, an interior one, times
+    # (1 + 1e-10): the mixed pairs [a_0, a_nu^dagger] no longer cancel
+    # (absolute residual 1.0e-10 at s = 1..4, the worst), and
+    # [a_0, a_0^dagger] misses the identity by about 2e-10 on two states,
+    # still above the 1e-12 gate after the normalisation by the square root
+    # of the kept states (220 at s = 4).
+    def check():
+        return _named_check(_fock_operator_checks, _SpinContext(spin, 4),
+                            "weyl-pair-commutator")
+    assert check().passed
+    build = su2ladders.verify.creation_op
+
+    def scaled(basis, mu):
+        adag = build(basis, mu)
+        if mu != 0:
+            return adag
+        m = adag.matrix.copy()
+        vacuum = basis.state_index((0,) * basis.modes)
+        m.data[np.flatnonzero(m.indices == vacuum)[0]] *= 1.0 + 1e-10
+        return SparseOperator(basis, m)
+    monkeypatch.setattr(su2ladders.verify, "creation_op", scaled)
+    failed = check()
+    assert not failed.passed and failed.residual > 1e-12
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5), (4, 4)])
+def test_homomorphism_gate_catches_one_scaled_entry(monkeypatch, spin, n_max):
+    # The stored entry halfway through the first draw's X^ times
+    # (1 + 1e-9): the relative residual reads 9.1e-12 (3@5) to 1.4e-10
+    # (1@4), against the 1e-12 gate.
+    def check():
+        return _named_check(_schwinger_checks, _SpinContext(spin, n_max),
+                            "jordan-schwinger-homomorphism")
+    assert check().passed
+    images = su2ladders.verify.jordan_schwinger
+    calls = []
+
+    def scaled(basis, x):
+        image = images(basis, x)
+        calls.append(x)
+        if len(calls) > 1:
+            return image
+        m = image.matrix.copy()
+        m.data[m.nnz // 2] *= 1.0 + 1e-9
+        return SparseOperator(basis, m)
+    monkeypatch.setattr(su2ladders.verify, "jordan_schwinger", scaled)
+    failed = check()
+    assert not failed.passed and failed.residual > 9e-12
+
+
+@pytest.mark.parametrize("spin", [1, 2])
+def test_lattice_scheme_counts_the_basis_states(monkeypatch, spin):
+    # Without its one node, level 0 has no source: no arrow is read, and
+    # only the count against the basis's (0, 0) state can fail.  (At
+    # n_max = 1 level 0 is the only source level; at larger n_max a dropped
+    # node fails lattice-scheme first, as a leak of the images that reach
+    # it.)
+    def check():
+        return _named_check(_lattice_checks, _SpinContext(spin, 1),
+                            "lattice-scheme")
+    assert check().passed
+    nodes = Weight0View.nodes
+
+    def dropped(self, n):
+        level = nodes(self, n)
+        if n != 0:
+            return level
+        return KernelNodes(level.positions, level.labels[1:],
+                           level.vectors[:, 1:])
+    monkeypatch.setattr(Weight0View, "nodes", dropped)
+    failed = check()
+    assert not failed.passed
+    assert failed.detail == "node dimensions at n=0 sum to 0, sector has 1"
 
 
 def _off_grade_run(mutate):
