@@ -43,9 +43,10 @@ from .casimir import (CanonicalVector, DemoS1Operators, KernelLatticeReport,
                       complete_set_check, deformed_generators,
                       demo_s1_operators, expression_match_scale,
                       lattice_report, residue_classes,
-                      resolvent_commutator_check, s1_reference_taus,
+                      resolvent_commutator_check,
+                      resolvent_commutator_checks, s1_reference_taus,
                       tau_bar_forms, tau_casimir_ladder_residual,
-                      tau_shift_residual)
+                      tau_certificates, tau_shift_residual)
 from .verify import (SuiteConfig, VerificationReport, export_report,
                      run_suite)
 
@@ -69,7 +70,9 @@ __all__ = [
     "expression_match_scale", "family_for_theta", "jordan_schwinger",
     "jz_kernel", "lattice_report", "number_op", "poly_matrix_det",
     "residual", "residue_classes", "resolvent_commutator_check",
+    "resolvent_commutator_checks",
     "right_function_poly", "right_functions", "run_suite",
     "s1_reference_taus", "solve_sigma", "su2_generators", "tau_bar_forms",
-    "tau_casimir_ladder_residual", "tau_shift_residual", "zero_residual",
+    "tau_casimir_ladder_residual", "tau_certificates", "tau_shift_residual",
+    "zero_residual",
 ]

@@ -31,7 +31,10 @@ certificates, the resolvent relations, the lattice, the complete set and the
 deformed generators read those blocks, J^2 read from its sparse entries,
 functions of j on the (n, 0) sectors (``Su2Generators.weight0``) and the
 kernel nodes of each level (``Weight0View.nodes``): every product is one gemm
-per level block.  What tau does off weight 0 is certified from its grade
+per level block.  The tau certificates and the resolvent relations take
+every tau of a spin at once, as stacked level blocks, and form only the
+level pairs their margin-1 rows read (``tau_certificates``,
+``resolvent_commutator_checks``).  What tau does off weight 0 is certified from its grade
 instead (``tau_off_grade``, read from the grade record): every T_k maps
 each (n, w) sector into (n + 1, w) and sigma_k(j) is block diagonal, so
 tau tau^dagger and the deformed generators commute with N and J_z
@@ -56,10 +59,12 @@ from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
                      AlphaVerificationError, build_alpha, check_llo, check_rlo,
                      right_function_poly, right_functions, solve_sigma)
 from .operators import (BasisMismatchError, ResidualReport, SectorBlocks,
-                        SectorStructureError, SparseOperator, commutator,
-                        commutator_on_columns, commutator_residual,
-                        creation_op, entry_grades, number_op, on_columns,
-                        raised_states, residual, sector_blocks)
+                        SectorStructureError, SparseOperator, _restriction,
+                        blocks_fro, commutator, commutator_on_columns,
+                        commutator_residual, creation_op, entry_grades,
+                        interior_factors, number_op, on_columns,
+                        raised_states, residual, scaled_residual,
+                        sector_blocks, two_sided_residual)
 from .schwinger import Su2Generators, _phase_fixed, jz_kernel
 
 
@@ -207,11 +212,14 @@ def _family_columns(generators: Su2Generators, columns: np.ndarray
     J^k P = J (J^(k-1) P), and a_mu^dagger as a row map
     (``_raised_rows``), so no whole-space power of J_+/- and no whole-space
     a_mu^dagger is formed.  Each column of the result is summed over the
-    same terms in the same order whatever the other columns are.
+    same terms in the same order whatever the other columns are.  The
+    columns at n_max are left empty before the products: every
+    a_mu^dagger sends them past the truncation, so T_k vanishes there.
     """
     basis, s = generators.basis, generators.s
     dim, width = len(basis), len(columns)
-    block = sparse.csr_matrix((np.ones(width), (columns, np.arange(width))),
+    below = np.flatnonzero(basis.totals[columns] < basis.n_max)
+    block = sparse.csr_matrix((np.ones(len(below)), (columns[below], below)),
                               shape=(dim, width))
     p = [2.0 * _raised_rows(basis, 0, block)]
     m = []
@@ -270,9 +278,10 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     (margin LADDER_MARGIN), from the weight-0 blocks of the generators
     (``Su2Generators.weight0``) and of the family
     (``LadderFamily.weight0_ops``); the commutators are the family's kept ones
-    (``LadderFamily.closure_commutators``).  A failure aborts with the
-    offending (mu, eta) pair, identified against the family's measured
-    closure coefficients (``LadderFamily.closure_fit``).
+    (``LadderFamily.closure_commutators``), and each term of the right-hand
+    side is formed from the factors ``interior_factors`` cuts.  A failure
+    aborts with the offending (mu, eta) pair, identified against the
+    family's measured closure coefficients (``LadderFamily.closure_fit``).
     """
     w0 = generators.weight0()
     ops = families.weight0_ops(alpha.family)
@@ -284,7 +293,9 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
             poly = alpha.entry(mu, eta)
             if poly.is_zero():
                 continue
-            rhs = rhs + t_mu @ on_columns(w0.function_of_j(poly), LADDER_MARGIN)
+            t_mu, f_mu = interior_factors(LADDER_MARGIN, t_mu,
+                                          w0.function_of_j(poly))
+            rhs = rhs + t_mu @ on_columns(f_mu, LADDER_MARGIN)
         rep = residual(lhs, rhs, LADDER_MARGIN)
         if rep.frobenius_relative > tol:
             mu_bad, dev = _worst_alpha_entry(alpha, eta, generators, families)
@@ -466,11 +477,11 @@ def assemble_tau(families: LadderFamily, sigma: SigmaVector,
     (``_assemble_taus``).  When ``certify`` is set (default), the ladder
     relation with J^2 and the shift of j by theta must both hold to 1e-8 on
     the weight-0 interior before the operator is returned
-    (``tau_casimir_ladder_residual``, ``tau_shift_residual``).
+    (``tau_certificates`` on a stack of one).
     """
     tau, = _assemble_taus(families, [sigma], generators)
     if certify:
-        _certify(tau, generators)
+        _require_certified([tau], generators)
     return tau
 
 
@@ -495,51 +506,119 @@ def _assemble_taus(families: LadderFamily, sigmas: list[SigmaVector],
             for sigma, block in zip(sigmas, blocks)]
 
 
-def _certify(tau: TauOperator, generators: Su2Generators) -> None:
-    for which, check in (("Casimir ladder", tau_casimir_ladder_residual),
-                         ("label shift", tau_shift_residual)):
-        rep = check(tau, generators)
-        if rep.frobenius_relative > 1e-8:
-            raise TauCertificationError(tau.theta, which, rep)
+def _ladder_residuals(taus: list[SectorBlocks], h: SectorBlocks, rhs,
+                      degenerate: list[bool]) -> list[ResidualReport]:
+    """The residual of [H, tau_i] = R_i on the weight-0 interior (margin
+    LADDER_MARGIN), for every tau_i of ``taus`` at once.
+
+    Each tau_i raises the level by one and H keeps it (J^2, j or a function
+    of j), so only the level pairs n -> n + 1 <= n_max - 1 reach a kept
+    entry (``interior_factors``), and only they are formed: the level-n
+    blocks of all tau_i are stacked into one array T, zeros where a tau_i
+    vanishes, and [H, T] = H_{n+1} T - T H_n and R = ``rhs(n, T)`` are
+    stacked matmuls, each slice the gemm of a single tau_i.  The norms skip
+    the zero slices, as ``SectorBlocks`` holds no zero block, so each report
+    reads the floats ``residual`` reads of tau_i alone.  A ``degenerate``
+    tau_i (R_i = 0 identically) is read as ``commutator_residual`` reads
+    [H, tau_i]: against zero, normalised by ||H|| ||tau_i||.
+    """
+    margin = LADDER_MARGIN
+    basis = h.basis
+    _restriction(basis, margin)
+    sizes = basis.sector_table().sizes
+    levels = []
+    for n in range(basis.n_max - margin):
+        zero = (n + 1, np.zeros((sizes[n + 1], sizes[n])))
+        blocks = [tau.blocks.get(n, zero) for tau in taus]
+        if any(target != n + 1 for target, _block in blocks):
+            raise SectorStructureError(
+                f"a tau sends level {n} into a level other than {n + 1}")
+        t = np.stack([block for _target, block in blocks])
+        lhs = (h.blocks[n + 1][1] @ t if n + 1 in h.blocks
+               else np.zeros(t.shape))
+        if n in h.blocks:
+            lhs = lhs - t @ h.blocks[n][1]
+        levels.append((lhs, rhs(n, t)))
+    reports = []
+    for i, (tau, flat) in enumerate(zip(taus, degenerate)):
+        lhs = [x[i] for x, _r in levels]
+        if flat:
+            reports.append(scaled_residual(
+                blocks_fro(lhs), h.kept_norm(margin) * tau.kept_norm(margin),
+                margin))
+            continue
+        rhs_i = [r[i] for _x, r in levels]
+        reports.append(two_sided_residual(
+            blocks_fro([x - r for x, r in zip(lhs, rhs_i)]), blocks_fro(lhs),
+            blocks_fro(rhs_i), margin))
+    return reports
+
+
+def tau_certificates(taus: list[TauOperator], generators: Su2Generators
+                     ) -> list[tuple[ResidualReport, ResidualReport]]:
+    """The (Casimir ladder, label shift) residuals of each tau, the two
+    certificates one after the other, each one pass over the kept level
+    pairs for all the taus (``_ladder_residuals``).
+
+    The Casimir ladder relation [J^2, tau] = tau (c_0 + c_1 j) reads the
+    right function c_0 + c_1 j of each tau (``TauOperator.right_function``;
+    a higher degree raises ValueError), formed level by level from the
+    view's j (``Weight0View.affine_in_j``), with no spectral image; J^2 is
+    read from its sparse entries, so the certificate checks tau's assembly
+    by an independent route.  A zero right function or a zero tau reads
+    [J^2, tau] = 0.  The label shift [j, tau] = theta tau reads
+    [j, tau] = 0 at theta = 0.
+    """
+    w0 = generators.weight0()
+    ops = [tau.weight0 for tau in taus]
+    coeffs = []
+    for tau in taus:
+        f = tau.right_function
+        if f.degree > 1:
+            raise ValueError(f"right function {f} is not affine in j")
+        coeffs.append([float(c) for c in (f.coeffs + (0, 0))[:2]])
+    c0, c1 = np.array(coeffs, dtype=float).reshape(-1, 2).T
+    casimir = _ladder_residuals(
+        ops, w0.J2, lambda n, t: t @ w0.affine_in_j(n, c0, c1),
+        [op.is_zero() or a == b == 0 for op, a, b in zip(ops, c0, c1)])
+    thetas = np.array([float(tau.theta) for tau in taus])
+    shift = _ladder_residuals(ops, w0.j,
+                              lambda n, t: thetas[:, None, None] * t,
+                              [tau.theta == 0 for tau in taus])
+    return list(zip(casimir, shift))
+
+
+def _require_certified(taus: list[TauOperator],
+                       generators: Su2Generators) -> None:
+    """Raise TauCertificationError for the first tau, in list order, whose
+    Casimir ladder or label shift residual exceeds 1e-8 (the Casimir one
+    first)."""
+    for tau, reports in zip(taus, tau_certificates(taus, generators)):
+        for which, rep in zip(("Casimir ladder", "label shift"), reports):
+            if rep.frobenius_relative > 1e-8:
+                raise TauCertificationError(tau.theta, which, rep)
 
 
 def tau_casimir_ladder_residual(tau: TauOperator, generators: Su2Generators
                                 ) -> ResidualReport:
     """Residual of [J^2, tau] - tau * theta(theta + 2j + 1) on the weight-0
-    interior.
-
-    The right function c_0 + c_1 j (``TauOperator.right_function``; a
-    higher degree raises ValueError) is formed from the view's j
-    (``Weight0View.affine_in_j``), with no spectral image.  J^2 is read from
-    its sparse entries, so the certificate checks tau's assembly by an
-    independent route.
-    """
-    f = tau.right_function
-    if f.degree > 1:
-        raise ValueError(f"right function {f} is not affine in j")
-    w0 = generators.weight0()
-    c0, c1 = (float(c) for c in (f.coeffs + (0, 0))[:2])
-    return check_rlo(w0.J2, tau.weight0, w0.affine_in_j(c0, c1),
-                     LADDER_MARGIN)
+    interior: ``tau_certificates`` on a stack of one."""
+    return tau_certificates([tau], generators)[0][0]
 
 
 def tau_shift_residual(tau: TauOperator, generators: Su2Generators
                        ) -> ResidualReport:
-    """Residual of [j, tau] - theta * tau on the weight-0 interior."""
-    w0 = generators.weight0()
-    op = tau.weight0
-    margin = LADDER_MARGIN
-    if tau.theta == 0:
-        return commutator_residual(w0.j, op, margin)
-    return residual(commutator_on_columns(w0.j, op, margin),
-                    float(tau.theta) * on_columns(op, margin), margin)
+    """Residual of [j, tau] - theta * tau on the weight-0 interior:
+    ``tau_certificates`` on a stack of one."""
+    return tau_certificates([tau], generators)[0][1]
 
 
 def build_taus(families: LadderFamily, generators: Su2Generators,
                certify: bool = True) -> dict[int, TauOperator]:
     """Assemble the ladder operator for every theta in [-s, s], ascending:
-    each family's in one pass (``_assemble_taus``), then each certified as
-    by ``assemble_tau``, in ascending theta."""
+    each family's in one pass (``_assemble_taus``), then all certified at
+    once as ``assemble_tau`` certifies one (``tau_certificates``); the first
+    failure in ascending theta raises."""
     s = generators.s
     rfs = right_functions(s)
     taus = {}
@@ -549,49 +628,64 @@ def build_taus(families: LadderFamily, generators: Su2Generators,
             families, [solve_sigma(alpha, rf.theta) for rf in rfs
                        if rf.family == family], generators))
     taus = {theta: taus[theta] for theta in sorted(taus)}
-    for tau in taus.values() if certify else ():
-        _certify(tau, generators)
+    if certify:
+        _require_certified(list(taus.values()), generators)
     return taus
 
 
 # -- resolvent ladder relations ------------------------------------------------
 
 
-def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
-                               k: int, side: str) -> ResidualReport:
-    """Ladder relation of tau with the resolvent 1/(2j + (2k+1)).
+def resolvent_commutator_checks(generators: Su2Generators,
+                                taus: list[TauOperator], k: int, side: str
+                                ) -> list[ResidualReport]:
+    """Ladder relation of each tau with the resolvent g(j) = 1/(2j + (2k+1)).
 
     side='right': [g(j), tau] = tau (g(j + theta) - g(j)),
     side='left' : [g(j), tau] = (g(j) - g(j - theta)) tau,
-    both on the weight-0 interior, formed from the weight-0 blocks.
-    Shifted denominators vanish only at half-integer j, so integer spectra
-    stay clear of the poles; an actual pole raises SpectralFunctionError
-    naming the sector.
+    both on the weight-0 interior, for every tau in one pass over the kept
+    level pairs (``_ladder_residuals``): g(j) is formed once, and it and
+    each tau's difference of resolvents only on the levels n <= n_max - 1
+    that a kept entry reads.  At theta = 0 both sides vanish identically
+    (tau[0] preserves j), and [g(j), tau] = 0 is read.  Shifted
+    denominators vanish only at half-integer j, so integer spectra stay
+    clear of the poles; an actual pole raises SpectralFunctionError naming
+    the sector.
     """
     if k < 0:
         raise ValueError("resolvent index k must be non-negative")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    theta = tau.theta
 
     def g(j: float) -> float:
         return 1.0 / (2.0 * j + (2 * k + 1))
 
     w0 = generators.weight0()
-    op = tau.weight0
-    g_op = w0.function_of_j(g)
-    margin = LADDER_MARGIN
-    if theta == 0:
-        # Both sides vanish identically: tau[0] preserves j, and the
-        # difference of equal resolvents is zero.
-        return commutator_residual(g_op, op, margin)
-    if side == "right":
-        diff = w0.function_of_j(lambda j: g(j + theta) - g(j))
-        rhs = op @ on_columns(diff, margin)
-    else:
-        diff = w0.function_of_j(lambda j: g(j) - g(j - theta))
-        rhs = diff @ on_columns(op, margin)
-    return residual(commutator_on_columns(g_op, op, margin), rhs, margin)
+    top = w0.basis.n_max - LADDER_MARGIN
+    sizes = w0.basis.sector_table().sizes
+    g_op = w0.function_of_j(g, top)
+    diffs = [SectorBlocks.zeros(w0.basis) if tau.theta == 0
+             else w0.function_of_j(
+                 (lambda j, t=tau.theta: g(j + t) - g(j)) if side == "right"
+                 else (lambda j, t=tau.theta: g(j) - g(j - t)), top)
+             for tau in taus]
+
+    def stacked(n: int) -> np.ndarray:
+        d = sizes[n]
+        return np.stack([diff.blocks[n][1] if n in diff.blocks
+                         else np.zeros((d, d)) for diff in diffs])
+    return _ladder_residuals(
+        [tau.weight0 for tau in taus], g_op,
+        (lambda n, t: t @ stacked(n)) if side == "right"
+        else (lambda n, t: stacked(n + 1) @ t),
+        [tau.theta == 0 for tau in taus])
+
+
+def resolvent_commutator_check(generators: Su2Generators, tau: TauOperator,
+                               k: int, side: str) -> ResidualReport:
+    """Ladder relation of tau with the resolvent 1/(2j + (2k+1)):
+    ``resolvent_commutator_checks`` on a stack of one."""
+    return resolvent_commutator_checks(generators, [tau], k, side)[0]
 
 
 # -- lattice of kernel nodes -----------------------------------------------------
@@ -719,40 +813,49 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
         return (np.linalg.norm(images, axis=0),
                 np.linalg.norm(leaks, axis=0))
 
-    arrows: list[LatticeArrow] = []
+    # Each (theta, n) gives its node images' norms and leaks for tau (when
+    # the level is in the interior) and its adjoint; tau raises N by one,
+    # (n, j) -> (n+1, j+theta), and its adjoint lowers it,
+    # (n, j) -> (n-1, j-theta).  Arrows are listed by theta, level, node,
+    # raising before lowering, and a leak is refused at the first such
+    # arrow before any arrow is built.
+    images = []
     for theta in sorted(taus):
-        # tau raises N by one: (n, j) -> (n+1, j+theta); its adjoint lowers
-        # N: (n, j) -> (n-1, j-theta).
         tau = taus[theta].weight0
-        tau_low = tau.adjoint()
+        # The adjoint of the blocks the lowering arrows read, those into
+        # levels <= n_limit.
+        tau_low = tau.interior(basis.n_max - n_limit).adjoint()
         for n in range(0, n_limit + 1):
-            raised = apply(tau, n, 1, theta)
-            lowered = apply(tau_low, n, -1, -theta)
-            for i, j in enumerate(levels[n].labels.tolist()):
-                source = (n, j)
-                if n <= basis.n_max - 1:
-                    arrows.append(_classify_image(
-                        f"tau_dag[{theta:+d}]", source, (n + 1, j + theta),
-                        float(raised[0][i]), raised[1][i]))
-                arrows.append(_classify_image(
-                    f"tau[{theta:+d}]", source, (n - 1, j - theta),
-                    float(lowered[0][i]), lowered[1][i]))
+            ops = ([(f"tau_dag[{theta:+d}]", tau, 1, theta)]
+                   if n < basis.n_max else [])
+            ops.append((f"tau[{theta:+d}]", tau_low, -1, -theta))
+            norms, leaks = zip(*(apply(op, n, dn, dj)
+                                 for _label, op, dn, dj in ops))
+            images.append((n, [(label, dn, dj) for label, _op, dn, dj in ops],
+                           np.array(norms), np.array(leaks)))
+    for n, sides, norms, leaks in images:
+        bad = np.argwhere(((norms > 1e-8) & (leaks > 1e-8 * np.maximum(
+            1.0, norms))).T)
+        if len(bad):
+            i, side = bad[0]
+            label, dn, dj = sides[side]
+            j = int(levels[n].labels[i])
+            raise LatticeSchemeError(
+                f"{label} applied to node {(n, j)} leaks "
+                f"{float(leaks[side, i]):.3e} outside the predicted node "
+                f"{(n + dn, j + dj)}")
+    arrows = [
+        LatticeArrow(operator=label, source=(n, j),
+                     target=None if norm <= 1e-8 else (n + dn, j + dj),
+                     amplitude=0.0 if norm <= 1e-8 else norm,
+                     annihilated=norm <= 1e-8)
+        for n, sides, norms, _leaks in images
+        for j, node in zip(levels[n].labels.tolist(), norms.T.tolist())
+        for (label, dn, dj), norm in zip(sides, node)]
     return KernelLatticeReport(spin=generators.s, n_limit=n_limit,
                                node_dims=node_dims, arrows=arrows,
                                weight0_dims=weight0_dims,
                                known_nodes=known_nodes)
-
-
-def _classify_image(label, source, predicted, norm, leak):
-    if norm <= 1e-8:
-        return LatticeArrow(operator=label, source=source, target=None,
-                            amplitude=0.0, annihilated=True)
-    if leak > 1e-8 * max(1.0, norm):
-        raise LatticeSchemeError(
-            f"{label} applied to node {source} leaks {float(leak):.3e} outside "
-            f"the predicted node {predicted}")
-    return LatticeArrow(operator=label, source=source, target=predicted,
-                        amplitude=norm, annihilated=False)
 
 
 # -- deformed algebra generators --------------------------------------------------

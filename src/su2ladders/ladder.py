@@ -19,8 +19,8 @@ from typing import Optional
 
 from .jpoly import JPoly
 from .operators import (Operator, ResidualReport, SectorBlocks,
-                        commutator_on_columns, commutator_residual, on_columns,
-                        residual)
+                        commutator_on_columns, commutator_residual,
+                        interior_factors, on_columns, residual)
 
 P_FAMILY = "p"
 M_FAMILY = "m"
@@ -95,16 +95,17 @@ def check_rlo(h: Operator, p_dag: Operator, p_fn: Operator,
     (violations raise PreconditionError carrying the offending commutator
     norm).  A P formed from the eigendecomposition of this very H (a
     ``SectorBlocks`` whose ``function_of`` is ``h``: ``function_of_j`` of
-    the generators for their ``j2_blocks()``, or ``function_of_j`` and
-    ``affine_in_j`` of the weight-0 view for its ``J2``) commutes with it by
-    construction, and the check is skipped;
+    the generators for their ``j2_blocks()``, or ``function_of_j`` of the
+    weight-0 view for its ``J2``) commutes with it by construction, and the
+    check is skipped;
     any other P, including a re-wrapped, perturbed or summed copy of such an
     image, is checked.
 
-    Both sides are formed on the restricted columns only.  When p+ or P
-    vanishes identically (a zero right function), p+ P vanishes on every
-    column and the relation degenerates to [H, p+] = 0, which is checked as
-    ``commutator_residual`` (normalised by the restricted norms of H and p+).
+    Both sides are formed from the factors ``interior_factors`` cuts, on the
+    restricted columns only.  When p+ or P vanishes identically (a zero
+    right function), p+ P vanishes on every column and the relation
+    degenerates to [H, p+] = 0, which is checked as ``commutator_residual``
+    (normalised by the restricted norms of H and p+).
     The branch does not depend on the restriction: a p+ P that vanishes only
     on the restricted columns is still compared as a two-sided identity.
     """
@@ -112,6 +113,7 @@ def check_rlo(h: Operator, p_dag: Operator, p_fn: Operator,
                     "right function does not commute with H")
     if p_dag.is_zero() or p_fn.is_zero():
         return commutator_residual(h, p_dag, margin)
+    h, p_dag, p_fn = interior_factors(margin, h, p_dag, p_fn)
     return residual(commutator_on_columns(h, p_dag, margin),
                     p_dag @ on_columns(p_fn, margin), margin)
 
@@ -121,10 +123,11 @@ def check_llo(h: Operator, p: Operator, p_fn: Operator,
     """Residual of the left-ladder relation [p, H] - P p on the interior.
 
     The precondition, and when it is taken as given, is that of
-    ``check_rlo``.  Both sides are formed on the
-    restricted columns only.  As in ``check_rlo``, the relation degenerates
-    to [H, p] = 0 (``commutator_residual``) when p or P vanishes
-    identically, whatever the restriction.
+    ``check_rlo``.  p lowers n, so both sides are formed on the restricted
+    columns only (the column rule of ``interior_factors``).  As in
+    ``check_rlo``, the relation degenerates to [H, p] = 0
+    (``commutator_residual``) when p or P vanishes identically, whatever
+    the restriction.
     """
     _check_commutes(h, p_fn, margin, _PRECONDITION_TOL,
                     "left function does not commute with H")
@@ -145,6 +148,7 @@ def check_power_identity(h: Operator, p_dag: Operator,
     if base.frobenius_relative > 1e-8:
         raise PreconditionError(
             f"base ladder relation fails at {base.frobenius_relative:.3e}", base)
+    h, p_dag, p_fn = interior_factors(margin, h, p_dag, p_fn)
     hn = h.power(n)
     lhs = commutator_on_columns(hn, p_dag, margin)
     rhs = p_dag @ on_columns((h + p_fn).power(n) - hn, margin)
@@ -157,6 +161,7 @@ def check_rlo_compose(h: Operator, p_dag: Operator,
     """Residual of [H, p+ A] - p+ A P for A commuting with H + P (to 1e-8)."""
     _check_commutes(h + p_fn, a, margin, 1e-8,
                     "A does not commute with H + P")
+    h, p_dag, p_fn, a = interior_factors(margin, h, p_dag, p_fn, a)
     pa = p_dag @ a
     return residual(commutator_on_columns(h, pa, margin),
                     pa @ on_columns(p_fn, margin), margin)

@@ -31,7 +31,13 @@ each kept column of a CSR product is summed over the same terms in the same
 order whether or not the other columns are present, and each kept block of a
 block product is the same gemm.  ``on_columns`` forms X P and
 ``commutator_on_columns`` forms [X, Y] P, so a restricted residual reads the
-same floats as one sliced from the unrestricted product.
+same floats as one sliced from the unrestricted product.  The rows have a
+half of the rule too, for block operators that never lower n (each block's
+target sector has n at least its source's): then P X Y P = (P X P)(P Y P),
+because a product passes through sectors of non-decreasing n, so
+``interior_factors`` cuts every such factor to its blocks with source and
+target kept before multiplying.  Where a factor lowers n (tau^dagger, a_mu)
+or is sparse, the column rule alone applies.
 
 The residuals read either operator type through two primitives of its own,
 ``kept_norm`` (the Frobenius norm of the kept rows and columns) and
@@ -87,6 +93,15 @@ def _fro(data: np.ndarray) -> float:
     if data.size == 0:
         return 0.0
     return float(math.sqrt(np.sum(np.abs(data) ** 2)))
+
+
+def blocks_fro(blocks: list[np.ndarray]) -> float:
+    """Frobenius norm of the nonzero dense blocks among ``blocks``, read one
+    after another, each row-major: listed in ascending source sector, the
+    norm ``SectorBlocks.kept_norm`` takes of its kept blocks (it holds no
+    zero block)."""
+    data = [b.ravel() for b in blocks if b.any()]
+    return _fro(np.concatenate(data)) if data else 0.0
 
 
 def _require_same_basis(x, y) -> None:
@@ -274,8 +289,7 @@ class SectorBlocks:
     imaginary part.
 
     ``function_of`` records provenance: a spectral image f(H) assembled from
-    the decomposition of H (``SpectralDecomposition.assemble``), or a + b j
-    formed from such an image j (``Weight0View.affine_in_j``), holds H
+    the decomposition of H (``SpectralDecomposition.assemble``) holds H
     itself, so a check may take [H, f(H)] = 0 as given for that very H.  It
     is not compared, and nothing else sets it: sums, products, scalings,
     adjoints and re-wraps in ``SectorBlocks(...)`` carry None.
@@ -439,13 +453,22 @@ class SectorBlocks:
         """True when no entry is nonzero, i.e. no block is held."""
         return not self.blocks
 
+    def _within(self, top: int) -> dict:
+        """The blocks whose source and target sectors have n <= top."""
+        keys = self.basis.sector_table().keys
+        return {k: (t, block) for k, (t, block) in self.blocks.items()
+                if keys[k][0] <= top and keys[t][0] <= top}
+
     def _fro(self, top: int) -> float:
         """Frobenius norm of the blocks whose source and target sectors have
         n <= top, in ascending source sector, each block row-major."""
+        return blocks_fro([block for _t, block in self._within(top).values()])
+
+    def lowers_n(self) -> bool:
+        """True when some block's target sector has a smaller n than its
+        source sector, read from the sector keys."""
         keys = self.basis.sector_table().keys
-        data = [block.ravel() for k, (t, block) in self.blocks.items()
-                if keys[k][0] <= top and keys[t][0] <= top]
-        return _fro(np.concatenate(data)) if data else 0.0
+        return any(keys[t][0] < keys[k][0] for k, (t, _b) in self.blocks.items())
 
     def norm(self) -> float:
         """Frobenius norm."""
@@ -457,6 +480,16 @@ class SectorBlocks:
         n <= n_max - margin."""
         _restriction(self.basis, margin)
         return self._fro(self.basis.n_max - margin)
+
+    def interior(self, margin: int) -> "SectorBlocks":
+        """P X P, where P projects onto the sectors with n <= n_max - margin:
+        the blocks an interior residual at this margin keeps
+        (``interior_factors``)."""
+        _restriction(self.basis, margin)
+        kept = self._within(self.basis.n_max - margin)
+        if len(kept) == len(self.blocks):
+            return self
+        return SectorBlocks(self.basis, kept)
 
     def on_columns(self, margin: int) -> "SectorBlocks":
         """X P, where P projects onto the sectors with n <= n_max - margin:
@@ -622,6 +655,24 @@ def on_columns(x: Operator, margin: int) -> Operator:
     return x.on_columns(margin)
 
 
+def interior_factors(margin: int, *factors: Operator) -> tuple[Operator, ...]:
+    """The factors of a residual at this margin, each cut to what can reach
+    a kept entry when every factor is a ``SectorBlocks`` that never lowers n.
+
+    Such a product sends a sector through sectors of non-decreasing n, so an
+    entry whose row and column both have n <= n_max - margin is summed over
+    blocks whose source and target sectors lie there too: each factor is cut
+    to those blocks (``SectorBlocks.interior``), and each kept block of the
+    product is the same gemm.  When a factor lowers n (tau^dagger, a_mu) or
+    is sparse, the factors come back as given and the caller's column rule
+    (``on_columns``) decides what is formed; on cut factors that rule keeps
+    every block.
+    """
+    if all(isinstance(x, SectorBlocks) and not x.lowers_n() for x in factors):
+        return tuple(x.interior(margin) for x in factors)
+    return factors
+
+
 def commutator_on_columns(x: Operator, y: Operator, margin: int) -> Operator:
     """[X, Y] P, formed as X (Y P) - Y (X P) on the columns ``on_columns`` keeps."""
     return x @ on_columns(y, margin) - y @ on_columns(x, margin)
@@ -637,12 +688,12 @@ def residual(x: Operator, y: Operator, margin: int) -> ResidualReport:
     """
     _require_same_basis(x, y)
     _restriction(x.basis, margin)
-    return _two_sided((x - y).kept_norm(margin), x.kept_norm(margin),
-                      y.kept_norm(margin), margin)
+    return two_sided_residual((x - y).kept_norm(margin), x.kept_norm(margin),
+                              y.kept_norm(margin), margin)
 
 
-def _two_sided(absolute: float, x_norm: float, y_norm: float,
-               margin: int) -> ResidualReport:
+def two_sided_residual(absolute: float, x_norm: float, y_norm: float,
+                       margin: int) -> ResidualReport:
     """The normalisation of X = Y: by the larger kept operand norm, or none
     when both operands vanish."""
     denom = max(x_norm, y_norm)
@@ -686,7 +737,7 @@ def block_residual(squares: np.ndarray, margin: int) -> ResidualReport:
     norms (||X - Y||^2, ||X||^2, ||Y||^2), as ``kept_block_squares`` gives
     them for one block."""
     absolute, x_norm, y_norm = (math.sqrt(float(v)) for v in squares)
-    return _two_sided(absolute, x_norm, y_norm, margin)
+    return two_sided_residual(absolute, x_norm, y_norm, margin)
 
 
 def commutator_residual(x: Operator, y: Operator,
@@ -695,11 +746,20 @@ def commutator_residual(x: Operator, y: Operator,
 
     Zero-target identities cannot use ``residual``'s operand normalization
     (the only operand is the commutator itself), so the natural scale of the
-    product is used instead.  The commutator is formed on the restricted
-    columns only (``commutator_on_columns``).
+    product is used instead.  The commutator is formed from the factors
+    ``interior_factors`` cuts, on the restricted columns only
+    (``commutator_on_columns``).
     """
-    absolute = commutator_on_columns(x, y, margin).kept_norm(margin)
-    scale = x.kept_norm(margin) * y.kept_norm(margin)
+    absolute = commutator_on_columns(*interior_factors(margin, x, y),
+                                     margin).kept_norm(margin)
+    return scaled_residual(absolute, x.kept_norm(margin) * y.kept_norm(margin),
+                           margin)
+
+
+def scaled_residual(absolute: float, scale: float,
+                    margin: int) -> ResidualReport:
+    """The normalisation of X = 0: by an explicit scale, or none when the
+    scale vanishes."""
     relative = absolute / scale if scale > 0 else absolute
     return ResidualReport(absolute, relative, margin)
 
@@ -707,6 +767,4 @@ def commutator_residual(x: Operator, y: Operator,
 def zero_residual(x: Operator, margin: int,
                   scale: float = 1.0) -> ResidualReport:
     """Residual of X against the zero operator, with an explicit scale."""
-    absolute = x.kept_norm(margin)
-    relative = absolute / scale if scale > 0 else absolute
-    return ResidualReport(absolute, relative, margin)
+    return scaled_residual(x.kept_norm(margin), scale, margin)

@@ -240,10 +240,12 @@ class SpectralDecomposition:
         return [distinct[lo:hi][inverse] for lo, hi, (*_, inverse)
                 in zip(bounds, bounds[1:], self._distinct_labels)]
 
-    def function_of(self, f: Callable, with_n: bool = False) -> SectorBlocks:
+    def function_of(self, f: Callable, with_n: bool = False,
+                    top: Optional[int] = None) -> SectorBlocks:
         """The spectral image of f(j), or of f(n, j) (``with_n``): the
-        operator with ``values(f, with_n)`` on the eigenvectors."""
-        return self.assemble(self.values(f, with_n))
+        operator with ``values(f, with_n)`` on the eigenvectors, on the
+        sectors with n <= ``top`` (every sector by default)."""
+        return self.assemble(self.values(f, with_n), top)
 
     def sum_times(self, ops: list[SectorBlocks], values: list[list]
                   ) -> list[SectorBlocks]:
@@ -285,19 +287,23 @@ class SpectralDecomposition:
         """
         return _decomposition(op, None)
 
-    def assemble(self, values: list) -> SectorBlocks:
+    def assemble(self, values: list, top: Optional[int] = None
+                 ) -> SectorBlocks:
         """The operator with eigenvalues ``values[k]`` on sector k's
-        eigenvectors.
+        eigenvectors, on the sectors with n <= ``top`` (every sector by
+        default) and zero on the others.
 
         Each block V diag(values) V^dagger is hermitized within the block
         (``_spectral_block``; complex values g + i h as g(H) + i h(H), each
         part hermitized on its own).  The result records ``operator`` as
         what it is a function of.
         """
+        top = self.basis.n_max if top is None else top
         return SectorBlocks(self.basis, {
             k: (k, _spectral_block(vecs, fvals))
-            for k, ((*_, vecs), fvals) in enumerate(zip(self.sectors, values))},
-            function_of=self.operator)
+            for k, ((key, *_, vecs), fvals) in enumerate(zip(self.sectors,
+                                                              values))
+            if key[0] <= top}, function_of=self.operator)
 
 
 def _decomposition(op: SparseOperator | SectorBlocks,
@@ -337,7 +343,10 @@ def _decomposition(op: SparseOperator | SectorBlocks,
 class Su2Generators:
     """su(2) generators on a truncated Fock space, plus spectral helpers.
 
-    All five operators conserve total particle number.  The
+    All five operators conserve total particle number.  J_z, J_+/- and N
+    are formed on construction; the whole-space J^2 on first read and kept
+    (``J2``), so a reader of the weight-0 view alone, which forms its own
+    J^2 blocks (``Weight0View``), never forms it.  The
     decomposition of J^2 is computed once and reused for every function of
     the label operator j.  Its eigenvalues snap to integer labels j, so a
     function of j (or of the commuting pair (N, j)) is evaluated once per
@@ -362,13 +371,18 @@ class Su2Generators:
         self.Jz = SparseOperator.diagonal(basis, basis.weights.astype(float))
         self.Jplus = jordan_schwinger(basis, xp)
         self.Jminus = self.Jplus.adjoint()
-        j2 = (self.Jz @ self.Jz
-              + 0.5 * (self.Jplus @ self.Jminus + self.Jminus @ self.Jplus))
-        self.J2 = j2.hermitized()
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
         self._j2_decomp: Optional[SpectralDecomposition] = None
         self._j_hat: Optional[SectorBlocks] = None
         self._weight0: Optional[Weight0View] = None
+
+    @functools.cached_property
+    def J2(self) -> SparseOperator:
+        """J^2 = J_z^2 + (J_+ J_- + J_- J_+) / 2, hermitized, on the whole
+        space: formed on first read and kept."""
+        j2 = (self.Jz @ self.Jz
+              + 0.5 * (self.Jplus @ self.Jminus + self.Jminus @ self.Jplus))
+        return j2.hermitized()
 
     def j2_decomposition(self) -> SpectralDecomposition:
         """The decomposition of J^2 over every (n, weight) sector, built on
@@ -450,7 +464,11 @@ class Weight0View:
     its weight-0 blocks, and ``from_columns`` reads them from its weight-0
     columns alone (``build_families``).  ``J2`` is J^2's, read from its
     sparse entries, so the certificates never read J^2 from its
-    eigenvectors.  ``decomposition`` diagonalises those level blocks, the
+    eigenvectors: restricted from the whole-space J^2 when that has been
+    formed (or set), and otherwise formed from the sparse generators by
+    thin products on the weight-0 columns (``_weight0_casimir``), the same
+    arrays, so the view does not form the whole-space J^2.
+    ``decomposition`` diagonalises those level blocks, the
     same arrays as the whole-space (n, 0) blocks, with the same eigenpairs
     (shared with the whole-space decomposition when that exists), so no
     sector of nonzero weight is diagonalised for the view; its
@@ -465,9 +483,28 @@ class Weight0View:
         self.basis = generators.basis.restricted_to_weight(0)
         self.rows = np.flatnonzero(generators.basis.weights == 0)
         self._restricted: dict[int, tuple[weakref.ref, SectorBlocks]] = {}
-        self.J2 = self.of(generators.J2)
+        whole = vars(generators).get("J2")
+        self.J2 = (self._weight0_casimir(generators) if whole is None
+                   else self.of(whole))
         self.decomposition = _decomposition(self.J2, generators._j2_decomp)
         self.j = self.function_of_j(lambda j: j)
+
+    def _weight0_casimir(self, generators: Su2Generators) -> SectorBlocks:
+        """J^2's weight-0 blocks from thin products on the weight-0 columns
+        P, the blocks ``of(generators.J2)`` holds, array for array.
+
+        J_z vanishes on those columns, so J_z^2 stores no entry there and
+        J^2 P = (J_+ (J_- P) + J_- (J_+ P)) / 2 before hermitizing.  Each
+        column of a CSR product sums the same terms in the same order
+        whatever the other columns are, each sum and scaling is entry by
+        entry, and J^2 conserves weight, so hermitizing its weight-0 rows
+        and columns alone, (M + M^T) / 2, gives the whole-space floats.
+        """
+        plus, minus = generators.Jplus.matrix, generators.Jminus.matrix
+        m = ((plus @ minus[:, self.rows] + minus @ plus[:, self.rows])
+             * 0.5)[self.rows]
+        j2 = ((m + m.T) * 0.5).tocoo()
+        return SectorBlocks.from_entries(self.basis, j2.row, j2.col, j2.data)
 
     def labels(self, n: int) -> np.ndarray:
         """The labels j of level n's kernel nodes in ascending order, as
@@ -495,25 +532,27 @@ class Weight0View:
             labels[None])))
         return KernelNodes(positions, labels[order], fixed.T[order].T)
 
-    def function_of_j(self, f: Callable[[int], float]) -> SectorBlocks:
-        """f(j) on the weight-0 subspace, from ``decomposition``: f is called
-        once per label, as by ``Su2Generators.function_of_j``, and each
-        level's block equals that image's (n, 0) block exactly.  A pole
+    def function_of_j(self, f: Callable[[int], float],
+                      top: Optional[int] = None) -> SectorBlocks:
+        """f(j) on the weight-0 subspace, from ``decomposition``, on the
+        levels n <= ``top`` (every level by default): f is called once per
+        label of every level, as by ``Su2Generators.function_of_j``, and
+        each level's block equals that image's (n, 0) block exactly.  A pole
         raises SpectralFunctionError naming the first level's sector (n, 0)
         that holds the label."""
-        return self.decomposition.function_of(f)
+        return self.decomposition.function_of(f, top=top)
 
-    def affine_in_j(self, a: float, b: float) -> SectorBlocks:
-        """a + b j, level by level from ``j`` itself (b times its block,
-        plus a on the diagonal), with no spectral image formed.  A function
-        of J^2 by construction, it records ``J2`` as its ``function_of``."""
-        blocks = {}
-        for n, d in enumerate(self.basis.sector_table().sizes.tolist()):
-            block = (b * self.j.blocks[n][1] if n in self.j.blocks
-                     else np.zeros((d, d)))
-            block[np.diag_indices(d)] += a
-            blocks[n] = (n, block)
-        return SectorBlocks(self.basis, blocks, function_of=self.J2)
+    def affine_in_j(self, n: int, a: np.ndarray, b: np.ndarray
+                    ) -> np.ndarray:
+        """a_i + b_i j on level n for each i, stacked into one array of
+        shape (len(a), d_n, d_n): b_i times ``j``'s level block (zeros where
+        j vanishes), plus a_i on the diagonal, with no spectral image
+        formed.  A function of J^2 by construction."""
+        d = int(self.basis.sector_table().sizes[n])
+        j = self.j.blocks[n][1] if n in self.j.blocks else np.zeros((d, d))
+        out = np.asarray(b, dtype=float)[:, None, None] * j
+        out[:, np.arange(d), np.arange(d)] += np.asarray(a, dtype=float)[:, None]
+        return out
 
     def of(self, op: SparseOperator | SectorBlocks) -> SectorBlocks:
         """The weight-0 blocks of a whole-space operator: read from the CSR

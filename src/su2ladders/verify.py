@@ -29,11 +29,10 @@ from .casimir import (alpha_entry_deviation, build_alpha_certified,
                       certify_alpha, complete_set_check, deformed_generators,
                       demo_s1_operators, expression_match_scale,
                       lattice_report, residue_classes,
-                      resolvent_commutator_check, s1_full_closure_residuals,
+                      resolvent_commutator_checks, s1_full_closure_residuals,
                       s1_inverse_expressions, s1_mutual_commutators,
                       s1_reference_taus, s1_tau_bracket_ladder, tau_bar_forms,
-                      tau_casimir_ladder_residual, tau_off_grade,
-                      tau_shift_residual)
+                      tau_certificates, tau_off_grade)
 from .fock import dimension, enumerate_sector
 from .ladder import (M_FAMILY, P_FAMILY, build_alpha, build_alpha_variant_diag4,
                      check_llo, check_power_identity, check_rlo,
@@ -202,14 +201,37 @@ class _Runner:
         self.run(name, anchor, params, spec_tol, fn)
 
 
+class _kept(functools.cached_property):
+    """A lazily built attribute of ``_SpinContext``, kept once built; a
+    build that raises keeps its exception too, and every later read raises
+    it again, so each check that reads it fails with the same detail and
+    the build runs once."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        failure = ctx._failures.get(self.attrname)
+        if failure is not None:
+            raise failure
+        try:
+            return super().__get__(ctx, owner)
+        except Exception as exc:
+            ctx._failures[self.attrname] = exc
+            raise
+
+
 class _SpinContext:
-    """Lazily built per-spin objects shared across checks.  A build that
-    raises is not kept, so every check that reads it fails.
+    """Lazily built per-spin objects shared across checks.
 
     Besides the basis and generators it holds the mode-operator table
     (``modes``: a_mu^dagger and a_mu, built once per mode), the p/m
-    families, the right functions and sigmas, the taus, the complete-set
-    certificate, the spin-1 operators and the kernel lattice.
+    families, the right functions and sigmas, the taus, their certificates
+    and resolvent relations, the complete-set certificate, the spin-1
+    operators and the kernel lattice.  Each is built on first read and kept
+    (``_kept``), a failed build with its exception, so every check that
+    reads it fails with that exception and the build is not repeated.  The
+    right functions and sigmas are the exception: exact and cheap, they are
+    derived again on every read after a failure.
     """
 
     def __init__(self, s: int, n_max: int):
@@ -218,8 +240,9 @@ class _SpinContext:
         self.n_limit = min(n_max - 1, 4)  # source levels of the lattice
         self.basis = enumerate_sector(s, n_max)
         self.gens = su2_generators(self.basis)
+        self._failures: dict[str, Exception] = {}
 
-    @functools.cached_property
+    @_kept
     def modes(self) -> dict[int, tuple[SparseOperator, SparseOperator]]:
         """mu -> (a_mu^dagger, a_mu) for mu = -s..s: ``creation_op`` and its
         adjoint, once per mode."""
@@ -229,7 +252,7 @@ class _SpinContext:
             modes[mu] = (adag, adag.adjoint())
         return modes
 
-    @functools.cached_property
+    @_kept
     def families(self):
         return build_families(self.basis, self.gens)
 
@@ -247,23 +270,39 @@ class _SpinContext:
         return {rf.theta: solve_sigma(alphas[rf.family], rf.theta)
                 for rf in self.right_functions}
 
-    @functools.cached_property
+    @_kept
     def taus(self):
         return build_taus(self.families, self.gens, certify=False)
 
-    @functools.cached_property
+    @_kept
+    def tau_certificates(self):
+        """theta -> (Casimir ladder, label shift) report of its tau, all
+        taus in one pass (``tau_certificates``)."""
+        return dict(zip(self.taus, tau_certificates(list(self.taus.values()),
+                                                    self.gens)))
+
+    @_kept
+    def resolvents(self):
+        """(k, side) -> theta -> the resolvent relation's report, all taus
+        in one pass per (k, side) (``resolvent_commutator_checks``)."""
+        taus = list(self.taus.values())
+        return {(k, side): dict(zip(self.taus, resolvent_commutator_checks(
+                    self.gens, taus, k, side)))
+                for k in (0, 2) for side in ("right", "left")}
+
+    @_kept
     def complete_set(self):
         return complete_set_check(self.gens, self.taus, min(self.n_max, 4))
 
-    @functools.cached_property
+    @_kept
     def demo_s1(self):
         return demo_s1_operators(self.gens, self.families)
 
-    @functools.cached_property
+    @_kept
     def s1_inverse(self):
         return s1_inverse_expressions(self.gens, self.families)
 
-    @functools.cached_property
+    @_kept
     def lattice(self):
         return lattice_report(self.basis, self.gens, self.taus, self.n_limit)
 
@@ -719,24 +758,22 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.run("family-jz-commuting", "family-jz-commuting", p, 1e-10,
           graded(lambda dn, dw: dw != 0))
 
-    # theta runs over -s..s, not over ctx.taus: the taus are read inside
-    # each check, so a failure to build them fails the check.
+    # theta runs over -s..s, not over ctx.taus: the taus and their
+    # certificates are read inside each check, so a failure to build them
+    # fails the check.
     for theta in range(-s, s + 1):
         pt = {"s": s, "theta": theta}
         r.residual_check("tau-casimir-ladder", "tau-casimir-ladder", pt, 1e-8,
-                         lambda theta=theta: tau_casimir_ladder_residual(
-                             ctx.taus[theta], gens))
+                         lambda theta=theta: ctx.tau_certificates[theta][0])
         r.residual_check("tau-label-shift", "tau-label-shift", pt, 1e-8,
-                         lambda theta=theta: tau_shift_residual(
-                             ctx.taus[theta], gens))
+                         lambda theta=theta: ctx.tau_certificates[theta][1])
         for k in (0, 2):
             for side in ("right", "left"):
                 r.residual_check(
                     f"resolvent-ladder-{side}", f"resolvent-ladder-{side}",
                     {"s": s, "theta": theta, "k": k}, 1e-8,
                     lambda theta=theta, k=k, side=side:
-                        resolvent_commutator_check(gens, ctx.taus[theta], k,
-                                                   side))
+                        ctx.resolvents[k, side][theta])
 
     def complete_set(tol):
         # [A, J^2] is read on weight 0; [A, J_z] and [A, N] vanish exactly

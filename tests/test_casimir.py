@@ -459,6 +459,35 @@ def test_build_path_never_builds_the_whole_space_decomposition(
 
 
 @pytest.mark.parametrize("spin,n_max", [(2, 5), (3, 5)])
+def test_build_path_never_forms_the_whole_space_j2(monkeypatch, spin, n_max):
+    # The weight-0 view forms J^2 by thin products on its columns, so with
+    # the whole-space J^2 refused the families, the certified taus and the
+    # lattice are built as before, array for array.
+    def build():
+        basis = enumerate_sector(spin, n_max)
+        gens = su2_generators(basis)
+        taus = build_taus(build_families(basis, gens), gens, certify=True)
+        return taus, lattice_report(basis, gens, taus, min(n_max - 1, 4))
+
+    want_taus, want_lattice = build()
+
+    def refuse(self):
+        raise AssertionError("the build formed the whole-space J^2")
+
+    monkeypatch.setattr(Su2Generators, "J2", property(refuse))
+    got_taus, got_lattice = build()
+    assert got_taus.keys() == want_taus.keys()
+    for theta, tau in want_taus.items():
+        got = got_taus[theta].weight0
+        assert got.blocks.keys() == tau.weight0.blocks.keys()
+        for k, (t, block) in tau.weight0.blocks.items():
+            assert got.blocks[k][0] == t
+            assert np.array_equal(got.blocks[k][1], block), (theta, k)
+    assert (json.dumps(got_lattice.to_json_dict(), sort_keys=True)
+            == json.dumps(want_lattice.to_json_dict(), sort_keys=True))
+
+
+@pytest.mark.parametrize("spin,n_max", [(2, 5), (3, 5)])
 def test_build_path_never_builds_the_whole_space_families(
         monkeypatch, spin, n_max):
     # The families, the certified taus and the lattice read the families'

@@ -1306,3 +1306,165 @@ def test_run_suite_builds_each_mode_operator_once(monkeypatch, spins):
     if 1 in spins:
         want.append(("su2ladders.casimir", 1, 0))
     assert sorted(calls) == sorted(want)
+
+
+# -- every tau of a spin at once, on the kept level pairs ----------------------
+#
+# The library certifies every tau of a spin in one pass, forming only the
+# level pairs that a margin-1 row reads.  The references below are the
+# per-tau column rule: every product on the kept columns, tau's top level
+# pair included, and each right function or resolvent a ``SectorBlocks`` on
+# every level.  The reports must be equal, not merely close.
+
+BATCH_CONFIGS = [(1, 5), (2, 5), (3, 5), (4, 4), (5, 4)]
+
+
+def _against_zero(h, op):
+    # commutator_residual by the column rule alone.
+    absolute = commutator_on_columns(h, op, 1).kept_norm(1)
+    scale = h.kept_norm(1) * op.kept_norm(1)
+    return ResidualReport(absolute, absolute / scale if scale > 0
+                          else absolute, 1)
+
+
+def _column_rule_certificates(tau, gens):
+    w0 = gens.weight0()
+    op = tau.weight0
+    a, b = (float(x) for x in (tau.right_function.coeffs + (0, 0))[:2])
+    blocks = {}
+    for n, d in enumerate(w0.basis.sector_table().sizes.tolist()):
+        block = (b * w0.j.blocks[n][1] if n in w0.j.blocks
+                 else np.zeros((d, d)))
+        block[np.diag_indices(d)] += a
+        blocks[n] = (n, block)
+    f = SectorBlocks(w0.basis, blocks)
+    casimir = (_against_zero(w0.J2, op) if op.is_zero() or f.is_zero()
+               else residual(commutator_on_columns(w0.J2, op, 1),
+                             op @ on_columns(f, 1), 1))
+    shift = (_against_zero(w0.j, op) if tau.theta == 0
+             else residual(commutator_on_columns(w0.j, op, 1),
+                           float(tau.theta) * on_columns(op, 1), 1))
+    return casimir, shift
+
+
+def _column_rule_resolvent(gens, tau, k, side):
+    def g(j):
+        return 1.0 / (2.0 * j + (2 * k + 1))
+    w0 = gens.weight0()
+    op, theta = tau.weight0, tau.theta
+    g_op = w0.function_of_j(g)
+    if theta == 0:
+        return _against_zero(g_op, op)
+    if side == "right":
+        rhs = op @ on_columns(
+            w0.function_of_j(lambda j: g(j + theta) - g(j)), 1)
+    else:
+        rhs = w0.function_of_j(lambda j: g(j) - g(j - theta)) @ on_columns(
+            op, 1)
+    return residual(commutator_on_columns(g_op, op, 1), rhs, 1)
+
+
+@pytest.mark.parametrize("spin,n_max", BATCH_CONFIGS)
+def test_batched_tau_certificates_equal_the_per_tau_column_rule(ctx, spin,
+                                                                n_max):
+    c = ctx(spin, n_max)
+    taus = list(c.taus.values())
+    got = su2ladders.casimir.tau_certificates(taus, c.gens)
+    assert got == [_column_rule_certificates(tau, c.gens) for tau in taus]
+    for tau, (casimir, shift) in zip(taus, got):
+        assert tau_casimir_ladder_residual(tau, c.gens) == casimir
+        assert tau_shift_residual(tau, c.gens) == shift
+
+
+@pytest.mark.parametrize("spin,n_max", BATCH_CONFIGS)
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_batched_resolvent_relations_equal_the_per_tau_column_rule(
+        ctx, spin, n_max, side):
+    c = ctx(spin, n_max)
+    taus = list(c.taus.values())
+    for k in (0, 2):
+        got = su2ladders.casimir.resolvent_commutator_checks(c.gens, taus, k,
+                                                             side)
+        assert got == [_column_rule_resolvent(c.gens, tau, k, side)
+                       for tau in taus]
+
+
+def _all_column_families(generators, columns):
+    # The family columns with J_+/- applied to every given column, those at
+    # n_max included, as the family routine formed them before it left the
+    # n_max columns empty.
+    basis, s = generators.basis, generators.s
+    raised = su2ladders.casimir._raised_rows
+    block = sparse.csr_matrix(
+        (np.ones(len(columns)), (columns, np.arange(len(columns)))),
+        shape=(len(basis), len(columns)))
+    p, m, up, down, norm = [2.0 * raised(basis, 0, block)], [], block, block, 1.0
+    for k in range(1, s + 1):
+        up = generators.Jplus.matrix @ up
+        down = generators.Jminus.matrix @ down
+        norm *= math.sqrt((s + k) * (s - k + 1))
+        plus, minus = raised(basis, -k, up), raised(basis, k, down)
+        p.append((1.0 / norm) * (plus + minus))
+        m.append((1.0 / norm) * (plus - minus))
+    return p, m
+
+
+@pytest.mark.parametrize("spin,n_max", BATCH_CONFIGS)
+def test_family_columns_equal_the_all_columns_form(ctx, spin, n_max):
+    # Every a_mu^dagger sends the n_max columns past the truncation, so
+    # leaving them empty before the J_+/- products changes no entry, on the
+    # weight-0 columns or on the whole space.
+    c = ctx(spin, n_max)
+    w0 = c.gens.weight0()
+    for columns in (w0.rows, np.arange(len(c.basis))):
+        got = su2ladders.casimir._family_columns(c.gens, columns)
+        want = _all_column_families(c.gens, columns)
+        for x, y in zip(got[0] + got[1], want[0] + want[1]):
+            x, y = x.tocsr(), y.tocsr()
+            x.sort_indices()
+            y.sort_indices()
+            assert x.shape == y.shape
+            assert np.array_equal(x.indptr, y.indptr)
+            assert np.array_equal(x.indices, y.indices)
+            assert np.array_equal(x.data, y.data)
+
+
+@pytest.mark.parametrize("spin,n_max", BATCH_CONFIGS + [(6, 4)])
+def test_weight0_j2_equals_the_restricted_whole_space_j2(spin, n_max):
+    # The view forms J^2 by thin products on the weight-0 columns, without
+    # the whole-space J^2; its blocks are those of the whole-space one.
+    gens = su2_generators(enumerate_sector(spin, n_max))
+    w0 = gens.weight0()
+    assert "J2" not in vars(gens)
+    want = w0.of(gens.J2)
+    assert want is not w0.J2
+    assert w0.J2.blocks.keys() == want.blocks.keys()
+    for n, (target, block) in want.blocks.items():
+        assert w0.J2.blocks[n][0] == target
+        assert np.array_equal(w0.J2.blocks[n][1], block)
+
+
+@pytest.mark.parametrize("spin", [2, 3])
+def test_interior_factors_cut_only_factors_that_never_lower_n(ctx, spin):
+    # Raising and level-preserving blocks are cut to the kept levels, and
+    # the products they give equal the column rule's on every kept block;
+    # a lowering factor or a sparse one leaves the factors as they are.
+    c = ctx(spin, 5)
+    w0 = c.gens.weight0()
+    tau = c.taus[1].weight0
+    top = c.basis.n_max - 1
+    cut_j2, cut_tau = su2ladders.operators.interior_factors(1, w0.J2, tau)
+    assert all(n <= top and t <= top for n, (t, _b) in cut_tau.blocks.items())
+    assert max(tau.blocks) == top and tau.blocks[top][0] == top + 1
+    cut = commutator(cut_j2, cut_tau)
+    full = commutator_on_columns(w0.J2, tau, 1)
+    assert cut.blocks.keys() == {n for n, (t, _b) in full.blocks.items()
+                                 if t <= top}
+    for n, (t, block) in cut.blocks.items():
+        assert full.blocks[n][0] == t
+        assert np.array_equal(full.blocks[n][1], block)
+    low = tau.adjoint()
+    assert su2ladders.operators.interior_factors(1, w0.J2, low) == (w0.J2, low)
+    sparse_op = c.gens.Jz
+    assert su2ladders.operators.interior_factors(1, sparse_op, sparse_op) == \
+        (sparse_op, sparse_op)

@@ -735,3 +735,88 @@ def test_no_right_function_failure_is_cached(monkeypatch):
     assert [rf.theta for rf in ctx.right_functions] == list(range(-2, 3))
     assert sorted(ctx.sigmas) == list(range(-2, 3))
     assert ctx.right_functions is ctx.right_functions
+
+
+#: The checks that read the kernel lattice (``_SpinContext.lattice``).
+LATTICE_READERS = ("lattice-scheme", "tau-annihilation-rules",
+                   "tau-trivial-kernel-parity", "tau-zero-preserves-j",
+                   "residue-classes", "s1-lattice-diagram")
+
+
+def test_a_failed_lattice_build_is_kept(monkeypatch):
+    # A lattice build that raises runs once per spin; the context keeps
+    # its exception, and every lattice reader fails with the same detail.
+    calls = []
+
+    def leaking(*args):
+        calls.append(args[1].s)
+        raise LatticeSchemeError("tau_dag[+1] leaks outside its node")
+    monkeypatch.setattr(su2ladders.verify, "lattice_report", leaking)
+    report = run_suite(SuiteConfig(spins=[1, 2], n_max=4))
+    assert calls == [1, 2]
+    failed = [c for c in report.checks if not c.passed]
+    assert {c.name for c in failed} == set(LATTICE_READERS)
+    assert len(failed) == (4 + 1 + 1) + (4 + 2)
+    for check in failed:
+        assert check.detail == ("LatticeSchemeError: tau_dag[+1] leaks "
+                                "outside its node")
+
+
+def _scale_one_entry(ctx, n, factor):
+    """Scale the largest-magnitude entry of every tau's level-n block (the
+    pair n -> n + 1) by ``factor``; return the thetas that have one."""
+    thetas = []
+    for theta, tau in list(ctx.taus.items()):
+        if n not in tau.weight0.blocks:
+            continue
+        blocks = dict(tau.weight0.blocks)
+        target, block = blocks[n]
+        block = block.copy()
+        block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= factor
+        blocks[n] = (target, block)
+        ctx.taus[theta] = dataclasses.replace(
+            tau, weight0=SectorBlocks(tau.weight0.basis, blocks))
+        thetas.append(theta)
+    return thetas
+
+
+#: The certificates whose margin-1 rows read tau's level pairs up to
+#: n_max - 2 -> n_max - 1.
+MARGIN1_TAU_CHECKS = ("tau-casimir-ladder", "tau-label-shift",
+                      "resolvent-ladder-right")
+
+
+@pytest.mark.parametrize("spin", [1, 2, 3, 4, 5])
+def test_tau_certificates_catch_one_scaled_entry_of_the_highest_kept_pair(
+        spin):
+    # The largest entry of each tau's block n_max - 2 -> n_max - 1, the
+    # highest pair a margin-1 row reads, times (1 + 1e-5): every certificate
+    # of those taus fails its 1e-8 gate (at n_max = 4 they read 3.5e-7 to
+    # 2.3e-4).
+    ctx = _SpinContext(spin, 4)
+    thetas = _scale_one_entry(ctx, 2, 1.0 + 1e-5)
+    checks = [c for c in _run_block(_tau_checks, ctx).checks
+              if c.name in MARGIN1_TAU_CHECKS and c.params["theta"] in thetas]
+    assert len(checks) == 4 * len(thetas) > 0
+    assert not [c for c in checks if c.passed]
+
+
+@pytest.mark.parametrize("spin,n_max", [(1, 3), (2, 4), (3, 5), (4, 4), (5, 4)])
+def test_a_scaled_entry_of_the_top_pair_fails_only_the_lattice(spin, n_max):
+    # The same perturbation on n_max - 1 -> n_max lies outside every
+    # margin-1 row, so the certificates read exactly what they read before;
+    # at n_max <= 5 the lattice's source levels reach n_max - 1, and
+    # lattice-scheme refuses the leak.  (At n_max >= 6 no check reads that
+    # pair: the lattice stops at n_limit = 4.)
+    def run(perturb):
+        ctx = _SpinContext(spin, n_max)
+        if perturb:
+            assert _scale_one_entry(ctx, n_max - 1, 1.0 + 1e-5)
+        return (_run_block(_tau_checks, ctx).checks,
+                _named_check(_lattice_checks, ctx, "lattice-scheme"))
+    (before, lattice), (after, leaked) = run(False), run(True)
+    assert lattice.passed
+    assert [(c.name, c.params, c.residual) for c in after] == \
+        [(c.name, c.params, c.residual) for c in before]
+    assert not leaked.passed
+    assert leaked.detail.startswith("LatticeSchemeError: tau_dag[")
