@@ -89,9 +89,7 @@ def _cmd_spectrum(args) -> int:
                              "two integers such as 2,0")
         sector_filter = (n, w)
     rows = []
-    decomposition = gens.j2_decomposition()
-    for (key, _idx, vals, _vecs), js in zip(decomposition.sectors,
-                                            decomposition.labels):
+    for key, _block, vals, _vecs, js in gens.j2_sectors():
         if sector_filter and key != sector_filter:
             continue
         labels = js.tolist()

@@ -26,7 +26,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy import sparse
@@ -105,9 +105,9 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
 SNAP_TOL = 1e-6
 
 
-def _j_from_casimir(values: np.ndarray) -> np.ndarray:
-    # Inverse of j(j+1), elementwise; tiny negative eigenvalues from roundoff
-    # are tolerated.
+def j_from_casimir(values: np.ndarray) -> np.ndarray:
+    """Inverse of j(j+1), elementwise; tiny negative eigenvalues from
+    roundoff are tolerated."""
     return 0.5 * (np.sqrt(np.maximum(1.0 + 4.0 * values, 0.0)) - 1.0)
 
 
@@ -117,7 +117,7 @@ def _snap_labels(values: np.ndarray, key: tuple, spin: int) -> np.ndarray:
     Every j must lie within SNAP_TOL of an integer in [0, n*spin];
     otherwise SpectrumSnapError is raised.
     """
-    js = _j_from_casimir(np.asarray(values, dtype=float))
+    js = j_from_casimir(np.asarray(values, dtype=float))
     labels = np.rint(js)
     top = key[0] * spin
     bad = np.flatnonzero((np.abs(js - labels) > SNAP_TOL)
@@ -312,6 +312,18 @@ def _decomposition(op: SparseOperator | SectorBlocks,
     """``SpectralDecomposition.of(op)``, with the eigenpairs of each sector
     that ``reuse`` also holds taken from it instead of computed: the
     caller's promise that its block there is the same array."""
+    return SpectralDecomposition(op.basis, [
+        (key, idx, vals, vecs)
+        for key, idx, _block, vals, vecs in _sector_eigenpairs(op, reuse)], op)
+
+
+def _sector_eigenpairs(op: SparseOperator | SectorBlocks,
+                       reuse: Optional[SpectralDecomposition]) -> Iterator:
+    """Yield (key, indices, block, eigenvalues, eigenvectors) of each
+    (n, weight) sector of a hermitian operator in ascending order, with
+    ``reuse``'s eigenpairs as ``_decomposition`` takes them: what it
+    collects and ``Su2Generators.j2_sectors`` streams.  Raises as
+    ``SpectralDecomposition.of`` does, before the first sector."""
     known = {key: pair for key, _i, *pair in (reuse.sectors if reuse else ())}
     basis = op.basis
     gap = (op - op.adjoint()).norm()
@@ -330,14 +342,12 @@ def _decomposition(op: SparseOperator | SectorBlocks,
                 "operator couples distinct (n, weight) sectors, e.g. "
                 f"states {basis.states[table.members[t][r]]} and "
                 f"{basis.states[table.members[k][c]]}")
-    sectors = []
     for k, (key, idx) in enumerate(zip(table.keys, table.members)):
         block = (blocks.blocks[k][1] if k in blocks.blocks
                  else np.zeros((len(idx), len(idx))))
         vals, vecs = known.get(key) or np.linalg.eigh(
             block.astype(dtype, copy=False))
-        sectors.append((key, idx, vals, vecs))
-    return SpectralDecomposition(basis, sectors, op)
+        yield key, idx, block, vals, vecs
 
 
 class Su2Generators:
@@ -348,9 +358,10 @@ class Su2Generators:
     (``J2``), so a reader of the weight-0 view alone, which forms its own
     J^2 blocks (``Weight0View``), never forms it.  The
     decomposition of J^2 is computed once and reused for every function of
-    the label operator j.  Its eigenvalues snap to integer labels j, so a
-    function of j (or of the commuting pair (N, j)) is evaluated once per
-    distinct label, at the exact integer.
+    the label operator j (``j2_sectors`` reads J^2 without it).  Its
+    eigenvalues snap to integer labels j, so a function of j (or of the
+    commuting pair (N, j)) is evaluated once per distinct label, at the
+    exact integer.
     """
 
     def __init__(self, basis: SectorBasis):
@@ -387,7 +398,7 @@ class Su2Generators:
     def j2_decomposition(self) -> SpectralDecomposition:
         """The decomposition of J^2 over every (n, weight) sector, built on
         first read and kept: what the whole-space readers (``j_hat``, every
-        whole-space function of j, ``su2ladders spectrum``) read, with the
+        whole-space function of j) read, with the
         weight-0 view's (n, 0) eigenpairs when the view exists (the view
         never builds it)."""
         if self._j2_decomp is None:
@@ -401,8 +412,18 @@ class Su2Generators:
         as its ``function_of``."""
         return self.j2_decomposition().operator
 
+    def j2_sectors(self) -> Iterator:
+        """Yield (key, block, eigenvalues, eigenvectors, labels) of each
+        (n, weight) sector of J^2 in ascending order and keep none
+        (``_sector_eigenpairs``, with the weight-0 view's (n, 0) eigenpairs
+        when it exists), the labels snapped as ``SpectralDecomposition``
+        snaps them."""
+        for key, _idx, block, vals, vecs in _sector_eigenpairs(
+                self.J2, self._weight0 and self._weight0.decomposition):
+            yield key, block, vals, vecs, _snap_labels(vals, key, self.s)
+
     def j_values_by_sector(self) -> dict:
-        return {key: _j_from_casimir(vals)
+        return {key: j_from_casimir(vals)
                 for key, idx, vals, vecs in self.j2_decomposition().sectors}
 
     def sum_times_functions_of_j(

@@ -1173,9 +1173,9 @@ def test_on_columns_equals_copy_and_zero_reference(ctx, spin):
 # -- the Fock-layer certificates in bulk -------------------------------------
 #
 # weyl-pair-commutator reads every [a_mu, a_nu^dagger] from two stacked
-# products, and jordan-schwinger-homomorphism reads [X^, Y^] - Z^ block by
-# block in n.  The references are the pairwise loop and the whole-space
-# commutator those checks replaced.
+# products, and jordan-schwinger-homomorphism reads [X^, Y^] - Z^ on
+# Gaussian probe columns.  The references are the pairwise loop and the
+# whole-space commutator those checks replaced.
 
 
 def _check(block, spin, n_max, name):
@@ -1207,64 +1207,70 @@ def test_weyl_table_equals_the_pairwise_residuals(ctx, spin, n_max):
     assert check.residual == _pairwise_weyl(ctx(spin, n_max).basis, spin)
 
 
-def _homomorphism_images(basis, s):
-    # The two draws of jordan-schwinger-homomorphism: (X^, Y^, [X, Y]^).
+def _homomorphism_draws(basis, s):
+    # The two (x, y) draws of jordan-schwinger-homomorphism.
     rng = np.random.default_rng(20240 + s)
     m = basis.modes
     draws = []
     for _ in range(2):
         x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        x = 0.5 * (x + x.conj().T)
-        y = 0.5 * (y + y.conj().T)
-        draws.append(tuple(su2ladders.schwinger.jordan_schwinger(basis, z)
-                           for z in (x, y, x @ y - y @ x)))
+        draws.append((0.5 * (x + x.conj().T), 0.5 * (y + y.conj().T)))
     return draws
 
 
 @pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5), (4, 4)])
-def test_streamed_commutator_blocks_equal_the_whole_space_one(
-        ctx, spin, n_max):
+def test_probe_residual_estimates_the_whole_space_one(monkeypatch, ctx, spin,
+                                                      n_max):
+    # On the check's own probe columns, each draw's estimate lies within a
+    # factor 3 of the exact residual(commutator(X^, Y^), Z^, 0): at
+    # rounding level (ratios 1.2 to 1.9), and with the stored entry halfway
+    # through X^ times (1 + 1e-9), the mutation of
+    # test_homomorphism_gate_catches_one_scaled_entry (0.93 to 1.4).
     basis = ctx(spin, n_max).basis
-    order = np.argsort(basis.totals, kind="stable")
-    bounds = np.searchsorted(basis.totals[order],
-                             np.arange(basis.n_max + 2)).tolist()
-    for x_hat, y_hat, z_hat in _homomorphism_images(basis, spin):
-        formed = list(su2ladders.verify._n_blocks(basis, x_hat, y_hat, z_hat))
-        got = su2ladders.verify._homomorphism_residual(basis, x_hat, y_hat,
-                                                       z_hat)
-        whole = commutator(x_hat, y_hat)
-        permuted = whole.matrix[order][:, order].tocsr()
-        z_permuted = z_hat.matrix[order][:, order].tocsr()
-        assert len(formed) == basis.n_max + 1
-        for (c_n, z_n), lo, hi in zip(formed, bounds[:-1], bounds[1:]):
-            assert (z_n != z_permuted[lo:hi, lo:hi]).nnz == 0
-            want = permuted[lo:hi, lo:hi]
-            c_n = c_n.tocsr().copy()
-            c_n.sum_duplicates()
-            c_n.eliminate_zeros()
-            want.eliminate_zeros()
-            for field in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(c_n, field),
-                                      getattr(want, field))
-        want = residual(whole, z_hat, 0)
-        assert got.interior_margin == 0
-        assert abs(got.frobenius_relative - want.frobenius_relative) <= 1e-15
-        assert math.isclose(got.frobenius_absolute, want.frobenius_absolute,
-                            rel_tol=1e-12)
+    probes = np.random.default_rng(su2ladders.verify.PROBE_SEED
+                                   ).standard_normal((len(basis), 16))
+    assert su2ladders.verify.PROBES == 16
+    build = su2ladders.verify.jordan_schwinger
+    for x, y in _homomorphism_draws(basis, spin):
+        for scale in (1.0, 1.0 + 1e-9):
+            def image(basis, a, x=x, scale=scale):
+                out = build(basis, a)
+                if a is not x:
+                    return out
+                m = out.matrix.copy()
+                m.data[m.nnz // 2] *= scale
+                return SparseOperator(basis, m)
+            monkeypatch.setattr(su2ladders.verify, "jordan_schwinger", image)
+            got = su2ladders.verify._probe_residual(basis, x, y, probes)
+            x_hat, y_hat, z_hat = (image(basis, a)
+                                   for a in (x, y, x @ y - y @ x))
+            want = residual(commutator(x_hat, y_hat), z_hat, 0)
+            assert got.interior_margin == 0
+            ratio = got.frobenius_relative / want.frobenius_relative
+            assert 1 / 3 <= ratio <= 3, (ratio, want.frobenius_relative)
 
 
-def test_homomorphism_refuses_an_image_that_changes_n(ctx):
-    # The streamed residual reads the n-blocks only, so an entry between two
-    # particle numbers must fail the check instead of going unread.
+def test_homomorphism_refuses_an_image_that_changes_n(monkeypatch, ctx):
+    # The probes read every entry of the images, so an entry between two
+    # particle numbers in X^ fails the check.
     basis = ctx(2, 4).basis
-    x_hat, y_hat, z_hat = _homomorphism_images(basis, 2)[0]
-    m = x_hat.matrix.tolil()
-    i, j = basis.state_index((0, 0, 1, 0, 0)), basis.state_index((0,) * 5)
-    m[i, j] = 1e-3
-    with pytest.raises(SectorStructureError, match="does not conserve n"):
-        su2ladders.verify._homomorphism_residual(
-            basis, SparseOperator(basis, m.tocsr()), y_hat, z_hat)
+    images = su2ladders.verify.jordan_schwinger
+    calls = []
+
+    def changing_n(basis, x):
+        image = images(basis, x)
+        calls.append(x)
+        if len(calls) > 1:
+            return image
+        m = image.matrix.tolil()
+        i, j = basis.state_index((0, 0, 1, 0, 0)), basis.state_index((0,) * 5)
+        m[i, j] = 1e-3
+        return SparseOperator(basis, m.tocsr())
+    monkeypatch.setattr(su2ladders.verify, "jordan_schwinger", changing_n)
+    check = _check(su2ladders.verify._schwinger_checks, 2, 4,
+                   "jordan-schwinger-homomorphism")
+    assert not check.passed and check.residual > 1e-6
 
 
 def test_block_squares_read_residual_block_by_block(ctx):

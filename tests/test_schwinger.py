@@ -19,8 +19,8 @@ from su2ladders.operators import (BasisMismatchError, SparseOperator,
                                   creation_op, residual)
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
-                                  SpectrumSnapError, WeightLeakError,
-                                  _evaluate, _phase_fixed,
+                                  SpectrumSnapError, Su2Generators,
+                                  WeightLeakError, _evaluate, _phase_fixed,
                                   jordan_schwinger, jz_kernel, su2_generators)
 from su2ladders.verify import SuiteConfig, run_suite
 
@@ -588,20 +588,35 @@ def test_jpoly_values_equal_the_general_path(spin):
 
 
 def test_each_weight0_sector_is_diagonalised_once(monkeypatch):
-    # The whole-space decomposition and the weight-0 view share the (n, 0)
-    # eigenpairs, whichever is built first: one eigh per sector in a
-    # run_suite, and the same arrays in both.
+    # The whole-space decomposition, the one-pass read of J^2's sectors
+    # (j2_sectors) and the weight-0 view share the (n, 0) eigenpairs: one
+    # eigh per sector in a run_suite, and the same arrays in the view and
+    # the pass; and whichever of the decomposition and the view is built
+    # first, the same arrays in both.
     calls = []
     eigh = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_decomposition":
+        if sys._getframe(1).f_code.co_name == "_sector_eigenpairs":
             calls.append(a.shape)
         return eigh(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    read = {}
+    j2_sectors = Su2Generators.j2_sectors
+
+    def recording(self):
+        for key, block, vals, vecs, labels in j2_sectors(self):
+            if key[1] == 0:
+                read[key] = (self.weight0().decomposition.sectors[key[0]],
+                             vals, vecs)
+            yield key, block, vals, vecs, labels
+    monkeypatch.setattr(Su2Generators, "j2_sectors", recording)
     sectors = len(enumerate_sector(2, 4).sector_table().keys)
     assert run_suite(SuiteConfig(spins=[2], n_max=4)).overall_pass
     assert len(calls) == sectors
+    assert len(read) == 5
+    for (_key, _idx, w0_vals, w0_vecs), vals, vecs in read.values():
+        assert w0_vals is vals and w0_vecs is vecs
     for whole_first in (True, False):
         calls.clear()
         g = su2_generators(enumerate_sector(2, 4))

@@ -221,28 +221,31 @@ def test_deformed_generators_gate_catches_entrywise_perturbation(spin):
 
 
 def test_j_defining_identity_gate_catches_one_perturbed_entry(monkeypatch):
-    # j(j+1) = J^2 reads about 1e-15 at (2, 4); one entry of the (4, 0)
-    # sector block of j moved by 1e-9 max|j| fails its 1e-10 gate.
+    # J^2 V = V j(j+1) and V^T V = I read about 1e-15 at (2, 4).  One entry
+    # of the (4, 0) sector's J^2 block moved by 1e-9 max|J^2| reads 1.8e-10
+    # relative to ||J^2||_F (400), and one entry of its eigenvector table
+    # moved by 1e-9 reads 1.5e-9 in V^T V - I: each fails the 1e-10 gate.
     def check():
         report = _run_block(_schwinger_checks, _SpinContext(2, 4))
         return next(c for c in report.checks
                     if c.name == "j-defining-identity")
     assert check().passed and check().residual < 1e-14
-    j_hat = Su2Generators.j_hat
+    j2_sectors = Su2Generators.j2_sectors
 
     def perturbed(self):
-        jh = j_hat(self)
-        k = self.basis.sector_table().keys.index((4, 0))
-        blocks = dict(jh.blocks)
-        target, block = blocks[k]
-        block = block.copy()
-        block[1, 2] += 1e-9 * max(np.abs(b).max() for _t, b in blocks.values())
-        blocks[k] = (target, block)
-        return SectorBlocks(self.basis, blocks)
-    monkeypatch.setattr(Su2Generators, "j_hat", perturbed)
-    failed = check()
-    assert not failed.passed and failed.residual > 1e-10
-    assert failed.tolerance == 1e-10
+        for key, block, vals, vecs, labels in j2_sectors(self):
+            if key == (4, 0):
+                block, vecs = block.copy(), vecs.copy()
+                if part == "block":
+                    block[1, 2] += 1e-9 * np.abs(self.J2.matrix.data).max()
+                else:
+                    vecs[1, 2] += 1e-9
+            yield key, block, vals, vecs, labels
+    monkeypatch.setattr(Su2Generators, "j2_sectors", perturbed)
+    for part in ("block", "vectors"):
+        failed = check()
+        assert not failed.passed and failed.residual > 1e-10, part
+        assert failed.tolerance == 1e-10
 
 
 def _named_check(block, ctx, name):
@@ -274,6 +277,19 @@ def test_weyl_pair_gate_catches_one_scaled_entry(monkeypatch, spin):
     monkeypatch.setattr(su2ladders.verify, "creation_op", scaled)
     failed = check()
     assert not failed.passed and failed.residual > 1e-12
+
+
+def test_suite_never_builds_the_whole_space_decomposition_above_spin_1(
+        monkeypatch):
+    # Both whole-space certificates read J^2 one sector at a time
+    # (j2_sectors) and the images on probe columns, so at s >= 2 the suite
+    # passes with the whole-space decomposition, and with it j, refused.
+    def refuse(self):
+        raise AssertionError("the suite read the whole-space decomposition")
+    monkeypatch.setattr(Su2Generators, "j2_decomposition", refuse)
+    report = run_suite(SuiteConfig(spins=[2, 3], n_max=4))
+    assert report.overall_pass, [c.detail for c in report.checks
+                                 if not c.passed]
 
 
 @pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5), (4, 4)])
