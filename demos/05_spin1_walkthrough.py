@@ -12,8 +12,9 @@ from a+_0 alone.
 import numpy as np
 
 from su2ladders import (SectorBlocks, build_families, canonical_basis_s1,
-                        commutator, demo_s1_operators, enumerate_sector,
-                        jz_kernel, residual, su2_generators, tau_bar_forms)
+                        commutator, creation_op, demo_s1_operators,
+                        enumerate_sector, jz_kernel, residual, su2_generators,
+                        tau_bar_forms)
 from su2ladders.casimir import s1_tau_bracket_ladder
 
 basis = enumerate_sector(1, 5)
@@ -52,7 +53,7 @@ amps = {basis.states[i]: round(float(sample.vector[i].real), 6)
 print(f"  |n=2, j=2, j_z=1> = {amps}")
 
 print("\nsingle-mode ladder forms from a+_0 alone:")
-tb = tau_bar_forms(basis, gens, families)
+tb = tau_bar_forms(basis, gens, families, creation_op(basis, 0))
 print(f"  [j, [j, a+_0]] = a+_0 : {tb.double_commutator.frobenius_relative:.2e}")
 print(f"  ladder relation residuals: {tb.rlo_plus.frobenius_relative:.2e} "
       f"(raising), {tb.rlo_minus.frobenius_relative:.2e} (lowering partner)")

@@ -36,8 +36,9 @@ from .ladder import (AlphaMatrix, ConsistencyError, PreconditionError,
                      build_alpha, check_llo, check_power_identity, check_rlo,
                      check_rlo_compose, det_certificate, family_for_theta,
                      right_function_poly, right_functions, solve_sigma)
-from .casimir import (CanonicalVector, DemoS1Operators, KernelLatticeReport,
-                      LadderFamily, LatticeArrow, TauOperator,
+from .casimir import (CanonicalVector, DemoS1Operators, GradeError,
+                      KernelLatticeReport, LadderFamily, LatticeArrow,
+                      TauOperator,
                       assemble_tau, build_alpha_certified, build_families,
                       build_taus, canonical_basis_s1, certify_alpha,
                       complete_set_check, deformed_generators,
@@ -54,7 +55,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaMatrix", "BasisMismatchError", "CanonicalVector",
-    "ConsistencyError", "DemoS1Operators", "EmptyInteriorError", "JPoly",
+    "ConsistencyError", "DemoS1Operators", "EmptyInteriorError",
+    "GradeError", "JPoly",
     "KernelLatticeReport", "KernelVector", "LadderFamily", "LatticeArrow",
     "PreconditionError", "ResidualReport", "RightFunction",
     "RightFunctionError", "SectorBasis", "SectorBlocks", "SigmaVector",

@@ -19,10 +19,11 @@ products on the weight-0 column block and each a_mu^dagger as a row map
 level blocks (``LadderFamily.weight0_ops``); a column that leaves weight 0 is
 refused (WeightLeakError).  The same routine on every column gives the
 whole-space operators (``LadderFamily.ops``), formed on first read by the
-grade record, the whole-space tau, the spin-1 expressions and ``dump-op``.
-The grade record (``LadderFamily.off_grade``) is the one place the grade of
-each T_k is read, once per family instance: the entries off (1, 0), which
-the family checks of ``verify`` and the grade certificate all read.
+family, complete-set and deformed checks of ``verify``, the whole-space tau,
+the spin-1 expressions and ``dump-op``.  The grade of each T_k holds by
+construction: ``_family_columns`` reads every stored entry it forms against
+its column's state and refuses the first one off grade (1, 0)
+(GradeError), on the weight-0 columns and on the whole space alike.
 
 Each tau is held on weight 0 too (``TauOperator.weight0``), and
 ``build_taus`` assembles a family's tau in one pass over the levels
@@ -34,12 +35,13 @@ kernel nodes of each level (``Weight0View.nodes``): every product is one gemm
 per level block.  The tau certificates and the resolvent relations take
 every tau of a spin at once, as stacked level blocks, and form only the
 level pairs their margin-1 rows read (``tau_certificates``,
-``resolvent_commutator_checks``).  What tau does off weight 0 is certified from its grade
-instead (``tau_off_grade``, read from the grade record): every T_k maps
-each (n, w) sector into (n + 1, w) and sigma_k(j) is block diagonal, so
-tau tau^dagger and the deformed generators commute with N and J_z
-exactly.  The whole-space tau (``TauOperator.op``) is built on demand, for
-the spin-1 expressions and for export.
+``resolvent_commutator_checks``).  What tau does off weight 0 follows from
+the grade: every T_k maps each (n, w) sector into (n + 1, w) and sigma_k(j)
+is block diagonal, so tau tau^dagger and the deformed generators commute
+with N and J_z exactly; the checks of ``verify`` that claim it read the
+whole-space families, which cannot be formed off grade.  The whole-space
+tau (``TauOperator.op``) is built on demand, for the spin-1 expressions and
+for export.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
 from .operators import (BasisMismatchError, ResidualReport, SectorBlocks,
                         SectorStructureError, SparseOperator, _restriction,
                         blocks_fro, commutator, commutator_on_columns,
-                        commutator_residual, creation_op, entry_grades,
-                        interior_factors, number_op, on_columns,
-                        raised_states, residual, scaled_residual,
+                        commutator_residual, interior_factors, number_op,
+                        on_columns, raised_states, residual, scaled_residual,
                         sector_blocks, two_sided_residual)
 from .schwinger import Su2Generators, _phase_fixed, jz_kernel
 
@@ -72,21 +73,20 @@ from .schwinger import Su2Generators, _phase_fixed, jz_kernel
 class LadderFamily:
     """The symmetric (p) and antisymmetric (m) operator families for one spin.
 
-    Both commute with J_z and raise the total particle number by one;
-    index k = 0..s of the p family sits at position k, index k = 1..s of
-    the m family at position k - 1.  Each operator is held in two forms,
-    both formed by ``_family_columns``: ``p_weight0``/``m_weight0``, its
-    weight-0 level blocks (``SectorBlocks`` on the weight-0 basis), formed
-    by ``build_families`` and read by the closure certificate and fit, tau
-    and the lattice; and ``p_ops``/``m_ops``, the whole-space
-    ``SparseOperator``, formed on first read and kept on this instance (not
-    a field, so a ``dataclasses.replace`` copy forms its own) for the grade
-    record, the whole-space tau and the spin-1 expressions.  Each column of
-    a CSR product sums the same terms in the same order whatever the other
-    columns are, so the level blocks equal ``Weight0View.of`` of the
-    whole-space operators array for array.  ``off_grade`` reads each
-    whole-space T_k's entries once and keeps those off grade (1, 0): the
-    grade record, which the family checks and ``tau_off_grade`` select from.
+    Both commute with J_z and raise the total particle number by one, by
+    construction: ``_family_columns`` refuses an entry off grade (1, 0)
+    (GradeError).  Index k = 0..s of the p family sits at position k, index
+    k = 1..s of the m family at position k - 1.  Each operator is held in
+    two forms, both formed by ``_family_columns``: ``p_weight0``/
+    ``m_weight0``, its weight-0 level blocks (``SectorBlocks`` on the
+    weight-0 basis), formed by ``build_families`` and read by the closure
+    certificate and fit, tau and the lattice; and ``p_ops``/``m_ops``, the
+    whole-space ``SparseOperator``, formed on first read and kept on this
+    instance (not a field, so a ``dataclasses.replace`` copy forms its own)
+    for the family checks, the complete set, the whole-space tau and the
+    spin-1 expressions.  Each column of a CSR product sums the same terms in
+    the same order whatever the other columns are, so the level blocks equal
+    ``Weight0View.of`` of the whole-space operators array for array.
     """
     s: int
     basis: SectorBasis
@@ -94,8 +94,8 @@ class LadderFamily:
     p_weight0: tuple[SectorBlocks, ...]
     m_weight0: tuple[SectorBlocks, ...]
     # What is formed from these operators once and kept (``closure_fit``,
-    # ``closure_commutators``, ``off_grade``, ``s1_reference_taus``).  Not
-    # an init field, so a ``dataclasses.replace`` copy starts with its own.
+    # ``closure_commutators``, ``s1_reference_taus``).  Not an init field,
+    # so a ``dataclasses.replace`` copy starts with its own.
     _values: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
@@ -160,38 +160,18 @@ class LadderFamily:
                     for eta, t in self.weight0_ops(family).items()}
         return self.kept(("commutators", family), generators, build)
 
-    def off_grade(self, select=lambda dn, dw: (dn != 1) | (dw != 0)
-                  ) -> dict[tuple[str, int], str]:
-        """(family, k) -> the first entry of the whole-space T_k off grade
-        (1, 0) that ``select(dn, dw)`` picks, in CSR order, named by its two
-        states, for each T_k with one (p family first).  The entries off
-        grade are read once per instance, one ``entry_grades`` per T_k, and
-        kept: the grade record, empty when every T_k has grade (1, 0)."""
-        def read():
-            record = {}
-            for family in (P_FAMILY, M_FAMILY):
-                for k, t_k in self.ops(family).items():
-                    grades = entry_grades(t_k)
-                    off = (grades[2] != 1) | (grades[3] != 0)
-                    if off.any():
-                        record[family, k] = [x[off] for x in grades]
-            return record
-        states, out = self.basis.states, {}
-        for key, (rows, cols, dn, dw) in self.kept(
-                "grade", self.generators, read).items():
-            if len(picked := np.flatnonzero(select(dn, dw))):
-                i = picked[0]
-                out[key] = (f"sends {states[cols[i]]} to {states[rows[i]]}: "
-                            f"grade ({dn[i]}, {dw[i]}), not (1, 0) "
-                            f"({len(picked)} such entries)")
-        return out
+
+class GradeError(ValueError):
+    """A family operator T_k has an entry off grade (1, 0): it does not
+    raise N by exactly one, or it changes the weight."""
 
 
 def build_families(basis: SectorBasis, generators: Su2Generators) -> LadderFamily:
     """Construct both operator families for the generators' spin, as their
     weight-0 level blocks (``Weight0View.from_columns``, which refuses a
-    column that leaves weight 0 with WeightLeakError); the whole-space
-    operators are formed on first read."""
+    column that leaves weight 0 with WeightLeakError), each of grade (1, 0)
+    (``_family_columns``); the whole-space operators are formed on first
+    read."""
     if generators.basis is not basis and generators.basis != basis:
         raise BasisMismatchError("basis does not match the generators")
     w0 = generators.weight0()
@@ -215,6 +195,12 @@ def _family_columns(generators: Su2Generators, columns: np.ndarray
     same terms in the same order whatever the other columns are.  The
     columns at n_max are left empty before the products: every
     a_mu^dagger sends them past the truncation, so T_k vanishes there.
+
+    Every T_k has grade (1, 0): it maps each (n, w) sector into (n + 1, w).
+    Each stored nonzero entry formed is read against its column's state
+    (``basis.totals`` and ``basis.weights``), p family first, and the first
+    entry off that grade, in CSR order, raises GradeError naming T_k, the
+    entry's two states and its grade.
     """
     basis, s = generators.basis, generators.s
     dim, width = len(basis), len(columns)
@@ -232,6 +218,19 @@ def _family_columns(generators: Su2Generators, columns: np.ndarray
         plus, minus = _raised_rows(basis, -k, up), _raised_rows(basis, k, down)
         p.append((1.0 / norm) * (plus + minus))
         m.append((1.0 / norm) * (plus - minus))
+    for name, x in ([(f"{P_FAMILY}_{k}", x) for k, x in enumerate(p)]
+                    + [(f"{M_FAMILY}_{k}", x) for k, x in enumerate(m, 1)]):
+        cols, counts = columns[x.indices], np.diff(x.indptr)
+        dn = np.repeat(basis.totals, counts) - basis.totals[cols]
+        dw = np.repeat(basis.weights, counts) - basis.weights[cols]
+        off = np.flatnonzero(((dn != 1) | (dw != 0)) & (x.data != 0))
+        if len(off):
+            i = off[0]
+            row = np.searchsorted(x.indptr, i, side="right") - 1
+            raise GradeError(
+                f"{name} sends {basis.states[cols[i]]} to "
+                f"{basis.states[row]}: grade ({dn[i]}, {dw[i]}), not (1, 0) "
+                f"({len(off)} such entries)")
     return p, m
 
 
@@ -427,8 +426,8 @@ class TauOperator:
 
     ``weight0`` is tau on the weight-0 subspace (``Su2Generators.weight0``),
     where every ladder claim is read: a ``SectorBlocks`` with one dense
-    block from each level n into level n + 1.  Its action off weight 0 is
-    certified from the grade of its terms (``tau_off_grade``).  ``op`` is
+    block from each level n into level n + 1.  Its terms T_k have grade
+    (1, 0) by construction (``_family_columns``), and so does tau.  ``op`` is
     tau on the whole space, as (n, w) sector blocks, read only by
     ``dump-op``, the spin-1 scale checks and the tests, assembled by the
     same routine on first read (``Su2Generators.sum_times_functions_of_j``)
@@ -448,23 +447,6 @@ class TauOperator:
             (t_k, self.sigma.sigmas[k])
             for k, t_k in self.families.ops(self.family).items()
             if not self.sigma.sigmas[k].is_zero()])
-
-
-def tau_off_grade(tau: TauOperator) -> list[str]:
-    """Each term T_k of tau with an entry off grade (1, 0), named by theta,
-    k and the entry's two states; empty when tau has grade (1, 0).
-
-    tau = sum_k T_k sigma_k(j), and each sigma_k(j) is block diagonal over
-    the (n, w) sectors (``SpectralDecomposition.of`` refuses a J^2 that
-    couples them).  So when every T_k maps each (n, w) sector into
-    (n + 1, w), tau has grade (1, 0), and tau tau^dagger and the deformed
-    generators have grade (0, 0): they commute with N and J_z exactly.  The
-    terms (sigma_k != 0) are looked up in the families' grade record
-    (``LadderFamily.off_grade``), with no tolerance and no product.
-    """
-    return [f"tau[{tau.theta:+d}] term k={k} {line}"
-            for (family, k), line in tau.families.off_grade().items()
-            if family == tau.family and not tau.sigma.sigmas[k].is_zero()]
 
 
 def assemble_tau(families: LadderFamily, sigma: SigmaVector,
@@ -869,9 +851,11 @@ def deformed_generators(tau_minus: TauOperator
     hermitian by construction, formed from tau's weight-0 level blocks
     (``TauOperator.weight0``), so they live on the weight-0 basis, one block
     per level.  tau maps weight 0 to itself, so they are the weight-0 blocks
-    of the whole-space products up to rounding.  Off weight 0 they are
-    certified from tau's grade (``tau_off_grade``, read from the families'
-    grade record): grade (0, 0), so they commute with N and J_z.
+    of the whole-space products up to rounding.  Off weight 0 they have
+    grade (0, 0), as tau has (1, 0), which its whole-space family holds by
+    construction (``LadderFamily.ops`` refuses an entry off grade with
+    GradeError), so they commute with N and J_z; ``verify``'s deformed
+    check reads that family.
     """
     if tau_minus.theta >= 0:
         raise ValueError("deformed generators need theta = -omega with omega >= 1")
@@ -909,7 +893,6 @@ class SeparationNode:
 class CompleteSetReport:
     commutator_residuals: dict[tuple[int, str], ResidualReport]
     separation: list[SeparationNode]
-    off_grade: list[str]
 
 
 def complete_set_check(generators: Su2Generators,
@@ -921,11 +904,11 @@ def complete_set_check(generators: Su2Generators,
     Each A_theta is formed on weight 0, from tau's level blocks, one block
     per level.  Its commutator with J^2 is read on the weight-0 interior
     (margin PAIR_MARGIN), where the ladder relation that implies it holds.
-    Its commutators with J_z and N are certified from tau's grade
-    (``tau_off_grade``), exactly and on every weight: ``off_grade`` lists
-    each term of each tau with an entry off grade (1, 0), from the
-    families' grade record (``LadderFamily.off_grade``, read once).  The
-    scan then looks for kernel nodes of dimension >= 2
+    Its commutators with J_z and N vanish exactly and on every weight
+    because tau has grade (1, 0), which its whole-space family holds by
+    construction (``LadderFamily.ops`` refuses an entry off grade with
+    GradeError); ``verify``'s ``tau-complete-set`` reads that family, so
+    no weight-0 claim here forms it.  The scan then looks for kernel nodes of dimension >= 2
     (``Weight0View.nodes``) and reports whether the eigenvalues of the
     A_theta restricted to the node separate its states (eigenvalues within
     1e-6, relative, count as degenerate), reading each A_theta's block of
@@ -933,13 +916,11 @@ def complete_set_check(generators: Su2Generators,
     """
     residuals: dict[tuple[int, str], ResidualReport] = {}
     prods: dict[int, SectorBlocks] = {}
-    off_grade: list[str] = []
     w0 = generators.weight0()
     for theta in sorted(taus):
         t_dag = taus[theta].weight0
         prod = prods[theta] = t_dag @ t_dag.adjoint()
         residuals[(theta, "J2")] = commutator_residual(prod, w0.J2, PAIR_MARGIN)
-        off_grade += tau_off_grade(taus[theta])
 
     separation: list[SeparationNode] = []
     for n in range(0, n_limit + 1):
@@ -952,7 +933,7 @@ def complete_set_check(generators: Su2Generators,
             separation.append(_separate_node(
                 (n, j), level.vectors[:, level.labels == j], blocks))
     return CompleteSetReport(commutator_residuals=residuals,
-                             separation=separation, off_grade=off_grade)
+                             separation=separation)
 
 
 def _separate_node(node, basis_mat, prods):
@@ -1231,8 +1212,10 @@ class TauBarReport:
 
 
 def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
-                  families: LadderFamily) -> TauBarReport:
-    """Single-mode ladder forms tbar[+/-1] = +/-[j, a_0^dagger] + a_0^dagger.
+                  families: LadderFamily, ad0: SparseOperator
+                  ) -> TauBarReport:
+    """Single-mode ladder forms tbar[+/-1] = +/-[j, a_0^dagger] + a_0^dagger,
+    a_0^dagger given as ``ad0`` (``creation_op(basis, 0)``).
 
     Verifies on the weight-0 view (``Su2Generators.weight0``) that each is
     a ladder operator of J^2 with the same right functions as tau[+/-1]
@@ -1244,7 +1227,7 @@ def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,
     if generators.s != 1:
         raise ValueError("single-mode ladder forms are specific to spin 1")
     jh = generators.j_hat()
-    ad0 = sector_blocks(creation_op(basis, 0))
+    ad0 = sector_blocks(ad0)
     bracket = commutator(jh, ad0)
     tbar_plus = bracket + ad0
     tbar_minus = -1.0 * bracket + ad0

@@ -53,8 +53,27 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1, else a usage error naming the
+    flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    """An argparse type: a comma-separated list of integers >= 1."""
+    values = [_positive_int(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError("no value given")
+    return values
+
+
 def _cmd_verify(args) -> int:
-    spins = [int(x) for x in str(args.spin).split(",") if x]
     default_tol = args.tolerance
     if default_tol is None and os.environ.get(TOLERANCE_ENV_VAR):
         default_tol = float(os.environ[TOLERANCE_ENV_VAR])
@@ -65,7 +84,7 @@ def _cmd_verify(args) -> int:
             raise SystemExit(f"bad --tolerance-override {item!r}; "
                              "expected NAME=VALUE")
         overrides[name] = float(value)
-    config = SuiteConfig(spins=spins, n_max=args.nmax,
+    config = SuiteConfig(spins=args.spin, n_max=args.nmax,
                          tolerance_overrides=overrides,
                          output_format=args.format,
                          default_tolerance=default_tol)
@@ -222,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the certification suite")
-    v.add_argument("--spin", default="1,2",
+    v.add_argument("--spin", type=_positive_ints, default="1,2",
                    help="comma-separated list of spins (default 1,2)")
-    v.add_argument("--nmax", type=int, default=4)
+    v.add_argument("--nmax", type=_positive_int, default=4)
     v.add_argument("--tolerance", type=float, default=None,
                    help="replace the default tolerance of every check")
     v.add_argument("--tolerance-override", action="append", metavar="NAME=VAL",
@@ -234,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("spectrum", help="Casimir spectrum with j labels")
-    sp.add_argument("--spin", type=int, required=True)
+    sp.add_argument("--spin", type=_positive_int, required=True)
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--sector", default=None, metavar="N,W")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -242,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_spectrum)
 
     la = sub.add_parser("ladders", help="sigma table and right functions")
-    la.add_argument("--spin", type=int, required=True)
+    la.add_argument("--spin", type=_positive_int, required=True)
     la.add_argument("--out", default=None)
     la.set_defaults(func=_cmd_ladders)
 
     ke = sub.add_parser("kernel", help="(n, j) lattice report")
-    ke.add_argument("--spin", type=int, required=True)
-    ke.add_argument("--nmax", type=int, required=True)
+    ke.add_argument("--spin", type=_positive_int, required=True)
+    ke.add_argument("--nmax", type=_positive_int, required=True)
     ke.add_argument("--out", default=None)
     ke.set_defaults(func=_cmd_kernel)
 
@@ -263,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     ba.set_defaults(func=_cmd_basis)
 
     du = sub.add_parser("dump-op", help="export one operator as JSON")
-    du.add_argument("--spin", type=int, required=True)
+    du.add_argument("--spin", type=_positive_int, required=True)
     du.add_argument("--nmax", type=int, required=True)
     du.add_argument("--op", required=True)
     du.add_argument("--out", default=None)

@@ -603,26 +603,6 @@ def sector_blocks(x: SparseOperator) -> SectorBlocks:
     return SectorBlocks.from_entries(x.basis, m.row, m.col, m.data)
 
 
-def entry_grades(x: SparseOperator
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column, Delta n and Delta weight of each stored nonzero entry of X.
-
-    The grade of the entry at (row, col) is (n(row) - n(col),
-    w(row) - w(col)), read from ``basis.totals`` and ``basis.weights``; the
-    entries come in CSR order, explicit zeros skipped.  X has grade (dn, dw)
-    when every entry does: it then maps each (n, w) sector into
-    (n + dn, w + dw), and commutes with N and J_z exactly when that grade is
-    (0, 0).  No product is formed.
-    """
-    m = x.matrix
-    nonzero = m.data != 0
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))[nonzero]
-    cols = m.indices[nonzero]
-    totals, weights = x.basis.totals, x.basis.weights
-    return (rows, cols, totals[rows] - totals[cols],
-            weights[rows] - weights[cols])
-
-
 # -- interior-restricted residuals -------------------------------------------
 
 def _restriction(basis, margin: int) -> np.ndarray:

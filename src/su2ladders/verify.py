@@ -32,7 +32,7 @@ from .casimir import (alpha_entry_deviation, build_alpha_certified,
                       resolvent_commutator_checks, s1_full_closure_residuals,
                       s1_inverse_expressions, s1_mutual_commutators,
                       s1_reference_taus, s1_tau_bracket_ladder, tau_bar_forms,
-                      tau_certificates, tau_off_grade)
+                      tau_certificates)
 from .fock import dimension, enumerate_sector
 from .ladder import (M_FAMILY, P_FAMILY, build_alpha, build_alpha_variant_diag4,
                      check_llo, check_power_identity, check_rlo,
@@ -739,21 +739,18 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
     p = {"s": s}
 
     # The families are read inside each check, as the taus are, so a
-    # failure to build them fails the check.  Both read their part of the
-    # families' grade record (``LadderFamily.off_grade``): exact, so any
-    # entry off grade fails, and no product is formed.
-    def graded(select):
-        def check(tol):
-            off = ctx.families.off_grade(select)
-            if not off:
-                return 0.0, True, ""
-            (family, k), line = next(iter(off.items()))
-            return 1.0, False, f"{family}_{k} {line}"
-        return check
+    # failure to build them fails the check.  Both read the whole-space
+    # families, whose every T_k has grade (1, 0) by construction
+    # (``_family_columns`` refuses an entry off grade with GradeError):
+    # exact, so any entry off grade fails both, and no product is formed.
+    def whole_space_families(tol):
+        for family in (P_FAMILY, M_FAMILY):
+            ctx.families.ops(family)
+        return 0.0, True, ""
     r.run("family-number-ladder", "family-number-ladder", p, 1e-10,
-          graded(lambda dn, dw: dn != 1))
+          whole_space_families)
     r.run("family-jz-commuting", "family-jz-commuting", p, 1e-10,
-          graded(lambda dn, dw: dw != 0))
+          whole_space_families)
 
     # theta runs over -s..s, not over ctx.taus: the taus and their
     # certificates are read inside each check, so a failure to build them
@@ -774,11 +771,13 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     def complete_set(tol):
         # [A, J^2] is read on weight 0; [A, J_z] and [A, N] vanish exactly
-        # when every tau has grade (1, 0), which is certified structurally.
-        cs = ctx.complete_set
+        # because every tau has grade (1, 0), which its whole-space family
+        # holds by construction (GradeError otherwise).
+        for tau in ctx.taus.values():
+            tau.families.ops(tau.family)
         worst = max(rep.frobenius_relative
-                    for rep in cs.commutator_residuals.values())
-        return worst, worst < tol and not cs.off_grade, "; ".join(cs.off_grade)
+                    for rep in ctx.complete_set.commutator_residuals.values())
+        return worst, worst < tol, ""
     r.run("tau-complete-set", "tau-complete-set", p, 1e-8, complete_set)
 
     def separation(tol):
@@ -942,16 +941,17 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
         p = {"s": s, "omega": omega}
 
         def deformed(tol, omega=omega):
-            # L_z and L^2 live on weight 0; they commute with N because
-            # tau[-omega] has grade (1, 0), which is certified structurally.
+            # L_z and L^2 live on weight 0; they commute with N and J_z
+            # because tau[-omega] has grade (1, 0), which its whole-space
+            # family holds by construction (GradeError otherwise).
             tau = ctx.taus[-omega]
+            tau.families.ops(tau.family)
             lz, l2 = deformed_generators(tau)
             w0 = gens.weight0()
             worst = max(
                 commutator_residual(l2, w0.J2, 2).frobenius_relative,
                 commutator_residual(lz, w0.J2, 2).frobenius_relative)
-            off_grade = tau_off_grade(tau)
-            return worst, worst < tol and not off_grade, "; ".join(off_grade)
+            return worst, worst < tol, ""
         r.run("deformed-algebra-generators", "deformed-algebra-generators",
               p, 1e-8, deformed)
 
@@ -1075,7 +1075,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                      double_comm)
 
     def single_mode(tol):
-        tb = tau_bar_forms(basis, gens, ctx.families)
+        tb = tau_bar_forms(basis, gens, ctx.families, ctx.modes[0][0])
         worst = max(tb.double_commutator.frobenius_relative,
                     tb.rlo_plus.frobenius_relative,
                     tb.rlo_minus.frobenius_relative,

@@ -514,7 +514,6 @@ def test_build_path_never_builds_the_whole_space_families(
 
     monkeypatch.setattr(su2ladders.casimir, "_family_columns", recorded)
     monkeypatch.setattr(LadderFamily, "_whole_space", property(refuse))
-    monkeypatch.setattr(su2ladders.casimir, "creation_op", refuse)
     monkeypatch.setattr(su2ladders.operators, "creation_op", refuse)
     monkeypatch.setattr(SparseOperator, "__matmul__", refuse)
     monkeypatch.setattr(SparseOperator, "power", refuse)
@@ -585,7 +584,15 @@ def test_complete_set_commutators(ctx, spin):
     cs = complete_set_check(c.gens, c.taus, 4)
     for rep in cs.commutator_residuals.values():
         assert rep.frobenius_relative < 1e-8
-    assert cs.off_grade == []
+    # [A_theta, J_z] and [A_theta, N] vanish because every term of tau has
+    # grade (1, 0): each stored entry of each whole-space T_k, read here
+    # from the basis's own labels.
+    basis = c.basis
+    for family in ("p", "m"):
+        for t_k in c.families.ops(family).values():
+            rows, cols = t_k.matrix.nonzero()
+            assert np.all(basis.totals[rows] - basis.totals[cols] == 1)
+            assert np.all(basis.weights[rows] == basis.weights[cols])
 
 
 def test_separation_s1_trivial(ctx):

@@ -206,3 +206,35 @@ def test_selectors_at_the_ends_of_their_range(op, capsys):
     code, out, err = run_cli(["dump-op", "--spin", "2", "--nmax", "2",
                               "--op", op], capsys)
     assert code == 0 and json.loads(out)["entries"]
+
+
+@pytest.mark.parametrize("args,flag,message", [
+    (["verify", "--spin", "0"], "--spin", "0 is below 1"),
+    (["verify", "--spin", "x"], "--spin", "'x' is not an integer"),
+    (["verify", "--nmax", "0"], "--nmax", "0 is below 1"),
+    (["spectrum", "--spin", "0", "--nmax", "2"], "--spin", "0 is below 1"),
+    (["kernel", "--spin", "0", "--nmax", "2"], "--spin", "0 is below 1"),
+    (["dump-op", "--spin", "0", "--nmax", "2", "--op", "N"], "--spin",
+     "0 is below 1"),
+    (["kernel", "--spin", "1", "--nmax", "0"], "--nmax", "0 is below 1"),
+    (["ladders", "--spin", "0"], "--spin", "0 is below 1"),
+], ids=["verify-spin-0", "verify-spin-x", "verify-nmax-0", "spectrum-spin-0",
+        "kernel-spin-0", "dump-op-spin-0", "kernel-nmax-0", "ladders-spin-0"])
+def test_invalid_spin_or_nmax_is_a_usage_error(args, flag, message, capsys,
+                                               tmp_path):
+    # A spin or n_max that is not an integer >= 1 is refused by the parser:
+    # exit 2 (a usage error, not verify's "one check failed"), a message
+    # naming the flag, and no report written.
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert f"argument {flag}: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_basis_still_takes_spin_zero(capsys):
+    code, out, _err = run_cli(["basis", "--spin", "0", "--nmax", "2"], capsys)
+    assert code == 0 and json.loads(out) == [[0], [1], [2]]

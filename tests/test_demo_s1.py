@@ -71,7 +71,8 @@ def test_double_commutator_returns_creation(ctx):
 
 def test_single_mode_ladder_forms(ctx):
     c = _ctx(ctx)
-    tb = tau_bar_forms(c.basis, c.gens, c.families)
+    tb = tau_bar_forms(c.basis, c.gens, c.families,
+                       creation_op(c.basis, 0))
     assert tb.double_commutator.frobenius_relative < 1e-8
     assert tb.rlo_plus.frobenius_relative < 1e-8
     assert tb.rlo_minus.frobenius_relative < 1e-8
@@ -83,7 +84,8 @@ def test_single_mode_ladders_are_rescaled_taus(ctx):
     # On each (n, j) node the single-mode forms equal the reference ladders
     # times 1/(2j+1).
     c = _ctx(ctx)
-    tb = tau_bar_forms(c.basis, c.gens, c.families)
+    tb = tau_bar_forms(c.basis, c.gens, c.families,
+                       creation_op(c.basis, 0))
     assert tb.node_ratios, "expected per-node ratio measurements"
     assert tb.max_ratio_deviation() < 1e-10
     for n, j, measured, expected in tb.node_ratios:

@@ -14,35 +14,14 @@ from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
                                   SparseOperator, annihilation_op,
                                   commutator, commutator_on_columns,
                                   commutator_residual, creation_op,
-                                  entry_grades, number_op, on_columns,
-                                  residual, sector_blocks, zero_residual)
+                                  number_op, on_columns, residual,
+                                  sector_blocks, zero_residual)
 from su2ladders.schwinger import WeightLeakError, su2_generators
 
 
 @pytest.fixture(scope="module")
 def basis():
     return enumerate_sector(1, 3)
-
-
-def test_entry_grades_read_each_stored_nonzero_entry(basis):
-    gens = su2_generators(basis)
-    for op, grade in [(creation_op(basis, 1), (1, 1)),
-                      (annihilation_op(basis, -1), (-1, 1)),
-                      (gens.Jplus, (0, 1)), (gens.J2, (0, 0))]:
-        rows, cols, dn, dw = entry_grades(op)
-        want_rows, want_cols = op.matrix.nonzero()
-        assert np.array_equal(rows, want_rows)
-        assert np.array_equal(cols, want_cols)
-        assert set(zip(dn.tolist(), dw.tolist())) == {grade}
-    # An explicit zero has no grade; a stored nonzero entry off grade shows.
-    ad0 = creation_op(basis, 0)
-    m = ad0.matrix.copy()
-    m.data[0] = 0.0
-    assert len(entry_grades(SparseOperator(basis, m))[0]) == ad0.nnz - 1
-    stray = ad0 + SparseOperator(basis, sparse.csr_matrix(
-        ([1e-12], ([basis.state_index((1, 1, 0))], [0])), shape=m.shape))
-    _rows, _cols, dn, dw = entry_grades(stray)
-    assert sorted(set(zip(dn.tolist(), dw.tolist()))) == [(1, 0), (2, -1)]
 
 
 def test_creation_amplitudes(basis):

@@ -31,7 +31,7 @@ from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
                                 s1_inverse_expressions, s1_mutual_commutators,
                                 s1_reference_taus, s1_tau_bracket_ladder,
                                 tau_bar_forms, tau_casimir_ladder_residual,
-                                tau_off_grade, tau_shift_residual)
+                                tau_shift_residual)
 from su2ladders.ladder import (build_alpha, build_alpha_variant_diag4,
                                check_llo, check_power_identity, check_rlo,
                                check_rlo_compose)
@@ -473,23 +473,31 @@ def test_run_suite_fits_each_family_once_per_spin(monkeypatch):
 
 def test_run_suite_forms_each_kept_value_once(monkeypatch):
     # certify_alpha and the closure fit share one set of [J^2, T_eta] per
-    # family, the two family checks and the two grade certificates one
-    # grade record per spin, and the six spin-1 readers of
-    # s1_reference_taus one pair.
+    # family, the six spin-1 readers of s1_reference_taus one pair, and
+    # the family checks and the readers of the grade one set of
+    # whole-space families per spin, formed once besides the weight-0 ones.
     built = []
     kept = su2ladders.casimir.LadderFamily.kept
+    family_columns = su2ladders.casimir._family_columns
 
     def counted(self, key, generators, build):
         def build_counted():
             built.append((self.s, key))
             return build()
         return kept(self, key, generators, build_counted)
+
+    def formed(generators, columns):
+        built.append((generators.s, "whole" if len(columns) == len(
+            generators.basis) else "weight0"))
+        return family_columns(generators, columns)
     monkeypatch.setattr(su2ladders.casimir.LadderFamily, "kept", counted)
+    monkeypatch.setattr(su2ladders.casimir, "_family_columns", formed)
     assert run_suite(SuiteConfig(spins=[1, 2], n_max=4)).overall_pass
     per_family = [(k, fam) for k in ("commutators", "fit") for fam in "mp"]
     assert sorted(built, key=str) == sorted(
-        [(1, "s1-reference-taus"), (1, "grade"), (2, "grade")]
-        + [(s, key) for s in (1, 2) for key in per_family], key=str)
+        [(1, "s1-reference-taus")]
+        + [(s, key) for s in (1, 2)
+           for key in per_family + ["whole", "weight0"]], key=str)
 
 
 @pytest.mark.parametrize("family", ["p", "m"])
@@ -933,14 +941,14 @@ def _same_blocks(got, want):
 
 @pytest.mark.parametrize("spin,n_max", [(1, 4), (2, 4), (3, 5)])
 def test_grade_certified_claims_hold_on_the_whole_space(ctx, spin, n_max):
-    # The claims certified from the grade, cross-checked in floats: the
-    # whole-space A_theta, L_z and L^2, formed from tau.op, commute with N
-    # and J_z to exactly 0.0, and the same products of tau.op's level blocks
-    # are the operators the checks read.
+    # The claims that follow from the grade, cross-checked in floats: the
+    # whole-space A_theta, L_z and L^2, formed from tau.op (which reads the
+    # whole-space family, so each of its terms has grade (1, 0) by
+    # construction), commute with N and J_z to exactly 0.0, and the same
+    # products of tau.op's level blocks are the operators the checks read.
     c = ctx(spin, n_max)
     g = c.gens
     for theta, tau in sorted(c.taus.items()):
-        assert tau_off_grade(tau) == []
         blocks = _Blocks.of(tau.op)
         op = whole_csr(tau.op)
         whole = [op @ op.adjoint()]
@@ -1091,7 +1099,7 @@ def _whole_s1_residuals(c):
 def test_weight0_spin1_residuals_equal_whole_space_forms(ctx, n_max):
     c = ctx(1, n_max)
     g, fam = c.gens, c.families
-    tb = tau_bar_forms(c.basis, g, fam)
+    tb = tau_bar_forms(c.basis, g, fam, creation_op(c.basis, 0))
     got = {
         **s1_full_closure_residuals(g, fam), **s1_mutual_commutators(g, fam),
         "double_commutator": tb.double_commutator,
@@ -1296,22 +1304,18 @@ def test_block_squares_read_residual_block_by_block(ctx):
 
 @pytest.mark.parametrize("spins", [[1, 2], [3]])
 def test_run_suite_builds_each_mode_operator_once(monkeypatch, spins):
-    # Every Fock-layer reader shares the context's mode table.  The spin-1
-    # single-mode ladder forms (tau_bar_forms) build their own a_0^dagger.
+    # Every Fock-layer reader shares the context's mode table, the spin-1
+    # single-mode ladder forms (tau_bar_forms) included.
     calls = []
-    for module in (su2ladders.verify, su2ladders.casimir):
-        build = module.creation_op
+    build = su2ladders.verify.creation_op
 
-        def counted(basis, mu, module=module, build=build):
-            calls.append((module.__name__, basis.spin, mu))
-            return build(basis, mu)
-        monkeypatch.setattr(module, "creation_op", counted)
+    def counted(basis, mu):
+        calls.append((basis.spin, mu))
+        return build(basis, mu)
+    monkeypatch.setattr(su2ladders.verify, "creation_op", counted)
     assert run_suite(SuiteConfig(spins=spins, n_max=4)).overall_pass
-    want = [("su2ladders.verify", s, mu) for s in spins
-            for mu in range(-s, s + 1)]
-    if 1 in spins:
-        want.append(("su2ladders.casimir", 1, 0))
-    assert sorted(calls) == sorted(want)
+    assert sorted(calls) == [(s, mu) for s in sorted(spins)
+                             for mu in range(-s, s + 1)]
 
 
 # -- every tau of a spin at once, on the kept level pairs ----------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ import su2ladders.ladder
 import su2ladders.verify
 from scipy import sparse
 from su2ladders import bruteforce
-from su2ladders.casimir import LatticeSchemeError, build_families
+from su2ladders.casimir import (GradeError, LatticeSchemeError,
+                               build_families)
+from su2ladders.fock import enumerate_sector
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
-from su2ladders.operators import (SectorBlocks, SparseOperator,
-                                  commutator_residual, creation_op)
+from su2ladders.operators import SectorBlocks, SparseOperator
 from su2ladders.schwinger import (KernelNodes, Su2Generators, Weight0View,
-                                  WeightLeakError)
+                                  WeightLeakError, su2_generators)
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                VerificationReport, _deformed_checks,
                                _fock_operator_checks, _lattice_checks,
@@ -25,8 +27,6 @@ from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
                                _SpinContext, _symbolic_checks, _tau_checks,
                                export_report,
                                run_suite)
-
-from conftest import whole_csr
 
 
 @pytest.fixture(scope="module")
@@ -342,48 +342,13 @@ def test_lattice_scheme_counts_the_basis_states(monkeypatch, spin):
     assert failed.detail == "node dimensions at n=0 sum to 0, sector has 1"
 
 
-def _off_grade_run(mutate):
-    """The tau and deformed checks at s = 2, n_max = 4, before and after
-    ``mutate`` replaces the p family (p_0, p_1, p_2) in the context's
-    families; the checks by (name, theta or omega)."""
-    def run(ctx):
-        report = _run_block(
-            lambda r, c: (_tau_checks(r, c), _deformed_checks(r, c)), ctx)
-        return {(c.name, c.params.get("theta", c.params.get("omega"))): c
-                for c in report.checks}
-    ctx = _SpinContext(2, 4)
-    before = run(ctx)
-    ops = mutate(ctx.basis, ctx.families.p_ops)
-    ctx = _SpinContext(2, 4)
-    ctx.families = _with_whole_space_p(ctx.families, ops)
-    return ctx, before, run(ctx)
-
-
-def _with_whole_space_p(families, p_ops):
-    """A copy of the families whose whole-space p family is ``p_ops``; its
-    weight-0 blocks are the originals.  The whole-space operators are formed
-    on first read and kept under ``_whole_space``, so the copy is given them
-    in advance."""
-    copy = dataclasses.replace(families)
-    vars(copy)["_whole_space"] = (tuple(p_ops), families.m_ops)
-    return copy
-
-
-def _assert_only_grade_checks_fail(before, after,
-                                   family_check="family-jz-commuting"):
-    # The family check that reads the changed grade (``family_check``)
-    # fails, with residual 1.0.  Every residual read from tau is unchanged
-    # (its weight-0 block is), and of the tau checks only the two that read
-    # the grade certificate fail.
-    failing = {(family_check, None), ("tau-complete-set", None),
-               ("deformed-algebra-generators", 2)}
-    assert before.keys() == after.keys()
-    for key, check in after.items():
-        assert before[key].passed
-        assert check.passed == (key not in failing), key
-        if key != (family_check, None):
-            assert check.residual == before[key].residual, key
-    assert after[(family_check, None)].residual == 1.0
+#: The checks that read the whole-space families (``LadderFamily.ops``):
+#: the two family checks, and the off-weight-0 claims of the complete set
+#: and of the deformed generators, by (name, omega).
+GRADE_READERS = {("family-number-ladder", None), ("family-jz-commuting", None),
+                 ("tau-complete-set", None),
+                 ("deformed-algebra-generators", 1),
+                 ("deformed-algebra-generators", 2)}
 
 
 def _first_state(basis, n, weight):
@@ -391,99 +356,118 @@ def _first_state(basis, n, weight):
                               & (basis.weights == weight))[0])
 
 
-def _p1_stray(source, target, scale):
-    """A mutation for ``_off_grade_run``: p_1 with one more entry,
-    scale * max|p_1|, from the first state of sector ``source`` (n, w) into
-    the first state of sector ``target``."""
-    def stray(basis, p_ops):
-        p0, p1, p2 = p_ops
+def _stray_in_p1(monkeypatch, source, target, size):
+    """Wrap the row map (``_raised_rows``) so that p_1, when formed on every
+    column, gets one more entry ``size`` from the first state of sector
+    ``source`` (n, w) into the first state of sector ``target``.  The entry
+    goes into both a_{-1}^dagger J_+ P and a_1^dagger J_- P, each times
+    sqrt(s (s + 1)) / 2, so that it is ``size`` in
+    p_1 = (plus + minus) / sqrt(s (s + 1)) and cancels in m_1."""
+    raised_rows = su2ladders.casimir._raised_rows
+
+    def stray(basis, mu, x):
+        out = raised_rows(basis, mu, x)
+        if abs(mu) != 1 or x.shape[1] != len(basis):
+            return out
         col, row = _first_state(basis, *source), _first_state(basis, *target)
-        size = scale * np.abs(p1.matrix.data).max()
-        return p0, SparseOperator(basis, p1.matrix + sparse.csr_matrix(
-            ([size], ([row], [col])), shape=p1.matrix.shape)), p2
-    return stray
+        value = size * math.sqrt(basis.spin * (basis.spin + 1)) / 2
+        return out + sparse.csr_matrix(([value], ([row], [col])),
+                                       shape=out.shape)
+    monkeypatch.setattr(su2ladders.casimir, "_raised_rows", stray)
 
 
-def _assert_stray_named(ctx, after, family_check, source, target, grade):
-    # The family check names the entry as p_1's, the grade certificate as
-    # the term k = 1 of each tau that p_1 enters: theta = -2, 0, 2.
-    basis = ctx.basis
-    entry = (f"sends {basis.states[_first_state(basis, *source)]} to "
-             f"{basis.states[_first_state(basis, *target)]}: grade {grade}, "
-             "not (1, 0) (1 such entries)")
-    assert after[(family_check, None)].detail == f"p_1 {entry}"
-    assert after[("tau-complete-set", None)].detail == "; ".join(
-        f"tau[{theta:+d}] term k=1 {entry}" for theta in (-2, 0, 2))
-    assert after[("deformed-algebra-generators", 2)].detail == \
-        f"tau[-2] term k=1 {entry}"
+def _assert_only_the_grade_readers_fail(monkeypatch, source, target, scale,
+                                        grade, tolerance=None):
+    # run_suite at s = 2, n_max = 4 before and after a stray of
+    # scale * max|p_1| in p_1 (``_stray_in_p1``): exactly the checks that
+    # read the whole-space families fail, with the construction's error
+    # naming p_1, the entry's two states and its grade, and every other
+    # check reads what it read before.
+    config = SuiteConfig(spins=[2], n_max=4, default_tolerance=tolerance)
+    before = run_suite(config).checks
+    basis = enumerate_sector(2, 4)
+    p1 = build_families(basis, su2_generators(basis)).p_ops[1]
+    with monkeypatch.context() as patch:
+        _stray_in_p1(patch, source, target,
+                     scale * np.abs(p1.matrix.data).max())
+        after = run_suite(config).checks
+    detail = (f"GradeError: p_1 sends "
+              f"{basis.states[_first_state(basis, *source)]} to "
+              f"{basis.states[_first_state(basis, *target)]}: grade {grade}, "
+              "not (1, 0) (1 such entries)")
+    assert [(c.name, c.params) for c in before] == \
+        [(c.name, c.params) for c in after]
+    failed = set()
+    for old, new in zip(before, after):
+        assert old.passed, old.name
+        if new.passed:
+            assert new.residual == old.residual, new.name
+        else:
+            failed.add((new.name, new.params.get("omega")))
+            assert new.residual is None and new.detail == detail, new.name
+    assert failed == GRADE_READERS
 
 
-def test_off_grade_stray_fails_the_complete_set_and_deformed_checks():
-    # A stray 1e-6 max|p_1| in p_1 from the first (n=1, w=1) state into the
-    # first (n=2, w=2) state: grade (1, 1).  It sits on a weight-1 column,
-    # so tau's weight-0 block, and every float residual read there, stays
-    # as it is; the grade certificate names the entry.
-    ctx, before, after = _off_grade_run(_p1_stray((1, 1), (2, 2), 1e-6))
-    _assert_only_grade_checks_fail(before, after)
-    _assert_stray_named(ctx, after, "family-jz-commuting", (1, 1), (2, 2),
-                        (1, 1))
+def test_off_grade_stray_fails_the_complete_set_and_deformed_checks(
+        monkeypatch):
+    # A stray of 1e-12 max|p_1| in p_1 from a weight-1 state into weight 2
+    # (a whole-space J_z commutator residual would read it as about 2e-14):
+    # grade (1, 1), on a weight-1 column, so tau's weight-0 blocks, and
+    # every float residual read there, stay as they are.  It is refused
+    # where the whole-space families are formed, which every reader of the
+    # grade does: the two family checks, the complete set and both
+    # deformed checks.  A loosened tolerance changes nothing.
+    for tolerance in (None, 1.0):
+        _assert_only_the_grade_readers_fail(monkeypatch, (1, 1), (2, 2),
+                                            1e-12, (1, 1), tolerance)
 
 
 @pytest.mark.parametrize("target,scale,family_check,grade", [
-    # Grade (1, 1) at 1e-12 max|p_1|: a whole-space commutator residual with
-    # J_z reads about 2e-14 relative for it, under the check's 1e-10 gate.
+    # Grade (1, 1): it changes the weight.
     ((2, 2), 1e-12, "family-jz-commuting", (1, 1)),
-    # A diagonal entry, grade (0, 0): it keeps the weight, so
-    # family-jz-commuting passes, and breaks the number ladder.
+    # A diagonal entry, grade (0, 0): it keeps the weight and breaks the
+    # number ladder.
     ((1, 1), 1e-6, "family-number-ladder", (0, 0))])
-def test_off_grade_stray_fails_its_family_check_exactly(target, scale,
-                                                        family_check, grade):
-    # The family checks read the grade record, so one entry off grade
-    # fails the one whose part of the grade it breaks, with residual 1.0,
-    # whatever its size and the tolerance.
-    ctx, before, after = _off_grade_run(_p1_stray((1, 1), target, scale))
-    _assert_only_grade_checks_fail(before, after, family_check)
-    _assert_stray_named(ctx, after, family_check, (1, 1), target, grade)
+def test_off_grade_stray_fails_its_family_check_exactly(monkeypatch, target,
+                                                        scale, family_check,
+                                                        grade):
+    # Either part of the grade off, Delta n (the number ladder) or Delta w
+    # (J_z), fails both family checks together, and the other readers of
+    # the grade, whatever the entry's size.
+    assert (grade[1] != 0) == (family_check == "family-jz-commuting")
+    _assert_only_the_grade_readers_fail(monkeypatch, (1, 1), target, scale,
+                                        grade)
 
 
-def test_consistent_off_grade_block_fails_the_grade_certificate():
-    # Every p_k sends the whole (2, 1) sector into (3, 2) instead of (3, 1),
-    # one consistent sector map: the whole-space tau assembles, and its
-    # A_theta = tau tau^dagger still has grade (0, 0), so no float residual
-    # of A_theta can see the change.  The grade of tau's terms does.
-    def moved(basis, p_ops):
-        sector = (basis.totals == 2) & (basis.weights == 1)
-        into = creation_op(basis, 1) @ SparseOperator.diagonal(basis, sector)
-        return tuple(p @ SparseOperator.diagonal(basis, ~sector) + into
-                     for p in p_ops)
-    ctx, before, after = _off_grade_run(moved)
-    _assert_only_grade_checks_fail(before, after)
-    for theta in (-2, 0, 2):
-        for k in range(3):
-            assert f"tau[{theta:+d}] term k={k} sends" in \
-                after[("tau-complete-set", None)].detail
-        whole = whole_csr(ctx.taus[theta].op)
-        prod = whole @ whole.adjoint()
-        for diag in (ctx.gens.Jz, ctx.gens.Ntot):
-            assert commutator_residual(prod, diag, 0).frobenius_absolute == 0.0
+def test_consistent_off_grade_level_is_refused_where_it_is_formed(
+        monkeypatch):
+    # p_0 = 2 a_0^dagger P sends the whole weight-0 level n = 2 two levels
+    # up, into (4, 0): grade (2, 0).  It keeps the weight and sends the
+    # level into one level, so the weight-0 level blocks could hold it; the
+    # construction refuses it on the weight-0 columns already.
+    basis = enumerate_sector(2, 4)
+    gens = su2_generators(basis)
+    raised_rows = su2ladders.casimir._raised_rows
+    level = (basis.totals == 2) & (basis.weights == 0)
 
-
-@pytest.mark.parametrize("spin", [2, 3])
-def test_the_grade_is_read_once_per_family_instance(monkeypatch, spin):
-    # The family checks and both grade certificates read one record, formed
-    # by one entry_grades call per T_k: 2s + 1 in all.
-    calls = []
-    entry_grades = su2ladders.casimir.entry_grades
-
-    def counted(x):
-        calls.append(x)
-        return entry_grades(x)
-    monkeypatch.setattr(su2ladders.casimir, "entry_grades", counted)
-    report = _run_block(
-        lambda r, c: (_tau_checks(r, c), _deformed_checks(r, c)),
-        _SpinContext(spin, 4))
-    assert all(c.passed for c in report.checks)
-    assert len(calls) == 2 * spin + 1
+    def twice(basis, mu, x):
+        if mu != 0:
+            return raised_rows(basis, mu, x)
+        rows = [sparse.diags(mask.astype(float), format="csr") @ x
+                for mask in (~level, level)]
+        return (raised_rows(basis, 0, rows[0])
+                + raised_rows(basis, 0, raised_rows(basis, 0, rows[1])))
+    monkeypatch.setattr(su2ladders.casimir, "_raised_rows", twice)
+    zero = basis.mode_position(0)
+    sources = [basis.states[i] for i in np.flatnonzero(level)]
+    moved = {state: state[:zero] + (state[zero] + 2,) + state[zero + 1:]
+             for state in sources}
+    first = min(sources, key=lambda state: basis.state_index(moved[state]))
+    with pytest.raises(GradeError) as err:
+        build_families(basis, gens)
+    assert str(err.value) == (
+        f"p_0 sends {first} to {moved[first]}: grade (2, 0), not (1, 0) "
+        f"({len(sources)} such entries)")
 
 
 def test_family_grade_checks_form_no_product(monkeypatch):
