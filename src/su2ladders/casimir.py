@@ -82,10 +82,10 @@ class LadderFamily:
     weight-0 basis), formed by ``build_families`` and read by the closure
     certificate and fit, tau and the lattice; and ``p_ops``/``m_ops``, the
     whole-space ``SparseOperator``, formed on first read and kept on this
-    instance (not a field, so a ``dataclasses.replace`` copy forms its own)
-    for the family checks, the complete set, the whole-space tau and the
-    spin-1 expressions.  Each column of a CSR product sums the same terms in
-    the same order whatever the other columns are, so the level blocks equal
+    instance (``kept``, which keeps a failed build too), for the family
+    checks, the complete set, the whole-space tau and the spin-1
+    expressions.  Each column of a CSR product sums the same terms in the
+    same order whatever the other columns are, so the level blocks equal
     ``Weight0View.of`` of the whole-space operators array for array.
     """
     s: int
@@ -93,26 +93,28 @@ class LadderFamily:
     generators: Su2Generators = field(repr=False, compare=False)
     p_weight0: tuple[SectorBlocks, ...]
     m_weight0: tuple[SectorBlocks, ...]
-    # What is formed from these operators once and kept (``closure_fit``,
-    # ``closure_commutators``, ``s1_reference_taus``).  Not an init field,
-    # so a ``dataclasses.replace`` copy starts with its own.
+    # What is formed from these operators once and kept (the whole-space
+    # families, ``closure_fit``, ``closure_commutators``,
+    # ``s1_reference_taus``), or the exception its build raised.  Not an
+    # init field, so a ``dataclasses.replace`` copy starts with its own.
     _values: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
-    @functools.cached_property
     def _whole_space(self) -> tuple[tuple[SparseOperator, ...],
                                     tuple[SparseOperator, ...]]:
-        p, m = _family_columns(self.generators, np.arange(len(self.basis)))
-        return (tuple(SparseOperator(self.basis, x) for x in p),
-                tuple(SparseOperator(self.basis, x) for x in m))
+        def build():
+            p, m = _family_columns(self.generators, np.arange(len(self.basis)))
+            return (tuple(SparseOperator(self.basis, x) for x in p),
+                    tuple(SparseOperator(self.basis, x) for x in m))
+        return self.kept("whole space", self.generators, build)
 
     @property
     def p_ops(self) -> tuple[SparseOperator, ...]:
-        return self._whole_space[0]
+        return self._whole_space()[0]
 
     @property
     def m_ops(self) -> tuple[SparseOperator, ...]:
-        return self._whole_space[1]
+        return self._whole_space()[1]
 
     @staticmethod
     def _indexed(family: str, p: tuple, m: tuple) -> dict:
@@ -132,13 +134,19 @@ class LadderFamily:
 
     def kept(self, key, generators: Su2Generators, build):
         """``build()``, formed on first use and kept on this instance under
-        ``key``; a failed build is not kept.  The generators must act on the
-        families' basis."""
+        ``key``; a build that raises keeps its exception, and every later
+        read raises it again, so the build runs once.  The generators must
+        act on the families' basis."""
         if generators.basis is not self.basis and generators.basis != self.basis:
             raise BasisMismatchError("generators do not act on the families' basis")
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = build()
+        if key not in self._values:
+            try:
+                self._values[key] = build()
+            except Exception as exc:
+                self._values[key] = exc
+        value = self._values[key]
+        if isinstance(value, Exception):
+            raise value
         return value
 
     def closure_fit(self, family: str, generators: Su2Generators

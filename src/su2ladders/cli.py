@@ -53,16 +53,21 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer >= 1, else a usage error naming the
-    flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``, else a usage error naming
+    the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return parse
+
+
+_positive_int, _natural = _int_at_least(1), _int_at_least(0)
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -176,6 +181,8 @@ def _cmd_basis(args) -> int:
                             "vector": amps})
         _emit(_json_dump(payload), args.out)
         return 0
+    if args.n is not None and args.n > args.nmax:
+        args.usage_error(f"argument --n: {args.n} is above --nmax {args.nmax}")
     basis = enumerate_sector(args.spin, args.nmax, n=args.n,
                              weight=args.weight)
     _emit(_json_dump(basis.to_json_list()), args.out)
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="Casimir spectrum with j labels")
     sp.add_argument("--spin", type=_positive_int, required=True)
-    sp.add_argument("--nmax", type=int, required=True)
+    sp.add_argument("--nmax", type=_natural, required=True)
     sp.add_argument("--sector", default=None, metavar="N,W")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
@@ -272,18 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
     ke.set_defaults(func=_cmd_kernel)
 
     ba = sub.add_parser("basis", help="basis dumps")
-    ba.add_argument("--spin", type=int, required=True)
-    ba.add_argument("--nmax", type=int, required=True)
-    ba.add_argument("--n", type=int, default=None)
+    ba.add_argument("--spin", type=_natural, required=True)
+    ba.add_argument("--nmax", type=_natural, required=True)
+    ba.add_argument("--n", type=_natural, default=None)
     ba.add_argument("--weight", type=int, default=None)
     ba.add_argument("--canonical", action="store_true",
                     help="spin-1 canonical basis vectors")
     ba.add_argument("--out", default=None)
-    ba.set_defaults(func=_cmd_basis)
+    ba.set_defaults(func=_cmd_basis, usage_error=ba.error)
 
     du = sub.add_parser("dump-op", help="export one operator as JSON")
     du.add_argument("--spin", type=_positive_int, required=True)
-    du.add_argument("--nmax", type=int, required=True)
+    du.add_argument("--nmax", type=_natural, required=True)
     du.add_argument("--op", required=True)
     du.add_argument("--out", default=None)
     du.set_defaults(func=_cmd_dump_op)

@@ -125,11 +125,12 @@ class SectorBasis:
 
     States are stored in ascending lexicographic order as the rows of
     ``occupations``, built with array operations at construction and
-    indexed by their lexicographic ranks (``indices_of``).  The ``states``
-    tuples and the ``index`` dict are built on first read only; the sector
-    table, the interior masks and the hop tables on first use, cached as
-    read-only arrays.  Two threads that miss the cache at once
-    build equal arrays, so instances stay safe for concurrent reads.
+    indexed by their lexicographic ranks in the whole space (``_ranks``).
+    The ``states`` tuples and the ``index`` dict are built on first read
+    only; the sector table, the interior masks and the raise tables
+    (``raised``) on first use, cached as read-only arrays.  Two threads that
+    miss the cache at once build equal arrays, so instances stay safe for
+    concurrent reads.
     """
 
     def __init__(self, spin: int, n_max: int, n: Optional[int] = None,
@@ -161,7 +162,7 @@ class SectorBasis:
         self._ranks = _lex_ranks(occupations, self.n_max)
         self._sector_table: Optional[SectorTable] = None
         self._interior_masks: dict[int, np.ndarray] = {}
-        self._hops: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._raised: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def states(self) -> tuple[Occupation, ...]:
@@ -217,18 +218,9 @@ class SectorBasis:
                 f"state has {len(state)} modes, basis has {self.modes}")
         return self.index.get(state)
 
-    def indices_of(self, occupations: np.ndarray) -> np.ndarray:
-        """Vectorised ``state_index``: the position of each occupation row in
-        the basis, or -1 where the state is absent."""
-        occupations = np.asarray(occupations, dtype=np.int64)
-        valid = ((occupations >= 0).all(axis=1)
-                 & (occupations.sum(axis=1) <= self.n_max))
-        return np.where(valid, self._positions(
-            np.where(valid[:, None], occupations, 0)), -1)
-
     def _positions(self, occupations: np.ndarray) -> np.ndarray:
-        """``indices_of`` for rows known valid (no entry below zero, total
-        at most n_max), with no validity mask."""
+        """The position of each occupation row in the basis, or -1 where it
+        is absent; the rows must be valid (none below zero, total <= n_max)."""
         ranks = _lex_ranks(occupations, self.n_max)
         pos = np.searchsorted(self._ranks, ranks)
         found = pos < len(self._ranks)
@@ -278,37 +270,24 @@ class SectorBasis:
                 self._interior_masks[margin] = mask
         return mask
 
-    def hop_table(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Where a_i^dagger a_j sends each basis state, for mode storage
-        positions i and j: (rows, cols), read-only int32 arrays.
-
-        Column ``cols[k]`` goes to row ``rows[k]``.  Only states with
-        n_j >= 1 whose image lies in the basis appear, in ascending column
-        order.  Built once per pair.
-        """
-        return self.hop_tables([(i, j)])[0]
-
-    def hop_tables(self, pairs: list[tuple[int, int]]
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``hop_table(i, j)`` of each pair, the missing ones built together
-        with one rank lookup of every moved state (``_positions``: a hop
-        from n_j >= 1 keeps every state valid, so no mask is needed)."""
-        missing = [p for p in dict.fromkeys(pairs) if p not in self._hops]
-        cols = [np.flatnonzero(self.occupations[:, j] > 0) for _, j in missing]
-        unit = np.eye(self.modes, dtype=np.int64)
-        moved = [self.occupations[c] + unit[i] - unit[j]
-                 for (i, j), c in zip(missing, cols) if i != j]
-        targets = iter(np.split(
-            self._positions(np.concatenate(moved)),
-            np.cumsum([len(m) for m in moved])[:-1]) if moved else ())
-        for (i, j), c in zip(missing, cols):
-            rows = next(targets) if i != j else c
-            table = (rows[rows >= 0].astype(np.int32),
-                     c[rows >= 0].astype(np.int32))
-            for a in table:
-                a.flags.writeable = False
-            self._hops[(i, j)] = table
-        return [self._hops[p] for p in pairs]
+    def raised(self, pos: int) -> np.ndarray:
+        """Where a_pos^dagger sends each basis state, for mode storage
+        position ``pos``: a read-only int32 array whose entry c is the index
+        of state c with one more boson in mode pos, or -1 where that state
+        is not in the basis (always at n_max, and everywhere on an n or
+        weight sector).  Built once per mode, with one rank lookup of the
+        states below n_max (``_positions``: raising them keeps every row
+        valid, so no mask is needed)."""
+        table = self._raised.get(pos)
+        if table is None:
+            below = np.flatnonzero(self.totals < self.n_max)
+            moved = self.occupations[below]
+            moved[:, pos] += 1
+            table = np.full(len(self), -1, dtype=np.int32)
+            table[below] = self._positions(moved)
+            table.flags.writeable = False
+            self._raised[pos] = table
+        return table
 
     def unit_vector(self, state: Occupation) -> np.ndarray:
         """Basis vector for an occupation tuple."""

@@ -553,15 +553,13 @@ def raised_states(basis, mu: int, states: np.ndarray
 
     A state whose image, one more boson in mode mu, lies in the basis is
     kept in ``sources``, in the given order, with that image's index in
-    ``targets`` and the amplitude sqrt(n_mu + 1); a state at n_max, pushed
-    past the truncation, is dropped.  This is the one definition of a
-    creation operator's entries (``creation_op``).
+    ``targets`` (read from the basis's raise table of the mode,
+    ``SectorBasis.raised``) and the amplitude sqrt(n_mu + 1); a state at
+    n_max, pushed past the truncation, is dropped.  This is the one
+    definition of a creation operator's entries (``creation_op``).
     """
     pos = basis.mode_position(mu)
-    states = states[basis.totals[states] < basis.n_max]
-    raised = basis.occupations[states]
-    raised[:, pos] += 1
-    targets = basis.indices_of(raised)
+    targets = basis.raised(pos)[states]
     keep = targets >= 0
     states, targets = states[keep], targets[keep]
     return states, targets, np.sqrt(basis.occupations[states, pos] + 1.0)

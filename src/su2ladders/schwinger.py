@@ -3,7 +3,7 @@
 The map X = (x_ij) -> sum_ij x_ij a_i^dagger a_j sends matrices on the 2s+1
 mode space to number-conserving bilinear operators and preserves commutators;
 ``jordan_schwinger`` builds each image as one CSR matrix from the basis's
-cached hop tables of a_i^dagger a_j.
+raise tables, one per mode: a_i^dagger a_j sends d + e_j to d + e_i.
 Applied to the spin-s generator matrices it yields J_z, J_+, J_-, from which
 the Casimir J^2 and the label operator j (with J^2 = j(j+1)) are built.
 All of these conserve both total particle number and J_z weight, so J^2 is
@@ -60,26 +60,32 @@ def jordan_schwinger(basis: SectorBasis, x: np.ndarray) -> SparseOperator:
     """Image of a (2s+1) x (2s+1) matrix under the bosonic bilinear map.
 
     Returns sum_ij x_ij a_i^dagger a_j with modes ordered mu = -s..s, built
-    as one CSR matrix from the basis's hop tables of the pairs with
-    x_ij != 0 (``SectorBasis.hop_tables``, one rank lookup for the missing
-    ones).  With n the occupations of the column, each
-    entry is sqrt(n_i + 1) * (x_ij * sqrt(n_j)), and the diagonal sums its
-    terms sqrt(n_i) * (x_ii * sqrt(n_i)) in ascending i: the floats, bit for
-    bit, of the sum of products sum_i a_i^dagger (sum_j x_ij a_j).  The
-    image conserves total particle number, so it is exact on the whole
-    truncated space; on an n or weight sector it is that sector's block.  A
-    real X gives a real operator.
+    as one CSR matrix from the basis's raise tables (``SectorBasis.raised``):
+    for x_ij != 0 and each state d below n_max, a_i^dagger a_j sends d + e_j
+    (``raised(j)[d]``) to d + e_i (``raised(i)[d]``).  With n the
+    occupations of the column, each entry is sqrt(n_i + 1) * (x_ij *
+    sqrt(n_j)), and the diagonal sums its terms sqrt(n_i) * (x_ii *
+    sqrt(n_i)) in ascending i: the floats, bit for bit, of the sum of
+    products sum_i a_i^dagger (sum_j x_ij a_j).  The image conserves total
+    particle number, so it is exact on the whole truncated space; on an n or
+    weight sector it is the block of the whole-space image at the sector's
+    states.  A real X gives a real operator.
     """
     x = np.asarray(x)
     m = basis.modes
     if x.shape != (m, m):
         raise ValueError(f"matrix shape {x.shape} does not match {m} modes")
+    if basis.n_constraint is not None or basis.weight_constraint is not None:
+        whole = jordan_schwinger(SectorBasis(basis.spin, basis.n_max), x)
+        return SparseOperator(
+            basis, whole.matrix[basis._ranks][:, basis._ranks])
     roots = np.sqrt(np.arange(basis.n_max + 2.0))
     occ = basis.occupations
+    below = np.flatnonzero(basis.totals < basis.n_max)
     diagonal = np.zeros(len(basis), dtype=np.result_type(x, np.float64))
     rows, cols, data = [], [], []
-    pairs = [tuple(p) for p in np.argwhere(x).tolist()]
-    for (i, j), (target, source) in zip(pairs, basis.hop_tables(pairs)):
+    for i, j in np.argwhere(x).tolist():
+        source, target = basis.raised(j)[below], basis.raised(i)[below]
         values = (roots[occ[source, i] + (i != j)]
                   * (x[i, j] * roots[occ[source, j]]))
         if i == j:

@@ -218,8 +218,20 @@ def test_selectors_at_the_ends_of_their_range(op, capsys):
      "0 is below 1"),
     (["kernel", "--spin", "1", "--nmax", "0"], "--nmax", "0 is below 1"),
     (["ladders", "--spin", "0"], "--spin", "0 is below 1"),
+    (["spectrum", "--spin", "1", "--nmax", "-1"], "--nmax", "-1 is below 0"),
+    (["dump-op", "--spin", "1", "--nmax", "-1", "--op", "N"], "--nmax",
+     "-1 is below 0"),
+    (["basis", "--spin", "1", "--nmax", "-2"], "--nmax", "-2 is below 0"),
+    (["basis", "--spin", "-1", "--nmax", "2"], "--spin", "-1 is below 0"),
+    (["basis", "--spin", "1", "--nmax", "2", "--n", "5"], "--n",
+     "5 is above --nmax 2"),
+    (["basis", "--spin", "1", "--nmax", "2", "--n", "-1"], "--n",
+     "-1 is below 0"),
 ], ids=["verify-spin-0", "verify-spin-x", "verify-nmax-0", "spectrum-spin-0",
-        "kernel-spin-0", "dump-op-spin-0", "kernel-nmax-0", "ladders-spin-0"])
+        "kernel-spin-0", "dump-op-spin-0", "kernel-nmax-0", "ladders-spin-0",
+        "spectrum-nmax-negative", "dump-op-nmax-negative",
+        "basis-nmax-negative", "basis-spin-negative", "basis-n-above-nmax",
+        "basis-n-negative"])
 def test_invalid_spin_or_nmax_is_a_usage_error(args, flag, message, capsys,
                                                tmp_path):
     # A spin or n_max that is not an integer >= 1 is refused by the parser:
@@ -238,3 +250,11 @@ def test_invalid_spin_or_nmax_is_a_usage_error(args, flag, message, capsys,
 def test_basis_still_takes_spin_zero(capsys):
     code, out, _err = run_cli(["basis", "--spin", "0", "--nmax", "2"], capsys)
     assert code == 0 and json.loads(out) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--spin", "1"], ["dump-op", "--spin", "1", "--op", "N"],
+    ["basis", "--spin", "0"]])
+def test_nmax_zero_is_still_valid(args, capsys):
+    code, out, _err = run_cli(args + ["--nmax", "0"], capsys)
+    assert code == 0 and out

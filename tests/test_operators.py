@@ -254,15 +254,6 @@ def test_creation_op_equals_per_state_reference(spin, n_max):
             assert np.array_equal(got.data, want.data)
 
 
-def test_indices_of_is_a_vectorised_state_index():
-    basis = SectorBasis(2, 3, weight=1)
-    probe = [s for s in SectorBasis(2, 4).states]
-    want = [basis.state_index(s) for s in probe]
-    got = basis.indices_of(np.array(probe))
-    assert [None if g < 0 else int(g) for g in got] == want
-    assert basis.indices_of(np.array([[-1, 0, 1, 0, 1]]))[0] == -1
-
-
 def test_entry_is_complex_inside_and_outside_the_basis(basis):
     ad0 = creation_op(basis, 0)
     inside = ad0.entry((0, 1, 0), (0, 0, 0))
@@ -294,19 +285,38 @@ def test_restriction_errors_raise_on_every_call(call):
             call(level, 1)
 
 
-def test_cached_masks_and_hop_tables_are_read_only():
+def test_cached_masks_and_raise_tables_are_read_only():
     basis = enumerate_sector(1, 3)
     for margin in (0, 1, basis.n_max):
         mask = basis.interior_masks(margin)
         assert basis.interior_masks(margin) is mask
         with pytest.raises(ValueError):
             mask[0] = not mask[0]
-    for i, j in ((0, 2), (1, 1)):
-        table = basis.hop_table(i, j)
-        assert basis.hop_table(i, j) is table
-        for a in table:
-            with pytest.raises(ValueError):
-                a[0] = 0
+    for pos in range(basis.modes):
+        table = basis.raised(pos)
+        assert basis.raised(pos) is table
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+@pytest.mark.parametrize("spin,n_max,n,weight", [
+    (2, 4, None, None), (1, 3, None, None), (2, 4, 3, None),
+    (2, 4, None, 1), (2, 4, 2, 0)])
+def test_raise_table_entries_index_the_raised_states(spin, n_max, n, weight):
+    # Entry c of mode pos's table is the index of state c with one more
+    # boson in mode pos, or -1 where that state is not in the basis: at
+    # n_max, and everywhere on an n or weight sector.
+    basis = SectorBasis(spin, n_max, n=n, weight=weight)
+    for pos in range(basis.modes):
+        want = []
+        for state in basis.states:
+            raised = state[:pos] + (state[pos] + 1,) + state[pos + 1:]
+            index = basis.state_index(raised)
+            want.append(-1 if index is None else index)
+        table = basis.raised(pos)
+        assert table.dtype == np.int32 and table.tolist() == want
+        if n is None and weight is None:
+            assert ((table >= 0) == (basis.totals < n_max)).all()
 
 
 # -- whole-space sector blocks ----------------------------------------------------

@@ -475,7 +475,8 @@ def test_run_suite_forms_each_kept_value_once(monkeypatch):
     # certify_alpha and the closure fit share one set of [J^2, T_eta] per
     # family, the six spin-1 readers of s1_reference_taus one pair, and
     # the family checks and the readers of the grade one set of
-    # whole-space families per spin, formed once besides the weight-0 ones.
+    # whole-space families per spin, kept (``whole space``) and formed
+    # once besides the weight-0 ones.
     built = []
     kept = su2ladders.casimir.LadderFamily.kept
     family_columns = su2ladders.casimir._family_columns
@@ -497,7 +498,8 @@ def test_run_suite_forms_each_kept_value_once(monkeypatch):
     assert sorted(built, key=str) == sorted(
         [(1, "s1-reference-taus")]
         + [(s, key) for s in (1, 2)
-           for key in per_family + ["whole", "weight0"]], key=str)
+           for key in per_family + ["whole space", "whole", "weight0"]],
+        key=str)
 
 
 @pytest.mark.parametrize("family", ["p", "m"])
@@ -558,20 +560,30 @@ def test_closure_fit_refuses_generators_of_another_basis(ctx):
         c.families.closure_fit("p", other.gens)
 
 
-def test_failed_closure_fit_is_not_cached(monkeypatch):
+def test_failed_closure_fit_is_kept(monkeypatch):
+    # A fit that raises keeps its exception: every later read raises it
+    # again without fitting again, on this instance; a copy fits anew.
     spin_ctx = _SpinContext(2, 3)
     families, gens = spin_ctx.families, spin_ctx.gens
     measure = su2ladders.casimir._measure_closure
+    calls = []
 
     def failing(*args):
+        calls.append(args)
         raise RuntimeError("fit failed")
     monkeypatch.setattr(su2ladders.casimir, "_measure_closure", failing)
+    errors = []
     for _ in range(2):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as err:
             families.closure_fit("p", gens)
+        errors.append(err.value)
+    assert len(calls) == 1 and errors[0] is errors[1]
     monkeypatch.setattr(su2ladders.casimir, "_measure_closure", measure)
-    fit = families.closure_fit("p", gens)
-    assert fit is families.closure_fit("p", gens)
+    with pytest.raises(RuntimeError):
+        families.closure_fit("p", gens)
+    copy = dataclasses.replace(families)
+    fit = copy.closure_fit("p", gens)
+    assert fit is copy.closure_fit("p", gens)
     assert fit and all(fit.values())
 
 

@@ -773,43 +773,40 @@ def test_jordan_schwinger_equals_sum_of_products(spin, n_max):
                          _jordan_schwinger_products(basis, x).matrix)
 
 
-def test_jordan_schwinger_independent_of_hop_cache_order():
+def test_jordan_schwinger_independent_of_raise_table_order():
     mats = _schwinger_matrices(2, 5)
     fresh = enumerate_sector(2, 4)
     want = {k: jordan_schwinger(fresh, x).matrix for k, x in mats.items()}
     warmed = enumerate_sector(2, 4)
-    jordan_schwinger(warmed, mats["jplus"])  # caches the J+ pairs first
-    for i in reversed(range(warmed.modes)):
-        for j in range(warmed.modes):
-            warmed.hop_table(i, j)
+    creation_op(warmed, 1)  # builds one mode's table first
+    for pos in reversed(range(warmed.modes)):
+        warmed.raised(pos)
     for name in reversed(list(mats)):
         _assert_same_csr(jordan_schwinger(warmed, mats[name]).matrix,
                          want[name])
 
 
-def test_jordan_schwinger_builds_its_missing_hop_tables_in_one_lookup(
+def test_jordan_schwinger_builds_each_raise_table_in_one_lookup(
         monkeypatch):
-    # A dense X needs a table per mode pair; the off-diagonal ones share one
-    # rank lookup, and a second image reads them all from the cache.  The
-    # moved states are always valid, so the lookup skips the validity mask
-    # of ``indices_of``.
+    # J_+, a dense complex image, a second image, every a_mu^dagger and the
+    # whole-space families read one raise table per mode: each is built by
+    # one rank lookup over the states below n_max, and read from the cache
+    # after that.
     basis = enumerate_sector(2, 4)
     x = _schwinger_matrices(2, 11)["general"]
-    lookups, masked = [], []
-    positions, indices_of = basis._positions, basis.indices_of
+    lookups = []
+    positions = basis._positions
     monkeypatch.setattr(basis, "_positions",
                         lambda occ: lookups.append(len(occ)) or positions(occ))
-    monkeypatch.setattr(basis, "indices_of",
-                        lambda occ: masked.append(len(occ)) or indices_of(occ))
+    gens = Su2Generators(basis)
     first = jordan_schwinger(basis, x).matrix
-    assert len(lookups) == 1 and not masked
-    assert sorted(basis._hops) == [(i, j) for i in range(5) for j in range(5)]
     _assert_same_csr(jordan_schwinger(basis, x).matrix, first)
-    assert len(lookups) == 1
-    fresh = enumerate_sector(2, 4)
-    for (i, j), table in basis._hops.items():
-        for got, ref in zip(table, fresh.hop_table(i, j)):
-            assert got.dtype == np.int32 and np.array_equal(got, ref)
+    for mu in range(-2, 3):
+        creation_op(basis, mu)
+    build_families(basis, gens).p_ops
+    below = int((basis.totals < basis.n_max).sum())
+    assert lookups == [below] * basis.modes
+    assert sorted(basis._raised) == list(range(basis.modes))
 
 
 @pytest.mark.parametrize("n,weight", [(3, None), (None, 1), (4, 0)])
@@ -819,7 +816,7 @@ def test_jordan_schwinger_on_a_sector_basis(n, weight):
     # weight sector only its weight-conserving part stays.
     whole = enumerate_sector(2, 4)
     sector = enumerate_sector(2, 4, n=n, weight=weight)
-    idx = whole.indices_of(sector.occupations)
+    idx = [whole.state_index(state) for state in sector.states]
     for name, x in _schwinger_matrices(2, 9).items():
         block = jordan_schwinger(whole, x).matrix[idx][:, idx].toarray()
         assert np.array_equal(jordan_schwinger(sector, x).matrix.toarray(),

@@ -439,6 +439,29 @@ def test_off_grade_stray_fails_its_family_check_exactly(monkeypatch, target,
                                         grade)
 
 
+def test_refused_whole_space_families_are_formed_once_per_run(monkeypatch):
+    # The whole-space families are kept with their GradeError when the
+    # construction refuses them (``LadderFamily.kept``): under the p_1
+    # stray, the five checks that read them fail from one whole-width
+    # ``_family_columns`` call in each run.
+    basis = enumerate_sector(2, 4)
+    p1 = build_families(basis, su2_generators(basis)).p_ops[1]
+    _stray_in_p1(monkeypatch, (1, 1), (2, 2),
+                 1e-12 * np.abs(p1.matrix.data).max())
+    family_columns = su2ladders.casimir._family_columns
+    whole = []
+
+    def counted(generators, columns):
+        whole.append(len(columns) == len(generators.basis))
+        return family_columns(generators, columns)
+    monkeypatch.setattr(su2ladders.casimir, "_family_columns", counted)
+    for _ in range(2):
+        whole.clear()
+        report = run_suite(SuiteConfig(spins=[2], n_max=4))
+        assert report.failed_count == len(GRADE_READERS)
+        assert whole.count(True) == 1
+
+
 def test_consistent_off_grade_level_is_refused_where_it_is_formed(
         monkeypatch):
     # p_0 = 2 a_0^dagger P sends the whole weight-0 level n = 2 two levels
