@@ -12,7 +12,9 @@ Reports and dumps go to stdout (or --out FILE); progress and summaries go to
 stderr.  ``verify`` exits 0 iff every check passed, otherwise with the number
 of failed checks.  The environment variable SU2LADDERS_TOLERANCE overrides
 the default tolerance of every check not pinned via --tolerance-override;
-the --tolerance flag takes precedence over the environment.
+the --tolerance flag takes precedence over the environment.  A refused input
+(a flag's value, or SU2LADDERS_TOLERANCE when read) is a usage error: exit 2,
+a message naming the flag or variable, and no output.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -78,19 +81,42 @@ def _positive_ints(text: str) -> list[int]:
     return values
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite number >= 0."""
+    try:
+        if 0 <= float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+
+
+def _tolerance_override(text: str) -> tuple[str, float]:
+    """An argparse type: NAME=VALUE, VALUE a tolerance (``_tolerance``)."""
+    name, _, value = text.partition("=")
+    if not name or not value:
+        raise argparse.ArgumentTypeError(f"{text!r} is not NAME=VALUE")
+    return name, _tolerance(value)
+
+
+def _sector(text: str) -> tuple[int, int]:
+    """An argparse type: N,W, two integers such as 2,0."""
+    try:
+        n, w = map(int, text.split(","))
+        return n, w
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not N,W")
+
+
 def _cmd_verify(args) -> int:
     default_tol = args.tolerance
     if default_tol is None and os.environ.get(TOLERANCE_ENV_VAR):
-        default_tol = float(os.environ[TOLERANCE_ENV_VAR])
-    overrides = {}
-    for item in args.tolerance_override or []:
-        name, _, value = item.partition("=")
-        if not value:
-            raise SystemExit(f"bad --tolerance-override {item!r}; "
-                             "expected NAME=VALUE")
-        overrides[name] = float(value)
+        try:
+            default_tol = _tolerance(os.environ[TOLERANCE_ENV_VAR])
+        except argparse.ArgumentTypeError as exc:
+            args.usage_error(f"{TOLERANCE_ENV_VAR}: {exc}")
     config = SuiteConfig(spins=args.spin, n_max=args.nmax,
-                         tolerance_overrides=overrides,
+                         tolerance_overrides=dict(args.tolerance_override or ()),
                          output_format=args.format,
                          default_tolerance=default_tol)
     report = run_suite(config)
@@ -104,17 +130,9 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     basis = enumerate_sector(args.spin, args.nmax)
     gens = su2_generators(basis)
-    sector_filter = None
-    if args.sector:
-        try:
-            n, w = (int(x) for x in args.sector.split(","))
-        except ValueError:
-            raise SystemExit(f"bad --sector {args.sector!r}; expected N,W, "
-                             "two integers such as 2,0")
-        sector_filter = (n, w)
     rows = []
     for key, _block, vals, _vecs, js in gens.j2_sectors():
-        if sector_filter and key != sector_filter:
+        if args.sector and key != args.sector:
             continue
         labels = js.tolist()
         counts = Counter(labels)
@@ -165,7 +183,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_basis(args) -> int:
     if args.canonical:
         if args.spin != 1:
-            raise SystemExit("--canonical is available for --spin 1 only")
+            args.usage_error("argument --canonical: needs --spin 1")
         basis = enumerate_sector(1, args.nmax)
         gens = su2_generators(basis)
         families = build_families(basis, gens)
@@ -189,7 +207,8 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _resolve_operator(name: str, basis, gens, families, taus):
+def _resolve_operator(name: str, basis, gens, families, taus, error):
+    """The operator ``name``; ``error`` refuses a name it cannot build."""
     if ":" in name:
         kind, _, arg = name.partition(":")
         s = basis.spin
@@ -204,15 +223,15 @@ def _resolve_operator(name: str, basis, gens, families, taus):
             "taulow": (-s, lambda v: taus()[v].op.adjoint()),
         }
         if kind not in indexed:
-            raise SystemExit(f"unknown operator kind {kind!r}")
+            error(f"argument --op: unknown operator kind {kind!r}")
         low, build = indexed[kind]
         try:
             value = int(arg)
         except ValueError:
-            raise SystemExit(f"operator {name!r} needs an integer after ':'")
+            error(f"argument --op: {name!r} needs an integer after ':'")
         if not low <= value <= s:
-            raise SystemExit(f"operator {name!r}: the index must lie in "
-                             f"{low}..{s} at spin {s}")
+            error(f"argument --op: operator {name!r}: the index must lie in "
+                  f"{low}..{s} at spin {s}")
         return build(value)
     plain = {
         "N": lambda: gens.Ntot,
@@ -224,10 +243,9 @@ def _resolve_operator(name: str, basis, gens, families, taus):
         "I": lambda: SparseOperator.identity(basis),
     }
     if name not in plain:
-        raise SystemExit(
-            f"unknown operator {name!r}; use one of {sorted(plain)} or "
-            "a:<mu>, adag:<mu>, n:<mu>, p:<k>, m:<k>, tau:<theta>, "
-            "taulow:<theta>")
+        error(f"argument --op: unknown operator {name!r}; use one of "
+              f"{sorted(plain)} or a:<mu>, adag:<mu>, n:<mu>, p:<k>, m:<k>, "
+              "tau:<theta>, taulow:<theta>")
     return plain[name]()
 
 
@@ -236,7 +254,8 @@ def _cmd_dump_op(args) -> int:
     gens = su2_generators(basis)
     families = functools.cache(lambda: build_families(basis, gens))
     taus = functools.cache(lambda: build_taus(families(), gens, certify=False))
-    op = _resolve_operator(args.op, basis, gens, families, taus)
+    op = _resolve_operator(args.op, basis, gens, families, taus,
+                           args.usage_error)
     _emit(_json_dump(op.to_coo_json()), args.out)
     return 0
 
@@ -251,18 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--spin", type=_positive_ints, default="1,2",
                    help="comma-separated list of spins (default 1,2)")
     v.add_argument("--nmax", type=_positive_int, default=4)
-    v.add_argument("--tolerance", type=float, default=None,
+    v.add_argument("--tolerance", type=_tolerance, default=None,
                    help="replace the default tolerance of every check")
     v.add_argument("--tolerance-override", action="append", metavar="NAME=VAL",
+                   type=_tolerance_override,
                    help="per-check tolerance override (repeatable)")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out", default=None)
-    v.set_defaults(func=_cmd_verify)
+    v.set_defaults(func=_cmd_verify, usage_error=v.error)
 
     sp = sub.add_parser("spectrum", help="Casimir spectrum with j labels")
     sp.add_argument("--spin", type=_positive_int, required=True)
     sp.add_argument("--nmax", type=_natural, required=True)
-    sp.add_argument("--sector", default=None, metavar="N,W")
+    sp.add_argument("--sector", type=_sector, default=None, metavar="N,W")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_spectrum)
@@ -293,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     du.add_argument("--nmax", type=_natural, required=True)
     du.add_argument("--op", required=True)
     du.add_argument("--out", default=None)
-    du.set_defaults(func=_cmd_dump_op)
+    du.set_defaults(func=_cmd_dump_op, usage_error=du.error)
     return parser
 
 

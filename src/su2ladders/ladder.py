@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .jpoly import JPoly
-from .operators import (Operator, ResidualReport, SectorBlocks,
-                        commutator_on_columns, commutator_residual,
-                        interior_factors, on_columns, residual)
+from .operators import (Operator, ResidualReport, commutator_on_columns,
+                        commutator_residual, interior_factors, on_columns,
+                        residual)
 
 P_FAMILY = "p"
 M_FAMILY = "m"
@@ -77,9 +77,6 @@ _PRECONDITION_TOL = 1e-10
 
 def _check_commutes(x: Operator, y: Operator, margin: int,
                     tol: float, what: str) -> None:
-    if isinstance(y, SectorBlocks) and y.function_of is x:
-        # y was assembled from the eigendecomposition of this very x.
-        return
     rep = commutator_residual(x, y, margin)
     if rep.frobenius_relative > tol:
         raise PreconditionError(
@@ -91,15 +88,9 @@ def check_rlo(h: Operator, p_dag: Operator, p_fn: Operator,
               margin: int) -> ResidualReport:
     """Residual of the right-ladder relation [H, p+] - p+ P on the interior.
 
-    Precondition: P commutes with H to 1e-10 on the full interior
-    (violations raise PreconditionError carrying the offending commutator
-    norm).  A P formed from the eigendecomposition of this very H (a
-    ``SectorBlocks`` whose ``function_of`` is ``h``: ``function_of_j`` of
-    the generators for their ``j2_blocks()``, or ``function_of_j`` of the
-    weight-0 view for its ``J2``) commutes with it by construction, and the
-    check is skipped;
-    any other P, including a re-wrapped, perturbed or summed copy of such an
-    image, is checked.
+    Precondition: P commutes with H to 1e-10 on the full interior, measured
+    on every call, a spectral image of H included (violations raise
+    PreconditionError carrying the offending commutator norm).
 
     Both sides are formed from the factors ``interior_factors`` cuts, on the
     restricted columns only.  When p+ or P vanishes identically (a zero
@@ -122,12 +113,11 @@ def check_llo(h: Operator, p: Operator, p_fn: Operator,
               margin: int) -> ResidualReport:
     """Residual of the left-ladder relation [p, H] - P p on the interior.
 
-    The precondition, and when it is taken as given, is that of
-    ``check_rlo``.  p lowers n, so both sides are formed on the restricted
-    columns only (the column rule of ``interior_factors``).  As in
-    ``check_rlo``, the relation degenerates to [H, p] = 0
-    (``commutator_residual``) when p or P vanishes identically, whatever
-    the restriction.
+    The precondition is that of ``check_rlo``.  p lowers n, so both sides
+    are formed on the restricted columns only (the column rule of
+    ``interior_factors``).  As in ``check_rlo``, the relation degenerates
+    to [H, p] = 0 (``commutator_residual``) when p or P vanishes
+    identically, whatever the restriction.
     """
     _check_commutes(h, p_fn, margin, _PRECONDITION_TOL,
                     "left function does not commute with H")

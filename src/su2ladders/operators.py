@@ -57,8 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -286,18 +285,11 @@ class SectorBlocks:
     blocks, and a sum or an adjoint that would send one sector into two
     raises SectorStructureError.  The blocks are stored read-only, in
     ascending source sector, and real unless some entry has a nonzero
-    imaginary part.
-
-    ``function_of`` records provenance: a spectral image f(H) assembled from
-    the decomposition of H (``SpectralDecomposition.assemble``) holds H
-    itself, so a check may take [H, f(H)] = 0 as given for that very H.  It
-    is not compared, and nothing else sets it: sums, products, scalings,
-    adjoints and re-wraps in ``SectorBlocks(...)`` carry None.
+    imaginary part.  A spectral image f(H) is a plain ``SectorBlocks`` too:
+    it records nothing of H.
     """
     basis: "SectorBasis"
     blocks: dict
-    function_of: Optional["SectorBlocks"] = field(
-        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.basis.sector_table().sizes

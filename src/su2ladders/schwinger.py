@@ -12,11 +12,11 @@ sector (``SpectralDecomposition``), which also owns the rule that snaps its
 eigenvalues j(j+1) to integer labels j: a function of j is evaluated once
 per label, at the exact integer.  Every function of j, and every sum X f(j)
 of sector maps X, is assembled from a decomposition as dense sector blocks
-(``SectorBlocks``) by the same two routines.  The whole space has its
-decomposition, built on first read; the weight-0 subspace (``Weight0View``)
-diagonalises its own J^2 level blocks, the same arrays as the whole-space
-(n, 0) blocks, so the ladder build never diagonalises a sector of nonzero
-weight.
+(``SectorBlocks``) by the same two routines.  The weight-0 subspace
+(``Weight0View``) forms and diagonalises its own J^2 level blocks, so the
+ladder build never diagonalises a sector of nonzero weight; the whole-space
+decomposition takes the view's eigenpairs for a sector (n, 0) only where
+its block equals the view's, and diagonalises every other sector.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -170,7 +169,7 @@ class SpectralDecomposition:
     V diag(f) V^dagger is one block per sector, and a sum X f(H) of sector
     maps X one block from each source sector to the sector X sends it to.
     A real operator has real eigenvectors, and real values of f then give a
-    real image.  ``source`` is the operator that was decomposed.
+    real image.
 
     For H = J^2 the eigenvalues j(j+1) snap to integer labels j
     (``labels``), and ``values`` and ``function_of`` evaluate a function of
@@ -178,15 +177,6 @@ class SpectralDecomposition:
     """
     basis: SectorBasis
     sectors: list  # list of (key, indices, eigenvalues, eigenvectors)
-    source: SparseOperator | SectorBlocks = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def operator(self) -> SectorBlocks:
-        """``source`` as sector blocks, read on first use (so a reader of
-        the eigenpairs or labels alone never holds the blocks) and kept;
-        the spectral images record it as their ``function_of``."""
-        return (self.source if isinstance(self.source, SectorBlocks)
-                else sector_blocks(self.source))
 
     @functools.cached_property
     def labels(self) -> list[np.ndarray]:
@@ -283,15 +273,19 @@ class SpectralDecomposition:
         return [SectorBlocks(self.basis, blocks) for blocks in outputs]
 
     @staticmethod
-    def of(op: SparseOperator | SectorBlocks) -> "SpectralDecomposition":
+    def of(op: SparseOperator | SectorBlocks, known: Optional[dict] = None
+           ) -> "SpectralDecomposition":
         """Diagonalise a hermitian operator sector by sector, from its sector
         blocks: ``op`` itself, or read off its entries (``sector_blocks``,
-        not kept).
+        not kept), with eigenpairs taken from ``known`` where it fits
+        (``_sector_eigenpairs``).
 
         Raises NonHermitianError when ``op`` is not hermitian, and
         SectorStructureError when it couples distinct (n, weight) sectors.
         """
-        return _decomposition(op, None)
+        return SpectralDecomposition(op.basis, [
+            (key, idx, vals, vecs) for key, idx, _block, vals, vecs
+            in _sector_eigenpairs(op, known or {})])
 
     def assemble(self, values: list, top: Optional[int] = None
                  ) -> SectorBlocks:
@@ -301,36 +295,28 @@ class SpectralDecomposition:
 
         Each block V diag(values) V^dagger is hermitized within the block
         (``_spectral_block``; complex values g + i h as g(H) + i h(H), each
-        part hermitized on its own).  The result records ``operator`` as
-        what it is a function of.
+        part hermitized on its own).
         """
         top = self.basis.n_max if top is None else top
         return SectorBlocks(self.basis, {
             k: (k, _spectral_block(vecs, fvals))
             for k, ((key, *_, vecs), fvals) in enumerate(zip(self.sectors,
                                                               values))
-            if key[0] <= top}, function_of=self.operator)
+            if key[0] <= top})
 
 
-def _decomposition(op: SparseOperator | SectorBlocks,
-                   reuse: Optional[SpectralDecomposition]
-                   ) -> SpectralDecomposition:
-    """``SpectralDecomposition.of(op)``, with the eigenpairs of each sector
-    that ``reuse`` also holds taken from it instead of computed: the
-    caller's promise that its block there is the same array."""
-    return SpectralDecomposition(op.basis, [
-        (key, idx, vals, vecs)
-        for key, idx, _block, vals, vecs in _sector_eigenpairs(op, reuse)], op)
-
-
-def _sector_eigenpairs(op: SparseOperator | SectorBlocks,
-                       reuse: Optional[SpectralDecomposition]) -> Iterator:
+def _sector_eigenpairs(op: SparseOperator | SectorBlocks, known: dict
+                       ) -> Iterator:
     """Yield (key, indices, block, eigenvalues, eigenvectors) of each
-    (n, weight) sector of a hermitian operator in ascending order, with
-    ``reuse``'s eigenpairs as ``_decomposition`` takes them: what it
-    collects and ``Su2Generators.j2_sectors`` streams.  Raises as
-    ``SpectralDecomposition.of`` does, before the first sector."""
-    known = {key: pair for key, _i, *pair in (reuse.sectors if reuse else ())}
+    (n, weight) sector of a hermitian operator in ascending order: what
+    ``SpectralDecomposition.of`` collects and ``Su2Generators.j2_sectors``
+    streams.
+
+    ``known`` maps a sector key to (block, eigenvalues, eigenvectors)
+    computed elsewhere; they are taken for that sector only when its block
+    equals that block (``np.array_equal``), and any other sector is
+    diagonalised.  Raises as ``SpectralDecomposition.of`` does, before the
+    first sector."""
     basis = op.basis
     gap = (op - op.adjoint()).norm()
     if gap > 1e-10 * (op.norm() + 1.0):
@@ -351,8 +337,11 @@ def _sector_eigenpairs(op: SparseOperator | SectorBlocks,
     for k, (key, idx) in enumerate(zip(table.keys, table.members)):
         block = (blocks.blocks[k][1] if k in blocks.blocks
                  else np.zeros((len(idx), len(idx))))
-        vals, vecs = known.get(key) or np.linalg.eigh(
-            block.astype(dtype, copy=False))
+        shared = known.get(key)
+        if shared is not None and np.array_equal(block, shared[0]):
+            vals, vecs = shared[1:]
+        else:
+            vals, vecs = np.linalg.eigh(block.astype(dtype, copy=False))
         yield key, idx, block, vals, vecs
 
 
@@ -364,8 +353,9 @@ class Su2Generators:
     (``J2``), so a reader of the weight-0 view alone, which forms its own
     J^2 blocks (``Weight0View``), never forms it.  The
     decomposition of J^2 is computed once and reused for every function of
-    the label operator j (``j2_sectors`` reads J^2 without it).  Its
-    eigenvalues snap to integer labels j, so a function of j (or of the
+    the label operator j (``j2_sectors`` reads J^2 without it); both build
+    the weight-0 view and take its eigenpairs on an equal block only.
+    Its eigenvalues snap to integer labels j, so a function of j (or of the
     commuting pair (N, j)) is evaluated once per distinct label, at the
     exact integer.
     """
@@ -401,31 +391,39 @@ class Su2Generators:
               + 0.5 * (self.Jplus @ self.Jminus + self.Jminus @ self.Jplus))
         return j2.hermitized()
 
+    def _weight0_eigenpairs(self) -> dict:
+        """The weight-0 view's eigenpairs by sector key (n, 0), each with the
+        level block of J^2 they diagonalise: ``_sector_eigenpairs`` takes
+        them for a whole-space sector whose block equals that one, array for
+        array, and diagonalises any other sector."""
+        w0 = self.weight0()
+        blocks = w0.J2.blocks
+        return {key: (blocks[n][1] if n in blocks
+                      else np.zeros((len(idx), len(idx))), vals, vecs)
+                for n, (key, idx, vals, vecs)
+                in enumerate(w0.decomposition.sectors)}
+
     def j2_decomposition(self) -> SpectralDecomposition:
         """The decomposition of J^2 over every (n, weight) sector, built on
         first read and kept: what the whole-space readers (``j_hat``, every
-        whole-space function of j) read, with the
-        weight-0 view's (n, 0) eigenpairs when the view exists (the view
-        never builds it)."""
+        whole-space function of j) read."""
         if self._j2_decomp is None:
-            self._j2_decomp = _decomposition(
-                self.J2, self._weight0 and self._weight0.decomposition)
+            self._j2_decomp = SpectralDecomposition.of(
+                self.J2, self._weight0_eigenpairs())
         return self._j2_decomp
 
     def j2_blocks(self) -> SectorBlocks:
-        """J^2 as (n, weight) sector blocks, read from its sparse entries on
-        first use and kept: what every whole-space spectral image records
-        as its ``function_of``."""
-        return self.j2_decomposition().operator
+        """J^2 as (n, weight) sector blocks, read from its sparse entries."""
+        return sector_blocks(self.J2)
 
     def j2_sectors(self) -> Iterator:
         """Yield (key, block, eigenvalues, eigenvectors, labels) of each
         (n, weight) sector of J^2 in ascending order and keep none
-        (``_sector_eigenpairs``, with the weight-0 view's (n, 0) eigenpairs
-        when it exists), the labels snapped as ``SpectralDecomposition``
-        snaps them."""
+        (``_sector_eigenpairs``, with the eigenpairs that
+        ``j2_decomposition`` takes from the weight-0 view), the labels
+        snapped as ``SpectralDecomposition`` snaps them."""
         for key, _idx, block, vals, vecs in _sector_eigenpairs(
-                self.J2, self._weight0 and self._weight0.decomposition):
+                self.J2, self._weight0_eigenpairs()):
             yield key, block, vals, vecs, _snap_labels(vals, key, self.s)
 
     def j_values_by_sector(self) -> dict:
@@ -489,31 +487,23 @@ class Weight0View:
     keeps the same levels), ``rows`` its states' whole-space indices, and
     level n its (n, 0) sector.  ``of`` restricts a whole-space operator to
     its weight-0 blocks, and ``from_columns`` reads them from its weight-0
-    columns alone (``build_families``).  ``J2`` is J^2's, read from its
-    sparse entries, so the certificates never read J^2 from its
-    eigenvectors: restricted from the whole-space J^2 when that has been
-    formed (or set), and otherwise formed from the sparse generators by
-    thin products on the weight-0 columns (``_weight0_casimir``), the same
-    arrays, so the view does not form the whole-space J^2.
-    ``decomposition`` diagonalises those level blocks, the
-    same arrays as the whole-space (n, 0) blocks, with the same eigenpairs
-    (shared with the whole-space decomposition when that exists), so no
-    sector of nonzero weight is diagonalised for the view; its
-    ``function_of`` and ``sum_times`` assemble the view's images and each
-    tau (``TauOperator.weight0``), recording ``J2`` as what they are a
-    function of.  ``nodes`` builds the J_z-kernel nodes of a level, in the
-    coordinates of its blocks; no other code builds them.
+    columns alone (``build_families``).  ``J2`` is J^2's, formed from the
+    sparse generators by thin products on the weight-0 columns
+    (``_weight0_casimir``), with no whole-space J^2 formed and never from
+    eigenvectors.  ``decomposition`` diagonalises those level blocks, and
+    the whole-space decomposition takes its eigenpairs where the blocks are
+    equal, never the other way; its ``function_of`` and ``sum_times``
+    assemble the view's images and each tau (``TauOperator.weight0``).
+    ``nodes`` builds the J_z-kernel nodes of a level, in the coordinates of
+    its blocks; no other code builds them.
     """
 
     def __init__(self, generators: Su2Generators):
         self.whole_basis = generators.basis
         self.basis = generators.basis.restricted_to_weight(0)
         self.rows = np.flatnonzero(generators.basis.weights == 0)
-        self._restricted: dict[int, tuple[weakref.ref, SectorBlocks]] = {}
-        whole = vars(generators).get("J2")
-        self.J2 = (self._weight0_casimir(generators) if whole is None
-                   else self.of(whole))
-        self.decomposition = _decomposition(self.J2, generators._j2_decomp)
+        self.J2 = self._weight0_casimir(generators)
+        self.decomposition = SpectralDecomposition.of(self.J2)
         self.j = self.function_of_j(lambda j: j)
 
     def _weight0_casimir(self, generators: Su2Generators) -> SectorBlocks:
@@ -591,8 +581,7 @@ class Weight0View:
         nonzero entry in a row of another weight: the restriction would then
         drop part of what the operator does on the subspace.  Raises
         SectorStructureError when it sends one weight-0 level into two
-        (``SectorBlocks.from_entries``).  Each operator is restricted once;
-        the restriction is kept while ``op`` lives.
+        (``SectorBlocks.from_entries``).
         """
         if isinstance(op, SectorBlocks) and (op.basis is self.basis
                                              or op.basis == self.basis):
@@ -600,16 +589,8 @@ class Weight0View:
         whole = self.whole_basis
         if op.basis is not whole and op.basis != whole:
             raise BasisMismatchError("operator does not act on the generators' basis")
-        cached = self._restricted.get(id(op))
-        if cached is not None and cached[0]() is op:
-            return cached[1]
-        out = (self._slice(op) if isinstance(op, SectorBlocks)
-               else self.from_columns(op.matrix[:, self.rows]))
-        for key in [k for k, (ref, _out) in self._restricted.items()
-                    if ref() is None]:
-            del self._restricted[key]
-        self._restricted[id(op)] = (weakref.ref(op), out)
-        return out
+        return (self._slice(op) if isinstance(op, SectorBlocks)
+                else self.from_columns(op.matrix[:, self.rows]))
 
     def _leak(self, col: int, row: int, value, count: int) -> WeightLeakError:
         whole = self.whole_basis

@@ -86,9 +86,9 @@ class SuiteConfig:
 
     def validate(self) -> None:
         if not self.spins or any(
-                not isinstance(s, int) or s < 1 for s in self.spins):
+                type(s) is not int or s < 1 for s in self.spins):
             raise ValueError("spins must be a non-empty list of integers >= 1")
-        if self.n_max < 1:
+        if isinstance(self.n_max, bool) or self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")
@@ -258,10 +258,7 @@ class _SpinContext:
         """J^2 read once, sector by sector (``Su2Generators.j2_sectors``),
         each sector dropped once read: the Frobenius norms of
         J^2 V - V diag(j(j+1)) and of V^T V - I over all sectors, the number
-        of sectors, and the largest distance of a j value from its label.
-        The weight-0 view is built first, so its (n, 0) eigenpairs are read
-        instead of computed again."""
-        self.gens.weight0()
+        of sectors, and the largest distance of a j value from its label."""
         relation = orthonormality = distance = 0.0
         sectors = 0
         for _key, block, vals, vecs, labels in self.gens.j2_sectors():

@@ -104,8 +104,11 @@ def test_basis_canonical(capsys):
 
 
 def test_basis_canonical_requires_spin_one(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         main(["basis", "--spin", "2", "--nmax", "3", "--canonical"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "argument --canonical: needs --spin 1" in captured.err
 
 
 def test_spectrum_csv(capsys):
@@ -171,8 +174,11 @@ def test_dump_op_tau(capsys):
 
 
 def test_dump_op_unknown_name(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         main(["dump-op", "--spin", "1", "--nmax", "2", "--op", "bogus"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "argument --op: unknown operator 'bogus'" in captured.err
 
 
 @pytest.mark.parametrize("args,valid", [
@@ -193,11 +199,14 @@ def test_dump_op_unknown_name(capsys):
 def test_out_of_range_selectors_name_the_valid_range(args, valid, capsys):
     # An index outside its range, or a sector that is not two integers,
     # must stop with the valid range instead of dumping another operator
-    # (m:0 used to wrap to m_s, p:-1 to p_s) or raising a traceback.
+    # (m:0 used to wrap to m_s, p:-1 to p_s) or raising a traceback: a
+    # usage error, exit 2, naming the flag.
     with pytest.raises(SystemExit) as err:
         main(args)
-    assert valid in str(err.value.code)
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    flag = "--op" if "--op" in args else "--sector"
+    assert f"argument {flag}: " in captured.err and valid in captured.err
 
 
 @pytest.mark.parametrize("op", ["p:0", "p:2", "m:1", "m:2", "tau:-2",
@@ -245,6 +254,54 @@ def test_invalid_spin_or_nmax_is_a_usage_error(args, flag, message, capsys,
     assert f"argument {flag}: {message}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args,env,message", [
+    (["verify", "--tolerance-override", "bad"], None,
+     "argument --tolerance-override: 'bad' is not NAME=VALUE"),
+    (["verify", "--tolerance-override", "=1e-3"], None,
+     "argument --tolerance-override: '=1e-3' is not NAME=VALUE"),
+    (["verify", "--tolerance-override", "su2-commutators=xyz"], None,
+     "argument --tolerance-override: 'xyz' is not a finite number >= 0"),
+    (["verify", "--tolerance", "nan"], None,
+     "argument --tolerance: 'nan' is not a finite number >= 0"),
+    (["verify", "--tolerance", "inf"], None,
+     "argument --tolerance: 'inf' is not a finite number >= 0"),
+    (["verify", "--tolerance=-1e-3"], None,
+     "argument --tolerance: '-1e-3' is not a finite number >= 0"),
+    (["verify"], "abc",
+     "SU2LADDERS_TOLERANCE: 'abc' is not a finite number >= 0"),
+    (["spectrum", "--spin", "1", "--nmax", "2", "--sector", "x"], None,
+     "argument --sector: 'x' is not N,W"),
+    (["dump-op", "--spin", "1", "--nmax", "2", "--op", "q:1"], None,
+     "argument --op: unknown operator kind 'q'"),
+    (["basis", "--spin", "0", "--nmax", "2", "--canonical"], None,
+     "argument --canonical: needs --spin 1"),
+], ids=["override-no-equals", "override-no-name", "override-not-a-number",
+        "tolerance-nan", "tolerance-inf", "tolerance-negative", "env-abc",
+        "sector-x", "op-unknown-kind", "canonical-spin-0"])
+def test_refused_inputs_are_usage_errors(args, env, message, capsys,
+                                         monkeypatch, tmp_path):
+    # Each is refused through the parser, before any check runs: exit 2
+    # (not verify's "one check failed"), the message on stderr, no output.
+    if env is not None:
+        monkeypatch.setenv("SU2LADDERS_TOLERANCE", env)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_zero_tolerance_is_still_valid(capsys):
+    # 0 is the least tolerance the parser takes: the suite runs with it.
+    code, out, _err = run_cli(["verify", "--spin", "1", "--nmax", "2",
+                               "--tolerance", "0"], capsys)
+    checks = json.loads(out)["checks"]
+    assert 0.0 in {c["tolerance"] for c in checks}
+    assert code == sum(not c["passed"] for c in checks) > 0
 
 
 def test_basis_still_takes_spin_zero(capsys):

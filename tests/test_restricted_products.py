@@ -1458,12 +1458,25 @@ def test_weight0_j2_equals_the_restricted_whole_space_j2(spin, n_max):
     gens = su2_generators(enumerate_sector(spin, n_max))
     w0 = gens.weight0()
     assert "J2" not in vars(gens)
-    want = w0.of(gens.J2)
-    assert want is not w0.J2
-    assert w0.J2.blocks.keys() == want.blocks.keys()
+    _assert_same_blocks(w0.J2, w0.of(gens.J2))
+
+
+@pytest.mark.parametrize("spin,n_max", BATCH_CONFIGS + [(6, 4)])
+def test_weight0_j2_is_formed_alike_after_the_whole_space_j2(spin, n_max):
+    # With the whole-space J^2 formed first, the view still forms its own by
+    # thin products, and its blocks are still those of the whole-space one.
+    gens = su2_generators(enumerate_sector(spin, n_max))
+    whole = gens.J2
+    w0 = gens.weight0()
+    _assert_same_blocks(w0.J2, w0.of(whole))
+
+
+def _assert_same_blocks(got, want):
+    assert want is not got
+    assert got.blocks.keys() == want.blocks.keys()
     for n, (target, block) in want.blocks.items():
-        assert w0.J2.blocks[n][0] == target
-        assert np.array_equal(w0.J2.blocks[n][1], block)
+        assert got.blocks[n][0] == target
+        assert np.array_equal(got.blocks[n][1], block)
 
 
 @pytest.mark.parametrize("spin", [2, 3])

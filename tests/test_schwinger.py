@@ -318,18 +318,21 @@ def test_function_of_j_pole_names_a_sector_holding_the_label(ctx):
     assert err.value.eigenvalue == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("consumer", [
-    lambda g: g.function_of_j(lambda j: j),
-    lambda g: g.j_hat(),
-    lambda g: jz_kernel(g.basis, g, 2),
-    lambda g: build_taus(build_families(g.basis, g), g, certify=False),
-    lambda g: g.weight0(),
+@pytest.mark.parametrize("consumer,damaged", [
+    (lambda g: g.function_of_j(lambda j: j), "J2"),
+    (lambda g: g.j_hat(), "J2"),
+    (lambda g: jz_kernel(g.basis, g, 2), "Jplus"),
+    (lambda g: build_taus(build_families(g.basis, g), g, certify=False),
+     "Jplus"),
+    (lambda g: g.weight0(), "Jplus"),
 ], ids=["function_of_j", "j_hat", "jz_kernel", "build_taus", "weight0"])
-def test_function_of_j_rejects_unsnappable_spectrum(consumer):
+def test_function_of_j_rejects_unsnappable_spectrum(consumer, damaged):
     # Every reader of the J^2 labels must refuse a damaged J^2, on every
-    # call: the labels are never cached past the failure.
+    # call: the labels are never cached past the failure.  The weight-0
+    # readers form their J^2 from J_+ and J_-, so J_+ is damaged for them:
+    # both J^2s scale by 1 + 1e-3.
     g = su2_generators(enumerate_sector(1, 3))
-    g.J2 = g.J2 * (1.0 + 1e-3)
+    setattr(g, damaged, getattr(g, damaged) * (1.0 + 1e-3))
     for _ in range(2):
         with pytest.raises(SpectrumSnapError):
             consumer(g)
@@ -591,8 +594,8 @@ def test_each_weight0_sector_is_diagonalised_once(monkeypatch):
     # The whole-space decomposition, the one-pass read of J^2's sectors
     # (j2_sectors) and the weight-0 view share the (n, 0) eigenpairs: one
     # eigh per sector in a run_suite, and the same arrays in the view and
-    # the pass; and whichever of the decomposition and the view is built
-    # first, the same arrays in both.
+    # the pass; and whether the decomposition or the view is asked for
+    # first, the decomposition takes the view's arrays.
     calls = []
     eigh = np.linalg.eigh
 
@@ -630,6 +633,32 @@ def test_each_weight0_sector_is_diagonalised_once(monkeypatch):
             assert whole[key][0] is vals and whole[key][1] is vecs
 
 
+def test_view_eigenpairs_are_taken_only_for_an_equal_block():
+    # J^2 rotated on its (2, 0) sector after the weight-0 view exists: the
+    # same spectrum, other eigenvectors.  The whole-space readers must not
+    # take the view's eigenpairs there, as they do for every equal block.
+    g = su2_generators(enumerate_sector(1, 4))
+    w0 = g.weight0()
+    idx = np.flatnonzero((g.basis.totals == 2) & (g.basis.weights == 0))
+    rot = np.eye(len(g.basis))
+    cs, sn = np.cos(0.3), np.sin(0.3)
+    rot[np.ix_(idx, idx)] = [[cs, -sn], [sn, cs]]
+    rot = sparse.csr_matrix(rot)
+    g.J2 = SparseOperator(g.basis, rot @ g.J2.matrix @ rot.T).hermitized()
+    dense = g.J2.matrix.toarray()
+    level = {key: vecs for key, _idx, _vals, vecs in w0.decomposition.sectors}
+    for sectors in ([(key, dense[np.ix_(i, i)], vals, vecs)
+                     for key, i, vals, vecs in g.j2_decomposition().sectors],
+                    [(key, block, vals, vecs)
+                     for key, block, vals, vecs, _js in g.j2_sectors()]):
+        gap = math.sqrt(sum(np.linalg.norm(block @ vecs - vecs * vals) ** 2
+                            for _key, block, vals, vecs in sectors))
+        assert gap <= 1e-12
+        shared = {key for key, _b, _vals, vecs in sectors
+                  if key in level and vecs is level[key]}
+        assert shared == set(level) - {(2, 0)}
+
+
 @pytest.mark.parametrize("spin,n_max", CONFIGS)
 def test_weight0_view_is_the_weight0_block(ctx, spin, n_max):
     g = ctx(spin, n_max).gens
@@ -665,12 +694,8 @@ def test_weight0_view_is_the_weight0_block(ctx, spin, n_max):
     same(w0.j, block(g.j_hat()))
     for f in (lambda j: 1.0 / (2.0 * j + 1.0), lambda j: 1j * j,
               right_function_poly(-2)):
-        image = w0.function_of_j(f)
-        same(image, block(g.function_of_j(f)))
-        assert image.function_of is w0.J2
-    assert w0.j.function_of is w0.J2
+        same(w0.function_of_j(f), block(g.function_of_j(f)))
     tau = ctx(spin, n_max).taus[1].op
-    assert w0.of(tau) is w0.of(tau)
     same(w0.of(tau), block(tau))
 
 

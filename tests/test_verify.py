@@ -109,6 +109,16 @@ def test_config_validation():
         run_suite(SuiteConfig(spins=[1], n_max=4, output_format="xml"))
 
 
+@pytest.mark.parametrize("config", [
+    SuiteConfig(spins=[True], n_max=4), SuiteConfig(spins=[1, False], n_max=4),
+    SuiteConfig(spins=[1], n_max=True)], ids=["spin-true", "spin-false",
+                                              "nmax-true"])
+def test_config_validation_refuses_bools(config):
+    # bool is an int subclass: True would run spin 1 and report "s": true.
+    with pytest.raises(ValueError, match="spins|n_max"):
+        config.validate()
+
+
 def test_tolerance_override_can_force_failure():
     config = SuiteConfig(spins=[1], n_max=3,
                          tolerance_overrides={"su2-commutators": 1e-30})
