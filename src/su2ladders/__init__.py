@@ -4,6 +4,7 @@ suite.
 
 The pieces, bottom up:
 
+- ``lazy``: values built on first read and kept, a failed build too.
 - ``fock``: enumeration and indexing of truncated multi-mode Fock bases.
 - ``operators``: sparse operator algebra, dense (n, weight) sector-block
   operators, and truncation-aware interior residuals read alike on both.

@@ -46,7 +46,6 @@ for export.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,6 +59,7 @@ from .jpoly import JPoly
 from .ladder import (AlphaMatrix, M_FAMILY, P_FAMILY, SigmaVector,
                      AlphaVerificationError, build_alpha, check_llo, check_rlo,
                      right_function_poly, right_functions, solve_sigma)
+from .lazy import kept
 from .operators import (BasisMismatchError, ResidualReport, SectorBlocks,
                         SectorStructureError, SparseOperator, _restriction,
                         blocks_fro, commutator, commutator_on_columns,
@@ -81,24 +81,19 @@ class LadderFamily:
     ``m_weight0``, its weight-0 level blocks (``SectorBlocks`` on the
     weight-0 basis), formed by ``build_families`` and read by the closure
     certificate and fit, tau and the lattice; and ``p_ops``/``m_ops``, the
-    whole-space ``SparseOperator``, formed on first read and kept on this
-    instance (``kept``, which keeps a failed build too), for the family
-    checks, the complete set, the whole-space tau and the spin-1
-    expressions.  Each column of a CSR product sums the same terms in the
-    same order whatever the other columns are, so the level blocks equal
-    ``Weight0View.of`` of the whole-space operators array for array.
+    whole-space ``SparseOperator``, for the family checks, the complete set,
+    the whole-space tau and the spin-1 expressions.  Those, the closure fit
+    and commutators and the spin-1 reference taus are formed on first read
+    and kept on this instance, a failure too (``keep``).  Each column of a
+    CSR product sums the same terms in the same order whatever the other
+    columns are, so the level blocks equal ``Weight0View.of`` of the
+    whole-space operators array for array.
     """
     s: int
     basis: SectorBasis
     generators: Su2Generators = field(repr=False, compare=False)
     p_weight0: tuple[SectorBlocks, ...]
     m_weight0: tuple[SectorBlocks, ...]
-    # What is formed from these operators once and kept (the whole-space
-    # families, ``closure_fit``, ``closure_commutators``,
-    # ``s1_reference_taus``), or the exception its build raised.  Not an
-    # init field, so a ``dataclasses.replace`` copy starts with its own.
-    _values: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
 
     def _whole_space(self) -> tuple[tuple[SparseOperator, ...],
                                     tuple[SparseOperator, ...]]:
@@ -106,7 +101,7 @@ class LadderFamily:
             p, m = _family_columns(self.generators, np.arange(len(self.basis)))
             return (tuple(SparseOperator(self.basis, x) for x in p),
                     tuple(SparseOperator(self.basis, x) for x in m))
-        return self.kept("whole space", self.generators, build)
+        return self.keep("whole space", self.generators, build)
 
     @property
     def p_ops(self) -> tuple[SparseOperator, ...]:
@@ -132,28 +127,19 @@ class LadderFamily:
         """k -> T_k of the family, as its weight-0 level blocks."""
         return self._indexed(family, self.p_weight0, self.m_weight0)
 
-    def kept(self, key, generators: Su2Generators, build):
-        """``build()``, formed on first use and kept on this instance under
-        ``key``; a build that raises keeps its exception, and every later
-        read raises it again, so the build runs once.  The generators must
-        act on the families' basis."""
+    def keep(self, key: str, generators: Su2Generators, build):
+        """``build()``, kept on this instance under ``key`` (``kept.value``:
+        a failure too, so the build runs once).  The generators must act on
+        the families' basis."""
         if generators.basis is not self.basis and generators.basis != self.basis:
             raise BasisMismatchError("generators do not act on the families' basis")
-        if key not in self._values:
-            try:
-                self._values[key] = build()
-            except Exception as exc:
-                self._values[key] = exc
-        value = self._values[key]
-        if isinstance(value, Exception):
-            raise value
-        return value
+        return kept.value(self, key, build)
 
     def closure_fit(self, family: str, generators: Su2Generators
                     ) -> dict[int, list[tuple[int, np.ndarray]]]:
         """The family's closure coefficients measured on the J^2 kernel
         nodes (``_measure_closure``), fitted on first use and kept."""
-        return self.kept(("fit", family), generators,
+        return self.keep(f"fit {family}", generators,
                          lambda: _measure_closure(self, generators, family))
 
     def closure_commutators(self, family: str, generators: Su2Generators
@@ -166,7 +152,7 @@ class LadderFamily:
             w0 = generators.weight0()
             return {eta: commutator_on_columns(w0.J2, t, LADDER_MARGIN)
                     for eta, t in self.weight0_ops(family).items()}
-        return self.kept(("commutators", family), generators, build)
+        return self.keep(f"commutators {family}", generators, build)
 
 
 class GradeError(ValueError):
@@ -439,7 +425,7 @@ class TauOperator:
     tau on the whole space, as (n, w) sector blocks, read only by
     ``dump-op``, the spin-1 scale checks and the tests, assembled by the
     same routine on first read (``Su2Generators.sum_times_functions_of_j``)
-    and kept on this instance, not as a field.
+    and kept on this instance, a failure too (``lazy.kept``).
     """
     theta: int
     family: str
@@ -449,7 +435,7 @@ class TauOperator:
     families: LadderFamily = field(repr=False, compare=False)
     generators: Su2Generators = field(repr=False, compare=False)
 
-    @functools.cached_property
+    @kept
     def op(self) -> SectorBlocks:
         return self.generators.sum_times_functions_of_j([
             (t_k, self.sigma.sigmas[k])
@@ -1073,7 +1059,7 @@ def s1_reference_taus(generators: Su2Generators, families: LadderFamily
 
     tau[+1] = p_0 (j + 1) + 2 p_1 and tau[-1] = p_0 j - 2 p_1; these equal
     the sigma-assembled ladders up to one global rational scale per theta.
-    The pair is formed once per family instance (``LadderFamily.kept``), as
+    The pair is formed once per family instance (``LadderFamily.keep``), as
     whole-space sector blocks.
     """
     if generators.s != 1:
@@ -1084,7 +1070,7 @@ def s1_reference_taus(generators: Su2Generators, families: LadderFamily
         j_plus_1 = generators.function_of_j(lambda j: j + 1.0)
         j_op = generators.j_hat()
         return p0 @ j_plus_1 + 2.0 * p1, p0 @ j_op - 2.0 * p1
-    return families.kept("s1-reference-taus", generators, build)
+    return families.keep("s1-reference-taus", generators, build)
 
 
 def expression_match_scale(assembled: SectorBlocks,

@@ -13,8 +13,9 @@ stderr.  ``verify`` exits 0 iff every check passed, otherwise with the number
 of failed checks.  The environment variable SU2LADDERS_TOLERANCE overrides
 the default tolerance of every check not pinned via --tolerance-override;
 the --tolerance flag takes precedence over the environment.  A refused input
-(a flag's value, or SU2LADDERS_TOLERANCE when read) is a usage error: exit 2,
-a message naming the flag or variable, and no output.
+(a flag's value, an override name that pins no check of the run, or
+SU2LADDERS_TOLERANCE when read) is a usage error: exit 2, a message naming
+the flag or variable, and no output.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ def _cmd_verify(args) -> int:
                          tolerance_overrides=dict(args.tolerance_override or ()),
                          output_format=args.format,
                          default_tolerance=default_tol)
+    try:
+        config.validate()
+    except ValueError as exc:  # the argument types refuse every other value
+        args.usage_error(f"argument --tolerance-override: {exc}")
     report = run_suite(config)
     payload = report.to_json() if args.format == "json" else report.to_csv()
     _emit(payload, args.out)

@@ -22,7 +22,6 @@ its block equals the view's, and diagonalises every other sector.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -32,6 +31,7 @@ from scipy import sparse
 
 from .fock import SectorBasis
 from .jpoly import JPoly
+from .lazy import kept
 from .operators import (BasisMismatchError, SectorBlocks, SectorStructureError,
                         SparseOperator, sector_blocks)
 
@@ -178,15 +178,15 @@ class SpectralDecomposition:
     basis: SectorBasis
     sectors: list  # list of (key, indices, eigenvalues, eigenvectors)
 
-    @functools.cached_property
+    @kept
     def labels(self) -> list[np.ndarray]:
         """The integer label j of each eigenvalue j(j+1), sector by sector
         (``_snap_labels``).  A spectrum that does not snap raises
-        SpectrumSnapError, and the failure is not kept: every read raises."""
+        SpectrumSnapError, kept as the labels are: every read raises it."""
         return [_snap_labels(vals, key, self.basis.spin)
                 for key, _idx, vals, _vecs in self.sectors]
 
-    @functools.cached_property
+    @kept
     def _distinct_labels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per sector: its distinct labels in ascending order, the position
         of each one's first eigenvalue, and each eigenvalue's label among
@@ -194,7 +194,7 @@ class SpectralDecomposition:
         return [np.unique(js, return_index=True, return_inverse=True)
                 for js in self.labels]
 
-    @functools.cached_property
+    @kept
     def _label_table(self) -> tuple[list[int], list[np.ndarray]]:
         """The distinct labels of all sectors, and each eigenvalue's among them."""
         distinct, inverse = np.unique(np.concatenate(self.labels),
@@ -349,12 +349,13 @@ class Su2Generators:
     """su(2) generators on a truncated Fock space, plus spectral helpers.
 
     All five operators conserve total particle number.  J_z, J_+/- and N
-    are formed on construction; the whole-space J^2 on first read and kept
-    (``J2``), so a reader of the weight-0 view alone, which forms its own
-    J^2 blocks (``Weight0View``), never forms it.  The
-    decomposition of J^2 is computed once and reused for every function of
-    the label operator j (``j2_sectors`` reads J^2 without it); both build
-    the weight-0 view and take its eigenpairs on an equal block only.
+    are formed on construction; the whole-space J^2 (``J2``), its
+    decomposition, the label operator j (``j_hat``) and the weight-0 view
+    (``weight0``) on first read, each kept with a failed build's exception
+    (``lazy.kept``).  A reader of the weight-0 view alone, which forms its
+    own J^2 blocks (``Weight0View``), never forms the whole-space J^2.  The
+    decomposition serves every function of j (``j2_sectors`` reads J^2
+    without it); both take the view's eigenpairs on an equal block only.
     Its eigenvalues snap to integer labels j, so a function of j (or of the
     commuting pair (N, j)) is evaluated once per distinct label, at the
     exact integer.
@@ -379,11 +380,8 @@ class Su2Generators:
         self.Jplus = jordan_schwinger(basis, xp)
         self.Jminus = self.Jplus.adjoint()
         self.Ntot = SparseOperator.diagonal(basis, basis.totals.astype(float))
-        self._j2_decomp: Optional[SpectralDecomposition] = None
-        self._j_hat: Optional[SectorBlocks] = None
-        self._weight0: Optional[Weight0View] = None
 
-    @functools.cached_property
+    @kept
     def J2(self) -> SparseOperator:
         """J^2 = J_z^2 + (J_+ J_- + J_- J_+) / 2, hermitized, on the whole
         space: formed on first read and kept."""
@@ -407,10 +405,8 @@ class Su2Generators:
         """The decomposition of J^2 over every (n, weight) sector, built on
         first read and kept: what the whole-space readers (``j_hat``, every
         whole-space function of j) read."""
-        if self._j2_decomp is None:
-            self._j2_decomp = SpectralDecomposition.of(
-                self.J2, self._weight0_eigenpairs())
-        return self._j2_decomp
+        return kept.value(self, "J^2 decomposition", lambda: (
+            SpectralDecomposition.of(self.J2, self._weight0_eigenpairs())))
 
     def j2_blocks(self) -> SectorBlocks:
         """J^2 as (n, weight) sector blocks, read from its sparse entries."""
@@ -450,11 +446,10 @@ class Su2Generators:
         function of j it reads the decomposition's labels, so a J^2
         eigenvalue farther than SNAP_TOL from a label in [0, n*s]
         (truncation damage or a wrong spin) raises SpectrumSnapError.  The
-        assembled operator is cached.
+        assembled operator is kept, as is a failure.
         """
-        if self._j_hat is None:
-            self._j_hat = self.j2_decomposition().function_of(lambda j: j)
-        return self._j_hat
+        return kept.value(self, "label operator j", lambda: (
+            self.j2_decomposition().function_of(lambda j: j)))
 
     def function_of_j(self, f: Callable[[int], float]) -> SectorBlocks:
         """Spectral image of f(j); f is called once per integer label j."""
@@ -467,10 +462,8 @@ class Su2Generators:
 
     def weight0(self) -> "Weight0View":
         """The generators on the weight-0 subspace (``Weight0View``), built
-        once and cached."""
-        if self._weight0 is None:
-            self._weight0 = Weight0View(self)
-        return self._weight0
+        on first read and kept, as is a failure."""
+        return kept.value(self, "weight-0 view", lambda: Weight0View(self))
 
 
 class WeightLeakError(ValueError):

@@ -4,16 +4,18 @@ The suite walks the construction in dependency order for each configured
 spin: Fock/operator invariants, su(2) and Casimir checks, exact symbolic
 certificates, assembled-ladder relations, resolvent and lattice checks,
 deformed generators, and the full spin-1 walkthrough.  Hard errors inside a
-check are captured as failed entries, never as crashes.  Reports are
-deterministic: identical configurations produce byte-identical JSON.
+check are captured as failed entries, never as crashes: every lazily built
+object (``_SpinContext``) is read inside the checks that use it alone.
+Reports are deterministic: identical configurations produce byte-identical
+JSON.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import math
+import numbers
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -38,6 +40,7 @@ from .ladder import (M_FAMILY, P_FAMILY, build_alpha, build_alpha_variant_diag4,
                      check_llo, check_power_identity, check_rlo,
                      check_rlo_compose, det_certificate, right_functions,
                      sigma_closed_form_next_to_top, solve_sigma)
+from .lazy import kept
 from .operators import (EmptyInteriorError, ResidualReport, SectorBlocks,
                         SparseOperator, block_residual, commutator,
                         commutator_residual, creation_op, kept_block_squares,
@@ -48,25 +51,47 @@ from .schwinger import (j_from_casimir, jordan_schwinger, jz_kernel,
 
 DEFAULT_TOLERANCE = 1e-10
 
+#: The name of every check a run makes at each spin, and of those it adds at
+#: spin 1, each its own anchor (held to the suite by registry tests).
+CHECK_NAMES = frozenset("""
+    basis-roundtrip basis-counting weyl-pair-commutator number-ladder
+    vacuum-annihilation matrix-element-amplitudes jordan-schwinger-homomorphism
+    identity-image-is-total-number su2-commutators n-centrality
+    casimir-centrality j-defining-identity j-spectrum-integers
+    single-particle-casimir canonical-su2-action kernel-dimensions
+    rlo-number-raising rlo-negative-control llo-number-lowering
+    power-identity-number power-identity-casimir rlo-compose-polynomial
+    rlo-compose-number closure-columns-certified closure-entries-extracted
+    closure-variant-rejected determinant-certificates right-function-parity
+    right-function-family sigma-consistency-and-degrees sigma-closed-form
+    family-number-ladder family-jz-commuting tau-casimir-ladder tau-label-shift
+    resolvent-ladder-right resolvent-ladder-left tau-complete-set
+    complete-set-separation lattice-scheme tau-annihilation-rules
+    tau-trivial-kernel-parity tau-zero-preserves-j multiplicity-oracle
+    deformed-algebra-generators residue-classes
+""".split())
+S1_CHECK_NAMES = frozenset("""
+    s1-family-definitions s1-family-commutators casimir-closure-full
+    s1-m1-annihilates-kernel s1-tau-expressions s1-weyl-pair
+    s1-number-like-spectrum s1-deformed-su2-spectrum s1-double-commutator
+    s1-single-mode-ladders s1-inverse-expressions s1-label-commutators
+    s1-bracket-ladder s1-lattice-diagram irrep-dimensions s1-canonical-basis
+""".split())
+
 #: Identity anchors that the suite must cover (audited by a registry test).
-REQUIRED_ANCHORS = frozenset("""
+REQUIRED_ANCHORS = S1_CHECK_NAMES | frozenset("""
     weyl-algebra number-ladder vacuum-state canonical-matrix-elements
     jordan-schwinger-map total-number-image su2-commutators n-centrality
     casimir-centrality canonical-su2-action j-operator single-particle-irrep
     jz-kernel rlo-definition llo-definition power-identity rlo-composition
-    closure-tridiagonal family-closure-kernel casimir-closure-full
-    right-function-family right-function-parity determinant-certificate
-    sigma-recurrence sigma-closed-form family-number-ladder
-    family-jz-commuting tau-casimir-ladder tau-label-shift
-    resolvent-ladder-right resolvent-ladder-left tau-complete-set
-    complete-set-separation lattice-action tau-annihilation-rules
-    tau-trivial-kernel-parity tau-zero-preserves-j
-    deformed-algebra-generators residue-classes multiplicity-oracle
-    s1-family-definitions s1-family-commutators s1-m1-annihilates-kernel
-    s1-tau-expressions s1-weyl-pair s1-number-like-spectrum
-    s1-deformed-su2-spectrum s1-lattice-diagram irrep-dimensions
-    s1-canonical-basis s1-inverse-expressions s1-label-commutators
-    s1-bracket-ladder s1-single-mode-ladders s1-double-commutator
+    closure-tridiagonal family-closure-kernel right-function-family
+    right-function-parity determinant-certificate sigma-recurrence
+    sigma-closed-form family-number-ladder family-jz-commuting
+    tau-casimir-ladder tau-label-shift resolvent-ladder-right
+    resolvent-ladder-left tau-complete-set complete-set-separation
+    lattice-action tau-annihilation-rules tau-trivial-kernel-parity
+    tau-zero-preserves-j deformed-algebra-generators residue-classes
+    multiplicity-oracle
 """.split())
 
 
@@ -85,6 +110,7 @@ class SuiteConfig:
     default_tolerance: Optional[float] = None
 
     def validate(self) -> None:
+        """Refuse a bad setting with ValueError, before any check runs."""
         if not self.spins or any(
                 type(s) is not int or s < 1 for s in self.spins):
             raise ValueError("spins must be a non-empty list of integers >= 1")
@@ -92,6 +118,20 @@ class SuiteConfig:
             raise ValueError("n_max must be >= 1")
         if self.output_format not in ("json", "csv"):
             raise ValueError("output_format must be 'json' or 'csv'")
+        names = CHECK_NAMES | (S1_CHECK_NAMES if 1 in self.spins else set())
+        for name in self.tolerance_overrides:
+            if name not in names:
+                raise ValueError(f"tolerance override {name!r} pins no check "
+                                 f"of spins {self.spins}")
+        tolerances = [(f"tolerance override {name!r}", tol)
+                      for name, tol in self.tolerance_overrides.items()]
+        if self.default_tolerance is not None:
+            tolerances.append(("default_tolerance", self.default_tolerance))
+        for what, tol in tolerances:
+            if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
+                                             and 0 <= tol < math.inf):
+                raise ValueError(f"{what} must be a finite real >= 0, "
+                                 f"got {tol!r}")
 
     def tolerance_for(self, name: str, spec_default: float) -> float:
         if name in self.tolerance_overrides:
@@ -195,45 +235,20 @@ class _Runner:
             name=name, anchor=anchor, params=params, residual=value,
             tolerance=tol, passed=passed, detail=detail, wall_time=elapsed))
 
-    def residual_check(self, name, anchor, params, spec_tol, make_report):
+    def residual_check(self, name, anchor, params, spec_tol, *make_reports):
+        """A check of the worst ``frobenius_relative`` of the reports, each
+        formed by its callable in turn; it passes below the tolerance."""
         def fn(tol):
-            rep = make_report()
-            return rep.frobenius_relative, rep.frobenius_relative < tol, ""
+            worst = max(make().frobenius_relative for make in make_reports)
+            return worst, worst < tol, ""
         self.run(name, anchor, params, spec_tol, fn)
 
 
-class _kept(functools.cached_property):
-    """A lazily built attribute of ``_SpinContext``, kept once built; a
-    build that raises keeps its exception too, and every later read raises
-    it again, so each check that reads it fails with the same detail and
-    the build runs once."""
-
-    def __get__(self, ctx, owner=None):
-        if ctx is None:
-            return self
-        failure = ctx._failures.get(self.attrname)
-        if failure is not None:
-            raise failure
-        try:
-            return super().__get__(ctx, owner)
-        except Exception as exc:
-            ctx._failures[self.attrname] = exc
-            raise
-
-
 class _SpinContext:
-    """Lazily built per-spin objects shared across checks.
-
-    Besides the basis and generators it holds the mode-operator table
-    (``modes``: a_mu^dagger and a_mu, built once per mode), the one-pass
-    read of J^2 (``j2_pass``), the p/m families, the right functions and sigmas, the taus, their certificates
-    and resolvent relations, the complete-set certificate, the spin-1
-    operators and the kernel lattice.  Each is built on first read and kept
-    (``_kept``), a failed build with its exception, so every check that
-    reads it fails with that exception and the build is not repeated.  The
-    right functions and sigmas are the exception: exact and cheap, they are
-    derived again on every read after a failure.
-    """
+    """The per-spin objects shared across checks.  Besides the basis and
+    generators, each is built on first read, inside a check, and kept
+    (``lazy.kept``), a failed build with its exception, so every check that
+    reads it fails with that exception and the build is not repeated."""
 
     def __init__(self, s: int, n_max: int):
         self.s = s
@@ -241,9 +256,18 @@ class _SpinContext:
         self.n_limit = min(n_max - 1, 4)  # source levels of the lattice
         self.basis = enumerate_sector(s, n_max)
         self.gens = su2_generators(self.basis)
-        self._failures: dict[str, Exception] = {}
 
-    @_kept
+    families = kept(lambda ctx: build_families(ctx.basis, ctx.gens))
+    taus = kept(lambda ctx: build_taus(ctx.families, ctx.gens, certify=False))
+    complete_set = kept(lambda ctx: complete_set_check(ctx.gens, ctx.taus,
+                                                       min(ctx.n_max, 4)))
+    demo_s1 = kept(lambda ctx: demo_s1_operators(ctx.gens, ctx.families))
+    s1_inverse = kept(lambda ctx: s1_inverse_expressions(ctx.gens,
+                                                         ctx.families))
+    lattice = kept(lambda ctx: lattice_report(ctx.basis, ctx.gens, ctx.taus,
+                                              ctx.n_limit))
+
+    @kept
     def modes(self) -> dict[int, tuple[SparseOperator, SparseOperator]]:
         """mu -> (a_mu^dagger, a_mu) for mu = -s..s: ``creation_op`` and its
         adjoint, once per mode."""
@@ -253,7 +277,7 @@ class _SpinContext:
             modes[mu] = (adag, adag.adjoint())
         return modes
 
-    @_kept
+    @kept
     def j2_pass(self) -> tuple[float, float, int, float]:
         """J^2 read once, sector by sector (``Su2Generators.j2_sectors``),
         each sector dropped once read: the Frobenius norms of
@@ -272,17 +296,12 @@ class _SpinContext:
         return (math.sqrt(relation), math.sqrt(orthonormality), sectors,
                 distance)
 
-    @_kept
-    def families(self):
-        return build_families(self.basis, self.gens)
-
-    @functools.cached_property
+    @kept
     def right_functions(self):
-        """The 2s+1 right functions, each certified by its exact determinant
-        (``right_functions``); a failure raises on every read."""
+        """The 2s+1 right functions, certified by exact determinants."""
         return right_functions(self.s)
 
-    @functools.cached_property
+    @kept
     def sigmas(self):
         """theta -> the exact sigma vector of its parity-matched family."""
         alphas = {fam: build_alpha(self.s, fam)
@@ -290,18 +309,14 @@ class _SpinContext:
         return {rf.theta: solve_sigma(alphas[rf.family], rf.theta)
                 for rf in self.right_functions}
 
-    @_kept
-    def taus(self):
-        return build_taus(self.families, self.gens, certify=False)
-
-    @_kept
+    @kept
     def tau_certificates(self):
         """theta -> (Casimir ladder, label shift) report of its tau, all
         taus in one pass (``tau_certificates``)."""
         return dict(zip(self.taus, tau_certificates(list(self.taus.values()),
                                                     self.gens)))
 
-    @_kept
+    @kept
     def resolvents(self):
         """(k, side) -> theta -> the resolvent relation's report, all taus
         in one pass per (k, side) (``resolvent_commutator_checks``)."""
@@ -309,22 +324,6 @@ class _SpinContext:
         return {(k, side): dict(zip(self.taus, resolvent_commutator_checks(
                     self.gens, taus, k, side)))
                 for k in (0, 2) for side in ("right", "left")}
-
-    @_kept
-    def complete_set(self):
-        return complete_set_check(self.gens, self.taus, min(self.n_max, 4))
-
-    @_kept
-    def demo_s1(self):
-        return demo_s1_operators(self.gens, self.families)
-
-    @_kept
-    def s1_inverse(self):
-        return s1_inverse_expressions(self.gens, self.families)
-
-    @_kept
-    def lattice(self):
-        return lattice_report(self.basis, self.gens, self.taus, self.n_limit)
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -489,33 +488,24 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
         "identity-image-is-total-number", "total-number-image", p, 1e-12,
         lambda: residual(jordan_schwinger(basis, np.eye(m)), gens.Ntot, 0))
 
-    def su2_relations(tol):
-        worst = max(
-            residual(commutator(gens.Jz, gens.Jplus), gens.Jplus, 0
-                     ).frobenius_relative,
-            residual(commutator(gens.Jz, gens.Jminus), -1.0 * gens.Jminus, 0
-                     ).frobenius_relative,
-            residual(commutator(gens.Jplus, gens.Jminus), 2.0 * gens.Jz, 0
-                     ).frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("su2-commutators", "su2-commutators", p, 1e-12, su2_relations)
-
-    def n_central(tol):
-        worst = max(
-            commutator_residual(gens.Ntot, gens.Jz, 0).frobenius_relative,
-            commutator_residual(gens.Ntot, gens.Jplus, 0).frobenius_relative,
-            commutator_residual(gens.Ntot, gens.Jminus, 0).frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("n-centrality", "n-centrality", p, 1e-12, n_central)
-
-    def casimir_central(tol):
-        worst = max(
-            commutator_residual(gens.J2, gens.Jz, 0).frobenius_relative,
-            commutator_residual(gens.J2, gens.Jplus, 0).frobenius_relative,
-            commutator_residual(gens.J2, gens.Jminus, 0).frobenius_relative,
-            commutator_residual(gens.J2, gens.Ntot, 0).frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("casimir-centrality", "casimir-centrality", p, 1e-12, casimir_central)
+    r.residual_check(
+        "su2-commutators", "su2-commutators", p, 1e-12,
+        lambda: residual(commutator(gens.Jz, gens.Jplus), gens.Jplus, 0),
+        lambda: residual(commutator(gens.Jz, gens.Jminus), -1.0 * gens.Jminus,
+                         0),
+        lambda: residual(commutator(gens.Jplus, gens.Jminus), 2.0 * gens.Jz,
+                         0))
+    r.residual_check(
+        "n-centrality", "n-centrality", p, 1e-12,
+        lambda: commutator_residual(gens.Ntot, gens.Jz, 0),
+        lambda: commutator_residual(gens.Ntot, gens.Jplus, 0),
+        lambda: commutator_residual(gens.Ntot, gens.Jminus, 0))
+    r.residual_check(
+        "casimir-centrality", "casimir-centrality", p, 1e-12,
+        lambda: commutator_residual(gens.J2, gens.Jz, 0),
+        lambda: commutator_residual(gens.J2, gens.Jplus, 0),
+        lambda: commutator_residual(gens.J2, gens.Jminus, 0),
+        lambda: commutator_residual(gens.J2, gens.Ntot, 0))
 
     def j_defining(tol):
         # J^2 = j(j+1) as J^2 V = V diag(j(j+1)) with V orthonormal, on each
@@ -572,13 +562,12 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
     s, basis, gens = ctx.s, ctx.basis, ctx.gens
     p = {"s": s}
     ident = SparseOperator.identity(basis)
-    ad0, a0 = ctx.modes[0]
 
     r.residual_check("rlo-number-raising", "rlo-definition", p, 1e-12,
-                     lambda: check_rlo(gens.Ntot, ad0, ident, 1))
+                     lambda: check_rlo(gens.Ntot, ctx.modes[0][0], ident, 1))
 
     def rlo_negative(tol):
-        rep = check_rlo(gens.Ntot, ad0, 2.0 * ident, 1)
+        rep = check_rlo(gens.Ntot, ctx.modes[0][0], 2.0 * ident, 1)
         big = rep.frobenius_relative > 0.1
         return rep.frobenius_relative, big, \
             "" if big else "the check did not discriminate a wrong right function"
@@ -586,30 +575,29 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
           rlo_negative)
 
     r.residual_check("llo-number-lowering", "llo-definition", p, 1e-12,
-                     lambda: check_llo(gens.Ntot, a0, ident, 1))
+                     lambda: check_llo(gens.Ntot, ctx.modes[0][1], ident, 1))
 
     r.residual_check("power-identity-number", "power-identity", p, 1e-10,
-                     lambda: check_power_identity(gens.Ntot, ad0, ident, 3, 1))
+                     lambda: check_power_identity(gens.Ntot, ctx.modes[0][0],
+                                                  ident, 3, 1))
 
-    # The theta = 1 ladder relations, on the weight-0 subspace.  The taus are
-    # read inside each check, so a failure to build them fails the check.
-    w0 = gens.weight0()
-
+    # The theta = 1 ladder relations, on the weight-0 subspace.
     def tau1():
-        tau = ctx.taus[1]
-        return tau.weight0, w0.function_of_j(tau.right_function)
+        w0, tau = gens.weight0(), ctx.taus[1]
+        return w0.J2, tau.weight0, w0.function_of_j(tau.right_function)
     r.residual_check(
         "power-identity-casimir", "power-identity", {"s": s, "theta": 1, "n": 2},
-        1e-8, lambda: check_power_identity(w0.J2, *tau1(), 2, 1))
+        1e-8, lambda: check_power_identity(*tau1(), 2, 1))
 
     r.residual_check(
         "rlo-compose-polynomial", "rlo-composition", {"s": s, "theta": 1},
-        1e-8, lambda: check_rlo_compose(
-            w0.J2, *tau1(), w0.function_of_j(lambda j: j * j + 1.0), 1))
+        1e-8, lambda: check_rlo_compose(*tau1(), gens.weight0().function_of_j(
+            lambda j: j * j + 1.0), 1))
 
     r.residual_check(
         "rlo-compose-number", "rlo-composition", {"s": s, "theta": 1},
-        1e-8, lambda: check_rlo_compose(w0.J2, *tau1(), w0.of(gens.Ntot), 1))
+        1e-8, lambda: check_rlo_compose(*tau1(), gens.weight0().of(gens.Ntot),
+                                        1))
 
 
 def _symbolic_checks(r: _Runner, ctx: _SpinContext,
@@ -735,11 +723,10 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
     s, gens = ctx.s, ctx.gens
     p = {"s": s}
 
-    # The families are read inside each check, as the taus are, so a
-    # failure to build them fails the check.  Both read the whole-space
-    # families, whose every T_k has grade (1, 0) by construction
-    # (``_family_columns`` refuses an entry off grade with GradeError):
-    # exact, so any entry off grade fails both, and no product is formed.
+    # Both read the whole-space families, whose every T_k has grade (1, 0)
+    # by construction (``_family_columns`` refuses an entry off grade with
+    # GradeError): exact, so any entry off grade fails both, and no product
+    # is formed.
     def whole_space_families(tol):
         for family in (P_FAMILY, M_FAMILY):
             ctx.families.ops(family)
@@ -749,9 +736,7 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.run("family-jz-commuting", "family-jz-commuting", p, 1e-10,
           whole_space_families)
 
-    # theta runs over -s..s, not over ctx.taus: the taus and their
-    # certificates are read inside each check, so a failure to build them
-    # fails the check.
+    # theta runs over -s..s: ctx.taus is read inside the checks alone.
     for theta in range(-s, s + 1):
         pt = {"s": s, "theta": theta}
         r.residual_check("tau-casimir-ladder", "tau-casimir-ladder", pt, 1e-8,
@@ -1008,11 +993,9 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         return worst, worst < tol, ""
     r.run("casimir-closure-full", "casimir-closure-full", p, 1e-8, closure_full)
 
-    w0 = gens.weight0()
-
     r.residual_check(
         "s1-m1-annihilates-kernel", "s1-m1-annihilates-kernel", p, 1e-10,
-        lambda: zero_residual(w0.of(ctx.families.m_ops[0]), 1,
+        lambda: zero_residual(gens.weight0().of(ctx.families.m_ops[0]), 1,
                               scale=max(ctx.families.m_ops[0].norm(), 1.0)))
 
     def tau_match(tol):
@@ -1026,10 +1009,11 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         return worst, ok, detail
     r.run("s1-tau-expressions", "s1-tau-expressions", p, 1e-10, tau_match)
 
-    r.residual_check(
-        "s1-weyl-pair", "s1-weyl-pair", p, 1e-8,
-        lambda: residual(w0.of(commutator(ctx.demo_s1.a_op, ctx.demo_s1.a_dag)),
-                         SectorBlocks.identity(w0.basis), 2))
+    def weyl_pair():
+        w0 = gens.weight0()
+        return residual(w0.of(commutator(ctx.demo_s1.a_op, ctx.demo_s1.a_dag)),
+                        SectorBlocks.identity(w0.basis), 2)
+    r.residual_check("s1-weyl-pair", "s1-weyl-pair", p, 1e-8, weyl_pair)
 
     def number_like(tol):
         ada = ctx.demo_s1.a_dag @ ctx.demo_s1.a_op
@@ -1066,6 +1050,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     })
 
     def double_comm():
+        w0 = gens.weight0()
         ad0 = w0.of(ctx.modes[0][0])
         return residual(commutator(w0.j, commutator(w0.j, ad0)), ad0, 1)
     r.residual_check("s1-double-commutator", "s1-double-commutator", p, 1e-8,
@@ -1083,20 +1068,12 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     r.run("s1-single-mode-ladders", "s1-single-mode-ladders", p, 1e-8,
           single_mode)
 
-    def inverse_exprs(tol):
-        reps = ctx.s1_inverse
-        worst = max(reps["p0_from_taus"].frobenius_relative,
-                    reps["p1_from_taus"].frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("s1-inverse-expressions", "s1-inverse-expressions", p, 1e-8,
-          inverse_exprs)
-
-    def label_comms(tol):
-        reps = ctx.s1_inverse
-        worst = max(reps["label_comm_p0"].frobenius_relative,
-                    reps["label_comm_p1"].frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("s1-label-commutators", "s1-label-commutators", p, 1e-8, label_comms)
+    r.residual_check("s1-inverse-expressions", "s1-inverse-expressions", p,
+                     1e-8, lambda: ctx.s1_inverse["p0_from_taus"],
+                     lambda: ctx.s1_inverse["p1_from_taus"])
+    r.residual_check("s1-label-commutators", "s1-label-commutators", p, 1e-8,
+                     lambda: ctx.s1_inverse["label_comm_p0"],
+                     lambda: ctx.s1_inverse["label_comm_p1"])
 
     def bracket(tol):
         reps = s1_tau_bracket_ladder(gens, ctx.families)

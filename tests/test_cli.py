@@ -263,6 +263,10 @@ def test_invalid_spin_or_nmax_is_a_usage_error(args, flag, message, capsys,
      "argument --tolerance-override: '=1e-3' is not NAME=VALUE"),
     (["verify", "--tolerance-override", "su2-commutators=xyz"], None,
      "argument --tolerance-override: 'xyz' is not a finite number >= 0"),
+    (["verify", "--spin", "1", "--nmax", "2", "--tolerance-override",
+      "bogus=1e-3"], None,
+     "argument --tolerance-override: tolerance override 'bogus' pins no "
+     "check"),
     (["verify", "--tolerance", "nan"], None,
      "argument --tolerance: 'nan' is not a finite number >= 0"),
     (["verify", "--tolerance", "inf"], None,
@@ -278,12 +282,14 @@ def test_invalid_spin_or_nmax_is_a_usage_error(args, flag, message, capsys,
     (["basis", "--spin", "0", "--nmax", "2", "--canonical"], None,
      "argument --canonical: needs --spin 1"),
 ], ids=["override-no-equals", "override-no-name", "override-not-a-number",
-        "tolerance-nan", "tolerance-inf", "tolerance-negative", "env-abc",
-        "sector-x", "op-unknown-kind", "canonical-spin-0"])
+        "override-pins-no-check", "tolerance-nan", "tolerance-inf",
+        "tolerance-negative", "env-abc", "sector-x", "op-unknown-kind",
+        "canonical-spin-0"])
 def test_refused_inputs_are_usage_errors(args, env, message, capsys,
                                          monkeypatch, tmp_path):
-    # Each is refused through the parser, before any check runs: exit 2
-    # (not verify's "one check failed"), the message on stderr, no output.
+    # Each is refused through the parser (or, for an override name,
+    # ``SuiteConfig.validate``), before any check runs: exit 2 (not
+    # verify's "one check failed"), the message on stderr, no output.
     if env is not None:
         monkeypatch.setenv("SU2LADDERS_TOLERANCE", env)
     out = tmp_path / "out.json"

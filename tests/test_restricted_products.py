@@ -18,6 +18,7 @@ from scipy import sparse
 import su2ladders
 import su2ladders.casimir
 import su2ladders.cli
+import su2ladders.lazy
 import su2ladders.schwinger
 import su2ladders.verify
 from su2ladders.casimir import (LatticeArrow, LatticeSchemeError,
@@ -476,25 +477,29 @@ def test_run_suite_forms_each_kept_value_once(monkeypatch):
     # family, the six spin-1 readers of s1_reference_taus one pair, and
     # the family checks and the readers of the grade one set of
     # whole-space families per spin, kept (``whole space``) and formed
-    # once besides the weight-0 ones.
+    # once besides the weight-0 ones; counted through ``lazy.kept.value``,
+    # which keeps every lazily built value.
     built = []
-    kept = su2ladders.casimir.LadderFamily.kept
+    value = su2ladders.lazy.kept.value
     family_columns = su2ladders.casimir._family_columns
 
-    def counted(self, key, generators, build):
+    def counted(owner, key, build):
+        if not isinstance(owner, su2ladders.casimir.LadderFamily):
+            return value(owner, key, build)
+
         def build_counted():
-            built.append((self.s, key))
+            built.append((owner.s, key))
             return build()
-        return kept(self, key, generators, build_counted)
+        return value(owner, key, build_counted)
 
     def formed(generators, columns):
         built.append((generators.s, "whole" if len(columns) == len(
             generators.basis) else "weight0"))
         return family_columns(generators, columns)
-    monkeypatch.setattr(su2ladders.casimir.LadderFamily, "kept", counted)
+    monkeypatch.setattr(su2ladders.lazy.kept, "value", staticmethod(counted))
     monkeypatch.setattr(su2ladders.casimir, "_family_columns", formed)
     assert run_suite(SuiteConfig(spins=[1, 2], n_max=4)).overall_pass
-    per_family = [(k, fam) for k in ("commutators", "fit") for fam in "mp"]
+    per_family = [f"{k} {fam}" for k in ("commutators", "fit") for fam in "mp"]
     assert sorted(built, key=str) == sorted(
         [(1, "s1-reference-taus")]
         + [(s, key) for s in (1, 2)

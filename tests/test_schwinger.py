@@ -328,7 +328,8 @@ def test_function_of_j_pole_names_a_sector_holding_the_label(ctx):
 ], ids=["function_of_j", "j_hat", "jz_kernel", "build_taus", "weight0"])
 def test_function_of_j_rejects_unsnappable_spectrum(consumer, damaged):
     # Every reader of the J^2 labels must refuse a damaged J^2, on every
-    # call: the labels are never cached past the failure.  The weight-0
+    # call: a failed build is kept with its exception and raised again,
+    # never replaced by a value.  The weight-0
     # readers form their J^2 from J_+ and J_-, so J_+ is damaged for them:
     # both J^2s scale by 1 + 1e-3.
     g = su2_generators(enumerate_sector(1, 3))

@@ -451,7 +451,7 @@ def test_off_grade_stray_fails_its_family_check_exactly(monkeypatch, target,
 
 def test_refused_whole_space_families_are_formed_once_per_run(monkeypatch):
     # The whole-space families are kept with their GradeError when the
-    # construction refuses them (``LadderFamily.kept``): under the p_1
+    # construction refuses them (``LadderFamily.keep``): under the p_1
     # stray, the five checks that read them fail from one whole-width
     # ``_family_columns`` call in each run.
     basis = enumerate_sector(2, 4)
@@ -756,24 +756,129 @@ def test_run_suite_records_a_right_function_failure(monkeypatch):
         assert "theta=1" in check.detail
 
 
-def test_no_right_function_failure_is_cached(monkeypatch):
+def test_right_function_failure_is_kept(monkeypatch):
+    # A failed right-function build is kept like every other lazily built
+    # value of the context: each later read raises the same exception, the
+    # sigmas that read it too, even once the certificate is mended; a new
+    # context derives them afresh.
     ctx = _SpinContext(2, 3)
     certificate = _nonzero_determinant(monkeypatch, 1)
+    errors = []
     for _ in range(2):
-        with pytest.raises(RightFunctionError):
-            ctx.right_functions
-        with pytest.raises(RightFunctionError):
-            ctx.sigmas
+        for name in ("right_functions", "sigmas"):
+            with pytest.raises(RightFunctionError) as err:
+                getattr(ctx, name)
+            errors.append(err.value)
+    assert all(e is errors[0] for e in errors)
     monkeypatch.setattr(su2ladders.ladder, "det_certificate", certificate)
-    assert [rf.theta for rf in ctx.right_functions] == list(range(-2, 3))
-    assert sorted(ctx.sigmas) == list(range(-2, 3))
-    assert ctx.right_functions is ctx.right_functions
+    with pytest.raises(RightFunctionError) as err:
+        ctx.right_functions
+    assert err.value is errors[0]
+    fresh = _SpinContext(2, 3)
+    assert [rf.theta for rf in fresh.right_functions] == list(range(-2, 3))
+    assert sorted(fresh.sigmas) == list(range(-2, 3))
+    assert fresh.right_functions is fresh.right_functions
 
 
 #: The checks that read the kernel lattice (``_SpinContext.lattice``).
 LATTICE_READERS = ("lattice-scheme", "tau-annihilation-rules",
                    "tau-trivial-kernel-parity", "tau-zero-preserves-j",
                    "residue-classes", "s1-lattice-diagram")
+
+
+#: The checks that read the mode-operator table (``_SpinContext.modes``)
+#: at a spin other than 1.
+MODE_READERS = ("llo-number-lowering", "matrix-element-amplitudes",
+                "number-ladder", "power-identity-number",
+                "rlo-negative-control", "rlo-number-raising",
+                "vacuum-annihilation", "weyl-pair-commutator")
+
+
+def test_a_refused_mode_fails_its_readers_only(monkeypatch):
+    # A mode table that cannot be built fails the checks that read it, each
+    # with the build's exception; the suite still returns its report.
+    create = su2ladders.verify.creation_op
+
+    def refusing(basis, mu):
+        if mu == 0:
+            raise RuntimeError("mode 0 refused")
+        return create(basis, mu)
+    monkeypatch.setattr(su2ladders.verify, "creation_op", refusing)
+    report = run_suite(SuiteConfig(spins=[2], n_max=3))
+    failed = [c for c in report.checks if not c.passed]
+    assert sorted(c.name for c in failed) == list(MODE_READERS)
+    assert len(report.checks) == 74
+    assert all(c.detail == "RuntimeError: mode 0 refused" for c in failed)
+
+
+def test_a_damaged_spectrum_is_reported_and_its_view_built_once(monkeypatch):
+    # J_+ scaled by 1 + 1e-3 (and J_- its adjoint) moves every label off
+    # its integer: the weight-0 view fails to build, once per spin, and
+    # every reader of it fails its check instead of stopping the suite.
+    generators = su2ladders.verify.su2_generators
+    init = Weight0View.__init__
+    built = []
+
+    def damaged(basis):
+        gens = generators(basis)
+        gens.Jplus = gens.Jplus * (1.0 + 1e-3)
+        gens.Jminus = gens.Jplus.adjoint()
+        return gens
+
+    def counted(self, gens):
+        built.append(gens.s)
+        init(self, gens)
+    monkeypatch.setattr(su2ladders.verify, "su2_generators", damaged)
+    monkeypatch.setattr(Weight0View, "__init__", counted)
+    report = run_suite(SuiteConfig(spins=[1, 3], n_max=5))
+    assert built == [1, 3]
+    assert (len(report.checks), report.failed_count) == (164, 128)
+    assert any(c.detail.startswith("SpectrumSnapError") for c in report.checks)
+
+
+def test_check_names_are_those_of_the_suite(default_report):
+    # The registry the override names are read against: every check of a
+    # spin-2 run, and those a spin-1 run adds, each its own anchor.
+    at_two = {c.name for c in run_suite(SuiteConfig(spins=[2], n_max=2)).checks}
+    everything = {c.name for c in default_report.checks}
+    assert at_two == su2ladders.verify.CHECK_NAMES
+    assert everything - at_two == su2ladders.verify.S1_CHECK_NAMES
+    assert all(c.anchor == c.name for c in default_report.checks
+               if c.name in su2ladders.verify.S1_CHECK_NAMES)
+
+
+@pytest.mark.parametrize("spins,overrides", [
+    ([1], {"bogus": 1e-3}), ([2], {"s1-weyl-pair": 1e-3}),
+    ([1, 2], {"su2-commutators": 1e-8, "su2-commutator": 1e-8})],
+    ids=["unknown", "spin-1-check-at-spin-2", "typo-beside-a-valid-name"])
+def test_an_override_that_pins_no_check_is_refused(spins, overrides):
+    with pytest.raises(ValueError, match="pins no check"):
+        SuiteConfig(spins=spins, n_max=2,
+                    tolerance_overrides=overrides).validate()
+
+
+@pytest.mark.parametrize("value", ["1e-3", math.nan, math.inf, -1e-3, True,
+                                   None])
+def test_an_override_value_that_is_no_tolerance_is_refused(value):
+    config = SuiteConfig(spins=[1], n_max=2,
+                         tolerance_overrides={"su2-commutators": value})
+    with pytest.raises(ValueError, match="'su2-commutators' must be a finite"):
+        config.validate()
+    with pytest.raises(ValueError):
+        run_suite(config)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, "1e-3", False])
+def test_a_default_tolerance_that_is_no_tolerance_is_refused(value):
+    with pytest.raises(ValueError, match="default_tolerance must be a finite"):
+        SuiteConfig(spins=[1], n_max=2, default_tolerance=value).validate()
+
+
+def test_valid_tolerances_pass_validation():
+    SuiteConfig(spins=[1], n_max=2, default_tolerance=0,
+                tolerance_overrides={"s1-weyl-pair": 1e-3,
+                                     "su2-commutators": np.float64(0.0)}
+                ).validate()
 
 
 def test_a_failed_lattice_build_is_kept(monkeypatch):
