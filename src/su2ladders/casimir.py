@@ -712,9 +712,6 @@ class KernelLatticeReport:
     def arrows_from(self, node: tuple[int, int]) -> list[LatticeArrow]:
         return [a for a in self.arrows if a.source == node]
 
-    def annihilation_flags(self) -> dict[tuple[str, tuple[int, int]], bool]:
-        return {(a.operator, a.source): a.annihilated for a in self.arrows}
-
     def to_json_dict(self) -> dict:
         return {
             "spin": self.spin,

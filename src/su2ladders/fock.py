@@ -125,12 +125,13 @@ class SectorBasis:
 
     States are stored in ascending lexicographic order as the rows of
     ``occupations``, built with array operations at construction and
-    indexed by their lexicographic ranks in the whole space (``_ranks``).
-    The ``states`` tuples and the ``index`` dict are built on first read
-    only; the sector table, the interior masks and the raise tables
-    (``raised``) on first use, cached as read-only arrays.  Two threads that
-    miss the cache at once build equal arrays, so instances stay safe for
-    concurrent reads.
+    indexed by their lexicographic ranks in the whole space (``_ranks``):
+    a state's position is found by one rank lookup (``positions``), the one
+    that ``state_index`` and every raise table read.  The ``states`` tuples
+    are built on first read only; the sector table, the interior masks and
+    the raise tables (``raised``) on first use, cached as read-only arrays.
+    Two threads that miss the cache at once build equal arrays, so
+    instances stay safe for concurrent reads.
     """
 
     def __init__(self, spin: int, n_max: int, n: Optional[int] = None,
@@ -169,11 +170,6 @@ class SectorBasis:
         """The states as occupation tuples, built on first read."""
         return tuple(map(tuple, self.occupations.tolist()))
 
-    @functools.cached_property
-    def index(self) -> dict[Occupation, int]:
-        """Occupation tuple -> position, built on first read."""
-        return {s: i for i, s in enumerate(self.states)}
-
     def restricted_to_weight(self, weight: int) -> "SectorBasis":
         """The basis ``SectorBasis(spin, n_max, n, weight)``: this basis's
         states of J_z weight ``weight``, read off instead of enumerated again."""
@@ -210,15 +206,20 @@ class SectorBasis:
     def state_index(self, state: Occupation) -> Optional[int]:
         """Position of ``state`` in the basis, or None if absent.
 
-        A wrong-length state is an error; absence is a normal return.
+        A wrong-length state is an error; absence is a normal return.  A
+        state with a negative entry or a total above n_max is absent; any
+        other is looked up by its rank (``positions``).
         """
-        state = tuple(int(x) for x in state)
-        if len(state) != self.modes:
+        row = np.array([int(x) for x in state], dtype=np.int64)
+        if len(row) != self.modes:
             raise ValueError(
-                f"state has {len(state)} modes, basis has {self.modes}")
-        return self.index.get(state)
+                f"state has {len(row)} modes, basis has {self.modes}")
+        if row.min() < 0 or row.sum() > self.n_max:
+            return None
+        i = int(self.positions(row[None])[0])
+        return None if i < 0 else i
 
-    def _positions(self, occupations: np.ndarray) -> np.ndarray:
+    def positions(self, occupations: np.ndarray) -> np.ndarray:
         """The position of each occupation row in the basis, or -1 where it
         is absent; the rows must be valid (none below zero, total <= n_max)."""
         ranks = _lex_ranks(occupations, self.n_max)
@@ -276,7 +277,7 @@ class SectorBasis:
         of state c with one more boson in mode pos, or -1 where that state
         is not in the basis (always at n_max, and everywhere on an n or
         weight sector).  Built once per mode, with one rank lookup of the
-        states below n_max (``_positions``: raising them keeps every row
+        states below n_max (``positions``: raising them keeps every row
         valid, so no mask is needed)."""
         table = self._raised.get(pos)
         if table is None:
@@ -284,7 +285,7 @@ class SectorBasis:
             moved = self.occupations[below]
             moved[:, pos] += 1
             table = np.full(len(self), -1, dtype=np.int32)
-            table[below] = self._positions(moved)
+            table[below] = self.positions(moved)
             table.flags.writeable = False
             self._raised[pos] = table
         return table

@@ -54,13 +54,14 @@ checked on every call.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+from .lazy import kept
 
 
 class BasisMismatchError(ValueError):
@@ -82,9 +83,6 @@ class ResidualReport:
     frobenius_absolute: float
     frobenius_relative: float
     interior_margin: int
-
-    def within(self, tol: float) -> bool:
-        return self.frobenius_relative < tol
 
 
 def _fro(data: np.ndarray) -> float:
@@ -262,9 +260,10 @@ class SparseOperator:
         """Coordinate-triplet export: {rows, cols, dim, entries}, row-major."""
         coo = self.matrix.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        entries = [[int(coo.row[k]), int(coo.col[k]),
-                    float(coo.data[k].real), float(coo.data[k].imag)]
-                   for k in order]
+        data = coo.data[order]
+        entries = list(map(list, zip(coo.row[order].tolist(),
+                                     coo.col[order].tolist(),
+                                     data.real.tolist(), data.imag.tolist())))
         dim = len(self.basis)
         return {"rows": dim, "cols": dim, "dim": dim, "entries": entries}
 
@@ -286,7 +285,9 @@ class SectorBlocks:
     raises SectorStructureError.  The blocks are stored read-only, in
     ascending source sector, and real unless some entry has a nonzero
     imaginary part.  A spectral image f(H) is a plain ``SectorBlocks`` too:
-    it records nothing of H.
+    it records nothing of H.  Its nonzero entries as one ``SparseOperator``
+    (``as_sparse``, the inverse of ``sector_blocks``) are formed on first
+    read and kept; ``apply`` and ``to_coo_json`` read that form.
     """
     basis: "SectorBasis"
     blocks: dict
@@ -495,10 +496,10 @@ class SectorBlocks:
                                          in self.blocks.items()
                                          if keys[k][0] <= top})
 
-    @functools.cached_property
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, column and value of each nonzero entry, in basis indices and
-        row-major order: the entries a ``SparseOperator`` would store."""
+    @kept
+    def as_sparse(self) -> SparseOperator:
+        """The operator as a ``SparseOperator`` of its nonzero entries, the
+        inverse of ``sector_blocks``: formed on first read and kept."""
         members = self.basis.sector_table().members
         empty = np.zeros(0, dtype=np.int64)
         parts = [(empty, empty, np.zeros(0))] + [
@@ -506,34 +507,18 @@ class SectorBlocks:
             for k, (t, block) in self.blocks.items()
             for r, c in [np.nonzero(block)]]
         rows, cols, data = (np.concatenate(a) for a in zip(*parts))
-        order = np.lexsort((cols, rows))
-        return rows[order], cols[order], data[order]
+        dim = len(self.basis)
+        return SparseOperator(self.basis, sparse.csr_matrix(
+            (data, (rows, cols)), shape=(dim, dim)))
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        """Matrix-vector product.  Each row sums its entries' products in
-        ascending column order, and a complex product is formed part by
-        part, as a CSR product does: the result equals that of the
-        ``SparseOperator`` with the same entries exactly."""
-        rows, cols, data = self._entries
-        x = np.asarray(vector)[cols]
-        dim = len(self.basis)
-        if not (np.iscomplexobj(data) or np.iscomplexobj(x)):
-            return np.bincount(rows, weights=data * x, minlength=dim)
-        out = np.empty(dim, dtype=np.complex128)
-        out.real = np.bincount(rows, weights=data.real * x.real
-                               - data.imag * x.imag, minlength=dim)
-        out.imag = np.bincount(rows, weights=data.real * x.imag
-                               + data.imag * x.real, minlength=dim)
-        return out
+        """Matrix-vector product, by the kept sparse form (``as_sparse``)."""
+        return self.as_sparse.apply(vector)
 
     def to_coo_json(self) -> dict:
-        """Coordinate-triplet export, as ``SparseOperator.to_coo_json``:
+        """Coordinate-triplet export of the kept sparse form (``as_sparse``):
         {rows, cols, dim, entries}, the nonzero entries row-major."""
-        rows, cols, data = self._entries
-        entries = list(map(list, zip(rows.tolist(), cols.tolist(),
-                                     data.real.tolist(), data.imag.tolist())))
-        dim = len(self.basis)
-        return {"rows": dim, "cols": dim, "dim": dim, "entries": entries}
+        return self.as_sparse.to_coo_json()
 
 
 # -- elementary operators ---------------------------------------------------

@@ -6,9 +6,12 @@ mode space to number-conserving bilinear operators and preserves commutators;
 raise tables, one per mode: a_i^dagger a_j sends d + e_j to d + e_i.
 Applied to the spin-s generator matrices it yields J_z, J_+, J_-, from which
 the Casimir J^2 and the label operator j (with J^2 = j(j+1)) are built.
-All of these conserve both total particle number and J_z weight, so J^2 is
-block diagonal over the (n, weight) sectors and is diagonalised sector by
-sector (``SpectralDecomposition``), which also owns the rule that snaps its
+J^2 has one routine, ``_casimir_columns``, which forms its columns by thin
+products of the generators: on every column for the whole space, on the
+weight-0 columns for the weight-0 view.  All of these conserve both total
+particle number and J_z weight, so J^2 is block diagonal over the
+(n, weight) sectors and is diagonalised sector by sector
+(``SpectralDecomposition``), which also owns the rule that snaps its
 eigenvalues j(j+1) to integer labels j: a function of j is evaluated once
 per label, at the exact integer.  Every function of j, and every sum X f(j)
 of sector maps X, is assembled from a decomposition as dense sector blocks
@@ -345,6 +348,23 @@ def _sector_eigenpairs(op: SparseOperator | SectorBlocks, known: dict
         yield key, idx, block, vals, vecs
 
 
+def _casimir_columns(generators: "Su2Generators", columns: np.ndarray
+                     ) -> sparse.csr_matrix:
+    """J^2 P, P the basis columns ``columns``: a CSR block with a row per
+    basis state and a column per entry of ``columns``, formed as
+    J_z (J_z P) + (J_+ (J_- P) + J_- (J_+ P)) / 2 by thin CSR products, as
+    ``casimir._family_columns`` forms the families, each J P the columns of
+    J, so no whole-space product is formed for a few columns.  Each column
+    of a CSR product sums the same terms in the same order whatever the
+    other columns are, and each sum and scaling is entry by entry, so a
+    column holds the same floats whichever columns are formed with it: this
+    is the one formula for J^2 (``Su2Generators.J2``, ``Weight0View``)."""
+    jz, plus, minus = (op.matrix for op in (generators.Jz, generators.Jplus,
+                                            generators.Jminus))
+    return (jz @ jz[:, columns]
+            + (plus @ minus[:, columns] + minus @ plus[:, columns]) * 0.5)
+
+
 class Su2Generators:
     """su(2) generators on a truncated Fock space, plus spectral helpers.
 
@@ -352,8 +372,9 @@ class Su2Generators:
     are formed on construction; the whole-space J^2 (``J2``), its
     decomposition, the label operator j (``j_hat``) and the weight-0 view
     (``weight0``) on first read, each kept with a failed build's exception
-    (``lazy.kept``).  A reader of the weight-0 view alone, which forms its
-    own J^2 blocks (``Weight0View``), never forms the whole-space J^2.  The
+    (``lazy.kept``).  J^2 is formed by one routine (``_casimir_columns``)
+    on every column here and on the weight-0 columns in the view, so a
+    reader of the weight-0 view alone never forms the whole-space J^2.  The
     decomposition serves every function of j (``j2_sectors`` reads J^2
     without it); both take the view's eigenpairs on an equal block only.
     Its eigenvalues snap to integer labels j, so a function of j (or of the
@@ -384,10 +405,10 @@ class Su2Generators:
     @kept
     def J2(self) -> SparseOperator:
         """J^2 = J_z^2 + (J_+ J_- + J_- J_+) / 2, hermitized, on the whole
-        space: formed on first read and kept."""
-        j2 = (self.Jz @ self.Jz
-              + 0.5 * (self.Jplus @ self.Jminus + self.Jminus @ self.Jplus))
-        return j2.hermitized()
+        space: ``_casimir_columns`` on every column, formed on first read
+        and kept."""
+        columns = _casimir_columns(self, np.arange(len(self.basis)))
+        return SparseOperator(self.basis, columns).hermitized()
 
     def _weight0_eigenpairs(self) -> dict:
         """The weight-0 view's eigenpairs by sector key (n, 0), each with the
@@ -479,14 +500,15 @@ class Weight0View:
     the weight-0 ``SectorBasis`` (the same n_max, so an interior margin
     keeps the same levels), ``rows`` its states' whole-space indices, and
     level n its (n, 0) sector.  ``of`` restricts a whole-space operator to
-    its weight-0 blocks, and ``from_columns`` reads them from its weight-0
-    columns alone (``build_families``).  ``J2`` is J^2's, formed from the
-    sparse generators by thin products on the weight-0 columns
-    (``_weight0_casimir``), with no whole-space J^2 formed and never from
-    eigenvectors.  ``decomposition`` diagonalises those level blocks, and
-    the whole-space decomposition takes its eigenpairs where the blocks are
-    equal, never the other way; its ``function_of`` and ``sum_times``
-    assemble the view's images and each tau (``TauOperator.weight0``).
+    its weight-0 blocks, read from its weight-0 columns by ``from_columns``,
+    which ``build_families`` also calls on its thin column blocks.  ``J2``
+    is J^2's, formed by ``_casimir_columns`` on the weight-0 columns, with
+    no whole-space J^2 formed and never from eigenvectors: the blocks
+    ``of(generators.J2)`` holds, array for array.  ``decomposition``
+    diagonalises those level blocks, and the whole-space decomposition
+    takes its eigenpairs where the blocks are equal, never the other way;
+    its ``function_of`` and ``sum_times`` assemble the view's images and
+    each tau (``TauOperator.weight0``).
     ``nodes`` builds the J_z-kernel nodes of a level, in the coordinates of
     its blocks; no other code builds them.
     """
@@ -495,26 +517,14 @@ class Weight0View:
         self.whole_basis = generators.basis
         self.basis = generators.basis.restricted_to_weight(0)
         self.rows = np.flatnonzero(generators.basis.weights == 0)
-        self.J2 = self._weight0_casimir(generators)
+        # J^2 conserves weight, so hermitizing its weight-0 rows and
+        # columns alone, (M + M^T) / 2, gives the whole-space floats.
+        m = _casimir_columns(generators, self.rows)[self.rows]
+        j2 = ((m + m.T) * 0.5).tocoo()
+        self.J2 = SectorBlocks.from_entries(self.basis, j2.row, j2.col,
+                                            j2.data)
         self.decomposition = SpectralDecomposition.of(self.J2)
         self.j = self.function_of_j(lambda j: j)
-
-    def _weight0_casimir(self, generators: Su2Generators) -> SectorBlocks:
-        """J^2's weight-0 blocks from thin products on the weight-0 columns
-        P, the blocks ``of(generators.J2)`` holds, array for array.
-
-        J_z vanishes on those columns, so J_z^2 stores no entry there and
-        J^2 P = (J_+ (J_- P) + J_- (J_+ P)) / 2 before hermitizing.  Each
-        column of a CSR product sums the same terms in the same order
-        whatever the other columns are, each sum and scaling is entry by
-        entry, and J^2 conserves weight, so hermitizing its weight-0 rows
-        and columns alone, (M + M^T) / 2, gives the whole-space floats.
-        """
-        plus, minus = generators.Jplus.matrix, generators.Jminus.matrix
-        m = ((plus @ minus[:, self.rows] + minus @ plus[:, self.rows])
-             * 0.5)[self.rows]
-        j2 = ((m + m.T) * 0.5).tocoo()
-        return SectorBlocks.from_entries(self.basis, j2.row, j2.col, j2.data)
 
     def labels(self, n: int) -> np.ndarray:
         """The labels j of level n's kernel nodes in ascending order, as
@@ -565,10 +575,12 @@ class Weight0View:
         return out
 
     def of(self, op: SparseOperator | SectorBlocks) -> SectorBlocks:
-        """The weight-0 blocks of a whole-space operator: read from the CSR
-        entries of its weight-0 columns (``from_columns``), or sliced from
-        its (n, 0) sector blocks (the same arrays).  An operator already on
-        the weight-0 basis is its own restriction and is returned as it is.
+        """The weight-0 blocks of a whole-space operator, read from the CSR
+        entries of its weight-0 columns (``from_columns``); a
+        ``SectorBlocks`` is read through its kept sparse form
+        (``as_sparse``), so its (n, 0) blocks come back entry for entry.
+        An operator already on the weight-0 basis is its own restriction and
+        is returned as it is.
 
         Raises WeightLeakError when some weight-0 column of ``op`` has a
         nonzero entry in a row of another weight: the restriction would then
@@ -576,21 +588,14 @@ class Weight0View:
         SectorStructureError when it sends one weight-0 level into two
         (``SectorBlocks.from_entries``).
         """
-        if isinstance(op, SectorBlocks) and (op.basis is self.basis
-                                             or op.basis == self.basis):
-            return op
+        if isinstance(op, SectorBlocks):
+            if op.basis is self.basis or op.basis == self.basis:
+                return op
+            op = op.as_sparse
         whole = self.whole_basis
         if op.basis is not whole and op.basis != whole:
             raise BasisMismatchError("operator does not act on the generators' basis")
-        return (self._slice(op) if isinstance(op, SectorBlocks)
-                else self.from_columns(op.matrix[:, self.rows]))
-
-    def _leak(self, col: int, row: int, value, count: int) -> WeightLeakError:
-        whole = self.whole_basis
-        return WeightLeakError(
-            f"operator sends weight-0 state {whole.states[col]} to "
-            f"{whole.states[row]} of weight {int(whole.weights[row])} "
-            f"(entry {value!r}, {count} such entries)")
+        return self.from_columns(op.matrix[:, self.rows])
 
     def from_columns(self, columns: sparse.csr_matrix) -> SectorBlocks:
         """The weight-0 blocks of an operator given by its weight-0 columns:
@@ -606,26 +611,15 @@ class Weight0View:
         inside = whole.weights[row_of] == 0
         leaks = np.flatnonzero(~inside & (columns.data != 0))
         if len(leaks):
-            raise self._leak(self.rows[columns.indices[leaks[0]]],
-                             row_of[leaks[0]], columns.data[leaks[0]].item(),
-                             len(leaks))
+            col, row = self.rows[columns.indices[leaks[0]]], row_of[leaks[0]]
+            raise WeightLeakError(
+                f"operator sends weight-0 state {whole.states[col]} to "
+                f"{whole.states[row]} of weight {int(whole.weights[row])} "
+                f"(entry {columns.data[leaks[0]].item()!r}, {len(leaks)} "
+                "such entries)")
         return SectorBlocks.from_entries(
             self.basis, np.searchsorted(self.rows, row_of[inside]),
             columns.indices[inside], columns.data[inside])
-
-    def _slice(self, op: SectorBlocks) -> SectorBlocks:
-        table = self.whole_basis.sector_table()
-        keys, members = table.keys, table.members
-        blocks = {k: value for k, value in op.blocks.items() if keys[k][1] == 0}
-        leaks = [(k, t, block) for k, (t, block) in blocks.items()
-                 if keys[t][1] != 0]
-        if leaks:
-            k, t, block = leaks[0]
-            r, c = np.argwhere(block)[0]
-            raise self._leak(members[k][c], members[t][r], block[r, c].item(),
-                             sum(np.count_nonzero(b) for *_kt, b in leaks))
-        return SectorBlocks(self.basis, {
-            keys[k][0]: (keys[t][0], block) for k, (t, block) in blocks.items()})
 
 
 def su2_generators(basis: SectorBasis) -> Su2Generators:

@@ -245,8 +245,8 @@ class _Runner:
 
 
 class _SpinContext:
-    """The per-spin objects shared across checks.  Besides the basis and
-    generators, each is built on first read, inside a check, and kept
+    """The per-spin objects shared across checks, the basis and generators
+    included.  Each is built on first read, inside a check, and kept
     (``lazy.kept``), a failed build with its exception, so every check that
     reads it fails with that exception and the build is not repeated."""
 
@@ -254,9 +254,9 @@ class _SpinContext:
         self.s = s
         self.n_max = n_max
         self.n_limit = min(n_max - 1, 4)  # source levels of the lattice
-        self.basis = enumerate_sector(s, n_max)
-        self.gens = su2_generators(self.basis)
 
+    basis = kept(lambda ctx: enumerate_sector(ctx.s, ctx.n_max))
+    gens = kept(lambda ctx: su2_generators(ctx.basis))
     families = kept(lambda ctx: build_families(ctx.basis, ctx.gens))
     taus = kept(lambda ctx: build_taus(ctx.families, ctx.gens, certify=False))
     complete_set = kept(lambda ctx: complete_set_check(ctx.gens, ctx.taus,
@@ -400,15 +400,20 @@ def _probe_residual(basis, x: np.ndarray, y: np.ndarray,
 
 
 def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
-    s, basis = ctx.s, ctx.basis
+    s = ctx.s
     p = {"s": s}
 
     def roundtrip(tol):
-        ok = all(basis.state_index(st) == i for i, st in enumerate(basis.states))
+        # The rank lookup every raise table reads finds each state where
+        # the basis stores it.
+        basis = ctx.basis
+        ok = np.array_equal(basis.positions(basis.occupations),
+                            np.arange(len(basis)))
         return None, ok, "" if ok else "index map is not the inverse of states"
     r.run("basis-roundtrip", "jz-kernel", p, DEFAULT_TOLERANCE, roundtrip)
 
     def counting(tol):
+        basis = ctx.basis
         ok = len(basis) == dimension(s, basis.n_max)
         parts = sum(len(enumerate_sector(s, basis.n_max, n=n))
                     for n in range(basis.n_max + 1))
@@ -421,6 +426,7 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
         # every pair at once: the interior residual of mu = nu against the
         # identity, relative as ``residual`` normalises it, and the absolute
         # one of mu != nu.
+        basis = ctx.basis
         table = _weyl_table(ctx.modes)
         dim, m = len(basis), basis.modes
         squares = kept_block_squares(
@@ -441,14 +447,14 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
                          ctx.modes[0][0], 1))
 
     def vacuum(tol):
-        vac = basis.unit_vector((0,) * basis.modes)
+        vac = ctx.basis.unit_vector((0,) * ctx.basis.modes)
         worst = max(float(np.linalg.norm(a.apply(vac)))
                     for _adag, a in ctx.modes.values())
         return worst, worst == 0.0, ""
     r.run("vacuum-annihilation", "vacuum-state", p, DEFAULT_TOLERANCE, vacuum)
 
     def matrix_elements(tol):
-        vac = (0,) * basis.modes
+        vac = (0,) * ctx.basis.modes
         one = vac[:s] + (1,) + vac[s + 1:]
         two = vac[:s] + (2,) + vac[s + 1:]
         adag, a = ctx.modes[0]
@@ -460,13 +466,14 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
 
 
 def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
-    s, basis, gens = ctx.s, ctx.basis, ctx.gens
+    s = ctx.s
     p = {"s": s}
-    m = basis.modes
+    m = 2 * s + 1
 
     def homomorphism(tol):
         # [X^, Y^] = [X, Y]^ for two random hermitian pairs, Frobenius
         # relative on the whole space, estimated on the same probe columns.
+        basis = ctx.basis
         rng = np.random.default_rng(20240 + s)
         probes = np.random.default_rng(PROBE_SEED).standard_normal(
             (len(basis), PROBES))
@@ -486,32 +493,34 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     r.residual_check(
         "identity-image-is-total-number", "total-number-image", p, 1e-12,
-        lambda: residual(jordan_schwinger(basis, np.eye(m)), gens.Ntot, 0))
+        lambda: residual(jordan_schwinger(ctx.basis, np.eye(m)),
+                         ctx.gens.Ntot, 0))
 
     r.residual_check(
         "su2-commutators", "su2-commutators", p, 1e-12,
-        lambda: residual(commutator(gens.Jz, gens.Jplus), gens.Jplus, 0),
-        lambda: residual(commutator(gens.Jz, gens.Jminus), -1.0 * gens.Jminus,
-                         0),
-        lambda: residual(commutator(gens.Jplus, gens.Jminus), 2.0 * gens.Jz,
-                         0))
+        lambda: residual(commutator(ctx.gens.Jz, ctx.gens.Jplus),
+                         ctx.gens.Jplus, 0),
+        lambda: residual(commutator(ctx.gens.Jz, ctx.gens.Jminus),
+                         -1.0 * ctx.gens.Jminus, 0),
+        lambda: residual(commutator(ctx.gens.Jplus, ctx.gens.Jminus),
+                         2.0 * ctx.gens.Jz, 0))
     r.residual_check(
         "n-centrality", "n-centrality", p, 1e-12,
-        lambda: commutator_residual(gens.Ntot, gens.Jz, 0),
-        lambda: commutator_residual(gens.Ntot, gens.Jplus, 0),
-        lambda: commutator_residual(gens.Ntot, gens.Jminus, 0))
+        lambda: commutator_residual(ctx.gens.Ntot, ctx.gens.Jz, 0),
+        lambda: commutator_residual(ctx.gens.Ntot, ctx.gens.Jplus, 0),
+        lambda: commutator_residual(ctx.gens.Ntot, ctx.gens.Jminus, 0))
     r.residual_check(
         "casimir-centrality", "casimir-centrality", p, 1e-12,
-        lambda: commutator_residual(gens.J2, gens.Jz, 0),
-        lambda: commutator_residual(gens.J2, gens.Jplus, 0),
-        lambda: commutator_residual(gens.J2, gens.Jminus, 0),
-        lambda: commutator_residual(gens.J2, gens.Ntot, 0))
+        lambda: commutator_residual(ctx.gens.J2, ctx.gens.Jz, 0),
+        lambda: commutator_residual(ctx.gens.J2, ctx.gens.Jplus, 0),
+        lambda: commutator_residual(ctx.gens.J2, ctx.gens.Jminus, 0),
+        lambda: commutator_residual(ctx.gens.J2, ctx.gens.Ntot, 0))
 
     def j_defining(tol):
         # J^2 = j(j+1) as J^2 V = V diag(j(j+1)) with V orthonormal, on each
         # sector's eigenvectors and integer labels (``_SpinContext.j2_pass``).
         relation, orthonormality, sectors, _distance = ctx.j2_pass
-        relation = scaled_residual(relation, gens.J2.norm(), 0
+        relation = scaled_residual(relation, ctx.gens.J2.norm(), 0
                                    ).frobenius_relative
         worst = max(relation, orthonormality)
         return worst, worst < tol, (
@@ -526,6 +535,7 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.run("j-spectrum-integers", "j-operator", p, 1e-6, j_spectrum)
 
     def single_particle(tol):
+        basis, gens = ctx.basis, ctx.gens
         worst = 0.0
         for mu in range(-s, s + 1):
             state = tuple(1 if k == mu + s else 0 for k in range(basis.modes))
@@ -538,6 +548,7 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     def su2_action(tol):
         # On weight-0 eigenvectors, ||J_+ v||^2 = j(j+1).
+        basis, gens = ctx.basis, ctx.gens
         worst = 0.0
         for n in range(0, min(basis.n_max, 4) + 1):
             for kv in jz_kernel(basis, gens, n):
@@ -547,8 +558,8 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.run("canonical-su2-action", "canonical-su2-action", p, 1e-8, su2_action)
 
     def kernel_dims(tol):
-        w0 = gens.weight0()
-        for n in range(0, min(basis.n_max, 4) + 1):
+        w0 = ctx.gens.weight0()
+        for n in range(0, min(ctx.n_max, 4) + 1):
             got = len(w0.labels(n))
             want = len(bruteforce.enumerate_states(s, n, n=n, weight=0))
             if got != want:
@@ -559,15 +570,18 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
 
 
 def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
-    s, basis, gens = ctx.s, ctx.basis, ctx.gens
+    s = ctx.s
     p = {"s": s}
-    ident = SparseOperator.identity(basis)
+
+    def ident():
+        return SparseOperator.identity(ctx.basis)
 
     r.residual_check("rlo-number-raising", "rlo-definition", p, 1e-12,
-                     lambda: check_rlo(gens.Ntot, ctx.modes[0][0], ident, 1))
+                     lambda: check_rlo(ctx.gens.Ntot, ctx.modes[0][0],
+                                       ident(), 1))
 
     def rlo_negative(tol):
-        rep = check_rlo(gens.Ntot, ctx.modes[0][0], 2.0 * ident, 1)
+        rep = check_rlo(ctx.gens.Ntot, ctx.modes[0][0], 2.0 * ident(), 1)
         big = rep.frobenius_relative > 0.1
         return rep.frobenius_relative, big, \
             "" if big else "the check did not discriminate a wrong right function"
@@ -575,15 +589,17 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
           rlo_negative)
 
     r.residual_check("llo-number-lowering", "llo-definition", p, 1e-12,
-                     lambda: check_llo(gens.Ntot, ctx.modes[0][1], ident, 1))
+                     lambda: check_llo(ctx.gens.Ntot, ctx.modes[0][1],
+                                       ident(), 1))
 
     r.residual_check("power-identity-number", "power-identity", p, 1e-10,
-                     lambda: check_power_identity(gens.Ntot, ctx.modes[0][0],
-                                                  ident, 3, 1))
+                     lambda: check_power_identity(ctx.gens.Ntot,
+                                                  ctx.modes[0][0], ident(), 3,
+                                                  1))
 
     # The theta = 1 ladder relations, on the weight-0 subspace.
     def tau1():
-        w0, tau = gens.weight0(), ctx.taus[1]
+        w0, tau = ctx.gens.weight0(), ctx.taus[1]
         return w0.J2, tau.weight0, w0.function_of_j(tau.right_function)
     r.residual_check(
         "power-identity-casimir", "power-identity", {"s": s, "theta": 1, "n": 2},
@@ -591,24 +607,26 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     r.residual_check(
         "rlo-compose-polynomial", "rlo-composition", {"s": s, "theta": 1},
-        1e-8, lambda: check_rlo_compose(*tau1(), gens.weight0().function_of_j(
-            lambda j: j * j + 1.0), 1))
+        1e-8, lambda: check_rlo_compose(
+            *tau1(), ctx.gens.weight0().function_of_j(lambda j: j * j + 1.0),
+            1))
 
     r.residual_check(
         "rlo-compose-number", "rlo-composition", {"s": s, "theta": 1},
-        1e-8, lambda: check_rlo_compose(*tau1(), gens.weight0().of(gens.Ntot),
-                                        1))
+        1e-8, lambda: check_rlo_compose(
+            *tau1(), ctx.gens.weight0().of(ctx.gens.Ntot), 1))
 
 
 def _symbolic_checks(r: _Runner, ctx: _SpinContext,
                      report: VerificationReport) -> None:
-    s, gens = ctx.s, ctx.gens
+    s = ctx.s
     p = {"s": s}
 
     def alpha_columns(tol):
         worst = 0.0
         for fam in (P_FAMILY, M_FAMILY):
-            _, reports = build_alpha_certified(gens, ctx.families, fam, tol=tol)
+            _, reports = build_alpha_certified(ctx.gens, ctx.families, fam,
+                                               tol=tol)
             worst = max([worst] + [rep.frobenius_relative
                                    for rep in reports.values()])
         return worst, worst < tol, ""
@@ -616,9 +634,9 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
           alpha_columns)
 
     def alpha_entries(tol):
-        worst = max(
-            alpha_entry_deviation(build_alpha(s, P_FAMILY), gens, ctx.families),
-            alpha_entry_deviation(build_alpha(s, M_FAMILY), gens, ctx.families))
+        worst = max(alpha_entry_deviation(build_alpha(s, fam), ctx.gens,
+                                          ctx.families)
+                    for fam in (P_FAMILY, M_FAMILY))
         return worst, worst < tol, ""
     r.run("closure-entries-extracted", "closure-tridiagonal", p, 1e-10,
           alpha_entries)
@@ -629,9 +647,9 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
                                 "variant; needs n_max >= 3")
         variant = build_alpha_variant_diag4(s, P_FAMILY)
         try:
-            certify_alpha(variant, gens, ctx.families, tol=1e-8)
+            certify_alpha(variant, ctx.gens, ctx.families, tol=1e-8)
         except Exception as exc:
-            dev = alpha_entry_deviation(variant, gens, ctx.families)
+            dev = alpha_entry_deviation(variant, ctx.gens, ctx.families)
             report.discrepancies.append({
                 "topic": "closure-matrix-variant",
                 "s": s,
@@ -720,7 +738,7 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
 
 
 def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
-    s, gens = ctx.s, ctx.gens
+    s = ctx.s
     p = {"s": s}
 
     # Both read the whole-space families, whose every T_k has grade (1, 0)
@@ -865,16 +883,15 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
         # For omega with the parity of s the raising ladder should annihilate
         # no kernel state; exact at s <= 2, while at larger spins the sigma
         # coefficients can vanish at isolated j (reported, not asserted).
+        # A node is hit when any of its vectors is annihilated.
         rep = ctx.lattice
-        flags = rep.annihilation_flags()
-        hits = []
-        for (n, j) in sorted(rep.node_dims):
-            for omega in range(1, s + 1):
-                if omega % 2 != s % 2:
-                    continue
-                key = (f"tau_dag[{omega:+d}]", (n, j))
-                if key in flags and flags[key]:
-                    hits.append(f"tau_dag[{omega}] at {(n, j)}")
+        annihilated = {(a.operator, a.source) for a in rep.arrows
+                       if a.annihilated}
+        hits = [f"tau_dag[{omega}] at {node}"
+                for node in sorted(rep.node_dims)
+                for omega in range(1, s + 1)
+                if omega % 2 == s % 2
+                and (f"tau_dag[{omega:+d}]", node) in annihilated]
         if hits and s <= 2:
             return 1.0, False, "; ".join(hits[:5])
         if hits:
@@ -918,7 +935,7 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
 
 
 def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
-    s, gens = ctx.s, ctx.gens
+    s = ctx.s
     for omega in range(1, s + 1):
         p = {"s": s, "omega": omega}
 
@@ -929,7 +946,7 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
             tau = ctx.taus[-omega]
             tau.families.ops(tau.family)
             lz, l2 = deformed_generators(tau)
-            w0 = gens.weight0()
+            w0 = ctx.gens.weight0()
             worst = max(
                 commutator_residual(l2, w0.J2, 2).frobenius_relative,
                 commutator_residual(lz, w0.J2, 2).frobenius_relative)
@@ -950,18 +967,18 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
 
 def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                     report: VerificationReport) -> None:
-    basis, gens = ctx.basis, ctx.gens
     p = {"s": 1}
     n_limit = ctx.n_limit
 
     def family_defs():
-        rhs = ctx.modes[1][0] @ gens.Jminus + ctx.modes[-1][0] @ gens.Jplus
+        rhs = (ctx.modes[1][0] @ ctx.gens.Jminus
+               + ctx.modes[-1][0] @ ctx.gens.Jplus)
         return residual(math.sqrt(2.0) * ctx.families.p_ops[1], rhs, 0)
     r.residual_check("s1-family-definitions", "s1-family-definitions", p,
                      1e-12, family_defs)
 
     def mutual(tol):
-        reps = s1_mutual_commutators(gens, ctx.families)
+        reps = s1_mutual_commutators(ctx.gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-diagonal-commutator-restriction",
             "s": 1,
@@ -978,7 +995,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     r.run("s1-family-commutators", "s1-family-commutators", p, 1e-10, mutual)
 
     def closure_full(tol):
-        reps = s1_full_closure_residuals(gens, ctx.families)
+        reps = s1_full_closure_residuals(ctx.gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-unrestricted-closure-correction",
             "s": 1,
@@ -995,11 +1012,11 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
 
     r.residual_check(
         "s1-m1-annihilates-kernel", "s1-m1-annihilates-kernel", p, 1e-10,
-        lambda: zero_residual(gens.weight0().of(ctx.families.m_ops[0]), 1,
+        lambda: zero_residual(ctx.gens.weight0().of(ctx.families.m_ops[0]), 1,
                               scale=max(ctx.families.m_ops[0].norm(), 1.0)))
 
     def tau_match(tol):
-        tau_plus_ref, tau_minus_ref = s1_reference_taus(gens, ctx.families)
+        tau_plus_ref, tau_minus_ref = s1_reference_taus(ctx.gens, ctx.families)
         scale_p, res_p = expression_match_scale(ctx.taus[1].op, tau_plus_ref)
         scale_m, res_m = expression_match_scale(ctx.taus[-1].op, tau_minus_ref)
         worst = max(res_p, res_m)
@@ -1010,7 +1027,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     r.run("s1-tau-expressions", "s1-tau-expressions", p, 1e-10, tau_match)
 
     def weyl_pair():
-        w0 = gens.weight0()
+        w0 = ctx.gens.weight0()
         return residual(w0.of(commutator(ctx.demo_s1.a_op, ctx.demo_s1.a_dag)),
                         SectorBlocks.identity(w0.basis), 2)
     r.residual_check("s1-weyl-pair", "s1-weyl-pair", p, 1e-8, weyl_pair)
@@ -1019,7 +1036,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         ada = ctx.demo_s1.a_dag @ ctx.demo_s1.a_op
         worst = 0.0
         for n in range(0, n_limit + 1):
-            for kv in jz_kernel(basis, gens, n):
+            for kv in jz_kernel(ctx.basis, ctx.gens, n):
                 worst = max(worst, float(np.linalg.norm(
                     ada.apply(kv.vector) - kv.j * kv.vector)))
         return worst, worst < tol, ""
@@ -1030,7 +1047,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         demo = ctx.demo_s1
         worst = 0.0
         for n in range(0, n_limit + 1):
-            for kv in jz_kernel(basis, gens, n):
+            for kv in jz_kernel(ctx.basis, ctx.gens, n):
                 lz_expect = (n - kv.j) / 2.0 - (n + kv.j) / 4.0
                 ell = (n + kv.j) / 4.0
                 worst = max(worst, float(np.linalg.norm(
@@ -1050,14 +1067,14 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
     })
 
     def double_comm():
-        w0 = gens.weight0()
+        w0 = ctx.gens.weight0()
         ad0 = w0.of(ctx.modes[0][0])
         return residual(commutator(w0.j, commutator(w0.j, ad0)), ad0, 1)
     r.residual_check("s1-double-commutator", "s1-double-commutator", p, 1e-8,
                      double_comm)
 
     def single_mode(tol):
-        tb = tau_bar_forms(basis, gens, ctx.families, ctx.modes[0][0])
+        tb = tau_bar_forms(ctx.basis, ctx.gens, ctx.families, ctx.modes[0][0])
         worst = max(tb.double_commutator.frobenius_relative,
                     tb.rlo_plus.frobenius_relative,
                     tb.rlo_minus.frobenius_relative,
@@ -1076,7 +1093,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                      lambda: ctx.s1_inverse["label_comm_p1"])
 
     def bracket(tol):
-        reps = s1_tau_bracket_ladder(gens, ctx.families)
+        reps = s1_tau_bracket_ladder(ctx.gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-bracket-ladder-pairing",
             "s": 1,
@@ -1110,11 +1127,11 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
 
     def irrep_dims(tol):
         for j in range(0, min(3, n_limit) + 1):
-            kvs = [kv for kv in jz_kernel(basis, gens, j) if kv.j == j]
+            kvs = [kv for kv in jz_kernel(ctx.basis, ctx.gens, j) if kv.j == j]
             if not kvs:
                 return 1.0, False, f"missing kernel node ({j}, {j})"
             count = 1
-            for ladder in (gens.Jplus, gens.Jminus):
+            for ladder in (ctx.gens.Jplus, ctx.gens.Jminus):
                 v = kvs[0].vector
                 while True:
                     v = ladder.apply(v)
@@ -1131,7 +1148,8 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
           irrep_dims)
 
     def canonical(tol):
-        vectors = canonical_basis_s1(basis, gens, ctx.families, n_limit)
+        vectors = canonical_basis_s1(ctx.basis, ctx.gens, ctx.families,
+                                     n_limit)
         mat = np.array([cv.vector for cv in vectors])
         gram = mat.conj() @ mat.T
         worst = float(np.max(np.abs(gram - np.eye(len(vectors)))))
@@ -1139,10 +1157,10 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
             v = cv.vector
             worst = max(
                 worst,
-                float(np.linalg.norm(gens.Ntot.apply(v) - cv.n * v)),
-                float(np.linalg.norm(gens.J2.apply(v)
+                float(np.linalg.norm(ctx.gens.Ntot.apply(v) - cv.n * v)),
+                float(np.linalg.norm(ctx.gens.J2.apply(v)
                                      - cv.j * (cv.j + 1) * v)),
-                float(np.linalg.norm(gens.Jz.apply(v) - cv.jz * v)))
+                float(np.linalg.norm(ctx.gens.Jz.apply(v) - cv.jz * v)))
         return worst, worst < tol, f"{len(vectors)} vectors"
     r.run("s1-canonical-basis", "s1-canonical-basis", p, 1e-8, canonical)
 

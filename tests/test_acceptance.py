@@ -180,24 +180,30 @@ def test_criterion_08_annihilation_claims(ctx):
     for s in (1, 2):
         c = ctx(s, 5)
         rep = lattice_report(c.basis, c.gens, c.taus, 4)
-        flags = rep.annihilation_flags()
+        # Every vector of a node has its arrow: a required annihilation
+        # must take them all, a forbidden one any of them.
+        flags = {}
+        for arrow in rep.arrows:
+            flags.setdefault((arrow.operator, arrow.source), []).append(
+                arrow.annihilated)
         for (n, j) in sorted(rep.node_dims):
             for omega in range(1, s + 1):
                 if (key := (f"tau[{omega:+d}]", (n, j))) in flags:
-                    if (j < omega or n == 0) and not flags[key]:
+                    if (j < omega or n == 0) and not all(flags[key]):
                         failures.append(f"s={s}: tau[{omega}] kept {key[1]}")
                 if (key := (f"tau[{-omega:+d}]", (n, j))) in flags:
-                    if (n == 0 or j > (n - 1) * s - omega) and not flags[key]:
+                    if ((n == 0 or j > (n - 1) * s - omega)
+                            and not all(flags[key])):
                         failures.append(f"s={s}: tau[{-omega}] kept {key[1]}")
                 if (key := (f"tau_dag[{-omega:+d}]", (n, j))) in flags:
-                    if j < omega and not flags[key]:
+                    if j < omega and not all(flags[key]):
                         failures.append(
                             f"s={s}: tau_dag[{-omega}] kept {key[1]}")
                 if (key := (f"tau_dag[{omega:+d}]", (n, j))) in flags:
-                    if omega % 2 == s % 2 and flags[key]:
+                    if omega % 2 == s % 2 and any(flags[key]):
                         failures.append(
                             f"s={s}: tau_dag[{omega}] annihilated {key[1]}")
-                    if omega % 2 != s % 2 and n == 1 and not flags[key]:
+                    if omega % 2 != s % 2 and n == 1 and not all(flags[key]):
                         failures.append(
                             f"s={s}: tau_dag[{omega}] kept one-particle "
                             f"state {key[1]}")

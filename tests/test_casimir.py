@@ -370,7 +370,9 @@ def test_lattice_s1_matches_expected_diagram(ctx):
     rep = lattice_report(c.basis, c.gens, c.taus, 3)
     assert rep.node_dims == {(0, 0): 1, (1, 1): 1, (2, 0): 1, (2, 2): 1,
                              (3, 1): 1, (3, 3): 1}
-    flags = rep.annihilation_flags()
+    # Every node here is one-dimensional: one arrow per operator and node.
+    flags = {(a.operator, a.source): a.annihilated for a in rep.arrows}
+    assert len(flags) == len(rep.arrows)
     assert flags[("tau[-1]", (1, 1))] is True
     assert flags[("tau[+1]", (0, 0))] is True
     assert flags[("tau_dag[+1]", (0, 0))] is False

@@ -135,6 +135,18 @@ def test_json_dump_order_is_internal_order():
     assert dump == [list(s) for s in basis.states]
 
 
+def _assert_absent(basis, whole):
+    """``state_index`` finds none of a few states of ``whole`` outside
+    ``basis`` (the first and last two), nor a state with a negative entry or
+    a total above n_max."""
+    others = sorted(set(whole.states) - set(basis.states))
+    assert all(basis.state_index(s) is None for s in others[:2] + others[-2:])
+    m, top = basis.modes, basis.n_max
+    for state in [(-1,) + (0,) * (m - 1), (0,) * (m - 1) + (-1,),
+                  (top + 1,) + (0,) * (m - 1), (-1,) + (top + 1,) * (m - 1)]:
+        assert basis.state_index(state) is None
+
+
 @pytest.mark.parametrize("spin,n_max,n", [(1, 3, None), (2, 4, None),
                                           (3, 3, 2), (0, 2, None)])
 @pytest.mark.parametrize("weight", [0, 1, -2])
@@ -144,7 +156,8 @@ def test_restricted_to_weight_equals_the_enumerated_basis(spin, n_max, n,
     got = whole.restricted_to_weight(weight)
     want = enumerate_sector(spin, n_max, n=n, weight=weight)
     assert got == want and repr(got) == repr(want)
-    assert got.states == want.states and got.index == want.index
+    assert got.states == want.states
+    _assert_absent(got, whole)
     for name in ("occupations", "totals", "weights", "_ranks"):
         assert (getattr(got, name) == getattr(want, name)).all()
     assert [got.state_index(s) for s in want.states] == list(range(len(want)))
@@ -170,8 +183,8 @@ def test_n_sector_walk_equals_filtered_walk(spin, n_max):
 @pytest.mark.parametrize("spin", range(0, 4))
 @pytest.mark.parametrize("n_max", range(0, 5))
 def test_array_built_basis_equals_the_product_oracle(spin, n_max):
-    # The occupations are built with array operations; states, index and
-    # state_index are derived from them on first read.
+    # The occupations are built with array operations; states and
+    # state_index are derived from them, the states on first read.
     whole = SectorBasis(spin, n_max)
     for n in [None] + list(range(n_max + 1)):
         for w in [None] + list(range(-n_max * spin, n_max * spin + 1)):
@@ -184,9 +197,9 @@ def test_array_built_basis_equals_the_product_oracle(spin, n_max):
                 assert "states" not in vars(basis) and len(basis) == len(want)
                 assert basis.occupations.tolist() == [list(s) for s in want]
                 assert list(basis.states) == want
-                assert basis.index == {s: i for i, s in enumerate(want)}
                 assert [basis.state_index(s) for s in want] == list(
                     range(len(want)))
+                _assert_absent(basis, whole)
                 assert basis.totals.tolist() == [sum(s) for s in want]
                 assert basis.weights.tolist() == [jz_weight(s, spin)
                                                   for s in want]

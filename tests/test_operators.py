@@ -223,12 +223,13 @@ def test_weight_restricted_residual(basis):
 def _creation_per_state(basis, mu):
     """Reference a_mu^dagger, one Fock state at a time."""
     pos = basis.mode_position(mu)
+    index = {state: i for i, state in enumerate(basis.states)}
     rows, cols, data = [], [], []
     for i, state in enumerate(basis.states):
         if sum(state) + 1 > basis.n_max:
             continue
         target = state[:pos] + (state[pos] + 1,) + state[pos + 1:]
-        j = basis.index.get(target)
+        j = index.get(target)
         if j is None:
             continue
         rows.append(j)
@@ -443,3 +444,34 @@ def test_sector_blocks_export_apply_and_count_as_their_sparse_form():
             got = op.apply(vector)
             assert got.dtype == want.apply(vector).dtype
             assert np.array_equal(got, want.apply(vector))
+
+
+def test_sector_blocks_apply_and_export_through_one_kept_sparse_form(
+        monkeypatch):
+    # apply and to_coo_json read the kept sparse form, real or complex,
+    # formed once on first read; sector_blocks reads the blocks back.
+    basis = enumerate_sector(2, 4)
+    gens = su2_generators(basis)
+    descriptor = SectorBlocks.__dict__["as_sparse"]
+    build, built = descriptor.build, []
+    monkeypatch.setattr(descriptor, "build",
+                        lambda op: built.append(op) or build(op))
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal(len(basis))
+    cplx = real + 1j * rng.standard_normal(len(basis))
+    for op, dtype in ((gens.j_hat(), np.float64),
+                      (gens.function_of_j(lambda j: 1j * j - 0.5),
+                       np.complex128)):
+        assert "as_sparse" not in vars(op)
+        for vector in (real, cplx):
+            got, want = op.apply(vector), op.as_sparse.apply(vector)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert op.to_coo_json() == op.as_sparse.to_coo_json()
+        form = op.as_sparse
+        assert form.basis is basis and form.matrix.dtype == dtype
+        back = sector_blocks(form)
+        assert back.blocks.keys() == op.blocks.keys()
+        for k, (t, block) in op.blocks.items():
+            assert back.blocks[k][0] == t
+            assert np.array_equal(back.blocks[k][1], block)
+        assert [b is op for b in built].count(True) == 1

@@ -14,9 +14,9 @@ from su2ladders.fock import enumerate_sector
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (build_alpha, right_function_poly,
                                right_functions, solve_sigma)
-from su2ladders.operators import (BasisMismatchError, SparseOperator,
-                                  commutator, commutator_residual,
-                                  creation_op, residual)
+from su2ladders.operators import (BasisMismatchError, SectorBlocks,
+                                  SparseOperator, commutator,
+                                  commutator_residual, creation_op, residual)
 from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
                                   SpectrumSnapError, Su2Generators,
@@ -700,6 +700,32 @@ def test_weight0_view_is_the_weight0_block(ctx, spin, n_max):
     same(w0.of(tau), block(tau))
 
 
+def test_weight0_view_of_a_complex_image_is_its_weight0_blocks(ctx):
+    # A whole-space SectorBlocks is restricted through its sparse form: its
+    # (n, 0) blocks come back as the same arrays, complex ones included,
+    # and a block from a weight-0 sector into another weight is refused.
+    g = ctx(2, 4).gens
+    w0 = g.weight0()
+    image = g.function_of_nj(lambda n, j: complex(n + 1, j - 0.5))
+    table = image.basis.sector_table()
+    keys = table.keys
+    got = w0.of(image)
+    assert got.basis is w0.basis
+    assert got.blocks.keys() == {keys[k][0] for k in image.blocks
+                                 if keys[k][1] == 0}
+    for k, (t, block) in image.blocks.items():
+        if keys[k][1] == 0:
+            m, level = got.blocks[keys[k][0]]
+            assert m == keys[t][0]
+            assert level.dtype == block.dtype == np.complex128
+            assert np.array_equal(level, block)
+    k, t = keys.index((2, 0)), keys.index((2, 1))
+    leak = SectorBlocks(image.basis, {k: (t, np.ones((table.sizes[t],
+                                                      table.sizes[k])))})
+    with pytest.raises(WeightLeakError, match="weight-0 state"):
+        w0.of(leak)
+
+
 def test_weight0_view_refuses_a_weight_leak(ctx):
     c = ctx(2, 4)
     w0 = c.gens.weight0()
@@ -789,6 +815,17 @@ def _assert_same_csr(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+@pytest.mark.parametrize("spin", [1, 2, 3, 4])
+def test_j2_equals_the_operator_algebra_formula(spin):
+    # The column routine gives the floats of the whole-operator formula,
+    # hermitized, and the weight-0 view its weight-0 blocks.
+    g = su2_generators(enumerate_sector(spin, 4))
+    want = (g.Jz @ g.Jz + 0.5 * (g.Jplus @ g.Jminus
+                                 + g.Jminus @ g.Jplus)).hermitized()
+    _assert_same_csr(g.J2.matrix, want.matrix)
+    _same_blocks(g.weight0().J2, g.weight0().of(want))
+
+
 @pytest.mark.parametrize("spin,n_max", [(1, 1), (1, 4), (2, 4), (3, 5),
                                         (4, 4), (5, 3)])
 def test_jordan_schwinger_equals_sum_of_products(spin, n_max):
@@ -821,8 +858,8 @@ def test_jordan_schwinger_builds_each_raise_table_in_one_lookup(
     basis = enumerate_sector(2, 4)
     x = _schwinger_matrices(2, 11)["general"]
     lookups = []
-    positions = basis._positions
-    monkeypatch.setattr(basis, "_positions",
+    positions = basis.positions
+    monkeypatch.setattr(basis, "positions",
                         lambda occ: lookups.append(len(occ)) or positions(occ))
     gens = Su2Generators(basis)
     first = jordan_schwinger(basis, x).matrix

@@ -958,3 +958,64 @@ def test_a_scaled_entry_of_the_top_pair_fails_only_the_lattice(spin, n_max):
         [(c.name, c.params, c.residual) for c in before]
     assert not leaked.passed
     assert leaked.detail.startswith("LatticeSchemeError: tau_dag[")
+
+
+#: The checks of a spin-1 run that read neither the generators nor anything
+#: built from them.
+GENERATOR_FREE = ("basis-counting", "basis-roundtrip",
+                  "closure-variant-rejected", "determinant-certificates",
+                  "jordan-schwinger-homomorphism", "matrix-element-amplitudes",
+                  "right-function-family", "right-function-parity",
+                  "sigma-closed-form", "sigma-consistency-and-degrees",
+                  "vacuum-annihilation", "weyl-pair-commutator")
+
+
+def test_refused_generators_fail_their_readers_only(monkeypatch):
+    # Generators that cannot be built fail every check that reads them,
+    # each with the build's exception; the suite still returns its report,
+    # with the checks of an unrefused run.
+    want = run_suite(SuiteConfig(spins=[1], n_max=2))
+
+    def refusing(basis):
+        raise RuntimeError("generators refused")
+    monkeypatch.setattr(su2ladders.verify, "su2_generators", refusing)
+    report = run_suite(SuiteConfig(spins=[1], n_max=2))
+    assert [(c.name, c.params) for c in report.checks] == \
+        [(c.name, c.params) for c in want.checks]
+    assert sorted(c.name for c in report.checks if c.passed) == \
+        list(GENERATOR_FREE)
+    assert all(c.detail == "RuntimeError: generators refused"
+               for c in report.checks if not c.passed)
+
+
+def test_basis_roundtrip_catches_two_swapped_ranks():
+    # The roundtrip reads the rank lookup every raise table is built from:
+    # two swapped ranks send two states to each other's positions.
+    ctx = _SpinContext(1, 3)
+    assert _named_check(_fock_operator_checks, ctx, "basis-roundtrip").passed
+    ctx = _SpinContext(1, 3)
+    ranks = ctx.basis._ranks
+    ranks[[3, 4]] = ranks[[4, 3]]
+    check = _named_check(_fock_operator_checks, ctx, "basis-roundtrip")
+    assert not check.passed
+    assert check.detail == "index map is not the inverse of states"
+
+
+def test_trivial_kernel_parity_reads_every_vector_of_a_node():
+    # At spin 2, n_max 5, level 4 has two-dimensional nodes: tau_dag[+2]
+    # annihilating only the first vector of one is a hit.
+    ctx = _SpinContext(2, 5)
+    name = "tau-trivial-kernel-parity"
+    assert _named_check(_lattice_checks, ctx, name).passed
+    lattice = ctx.lattice
+    node = next(key for key, dim in sorted(lattice.node_dims.items())
+                if key[0] == 4 and dim == 2)
+    k, second = (k for k, a in enumerate(lattice.arrows)
+                 if a.operator == "tau_dag[+2]" and a.source == node)
+    assert not lattice.arrows[k].annihilated
+    assert not lattice.arrows[second].annihilated
+    lattice.arrows[k] = dataclasses.replace(
+        lattice.arrows[k], target=None, amplitude=0.0, annihilated=True)
+    check = _named_check(_lattice_checks, ctx, name)
+    assert not check.passed
+    assert check.detail == f"tau_dag[2] at {node}"
