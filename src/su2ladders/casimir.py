@@ -65,7 +65,7 @@ from .operators import (BasisMismatchError, ResidualReport, SectorBlocks,
                         blocks_fro, commutator, commutator_on_columns,
                         commutator_residual, interior_factors, number_op,
                         on_columns, raised_states, residual, scaled_residual,
-                        sector_blocks, two_sided_residual)
+                        sector_blocks, two_sided_residual, worst)
 from .schwinger import Su2Generators, _phase_fixed, jz_kernel
 
 
@@ -272,8 +272,9 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
     (``Su2Generators.weight0``) and of the family
     (``LadderFamily.weight0_ops``); the commutators are the family's kept ones
     (``LadderFamily.closure_commutators``), and each term of the right-hand
-    side is formed from the factors ``interior_factors`` cuts.  A failure
-    aborts with the offending (mu, eta) pair, identified against the
+    side is formed from the factors ``interior_factors`` cuts.  A column
+    whose residual is not at most ``tol`` (a NaN included) aborts with the
+    offending (mu, eta) pair, identified against the
     family's measured closure coefficients (``LadderFamily.closure_fit``).
     """
     w0 = generators.weight0()
@@ -290,7 +291,7 @@ def certify_alpha(alpha: AlphaMatrix, generators: Su2Generators,
                                           w0.function_of_j(poly))
             rhs = rhs + t_mu @ on_columns(f_mu, LADDER_MARGIN)
         rep = residual(lhs, rhs, LADDER_MARGIN)
-        if rep.frobenius_relative > tol:
+        if not rep.frobenius_relative <= tol:
             mu_bad, dev = _worst_alpha_entry(alpha, eta, generators, families)
             raise AlphaVerificationError(
                 alpha.family, eta,
@@ -365,16 +366,18 @@ def _worst_alpha_entry(alpha, eta, generators, families):
     Scans the family's measured coefficients (``LadderFamily.closure_fit``,
     fitted once per family instance) in (n, node, mu) order and compares
     each with alpha[mu, eta] at the node's label; the first largest
-    deviation wins.  Any candidate alpha is read against the same fit.
+    deviation wins, the first NaN before any, and (None, 0.0) when none
+    deviates.  Any candidate alpha is read against the same fit.
     """
     mus = list(families.weight0_ops(alpha.family))
-    worst = (None, 0.0)
-    for j, coef in families.closure_fit(alpha.family, generators)[eta]:
-        for mu, c in zip(mus, coef):
-            dev = abs(float(c.real) - float(alpha.entry(mu, eta)(j)))
-            if dev > worst[1]:
-                worst = (mu, dev)
-    return worst
+    devs = [(mu, abs(float(c.real) - float(alpha.entry(mu, eta)(j))))
+            for j, coef in families.closure_fit(alpha.family, generators)[eta]
+            for mu, c in zip(mus, coef)]
+    top = worst([dev for _mu, dev in devs])
+    if top == 0.0:
+        return None, 0.0
+    return next((mu, dev) for mu, dev in devs
+                if dev == top or math.isnan(dev))
 
 
 def alpha_entry_deviation(alpha: AlphaMatrix, generators: Su2Generators,
@@ -384,11 +387,8 @@ def alpha_entry_deviation(alpha: AlphaMatrix, generators: Su2Generators,
     Every column is read against the family's one closure fit
     (``LadderFamily.closure_fit``); see ``_worst_alpha_entry``.
     """
-    dev = 0.0
-    for eta in alpha.ks:
-        mu, d = _worst_alpha_entry(alpha, eta, generators, families)
-        dev = max(dev, d)
-    return dev
+    return worst([_worst_alpha_entry(alpha, eta, generators, families)[1]
+                  for eta in alpha.ks])
 
 
 def build_alpha_certified(generators: Su2Generators, families: LadderFamily,
@@ -567,11 +567,11 @@ def tau_certificates(taus: list[TauOperator], generators: Su2Generators
 def _require_certified(taus: list[TauOperator],
                        generators: Su2Generators) -> None:
     """Raise TauCertificationError for the first tau, in list order, whose
-    Casimir ladder or label shift residual exceeds 1e-8 (the Casimir one
-    first)."""
+    Casimir ladder or label shift residual is not at most 1e-8 (the Casimir
+    one first; a NaN residual fails)."""
     for tau, reports in zip(taus, tau_certificates(taus, generators)):
         for which, rep in zip(("Casimir ladder", "label shift"), reports):
-            if rep.frobenius_relative > 1e-8:
+            if not rep.frobenius_relative <= 1e-8:
                 raise TauCertificationError(tau.theta, which, rep)
 
 
@@ -742,7 +742,8 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
     up to ``n_limit``.  An image of norm at most 1e-8 counts as annihilated.
     Any other image with a component outside the predicted target node
     (n +/- 1, j +/- theta) of norm above 1e-8 * max(1, |image|) is a hard
-    error.  Everything is read level by level in weight-0 coordinates: the
+    error (LatticeSchemeError), and so is an image or leak norm that is not
+    finite.  Everything is read level by level in weight-0 coordinates: the
     nodes of each level (``Weight0View.nodes``), and tau's level blocks
     (``TauOperator.weight0``) for raising, their adjoints for lowering.  A
     tau that leaves weight 0, or sends a level into two, is refused when it
@@ -807,16 +808,19 @@ def lattice_report(basis: SectorBasis, generators: Su2Generators,
             images.append((n, [(label, dn, dj) for label, _op, dn, dj in ops],
                            np.array(norms), np.array(leaks)))
     for n, sides, norms, leaks in images:
-        bad = np.argwhere(((norms > 1e-8) & (leaks > 1e-8 * np.maximum(
-            1.0, norms))).T)
+        finite = np.isfinite(norms) & np.isfinite(leaks)
+        leaking = (norms > 1e-8) & (leaks > 1e-8 * np.maximum(1.0, norms))
+        bad = np.argwhere((~finite | leaking).T)
         if len(bad):
             i, side = bad[0]
             label, dn, dj = sides[side]
             j = int(levels[n].labels[i])
-            raise LatticeSchemeError(
-                f"{label} applied to node {(n, j)} leaks "
-                f"{float(leaks[side, i]):.3e} outside the predicted node "
-                f"{(n + dn, j + dj)}")
+            norm, leak = float(norms[side, i]), float(leaks[side, i])
+            what = (f"leaks {leak:.3e} outside the predicted node "
+                    f"{(n + dn, j + dj)}" if finite[side, i] else
+                    f"has an image of norm {norm!r} and leak {leak!r}, "
+                    "not finite")
+            raise LatticeSchemeError(f"{label} applied to node {(n, j)} {what}")
     arrows = [
         LatticeArrow(operator=label, source=(n, j),
                      target=None if norm <= 1e-8 else (n + dn, j + dj),
@@ -1198,8 +1202,7 @@ class TauBarReport:
     node_ratios: list[tuple[int, int, float, float]]  # (n, j, measured, expected)
 
     def max_ratio_deviation(self) -> float:
-        return float(max((abs(m - e) for _, _, m, e in self.node_ratios),
-                         default=0.0))
+        return worst([abs(m - e) for _, _, m, e in self.node_ratios])
 
 
 def tau_bar_forms(basis: SectorBasis, generators: Su2Generators,

@@ -78,7 +78,7 @@ _PRECONDITION_TOL = 1e-10
 def _check_commutes(x: Operator, y: Operator, margin: int,
                     tol: float, what: str) -> None:
     rep = commutator_residual(x, y, margin)
-    if rep.frobenius_relative > tol:
+    if not rep.frobenius_relative <= tol:
         raise PreconditionError(
             f"{what} (relative commutator norm "
             f"{rep.frobenius_relative:.3e} > {tol:.1e})", rep)
@@ -132,10 +132,11 @@ def check_power_identity(h: Operator, p_dag: Operator,
                          margin: int) -> ResidualReport:
     """Residual of [H^n, p+] - p+ ((H + P)^n - H^n).
 
-    Requires the base right-ladder relation to hold at 1e-8 first.
+    Requires the base right-ladder relation to hold at 1e-8 first (a NaN
+    residual does not).
     """
     base = check_rlo(h, p_dag, p_fn, margin)
-    if base.frobenius_relative > 1e-8:
+    if not base.frobenius_relative <= 1e-8:
         raise PreconditionError(
             f"base ladder relation fails at {base.frobenius_relative:.3e}", base)
     h, p_dag, p_fn = interior_factors(margin, h, p_dag, p_fn)

@@ -85,6 +85,17 @@ class ResidualReport:
     interior_margin: int
 
 
+def worst(values) -> float:
+    """The largest of ``values``, each a number, a ResidualReport (read as
+    its ``frobenius_relative``) or a list or tuple of them; NaN when any is
+    NaN, and 0.0 when there are none.  (Python's ``max`` keeps an earlier
+    value past a later NaN.)"""
+    flat = [worst(v) if isinstance(v, (list, tuple)) else float(
+                v.frobenius_relative if isinstance(v, ResidualReport) else v)
+            for v in values]
+    return math.nan if any(map(math.isnan, flat)) else max(flat, default=0.0)
+
+
 def _fro(data: np.ndarray) -> float:
     """Frobenius norm of a CSR data array (or a selection from one)."""
     if data.size == 0:

@@ -123,13 +123,13 @@ def _snap_labels(values: np.ndarray, key: tuple, spin: int) -> np.ndarray:
     """Integer labels j of the J^2 eigenvalues j(j+1) of one (n, weight) sector.
 
     Every j must lie within SNAP_TOL of an integer in [0, n*spin];
-    otherwise SpectrumSnapError is raised.
+    otherwise, a NaN included, SpectrumSnapError is raised.
     """
     js = j_from_casimir(np.asarray(values, dtype=float))
     labels = np.rint(js)
     top = key[0] * spin
-    bad = np.flatnonzero((np.abs(js - labels) > SNAP_TOL)
-                         | (labels < 0) | (labels > top))
+    bad = np.flatnonzero(~((np.abs(js - labels) <= SNAP_TOL)
+                           & (labels >= 0) & (labels <= top)))
     if len(bad):
         raise SpectrumSnapError(
             f"j eigenvalue {float(js[bad[0]])!r} in sector (n, weight)={key} "
@@ -322,7 +322,7 @@ def _sector_eigenpairs(op: SparseOperator | SectorBlocks, known: dict
     first sector."""
     basis = op.basis
     gap = (op - op.adjoint()).norm()
-    if gap > 1e-10 * (op.norm() + 1.0):
+    if not gap <= 1e-10 * (op.norm() + 1.0):
         raise NonHermitianError(
             f"operator deviates from hermiticity by {gap:.3e}")
     blocks = op if isinstance(op, SectorBlocks) else sector_blocks(op)

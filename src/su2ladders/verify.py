@@ -45,7 +45,7 @@ from .operators import (EmptyInteriorError, ResidualReport, SectorBlocks,
                         SparseOperator, block_residual, commutator,
                         commutator_residual, creation_op, kept_block_squares,
                         residual, scaled_residual, two_sided_residual,
-                        zero_residual)
+                        worst, zero_residual)
 from .schwinger import (j_from_casimir, jordan_schwinger, jz_kernel,
                         su2_generators)
 
@@ -235,12 +235,16 @@ class _Runner:
             name=name, anchor=anchor, params=params, residual=value,
             tolerance=tol, passed=passed, detail=detail, wall_time=elapsed))
 
-    def residual_check(self, name, anchor, params, spec_tol, *make_reports):
-        """A check of the worst ``frobenius_relative`` of the reports, each
-        formed by its callable in turn; it passes below the tolerance."""
+    def gated(self, name: str, anchor: str, params: dict, spec_tol: float,
+              *parts: Callable[[], object], detail="") -> None:
+        """A check of the worst (``operators.worst``) of what its parts
+        return, each a report, a number or a list of them, the parts called
+        in turn: it passes when that value is below the tolerance, so a NaN
+        fails.  ``detail`` is a string, or a callable read after the
+        parts."""
         def fn(tol):
-            worst = max(make().frobenius_relative for make in make_reports)
-            return worst, worst < tol, ""
+            value = worst([part() for part in parts])
+            return value, value < tol, detail() if callable(detail) else detail
         self.run(name, anchor, params, spec_tol, fn)
 
 
@@ -278,23 +282,22 @@ class _SpinContext:
         return modes
 
     @kept
-    def j2_pass(self) -> tuple[float, float, int, float]:
+    def j2_pass(self) -> tuple[ResidualReport, float, int, float]:
         """J^2 read once, sector by sector (``Su2Generators.j2_sectors``),
-        each sector dropped once read: the Frobenius norms of
-        J^2 V - V diag(j(j+1)) and of V^T V - I over all sectors, the number
-        of sectors, and the largest distance of a j value from its label."""
-        relation = orthonormality = distance = 0.0
-        sectors = 0
+        each sector dropped once read: J^2 V - V diag(j(j+1)) over all
+        sectors relative to ||J^2||_F, the Frobenius norm of V^T V - I over
+        all sectors, the number of sectors, and the largest distance of a j
+        value from its label."""
+        relation = orthonormality = 0.0
+        distances = []
         for _key, block, vals, vecs, labels in self.gens.j2_sectors():
             relation += np.linalg.norm(
                 block @ vecs - vecs * (labels * (labels + 1.0))) ** 2
             orthonormality += np.linalg.norm(
                 vecs.conj().T @ vecs - np.eye(len(vals))) ** 2
-            distance = max(distance, float(np.max(np.abs(
-                j_from_casimir(vals) - labels))))
-            sectors += 1
-        return (math.sqrt(relation), math.sqrt(orthonormality), sectors,
-                distance)
+            distances.append(np.max(np.abs(j_from_casimir(vals) - labels)))
+        return (scaled_residual(math.sqrt(relation), self.gens.J2.norm(), 0),
+                math.sqrt(orthonormality), len(distances), worst(distances))
 
     @kept
     def right_functions(self):
@@ -421,7 +424,7 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
         return None, ok, "" if ok else "sector sizes disagree with the count formula"
     r.run("basis-counting", "jz-kernel", p, DEFAULT_TOLERANCE, counting)
 
-    def weyl(tol):
+    def weyl():
         # [a_mu, a_nu^dagger] = delta_mu,nu on the margin-1 interior, for
         # every pair at once: the interior residual of mu = nu against the
         # identity, relative as ``residual`` normalises it, and the absolute
@@ -432,37 +435,32 @@ def _fock_operator_checks(r: _Runner, ctx: _SpinContext) -> None:
         squares = kept_block_squares(
             table, sparse.identity(m * dim, format="csr"),
             np.tile(basis.interior_masks(1), m), dim)
-        worst = 0.0
-        for mu in range(m):
-            for nu in range(m):
-                rep = block_residual(squares[:, mu, nu], 1)
-                worst = max(worst, rep.frobenius_relative
-                            if mu == nu else rep.frobenius_absolute)
-        return worst, worst < tol, ""
-    r.run("weyl-pair-commutator", "weyl-algebra", p, 1e-12, weyl)
+        reps = {(mu, nu): block_residual(squares[:, mu, nu], 1)
+                for mu in range(m) for nu in range(m)}
+        return [rep if mu == nu else rep.frobenius_absolute
+                for (mu, nu), rep in reps.items()]
+    r.gated("weyl-pair-commutator", "weyl-algebra", p, 1e-12, weyl)
 
-    r.residual_check(
-        "number-ladder", "number-ladder", p, 1e-12,
-        lambda: residual(commutator(ctx.gens.Ntot, ctx.modes[0][0]),
-                         ctx.modes[0][0], 1))
+    r.gated("number-ladder", "number-ladder", p, 1e-12,
+            lambda: residual(commutator(ctx.gens.Ntot, ctx.modes[0][0]),
+                             ctx.modes[0][0], 1))
 
     def vacuum(tol):
         vac = ctx.basis.unit_vector((0,) * ctx.basis.modes)
-        worst = max(float(np.linalg.norm(a.apply(vac)))
-                    for _adag, a in ctx.modes.values())
-        return worst, worst == 0.0, ""
+        value = worst([np.linalg.norm(a.apply(vac))
+                       for _adag, a in ctx.modes.values()])
+        return value, value == 0.0, ""
     r.run("vacuum-annihilation", "vacuum-state", p, DEFAULT_TOLERANCE, vacuum)
 
-    def matrix_elements(tol):
+    def matrix_elements():
         vac = (0,) * ctx.basis.modes
         one = vac[:s] + (1,) + vac[s + 1:]
         two = vac[:s] + (2,) + vac[s + 1:]
         adag, a = ctx.modes[0]
-        dev = abs(adag.entry(one, vac) - 1.0)
-        dev = max(dev, abs(a.entry(one, two) - math.sqrt(2)))
-        return dev, dev < tol, ""
-    r.run("matrix-element-amplitudes", "canonical-matrix-elements", p,
-          1e-12, matrix_elements)
+        return [abs(adag.entry(one, vac) - 1.0),
+                abs(a.entry(one, two) - math.sqrt(2))]
+    r.gated("matrix-element-amplitudes", "canonical-matrix-elements", p,
+            1e-12, matrix_elements)
 
 
 def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
@@ -470,33 +468,32 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
     p = {"s": s}
     m = 2 * s + 1
 
-    def homomorphism(tol):
+    def homomorphism():
         # [X^, Y^] = [X, Y]^ for two random hermitian pairs, Frobenius
         # relative on the whole space, estimated on the same probe columns.
         basis = ctx.basis
         rng = np.random.default_rng(20240 + s)
         probes = np.random.default_rng(PROBE_SEED).standard_normal(
             (len(basis), PROBES))
-        worst = 0.0
+        reps = []
         for _ in range(2):
             x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             x = 0.5 * (x + x.conj().T)
             y = 0.5 * (y + y.conj().T)
-            worst = max(worst, _probe_residual(basis, x, y, probes
-                                               ).frobenius_relative)
-        return worst, worst < tol, (
-            f"estimate of the Frobenius-relative residual on {PROBES} "
-            f"Gaussian probe columns, seed {PROBE_SEED}")
-    r.run("jordan-schwinger-homomorphism", "jordan-schwinger-map", p,
-          1e-12, homomorphism)
+            reps.append(_probe_residual(basis, x, y, probes))
+        return reps
+    r.gated("jordan-schwinger-homomorphism", "jordan-schwinger-map", p,
+            1e-12, homomorphism,
+            detail=(f"estimate of the Frobenius-relative residual on {PROBES} "
+                    f"Gaussian probe columns, seed {PROBE_SEED}"))
 
-    r.residual_check(
+    r.gated(
         "identity-image-is-total-number", "total-number-image", p, 1e-12,
         lambda: residual(jordan_schwinger(ctx.basis, np.eye(m)),
                          ctx.gens.Ntot, 0))
 
-    r.residual_check(
+    r.gated(
         "su2-commutators", "su2-commutators", p, 1e-12,
         lambda: residual(commutator(ctx.gens.Jz, ctx.gens.Jplus),
                          ctx.gens.Jplus, 0),
@@ -504,58 +501,51 @@ def _schwinger_checks(r: _Runner, ctx: _SpinContext) -> None:
                          -1.0 * ctx.gens.Jminus, 0),
         lambda: residual(commutator(ctx.gens.Jplus, ctx.gens.Jminus),
                          2.0 * ctx.gens.Jz, 0))
-    r.residual_check(
+    r.gated(
         "n-centrality", "n-centrality", p, 1e-12,
         lambda: commutator_residual(ctx.gens.Ntot, ctx.gens.Jz, 0),
         lambda: commutator_residual(ctx.gens.Ntot, ctx.gens.Jplus, 0),
         lambda: commutator_residual(ctx.gens.Ntot, ctx.gens.Jminus, 0))
-    r.residual_check(
+    r.gated(
         "casimir-centrality", "casimir-centrality", p, 1e-12,
         lambda: commutator_residual(ctx.gens.J2, ctx.gens.Jz, 0),
         lambda: commutator_residual(ctx.gens.J2, ctx.gens.Jplus, 0),
         lambda: commutator_residual(ctx.gens.J2, ctx.gens.Jminus, 0),
         lambda: commutator_residual(ctx.gens.J2, ctx.gens.Ntot, 0))
 
-    def j_defining(tol):
-        # J^2 = j(j+1) as J^2 V = V diag(j(j+1)) with V orthonormal, on each
-        # sector's eigenvectors and integer labels (``_SpinContext.j2_pass``).
-        relation, orthonormality, sectors, _distance = ctx.j2_pass
-        relation = scaled_residual(relation, ctx.gens.J2.norm(), 0
-                                   ).frobenius_relative
-        worst = max(relation, orthonormality)
-        return worst, worst < tol, (
-            f"J^2 V = V j(j+1) {relation:.3e} relative to ||J^2||_F, "
-            f"V^T V = I {orthonormality:.3e}, {sectors} sectors read")
-    r.run("j-defining-identity", "j-operator", p, 1e-10, j_defining)
+    # J^2 = j(j+1) as J^2 V = V diag(j(j+1)) with V orthonormal, on each
+    # sector's eigenvectors and integer labels (``_SpinContext.j2_pass``).
+    r.gated("j-defining-identity", "j-operator", p, 1e-10,
+            lambda: ctx.j2_pass[:2],
+            detail=lambda: (
+                f"J^2 V = V j(j+1) {ctx.j2_pass[0].frobenius_relative:.3e} "
+                f"relative to ||J^2||_F, V^T V = I {ctx.j2_pass[1]:.3e}, "
+                f"{ctx.j2_pass[2]} sectors read"))
 
-    def j_spectrum(tol):
-        # The pass snaps every j to a label in [0, n s] or raises.
-        distance = ctx.j2_pass[3]
-        return distance, distance < tol, ""
-    r.run("j-spectrum-integers", "j-operator", p, 1e-6, j_spectrum)
+    # The pass snaps every j to a label in [0, n s] or raises.
+    r.gated("j-spectrum-integers", "j-operator", p, 1e-6,
+            lambda: ctx.j2_pass[3])
 
-    def single_particle(tol):
+    def single_particle():
         basis, gens = ctx.basis, ctx.gens
-        worst = 0.0
+        norms = []
         for mu in range(-s, s + 1):
             state = tuple(1 if k == mu + s else 0 for k in range(basis.modes))
             v = basis.unit_vector(state)
-            worst = max(worst, float(np.linalg.norm(
-                gens.J2.apply(v) - s * (s + 1) * v)))
-        return worst, worst < tol, ""
-    r.run("single-particle-casimir", "single-particle-irrep", p, 1e-10,
-          single_particle)
+            norms.append(np.linalg.norm(gens.J2.apply(v) - s * (s + 1) * v))
+        return norms
+    r.gated("single-particle-casimir", "single-particle-irrep", p, 1e-10,
+            single_particle)
 
-    def su2_action(tol):
+    def su2_action():
         # On weight-0 eigenvectors, ||J_+ v||^2 = j(j+1).
         basis, gens = ctx.basis, ctx.gens
-        worst = 0.0
-        for n in range(0, min(basis.n_max, 4) + 1):
-            for kv in jz_kernel(basis, gens, n):
-                amp2 = float(np.linalg.norm(gens.Jplus.apply(kv.vector)) ** 2)
-                worst = max(worst, abs(amp2 - kv.j * (kv.j + 1)))
-        return worst, worst < tol, ""
-    r.run("canonical-su2-action", "canonical-su2-action", p, 1e-8, su2_action)
+        return [abs(float(np.linalg.norm(gens.Jplus.apply(kv.vector)) ** 2)
+                    - kv.j * (kv.j + 1))
+                for n in range(0, min(basis.n_max, 4) + 1)
+                for kv in jz_kernel(basis, gens, n)]
+    r.gated("canonical-su2-action", "canonical-su2-action", p, 1e-8,
+            su2_action)
 
     def kernel_dims(tol):
         w0 = ctx.gens.weight0()
@@ -576,9 +566,8 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
     def ident():
         return SparseOperator.identity(ctx.basis)
 
-    r.residual_check("rlo-number-raising", "rlo-definition", p, 1e-12,
-                     lambda: check_rlo(ctx.gens.Ntot, ctx.modes[0][0],
-                                       ident(), 1))
+    r.gated("rlo-number-raising", "rlo-definition", p, 1e-12,
+            lambda: check_rlo(ctx.gens.Ntot, ctx.modes[0][0], ident(), 1))
 
     def rlo_negative(tol):
         rep = check_rlo(ctx.gens.Ntot, ctx.modes[0][0], 2.0 * ident(), 1)
@@ -588,30 +577,28 @@ def _engine_checks(r: _Runner, ctx: _SpinContext) -> None:
     r.run("rlo-negative-control", "rlo-definition", p, DEFAULT_TOLERANCE,
           rlo_negative)
 
-    r.residual_check("llo-number-lowering", "llo-definition", p, 1e-12,
-                     lambda: check_llo(ctx.gens.Ntot, ctx.modes[0][1],
-                                       ident(), 1))
+    r.gated("llo-number-lowering", "llo-definition", p, 1e-12,
+            lambda: check_llo(ctx.gens.Ntot, ctx.modes[0][1], ident(), 1))
 
-    r.residual_check("power-identity-number", "power-identity", p, 1e-10,
-                     lambda: check_power_identity(ctx.gens.Ntot,
-                                                  ctx.modes[0][0], ident(), 3,
-                                                  1))
+    r.gated("power-identity-number", "power-identity", p, 1e-10,
+            lambda: check_power_identity(ctx.gens.Ntot, ctx.modes[0][0],
+                                         ident(), 3, 1))
 
     # The theta = 1 ladder relations, on the weight-0 subspace.
     def tau1():
         w0, tau = ctx.gens.weight0(), ctx.taus[1]
         return w0.J2, tau.weight0, w0.function_of_j(tau.right_function)
-    r.residual_check(
+    r.gated(
         "power-identity-casimir", "power-identity", {"s": s, "theta": 1, "n": 2},
         1e-8, lambda: check_power_identity(*tau1(), 2, 1))
 
-    r.residual_check(
+    r.gated(
         "rlo-compose-polynomial", "rlo-composition", {"s": s, "theta": 1},
         1e-8, lambda: check_rlo_compose(
             *tau1(), ctx.gens.weight0().function_of_j(lambda j: j * j + 1.0),
             1))
 
-    r.residual_check(
+    r.gated(
         "rlo-compose-number", "rlo-composition", {"s": s, "theta": 1},
         1e-8, lambda: check_rlo_compose(
             *tau1(), ctx.gens.weight0().of(ctx.gens.Ntot), 1))
@@ -623,23 +610,19 @@ def _symbolic_checks(r: _Runner, ctx: _SpinContext,
     p = {"s": s}
 
     def alpha_columns(tol):
-        worst = 0.0
-        for fam in (P_FAMILY, M_FAMILY):
-            _, reports = build_alpha_certified(ctx.gens, ctx.families, fam,
-                                               tol=tol)
-            worst = max([worst] + [rep.frobenius_relative
-                                   for rep in reports.values()])
-        return worst, worst < tol, ""
+        # The certificate itself refuses a column over the tolerance, with
+        # AlphaVerificationError naming the worst entry.
+        value = worst([rep for fam in (P_FAMILY, M_FAMILY)
+                       for rep in build_alpha_certified(
+                           ctx.gens, ctx.families, fam, tol=tol)[1].values()])
+        return value, value < tol, ""
     r.run("closure-columns-certified", "family-closure-kernel", p, 1e-8,
           alpha_columns)
 
-    def alpha_entries(tol):
-        worst = max(alpha_entry_deviation(build_alpha(s, fam), ctx.gens,
-                                          ctx.families)
-                    for fam in (P_FAMILY, M_FAMILY))
-        return worst, worst < tol, ""
-    r.run("closure-entries-extracted", "closure-tridiagonal", p, 1e-10,
-          alpha_entries)
+    r.gated("closure-entries-extracted", "closure-tridiagonal", p, 1e-10,
+            lambda: [alpha_entry_deviation(build_alpha(s, fam), ctx.gens,
+                                           ctx.families)
+                     for fam in (P_FAMILY, M_FAMILY)])
 
     def alpha_variant(tol):
         if ctx.n_max < 3:
@@ -757,28 +740,26 @@ def _tau_checks(r: _Runner, ctx: _SpinContext) -> None:
     # theta runs over -s..s: ctx.taus is read inside the checks alone.
     for theta in range(-s, s + 1):
         pt = {"s": s, "theta": theta}
-        r.residual_check("tau-casimir-ladder", "tau-casimir-ladder", pt, 1e-8,
-                         lambda theta=theta: ctx.tau_certificates[theta][0])
-        r.residual_check("tau-label-shift", "tau-label-shift", pt, 1e-8,
-                         lambda theta=theta: ctx.tau_certificates[theta][1])
+        r.gated("tau-casimir-ladder", "tau-casimir-ladder", pt, 1e-8,
+                lambda theta=theta: ctx.tau_certificates[theta][0])
+        r.gated("tau-label-shift", "tau-label-shift", pt, 1e-8,
+                lambda theta=theta: ctx.tau_certificates[theta][1])
         for k in (0, 2):
             for side in ("right", "left"):
-                r.residual_check(
+                r.gated(
                     f"resolvent-ladder-{side}", f"resolvent-ladder-{side}",
                     {"s": s, "theta": theta, "k": k}, 1e-8,
                     lambda theta=theta, k=k, side=side:
                         ctx.resolvents[k, side][theta])
 
-    def complete_set(tol):
+    def complete_set():
         # [A, J^2] is read on weight 0; [A, J_z] and [A, N] vanish exactly
         # because every tau has grade (1, 0), which its whole-space family
         # holds by construction (GradeError otherwise).
         for tau in ctx.taus.values():
             tau.families.ops(tau.family)
-        worst = max(rep.frobenius_relative
-                    for rep in ctx.complete_set.commutator_residuals.values())
-        return worst, worst < tol, ""
-    r.run("tau-complete-set", "tau-complete-set", p, 1e-8, complete_set)
+        return list(ctx.complete_set.commutator_residuals.values())
+    r.gated("tau-complete-set", "tau-complete-set", p, 1e-8, complete_set)
 
     def separation(tol):
         cs = ctx.complete_set
@@ -838,7 +819,8 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
 
     def annihilation(tol):
         # Every annihilation a listed rule requires must happen; any other
-        # annihilation must be forced by a missing target node.
+        # annihilation must be forced by a missing target node.  Each
+        # (operator, node) is listed once, however many vectors the node has.
         rep = ctx.lattice
         problems = []
         extra = []
@@ -859,6 +841,8 @@ def _lattice_checks(r: _Runner, ctx: _SpinContext) -> None:
                 target = (n + 1, j + theta) if raising else (n - 1, j - theta)
                 if arrow.annihilated and not listed and rep.node_exists(target):
                     extra.append(f"{arrow.operator} at {(n, j)}")
+        problems = list(dict.fromkeys(problems))
+        extra = list(dict.fromkeys(extra))
         if problems:
             return 1.0, False, "; ".join(problems[:5])
         if extra and s <= 2:
@@ -939,7 +923,7 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
     for omega in range(1, s + 1):
         p = {"s": s, "omega": omega}
 
-        def deformed(tol, omega=omega):
+        def deformed(omega=omega):
             # L_z and L^2 live on weight 0; they commute with N and J_z
             # because tau[-omega] has grade (1, 0), which its whole-space
             # family holds by construction (GradeError otherwise).
@@ -947,12 +931,10 @@ def _deformed_checks(r: _Runner, ctx: _SpinContext) -> None:
             tau.families.ops(tau.family)
             lz, l2 = deformed_generators(tau)
             w0 = ctx.gens.weight0()
-            worst = max(
-                commutator_residual(l2, w0.J2, 2).frobenius_relative,
-                commutator_residual(lz, w0.J2, 2).frobenius_relative)
-            return worst, worst < tol, ""
-        r.run("deformed-algebra-generators", "deformed-algebra-generators",
-              p, 1e-8, deformed)
+            return [commutator_residual(l2, w0.J2, 2),
+                    commutator_residual(lz, w0.J2, 2)]
+        r.gated("deformed-algebra-generators", "deformed-algebra-generators",
+                p, 1e-8, deformed)
 
         def residues(tol, omega=omega):
             rep = ctx.lattice
@@ -974,10 +956,10 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         rhs = (ctx.modes[1][0] @ ctx.gens.Jminus
                + ctx.modes[-1][0] @ ctx.gens.Jplus)
         return residual(math.sqrt(2.0) * ctx.families.p_ops[1], rhs, 0)
-    r.residual_check("s1-family-definitions", "s1-family-definitions", p,
-                     1e-12, family_defs)
+    r.gated("s1-family-definitions", "s1-family-definitions", p, 1e-12,
+            family_defs)
 
-    def mutual(tol):
+    def mutual():
         reps = s1_mutual_commutators(ctx.gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-diagonal-commutator-restriction",
@@ -987,14 +969,11 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
             "unrestricted_residual": reps["p1_p1dag_unrestricted"
                                           ].frobenius_relative,
         })
-        worst = max(reps["p0_p0dag"].frobenius_relative,
-                    reps["p1_p0dag"].frobenius_relative,
-                    reps["p0_p1dag"].frobenius_relative,
-                    reps["p1_p1dag_weight0"].frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("s1-family-commutators", "s1-family-commutators", p, 1e-10, mutual)
+        return [reps["p0_p0dag"], reps["p1_p0dag"], reps["p0_p1dag"],
+                reps["p1_p1dag_weight0"]]
+    r.gated("s1-family-commutators", "s1-family-commutators", p, 1e-10, mutual)
 
-    def closure_full(tol):
+    def closure_full():
         reps = s1_full_closure_residuals(ctx.gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-unrestricted-closure-correction",
@@ -1005,12 +984,11 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                      "subspace and is recorded"),
             "variant_residual": reps["variant_plus_2mJz"].frobenius_relative,
         })
-        worst = max(reps["certified"].frobenius_relative,
-                    reps["kernel_form"].frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("casimir-closure-full", "casimir-closure-full", p, 1e-8, closure_full)
+        return [reps["certified"], reps["kernel_form"]]
+    r.gated("casimir-closure-full", "casimir-closure-full", p, 1e-8,
+            closure_full)
 
-    r.residual_check(
+    r.gated(
         "s1-m1-annihilates-kernel", "s1-m1-annihilates-kernel", p, 1e-10,
         lambda: zero_residual(ctx.gens.weight0().of(ctx.families.m_ops[0]), 1,
                               scale=max(ctx.families.m_ops[0].norm(), 1.0)))
@@ -1019,44 +997,40 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         tau_plus_ref, tau_minus_ref = s1_reference_taus(ctx.gens, ctx.families)
         scale_p, res_p = expression_match_scale(ctx.taus[1].op, tau_plus_ref)
         scale_m, res_m = expression_match_scale(ctx.taus[-1].op, tau_minus_ref)
-        worst = max(res_p, res_m)
-        detail = f"scales {scale_p}, {scale_m}"
-        ok = worst < tol and abs(scale_p - 2.0) < 1e-9 \
+        value = worst([res_p, res_m])
+        ok = value < tol and abs(scale_p - 2.0) < 1e-9 \
             and abs(scale_m + 2.0) < 1e-9
-        return worst, ok, detail
+        return value, ok, f"scales {scale_p}, {scale_m}"
     r.run("s1-tau-expressions", "s1-tau-expressions", p, 1e-10, tau_match)
 
     def weyl_pair():
         w0 = ctx.gens.weight0()
         return residual(w0.of(commutator(ctx.demo_s1.a_op, ctx.demo_s1.a_dag)),
                         SectorBlocks.identity(w0.basis), 2)
-    r.residual_check("s1-weyl-pair", "s1-weyl-pair", p, 1e-8, weyl_pair)
+    r.gated("s1-weyl-pair", "s1-weyl-pair", p, 1e-8, weyl_pair)
 
-    def number_like(tol):
+    def number_like():
         ada = ctx.demo_s1.a_dag @ ctx.demo_s1.a_op
-        worst = 0.0
-        for n in range(0, n_limit + 1):
-            for kv in jz_kernel(ctx.basis, ctx.gens, n):
-                worst = max(worst, float(np.linalg.norm(
-                    ada.apply(kv.vector) - kv.j * kv.vector)))
-        return worst, worst < tol, ""
-    r.run("s1-number-like-spectrum", "s1-number-like-spectrum", p, 1e-8,
-          number_like)
+        return [np.linalg.norm(ada.apply(kv.vector) - kv.j * kv.vector)
+                for n in range(0, n_limit + 1)
+                for kv in jz_kernel(ctx.basis, ctx.gens, n)]
+    r.gated("s1-number-like-spectrum", "s1-number-like-spectrum", p, 1e-8,
+            number_like)
 
-    def deformed_spectrum(tol):
+    def deformed_spectrum():
         demo = ctx.demo_s1
-        worst = 0.0
+        norms = []
         for n in range(0, n_limit + 1):
             for kv in jz_kernel(ctx.basis, ctx.gens, n):
                 lz_expect = (n - kv.j) / 2.0 - (n + kv.j) / 4.0
                 ell = (n + kv.j) / 4.0
-                worst = max(worst, float(np.linalg.norm(
-                    demo.l_z.apply(kv.vector) - lz_expect * kv.vector)))
-                worst = max(worst, float(np.linalg.norm(
-                    demo.l_2.apply(kv.vector) - ell * (ell + 1) * kv.vector)))
-        return worst, worst < tol, ""
-    r.run("s1-deformed-su2-spectrum", "s1-deformed-su2-spectrum", p, 1e-8,
-          deformed_spectrum)
+                norms += [np.linalg.norm(demo.l_z.apply(kv.vector)
+                                         - lz_expect * kv.vector),
+                          np.linalg.norm(demo.l_2.apply(kv.vector)
+                                         - ell * (ell + 1) * kv.vector)]
+        return norms
+    r.gated("s1-deformed-su2-spectrum", "s1-deformed-su2-spectrum", p, 1e-8,
+            deformed_spectrum)
     report.discrepancies.append({
         "topic": "s1-lowering-ladder-factor-placement",
         "s": 1,
@@ -1070,29 +1044,24 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
         w0 = ctx.gens.weight0()
         ad0 = w0.of(ctx.modes[0][0])
         return residual(commutator(w0.j, commutator(w0.j, ad0)), ad0, 1)
-    r.residual_check("s1-double-commutator", "s1-double-commutator", p, 1e-8,
-                     double_comm)
+    r.gated("s1-double-commutator", "s1-double-commutator", p, 1e-8,
+            double_comm)
 
-    def single_mode(tol):
+    def single_mode():
         tb = tau_bar_forms(ctx.basis, ctx.gens, ctx.families, ctx.modes[0][0])
-        worst = max(tb.double_commutator.frobenius_relative,
-                    tb.rlo_plus.frobenius_relative,
-                    tb.rlo_minus.frobenius_relative,
-                    tb.llo_plus.frobenius_relative,
-                    tb.llo_minus.frobenius_relative,
-                    tb.max_ratio_deviation())
-        return worst, worst < tol, ""
-    r.run("s1-single-mode-ladders", "s1-single-mode-ladders", p, 1e-8,
-          single_mode)
+        return [tb.double_commutator, tb.rlo_plus, tb.rlo_minus, tb.llo_plus,
+                tb.llo_minus, tb.max_ratio_deviation()]
+    r.gated("s1-single-mode-ladders", "s1-single-mode-ladders", p, 1e-8,
+            single_mode)
 
-    r.residual_check("s1-inverse-expressions", "s1-inverse-expressions", p,
-                     1e-8, lambda: ctx.s1_inverse["p0_from_taus"],
-                     lambda: ctx.s1_inverse["p1_from_taus"])
-    r.residual_check("s1-label-commutators", "s1-label-commutators", p, 1e-8,
-                     lambda: ctx.s1_inverse["label_comm_p0"],
-                     lambda: ctx.s1_inverse["label_comm_p1"])
+    r.gated("s1-inverse-expressions", "s1-inverse-expressions", p, 1e-8,
+            lambda: ctx.s1_inverse["p0_from_taus"],
+            lambda: ctx.s1_inverse["p1_from_taus"])
+    r.gated("s1-label-commutators", "s1-label-commutators", p, 1e-8,
+            lambda: ctx.s1_inverse["label_comm_p0"],
+            lambda: ctx.s1_inverse["label_comm_p1"])
 
-    def bracket(tol):
+    def bracket():
         reps = s1_tau_bracket_ladder(ctx.gens, ctx.families)
         report.discrepancies.append({
             "topic": "s1-bracket-ladder-pairing",
@@ -1106,13 +1075,11 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                 reps["raising_pair_commutes"].frobenius_relative,
         })
         if ctx.n_max < 4:
-            worst = reps["raising_pair_commutes"].frobenius_relative
-            return worst, worst < tol, ("truncation too small for the mixed "
-                                        "pair; needs n_max >= 4")
-        worst = max(reps["mixed_pair_shift2"].frobenius_relative,
-                    reps["raising_pair_commutes"].frobenius_relative)
-        return worst, worst < tol, ""
-    r.run("s1-bracket-ladder", "s1-bracket-ladder", p, 1e-8, bracket)
+            return reps["raising_pair_commutes"]
+        return [reps["mixed_pair_shift2"], reps["raising_pair_commutes"]]
+    r.gated("s1-bracket-ladder", "s1-bracket-ladder", p, 1e-8, bracket,
+            detail=("truncation too small for the mixed pair; needs "
+                    "n_max >= 4") if ctx.n_max < 4 else "")
 
     def diagram(tol):
         rep = ctx.lattice
@@ -1136,7 +1103,7 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                 while True:
                     v = ladder.apply(v)
                     norm = np.linalg.norm(v)
-                    if norm < 1e-9:
+                    if not norm >= 1e-9:  # a NaN norm ends the chain too
                         break
                     v = v / norm
                     count += 1
@@ -1152,16 +1119,14 @@ def _s1_demo_checks(r: _Runner, ctx: _SpinContext,
                                      n_limit)
         mat = np.array([cv.vector for cv in vectors])
         gram = mat.conj() @ mat.T
-        worst = float(np.max(np.abs(gram - np.eye(len(vectors)))))
-        for cv in vectors:
-            v = cv.vector
-            worst = max(
-                worst,
-                float(np.linalg.norm(ctx.gens.Ntot.apply(v) - cv.n * v)),
-                float(np.linalg.norm(ctx.gens.J2.apply(v)
-                                     - cv.j * (cv.j + 1) * v)),
-                float(np.linalg.norm(ctx.gens.Jz.apply(v) - cv.jz * v)))
-        return worst, worst < tol, f"{len(vectors)} vectors"
+        gens = ctx.gens
+        value = worst([np.max(np.abs(gram - np.eye(len(vectors))))] + [
+            np.linalg.norm(op.apply(cv.vector) - eigenvalue * cv.vector)
+            for cv in vectors
+            for op, eigenvalue in ((gens.Ntot, cv.n),
+                                   (gens.J2, cv.j * (cv.j + 1)),
+                                   (gens.Jz, cv.jz))])
+        return value, value < tol, f"{len(vectors)} vectors"
     r.run("s1-canonical-basis", "s1-canonical-basis", p, 1e-8, canonical)
 
 

@@ -12,7 +12,7 @@ import su2ladders.casimir
 import su2ladders.operators
 from su2ladders import bruteforce
 from su2ladders.casimir import (LadderFamily, LatticeSchemeError,
-                                TauCertificationError,
+                                TauCertificationError, _worst_alpha_entry,
                                 alpha_entry_deviation, assemble_tau,
                                 build_alpha_certified, build_families,
                                 build_taus, certify_alpha,
@@ -28,7 +28,8 @@ from su2ladders.fock import enumerate_sector
 from su2ladders.ladder import (AlphaVerificationError, build_alpha,
                                build_alpha_variant_diag4, right_function_poly,
                                solve_sigma)
-from su2ladders.operators import (SectorBlocks, SparseOperator, commutator,
+from su2ladders.operators import (ResidualReport, SectorBlocks,
+                                  SparseOperator, commutator,
                                   commutator_residual, creation_op, residual,
                                   zero_residual)
 from su2ladders.schwinger import Su2Generators, su2_generators
@@ -147,6 +148,52 @@ def test_alpha_certificate_catches_entry_perturbation(ctx, spin, family):
                           c.gens, c.families)
 
 
+def test_a_nan_closure_residual_fails_certification(monkeypatch):
+    # A NaN column residual is not within the tolerance; fresh objects, as
+    # the patch reaches every residual the module forms.
+    basis = enumerate_sector(1, 3)
+    gens = su2_generators(basis)
+    families = build_families(basis, gens)
+    monkeypatch.setattr(su2ladders.casimir, "residual",
+                        lambda lhs, rhs, margin: ResidualReport(
+                            math.nan, math.nan, margin))
+    with pytest.raises(AlphaVerificationError, match="residual nan"):
+        certify_alpha(build_alpha(1, "p"), gens, families, tol=math.inf)
+
+
+class _Fit:
+    """A family whose measured closure coefficients are given."""
+
+    def __init__(self, mus, fit):
+        self.mus, self.fit = mus, fit
+
+    def weight0_ops(self, family):
+        return dict.fromkeys(self.mus)
+
+    def closure_fit(self, family, generators):
+        return self.fit
+
+
+@pytest.mark.parametrize("offsets,want", [
+    ([0.0, 0.0, 0.0, 0.0], (None, 0.0)),
+    ([0.0, 0.5, 0.25, 0.5], (1, 0.5)),
+    ([0.0, 0.5, math.nan, math.nan], (0, math.nan)),
+])
+def test_the_worst_alpha_entry_is_the_first_largest_or_nan(offsets, want):
+    # Two nodes (j = 1, 2) of two entries each, in (node, mu) order, each
+    # coefficient its alpha entry plus an offset; ``want`` names the entry
+    # by its position among the two.
+    alpha = build_alpha(2, "p")
+    mus, eta = alpha.ks[:2], alpha.ks[0]
+    offsets = iter(offsets)
+    fit = {eta: [(j, np.array([float(alpha.entry(mu, eta)(j)) + next(offsets)
+                               for mu in mus]))
+                 for j in (1, 2)]}
+    mu, dev = _worst_alpha_entry(alpha, eta, None, _Fit(mus, fit))
+    assert mu == (None if want[0] is None else mus[want[0]])
+    assert dev == want[1] or math.isnan(dev) and math.isnan(want[1])
+
+
 # -- assembled ladders ---------------------------------------------------------------
 
 
@@ -221,6 +268,21 @@ def test_tau_checked_against_wrong_theta_fails(ctx, spin):
     c = ctx(spin, 4)
     wrong = dataclasses.replace(c.taus[1], right_function=right_function_poly(2))
     assert tau_casimir_ladder_residual(wrong, c.gens).frobenius_relative > 0.1
+
+
+def test_a_nan_tau_certificate_fails_the_build(ctx, monkeypatch):
+    # A NaN label-shift residual of the last tau is not within 1e-8.
+    c = ctx(1, 3)
+    certificates = su2ladders.casimir.tau_certificates
+
+    def nan_shift(taus, generators):
+        reports = certificates(taus, generators)
+        reports[-1] = (reports[-1][0], ResidualReport(math.nan, math.nan, 1))
+        return reports
+    monkeypatch.setattr(su2ladders.casimir, "tau_certificates", nan_shift)
+    with pytest.raises(TauCertificationError, match=r"tau\[1\] failed the "
+                       "label shift certificate: relative residual nan"):
+        build_taus(c.families, c.gens, certify=True)
 
 
 def test_assemble_tau_certification_catches_corruption(ctx):
@@ -398,6 +460,26 @@ def test_lattice_rejects_scheme_violation(ctx):
     fake[1] = dataclasses.replace(
         c.taus[1], weight0=c.gens.weight0().of(c.families.p_ops[0]))
     with pytest.raises(LatticeSchemeError):
+        lattice_report(c.basis, c.gens, fake, 3)
+
+
+def test_lattice_rejects_a_nan_image(ctx):
+    # One NaN entry in tau[+1]'s level-1 block: its image of the level-1
+    # node has no finite norm, which used to become an arrow of amplitude
+    # NaN.
+    c = ctx(1, 4)
+    tau = c.taus[1]
+    blocks = dict(tau.weight0.blocks)
+    target, block = blocks[1]
+    block = block.copy()
+    block[0, 0] = math.nan
+    blocks[1] = (target, block)
+    fake = dict(c.taus)
+    fake[1] = dataclasses.replace(
+        tau, weight0=SectorBlocks(tau.weight0.basis, blocks))
+    with pytest.raises(LatticeSchemeError,
+                       match=r"tau_dag\[\+1\] applied to node \(1, 1\) "
+                             "has an image of norm nan"):
         lattice_report(c.basis, c.gens, fake, 3)
 
 

@@ -1,5 +1,7 @@
 """The complete spin-1 walkthrough: Weyl pair, deformed su(2), canonical basis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,13 @@ def test_max_ratio_deviation_is_a_plain_float():
     tb = TauBarReport(rep, rep, rep, rep, rep,
                       [(1, 1, np.float64(0.25), 1.0 / 3.0)])
     assert type(tb.max_ratio_deviation()) is float
+
+
+def test_max_ratio_deviation_reads_a_nan_after_a_finite_one():
+    rep = ResidualReport(0.0, 0.0, 1)
+    tb = TauBarReport(rep, rep, rep, rep, rep,
+                      [(2, 0, 0.5, 1.0), (1, 1, math.nan, 1.0 / 3.0)])
+    assert math.isnan(tb.max_ratio_deviation())
 
 
 def test_inverse_expressions(ctx):

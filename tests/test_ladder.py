@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from su2ladders.ladder import (ConsistencyError, PreconditionError,
                                family_for_theta, right_function_poly,
                                right_functions, sigma_closed_form_next_to_top,
                                solve_sigma)
-from su2ladders.operators import (SectorBlocks, SparseOperator,
+from su2ladders.operators import (ResidualReport, SectorBlocks, SparseOperator,
                                   annihilation_op, commutator,
                                   creation_op, number_op, sector_blocks)
 from su2ladders.schwinger import su2_generators
@@ -54,6 +55,26 @@ def test_rlo_precondition_violation(ctx):
     bad_p = creation_op(c.basis, 0) + annihilation_op(c.basis, 0)
     with pytest.raises(PreconditionError):
         check_rlo(c.gens.Ntot, creation_op(c.basis, 0), bad_p, 1)
+
+
+def test_a_nan_right_function_fails_the_precondition(ctx):
+    # One NaN on an interior diagonal entry of P: [H, P] reads NaN, which
+    # is not within the precondition's 1e-10.
+    c = ctx(1, 4)
+    values = np.ones(len(c.basis))
+    values[np.flatnonzero(c.basis.totals == 1)[0]] = math.nan
+    p_fn = SparseOperator.diagonal(c.basis, values)
+    with pytest.raises(PreconditionError, match="nan"):
+        check_rlo(c.gens.Ntot, creation_op(c.basis, 0), p_fn, 1)
+
+
+def test_a_nan_base_relation_fails_the_power_identity(ctx, monkeypatch):
+    c = ctx(1, 4)
+    monkeypatch.setattr(ladder_module, "check_rlo",
+                        lambda *args: ResidualReport(math.nan, math.nan, 1))
+    with pytest.raises(PreconditionError, match="base ladder relation"):
+        check_power_identity(c.gens.Ntot, creation_op(c.basis, 0),
+                             SparseOperator.identity(c.basis), 3, 1)
 
 
 def test_llo_number_lowering(ctx):

@@ -10,12 +10,13 @@ from scipy import sparse
 
 from su2ladders.fock import SectorBasis, enumerate_sector
 from su2ladders.operators import (BasisMismatchError, EmptyInteriorError,
-                                  SectorBlocks, SectorStructureError,
+                                  ResidualReport, SectorBlocks,
+                                  SectorStructureError,
                                   SparseOperator, annihilation_op,
                                   commutator, commutator_on_columns,
                                   commutator_residual, creation_op,
                                   number_op, on_columns, residual,
-                                  sector_blocks, zero_residual)
+                                  sector_blocks, worst, zero_residual)
 from su2ladders.schwinger import WeightLeakError, su2_generators
 
 
@@ -151,6 +152,22 @@ def test_commutator_residual_normalization(basis):
     rep = commutator_residual(n0, n1, 0)
     assert rep.frobenius_absolute == 0.0
     assert rep.frobenius_relative == 0.0
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_worst_is_nan_wherever_a_nan_sits(position):
+    values = [1e-3, 0.5, ResidualReport(1.0, 0.25, 1), [2e-3]]
+    assert worst(values) == 0.5
+    values[position] = (ResidualReport(1.0, math.nan, 1) if position == 2
+                        else [math.nan] if position == 3 else math.nan)
+    assert math.isnan(worst(values))
+
+
+def test_worst_reads_a_report_as_its_relative_residual():
+    # The absolute residual is not read; a list nests, and none is 0.0.
+    assert worst([ResidualReport(3.0, 1e-12, 1), 1e-13]) == 1e-12
+    assert worst([[ResidualReport(0.0, 2.0, 0)], (np.float64(1.5),)]) == 2.0
+    assert worst([]) == 0.0 and type(worst([np.float64(1.0)])) is float
 
 
 def test_apply_matches_matrix(basis):

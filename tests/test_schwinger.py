@@ -21,7 +21,8 @@ from su2ladders.schwinger import (NonHermitianError, SectorStructureError,
                                   SpectralDecomposition, SpectralFunctionError,
                                   SpectrumSnapError, Su2Generators,
                                   WeightLeakError, _evaluate, _phase_fixed,
-                                  jordan_schwinger, jz_kernel, su2_generators)
+                                  _snap_labels, jordan_schwinger, jz_kernel,
+                                  su2_generators)
 from su2ladders.verify import SuiteConfig, run_suite
 
 from conftest import whole_csr
@@ -171,6 +172,23 @@ def test_spectral_rejects_non_hermitian(ctx):
     from su2ladders.operators import creation_op
     with pytest.raises(NonHermitianError):
         spectral_function(creation_op(c.basis, 0), lambda key, x: x)
+
+
+def test_spectral_rejects_a_nan_entry_as_non_hermitian(ctx):
+    # A NaN gap is not within the hermiticity gate.
+    c = ctx(1, 3)
+    matrix = c.gens.J2.matrix.copy()
+    matrix.data[-1] = math.nan
+    with pytest.raises(NonHermitianError, match="nan"):
+        SpectralDecomposition.of(SparseOperator(c.basis, matrix))
+
+
+def test_a_nan_eigenvalue_does_not_snap():
+    # j(j+1) = 2 snaps to j = 1 on (1, 0) at spin 1; a NaN beside it
+    # snaps to no label.
+    assert _snap_labels(np.array([2.0]), (1, 0), 1).tolist() == [1]
+    with pytest.raises(SpectrumSnapError, match="nan"):
+        _snap_labels(np.array([2.0, math.nan]), (1, 0), 1)
 
 
 def test_spectral_rejects_sector_coupling(ctx):

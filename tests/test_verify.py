@@ -16,7 +16,7 @@ from su2ladders.fock import enumerate_sector
 from su2ladders.jpoly import JPoly
 from su2ladders.ladder import (RightFunctionError, build_alpha,
                                family_for_theta, solve_sigma)
-from su2ladders.operators import SectorBlocks, SparseOperator
+from su2ladders.operators import ResidualReport, SectorBlocks, SparseOperator
 from su2ladders.schwinger import (KernelNodes, Su2Generators, Weight0View,
                                   WeightLeakError, su2_generators)
 from su2ladders.verify import (REQUIRED_ANCHORS, SuiteConfig,
@@ -1019,3 +1019,93 @@ def test_trivial_kernel_parity_reads_every_vector_of_a_node():
     check = _named_check(_lattice_checks, ctx, name)
     assert not check.passed
     assert check.detail == f"tau_dag[2] at {node}"
+
+
+def _nan_jminus(monkeypatch):
+    # The last stored entry of J_- set to NaN, in every generator set the
+    # suite builds.
+    generators = su2ladders.verify.su2_generators
+
+    def damaged(basis):
+        gens = generators(basis)
+        matrix = gens.Jminus.matrix.copy()
+        matrix.data[-1] = math.nan
+        gens.Jminus = SparseOperator(basis, matrix)
+        return gens
+    monkeypatch.setattr(su2ladders.verify, "su2_generators", damaged)
+
+
+def test_a_nan_generator_entry_fails_the_gated_checks(monkeypatch):
+    # Each of these read a NaN among finite values, which Python's max
+    # passed over; the worst is now NaN, and a NaN is not below the gate.
+    _nan_jminus(monkeypatch)
+    report = run_suite(SuiteConfig(spins=[2], n_max=3))
+    assert len(report.checks) == 74
+    checks = {c.name: c for c in report.checks}
+    for name in ("su2-commutators", "n-centrality",
+                 "single-particle-casimir", "j-spectrum-integers"):
+        assert not checks[name].passed, name
+
+
+def test_a_nan_generator_entry_ends_the_irrep_chain(monkeypatch):
+    # The J_+/- chain of irrep-dimensions stops at a NaN norm, where it
+    # used to run forever, and counts too few states.
+    _nan_jminus(monkeypatch)
+    report = run_suite(SuiteConfig(spins=[1], n_max=3))
+    check = next(c for c in report.checks if c.name == "irrep-dimensions")
+    assert not check.passed
+    assert check.detail == "irrep at j=1 has 2 weight states"
+
+
+def _gated_check(*parts, gate=1e-8, detail=""):
+    report = VerificationReport(config=SuiteConfig(spins=[1], n_max=2))
+    _Runner(report.config, report).gated("gated", "anchor", {"s": 1}, gate,
+                                         *parts, detail=detail)
+    return report.checks[0]
+
+
+def test_gated_takes_the_worst_of_its_parts_below_the_gate():
+    calls = []
+
+    def part(value):
+        def read():
+            calls.append(value)
+            return value
+        return read
+    report = ResidualReport(1.0, 2e-9, 1)
+    check = _gated_check(part(1e-9), part([report, 3e-9]), part(report),
+                         detail=lambda: f"read {calls}")
+    assert (check.residual, check.passed) == (3e-9, True)
+    assert calls == [1e-9, [report, 3e-9], report]
+    assert check.detail == f"read {calls}"
+    # The gate is strict, and a NaN in any part fails.
+    assert not _gated_check(lambda: 1e-8).passed
+    nan = _gated_check(lambda: [math.nan, 0.0], lambda: 1.0, gate=math.inf)
+    assert math.isnan(nan.residual) and not nan.passed
+
+
+def test_a_failing_part_fails_its_gated_check_unread():
+    def refuse():
+        raise RuntimeError("part refused")
+    read = []
+    check = _gated_check(lambda: 0.0, refuse, lambda: read.append(1),
+                         detail=lambda: read.append(2))
+    assert (check.passed, check.residual) == (False, None)
+    assert check.detail == "RuntimeError: part refused"
+    assert read == []
+
+
+def test_unlisted_annihilations_list_each_node_once():
+    # At spin 3, n_max 5, level 4 has a multi-dimensional node (4, 0)
+    # that three ladders annihilate on more than one vector: listed once.
+    report = VerificationReport(config=SuiteConfig(spins=[3], n_max=5))
+    ctx = _SpinContext(3, 5)
+    _lattice_checks(_Runner(report.config, report), ctx)
+    check = next(c for c in report.checks
+                 if c.name == "tau-annihilation-rules")
+    cases = next(d["cases"] for d in report.discrepancies
+                 if d["topic"] == "annihilation-beyond-listed-rules")
+    assert check.passed and check.detail == "6 unlisted annihilations reported"
+    assert len(cases) == len(set(cases)) == 6
+    assert ctx.lattice.node_dims[4, 0] > 1
+    assert "tau_dag[+1] at (4, 0)" in cases
